@@ -31,7 +31,7 @@ from .near_invariance import (DefectReport, compute_defect, kernel_of,
                               verify_theorem_theta_star)
 from .operators import brown_halmos_check, build_perturbed, gram_deviation
 from .representation import (build_frame, check_coordinate_space_invariance,
-                             default_depth, extract_coordinates,
+                             default_depth, peel_members,
                              rank_one_complement_analysis,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
@@ -272,17 +272,14 @@ def check_representation(sc: Scenario, tol: Tolerances) -> CheckOutcome:
         return CheckOutcome("representation", "skipped", residuals,
                             time.perf_counter() - t0)
     defect = compute_defect(kernel, defect_floor=tol.defect_floor)
-    frame = build_frame(kernel, defect.defect_basis, defect_floor=tol.defect_floor)
-    coords = []
-    iso = rec = 0.0
-    for F in kernel.basis_vectors():
-        c = extract_coordinates(F, frame, tol_membership=tol.membership,
-                                tol_rep=max(tol.representation, 1e-6))
-        coords.append(c)
-        iso = max(iso, c.isometry_gap / max(c.source_norm ** 2, 1e-300))
-        rec = max(rec, c.reconstruction_residual / max(c.source_norm, 1e-300))
+    frame = build_frame(kernel, defect, defect_floor=tol.defect_floor)
     depth = sc.depth if sc.depth is not None else default_depth(sc.N)
-    inv = check_coordinate_space_invariance(frame, coords, depth)
+    peeling = peel_members(kernel.basis, frame, tol_membership=tol.membership,
+                           tol_rep=max(tol.representation, 1e-6), depth=depth)
+    norms = peeling.source_norms
+    iso = float(np.max(peeling.isometry_gaps / np.maximum(norms ** 2, 1e-300)))
+    rec = float(np.max(peeling.reconstruction_residuals / np.maximum(norms, 1e-300)))
+    inv = peeling.invariance
     residuals.update({"r": frame.r, "p": frame.p,
                       "vanishing_case": frame.vanishing_case,
                       "case": "vanishing" if frame.vanishing_case else "nonvanishing",
@@ -405,9 +402,13 @@ def load_scenario(path: Path) -> Scenario:
 
 
 def run_scenario(path: Path, base_tol: Tolerances = Tolerances(),
-                 out: Path | None = None) -> tuple[RunReport, int]:
-    """Run one scenario file; returns (report, exit code)."""
+                 out: Path | None = None,
+                 seed: int | None = None) -> tuple[RunReport, int]:
+    """Run one scenario file, its seed replaced by ``seed`` when given;
+    returns (report, exit code)."""
     sc = load_scenario(path)
+    if seed is not None:
+        sc.seed = seed
     report = run_scenario_object(sc, base_tol)
     if out is not None:
         Path(out).write_text(json.dumps(report.to_json(), indent=2) + "\n")
@@ -450,14 +451,15 @@ class SuiteResult:
 
 def run_suite(directory: Path, jobs: int = 1,
               base_tol: Tolerances = Tolerances(),
-              out: Path | None = None) -> SuiteResult:
+              out: Path | None = None,
+              seed: int | None = None) -> SuiteResult:
     paths = sorted(Path(directory).glob("*.json"))
     if not paths:
         raise ScenarioValidationError(f"no scenario files in {directory}")
 
     def one(p: Path):
         try:
-            return ("report", run_scenario(p, base_tol)[0], p)
+            return ("report", run_scenario(p, base_tol, seed=seed)[0], p)
         except ScenarioParseError as exc:
             return ("parse", str(exc), p)
         except (ScenarioValidationError, TKLabError, ValueError) as exc:
@@ -604,7 +606,8 @@ def main(argv: list[str] | None = None) -> int:
             report, code = _run_command(args, tol)
             return code
         if args.command == "suite":
-            suite = run_suite(args.dir, jobs=args.jobs, base_tol=tol, out=args.out)
+            suite = run_suite(args.dir, jobs=args.jobs, base_tol=tol, out=args.out,
+                              seed=args.seed)
             print(suite.table())
             return suite.exit_code
         if args.command == "sweep":

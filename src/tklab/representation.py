@@ -15,11 +15,26 @@ subtracting and backward-shifting exposes the degree-0 values of the k_j as
 inner products against the defect frame; iterating walks up the degrees.
 Peeling lands exactly on the coordinate-space solution, which a flat
 least-squares solve of the (often rank-deficient) frame map would not.
+
+Peeling is linear in F, so one engine (``peel_members``) runs it on a whole
+batch: the K members are the rows of a K x mN array, the pseudo-inverse of
+the value map is formed once per frame, and every step is a few matrix
+products over the members still active.  A member leaves the active set at
+its own tail floor, so its series length and coefficients are those of a
+peeling run on that member alone.  The coefficients are kept step-major,
+members ordered by decreasing series length, so step t touches a prefix.
+
+Reassembly runs the Horner recursion acc <- z (acc + E c_t) + W a_t from the
+top step down.  Its state after step n is the reassembly of the coordinates
+backward-shifted n times, so one pass yields the reconstruction (n = 0) and
+every shifted reassembly the invariance check needs (n = 1..depth).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +42,7 @@ from .errors import DimensionMismatch, FrameDeficientError, NotInnerError
 from .hardy_core import (CoeffVec, backward_shift, eval_at_zero, inner_product,
                          reproducing_column)
 from .model_spaces import build_model_space, decompose_against_theta
-from .near_invariance import compute_defect, kernel_of
+from .near_invariance import DefectReport, compute_defect, kernel_of
 from .operators import build_perturbed, build_toeplitz, orthonormalize_family
 from .subspaces import (Subspace, intersect, is_contained,
                         ortho_complement_within, project, span_of,
@@ -35,14 +50,12 @@ from .subspaces import (Subspace, intersect, is_contained,
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_inner,
                       is_invertible_analytic, symbol_adjoint)
 
-
-def scalar_multiply_truncated(scalar_coeffs: np.ndarray, V: CoeffVec) -> CoeffVec:
-    """Truncated product of a scalar series with a vector series."""
-    s = np.asarray(scalar_coeffs, dtype=complex).ravel()
-    out = np.zeros((V.m, V.N), dtype=complex)
-    for i in range(V.m):
-        out[i] = np.convolve(s, V.coeffs[i])[:V.N]
-    return CoeffVec(out)
+#: members per matrix product in the batched membership residual; bounds the
+#: temporaries to a few chunk x mN arrays
+_ROW_CHUNK = 128
+#: steps of slack in the sliding-window buffers of peeling and reassembly; the
+#: window is copied back to the start of a fresh buffer once per this many
+_WINDOW_SLACK = 32
 
 
 @dataclass(frozen=True)
@@ -67,17 +80,44 @@ class RepresentationFrame:
             return np.zeros((self.M.m, 0), dtype=complex)
         return np.stack([eval_at_zero(w) for w in self.W], axis=1)
 
+    @cached_property
+    def W_matrix(self) -> np.ndarray:
+        """The W frame as flat columns, mN x r."""
+        return _flat_columns(self.W, self.M.m * self.M.N)
 
-def build_frame(M: Subspace, defect: Subspace,
+    @cached_property
+    def E_matrix(self) -> np.ndarray:
+        """The defect frame as flat columns, mN x p."""
+        return _flat_columns(self.E, self.M.m * self.M.N)
+
+    @cached_property
+    def value_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of the value map, r x m: one solve for every step."""
+        return np.linalg.pinv(self.value_matrix()) if self.W else \
+            np.zeros((0, self.M.m), dtype=complex)
+
+
+def _flat_columns(vectors: tuple[CoeffVec, ...], length: int) -> np.ndarray:
+    if not vectors:
+        return np.zeros((length, 0), dtype=complex)
+    return np.stack([v.flatten() for v in vectors], axis=1)
+
+
+def build_frame(M: Subspace, defect: Subspace | DefectReport,
                 tol_contain: float = 1e-8,
                 defect_floor: float = 1e-8) -> RepresentationFrame:
     """Assemble (W, E) frames for M with the given defect space.
 
     The defect space must contain the measured defect of M and be orthogonal
-    to M.  W spans M minus (M intersect zH2), orthonormalized by Gram-Schmidt
-    in the order of M's basis columns.
+    to M.  A ``DefectReport`` already measured for M serves as both: its
+    basis is the defect frame and no second measurement is made.  W spans M
+    minus (M intersect zH2), orthonormalized by Gram-Schmidt in the order of
+    M's basis columns.
     """
-    measured = compute_defect(M, defect_floor=defect_floor)
+    if isinstance(defect, DefectReport):
+        measured, defect = defect, defect.defect_basis
+    else:
+        measured = compute_defect(M, defect_floor=defect_floor)
     ok, resid = is_contained(measured.defect_basis, defect, tol_contain)
     if not ok:
         raise DimensionMismatch(
@@ -89,21 +129,26 @@ def build_frame(M: Subspace, defect: Subspace,
             raise DimensionMismatch(
                 f"defect frame is not orthogonal to the subspace (overlap {overlap:.3e})")
     zslice = intersect(M, vanishing_at_zero_space(M.m, M.N))
-    W: list[CoeffVec] = []
+    off_slice = M.basis
+    if zslice.dim:
+        Z = zslice.basis
+        off_slice = M.basis - Z @ (Z.conj().T @ M.basis)
+    W: list[np.ndarray] = []
     for idx in range(M.dim):
-        v = M.basis[:, idx] - zslice.project_flat(M.basis[:, idx])
+        v = off_slice[:, idx]
         for w in W:
-            v = v - w.flatten() * np.vdot(w.flatten(), v)
+            v = v - w * np.vdot(w, v)
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-10:
-            W.append(CoeffVec.from_flat(v / nrm, M.m, M.N))
+            W.append(v / nrm)
+    W_vecs = tuple(CoeffVec.from_flat(w, M.m, M.N) for w in W)
     if W:
-        vals = np.stack([eval_at_zero(w) for w in W], axis=1)
+        vals = np.stack([w[:M.m] for w in W], axis=1)
         svals = np.linalg.svd(vals, compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
     else:
         cond = 1.0
-    return RepresentationFrame(M=M, W=tuple(W), E=tuple(defect.basis_vectors()),
+    return RepresentationFrame(M=M, W=W_vecs, E=tuple(defect.basis_vectors()),
                                vanishing_case=not W, value_map_cond=cond)
 
 
@@ -139,100 +184,6 @@ class Coordinates:
                            isometry_gap=0.0, source_norm=self.source_norm)
 
 
-def reassemble(frame: RepresentationFrame, K0: CoeffVec | None,
-               k: tuple[CoeffVec, ...]) -> CoeffVec:
-    """F0 K0 + sum_j z k_j E_j in truncated coefficients."""
-    m, N = frame.M.m, frame.M.N
-    out = CoeffVec.zeros(m, N)
-    if K0 is not None:
-        for a, w in enumerate(frame.W):
-            out = out + scalar_multiply_truncated(K0.coeffs[a], w)
-    for j, e in enumerate(frame.E):
-        shifted = np.concatenate([[0.0 + 0.0j], k[j].coeffs[0]])[:N]
-        out = out + scalar_multiply_truncated(shifted, e)
-    return out
-
-
-def extract_coordinates(F: CoeffVec, frame: RepresentationFrame,
-                        tol_membership: float = 1e-6,
-                        tol_rep: float = 1e-8,
-                        tol_tail: float = 1e-10,
-                        max_steps: int | None = None) -> Coordinates:
-    """Peel coordinate functions of an M-member degree by degree.
-
-    The peeled remainder lives inside the same degree window at every step,
-    so the recursion can run past the window length: coordinate functions
-    are generally infinite series even for polynomial members, and the loop
-    continues until their tail (the unrepresented remainder mass) drops
-    below tol_tail or max_steps is hit.  The remainder enters the reported
-    isometry gap, so a slowly converging frame is visible, never hidden.
-
-    Raises if F is not an M-member within tolerance, or if the frame cannot
-    reconstruct it (a deficient defect frame or missing headroom).
-    """
-    M = frame.M
-    if F.shape != (M.m, M.N):
-        raise DimensionMismatch(f"vector shape {F.shape} vs ambient ({M.m}, {M.N})")
-    fnorm = F.norm()
-    member_resid = M.residual_flat(F.flatten())
-    if member_resid > tol_membership * max(fnorm, 1e-300):
-        raise ValueError(
-            f"vector is not a member of the subspace (residual {member_resid:.3e})")
-    r, p, N = frame.r, frame.p, M.N
-    if max_steps is None:
-        max_steps = max(64 * N, 4096)
-    mm = M.m
-    W_mat = (np.stack([w.flatten() for w in frame.W], axis=1)
-             if r else np.zeros((mm * N, 0), complex))
-    E_mat = (np.stack([e.flatten() for e in frame.E], axis=1)
-             if p else np.zeros((mm * N, 0), complex))
-    # value solve per step is the same least-squares system; pin it once
-    vals_pinv = np.linalg.pinv(frame.value_matrix()) if r else None
-    K0_cols: list[np.ndarray] = []
-    k_cols: list[np.ndarray] = []
-    cur = F.flatten()
-    floor = tol_tail * max(fnorm, 1e-300)
-    zeros_block = np.zeros(mm, dtype=complex)
-    for _ in range(max_steps):
-        if np.linalg.norm(cur) <= floor:
-            break
-        if r:
-            a = vals_pinv @ cur[:mm]  # degree-0 block sits in the first m slots
-            K0_cols.append(a)
-            cur = cur - W_mat @ a
-        else:
-            K0_cols.append(np.zeros(0, dtype=complex))
-        cur = np.concatenate([cur[mm:], zeros_block])  # backward shift, flat form
-        if p:
-            cs = E_mat.conj().T @ cur
-            k_cols.append(cs)
-            cur = cur - E_mat @ cs
-        else:
-            k_cols.append(np.zeros(0, dtype=complex))
-    steps = max(len(K0_cols), 1)
-    K0 = None
-    if r:
-        arr = np.zeros((r, steps), dtype=complex)
-        for t, col in enumerate(K0_cols):
-            arr[:, t] = col
-        K0 = CoeffVec(arr)
-    k: tuple[CoeffVec, ...] = ()
-    if p:
-        arr = np.zeros((p, steps), dtype=complex)
-        for t, col in enumerate(k_cols):
-            arr[:, t] = col
-        k = tuple(CoeffVec(arr[j:j + 1]) for j in range(p))
-    rebuilt = reassemble(frame, K0, k)
-    recon = float(np.linalg.norm(rebuilt.coeffs - F.coeffs))
-    if recon > tol_rep * max(fnorm, 1e-300):
-        raise FrameDeficientError(
-            f"frame cannot reconstruct the member (residual {recon:.3e})")
-    norm_gap = abs(fnorm ** 2 - (K0.norm_sq() if K0 is not None else 0.0)
-                   - sum(kj.norm_sq() for kj in k))
-    return Coordinates(K0=K0, k=k, reconstruction_residual=recon,
-                       isometry_gap=norm_gap, source_norm=fnorm)
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     depth: int
@@ -247,6 +198,299 @@ class InvarianceReport:
         return {"depth": self.depth, "invariance_residuals": list(self.residuals)}
 
 
+# ---------------------------------------------------------------------------
+# batched peeling engine
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CoordinateSeries:
+    """Coordinate series of K members, step-major.
+
+    ``blocks[t]`` is the n_t x (r + p) array of step-t coefficients (K0 block
+    then k block) of the n_t members whose series is longer than t; members
+    sit in order of decreasing series length (``order[i]`` is the input index
+    of position i), so those are always the first n_t.
+    """
+
+    blocks: list[np.ndarray]
+    order: np.ndarray
+    lengths: np.ndarray  # series length per input member
+
+    @classmethod
+    def from_coordinates(cls, frame: RepresentationFrame,
+                         coords_list: list[Coordinates]) -> "CoordinateSeries":
+        """Stack per-member coordinate functions; shorter ones read as zero-padded."""
+        r, p = frame.r, frame.p
+        arrays = []
+        for c in coords_list:
+            width = max([c.K0.N if c.K0 is not None else 0] + [kj.N for kj in c.k])
+            arr = np.zeros((width, r + p), dtype=complex)
+            if r and c.K0 is not None:
+                arr[:c.K0.N, :r] = c.K0.coeffs[:r].T
+            for j, kj in enumerate(c.k[:p]):
+                arr[:kj.N, r + j] = kj.coeffs[0]
+            arrays.append(arr)
+        lengths = np.array([a.shape[0] for a in arrays], dtype=int)
+        order = np.argsort(-lengths, kind="stable")
+        blocks = [np.stack([arrays[i][t] for i in order[:int(np.sum(lengths > t))]])
+                  for t in range(int(lengths.max(initial=0)))]
+        return cls(blocks=blocks, order=order, lengths=lengths)
+
+    def member(self, i: int) -> np.ndarray:
+        """Series of input member i as a length x (r + p) array."""
+        pos = int(np.flatnonzero(self.order == i)[0])
+        return np.array([self.blocks[t][pos] for t in range(self.lengths[i])])
+
+
+def _peel(rows: np.ndarray, frame: RepresentationFrame, floors: np.ndarray,
+          max_steps: int) -> tuple[CoordinateSeries, np.ndarray]:
+    """Peel every row of a K x mN member array; returns the series and the
+    coordinate norm squared per member.
+
+    The W subtraction is folded through the shift and the defect projection,
+    S*(F - W a) - E c = S*F - E c0 - (S*W - E G) a with c0 = E^H S*F and
+    c = c0 - G a, G = E^H S*W, so a step is one product per stage.  The
+    remainders sit in a window of a wider zero-padded buffer; the backward
+    shift moves the window one block along it.
+    """
+    m, mN = frame.M.m, frame.M.m * frame.M.N
+    r, p = frame.r, frame.p
+    W, E, pinv = frame.W_matrix, frame.E_matrix, frame.value_pinv
+    E_conj = E.conj()
+    SW = np.zeros_like(W)
+    SW[:-m] = W[m:]
+    G = E_conj.T @ SW
+    update = np.concatenate([SW - E @ G, E], axis=1).T  # acts on [a | c0]
+    K = rows.shape[0]
+    width = mN + m * _WINDOW_SLACK
+    buf = np.zeros((K, width), dtype=complex)
+    buf[:, :mN] = rows
+    o = 0
+    alive = np.arange(K)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    coord_sq = np.zeros(K)
+    for _ in range(max_steps):
+        cur = buf[:, o:o + mN]
+        live = _row_norms(cur) > floors[alive]
+        if not live.all():
+            alive = alive[live]
+            buf[:alive.size, o:o + mN] = cur[live]  # blocks past the window stay zero
+            buf = buf[:alive.size]
+        if not alive.size:
+            break
+        if o + m + mN > width:
+            buf[:, :mN] = buf[:, o:o + mN]
+            buf[:, mN:] = 0.0
+            o = 0
+        coef = np.empty((alive.size, r + p), dtype=complex)
+        coef[:, :r] = buf[:, o:o + m] @ pinv.T
+        o += m  # backward shift: the block entering the window is zero
+        cur = buf[:, o:o + mN]
+        coef[:, r:] = cur @ E_conj
+        cur -= coef @ update
+        coef[:, r:] -= coef[:, :r] @ G.T
+        coord_sq[alive] += _row_norms(coef) ** 2
+        steps.append((alive, coef))
+    del buf
+    lengths = np.zeros(K, dtype=int)
+    for alive, _ in steps:
+        lengths[alive] += 1
+    order = np.argsort(-lengths, kind="stable")
+    position = np.empty(K, dtype=int)
+    position[order] = np.arange(K)
+    blocks = []
+    for alive, coef in steps:
+        sorted_coef = np.empty_like(coef)
+        sorted_coef[position[alive]] = coef
+        blocks.append(sorted_coef)
+    return CoordinateSeries(blocks=blocks, order=order, lengths=lengths), coord_sq
+
+
+def _suffix_reassemblies(frame: RepresentationFrame, series: CoordinateSeries,
+                         depth: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, R_n) for n = depth, ..., 1, 0.
+
+    Row i of R_n is the reassembly of the coordinates of member
+    ``series.order[i]`` backward-shifted n times; members whose series is not
+    longer than n reassemble to zero and are left out.  The Horner step
+    R_t = z R_{t+1} + W a_t + (z E) c_t moves a window one block back along
+    a zero-padded buffer for the z.  R_n is a view of that buffer: read it
+    before advancing the iterator.
+    """
+    m, N = frame.M.m, frame.M.N
+    mN = m * N
+    W, E = frame.W_matrix, frame.E_matrix
+    zE = np.zeros_like(E)
+    zE[m:] = E[:-m]
+    update = np.concatenate([W, zE], axis=1).T  # acts on [a | c]
+    blocks = series.blocks
+    width = mN + m * _WINDOW_SLACK
+    buf = np.zeros((blocks[0].shape[0] if blocks else 0, width), dtype=complex)
+    o = width - mN
+    # step t only reaches the window of shifts n > t - N
+    top = min(len(blocks), N + depth)
+    for t in range(max(top, depth + 1) - 1, -1, -1):
+        n = blocks[t].shape[0] if t < top else 0
+        if n:
+            if o < m:
+                fresh = np.zeros_like(buf)
+                fresh[:, width - mN:] = buf[:, o:o + mN]
+                buf, o = fresh, width - mN
+            o -= m  # multiply by z: the block entering the window is zero
+            buf[:n, o:o + mN] += blocks[t] @ update
+        if t <= depth:
+            yield t, buf[:n, o:o + mN]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    if rows.dtype == complex and rows.strides[-1] == rows.itemsize:
+        flat = rows.view(float)
+        return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    re, im = rows.real, rows.imag
+    return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
+
+
+def _row_residuals(M: Subspace, rows: np.ndarray) -> np.ndarray:
+    """Membership residual |v - Q Q^H v| of every row v, Q the basis of M."""
+    if M.dim == 0:
+        return _row_norms(rows)
+    Q = M.basis
+    out = np.empty(rows.shape[0])
+    for s in range(0, rows.shape[0], _ROW_CHUNK):
+        chunk = rows[s:s + _ROW_CHUNK]
+        # chunk Q-bar = conj(conj(chunk) Q): no conjugate copy of Q
+        proj = np.conj(np.conj(chunk) @ Q) @ Q.T
+        np.subtract(chunk, proj, out=proj)
+        out[s:s + _ROW_CHUNK] = _row_norms(proj)
+    return out
+
+
+@dataclass
+class Peeling:
+    """Coordinates of a batch of members from one peeling run."""
+
+    frame: RepresentationFrame
+    series: CoordinateSeries
+    source_norms: np.ndarray
+    reconstruction_residuals: np.ndarray
+    isometry_gaps: np.ndarray
+    invariance: InvarianceReport
+
+    def coordinates(self, i: int) -> Coordinates:
+        """The coordinate functions of input member i."""
+        r, p = self.frame.r, self.frame.p
+        arr = np.zeros((max(int(self.series.lengths[i]), 1), r + p), dtype=complex)
+        arr[:self.series.lengths[i]] = self.series.member(i)
+        return Coordinates(
+            K0=CoeffVec(arr[:, :r].T) if r else None,
+            k=tuple(CoeffVec(arr[:, r + j][None, :]) for j in range(p)),
+            reconstruction_residual=float(self.reconstruction_residuals[i]),
+            isometry_gap=float(self.isometry_gaps[i]),
+            source_norm=float(self.source_norms[i]))
+
+    def coordinates_list(self) -> list[Coordinates]:
+        return [self.coordinates(i) for i in range(self.source_norms.size)]
+
+
+def peel_members(F: np.ndarray, frame: RepresentationFrame,
+                 tol_membership: float = 1e-6,
+                 tol_rep: float = 1e-8,
+                 tol_tail: float = 1e-10,
+                 max_steps: int | None = None,
+                 depth: int = 0) -> Peeling:
+    """Peel the coordinate functions of every column of an mN x K member matrix.
+
+    The peeled remainder lives inside the same degree window at every step,
+    so the recursion can run past the window length: coordinate functions
+    are generally infinite series even for polynomial members, and each
+    column is peeled until its tail (the unrepresented remainder mass) drops
+    below tol_tail times its norm or max_steps is hit.  The remainder enters
+    the reported isometry gap, so a slowly converging frame is visible, never
+    hidden.  With depth > 0 the same reassembly pass also measures the
+    coordinate-space invariance residuals at shifts 1..depth.
+
+    Raises if a column is not an M-member within tolerance, or if the frame
+    cannot reconstruct one (a deficient defect frame or missing headroom).
+    """
+    M = frame.M
+    mN = M.m * M.N
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[0] != mN:
+        raise DimensionMismatch(f"member matrix shape {F.shape} vs ambient {M.m}*{M.N}")
+    rows = F.T
+    norms = _row_norms(rows)
+    scale = np.maximum(norms, 1e-300)
+    member = _row_residuals(M, rows)
+    bad = member > tol_membership * scale
+    if bad.any():
+        raise ValueError(
+            f"vector is not a member of the subspace (residual {member[bad].max():.3e})")
+    if max_steps is None:
+        max_steps = max(64 * M.N, 4096)
+    series, coord_sq = _peel(rows, frame, tol_tail * scale, max_steps)
+    invariance, recon = _reassembly_pass(frame, series, scale, depth, rows)
+    bad = recon > tol_rep * scale
+    if bad.any():
+        raise FrameDeficientError(
+            f"frame cannot reconstruct the member (residual {recon[bad].max():.3e})")
+    return Peeling(frame=frame, series=series, source_norms=norms,
+                   reconstruction_residuals=recon,
+                   isometry_gaps=np.abs(norms ** 2 - coord_sq),
+                   invariance=invariance)
+
+
+def _reassembly_pass(frame: RepresentationFrame, series: CoordinateSeries,
+                     scale: np.ndarray, depth: int, rows: np.ndarray | None = None
+                     ) -> tuple[InvarianceReport, np.ndarray | None]:
+    """One Horner pass over the series: the membership residuals of the
+    reassemblies at shifts 1..depth relative to ``scale`` (per input member),
+    and, given the member rows, the reconstruction residual of every member."""
+    order = series.order
+    inv = [0.0] * depth
+    recon = None if rows is None else _row_norms(rows)  # stays for empty series
+    for n, R in _suffix_reassemblies(frame, series, depth):
+        if n:
+            inv[n - 1] = float(np.max(_row_residuals(frame.M, R) / scale[order[:len(R)]],
+                                      initial=0.0))
+        elif rows is not None:
+            # last step: the accumulator is ours to overwrite with R_0 - F
+            for s in range(0, len(R), _ROW_CHUNK):
+                idx = order[s:s + _ROW_CHUNK]
+                R[s:s + _ROW_CHUNK] -= rows[idx]
+                recon[idx] = _row_norms(R[s:s + _ROW_CHUNK])
+    return InvarianceReport(depth=depth, residuals=tuple(inv)), recon
+
+
+def extract_coordinates(F: CoeffVec, frame: RepresentationFrame,
+                        tol_membership: float = 1e-6,
+                        tol_rep: float = 1e-8,
+                        tol_tail: float = 1e-10,
+                        max_steps: int | None = None) -> Coordinates:
+    """Peel the coordinate functions of one M-member degree by degree.
+
+    The one-member case of ``peel_members``, which documents the recursion,
+    its stopping rule and what it raises.
+    """
+    M = frame.M
+    if F.shape != (M.m, M.N):
+        raise DimensionMismatch(f"vector shape {F.shape} vs ambient ({M.m}, {M.N})")
+    return peel_members(F.flatten()[:, None], frame, tol_membership=tol_membership,
+                        tol_rep=tol_rep, tol_tail=tol_tail,
+                        max_steps=max_steps).coordinates(0)
+
+
+def reassemble(frame: RepresentationFrame, K0: CoeffVec | None,
+               k: tuple[CoeffVec, ...]) -> CoeffVec:
+    """F0 K0 + sum_j z k_j E_j in truncated coefficients."""
+    coords = Coordinates(K0=K0, k=tuple(k), reconstruction_residual=0.0,
+                         isometry_gap=0.0, source_norm=0.0)
+    series = CoordinateSeries.from_coordinates(frame, [coords])
+    _, R = next(_suffix_reassemblies(frame, series, 0))
+    flat = R[0] if len(R) else np.zeros(frame.M.m * frame.M.N, dtype=complex)
+    return CoeffVec.from_flat(flat, frame.M.m, frame.M.N)
+
+
 def check_coordinate_space_invariance(frame: RepresentationFrame,
                                       coords_list: list[Coordinates],
                                       depth: int) -> InvarianceReport:
@@ -255,16 +499,9 @@ def check_coordinate_space_invariance(frame: RepresentationFrame,
     Residuals are scaled by the source member's norm: they measure escape
     mass relative to the original element.
     """
-    out = []
-    for n in range(1, depth + 1):
-        worst = 0.0
-        for coords in coords_list:
-            shifted = coords.shifted(n)
-            v = reassemble(frame, shifted.K0, shifted.k)
-            resid = frame.M.residual_flat(v.flatten())
-            worst = max(worst, resid / max(coords.source_norm, 1e-300))
-        out.append(worst)
-    return InvarianceReport(depth=depth, residuals=tuple(out))
+    series = CoordinateSeries.from_coordinates(frame, coords_list)
+    scale = np.maximum(np.array([c.source_norm for c in coords_list]), 1e-300)
+    return _reassembly_pass(frame, series, scale, depth)[0]
 
 
 def default_depth(N: int) -> int:
@@ -411,10 +648,9 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
     if depth is None:
         depth = default_depth(N)
     cond_resid = 0.0
-    coords_list = []
-    for F in members:
-        coords = extract_coordinates(F, frame)
-        coords_list.append(coords)
+    coords_list = peel_members(np.stack([F.flatten() for F in members], axis=1),
+                               frame).coordinates_list()
+    for coords in coords_list:
         K0 = coords.K0
         k1 = coords.k[0]
         for n in range(depth + 1):
@@ -712,24 +948,23 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
             reduced.append(CoeffVec.from_flat(w, kernel.m, kernel.N))
     defect = span_of(reduced, floor=1e-8) if reduced else zero_space(kernel.m, kernel.N)
     frame = build_frame(kernel, defect)
-    sample = kernel.basis_vectors()[:min(kernel.dim, 6)]
-    for F in sample:
-        coords = extract_coordinates(F, frame)
-        for n in range(depth + 1):
-            shifted = coords.shifted(n)
-            v = reassemble(frame, shifted.K0, shifted.k)
-            flat = v.flatten()
-            membership["ambient_sum"] = max(
-                membership["ambient_sum"],
-                float(np.linalg.norm(flat - ambient_sum.project_flat(flat))))
-            if correction_line is not None and correction_line.norm() > 1e-14:
-                membership["correction_orthogonality"] = max(
-                    membership["correction_orthogonality"],
-                    abs(inner_product(v, correction_line)) / correction_line.norm())
-            if case == "in_range_noncritical":
-                membership["range_component"] = max(
-                    membership["range_component"],
-                    abs(inner_product(v, theta_h)) / theta_h.norm())
+    peeling = peel_members(kernel.basis[:, :min(kernel.dim, 6)], frame)
+    line = correction_line if correction_line is not None \
+        and correction_line.norm() > 1e-14 else None
+    for _, R in _suffix_reassemblies(frame, peeling.series, depth):
+        membership["ambient_sum"] = max(
+            membership["ambient_sum"],
+            float(np.max(_row_residuals(ambient_sum, R), initial=0.0)))
+        if line is not None:
+            membership["correction_orthogonality"] = max(
+                membership["correction_orthogonality"],
+                float(np.max(np.abs(R @ line.flatten().conj()), initial=0.0))
+                / line.norm())
+        if case == "in_range_noncritical":
+            membership["range_component"] = max(
+                membership["range_component"],
+                float(np.max(np.abs(R @ theta_h.flatten().conj()), initial=0.0))
+                / theta_h.norm())
     return ThetaStarReport(
         case=case, in_range=split.in_range, criterion=criterion,
         kernel_dim=kernel.dim, kernel=kernel, predicted_dim=predicted.dim,

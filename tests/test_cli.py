@@ -111,6 +111,25 @@ class TestSuite:
         assert suite.exit_code == EXIT_CHECK_FAIL
         assert sum(r.ok for r in suite.reports) == 1
 
+    def test_seed_flag_reaches_scenarios(self, tmp_path, monkeypatch):
+        from tklab import cli_reports
+        names = ("complement_split_column.json", "zero_symbol_defect.json")
+        for name in names:
+            (tmp_path / name).write_text((SCENARIOS / name).read_text())
+        seen = []
+        real = cli_reports.run_scenario_object
+
+        def spy(sc, base_tol):
+            seen.append(sc.seed)
+            return real(sc, base_tol)
+
+        monkeypatch.setattr(cli_reports, "run_scenario_object", spy)
+        assert main(["--seed", "7", "suite", str(tmp_path)]) == EXIT_PASS
+        assert seen == [7, 7]
+        seen.clear()
+        assert main(["suite", str(tmp_path)]) == EXIT_PASS
+        assert seen == [load_scenario(tmp_path / n).seed for n in sorted(names)]
+
     def test_parse_error_dominates(self, tmp_path):
         (tmp_path / "a.json").write_text("{ nope")
         (tmp_path / "b.json").write_text(

@@ -8,7 +8,7 @@ from tklab.near_invariance import compute_defect
 from tklab.operators import build_toeplitz
 from tklab.representation import (build_frame, check_coordinate_space_invariance,
                                   default_depth, extract_coordinates,
-                                  rank_one_complement_analysis,
+                                  peel_members, rank_one_complement_analysis,
                                   rank_one_inner_kernel,
                                   rank_one_invertible_kernel,
                                   rank_one_theta_star_analysis, reassemble)
@@ -416,3 +416,147 @@ class TestThetaStarRankOne:
         theta, H, _, _ = self.build_named_setup(s, m, N)
         with pytest.raises(ValueError):
             rank_one_theta_star_analysis(theta, CoeffVec.zeros(m, N), H, N)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the batched engine against a per-vector peeling loop
+# ---------------------------------------------------------------------------
+
+
+def looped_peel(F, frame, tol_tail=1e-10, max_steps=None):
+    """Peel one member vector by vector, with convolution reassembly as the
+    reference; returns (steps, K0 rows, k rows, reconstruction, isometry)."""
+    M = frame.M
+    m, N, r, p = M.m, M.N, frame.r, frame.p
+    W = np.stack([w.flatten() for w in frame.W], axis=1) if r else np.zeros((m * N, 0))
+    E = np.stack([e.flatten() for e in frame.E], axis=1) if p else np.zeros((m * N, 0))
+    pinv = np.linalg.pinv(frame.value_matrix()) if r else np.zeros((0, m))
+    cur = F.flatten()
+    floor = tol_tail * max(F.norm(), 1e-300)
+    cols = []
+    for _ in range(max_steps or max(64 * N, 4096)):
+        if np.linalg.norm(cur) <= floor:
+            break
+        a = pinv @ cur[:m]
+        cur = cur - W @ a
+        cur = np.concatenate([cur[m:], np.zeros(m, complex)])
+        c = E.conj().T @ cur
+        cur = cur - E @ c
+        cols.append(np.concatenate([a, c]))
+    coeffs = np.zeros((r + p, max(len(cols), 1)), complex)
+    for t, col in enumerate(cols):
+        coeffs[:, t] = col
+    K0, k = coeffs[:r], coeffs[r:]
+    rebuilt = looped_reassemble(frame, K0, k)
+    recon = float(np.linalg.norm(rebuilt - F.coeffs))
+    iso = abs(F.norm() ** 2 - float(np.sum(np.abs(coeffs) ** 2)))
+    return len(cols), K0, k, recon, iso
+
+
+def looped_reassemble(frame, K0, k):
+    m, N = frame.M.m, frame.M.N
+    out = np.zeros((m, N), complex)
+    for a, w in enumerate(frame.W):
+        for i in range(m):
+            out[i] += np.convolve(K0[a], w.coeffs[i])[:N]
+    for j, e in enumerate(frame.E):
+        shifted = np.concatenate([[0j], k[j]])[:N]
+        for i in range(m):
+            out[i] += np.convolve(shifted, e.coeffs[i])[:N]
+    return out
+
+
+def shifted_rows(coeffs, n):
+    out = np.zeros_like(coeffs)
+    out[:, :max(coeffs.shape[1] - n, 0)] = coeffs[:, n:]
+    return out
+
+
+def looped_invariance(frame, refs, norms, depth):
+    out = []
+    for n in range(1, depth + 1):
+        worst = 0.0
+        for (_, K0, k, _, _), nrm in zip(refs, norms):
+            v = looped_reassemble(frame, shifted_rows(K0, n), shifted_rows(k, n))
+            worst = max(worst, frame.M.residual_flat(v.T.reshape(-1)) / nrm)
+        out.append(worst)
+    return out
+
+
+def complement_frame(kind, m, N, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        M = span_of(rand_orthonormal(rng, m, N, min(6, N - 2), 2)).perp()
+    elif kind == "vanishing":
+        # the constants lie in span G, so every member vanishes at the origin
+        G = [reproducing_column(m, N, i) for i in range(m)]
+        G += rand_orthonormal(rng, m, N, min(6, N - 2), 2, lo=1)
+        M = span_of(G).perp()
+    else:  # "invariant": polynomials of degree < d, the complement of z^d H2
+        d = N // 3
+        M = span_of([rand_coeffvec(rng, m, N, d) for _ in range(m * d)])
+    return build_frame(M, compute_defect(M))
+
+
+ORACLE_CASES = [(kind, m, N) for kind in ("generic", "vanishing", "invariant")
+                for m, N in ((1, 8), (1, 24), (2, 11), (2, 16), (3, 8), (3, 20))]
+
+
+class TestBatchedPeelingOracle:
+    @pytest.mark.parametrize("kind,m,N", ORACLE_CASES)
+    def test_matches_looped_peeling(self, kind, m, N):
+        frame = complement_frame(kind, m, N, seed=10 * m + N)
+        M = frame.M
+        if kind == "vanishing":
+            assert frame.r == 0 and frame.vanishing_case and frame.p > 0
+        if kind == "invariant":
+            assert frame.p == 0 and frame.r == m
+        depth = default_depth(N)
+        peeling = peel_members(M.basis, frame, depth=depth)
+        members = M.basis_vectors()
+        refs = [looped_peel(F, frame) for F in members]
+        for i, (steps, K0, k, recon, iso) in enumerate(refs):
+            assert peeling.series.lengths[i] == steps
+            coords = peeling.coordinates(i)
+            if frame.r:
+                assert np.max(np.abs(coords.K0.coeffs - K0)) < 1e-12
+            else:
+                assert coords.K0 is None
+            got_k = np.array([kj.coeffs[0] for kj in coords.k]).reshape(k.shape)
+            assert np.max(np.abs(got_k - k), initial=0.0) < 1e-12
+            assert recon < 1e-8 and abs(peeling.reconstruction_residuals[i] - recon) < 1e-12
+            assert abs(peeling.isometry_gaps[i] - iso) < 1e-12
+        expected = looped_invariance(frame, refs, [F.norm() for F in members], depth)
+        assert np.allclose(peeling.invariance.residuals, expected, rtol=0, atol=1e-12)
+        rep = check_coordinate_space_invariance(frame, peeling.coordinates_list(), depth)
+        assert np.allclose(rep.residuals, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ("generic", "vanishing"))
+    def test_single_member_and_reassembly(self, kind):
+        frame = complement_frame(kind, 2, 14, seed=3)
+        for F in frame.M.basis_vectors()[:4]:
+            steps, K0, k, _, _ = looped_peel(F, frame)
+            coords = extract_coordinates(F, frame)
+            width = coords.k[0].N if coords.k else coords.K0.N
+            assert width == max(steps, 1)
+            rebuilt = reassemble(frame, coords.K0, coords.k)
+            assert np.max(np.abs(rebuilt.coeffs - looped_reassemble(frame, K0, k))) < 1e-12
+
+    def test_non_member_column_rejected(self):
+        frame = complement_frame("generic", 2, 12, seed=5)
+        stray = frame.M.perp().basis[:, :1]
+        batch = np.concatenate([frame.M.basis[:, :5], stray, frame.M.basis[:, 5:9]],
+                               axis=1)
+        with pytest.raises(ValueError):
+            peel_members(batch, frame)
+
+    def test_step_cap_leaves_unreconstructed_tail(self):
+        frame = complement_frame("generic", 2, 16, seed=7)
+        steps = peel_members(frame.M.basis, frame).series.lengths
+        assert steps.max() > 4
+        with pytest.raises(FrameDeficientError):
+            peel_members(frame.M.basis, frame, max_steps=4)
+        longest = frame.M.basis_vectors()[int(np.argmax(steps))]
+        assert looped_peel(longest, frame, max_steps=4)[3] > 1e-8 * longest.norm()
+        with pytest.raises(FrameDeficientError):
+            extract_coordinates(longest, frame, max_steps=4)
