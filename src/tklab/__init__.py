@@ -2,7 +2,8 @@
 
 A desk-scale numerical workbench over truncated vector-valued Hardy space:
 builds compressions of matrix-symbol multiplication operators and their
-finite-rank perturbations, extracts kernels by dense SVD, measures how far
+finite-rank perturbations, extracts kernels (inside a small candidate space
+for the structured symbol classes, by dense SVD otherwise), measures how far
 those kernels are from backward-shift invariance, constructs the predicted
 defect spaces for each structured symbol class, and verifies the coordinate
 representation of nearly invariant subspaces.

@@ -201,20 +201,23 @@ def _dispatch_defect(sc: Scenario, tol: Tolerances) -> DefectReport:
     if sc.symbol_class == "zero":
         return verify_theorem_phi_zero(sc.G, sc.H, sc.N, m=sc.m,
                                        defect_floor=tol.defect_floor,
+                                       tol_rel=tol.rank_rel,
                                        tol_ortho=tol.ortho)
     if sc.symbol_class == "inner":
         return verify_theorem_inner_symbol(sc.symbol, sc.G, sc.H, sc.N,
                                            defect_floor=tol.defect_floor,
+                                           tol_rel=tol.rank_rel,
                                            tol_ortho=tol.ortho,
                                            tol_inner=tol.inner)
     if sc.symbol_class == "invertible_factors":
         return verify_theorem_invertible_factors(
             sc.factors[0], sc.factors[1], sc.G, sc.H, sc.N,
-            defect_floor=tol.defect_floor, tol_ortho=tol.ortho,
-            margin=tol.invertibility_margin)
+            defect_floor=tol.defect_floor, tol_rel=tol.rank_rel,
+            tol_ortho=tol.ortho, margin=tol.invertibility_margin)
     if sc.symbol_class == "theta_star":
         return verify_theorem_theta_star(sc.symbol, sc.G, sc.H, sc.N,
                                          defect_floor=tol.defect_floor,
+                                         tol_rel=tol.rank_rel,
                                          tol_ortho=tol.ortho,
                                          tol_inner=tol.inner,
                                          range_membership=tol.range_membership)
@@ -246,6 +249,7 @@ def check_defect_theorem(sc: Scenario, tol: Tolerances) -> CheckOutcome:
 
 
 def _scenario_kernel(sc: Scenario, tol: Tolerances) -> Subspace:
+    factors = None
     if sc.symbol_class == "zero":
         symbol = LaurentMatrixSymbol.zero(sc.m)
     elif sc.symbol_class == "inner":
@@ -253,6 +257,7 @@ def _scenario_kernel(sc: Scenario, tol: Tolerances) -> Subspace:
     elif sc.symbol_class == "theta_star":
         symbol = symbol_adjoint(sc.symbol)
     elif sc.symbol_class == "invertible_factors":
+        factors = sc.factors
         symbol = symbol_multiply(symbol_adjoint(sc.factors[0]), sc.factors[1])
     elif sc.symbol_class == "raw" and sc.symbol is not None:
         symbol = sc.symbol
@@ -261,7 +266,7 @@ def _scenario_kernel(sc: Scenario, tol: Tolerances) -> Subspace:
     ortho = gram_deviation(sc.G) <= tol.ortho and gram_deviation(sc.H) <= tol.ortho
     T = build_perturbed(symbol, sc.N, sc.G, sc.H, tol_ortho=tol.ortho,
                         require_orthonormal=ortho)
-    return kernel_of(T).subspace
+    return kernel_of(T, tol_rel=tol.rank_rel, factors=factors).subspace
 
 
 def check_representation(sc: Scenario, tol: Tolerances) -> CheckOutcome:
@@ -271,7 +276,8 @@ def check_representation(sc: Scenario, tol: Tolerances) -> CheckOutcome:
     if kernel.dim == 0:
         return CheckOutcome("representation", "skipped", residuals,
                             time.perf_counter() - t0)
-    defect = compute_defect(kernel, defect_floor=tol.defect_floor)
+    defect = compute_defect(kernel, defect_floor=tol.defect_floor,
+                            tol_rel=tol.rank_rel)
     frame = build_frame(kernel, defect, defect_floor=tol.defect_floor)
     depth = sc.depth if sc.depth is not None else default_depth(sc.N)
     peeling = peel_members(kernel.basis, frame, tol_membership=tol.membership,

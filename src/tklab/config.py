@@ -52,6 +52,11 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+#: roundoff allowed in the coefficient identity sum_k Theta_k^H Theta_{k+j}
+#: = delta_j I that admits a symbol to the structured inner and Theta*
+#: kernel paths; a symbol that is inner only to a series tail stays dense
+EXACT_INNER_ROUNDOFF = 1e-13
+
 
 def rank_threshold(shape: tuple[int, int], sigma_max: float,
                    rank_rel: float | None = None) -> float:

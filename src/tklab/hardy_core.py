@@ -270,6 +270,13 @@ def backward_shift_power(F: CoeffVec, n: int) -> CoeffVec:
     return out
 
 
+def flat_columns(vectors, length: int) -> np.ndarray:
+    """A family of coefficient vectors as flat columns, length x len(vectors)."""
+    if not vectors:
+        return np.zeros((length, 0), dtype=complex)
+    return np.stack([v.flatten() for v in vectors], axis=1)
+
+
 def eval_at_zero(F: CoeffVec) -> np.ndarray:
     """The value F(0), i.e. the degree-0 coefficient block."""
     return F.coeffs[:, 0].copy()

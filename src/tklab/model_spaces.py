@@ -4,7 +4,11 @@ The truncated model space is computed as the kernel of the compression of
 Theta*, which is exact on polynomials because Theta* has no positive powers:
 nothing gets flushed past the degree window.  The shifted range Theta H^2 is
 spanned by interior-window generators only, so that boundary-degree
-artifacts never contaminate range membership.  Two independent projections
+artifacts never contaminate range membership.  For an exactly inner Theta
+those generators are the orthonormal columns of R = Theta P_{N-d}, the range
+is R itself, and the kernel is solved inside R's md-dimensional complement,
+which contains it; a Theta that is inner only to a series tail gets the
+dense SVD nullspace and the SVD span of R.  Two independent projections
 (kernel-basis and multiply-project-multiply) are cross-checked on every
 build; a disagreement aborts, since silent truncation bugs here would poison
 every downstream defect computation.
@@ -18,9 +22,11 @@ import numpy as np
 
 from .errors import NotInnerError
 from .hardy_core import CoeffVec, riesz_project
-from .operators import build_toeplitz
-from .subspaces import Subspace, is_contained, nullspace, project, span_of
-from .symbols import LaurentMatrixSymbol, is_inner, symbol_adjoint
+from .operators import build_toeplitz, range_complement, shifted_range_matrix
+from .subspaces import (SigmaGap, Subspace, column_span, is_contained, nullspace,
+                        nullspace_within, project)
+from .symbols import (LaurentMatrixSymbol, is_exactly_inner, is_inner,
+                      symbol_adjoint)
 
 
 @dataclass(frozen=True)
@@ -57,15 +63,19 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
     m, d = theta.m, theta.d
     if N <= d:
         raise NotInnerError(f"truncation N={N} must exceed the symbol degree {d}")
-    comp = build_toeplitz(symbol_adjoint(theta), N)
-    model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
-
-    generators = []
-    for j in range(N - d):
-        for i in range(m):
-            generators.append(
-                theta.act(CoeffVec.monomial(m, N, i, j)).analytic_part().resized(N))
-    rng = span_of(generators, tol_rel=tol_rel)
+    comp = build_toeplitz(symbol_adjoint(theta), N).matrix
+    R = shifted_range_matrix(theta, N)
+    model = None
+    if is_exactly_inner(theta):
+        # R has orthonormal columns and the model space ker C^H lies in R^perp
+        # (the Theta* case of kernel_of with no bump)
+        rng = Subspace(m, N, R, 0.0, SigmaGap(None, 1.0))
+        model = nullspace_within(comp, range_complement(theta, N), (m, N),
+                                 theta.coefficient_l1_norm(), 1.0, tol_rel=tol_rel)
+    else:
+        rng = column_span(R, (m, N), tol_rel=tol_rel)
+    if model is None:
+        model = nullspace(comp, (m, N), tol_rel=tol_rel)
 
     boundary = m * N - model.dim - rng.dim
     ms = ModelSpace(theta=theta, N=N, as_subspace=model, range_subspace=rng,

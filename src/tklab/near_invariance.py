@@ -5,12 +5,14 @@ origin-vanishing members escapes M: residuals r_F = S*F - P_M(S*F) over the
 slice {F in M : F(0) = 0} span the (minimal, orthogonal-to-M) defect space.
 
 Each verify_* operation builds the perturbed operator for one symbol class,
-extracts its polynomial kernel from the exact-action matrix, measures the
-defect, and compares it against the class prediction.  Predictions are
-generally oblique to the kernel, so containment is assessed modulo M: the
-defect (which is orthogonal to M by construction) must lie inside
-span(M + prediction), equivalently inside the prediction projected onto the
-orthocomplement of M.
+extracts its polynomial kernel from the exact-action matrix (inside the
+class's small candidate space when the symbol is exactly inner, the adjoint
+of one, or a product of given invertible factors; by dense SVD otherwise),
+measures the defect, and compares it against the class prediction.
+Predictions are generally oblique to the kernel, so containment is assessed
+modulo M: the defect (which is orthogonal to M by construction) must lie
+inside span(M + prediction), equivalently inside the prediction projected
+onto the orthocomplement of M.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ import numpy as np
 from .errors import NotInnerError, NotInvertibleError
 from .hardy_core import CoeffVec, backward_shift
 from .model_spaces import build_model_space, decompose_against_theta
-from .operators import PerturbedToeplitz, build_perturbed, build_toeplitz
-from .subspaces import (SigmaGap, Subspace, is_contained, nullspace, span_of,
-                        subspace_equal, zero_at_origin_slice, zero_space)
-from .symbols import (LaurentMatrixSymbol, invert_analytic, is_inner,
-                      is_invertible_analytic, symbol_adjoint, symbol_multiply)
+from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
+                        build_toeplitz, range_complement)
+from .subspaces import (SigmaGap, Subspace, column_span, is_contained, nullspace,
+                        nullspace_within, span_of, subspace_equal,
+                        zero_at_origin_slice, zero_space)
+from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
+                      is_inner, is_invertible_analytic, symbol_adjoint,
+                      symbol_multiply)
 
 
 @dataclass(frozen=True)
@@ -36,26 +41,95 @@ class KernelResult:
     sigma_cut: float
     sigma_gap: SigmaGap
     audit_violations: int
+    #: "inner", "theta_star" or "factored" for a structured solve, "dense"
+    #: for the SVD of the whole action matrix
+    method: str
 
 
-def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None) -> KernelResult:
-    """Polynomial kernel of the perturbed operator via dense SVD.
+def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
+              factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
+              ) -> KernelResult:
+    """Polynomial kernel of the perturbed operator.
 
     Uses the exact-action (overflow-row) matrix so that top-degree monomials
     flushed past the truncation window cannot masquerade as kernel vectors.
-    Every basis vector is audited against 10x the singular-value cut.
+    For an exactly inner symbol, the adjoint of one, or a symbol F1* F2 with
+    the invertible analytic ``factors`` given, the kernel is solved inside
+    a candidate space of dimension at most n + md (``nullspace_within``);
+    everything else, and any structured solve whose certified gap cannot
+    settle the rank, takes the dense SVD of the whole action matrix.  Every
+    basis vector is audited against 10x the singular-value cut.
     """
     action = T.action_matrix()
-    ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel)
-    resid = 0.0
-    violations = 0
-    for i in range(ker.dim):
-        r = float(np.linalg.norm(action @ ker.basis[:, i]))
-        resid = max(resid, r)
-        if r > 10.0 * max(ker.tol, np.finfo(float).eps):
-            violations += 1
+    ker, method = None, "dense"
+    candidates = _kernel_candidates(T, factors)
+    if candidates is not None:
+        method, Z, L_norm = candidates
+        G, H = T.G_matrix, T.H_matrix
+        # |H G^H|_2 from the n x n Grams of the families
+        bump = np.sqrt(_gram_norm(G) * _gram_norm(H))
+        alpha = T.base.symbol.coefficient_l1_norm() + bump
+        ker = nullspace_within(action, Z, (T.m, T.N), alpha, L_norm, tol_rel=tol_rel)
+    if ker is None:
+        method = "dense"
+        ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel)
+    norms = np.linalg.norm(action @ ker.basis, axis=0)
+    resid = float(np.max(norms, initial=0.0))
+    violations = int(np.sum(norms > 10.0 * max(ker.tol, np.finfo(float).eps)))
     return KernelResult(subspace=ker, residual_max=resid, sigma_cut=ker.tol,
-                        sigma_gap=ker.sigma_gap, audit_violations=violations)
+                        sigma_gap=ker.sigma_gap, audit_violations=violations,
+                        method=method)
+
+
+def _gram_norm(X: np.ndarray) -> float:
+    return float(np.max(np.linalg.eigvalsh(X.conj().T @ X), initial=0.0))
+
+
+def _kernel_candidates(T: PerturbedToeplitz,
+                       factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None
+                       ) -> tuple[str, np.ndarray, float] | None:
+    """(method, orthonormal basis of Z, bound on |L|) for ``nullspace_within``.
+
+    With B the base action matrix and H the bump's range family:
+    - inner Theta: B is an isometry, so L = B^H gives L B = I, Z0 = 0,
+      |L| = 1 and Z = span{T_{Theta*} H_i};
+    - Theta*: B = C^H for the square compression C of Theta, and
+      R = ``shifted_range_matrix`` has orthonormal columns, the first
+      m(N - d) of C; L y = R y[:m(N - d)] gives L B F = R R^H F, so
+      Z0 = R^perp (``range_complement``), |L| = 1 and
+      Z = R^perp + span{R P_{N-d} H_i};
+    - F1* F2: L = T_N(F2^-1) T(F1*^-1) inverts B exactly on P_N when the
+      F1 series reaches the top action degree, Z0 = 0, |L| is at most the
+      product of the two series' l1 coefficient sums, and L H_i is the
+      rank-one candidate F2^-1 T_{F1*^-1} H_i.
+    """
+    phi, m, N = T.base.symbol, T.m, T.N
+    H = T.H_matrix
+    if is_exactly_inner(phi):
+        LH = apply_block_toeplitz(phi.adjoint(), H, N)
+        return "inner", _orthonormal_span(LH), 1.0
+    theta = phi.adjoint()
+    if is_exactly_inner(theta):
+        LH = apply_block_toeplitz(theta, H[:m * (N - theta.d)], N)
+        return "theta_star", _orthonormal_span(range_complement(theta, N), LH), 1.0
+    if factors is None:
+        return None
+    F1, F2 = factors
+    if not phi.equals(symbol_multiply(symbol_adjoint(F1), F2)):
+        raise ValueError("factors do not multiply to the operator's symbol")
+    inv1 = invert_analytic(F1, N + phi.d_pos - 1)
+    inv2 = invert_analytic(F2, N - 1)
+    LH = apply_block_toeplitz(inv2, apply_block_toeplitz(inv1.adjoint(), H, N), N)
+    return ("factored", _orthonormal_span(LH),
+            inv1.coefficient_l1_norm() * inv2.coefficient_l1_norm())
+
+
+def _orthonormal_span(*blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal columns whose span contains every given column (no rank cut:
+    extra directions only enlarge Z, dropped ones could lose kernel)."""
+    stack = np.concatenate(blocks, axis=1)
+    return np.linalg.qr(stack)[0] if stack.shape[1] else stack
+
 
 
 @dataclass
@@ -108,11 +182,11 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
         return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_dim=0,
                             defect_basis=zero_space(M.m, M.N),
                             sigma_gap=SigmaGap(0.0, None))
-    residuals = []
-    for F in sl.basis_vectors():
-        shifted = backward_shift(F).flatten()
-        residuals.append(CoeffVec.from_flat(shifted - M.project_flat(shifted), M.m, M.N))
-    defect = span_of(residuals, tol_rel=tol_rel, floor=defect_floor)
+    # backward shift of every slice member at once: drop the degree-0 block
+    shifted = np.zeros_like(sl.basis)
+    shifted[:-M.m] = sl.basis[M.m:]
+    residuals = shifted - M.basis @ (M.basis.conj().T @ shifted)
+    defect = column_span(residuals, (M.m, M.N), tol_rel=tol_rel, floor=defect_floor)
     overlap = 0.0
     if defect.dim and M.dim:
         overlap = float(np.max(np.abs(M.basis.conj().T @ defect.basis)))
@@ -153,13 +227,16 @@ def _attach_prediction(report: DefectReport, M: Subspace,
 
 
 def _kernel_defect(T: PerturbedToeplitz, defect_floor: float,
-                   tol_rel: float | None) -> tuple[KernelResult, DefectReport]:
-    kr = kernel_of(T, tol_rel=tol_rel)
+                   tol_rel: float | None,
+                   factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
+                   ) -> tuple[KernelResult, DefectReport]:
+    kr = kernel_of(T, tol_rel=tol_rel, factors=factors)
     report = compute_defect(kr.subspace, defect_floor=defect_floor, tol_rel=tol_rel)
     report.kernel_residual_max = kr.residual_max
     report.details["kernel_sigma_cut"] = kr.sigma_cut
     report.details["kernel_sigma_ratio"] = kr.sigma_gap.ratio
     report.details["kernel_audit_violations"] = kr.audit_violations
+    report.details["kernel_method"] = kr.method
     return kr, report
 
 
@@ -226,7 +303,7 @@ def verify_theorem_invertible_factors(F1: LaurentMatrixSymbol,
             raise NotInvertibleError(f"factor {name} is not invertible on the disk")
     phi = symbol_multiply(symbol_adjoint(F1), F2)
     T = build_perturbed(phi, N, list(G), list(H), tol_ortho=tol_ortho)
-    kr, report = _kernel_defect(T, defect_floor, tol_rel)
+    kr, report = _kernel_defect(T, defect_floor, tol_rel, factors=(F1, F2))
     report.defect_bound = len(G)
     inv1 = invert_analytic(F1, N - 1)
     inv2 = invert_analytic(F2, N - 1)

@@ -10,6 +10,11 @@ has positive powers: top-degree monomials get flushed past the window and
 masquerade as kernel vectors.  The rectangular `action_matrix` keeps those
 overflow rows, so its nullspace consists of genuine polynomial kernel
 elements only.
+
+`apply_block_toeplitz` applies a compression without forming it.  For an
+exactly inner Theta, `shifted_range_matrix` (Theta on degrees below N - d)
+is an isometry and `range_complement` gives its md-dimensional orthogonal
+complement; the structured kernel and model-space paths are built on them.
 """
 
 from __future__ import annotations
@@ -19,20 +24,65 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OrthonormalityError
-from .hardy_core import CoeffVec, inner_product
+from .hardy_core import CoeffVec, flat_columns, inner_product
 from .symbols import LaurentMatrixSymbol, symbol_multiply
 
 
 def _block_toeplitz(symbol: LaurentMatrixSymbol, rows: int, cols: int) -> np.ndarray:
     m = symbol.m
-    out = np.zeros((rows * m, cols * m), dtype=complex)
+    out = np.zeros((rows, m, cols, m), dtype=complex)
     for k in symbol.powers():
-        mat = symbol.fourier(k)
-        for t in range(cols):
-            j = t + k
-            if 0 <= j < rows:
-                out[j * m:(j + 1) * m, t * m:(t + 1) * m] = mat
-    return out
+        t = np.arange(max(0, -k), min(cols, rows - k))
+        out[t + k, :, t, :] = symbol.fourier(k)
+    return out.reshape(rows * m, cols * m)
+
+
+def apply_block_toeplitz(symbol: LaurentMatrixSymbol, X: np.ndarray,
+                         rows: int) -> np.ndarray:
+    """_block_toeplitz(symbol, rows, cols) @ X without forming the matrix.
+
+    X holds flat degree-major columns of cols = len(X) / m degrees; one
+    product per Fourier power.
+    """
+    m = symbol.m
+    blocks = X.reshape(X.shape[0] // m, m, X.shape[1])
+    out = np.zeros((rows, m, X.shape[1]), dtype=complex)
+    for k in symbol.powers():
+        lo, hi = max(0, -k), min(blocks.shape[0], rows - k)
+        if lo < hi:
+            out[lo + k:hi + k] += symbol.fourier(k) @ blocks[lo:hi]
+    return out.reshape(rows * m, X.shape[1])
+
+
+def shifted_range_matrix(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
+    """R = Theta applied to the degrees [0, N - d), an mN x m(N - d) matrix.
+
+    Nothing is flushed past the window, so R has orthonormal columns when
+    Theta is inner; they span Theta P_{N-d}.
+    """
+    return _block_toeplitz(theta, N, N - theta.d)
+
+
+def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
+    """Orthonormal basis (mN x md) of the complement of Theta P_{N-d} in P_N.
+
+    Theta must be exactly inner.  Since z^d Theta* is a polynomial,
+    z^d P_{N-2d} lies in Theta P_{N-d}, so the complement lives on the
+    degrees < d and >= N - d, where it is the nullspace of those columns of
+    R^H: an m(N - d) x 2md block with exactly md null directions.
+    """
+    m, d = theta.m, theta.d
+    basis = np.zeros((m * N, m * d), dtype=complex)
+    if not d:
+        return basis
+    degrees = np.union1d(np.arange(min(d, N)), np.arange(max(N - d, 0), N))
+    idx = (degrees[:, None] * m + np.arange(m)).ravel()
+    pick = np.zeros((m * N, idx.size), dtype=complex)
+    pick[idx, np.arange(idx.size)] = 1.0
+    block = apply_block_toeplitz(theta.adjoint(), pick, N - d)  # R^H pick
+    _, _, vh = np.linalg.svd(block, full_matrices=True)
+    basis[idx] = vh[idx.size - m * d:].conj().T
+    return basis
 
 
 class ToeplitzCompression:
@@ -181,6 +231,16 @@ class PerturbedToeplitz:
     @property
     def H(self) -> tuple[CoeffVec, ...]:
         return self._H
+
+    @property
+    def G_matrix(self) -> np.ndarray:
+        """The G family as flat columns, mN x n."""
+        return flat_columns(self._G, self.m * self.N)
+
+    @property
+    def H_matrix(self) -> np.ndarray:
+        """The H family as flat columns, mN x n."""
+        return flat_columns(self._H, self.m * self.N)
 
     @property
     def matrix(self) -> np.ndarray:

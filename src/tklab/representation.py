@@ -39,14 +39,14 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, FrameDeficientError, NotInnerError
-from .hardy_core import (CoeffVec, backward_shift, eval_at_zero, inner_product,
-                         reproducing_column)
+from .hardy_core import (CoeffVec, backward_shift, eval_at_zero, flat_columns,
+                         inner_product, reproducing_column)
 from .model_spaces import build_model_space, decompose_against_theta
 from .near_invariance import DefectReport, compute_defect, kernel_of
 from .operators import build_perturbed, build_toeplitz, orthonormalize_family
-from .subspaces import (Subspace, intersect, is_contained,
-                        ortho_complement_within, project, span_of,
-                        subspace_equal, vanishing_at_zero_space, zero_space)
+from .subspaces import (Subspace, is_contained, ortho_complement_within, project,
+                        span_of, subspace_equal, zero_at_origin_slice,
+                        zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_inner,
                       is_invertible_analytic, symbol_adjoint)
 
@@ -83,24 +83,18 @@ class RepresentationFrame:
     @cached_property
     def W_matrix(self) -> np.ndarray:
         """The W frame as flat columns, mN x r."""
-        return _flat_columns(self.W, self.M.m * self.M.N)
+        return flat_columns(self.W, self.M.m * self.M.N)
 
     @cached_property
     def E_matrix(self) -> np.ndarray:
         """The defect frame as flat columns, mN x p."""
-        return _flat_columns(self.E, self.M.m * self.M.N)
+        return flat_columns(self.E, self.M.m * self.M.N)
 
     @cached_property
     def value_pinv(self) -> np.ndarray:
         """Pseudo-inverse of the value map, r x m: one solve for every step."""
         return np.linalg.pinv(self.value_matrix()) if self.W else \
             np.zeros((0, self.M.m), dtype=complex)
-
-
-def _flat_columns(vectors: tuple[CoeffVec, ...], length: int) -> np.ndarray:
-    if not vectors:
-        return np.zeros((length, 0), dtype=complex)
-    return np.stack([v.flatten() for v in vectors], axis=1)
 
 
 def build_frame(M: Subspace, defect: Subspace | DefectReport,
@@ -128,7 +122,7 @@ def build_frame(M: Subspace, defect: Subspace | DefectReport,
         if overlap > tol_contain:
             raise DimensionMismatch(
                 f"defect frame is not orthogonal to the subspace (overlap {overlap:.3e})")
-    zslice = intersect(M, vanishing_at_zero_space(M.m, M.N))
+    zslice = zero_at_origin_slice(M)
     off_slice = M.basis
     if zslice.dim:
         Z = zslice.basis
@@ -813,7 +807,7 @@ def rank_one_invertible_kernel(F1: LaurentMatrixSymbol, F2: LaurentMatrixSymbol,
     criterion = 1.0 + inner_product(candidate, G)
     phi = symbol_adjoint(F1).multiply(F2)
     T = build_perturbed(phi, N, [G], [H], require_orthonormal=False)
-    kr = kernel_of(T)
+    kr = kernel_of(T, factors=(F1, F2))
     kernel = kr.subspace
     details = {"kernel_residual_max": kr.residual_max,
                "convolution_gap": convolution_gap,

@@ -171,21 +171,88 @@ def nullspace(A: np.ndarray, shape: tuple[int, int],
     return Subspace(m, N, basis, thresh, gap)
 
 
+def nullspace_within(A: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
+                     alpha: float, L_norm: float,
+                     tol_rel: float | None = None) -> Subspace | None:
+    """Kernel of A inside a candidate space Z known to contain it.
+
+    Write A = B + Hp G^H and suppose a map L and a subspace Z0 satisfy
+    L B F - F in Z0 for every F.  A kernel vector has B F = -Hp G^H F, so
+    F = L B F - (L B F - F) = -L Hp (G^H F) - z0 lies in
+    Z := Z0 + range(L Hp).  For any F, L A F = L B F + L Hp G^H F differs
+    from F by a member of Z, so dist(F, Z) <= |L| |A F|.  ``Z`` is an
+    orthonormal basis of any space containing that Z; the kernel is
+    Z null(A Z), from the SVD of a rows x dim Z matrix instead of rows x mN.
+
+    The cut is rank_threshold(A.shape, alpha, tol_rel) with ``alpha`` a
+    certified upper bound on |A|_2, never A Z's own largest singular value.
+    The zero side of the reported gap is the largest singular value of A Z
+    at or below the cut, which is no smaller than the matching singular
+    value of A.  The signal side is the certified lower bound
+    sigma_Z / (1 + |L| (alpha + sigma_Z)) on |A F| over unit F orthogonal
+    to the kernel, sigma_Z the smallest kept singular value of A Z (1 / |L|
+    when none is kept): write F = z + e with z in Z minus the kernel and
+    |e| <= |L| |A F|; then sigma_Z (1 - |L| |A F|) <= |A z|
+    <= (1 + alpha |L|) |A F|.  Less the dense SVD's own backward error
+    max(A.shape) eps alpha, it never reads cleaner than the dense gap.  The
+    dense SVD cuts at a level between rank_threshold at a lower bound of
+    |A|_2 and the cut above; when the signal bound does not clear the upper
+    cut, or the zero side does not stay below the lower one, the two
+    decisions could differ and None is returned: the caller runs the dense
+    ``nullspace``.
+    """
+    m, N = shape
+    thresh = rank_threshold(A.shape, alpha, tol_rel)
+    AZ = A @ Z
+    if Z.shape[1]:
+        _, s, vh = np.linalg.svd(AZ, full_matrices=False)
+    else:
+        s, vh = np.zeros(0), np.zeros((0, 0), complex)
+    rank = int(np.sum(s > thresh))
+    if rank:
+        sigma = float(s[rank - 1])
+        signal = sigma / (1.0 + L_norm * (alpha + sigma))
+    else:
+        signal = 1.0 / L_norm
+    signal -= max(A.shape) * np.finfo(float).eps * alpha
+    zero = float(s[rank]) if rank < s.size else None
+    # |A|_2 is at least A Z's largest singular value and A's largest column
+    lower = max(float(s[0]) if s.size else 0.0, float(np.max(_column_norms(A))))
+    if signal <= thresh or (zero is not None
+                            and zero > rank_threshold(A.shape, lower, tol_rel)):
+        return None
+    return Subspace(m, N, Z @ vh[rank:].conj().T, thresh, SigmaGap(zero, signal))
+
+
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", X.real, X.real)
+                   + np.einsum("ij,ij->j", X.imag, X.imag))
+
+
 def span_of(vectors: list[CoeffVec], tol_rel: float | None = None,
             floor: float = 0.0) -> Subspace:
-    """Orthonormal basis of the numerical column span.
-
-    ``floor`` is an absolute singular-value cutoff on top of the relative
-    policy; it keeps all-noise inputs (for instance residuals of an exactly
-    invariant subspace) from being promoted to genuine directions.
-    """
+    """Orthonormal basis of the numerical span of a family of vectors."""
     if not vectors:
         raise DimensionMismatch("span_of needs at least one vector")
     m, N = vectors[0].m, vectors[0].N
     for v in vectors:
         if v.shape != (m, N):
             raise DimensionMismatch("span_of vectors must share (m, N)")
-    stack = np.stack([v.flatten() for v in vectors], axis=1)
+    return column_span(np.stack([v.flatten() for v in vectors], axis=1), (m, N),
+                       tol_rel=tol_rel, floor=floor)
+
+
+def column_span(stack: np.ndarray, shape: tuple[int, int],
+                tol_rel: float | None = None, floor: float = 0.0) -> Subspace:
+    """Orthonormal basis of the numerical column span of an mN x k array.
+
+    ``floor`` is an absolute singular-value cutoff on top of the relative
+    policy; it keeps all-noise inputs (for instance residuals of an exactly
+    invariant subspace) from being promoted to genuine directions.
+    """
+    m, N = shape
+    if stack.ndim != 2 or stack.shape[0] != m * N or not stack.shape[1]:
+        raise DimensionMismatch(f"column stack shape {stack.shape} vs ambient {m}*{N}")
     if np.max(np.abs(stack)) == 0.0:
         return Subspace(m, N, np.zeros((m * N, 0), complex), floor, SigmaGap(0.0, None))
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
@@ -207,10 +274,9 @@ def is_contained(A: Subspace, B: Subspace, tol_angle: float = 1e-8):
     _check_same_ambient(A, B)
     if A.dim == 0:
         return True, 0.0
-    resid = 0.0
-    for i in range(A.dim):
-        resid = max(resid, B.residual_flat(A.basis[:, i]))
-    return resid <= tol_angle, float(resid)
+    outside = A.basis - B.basis @ (B.basis.conj().T @ A.basis)
+    resid = float(np.max(_column_norms(outside)))
+    return resid <= tol_angle, resid
 
 
 def subspace_equal(A: Subspace, B: Subspace, tol: float = 1e-8):

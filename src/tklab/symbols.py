@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import EXACT_INNER_ROUNDOFF
 from .errors import CircleRootError, DimensionMismatch, NotInvertibleError
 from .hardy_core import CoeffVec, LaurentVec
 
@@ -158,6 +159,14 @@ class LaurentMatrixSymbol:
     def coefficient_norm(self) -> float:
         return float(np.sqrt(sum(np.sum(np.abs(mat) ** 2) for mat in self._terms.values())))
 
+    def coefficient_l1_norm(self) -> float:
+        """Sum of the coefficients' spectral norms: a bound on the operator
+        norm of every compression and exact action of the symbol."""
+        if not self._terms:
+            return 0.0
+        return float(np.sum(np.linalg.norm(np.stack(list(self._terms.values())), 2,
+                                           axis=(1, 2))))
+
     # ---- actions ----
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -251,6 +260,21 @@ def is_inner(theta: LaurentMatrixSymbol, grid_size: int = 2048,
     return InnerCheck(ok=dev <= tol, max_deviation=dev, grid_size=grid_size, tol=tol)
 
 
+def is_exactly_inner(theta: LaurentMatrixSymbol) -> bool:
+    """Coefficient test of Theta* Theta = I for an analytic polynomial.
+
+    The identity sum_k Theta_k^H Theta_{k+j} = delta_j I must hold to a
+    roundoff constant; the grid test admits truncated series that satisfy
+    it only to their tail, and those keep the dense kernel path.
+    """
+    if not theta.is_analytic():
+        return False
+    dev = theta.adjoint().multiply(theta) - LaurentMatrixSymbol.identity(theta.m)
+    worst = max((float(np.max(np.abs(dev.fourier(k)))) for k in dev.powers()),
+                default=0.0)
+    return worst <= EXACT_INNER_ROUNDOFF
+
+
 def closed_disk_grid(radial: int = 8, angular: int = 64) -> np.ndarray:
     """Sample points of the closed unit disk, boundary included."""
     radii = np.linspace(0.0, 1.0, radial + 1)
@@ -283,26 +307,28 @@ def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
     if abs(np.linalg.det(A0)) < np.finfo(float).eps * max(1.0, np.linalg.norm(A0)) ** m:
         raise NotInvertibleError("constant coefficient is singular")
     A0_inv = np.linalg.inv(A0)
-    B = [A0_inv]
+    coeffs = [A.fourier(t) for t in range(d + 1)]
+    B = np.zeros((K + 1, m, m), dtype=complex)
+    B[0] = A0_inv
     for j in range(1, K + 1):
         acc = np.zeros((m, m), dtype=complex)
         for t in range(1, min(j, d) + 1):
-            acc += A.fourier(t) @ B[j - t]
-        B.append(-A0_inv @ acc)
-    inv = LaurentMatrixSymbol(m, {j: B[j] for j in range(K + 1)})
-    resid = _inversion_residual(A, inv, K)
+            acc += coeffs[t] @ B[j - t]
+        B[j] = -A0_inv @ acc
+    resid = _inversion_residual(coeffs, B, K)
     if resid > 1e-10 * max(1.0, A.coefficient_norm()):
         raise NotInvertibleError(f"inversion residual {resid:.3e} exceeds tolerance")
-    return inv
+    return LaurentMatrixSymbol(m, dict(enumerate(B)))
 
 
-def _inversion_residual(A: LaurentMatrixSymbol, B: LaurentMatrixSymbol, K: int) -> float:
-    prod = A.multiply(B)
-    resid = 0.0
-    for j in range(0, max(K - A.d, 0) + 1):
-        target = np.eye(A.m) if j == 0 else 0.0
-        resid = max(resid, float(np.max(np.abs(prod.fourier(j) - target))))
-    return resid
+def _inversion_residual(coeffs: list[np.ndarray], B: np.ndarray, K: int) -> float:
+    """max |(A B)_j - delta_j I| over j <= K - d, with A's coefficients listed."""
+    top = max(K - len(coeffs) + 1, 0) + 1
+    prod = np.zeros((top, B.shape[1], B.shape[2]), dtype=complex)
+    for t, mat in enumerate(coeffs[:top]):
+        prod[t:] += mat @ B[:top - t]
+    prod[0] -= np.eye(B.shape[1])
+    return float(np.max(np.abs(prod)))
 
 
 # ---------------------------------------------------------------------------

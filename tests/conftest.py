@@ -3,6 +3,7 @@ import pytest
 
 from tklab.hardy_core import CoeffVec
 from tklab.operators import orthonormalize_family
+from tklab.symbols import LaurentMatrixSymbol
 
 
 def rand_coeffvec(rng, m, N, deg, lo=0):
@@ -25,3 +26,21 @@ def unit(v: CoeffVec) -> CoeffVec:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def random_unitary(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_inner(rng, m, degree):
+    """Exactly inner polynomial U_0 prod_k (I - P_k + z P_k) U_k with rank-one
+    projections P_k: mixes components, degree `degree`."""
+    theta = LaurentMatrixSymbol.constant(random_unitary(rng, m))
+    for _ in range(degree):
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        P = np.outer(v, v.conj()) / np.vdot(v, v)
+        factor = LaurentMatrixSymbol(m, {0: np.eye(m) - P, 1: P})
+        theta = theta.multiply(factor).multiply(
+            LaurentMatrixSymbol.constant(random_unitary(rng, m)))
+    return theta

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tklab.cli_reports import (EXIT_CHECK_FAIL, EXIT_PARSE, EXIT_PASS,
@@ -9,6 +10,11 @@ from tklab.cli_reports import (EXIT_CHECK_FAIL, EXIT_PARSE, EXIT_PASS,
                                load_scenario, main, run_scenario, run_suite,
                                sweep)
 from tklab.errors import ScenarioParseError, ScenarioValidationError
+from tklab.operators import build_perturbed
+from tklab.subspaces import nullspace
+from tklab.symbols import LaurentMatrixSymbol
+
+from conftest import rand_orthonormal
 
 SCENARIOS = bundled_scenario_dir()
 
@@ -225,3 +231,29 @@ class TestApiErrors:
         proc = run_cli("--tol-contain", "1e-5", "run",
                        str(SCENARIOS / "zero_symbol_defect.json"))
         assert proc.returncode == EXIT_PASS
+
+    def test_tol_rank_reaches_the_kernel(self, tmp_path):
+        # a cut at 0.9 |A| swallows unit singular values of the isometry, and
+        # it is one the structured inner path cannot certify: the dense SVD
+        # decides, and the kernel it reports is the dense one
+        rng = np.random.default_rng(7)
+        m, N = 2, 16
+        theta = LaurentMatrixSymbol.shift(m, 2)
+        G = rand_orthonormal(rng, m, N, 5, 1)
+        H = rand_orthonormal(rng, m, N, 5, 1)
+        path = tmp_path / "inner_random.json"
+        path.write_text(json.dumps({
+            "name": "inner_random", "m": m, "N": N, "symbol_class": "inner",
+            "symbol": theta.to_json(), "checks": ["defect_theorem"],
+            "perturbation": {"G": [g.to_json() for g in G],
+                             "H": [h.to_json() for h in H]}}))
+
+        def kernel_dim(*flags):
+            out = tmp_path / "report.json"
+            main([*flags, "run", str(path), "--out", str(out)])
+            return json.loads(out.read_text())["checks"][0]["residuals"]["subspace_dim"]
+
+        action = build_perturbed(theta, N, G, H).action_matrix()
+        dense = nullspace(action, (m, N), tol_rel=0.9)
+        assert kernel_dim() == nullspace(action, (m, N)).dim
+        assert kernel_dim("--tol-rank", "0.9") == dense.dim > 1

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from tklab import model_spaces
 from tklab.errors import NotInnerError
 from tklab.hardy_core import CoeffVec, inner_product
 from tklab.model_spaces import (build_model_space, decompose_against_theta,
                                 model_space_dimension_on_interior,
                                 project_onto_model, project_onto_model_formula)
-from tklab.subspaces import is_contained, span_of, subspace_equal
+from tklab.operators import build_toeplitz
+from tklab.subspaces import is_contained, nullspace, span_of, subspace_equal
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, symbol_adjoint
 
-from conftest import rand_coeffvec
+from conftest import rand_coeffvec, random_inner
 
 
 class TestBuild:
@@ -85,6 +87,54 @@ class TestBuild:
             for i in range(2):
                 F = CoeffVec.monomial(2, N, i, j)
                 assert combined.residual_flat(F.flatten()) < 1e-6
+
+
+def _no_dense_svd(*args, **kwargs):
+    raise AssertionError("dense nullspace called")
+
+
+def _dense_model_space(theta, N):
+    """The dense construction: SVD nullspace of the compression of Theta* and
+    the SVD span of the shifted-range generators, one Theta action each."""
+    m = theta.m
+    model = nullspace(build_toeplitz(symbol_adjoint(theta), N).matrix, (m, N))
+    gens = [theta.act(CoeffVec.monomial(m, N, i, j)).analytic_part().resized(N)
+            for j in range(N - theta.d) for i in range(m)]
+    rng_space = span_of(gens)
+    return model, rng_space, m * N - model.dim - rng_space.dim
+
+
+class TestStructuredModelSpaceOracle:
+    @pytest.mark.parametrize("m,degree,N", [(1, 1, 8), (1, 3, 40), (2, 1, 16),
+                                            (2, 3, 64), (3, 2, 12), (3, 3, 48)])
+    def test_random_inner_matches_dense(self, m, degree, N, monkeypatch):
+        theta = random_inner(np.random.default_rng([m, degree, N]), m, degree)
+        # an exactly inner Theta is solved inside R^perp: no dense SVD runs
+        monkeypatch.setattr(model_spaces, "nullspace", _no_dense_svd)
+        ms = build_model_space(theta, N)
+        model, rng_space, boundary = _dense_model_space(theta, N)
+        assert ms.as_subspace.dim == model.dim == degree
+        assert ms.range_subspace.dim == rng_space.dim
+        assert ms.boundary_dim == boundary
+        assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
+        assert subspace_equal(ms.range_subspace, rng_space, 1e-10)[0]
+
+    def test_mixed_monomials_match_dense(self):
+        theta = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
+        ms = build_model_space(theta, 32)
+        model, rng_space, boundary = _dense_model_space(theta, 32)
+        assert (ms.as_subspace.dim, ms.boundary_dim) == (model.dim, boundary) == (5, 1)
+        assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
+        assert subspace_equal(ms.range_subspace, rng_space, 1e-10)[0]
+
+    def test_truncated_blaschke_matches_dense(self):
+        N = 24
+        theta = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
+        ms = build_model_space(theta, N, tol_inner=1e-6)
+        model, rng_space, boundary = _dense_model_space(theta, N)
+        assert ms.boundary_dim == boundary
+        assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
+        assert subspace_equal(ms.range_subspace, rng_space, 1e-10)[0]
 
 
 class TestProjection:

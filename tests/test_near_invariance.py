@@ -11,12 +11,12 @@ from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
 from tklab.operators import build_perturbed, build_toeplitz
-from tklab.subspaces import (is_contained, span_of, subspace_equal,
+from tklab.subspaces import (is_contained, nullspace, span_of, subspace_equal,
                              zero_at_origin_slice)
 from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
                            invert_analytic, symbol_adjoint)
 
-from conftest import rand_coeffvec, rand_orthonormal, unit
+from conftest import rand_coeffvec, rand_orthonormal, random_inner, unit
 
 
 class TestComputeDefect:
@@ -39,6 +39,21 @@ class TestComputeDefect:
         assert rep.defect_dim <= n
         ok, resid = is_contained(rep.defect_basis, span_of(G), 1e-8)
         assert ok, resid
+
+    def test_matches_per_vector_residuals(self, rng):
+        # reference: shift and project each slice member on its own
+        m, N = 2, 12
+        M = span_of(rand_orthonormal(rng, m, N, 7, 3)).perp()
+        residuals = []
+        for F in zero_at_origin_slice(M).basis_vectors():
+            shifted = backward_shift(F).flatten()
+            residuals.append(CoeffVec.from_flat(shifted - M.project_flat(shifted), m, N))
+        reference = span_of(residuals, floor=1e-8)
+        rep = compute_defect(M)
+        assert rep.defect_dim == reference.dim == 3
+        assert subspace_equal(rep.defect_basis, reference, 1e-12)[0]
+        assert rep.sigma_gap.signal_side == pytest.approx(
+            reference.sigma_gap.signal_side, rel=1e-12)
 
     def test_defect_orthogonal_to_subspace(self, rng):
         m, N = 2, 8
@@ -291,3 +306,147 @@ class TestThetaStar:
         rep = verify_theorem_theta_star(theta, [-1.0 * thH], H, N)
         assert rep.details["kernel_audit_violations"] == 0
         assert rep.details["kernel_sigma_ratio"] < 1e-3
+
+
+def _dense_kernel(T, tol_rel=None):
+    return nullspace(T.action_matrix(), (T.m, T.N), tol_rel=tol_rel)
+
+
+def _assert_matches_dense(kr, T, method):
+    """Structured kernel against the dense-SVD oracle: same path, dimension
+    and subspace, and a signal side that never reads cleaner."""
+    dense = _dense_kernel(T)
+    assert kr.method == method
+    assert kr.subspace.dim == dense.dim
+    ok, resid = subspace_equal(kr.subspace, dense, 1e-10)
+    assert ok, resid
+    if dense.sigma_gap.signal_side is not None:
+        assert kr.sigma_gap.signal_side <= dense.sigma_gap.signal_side
+    assert kr.audit_violations == 0
+
+
+def _invertible_factor(rng, m, degree):
+    """2I plus coefficients of total spectral norm 0.7: invertible on the disk."""
+    terms = {0: 2.0 * np.eye(m)}
+    for k, weight in zip(range(1, degree + 1), (0.4, 0.3)):
+        R = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        terms[k] = weight * R / np.linalg.norm(R, 2)
+    return LaurentMatrixSymbol(m, terms)
+
+
+ORACLE_CASES = [(m, seed) for m in (1, 2, 3) for seed in (0, 1)]
+
+
+class TestStructuredKernelOracle:
+    @pytest.mark.parametrize("m,seed", ORACLE_CASES)
+    def test_inner_random_families(self, m, seed):
+        rng = np.random.default_rng([m, seed, 1])
+        N = (16, 64)[seed]
+        theta = random_inner(rng, m, 2 + seed)
+        G = rand_orthonormal(rng, m, N, 6, 2)
+        H = rand_orthonormal(rng, m, N, 6, 2)
+        T = build_perturbed(theta, N, G, H)
+        _assert_matches_dense(kernel_of(T), T, "inner")
+
+    @pytest.mark.parametrize("m,seed", ORACLE_CASES)
+    def test_inner_critical_families(self, m, seed):
+        # H_i = Theta u_i, G_i = -u_i: T F = Theta (F - P_u F), kernel span{u}
+        rng = np.random.default_rng([m, seed, 2])
+        N, n = (24, 48)[seed], 1 + seed
+        theta = random_inner(rng, m, 2)
+        us = rand_orthonormal(rng, m, N, 5, n)
+        H = [theta.act(u).analytic_part().resized(N) for u in us]
+        T = build_perturbed(theta, N, [-1.0 * u for u in us], H)
+        kr = kernel_of(T)
+        assert kr.subspace.dim == n
+        _assert_matches_dense(kr, T, "inner")
+
+    @pytest.mark.parametrize("m,seed", ORACLE_CASES)
+    def test_theta_star_random_families(self, m, seed):
+        rng = np.random.default_rng([m, seed, 3])
+        N = (20, 64)[seed]
+        theta = random_inner(rng, m, 1 + seed)
+        G = rand_orthonormal(rng, m, N, 6, 2)
+        H = rand_orthonormal(rng, m, N, 6, 2)
+        T = build_perturbed(symbol_adjoint(theta), N, G, H)
+        _assert_matches_dense(kernel_of(T), T, "theta_star")
+
+    @pytest.mark.parametrize("m,seed", ORACLE_CASES)
+    def test_theta_star_in_range_critical(self, m, seed):
+        # G = -Theta H reaches the critical criterion: the model space, of
+        # dimension deg det Theta = s, plus a line
+        rng = np.random.default_rng([m, seed, 4])
+        s, N = 1 + seed, (16, 40)[seed]
+        theta = random_inner(rng, m, s)
+        H = rand_orthonormal(rng, m, N, 5, 1)
+        G = [-1.0 * theta.act(H[0]).analytic_part().resized(N)]
+        T = build_perturbed(symbol_adjoint(theta), N, G, H)
+        kr = kernel_of(T)
+        assert kr.subspace.dim == s + 1
+        _assert_matches_dense(kr, T, "theta_star")
+
+    def test_theta_star_without_bump_is_model_space(self):
+        theta = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
+        T = build_perturbed(symbol_adjoint(theta), 32, [], [])
+        kr = kernel_of(T)
+        assert kr.subspace.dim == 5
+        _assert_matches_dense(kr, T, "theta_star")
+
+    @pytest.mark.parametrize("m,seed", ORACLE_CASES)
+    def test_factored_random_families(self, m, seed):
+        rng = np.random.default_rng([m, seed, 5])
+        N = (24, 64)[seed]
+        F1, F2 = _invertible_factor(rng, m, 1), _invertible_factor(rng, m, 2)
+        G = rand_orthonormal(rng, m, N, 6, 2)
+        H = rand_orthonormal(rng, m, N, 6, 2)
+        T = build_perturbed(symbol_adjoint(F1).multiply(F2), N, G, H)
+        _assert_matches_dense(kernel_of(T, factors=(F1, F2)), T, "factored")
+
+    @pytest.mark.parametrize("m,seed", ORACLE_CASES)
+    def test_factored_critical_rank_one(self, m, seed):
+        # G = -V / |V|^2 with V = F2^-1 T_{F1*^-1} H puts V in the kernel
+        rng = np.random.default_rng([m, seed, 6])
+        N = (32, 64)[seed]
+        F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
+        H = rand_orthonormal(rng, m, N, 5, 1)
+        inner = symbol_adjoint(invert_analytic(F1, N - 1)).act(H[0]).analytic_part()
+        V = invert_analytic(F2, N - 1).act(inner.resized(N)).analytic_part().resized(N)
+        T = build_perturbed(symbol_adjoint(F1).multiply(F2), N,
+                            [(-1.0 / V.norm_sq()) * V], H, require_orthonormal=False)
+        kr = kernel_of(T, factors=(F1, F2))
+        assert kr.subspace.dim == 1
+        _assert_matches_dense(kr, T, "factored")
+
+    def test_truncated_blaschke_takes_dense_path(self, rng):
+        # inner on the grid to 1e-6 only: the coefficient identity fails
+        N = 32
+        theta = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
+        G = rand_orthonormal(rng, 2, N, 5, 1)
+        H = rand_orthonormal(rng, 2, N, 5, 1)
+        for symbol in (theta, symbol_adjoint(theta)):
+            assert kernel_of(build_perturbed(symbol, N, G, H)).method == "dense"
+
+    def test_zero_symbol_takes_dense_path(self, rng):
+        G = rand_orthonormal(rng, 2, 12, 5, 2)
+        T = build_perturbed(LaurentMatrixSymbol.zero(2), 12, G, G)
+        assert kernel_of(T).method == "dense"
+
+    def test_uncertified_cut_falls_back_to_dense(self, rng):
+        # a cut at 0.9 |A| swallows the isometry's unit singular values; the
+        # signal bound cannot clear it, so the dense SVD decides
+        m, N = 2, 16
+        theta = LaurentMatrixSymbol.shift(m, 2)
+        G = rand_orthonormal(rng, m, N, 5, 1)
+        H = rand_orthonormal(rng, m, N, 5, 1)
+        T = build_perturbed(theta, N, G, H)
+        kr = kernel_of(T, tol_rel=0.9)
+        dense = _dense_kernel(T, tol_rel=0.9)
+        assert kr.method == "dense"
+        assert kr.subspace.dim == dense.dim > kernel_of(T).subspace.dim
+        assert subspace_equal(kr.subspace, dense, 1e-10)[0]
+
+    def test_mismatched_factors_rejected(self, rng):
+        F = LaurentMatrixSymbol.diagonal([[2.0, 1.0]])
+        T = build_perturbed(F, 12, [], [])
+        with pytest.raises(ValueError):
+            kernel_of(T, factors=(F, F))

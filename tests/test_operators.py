@@ -3,7 +3,8 @@ import pytest
 
 from tklab.errors import DimensionMismatch, OrthonormalityError
 from tklab.hardy_core import CoeffVec
-from tklab.operators import (brown_halmos_check, build_perturbed,
+from tklab.operators import (_block_toeplitz, apply_block_toeplitz,
+                             brown_halmos_check, build_perturbed,
                              build_toeplitz, gram_deviation,
                              orthonormalize_family)
 from tklab.symbols import LaurentMatrixSymbol, symbol_adjoint
@@ -60,6 +61,33 @@ class TestToeplitzBuild:
             for t in range(N):
                 blk = T.matrix[2 * j:2 * j + 2, 2 * t:2 * t + 2]
                 assert np.array_equal(blk, A.fourier(j - t))
+
+
+def _block_toeplitz_loop(symbol, rows, cols):
+    """Reference assembly, one block at a time."""
+    m = symbol.m
+    out = np.zeros((rows * m, cols * m), dtype=complex)
+    for k in symbol.powers():
+        for t in range(cols):
+            if 0 <= t + k < rows:
+                out[(t + k) * m:(t + k + 1) * m, t * m:(t + 1) * m] = symbol.fourier(k)
+    return out
+
+
+class TestBlockToeplitz:
+    @pytest.mark.parametrize("rows,cols", [(7, 7), (9, 6), (5, 8), (1, 4)])
+    def test_assembly_matches_block_loop(self, rng, rows, cols):
+        phi = random_symbol(rng, 2, 3)
+        assert np.array_equal(_block_toeplitz(phi, rows, cols),
+                              _block_toeplitz_loop(phi, rows, cols))
+
+    @pytest.mark.parametrize("rows,cols", [(7, 7), (9, 6), (5, 8)])
+    def test_matrix_free_apply_matches_matrix(self, rng, rows, cols):
+        phi = random_symbol(rng, 3, 2)
+        X = rng.standard_normal((3 * cols, 4)) + 1j * rng.standard_normal((3 * cols, 4))
+        assert np.allclose(apply_block_toeplitz(phi, X, rows),
+                           _block_toeplitz_loop(phi, rows, cols) @ X,
+                           rtol=0, atol=1e-13)
 
 
 class TestPerturbed:

@@ -5,7 +5,7 @@ from tklab.errors import FrameDeficientError
 from tklab.hardy_core import (CoeffVec, backward_shift, eval_at_zero,
                               inner_product, reproducing_column)
 from tklab.near_invariance import compute_defect
-from tklab.operators import build_toeplitz
+from tklab.operators import build_toeplitz, orthonormalize_family
 from tklab.representation import (build_frame, check_coordinate_space_invariance,
                                   default_depth, extract_coordinates,
                                   peel_members, rank_one_complement_analysis,
@@ -13,7 +13,8 @@ from tklab.representation import (build_frame, check_coordinate_space_invariance
                                   rank_one_invertible_kernel,
                                   rank_one_theta_star_analysis, reassemble)
 from tklab.model_spaces import build_model_space
-from tklab.subspaces import span_of, subspace_equal, zero_space
+from tklab.subspaces import (intersect, span_of, subspace_equal,
+                             vanishing_at_zero_space, zero_space)
 from tklab.symbols import (LaurentMatrixSymbol, invert_analytic,
                            symbol_adjoint)
 
@@ -47,6 +48,20 @@ class TestFrame:
         # the values span the complement of e_1 in C^m
         assert np.linalg.matrix_rank(values) == m - 1
         assert np.max(np.abs(values[0])) < 1e-12
+
+    def test_w_frame_matches_principal_angle_slice(self, rng):
+        # the origin slice from the value map and from principal angles with
+        # zH2 give the same projection, hence the same Gram-Schmidt W frame
+        m, N = 2, 10
+        M = span_of(rand_orthonormal(rng, m, N, 6, 3)).perp()
+        frame = build_frame(M, compute_defect(M))
+        Z = intersect(M, vanishing_at_zero_space(m, N)).basis
+        off = M.basis - Z @ (Z.conj().T @ M.basis)
+        reference = orthonormalize_family(
+            [CoeffVec.from_flat(off[:, i], m, N) for i in range(M.dim)], 1e-10)
+        assert len(frame.W) == len(reference) == m
+        for w, ref in zip(frame.W, reference):
+            assert (w - ref).norm() < 1e-12
 
     def test_defect_frame_must_cover(self, rng):
         m, N = 2, 8

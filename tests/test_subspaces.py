@@ -173,6 +173,13 @@ class TestContainment:
         ok, _ = is_contained(tilted, target, 1e-8)
         assert ok
 
+    def test_matches_per_column_residuals(self, rng):
+        A = span_of([rand_coeffvec(rng, 2, 6, 5) for _ in range(3)])
+        B = span_of([rand_coeffvec(rng, 2, 6, 5) for _ in range(4)])
+        reference = max(B.residual_flat(A.basis[:, i]) for i in range(A.dim))
+        assert is_contained(A, B)[1] == pytest.approx(reference, rel=1e-12)
+        assert is_contained(A, zero_space(2, 6))[1] == pytest.approx(1.0)
+
     def test_grassmann_triangle(self, rng):
         # two containments at tolerance compose at twice the tolerance
         m, N, tol = 2, 5, 1e-8
