@@ -489,7 +489,7 @@ def run_suite(directory: Path, jobs: int = 1,
     return suite
 
 
-SWEEP_PARAMS = ("N", "p", "s", "n")
+SWEEP_PARAMS = ("N", "p", "n")
 
 
 def _monomial_power(symbol: LaurentMatrixSymbol) -> int | None:
@@ -506,7 +506,7 @@ def sweep(sc: Scenario, param: str, values: list[int],
     """Run the defect check across a parameter range; returns CSV text."""
     if param not in SWEEP_PARAMS:
         raise ScenarioValidationError(f"unknown sweep parameter {param!r}")
-    if param in ("p", "s"):
+    if param == "p":
         if sc.symbol_class not in ("inner", "theta_star") or \
                 _monomial_power(sc.symbol) is None:
             raise ScenarioValidationError(
@@ -527,7 +527,7 @@ def sweep(sc: Scenario, param: str, values: list[int],
                (sc.G[:v] if param == "n" else sc.G)],
             H=[h.resized(v) if param == "N" else h for h in
                (sc.H[:v] if param == "n" else sc.H)],
-            symbol=(LaurentMatrixSymbol.shift(sc.m, v) if param in ("p", "s")
+            symbol=(LaurentMatrixSymbol.shift(sc.m, v) if param == "p"
                     else sc.symbol),
             factors=sc.factors, expect={},
             tolerance_overrides=sc.tolerance_overrides)
@@ -609,7 +609,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            report, code = _run_command(args, tol)
+            report, code = run_scenario(args.file, tol, out=args.out, seed=args.seed)
+            for o in report.outcomes:
+                print(f"{report.scenario}: {o.name} {o.status.upper()}")
+            print(f"{report.scenario}: {'PASS' if report.ok else 'FAIL'}")
             return code
         if args.command == "suite":
             suite = run_suite(args.dir, jobs=args.jobs, base_tol=tol, out=args.out,
@@ -635,19 +638,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_PASS
-
-
-def _run_command(args, tol: Tolerances):
-    sc = load_scenario(args.file)
-    if args.seed is not None:
-        sc.seed = args.seed
-    report = run_scenario_object(sc, tol)
-    if args.out is not None:
-        args.out.write_text(json.dumps(report.to_json(), indent=2) + "\n")
-    for o in report.outcomes:
-        print(f"{report.scenario}: {o.name} {o.status.upper()}")
-    print(f"{report.scenario}: {'PASS' if report.ok else 'FAIL'}")
-    return report, EXIT_PASS if report.ok else EXIT_CHECK_FAIL
 
 
 def _factor_command(path: Path) -> int:

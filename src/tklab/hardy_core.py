@@ -12,7 +12,7 @@ Toeplitz with m x m blocks, which is what the operators module assembles.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,18 +71,6 @@ class CoeffVec:
                 f"monomial (component={component}, degree={degree}) outside shape ({m}, {N})")
         arr = np.zeros((m, N), dtype=complex)
         arr[component, degree] = value
-        return cls(arr)
-
-    @classmethod
-    def from_components(cls, components: Iterable, N: int | None = None) -> "CoeffVec":
-        """Stack per-component coefficient sequences, zero-padding to a common N."""
-        rows = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in components]
-        width = N if N is not None else max(len(r) for r in rows)
-        arr = np.zeros((len(rows), width), dtype=complex)
-        for i, r in enumerate(rows):
-            if len(r) > width:
-                raise DimensionMismatch(f"component {i} has degree >= {width}")
-            arr[i, :len(r)] = r
         return cls(arr)
 
     @classmethod
@@ -198,11 +186,6 @@ class LaurentVec:
         arr[:, N:N + F.N] = F.coeffs
         return cls(arr)
 
-    def at_degree(self, j: int) -> np.ndarray:
-        if not (-self.N <= j < self.N):
-            raise DimensionMismatch(f"degree {j} outside [-{self.N}, {self.N})")
-        return self._coeffs[:, j + self.N].copy()
-
     def analytic_part(self) -> CoeffVec:
         return CoeffVec(self._coeffs[:, self.N:])
 
@@ -261,6 +244,14 @@ def backward_shift(F: CoeffVec) -> CoeffVec:
     return CoeffVec(arr)
 
 
+def backward_shift_flat(X: np.ndarray, m: int) -> np.ndarray:
+    """The backward shift of every flat degree-major column of X at once:
+    the degree-0 block drops off and the top one is zero."""
+    out = np.zeros_like(X)
+    out[:-m] = X[m:]
+    return out
+
+
 def backward_shift_power(F: CoeffVec, n: int) -> CoeffVec:
     if n < 0:
         raise ValueError("shift power must be >= 0")
@@ -275,6 +266,11 @@ def flat_columns(vectors, length: int) -> np.ndarray:
     if not vectors:
         return np.zeros((length, 0), dtype=complex)
     return np.stack([v.flatten() for v in vectors], axis=1)
+
+
+def column_vectors(X: np.ndarray, m: int, N: int) -> list[CoeffVec]:
+    """The flat columns of an mN x k array as coefficient vectors."""
+    return [CoeffVec.from_flat(X[:, j], m, N) for j in range(X.shape[1])]
 
 
 def eval_at_zero(F: CoeffVec) -> np.ndarray:

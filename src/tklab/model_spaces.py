@@ -23,8 +23,8 @@ import numpy as np
 from .errors import NotInnerError
 from .hardy_core import CoeffVec, riesz_project
 from .operators import build_toeplitz, range_complement, shifted_range_matrix
-from .subspaces import (SigmaGap, Subspace, column_span, is_contained, nullspace,
-                        nullspace_within, project)
+from .subspaces import (SigmaGap, Subspace, column_span, nullspace, nullspace_within,
+                        project)
 from .symbols import (LaurentMatrixSymbol, is_exactly_inner, is_inner,
                       symbol_adjoint)
 
@@ -128,10 +128,6 @@ class RangeSplit:
     in_range: bool
     model_mass: float
 
-    @property
-    def outside_mass(self) -> float:
-        return self.model_mass
-
 
 def decompose_against_theta(G: CoeffVec, ms: ModelSpace,
                             tol_membership: float = 1e-8) -> RangeSplit:
@@ -157,6 +153,3 @@ def model_space_dimension_on_interior(ms: ModelSpace) -> int:
             dim += 1
     return dim
 
-
-def model_contains(ms: ModelSpace, other: Subspace, tol: float = 1e-8):
-    return is_contained(other, ms.as_subspace, tol)

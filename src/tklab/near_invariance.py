@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotInnerError, NotInvertibleError
-from .hardy_core import CoeffVec, backward_shift
+from .hardy_core import CoeffVec, backward_shift, backward_shift_flat, flat_columns
 from .model_spaces import build_model_space, decompose_against_theta
 from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
-                        build_toeplitz, range_complement)
-from .subspaces import (SigmaGap, Subspace, column_span, is_contained, nullspace,
-                        nullspace_within, span_of, subspace_equal,
+                        range_complement)
+from .subspaces import (SigmaGap, Subspace, column_norms, column_span, is_contained,
+                        nullspace, nullspace_within, subspace_equal,
                         zero_at_origin_slice, zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
                       is_inner, is_invertible_analytic, symbol_adjoint,
@@ -182,10 +182,8 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
         return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_dim=0,
                             defect_basis=zero_space(M.m, M.N),
                             sigma_gap=SigmaGap(0.0, None))
-    # backward shift of every slice member at once: drop the degree-0 block
-    shifted = np.zeros_like(sl.basis)
-    shifted[:-M.m] = sl.basis[M.m:]
-    residuals = shifted - M.basis @ (M.basis.conj().T @ shifted)
+    shifted = backward_shift_flat(sl.basis, M.m)
+    residuals = shifted - M.project_flat(shifted)
     defect = column_span(residuals, (M.m, M.N), tol_rel=tol_rel, floor=defect_floor)
     overlap = 0.0
     if defect.dim and M.dim:
@@ -197,27 +195,27 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
 
 
 def _attach_prediction(report: DefectReport, M: Subspace,
-                       predicted_vectors: list[CoeffVec],
+                       predicted_vectors: np.ndarray,
                        defect_floor: float = 1e-8) -> DefectReport:
     """Containment of the measured defect in the prediction, modulo M.
 
-    The prediction spans need not be orthogonal to M (the kernel), while the
+    ``predicted_vectors`` holds the prediction as flat mN x k columns.  The
+    prediction spans need not be orthogonal to M (the kernel), while the
     measured defect is; so the fair comparison projects the prediction onto
     the orthocomplement of M.  Equality of that projection with the defect is
     recorded alongside the containment residual.
     """
-    nonzero = [v for v in predicted_vectors if v.norm() > 1e-14]
-    if not nonzero:
-        report.predicted = zero_space(M.m, M.N)
+    shape = (M.m, M.N)
+    nonzero = predicted_vectors[:, column_norms(predicted_vectors) > 1e-14]
+    if not nonzero.shape[1]:
+        report.predicted = zero_space(*shape)
         report.predicted_dim = 0
         report.containment_residual = 0.0 if report.defect_dim == 0 else 1.0
         return report
-    predicted = span_of(nonzero)
+    predicted = column_span(nonzero, shape)
     report.predicted = predicted
     report.predicted_dim = predicted.dim
-    reduced = [CoeffVec.from_flat(v.flatten() - M.project_flat(v.flatten()), M.m, M.N)
-               for v in nonzero]
-    pred_mod = span_of(reduced, floor=defect_floor)
+    pred_mod = column_span(nonzero - M.project_flat(nonzero), shape, floor=defect_floor)
     _, resid = is_contained(report.defect_basis, pred_mod, 0.0)
     report.containment_residual = resid
     _, eq_resid = subspace_equal(report.defect_basis, pred_mod, 1e-8)
@@ -255,7 +253,7 @@ def verify_theorem_phi_zero(G: list[CoeffVec], H: list[CoeffVec], N: int,
                         tol_ortho=tol_ortho)
     kr, report = _kernel_defect(T, defect_floor, tol_rel)
     report.defect_bound = len(G)
-    _attach_prediction(report, kr.subspace, list(G), defect_floor)
+    _attach_prediction(report, kr.subspace, T.G_matrix, defect_floor)
     return report
 
 
@@ -272,18 +270,21 @@ def verify_theorem_inner_symbol(theta: LaurentMatrixSymbol, G: list[CoeffVec],
     T = build_perturbed(theta, N, list(G), list(H), tol_ortho=tol_ortho)
     kr, report = _kernel_defect(T, defect_floor, tol_rel)
     report.defect_bound = len(G)
-    adj = build_toeplitz(symbol_adjoint(theta), N)
-    predicted = [backward_shift(adj.apply(h)) for h in H]
-    alternate = [adj.apply(backward_shift(h)) for h in H]
+    # C_{Theta*} applied to H and to S* H; S* is a shift of the flat rows
+    H_mat = T.H_matrix
+    both = apply_block_toeplitz(
+        theta.adjoint(), np.concatenate([H_mat, backward_shift_flat(H_mat, T.m)], axis=1), N)
+    predicted = backward_shift_flat(both[:, :len(H)], T.m)
+    alternate = both[:, len(H):]
     _attach_prediction(report, kr.subspace, predicted, defect_floor)
     # the shifted-then-compressed and compressed-then-shifted forms span the
     # same space; record how exactly
-    both_zero = all(v.norm() < 1e-14 for v in predicted + alternate)
-    if both_zero:
+    forms = np.concatenate([predicted, alternate], axis=1)
+    if np.max(column_norms(forms), initial=0.0) < 1e-14:
         report.details["alternate_form_residual"] = 0.0
     else:
-        _, resid = subspace_equal(span_of(predicted, floor=1e-12),
-                                  span_of(alternate, floor=1e-12))
+        _, resid = subspace_equal(column_span(predicted, (T.m, N), floor=1e-12),
+                                  column_span(alternate, (T.m, N), floor=1e-12))
         report.details["alternate_form_residual"] = resid
     return report
 
@@ -312,7 +313,7 @@ def verify_theorem_invertible_factors(F1: LaurentMatrixSymbol,
     for h in H:
         intermediate = inv1_adj.act(h).analytic_part().resized(N)
         predicted.append(inv2.act(backward_shift(intermediate)).analytic_part().resized(N))
-    _attach_prediction(report, kr.subspace, predicted, defect_floor)
+    _attach_prediction(report, kr.subspace, flat_columns(predicted, T.m * N), defect_floor)
     return report
 
 
@@ -340,5 +341,5 @@ def verify_theorem_theta_star(theta: LaurentMatrixSymbol, G: list[CoeffVec],
             predicted.append(split.model_part)
     report.defect_bound = len(G) + outside
     report.details["outside_range_count"] = outside
-    _attach_prediction(report, kr.subspace, predicted, defect_floor)
+    _attach_prediction(report, kr.subspace, flat_columns(predicted, T.m * N), defect_floor)
     return report

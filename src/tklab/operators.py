@@ -9,7 +9,10 @@ For kernel work the square compression is the wrong object when the symbol
 has positive powers: top-degree monomials get flushed past the window and
 masquerade as kernel vectors.  The rectangular `action_matrix` keeps those
 overflow rows, so its nullspace consists of genuine polynomial kernel
-elements only.
+elements only.  `PerturbedToeplitz` assembles that action once, with the
+bump H G^H added as one product; its square matrix is the first mN rows.
+`gram_deviation` and `orthonormalize_family` are the CoeffVec-family forms
+of the subspaces module's Gram check and Gram-Schmidt.
 
 `apply_block_toeplitz` applies a compression without forming it.  For an
 exactly inner Theta, `shifted_range_matrix` (Theta on degrees below N - d)
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OrthonormalityError
-from .hardy_core import CoeffVec, flat_columns, inner_product
+from .hardy_core import CoeffVec, column_vectors, flat_columns, inner_product
+from .subspaces import column_gram_deviation, gram_schmidt
 from .symbols import LaurentMatrixSymbol, symbol_multiply
 
 
@@ -144,32 +148,30 @@ def build_toeplitz(phi: LaurentMatrixSymbol, N: int) -> ToeplitzCompression:
 
 
 def gram_deviation(vectors: list[CoeffVec]) -> float:
-    """Max |<v_i, v_j> - delta_ij| over a family."""
-    n = len(vectors)
-    if n == 0:
+    """Max |<v_i, v_j> - delta_ij| over a family of equal-shape vectors."""
+    if not vectors:
         return 0.0
-    g = np.array([[inner_product(vectors[i], vectors[j]) for j in range(n)]
-                  for i in range(n)])
-    return float(np.max(np.abs(g - np.eye(n))))
+    return column_gram_deviation(flat_columns(vectors, vectors[0].m * vectors[0].N))
 
 
 def orthonormalize_family(vectors: list[CoeffVec], drop_tol: float = 1e-12) -> list[CoeffVec]:
     """Explicit Gram-Schmidt; callers opt in, nothing repairs families silently."""
-    out: list[CoeffVec] = []
-    for v in vectors:
-        w = v.flatten()
-        for u in out:
-            w = w - u.flatten() * np.vdot(u.flatten(), w)
-        nrm = np.linalg.norm(w)
-        if nrm > drop_tol:
-            out.append(CoeffVec.from_flat(w / nrm, v.m, v.N))
-    return out
+    if not vectors:
+        return []
+    m, N = vectors[0].m, vectors[0].N
+    Q, _ = gram_schmidt(np.asfortranarray(flat_columns(vectors, m * N)), drop_tol)
+    return column_vectors(Q, m, N)
 
 
 class PerturbedToeplitz:
-    """T = compression(Phi) + sum_i <., G_i> H_i as a dense matrix plus data."""
+    """T = compression(Phi) + sum_i <., G_i> H_i as a dense matrix plus data.
 
-    __slots__ = ("_base", "_G", "_H", "_matrix")
+    The bump H G^H is added once, as one product, onto the base's exact
+    polynomial action; ``action_matrix`` is that array and ``matrix``, the
+    square compression, is its first mN rows.
+    """
+
+    __slots__ = ("_base", "_G", "_H", "_action")
 
     def __init__(self, base: ToeplitzCompression, G: list[CoeffVec], H: list[CoeffVec],
                  tol_ortho: float = 1e-8, require_orthonormal: bool = True):
@@ -189,11 +191,10 @@ class PerturbedToeplitz:
         self._base = base
         self._G = tuple(G)
         self._H = tuple(H)
-        mat = base.matrix.copy()
-        for g, h in zip(G, H):
-            mat += np.outer(h.flatten(), np.conj(g.flatten()))
-        mat.setflags(write=False)
-        self._matrix = mat
+        action = base.action_matrix()
+        action[:base.m * base.N] += self.H_matrix @ self.G_matrix.conj().T
+        action.setflags(write=False)
+        self._action = action
         self._verify_functional_form()
 
     def _verify_functional_form(self) -> None:
@@ -203,7 +204,7 @@ class PerturbedToeplitz:
         probe = CoeffVec((rng.standard_normal((self.m, self.N))
                           + 1j * rng.standard_normal((self.m, self.N))))
         direct = self.apply(probe).flatten()
-        via_matrix = self._matrix @ probe.flatten()
+        via_matrix = self.matrix @ probe.flatten()
         scale = max(1.0, float(np.linalg.norm(via_matrix)))
         if np.linalg.norm(direct - via_matrix) > 1e-10 * scale:
             raise AssertionError("matrix and functional forms disagree")
@@ -244,7 +245,8 @@ class PerturbedToeplitz:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
+        """The square compression with the bump, mN x mN."""
+        return self._action[:self.m * self.N]
 
     def apply(self, F: CoeffVec) -> CoeffVec:
         out = self._base.apply(F)
@@ -253,15 +255,8 @@ class PerturbedToeplitz:
         return out
 
     def action_matrix(self) -> np.ndarray:
-        """Exact polynomial action with perturbation rows embedded."""
-        base = self._base.action_matrix()
-        rows = base.shape[0]
-        mat = base.copy()
-        for g, h in zip(self._G, self._H):
-            h_flat = np.zeros(rows, dtype=complex)
-            h_flat[:h.flatten().size] = h.flatten()
-            mat += np.outer(h_flat, np.conj(g.flatten()))
-        return mat
+        """Exact polynomial action with perturbation rows embedded (read-only)."""
+        return self._action
 
     def __repr__(self) -> str:
         return (f"PerturbedToeplitz(m={self.m}, N={self.N}, rank={self.rank}, "

@@ -39,14 +39,15 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, FrameDeficientError, NotInnerError
-from .hardy_core import (CoeffVec, backward_shift, eval_at_zero, flat_columns,
-                         inner_product, reproducing_column)
+from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
+                         eval_at_zero, flat_columns, inner_product,
+                         reproducing_column)
 from .model_spaces import build_model_space, decompose_against_theta
 from .near_invariance import DefectReport, compute_defect, kernel_of
 from .operators import build_perturbed, build_toeplitz, orthonormalize_family
-from .subspaces import (Subspace, is_contained, ortho_complement_within, project,
-                        span_of, subspace_equal, zero_at_origin_slice,
-                        zero_space)
+from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
+                        is_contained, ortho_complement_within, project, span_of,
+                        subspace_equal, zero_at_origin_slice, zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_inner,
                       is_invertible_analytic, symbol_adjoint)
 
@@ -125,25 +126,16 @@ def build_frame(M: Subspace, defect: Subspace | DefectReport,
     zslice = zero_at_origin_slice(M)
     off_slice = M.basis
     if zslice.dim:
-        Z = zslice.basis
-        off_slice = M.basis - Z @ (Z.conj().T @ M.basis)
-    W: list[np.ndarray] = []
-    for idx in range(M.dim):
-        v = off_slice[:, idx]
-        for w in W:
-            v = v - w * np.vdot(w, v)
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-10:
-            W.append(v / nrm)
-    W_vecs = tuple(CoeffVec.from_flat(w, M.m, M.N) for w in W)
-    if W:
-        vals = np.stack([w[:M.m] for w in W], axis=1)
-        svals = np.linalg.svd(vals, compute_uv=False)
+        off_slice = M.basis - zslice.project_flat(M.basis)
+    W, _ = gram_schmidt(off_slice, 1e-10)
+    if W.shape[1]:
+        svals = np.linalg.svd(W[:M.m], compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
     else:
         cond = 1.0
-    return RepresentationFrame(M=M, W=W_vecs, E=tuple(defect.basis_vectors()),
-                               vanishing_case=not W, value_map_cond=cond)
+    return RepresentationFrame(M=M, W=tuple(column_vectors(W, M.m, M.N)),
+                               E=tuple(defect.basis_vectors()),
+                               vanishing_case=not W.shape[1], value_map_cond=cond)
 
 
 @dataclass
@@ -155,10 +147,6 @@ class Coordinates:
     reconstruction_residual: float
     isometry_gap: float
     source_norm: float
-
-    def coordinate_norm_sq(self) -> float:
-        total = self.K0.norm_sq() if self.K0 is not None else 0.0
-        return total + sum(kj.norm_sq() for kj in self.k)
 
     def shifted(self, n: int) -> "Coordinates":
         """Apply the backward shift n times to every coordinate function."""
@@ -252,8 +240,7 @@ def _peel(rows: np.ndarray, frame: RepresentationFrame, floors: np.ndarray,
     r, p = frame.r, frame.p
     W, E, pinv = frame.W_matrix, frame.E_matrix, frame.value_pinv
     E_conj = E.conj()
-    SW = np.zeros_like(W)
-    SW[:-m] = W[m:]
+    SW = backward_shift_flat(W, m)
     G = E_conj.T @ SW
     update = np.concatenate([SW - E @ G, E], axis=1).T  # acts on [a | c0]
     K = rows.shape[0]
@@ -597,24 +584,10 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
         formula_resid = max(formula_resid, (Fi - closed).norm())
         projections.append(Fi)
     # Gram-Schmidt in index order, dropping dependent columns in place
-    W: list[CoeffVec] = []
-    C = np.zeros((m, m), dtype=complex)
-    for i, Fi in enumerate(projections):
-        v = Fi.flatten()
-        coeff = np.zeros(m, dtype=complex)
-        for w_idx, w in enumerate(W):
-            overlap = np.vdot(w.flatten(), v)
-            v = v - w.flatten() * overlap
-            coeff += overlap * C[w_idx]
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-10:
-            unit = np.zeros(m, dtype=complex)
-            unit[i] = 1.0
-            C[len(W)] = (unit - coeff) / nrm
-            W.append(CoeffVec.from_flat(v / nrm, m, N))
+    W_mat, C = gram_schmidt(np.asfortranarray(flat_columns(projections, m * N)), 1e-10)
+    W = tuple(column_vectors(W_mat, m, N))
     r = len(W)
-    C = C[:r]
-    frame = RepresentationFrame(M=M, W=tuple(W), E=(G,),
+    frame = RepresentationFrame(M=M, W=W, E=(G,),
                                 vanishing_case=not W,
                                 value_map_cond=1.0)
     corr = _autocorrelation(G)
@@ -935,12 +908,11 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
     defect_cands = [theta.act(backward_shift(H)).analytic_part().resized(N)]
     if not split.in_range:
         defect_cands.append(split.model_part)
-    reduced = []
-    for v in defect_cands:
-        w = v.flatten() - kernel.project_flat(v.flatten())
-        if np.linalg.norm(w) > 1e-8:
-            reduced.append(CoeffVec.from_flat(w, kernel.m, kernel.N))
-    defect = span_of(reduced, floor=1e-8) if reduced else zero_space(kernel.m, kernel.N)
+    cands = flat_columns(defect_cands, kernel.m * N)
+    reduced = cands - kernel.project_flat(cands)
+    reduced = reduced[:, column_norms(reduced) > 1e-8]
+    defect = column_span(reduced, (kernel.m, N), floor=1e-8) if reduced.shape[1] \
+        else zero_space(kernel.m, N)
     frame = build_frame(kernel, defect)
     peeling = peel_members(kernel.basis[:, :min(kernel.dim, 6)], frame)
     line = correction_line if correction_line is not None \

@@ -6,6 +6,12 @@ them.  Rank decisions are auditable: every report records the boundary
 singular values on both sides of the cut; a ratio near 1 means the decision
 was not clean and downstream checks should flag themselves inconclusive
 rather than pass.
+
+Each algorithm has one copy here: the relative rank cut (``_relative_cut``)
+and the gap it reports (``SigmaGap.at``), the null directions of a full SVD
+(``nullspace`` and ``zero_at_origin_slice``), the Gram check
+(``column_gram_deviation``), Gram-Schmidt (``gram_schmidt``) and the
+projection Q (Q^H X) (``Subspace.project_flat``).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .config import rank_threshold
 from .errors import ContainmentError, DimensionMismatch
-from .hardy_core import CoeffVec, backward_shift
+from .hardy_core import CoeffVec, column_vectors
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,13 @@ class SigmaGap:
     def to_pair(self) -> list:
         return [self.zero_side, self.signal_side]
 
+    @classmethod
+    def at(cls, s: np.ndarray, rank: int) -> "SigmaGap":
+        """The gap of a cut that keeps the first ``rank`` of the descending
+        spectrum ``s``."""
+        return cls(zero_side=float(s[rank]) if rank < len(s) else None,
+                   signal_side=float(s[rank - 1]) if rank > 0 else None)
+
 
 class Subspace:
     """Orthonormal-basis subspace of the (m, N) coefficient ambient."""
@@ -57,10 +70,8 @@ class Subspace:
                 f"basis shape {basis.shape} does not match ambient {m}*{N}")
         if basis.shape[1] > m * N:
             raise DimensionMismatch("more basis vectors than ambient dimensions")
-        if basis.shape[1]:
-            gram = basis.conj().T @ basis
-            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-12:
-                raise ValueError("basis columns are not orthonormal within 1e-12")
+        if column_gram_deviation(basis) > 1e-12:
+            raise ValueError("basis columns are not orthonormal within 1e-12")
         basis = basis.copy()
         basis.setflags(write=False)
         self._m, self._N = int(m), int(N)
@@ -93,29 +104,22 @@ class Subspace:
         return self._sigma_gap
 
     def basis_vectors(self) -> list[CoeffVec]:
-        return [CoeffVec.from_flat(self._basis[:, i], self._m, self._N)
-                for i in range(self.dim)]
+        return column_vectors(self._basis, self._m, self._N)
 
-    def project_flat(self, v: np.ndarray) -> np.ndarray:
+    def project_flat(self, X: np.ndarray) -> np.ndarray:
+        """Orthogonal projection Q (Q^H X) of a flat vector or mN x k array."""
         if self.dim == 0:
-            return np.zeros_like(np.asarray(v, dtype=complex))
-        return self._basis @ (self._basis.conj().T @ v)
+            return np.zeros_like(np.asarray(X, dtype=complex))
+        return self._basis @ (self._basis.conj().T @ X)
 
     def residual_flat(self, v: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(v, dtype=complex) - self.project_flat(v)))
 
-    def contains_vector(self, F: CoeffVec, tol: float) -> bool:
-        return self.residual_flat(F.flatten()) <= tol * max(F.norm(), 1e-300)
-
     def perp(self) -> "Subspace":
-        """Orthogonal complement within the full ambient."""
-        mN = self._m * self._N
-        if self.dim == 0:
-            return Subspace(self._m, self._N, np.eye(mN, dtype=complex), self._tol)
-        proj = np.eye(mN, dtype=complex) - self._basis @ self._basis.conj().T
-        u, s, _ = np.linalg.svd(proj)
-        r = int(np.sum(s > 0.5))  # projector spectrum is 0/1
-        return Subspace(self._m, self._N, u[:, :r], self._tol)
+        """Orthogonal complement within the full ambient: the trailing
+        columns of a complete QR of the basis."""
+        q = np.linalg.qr(self._basis, mode="complete")[0]
+        return Subspace(self._m, self._N, q[:, self.dim:], self._tol)
 
     def report_json(self, include_basis: bool = True) -> dict:
         out = {"dim": self.dim, "sigma_gap": self._sigma_gap.to_pair()}
@@ -160,15 +164,29 @@ def nullspace(A: np.ndarray, shape: tuple[int, int],
     if np.max(np.abs(A)) == 0.0:
         return Subspace(m, N, np.eye(m * N, dtype=complex), 0.0,
                         SigmaGap(0.0, None))
-    # full_matrices=True so exact-null directions of wide matrices survive
+    combos, thresh, gap = _null_combinations(A, tol_rel)
+    return Subspace(m, N, combos, thresh, gap)
+
+
+def _null_combinations(A: np.ndarray, tol_rel: float | None,
+                       floor: float = 0.0) -> tuple[np.ndarray, float, SigmaGap]:
+    """Orthonormal null directions of A (A.shape[1] x k), with the cut and its gap.
+
+    A full SVD, its spectrum padded with zeros to the column count, so the
+    exact-null directions of a wide matrix survive the cut.
+    """
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    s = np.concatenate([s, np.zeros(m * N - s.size)])
-    thresh = rank_threshold(A.shape, float(s[0]), tol_rel)
-    rank = int(np.sum(s > thresh))
-    basis = vh.conj().T[:, rank:] if rank < vh.shape[0] else np.zeros((m * N, 0), complex)
-    gap = SigmaGap(zero_side=float(s[rank]) if rank < len(s) else None,
-                   signal_side=float(s[rank - 1]) if rank > 0 else None)
-    return Subspace(m, N, basis, thresh, gap)
+    s = np.concatenate([s, np.zeros(A.shape[1] - s.size)])
+    thresh, rank = _relative_cut(A.shape, s, tol_rel, floor)
+    return vh[rank:].conj().T, thresh, SigmaGap.at(s, rank)
+
+
+def _relative_cut(shape: tuple[int, int], s: np.ndarray, tol_rel: float | None,
+                  floor: float = 0.0) -> tuple[float, int]:
+    """The relative rank cut on a descending spectrum, never below ``floor``;
+    returns (threshold, rank)."""
+    thresh = max(rank_threshold(shape, float(s[0]), tol_rel), floor)
+    return thresh, int(np.sum(s > thresh))
 
 
 def nullspace_within(A: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
@@ -217,14 +235,15 @@ def nullspace_within(A: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
     signal -= max(A.shape) * np.finfo(float).eps * alpha
     zero = float(s[rank]) if rank < s.size else None
     # |A|_2 is at least A Z's largest singular value and A's largest column
-    lower = max(float(s[0]) if s.size else 0.0, float(np.max(_column_norms(A))))
+    lower = max(float(s[0]) if s.size else 0.0, float(np.max(column_norms(A))))
     if signal <= thresh or (zero is not None
                             and zero > rank_threshold(A.shape, lower, tol_rel)):
         return None
     return Subspace(m, N, Z @ vh[rank:].conj().T, thresh, SigmaGap(zero, signal))
 
 
-def _column_norms(X: np.ndarray) -> np.ndarray:
+def column_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every column of X."""
     return np.sqrt(np.einsum("ij,ij->j", X.real, X.real)
                    + np.einsum("ij,ij->j", X.imag, X.imag))
 
@@ -256,11 +275,8 @@ def column_span(stack: np.ndarray, shape: tuple[int, int],
     if np.max(np.abs(stack)) == 0.0:
         return Subspace(m, N, np.zeros((m * N, 0), complex), floor, SigmaGap(0.0, None))
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    thresh = max(rank_threshold(stack.shape, float(s[0]), tol_rel), floor)
-    rank = int(np.sum(s > thresh))
-    gap = SigmaGap(zero_side=float(s[rank]) if rank < len(s) else None,
-                   signal_side=float(s[rank - 1]) if rank > 0 else None)
-    return Subspace(m, N, u[:, :rank], thresh, gap)
+    thresh, rank = _relative_cut(stack.shape, s, tol_rel, floor)
+    return Subspace(m, N, u[:, :rank], thresh, SigmaGap.at(s, rank))
 
 
 def project(F: CoeffVec, M: Subspace) -> CoeffVec:
@@ -274,8 +290,8 @@ def is_contained(A: Subspace, B: Subspace, tol_angle: float = 1e-8):
     _check_same_ambient(A, B)
     if A.dim == 0:
         return True, 0.0
-    outside = A.basis - B.basis @ (B.basis.conj().T @ A.basis)
-    resid = float(np.max(_column_norms(outside)))
+    outside = A.basis - B.project_flat(A.basis)
+    resid = float(np.max(column_norms(outside)))
     return resid <= tol_angle, resid
 
 
@@ -297,16 +313,12 @@ def intersect(M: Subspace, L: Subspace, tol_int: float = 1e-8) -> Subspace:
         return zero_space(M.m, M.N)
     u, s, _ = np.linalg.svd(M.basis.conj().T @ L.basis)
     s = np.clip(s, 0.0, 1.0)
-    keep = s >= 1.0 - tol_int
-    r = int(np.sum(keep))
+    r = int(np.sum(s >= 1.0 - tol_int))
     if r == 0:
-        gap = SigmaGap(zero_side=float(s[0]) if s.size else None, signal_side=None)
-        return Subspace(M.m, M.N, np.zeros((M.m * M.N, 0), complex), tol_int, gap)
-    cols = M.basis @ u[:, :r]
-    q, _ = np.linalg.qr(cols)
-    gap = SigmaGap(zero_side=float(s[r]) if r < s.size else None,
-                   signal_side=float(s[r - 1]))
-    return Subspace(M.m, M.N, q, tol_int, gap)
+        return Subspace(M.m, M.N, np.zeros((M.m * M.N, 0), complex), tol_int,
+                        SigmaGap.at(s, 0))
+    q, _ = np.linalg.qr(M.basis @ u[:, :r])
+    return Subspace(M.m, M.N, q, tol_int, SigmaGap.at(s, r))
 
 
 def ortho_complement_within(M: Subspace, A: Subspace,
@@ -319,49 +331,70 @@ def ortho_complement_within(M: Subspace, A: Subspace,
             f"complement requested for a non-subspace (residual {resid:.3e})")
     if A.dim == 0:
         return M
-    reduced = M.basis - A.basis @ (A.basis.conj().T @ M.basis)
+    reduced = M.basis - A.project_flat(M.basis)
     u, s, _ = np.linalg.svd(reduced, full_matrices=False)
     target = M.dim - A.dim
     r = int(np.sum(s > 0.5))  # projections of an orthonormal basis: sigma near 1 or 0
     if r != target:
         raise ContainmentError(
             f"complement dimension {r} != dim M - dim A = {target}; cut is ambiguous")
-    gap = SigmaGap(zero_side=float(s[r]) if r < s.size else None,
-                   signal_side=float(s[r - 1]) if r > 0 else None)
-    return Subspace(M.m, M.N, u[:, :r], M.tol, gap)
+    return Subspace(M.m, M.N, u[:, :r], M.tol, SigmaGap.at(s, r))
 
 
 def zero_at_origin_slice(M: Subspace) -> Subspace:
     """Members of M vanishing at the origin.
 
     Computed as the nullspace of the m x dim matrix of degree-0 coefficients
-    of M's basis, mapped back through the basis, which keeps the result an
-    exact subspace of M.
+    of M's basis (the same cut as ``nullspace``), mapped back through the
+    basis, which keeps the result an exact subspace of M.
     """
     if M.dim == 0:
         return M
     values = M.basis[:M.m, :]  # degree-0 block rows
     if np.max(np.abs(values)) == 0.0:
         return M
-    _, s, vh = np.linalg.svd(values, full_matrices=True)
-    s = np.concatenate([s, np.zeros(max(M.dim - s.size, 0))])
     # the basis columns are unit vectors, so the value matrix is bounded by
     # one; an absolute floor keeps all-noise value rows from faking rank
-    thresh = max(rank_threshold(values.shape, float(s[0]), None), 1e-12)
-    rank = int(np.sum(s > thresh))
-    combos = vh.conj().T[:, rank:]
-    basis = M.basis @ combos
-    gap = SigmaGap(zero_side=float(s[rank]) if rank < len(s) else None,
-                   signal_side=float(s[rank - 1]) if rank > 0 else None)
-    return Subspace(M.m, M.N, basis, M.tol, gap)
+    combos, _, gap = _null_combinations(values, None, floor=1e-12)
+    return Subspace(M.m, M.N, M.basis @ combos, M.tol, gap)
 
 
-def shift_invariance_residuals(M: Subspace) -> list[float]:
-    """Diagnostic: escape mass of backward-shifted slice members."""
-    out = []
-    for F in zero_at_origin_slice(M).basis_vectors():
-        out.append(M.residual_flat(backward_shift(F).flatten()))
-    return out
+def column_gram_deviation(X: np.ndarray) -> float:
+    """max |X^H X - I| over the entries: how far the columns of X are from
+    orthonormal (0 for no columns)."""
+    if not X.shape[1]:
+        return 0.0
+    return float(np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1]))))
+
+
+def gram_schmidt(X: np.ndarray, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt on the columns of X, in column order.
+
+    A column whose remainder has norm at most ``drop_tol`` is dropped.
+    Returns the orthonormal columns Q (n x r) and the r x k coefficients C
+    with Q = X C^T.  The columns are read in X's own memory layout, and a
+    BLAS dot product over a strided column rounds differently from one over
+    a contiguous column: pass a Fortran-ordered X to reduce each column
+    exactly as a stand-alone vector.
+    """
+    k = X.shape[1]
+    Q: list[np.ndarray] = []
+    C = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        v = X[:, i]
+        coeff = np.zeros(k, dtype=complex)
+        for j, q in enumerate(Q):
+            overlap = np.vdot(q, v)
+            v = v - q * overlap
+            coeff += overlap * C[j]
+        nrm = float(np.linalg.norm(v))
+        if nrm > drop_tol:
+            unit = np.zeros(k, dtype=complex)
+            unit[i] = 1.0
+            C[len(Q)] = (unit - coeff) / nrm
+            Q.append(v / nrm)
+    Q_arr = np.stack(Q, axis=1) if Q else np.zeros((X.shape[0], 0), dtype=complex)
+    return Q_arr, C[:len(Q)]
 
 
 def _check_same_ambient(A: Subspace, B: Subspace) -> None:

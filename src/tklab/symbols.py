@@ -58,10 +58,6 @@ class LaurentMatrixSymbol:
     def d_pos(self) -> int:
         return max((k for k in self._terms if k > 0), default=0)
 
-    @property
-    def d_neg(self) -> int:
-        return max((-k for k in self._terms if k < 0), default=0)
-
     def powers(self) -> list[int]:
         return sorted(self._terms)
 
@@ -76,9 +72,6 @@ class LaurentMatrixSymbol:
 
     def is_analytic(self) -> bool:
         return all(k >= 0 for k in self._terms)
-
-    def is_coanalytic(self) -> bool:
-        return all(k <= 0 for k in self._terms)
 
     def is_diagonal(self) -> bool:
         return all(np.all(mat == np.diag(np.diag(mat))) for mat in self._terms.values())
@@ -191,10 +184,6 @@ class LaurentMatrixSymbol:
             block = mat @ F.coeffs  # (m, N) contributions at degrees k .. k+N-1
             out[:, half + k:half + k + F.N] += block
         return LaurentVec(out)
-
-    def apply_truncated(self, F: CoeffVec) -> CoeffVec:
-        """Riesz-project Phi * F and truncate back to F's window."""
-        return self.act(F).analytic_part().resized(F.N)
 
     # ---- serialization ----
 

@@ -171,7 +171,7 @@ class TestSweep:
     def test_model_dimension_tracks_power_sweep(self):
         # unperturbed adjoint scenario: kernel dim must equal m * s
         sc = load_scenario(SCENARIOS / "adjoint_monomial_sweep.json")
-        csv_text = sweep(sc, "s", [1, 2, 3])
+        csv_text = sweep(sc, "p", [1, 2, 3])
         rows = [line.split(",") for line in csv_text.strip().splitlines()[1:]]
         for r in rows:
             assert int(r[1]) == sc.m * int(r[0])
@@ -184,8 +184,9 @@ class TestSweep:
 
     def test_unknown_parameter(self):
         sc = load_scenario(SCENARIOS / "zero_symbol_defect.json")
-        with pytest.raises(ScenarioValidationError):
-            sweep(sc, "q", [1])
+        for param in ("q", "s"):
+            with pytest.raises(ScenarioValidationError, match="unknown sweep parameter"):
+                sweep(sc, param, [1])
 
     def test_cli_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

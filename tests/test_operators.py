@@ -153,6 +153,20 @@ class TestPerturbed:
         out = act @ CoeffVec.monomial(1, 5, 0, 4).flatten()
         assert abs(out[6]) == 1.0
 
+    def test_square_matrix_is_action_prefix(self, rng):
+        m, N = 2, 9
+        phi = random_symbol(rng, m, 2)
+        G = rand_orthonormal(rng, m, N, 6, 3)
+        H = rand_orthonormal(rng, m, N, 6, 3)
+        T = build_perturbed(phi, N, G, H)
+        act = T.action_matrix()
+        assert act.shape == (m * (N + 2), m * N)
+        assert np.array_equal(T.matrix, act[:m * N])
+        bump = sum(np.outer(h.flatten(), g.flatten().conj()) for g, h in zip(G, H))
+        assert np.max(np.abs(T.matrix - (_block_toeplitz(phi, N, N) + bump))) < 1e-14
+        assert np.array_equal(act[m * N:], _block_toeplitz(phi, N + 2, N)[m * N:])
+        assert not act.flags.writeable
+
     def test_orthonormalize_family_helper(self, rng):
         fam = [rand_coeffvec(rng, 2, 6, 4) for _ in range(3)]
         fam.append(fam[0])  # exact dependency gets dropped

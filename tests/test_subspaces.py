@@ -4,9 +4,10 @@ import pytest
 from tklab.errors import ContainmentError, DimensionMismatch
 from tklab.hardy_core import CoeffVec, inner_product, reproducing_column
 from tklab.operators import build_toeplitz
-from tklab.subspaces import (Subspace, full_space, intersect, is_contained,
-                             nullspace, ortho_complement_within, project,
-                             span_of, subspace_equal, vanishing_at_zero_space,
+from tklab.subspaces import (SigmaGap, Subspace, full_space, gram_schmidt,
+                             intersect, is_contained, nullspace,
+                             ortho_complement_within, project, span_of,
+                             subspace_equal, vanishing_at_zero_space,
                              zero_at_origin_slice, zero_space)
 from tklab.symbols import LaurentMatrixSymbol, symbol_adjoint
 
@@ -220,6 +221,9 @@ class TestSliceAndAmbient:
         m, N = 2, 4
         M = span_of([rand_coeffvec(rng, m, N, 4) for _ in range(3)])
         assert M.dim + M.perp().dim == m * N
+        assert np.max(np.abs(M.basis.conj().T @ M.perp().basis)) < 1e-14
+        assert np.array_equal(zero_space(m, N).perp().basis, np.eye(m * N))
+        assert full_space(m, N).perp().dim == 0
 
     def test_vanishing_space(self):
         V = vanishing_at_zero_space(2, 4)
@@ -241,3 +245,74 @@ class TestSliceAndAmbient:
 
     def test_full_space(self):
         assert full_space(2, 3).dim == 6
+
+
+class TestSigmaGap:
+    def test_at_reads_both_sides_of_the_cut(self):
+        s = np.array([3.0, 2.0, 1e-14])
+        assert SigmaGap.at(s, 2).to_pair() == [1e-14, 2.0]
+        assert SigmaGap.at(s, 0).to_pair() == [3.0, None]
+        assert SigmaGap.at(s, 3).to_pair() == [None, 1e-14]
+        assert SigmaGap.at(np.zeros(0), 0).to_pair() == [None, None]
+
+
+def _frame_loop(X, drop_tol):
+    """The W loop of build_frame before it called gram_schmidt."""
+    W = []
+    for idx in range(X.shape[1]):
+        v = X[:, idx]
+        for w in W:
+            v = v - w * np.vdot(w, v)
+        nrm = float(np.linalg.norm(v))
+        if nrm > drop_tol:
+            W.append(v / nrm)
+    return W
+
+
+def _coefficient_loop(vectors, drop_tol):
+    """The rank-one analysis loop before it called gram_schmidt: Q and C."""
+    k = len(vectors)
+    Q, C = [], np.zeros((k, k), dtype=complex)
+    for i, v in enumerate(vectors):
+        coeff = np.zeros(k, dtype=complex)
+        for j, q in enumerate(Q):
+            overlap = np.vdot(q, v)
+            v = v - q * overlap
+            coeff += overlap * C[j]
+        nrm = float(np.linalg.norm(v))
+        if nrm > drop_tol:
+            unit_i = np.zeros(k, dtype=complex)
+            unit_i[i] = 1.0
+            C[len(Q)] = (unit_i - coeff) / nrm
+            Q.append(v / nrm)
+    return Q, C[:len(Q)]
+
+
+class TestGramSchmidt:
+    def test_drops_dependent_column_and_factors_input(self, rng):
+        X = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+        X = np.concatenate([X[:, :2], (X[:, 0] - 2j * X[:, 1])[:, None], X[:, 2:]], axis=1)
+        Q, C = gram_schmidt(X, 1e-10)
+        assert Q.shape == (12, 4) and C.shape == (4, 5)
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(4))) < 1e-14
+        assert np.max(np.abs(Q - X @ C.T)) < 1e-13
+        assert np.all(C[:, 2] == 0)  # the dependent column contributes nothing
+        # above the remainder's norm the column is kept
+        assert gram_schmidt(X[:, :3], 1e-20)[0].shape[1] == 3
+
+    def test_empty_input(self):
+        Q, C = gram_schmidt(np.zeros((6, 0), dtype=complex), 1e-10)
+        assert Q.shape == (6, 0) and C.shape == (0, 0)
+
+    def test_equals_previous_loops_bit_for_bit(self, rng):
+        for m, N, k in ((1, 9, 3), (2, 16, 7), (3, 10, 5)):
+            X = rng.standard_normal((m * N, k)) + 1j * rng.standard_normal((m * N, k))
+            X[:, -1] = X[:, 0] + X[:, 1]
+            Q, _ = gram_schmidt(X, 1e-10)
+            ref = _frame_loop(X, 1e-10)
+            assert Q.shape[1] == len(ref) == k - 1
+            assert all(np.array_equal(Q[:, j], w) for j, w in enumerate(ref))
+            Q, C = gram_schmidt(np.asfortranarray(X), 1e-10)
+            ref_Q, ref_C = _coefficient_loop([X[:, i].copy() for i in range(k)], 1e-10)
+            assert all(np.array_equal(Q[:, j], w) for j, w in enumerate(ref_Q))
+            assert np.array_equal(C, ref_C)
