@@ -15,10 +15,8 @@ from .errors import (CircleRootError, ContainmentError, DimensionMismatch,
                      OrthonormalityError, ScenarioParseError,
                      ScenarioValidationError, TKLabError)
 from .hardy_core import (CoeffVec, LaurentVec, backward_shift, eval_at_zero,
-                         forward_shift, inner_product, reproducing_column,
-                         riesz_project)
-from .model_spaces import (ModelSpace, build_model_space,
-                           decompose_against_theta, project_onto_model)
+                         forward_shift, inner_product, reproducing_column)
+from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
 from .near_invariance import (DefectReport, KernelResult, compute_defect,
                               kernel_of, verify_theorem_inner_symbol,
                               verify_theorem_invertible_factors,
@@ -26,7 +24,7 @@ from .near_invariance import (DefectReport, KernelResult, compute_defect,
                               verify_theorem_theta_star)
 from .operators import (BrownHalmosReport, PerturbedToeplitz,
                         ToeplitzCompression, brown_halmos_check,
-                        build_perturbed, build_toeplitz, orthonormalize_family)
+                        build_perturbed, orthonormalize_family)
 from .representation import (Coordinates, RepresentationFrame, build_frame,
                              check_coordinate_space_invariance,
                              extract_coordinates,
@@ -40,8 +38,7 @@ from .subspaces import (SigmaGap, Subspace, full_space, intersect,
                         vanishing_at_zero_space, zero_at_origin_slice)
 from .symbols import (InnerCheck, LaurentMatrixSymbol,
                       ScalarInnerOuterFactorization, blaschke_taylor,
-                      diagonal_inner_outer, diagonal_inner_part,
-                      invert_analytic, is_inner, is_invertible_analytic,
-                      scalar_inner_outer, symbol_adjoint, symbol_multiply)
+                      diagonal_inner_outer, invert_analytic, is_inner,
+                      is_invertible_analytic, scalar_inner_outer)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .representation import (build_frame, check_coordinate_space_invariance,
                              rank_one_theta_star_analysis)
 from .subspaces import Subspace
 from .symbols import (LaurentMatrixSymbol, is_inner, is_invertible_analytic,
-                      scalar_inner_outer, symbol_adjoint, symbol_multiply)
+                      scalar_inner_outer)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -95,6 +95,19 @@ def _parse_symbol(payload, what: str) -> LaurentMatrixSymbol:
         raise ScenarioParseError(f"bad {what}: {exc}") from exc
 
 
+def _parse_tolerances(payload) -> dict:
+    """Tolerance overrides: known ``Tolerances`` fields with numeric values."""
+    if not isinstance(payload, dict):
+        raise ScenarioParseError("tolerances must be a JSON object")
+    known = {f.name for f in fields(Tolerances)}
+    for key, value in payload.items():
+        if key not in known:
+            raise ScenarioParseError(f"unknown tolerance {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioParseError(f"tolerance {key!r} must be a number, got {value!r}")
+    return dict(payload)
+
+
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario payload must be a JSON object")
@@ -124,7 +137,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     return Scenario(name=name, m=m, N=N, symbol_class=symbol_class, checks=checks,
                     seed=seed, G=G, H=H, symbol=symbol, factors=factors, pair=pair,
                     expect=dict(data.get("expect", {})),
-                    tolerance_overrides=dict(data.get("tolerances", {})),
+                    tolerance_overrides=_parse_tolerances(data.get("tolerances", {})),
                     depth=data.get("depth"))
 
 
@@ -255,10 +268,10 @@ def _scenario_kernel(sc: Scenario, tol: Tolerances) -> Subspace:
     elif sc.symbol_class == "inner":
         symbol = sc.symbol
     elif sc.symbol_class == "theta_star":
-        symbol = symbol_adjoint(sc.symbol)
+        symbol = sc.symbol.adjoint()
     elif sc.symbol_class == "invertible_factors":
         factors = sc.factors
-        symbol = symbol_multiply(symbol_adjoint(sc.factors[0]), sc.factors[1])
+        symbol = sc.factors[0].adjoint().multiply(sc.factors[1])
     elif sc.symbol_class == "raw" and sc.symbol is not None:
         symbol = sc.symbol
     else:

@@ -20,8 +20,6 @@ class Tolerances:
     ortho: float = 1e-8
     #: unit-circle isometry deviation allowed for an inner symbol
     inner: float = 1e-8
-    #: polynomial roots closer than this to |z| = 1 refuse to factor
-    circle_margin: float = 1e-6
     #: min |det| on the closed disk for invertible analytic symbols
     invertibility_margin: float = 1e-6
     #: defect-into-prediction containment (series-inversion scenarios)
@@ -30,8 +28,6 @@ class Tolerances:
     containment_strict: float = 1e-8
     #: mutual-containment threshold defining subspace equality
     subspace_equality: float = 1e-8
-    #: allowed 1 - cos(angle) for directions counted into an intersection
-    intersection: float = 1e-8
     #: membership residual for reassembled coordinate vectors
     membership: float = 1e-6
     #: absolute singular-value floor below which defect directions are noise

@@ -252,15 +252,6 @@ def backward_shift_flat(X: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def backward_shift_power(F: CoeffVec, n: int) -> CoeffVec:
-    if n < 0:
-        raise ValueError("shift power must be >= 0")
-    out = F
-    for _ in range(n):
-        out = backward_shift(out)
-    return out
-
-
 def flat_columns(vectors, length: int) -> np.ndarray:
     """A family of coefficient vectors as flat columns, length x len(vectors)."""
     if not vectors:
@@ -276,11 +267,6 @@ def column_vectors(X: np.ndarray, m: int, N: int) -> list[CoeffVec]:
 def eval_at_zero(F: CoeffVec) -> np.ndarray:
     """The value F(0), i.e. the degree-0 coefficient block."""
     return F.coeffs[:, 0].copy()
-
-
-def riesz_project(F: LaurentVec) -> CoeffVec:
-    """Componentwise projection onto nonnegative degrees."""
-    return F.analytic_part()
 
 
 def reproducing_column(m: int, N: int, component: int) -> CoeffVec:

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInnerError
-from .hardy_core import CoeffVec, riesz_project
-from .operators import build_toeplitz, range_complement, shifted_range_matrix
+from .hardy_core import CoeffVec
+from .operators import ToeplitzCompression, range_complement, shifted_range_matrix
 from .subspaces import (SigmaGap, Subspace, column_span, nullspace, nullspace_within,
                         project)
-from .symbols import (LaurentMatrixSymbol, is_exactly_inner, is_inner,
-                      symbol_adjoint)
+from .symbols import LaurentMatrixSymbol, is_exactly_inner, is_inner
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
     m, d = theta.m, theta.d
     if N <= d:
         raise NotInnerError(f"truncation N={N} must exceed the symbol degree {d}")
-    comp = build_toeplitz(symbol_adjoint(theta), N).matrix
+    comp = ToeplitzCompression(theta.adjoint(), N).matrix
     R = shifted_range_matrix(theta, N)
     model = None
     if is_exactly_inner(theta):
@@ -108,15 +107,9 @@ def _cross_check_projections(ms: ModelSpace, tol: float) -> None:
 
 def project_onto_model_formula(F: CoeffVec, ms: ModelSpace) -> CoeffVec:
     """F - Theta P_+(Theta* F) in truncated coefficients."""
-    adj = symbol_adjoint(ms.theta)
-    inner_part = riesz_project(adj.act(F)).resized(F.N)
+    inner_part = ms.theta.adjoint().act(F).analytic_part().resized(F.N)
     back = ms.theta.act(inner_part).analytic_part().resized(F.N)
     return F - back
-
-
-def project_onto_model(F: CoeffVec, ms: ModelSpace) -> CoeffVec:
-    """Orthogonal projection onto the truncated model space."""
-    return project(F, ms.as_subspace)
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,7 @@ def decompose_against_theta(G: CoeffVec, ms: ModelSpace,
     The verdict ``in_range`` is True when the model-space mass falls below
     tol_membership relative to |G|.
     """
-    g_model = project_onto_model(G, ms)
+    g_model = project(G, ms.as_subspace)
     g_range = G - g_model
     mass = g_model.norm()
     return RangeSplit(model_part=g_model, range_part=g_range,

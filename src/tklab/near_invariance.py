@@ -18,11 +18,12 @@ onto the orthocomplement of M.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotInnerError, NotInvertibleError
-from .hardy_core import CoeffVec, backward_shift, backward_shift_flat, flat_columns
+from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
 from .model_spaces import build_model_space, decompose_against_theta
 from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
                         range_complement)
@@ -30,8 +31,7 @@ from .subspaces import (SigmaGap, Subspace, column_norms, column_span, is_contai
                         nullspace, nullspace_within, subspace_equal,
                         zero_at_origin_slice, zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
-                      is_inner, is_invertible_analytic, symbol_adjoint,
-                      symbol_multiply)
+                      is_inner, is_invertible_analytic)
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,33 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
     settle the rank, takes the dense SVD of the whole action matrix.  Every
     basis vector is audited against 10x the singular-value cut.
     """
+    return _solve_kernel(T, _kernel_candidates(T, factors), tol_rel)
+
+
+class _Candidates(NamedTuple):
+    method: str
+    #: orthonormal basis of the candidate space Z
+    Z: np.ndarray
+    #: bound on |L|
+    L_norm: float
+    #: the factored path's series (F1^-1 to degree N + d_pos - 1, F2^-1 to
+    #: degree N - 1), which the factored checks reuse
+    series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
+
+
+def _solve_kernel(T: PerturbedToeplitz, candidates: _Candidates | None,
+                  tol_rel: float | None = None) -> KernelResult:
+    """The kernel step of ``kernel_of`` for candidates already in hand."""
     action = T.action_matrix()
     ker, method = None, "dense"
-    candidates = _kernel_candidates(T, factors)
     if candidates is not None:
-        method, Z, L_norm = candidates
+        method = candidates.method
         G, H = T.G_matrix, T.H_matrix
         # |H G^H|_2 from the n x n Grams of the families
         bump = np.sqrt(_gram_norm(G) * _gram_norm(H))
         alpha = T.base.symbol.coefficient_l1_norm() + bump
-        ker = nullspace_within(action, Z, (T.m, T.N), alpha, L_norm, tol_rel=tol_rel)
+        ker = nullspace_within(action, candidates.Z, (T.m, T.N), alpha,
+                               candidates.L_norm, tol_rel=tol_rel)
     if ker is None:
         method = "dense"
         ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel)
@@ -87,8 +104,11 @@ def _gram_norm(X: np.ndarray) -> float:
 
 def _kernel_candidates(T: PerturbedToeplitz,
                        factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None
-                       ) -> tuple[str, np.ndarray, float] | None:
-    """(method, orthonormal basis of Z, bound on |L|) for ``nullspace_within``.
+                       ) -> _Candidates | None:
+    """The candidate space of ``nullspace_within`` for T's symbol class, or
+    None for the dense path.  Given factors take the factored path even when
+    their product is also (the adjoint of) an exactly inner symbol, so its
+    series are always there to reuse.
 
     With B the base action matrix and H the bump's range family:
     - inner Theta: B is an isometry, so L = B^H gives L B = I, Z0 = 0,
@@ -105,23 +125,25 @@ def _kernel_candidates(T: PerturbedToeplitz,
     """
     phi, m, N = T.base.symbol, T.m, T.N
     H = T.H_matrix
+    if factors is not None:
+        F1, F2 = factors
+        if not phi.equals(F1.adjoint().multiply(F2)):
+            raise ValueError("factors do not multiply to the operator's symbol")
+        inv1 = invert_analytic(F1, N + phi.d_pos - 1)
+        inv2 = invert_analytic(F2, N - 1)
+        LH = apply_block_toeplitz(inv2, apply_block_toeplitz(inv1.adjoint(), H, N), N)
+        return _Candidates("factored", _orthonormal_span(LH),
+                           inv1.coefficient_l1_norm() * inv2.coefficient_l1_norm(),
+                           (inv1, inv2))
     if is_exactly_inner(phi):
         LH = apply_block_toeplitz(phi.adjoint(), H, N)
-        return "inner", _orthonormal_span(LH), 1.0
+        return _Candidates("inner", _orthonormal_span(LH), 1.0)
     theta = phi.adjoint()
     if is_exactly_inner(theta):
         LH = apply_block_toeplitz(theta, H[:m * (N - theta.d)], N)
-        return "theta_star", _orthonormal_span(range_complement(theta, N), LH), 1.0
-    if factors is None:
-        return None
-    F1, F2 = factors
-    if not phi.equals(symbol_multiply(symbol_adjoint(F1), F2)):
-        raise ValueError("factors do not multiply to the operator's symbol")
-    inv1 = invert_analytic(F1, N + phi.d_pos - 1)
-    inv2 = invert_analytic(F2, N - 1)
-    LH = apply_block_toeplitz(inv2, apply_block_toeplitz(inv1.adjoint(), H, N), N)
-    return ("factored", _orthonormal_span(LH),
-            inv1.coefficient_l1_norm() * inv2.coefficient_l1_norm())
+        return _Candidates("theta_star", _orthonormal_span(range_complement(theta, N), LH),
+                           1.0)
+    return None
 
 
 def _orthonormal_span(*blocks: np.ndarray) -> np.ndarray:
@@ -224,18 +246,15 @@ def _attach_prediction(report: DefectReport, M: Subspace,
     return report
 
 
-def _kernel_defect(T: PerturbedToeplitz, defect_floor: float,
-                   tol_rel: float | None,
-                   factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
-                   ) -> tuple[KernelResult, DefectReport]:
-    kr = kernel_of(T, tol_rel=tol_rel, factors=factors)
+def _kernel_defect(kr: KernelResult, defect_floor: float,
+                   tol_rel: float | None) -> DefectReport:
     report = compute_defect(kr.subspace, defect_floor=defect_floor, tol_rel=tol_rel)
     report.kernel_residual_max = kr.residual_max
     report.details["kernel_sigma_cut"] = kr.sigma_cut
     report.details["kernel_sigma_ratio"] = kr.sigma_gap.ratio
     report.details["kernel_audit_violations"] = kr.audit_violations
     report.details["kernel_method"] = kr.method
-    return kr, report
+    return report
 
 
 def verify_theorem_phi_zero(G: list[CoeffVec], H: list[CoeffVec], N: int,
@@ -251,7 +270,8 @@ def verify_theorem_phi_zero(G: list[CoeffVec], H: list[CoeffVec], N: int,
         raise ValueError("component count m is required when the family is empty")
     T = build_perturbed(LaurentMatrixSymbol.zero(m), N, list(G), list(H),
                         tol_ortho=tol_ortho)
-    kr, report = _kernel_defect(T, defect_floor, tol_rel)
+    kr = kernel_of(T, tol_rel=tol_rel)
+    report = _kernel_defect(kr, defect_floor, tol_rel)
     report.defect_bound = len(G)
     _attach_prediction(report, kr.subspace, T.G_matrix, defect_floor)
     return report
@@ -268,7 +288,8 @@ def verify_theorem_inner_symbol(theta: LaurentMatrixSymbol, G: list[CoeffVec],
     if not chk.ok:
         raise NotInnerError(f"symbol deviates from inner by {chk.max_deviation:.3e}")
     T = build_perturbed(theta, N, list(G), list(H), tol_ortho=tol_ortho)
-    kr, report = _kernel_defect(T, defect_floor, tol_rel)
+    kr = kernel_of(T, tol_rel=tol_rel)
+    report = _kernel_defect(kr, defect_floor, tol_rel)
     report.defect_bound = len(G)
     # C_{Theta*} applied to H and to S* H; S* is a shift of the flat rows
     H_mat = T.H_matrix
@@ -302,18 +323,18 @@ def verify_theorem_invertible_factors(F1: LaurentMatrixSymbol,
     for name, F in (("F1", F1), ("F2", F2)):
         if not is_invertible_analytic(F, margin=margin):
             raise NotInvertibleError(f"factor {name} is not invertible on the disk")
-    phi = symbol_multiply(symbol_adjoint(F1), F2)
-    T = build_perturbed(phi, N, list(G), list(H), tol_ortho=tol_ortho)
-    kr, report = _kernel_defect(T, defect_floor, tol_rel, factors=(F1, F2))
+    T = build_perturbed(F1.adjoint().multiply(F2), N, list(G), list(H),
+                        tol_ortho=tol_ortho)
+    candidates = _kernel_candidates(T, (F1, F2))
+    kr = _solve_kernel(T, candidates, tol_rel)
+    report = _kernel_defect(kr, defect_floor, tol_rel)
     report.defect_bound = len(G)
-    inv1 = invert_analytic(F1, N - 1)
-    inv2 = invert_analytic(F2, N - 1)
-    inv1_adj = symbol_adjoint(inv1)
-    predicted = []
-    for h in H:
-        intermediate = inv1_adj.act(h).analytic_part().resized(N)
-        predicted.append(inv2.act(backward_shift(intermediate)).analytic_part().resized(N))
-    _attach_prediction(report, kr.subspace, flat_columns(predicted, T.m * N), defect_floor)
+    # the F1 series reaches past degree N - 1, but those powers of its
+    # adjoint fall outside the window
+    inv1, inv2 = candidates.series
+    intermediate = apply_block_toeplitz(inv1.adjoint(), T.H_matrix, N)
+    predicted = apply_block_toeplitz(inv2, backward_shift_flat(intermediate, T.m), N)
+    _attach_prediction(report, kr.subspace, predicted, defect_floor)
     return report
 
 
@@ -326,20 +347,20 @@ def verify_theorem_theta_star(theta: LaurentMatrixSymbol, G: list[CoeffVec],
                               range_membership: float = 1e-8) -> DefectReport:
     """Adjoint-of-inner symbol: defect at most n + l where l counts the G_j
     outside the shifted range; prediction adds their model-space parts."""
-    chk = is_inner(theta, tol=tol_inner)
-    if not chk.ok:
-        raise NotInnerError(f"symbol deviates from inner by {chk.max_deviation:.3e}")
-    T = build_perturbed(symbol_adjoint(theta), N, list(G), list(H), tol_ortho=tol_ortho)
-    kr, report = _kernel_defect(T, defect_floor, tol_rel)
+    # the model space's grid test is the innerness test
     ms = build_model_space(theta, N, tol_inner=tol_inner)
-    predicted = [theta.act(backward_shift(h)).analytic_part().resized(N) for h in H]
-    outside = 0
+    T = build_perturbed(theta.adjoint(), N, list(G), list(H), tol_ortho=tol_ortho)
+    kr = kernel_of(T, tol_rel=tol_rel)
+    report = _kernel_defect(kr, defect_floor, tol_rel)
+    outside = []
     for g in G:
         split = decompose_against_theta(g, ms, tol_membership=range_membership)
         if not split.in_range:
-            outside += 1
-            predicted.append(split.model_part)
-    report.defect_bound = len(G) + outside
-    report.details["outside_range_count"] = outside
-    _attach_prediction(report, kr.subspace, flat_columns(predicted, T.m * N), defect_floor)
+            outside.append(split.model_part)
+    report.defect_bound = len(G) + len(outside)
+    report.details["outside_range_count"] = len(outside)
+    predicted = np.concatenate(
+        [apply_block_toeplitz(theta, backward_shift_flat(T.H_matrix, T.m), N),
+         flat_columns(outside, T.m * N)], axis=1)
+    _attach_prediction(report, kr.subspace, predicted, defect_floor)
     return report

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DimensionMismatch, OrthonormalityError
 from .hardy_core import CoeffVec, column_vectors, flat_columns, inner_product
 from .subspaces import column_gram_deviation, gram_schmidt
-from .symbols import LaurentMatrixSymbol, symbol_multiply
+from .symbols import LaurentMatrixSymbol
 
 
 def _block_toeplitz(symbol: LaurentMatrixSymbol, rows: int, cols: int) -> np.ndarray:
@@ -143,10 +143,6 @@ class ToeplitzCompression:
         return f"ToeplitzCompression(m={self.m}, N={self._N}, d={self._symbol.d})"
 
 
-def build_toeplitz(phi: LaurentMatrixSymbol, N: int) -> ToeplitzCompression:
-    return ToeplitzCompression(phi, N)
-
-
 def gram_deviation(vectors: list[CoeffVec]) -> float:
     """Max |<v_i, v_j> - delta_ij| over a family of equal-shape vectors."""
     if not vectors:
@@ -171,7 +167,7 @@ class PerturbedToeplitz:
     square compression, is its first mN rows.
     """
 
-    __slots__ = ("_base", "_G", "_H", "_action")
+    __slots__ = ("_base", "_G", "_H", "_G_matrix", "_H_matrix", "_action")
 
     def __init__(self, base: ToeplitzCompression, G: list[CoeffVec], H: list[CoeffVec],
                  tol_ortho: float = 1e-8, require_orthonormal: bool = True):
@@ -181,18 +177,22 @@ class PerturbedToeplitz:
             if v.shape != (base.m, base.N):
                 raise DimensionMismatch(
                     f"family member shape {v.shape} != ({base.m}, {base.N})")
+        self._base = base
+        self._G = tuple(G)
+        self._H = tuple(H)
+        self._G_matrix = flat_columns(self._G, base.m * base.N)
+        self._H_matrix = flat_columns(self._H, base.m * base.N)
+        for mat in (self._G_matrix, self._H_matrix):
+            mat.setflags(write=False)
         if require_orthonormal:
-            for name, fam in (("G", G), ("H", H)):
-                dev = gram_deviation(list(fam))
+            for name, mat in (("G", self._G_matrix), ("H", self._H_matrix)):
+                dev = column_gram_deviation(mat)
                 if dev > tol_ortho:
                     raise OrthonormalityError(
                         f"family {name} deviates from orthonormality by {dev:.3e} "
                         f"(tolerance {tol_ortho:g})")
-        self._base = base
-        self._G = tuple(G)
-        self._H = tuple(H)
         action = base.action_matrix()
-        action[:base.m * base.N] += self.H_matrix @ self.G_matrix.conj().T
+        action[:base.m * base.N] += self._H_matrix @ self._G_matrix.conj().T
         action.setflags(write=False)
         self._action = action
         self._verify_functional_form()
@@ -235,13 +235,13 @@ class PerturbedToeplitz:
 
     @property
     def G_matrix(self) -> np.ndarray:
-        """The G family as flat columns, mN x n."""
-        return flat_columns(self._G, self.m * self.N)
+        """The G family as flat columns, mN x n (read-only)."""
+        return self._G_matrix
 
     @property
     def H_matrix(self) -> np.ndarray:
-        """The H family as flat columns, mN x n."""
-        return flat_columns(self._H, self.m * self.N)
+        """The H family as flat columns, mN x n (read-only)."""
+        return self._H_matrix
 
     @property
     def matrix(self) -> np.ndarray:
@@ -266,7 +266,7 @@ class PerturbedToeplitz:
 def build_perturbed(phi: LaurentMatrixSymbol, N: int, G: list[CoeffVec],
                     H: list[CoeffVec], tol_ortho: float = 1e-8,
                     require_orthonormal: bool = True) -> PerturbedToeplitz:
-    return PerturbedToeplitz(build_toeplitz(phi, N), G, H,
+    return PerturbedToeplitz(ToeplitzCompression(phi, N), G, H,
                              tol_ortho=tol_ortho,
                              require_orthonormal=require_orthonormal)
 
@@ -303,9 +303,8 @@ def brown_halmos_check(psi: LaurentMatrixSymbol, phi: LaurentMatrixSymbol,
         raise DimensionMismatch(
             f"N={N} must exceed the combined bandwidth {psi.d + phi.d}")
     hypothesis = psi.adjoint().is_analytic() or phi.is_analytic()
-    cp, cf = build_toeplitz(psi, N), build_toeplitz(phi, N)
-    prod_sym = symbol_multiply(psi, phi)
-    product = cp.matrix @ cf.matrix
+    product = _block_toeplitz(psi, N, N) @ _block_toeplitz(phi, N, N)
+    prod_sym = psi.multiply(phi)
     diff = product - _block_toeplitz(prod_sym, N, N)
     w = N - psi.d - phi.d
     m = psi.m

@@ -38,18 +38,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameDeficientError, NotInnerError
+from .errors import DimensionMismatch, FrameDeficientError
 from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
                          eval_at_zero, flat_columns, inner_product,
                          reproducing_column)
 from .model_spaces import build_model_space, decompose_against_theta
-from .near_invariance import DefectReport, compute_defect, kernel_of
-from .operators import build_perturbed, build_toeplitz, orthonormalize_family
+from .near_invariance import (DefectReport, _kernel_candidates, _solve_kernel,
+                              compute_defect, kernel_of)
+from .operators import apply_block_toeplitz, build_perturbed, orthonormalize_family
 from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
                         subspace_equal, zero_at_origin_slice, zero_space)
-from .symbols import (LaurentMatrixSymbol, invert_analytic, is_inner,
-                      is_invertible_analytic, symbol_adjoint)
+from .symbols import LaurentMatrixSymbol, is_invertible_analytic
 
 #: members per matrix product in the batched membership residual; bounds the
 #: temporaries to a few chunk x mN arrays
@@ -706,23 +706,21 @@ def rank_one_inner_kernel(theta: LaurentMatrixSymbol, G: CoeffVec, H: CoeffVec,
     the line through T_{theta*} H; a nontrivial kernel also requires H to lie
     in the shifted range of theta.
     """
-    chk = is_inner(theta, tol=tol)
-    if not chk.ok:
-        raise NotInnerError(f"symbol deviates from inner by {chk.max_deviation:.3e}")
+    # the model space's grid test is the innerness test
+    ms = build_model_space(theta, N, tol_inner=tol)
     _unit_norm_check(G, tol)
     if backward_shift(H).norm() < tol:
         raise ValueError("H must have a nonzero backward shift")
-    adj = build_toeplitz(symbol_adjoint(theta), N)
-    candidate = adj.apply(H)
+    candidate = column_vectors(
+        apply_block_toeplitz(theta.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
     criterion = 1.0 + inner_product(candidate, G)
-    ms = build_model_space(theta, N, tol_inner=max(tol, chk.max_deviation * 4))
     h_in_range = decompose_against_theta(H, ms).in_range
     T = build_perturbed(theta, N, [G], [H], require_orthonormal=False)
     kr = kernel_of(T)
     kernel = kr.subspace
     details = {"kernel_residual_max": kr.residual_max,
                "h_in_shifted_range": h_in_range,
-               "inner_deviation": chk.max_deviation}
+               "inner_deviation": ms.inner_deviation}
     if abs(criterion) > tol_crit and kernel.dim == 0:
         return RankOneKernelReport(case="trivial_kernel", criterion=criterion,
                                    kernel_dim=0, kernel=kernel,
@@ -757,11 +755,16 @@ def rank_one_invertible_kernel(F1: LaurentMatrixSymbol, F2: LaurentMatrixSymbol,
         if not is_invertible_analytic(F, margin=margin):
             raise ValueError(f"factor {name} is not invertible on the disk")
     _unit_norm_check(G, tol)
-    inv1 = invert_analytic(F1, N - 1)
-    inv2 = invert_analytic(F2, N - 1)
-    intermediate = symbol_adjoint(inv1).act(H).analytic_part().resized(N)
+    T = build_perturbed(F1.adjoint().multiply(F2), N, [G], [H], require_orthonormal=False)
+    # the kernel solve's series; powers of the F1 one past N - 1 fall
+    # outside the window
+    candidates = _kernel_candidates(T, (F1, F2))
+    inv1, inv2 = candidates.series
+    intermediate = column_vectors(
+        apply_block_toeplitz(inv1.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
     # route one: block Toeplitz application of the inverted factor
-    candidate = build_toeplitz(inv2, N).apply(intermediate)
+    candidate = column_vectors(
+        apply_block_toeplitz(inv2, intermediate.flatten()[:, None], N), H.m, N)[0]
     # route two: direct Cauchy-product of the coefficient sequences
     conv = np.zeros((H.m, N), dtype=complex)
     for n in range(N):
@@ -778,9 +781,7 @@ def rank_one_invertible_kernel(F1: LaurentMatrixSymbol, F2: LaurentMatrixSymbol,
             [eval_at_zero(intermediate)[:, None],
              np.zeros((H.m, N - 1), dtype=complex)], axis=1))))
     criterion = 1.0 + inner_product(candidate, G)
-    phi = symbol_adjoint(F1).multiply(F2)
-    T = build_perturbed(phi, N, [G], [H], require_orthonormal=False)
-    kr = kernel_of(T, factors=(F1, F2))
+    kr = _solve_kernel(T, candidates)
     kernel = kr.subspace
     details = {"kernel_residual_max": kr.residual_max,
                "convolution_gap": convolution_gap,
@@ -852,18 +853,16 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
     against the SVD kernel by subspace equality.  G need not be normalized:
     the critical branches are unreachable for unit G by Cauchy-Schwarz.
     """
-    chk = is_inner(theta, tol=tol)
-    if not chk.ok:
-        raise NotInnerError(f"symbol deviates from inner by {chk.max_deviation:.3e}")
+    # the model space's grid test is the innerness test
+    ms = build_model_space(theta, N, tol_inner=tol)
     if backward_shift(H).norm() < tol:
         raise ValueError("H must have a nonzero backward shift")
     if G.norm() < tol:
         raise ValueError("G must be nonzero")
-    ms = build_model_space(theta, N, tol_inner=tol)
     split = decompose_against_theta(G, ms)
     theta_h = theta.act(H).analytic_part().resized(N)
     ambient_sum = _span_with(ms.as_subspace, [theta_h])
-    T = build_perturbed(symbol_adjoint(theta), N, [G], [H], require_orthonormal=False)
+    T = build_perturbed(theta.adjoint(), N, [G], [H], require_orthonormal=False)
     kr = kernel_of(T)
     kernel = kr.subspace
     correction_line: CoeffVec | None = None

@@ -211,14 +211,6 @@ class LaurentMatrixSymbol:
         return f"LaurentMatrixSymbol(m={self._m}, powers={self.powers()})"
 
 
-def symbol_multiply(A: LaurentMatrixSymbol, B: LaurentMatrixSymbol) -> LaurentMatrixSymbol:
-    return A.multiply(B)
-
-
-def symbol_adjoint(A: LaurentMatrixSymbol) -> LaurentMatrixSymbol:
-    return A.adjoint()
-
-
 def unit_circle_grid(grid_size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
 
@@ -473,9 +465,3 @@ def diagonal_inner_outer(phi: LaurentMatrixSymbol, taylor_degree: int,
     inner = LaurentMatrixSymbol.diagonal([f.inner_taylor(taylor_degree) for f in facts])
     outer = LaurentMatrixSymbol.diagonal([f.outer_coeffs for f in facts])
     return inner, outer, facts
-
-
-def diagonal_inner_part(phi: LaurentMatrixSymbol, taylor_degree: int,
-                        eps_circle: float = 1e-6) -> LaurentMatrixSymbol:
-    inner, _, _ = diagonal_inner_outer(phi, taylor_degree, eps_circle=eps_circle)
-    return inner

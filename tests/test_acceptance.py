@@ -17,15 +17,14 @@ from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_invertible_factors,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
-from tklab.operators import (brown_halmos_check, build_perturbed,
-                             build_toeplitz, orthonormalize_family)
+from tklab.operators import (ToeplitzCompression, brown_halmos_check,
+                             build_perturbed)
 from tklab.representation import (build_frame, check_coordinate_space_invariance,
                                   default_depth, extract_coordinates,
                                   rank_one_theta_star_analysis)
 from tklab.subspaces import nullspace, subspace_equal
 from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
-                           diagonal_inner_outer, invert_analytic,
-                           symbol_adjoint)
+                           diagonal_inner_outer, invert_analytic)
 
 from conftest import rand_coeffvec, rand_orthonormal, unit
 
@@ -142,7 +141,7 @@ def batches():
             G = rand_orthonormal(rng, m, N, 5, 1)
             H = rand_orthonormal(rng, m, N, 5, 1)
             rep = verify_theorem_invertible_factors(F1, F2, G, H, N)
-            phi = symbol_adjoint(F1).multiply(F2)
+            phi = F1.adjoint().multiply(F2)
             out["c3"].append(Batch(f"factors[{name1},{name2}]", phi, N, G, H,
                                    rep, TOL_CONTAIN_SERIES))
     # a contractive factor reaches the critical criterion with unit families
@@ -158,7 +157,7 @@ def batches():
     G = [(-1.0 / Vc.norm_sq()) * Vc + w]
     rep = verify_theorem_invertible_factors(F1, F2, G, H, Nc)
     out["c3"].append(Batch("factors[contractive]",
-                           symbol_adjoint(F1).multiply(F2), Nc, G, H, rep,
+                           F1.adjoint().multiply(F2), Nc, G, H, rep,
                            TOL_CONTAIN_SERIES))
 
     # -- criterion 4: adjoint-of-inner symbols -------------------------------
@@ -172,14 +171,14 @@ def batches():
         g_out_raw = rand_coeffvec(rng, m, N, 5)
         g_out = unit(g_out_raw - inner_product(g_out_raw, g_in) * g_in)
         rep = verify_theorem_theta_star(theta, [g_in, g_out], H, N)
-        out["c4"].append(Batch(f"adjoint[z^{s},mixed]", symbol_adjoint(theta),
+        out["c4"].append(Batch(f"adjoint[z^{s},mixed]", theta.adjoint(),
                                N, [g_in, g_out], H, rep, TOL_CONTAIN_STRICT))
         # critical in-range family: the kernel gains the theta H line
         Hc = rand_orthonormal(rng, m, N, 5, 1)
         thH = theta.act(Hc[0]).analytic_part().resized(N)
         repc = verify_theorem_theta_star(theta, [-1.0 * thH], Hc, N)
         out["c4"].append(Batch(f"adjoint[z^{s},critical]",
-                               symbol_adjoint(theta), N, [-1.0 * thH], Hc,
+                               theta.adjoint(), N, [-1.0 * thH], Hc,
                                repc, TOL_CONTAIN_STRICT))
     mixed = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
     rng = np.random.default_rng(3100)
@@ -188,7 +187,7 @@ def batches():
     g_out_raw = rand_coeffvec(rng, m, N, 5)
     g_out = unit(g_out_raw - inner_product(g_out_raw, g_in) * g_in)
     rep = verify_theorem_theta_star(mixed, [g_in, g_out], H, N)
-    out["c4"].append(Batch("adjoint[mixed-monomials]", symbol_adjoint(mixed),
+    out["c4"].append(Batch("adjoint[mixed-monomials]", mixed.adjoint(),
                            N, [g_in, g_out], H, rep, TOL_CONTAIN_STRICT))
     return out
 
@@ -241,7 +240,7 @@ def test_criterion_3_invertible_factor_suite(batches):
     H = rand_orthonormal(rng, m, N, 5, 1)[0]
     inv2 = invert_analytic(F2, N - 1)
     route_a = inv2.act(backward_shift(H)).analytic_part().resized(N)
-    route_b = build_toeplitz(inv2, N).apply(backward_shift(H))
+    route_b = ToeplitzCompression(inv2, N).apply(backward_shift(H))
     gap = (route_a - route_b).norm()
     if gap > 1e-10:
         failures.append(f"one-factor prediction forms disagree by {gap:.2e}")
@@ -332,7 +331,7 @@ def test_criterion_6_product_identity():
             k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             for k in range(-2, 3)})
         if i % 2 == 0:
-            psi, phi = symbol_adjoint(analytic), general   # psi* analytic
+            psi, phi = analytic.adjoint(), general   # psi* analytic
         else:
             psi, phi = general, analytic                   # phi analytic
         rep = brown_halmos_check(psi, phi, N)
@@ -359,10 +358,10 @@ def test_criterion_7_diagonal_factorization_kernel():
         np.convolve([0.5, -1.0], [3.0, 1.0]),
     ])
     inner, outer, _ = diagonal_inner_outer(phi, N - 1)
-    ker = nullspace(build_toeplitz(symbol_adjoint(phi), N).matrix, (m, N))
+    ker = nullspace(ToeplitzCompression(phi.adjoint(), N).matrix, (m, N))
     ms = build_model_space(inner, N, tol_inner=1e-6)
     eq, resid = subspace_equal(ker, ms.as_subspace, TOL_CONTAIN_SERIES)
-    outer_kernel = nullspace(build_toeplitz(symbol_adjoint(outer), N).matrix,
+    outer_kernel = nullspace(ToeplitzCompression(outer.adjoint(), N).matrix,
                              (m, N))
     injective = outer_kernel.dim == 0
     ok = eq and injective and ker.dim == 3

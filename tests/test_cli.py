@@ -7,8 +7,9 @@ import pytest
 
 from tklab.cli_reports import (EXIT_CHECK_FAIL, EXIT_PARSE, EXIT_PASS,
                                EXIT_VALIDATION, bundled_scenario_dir,
-                               load_scenario, main, run_scenario, run_suite,
-                               sweep)
+                               load_scenario, main, parse_scenario,
+                               run_scenario, run_suite, sweep)
+from tklab.config import Tolerances
 from tklab.errors import ScenarioParseError, ScenarioValidationError
 from tklab.operators import build_perturbed
 from tklab.subspaces import nullspace
@@ -136,6 +137,20 @@ class TestSuite:
         assert main(["suite", str(tmp_path)]) == EXIT_PASS
         assert seen == [load_scenario(tmp_path / n).seed for n in sorted(names)]
 
+    def test_bad_tolerance_fails_its_file_only(self, tmp_path):
+        good = (SCENARIOS / "zero_symbol_defect.json").read_text()
+        bad = json.loads(good)
+        bad["name"] = "misspelled_tolerance"
+        bad["tolerances"] = {"containmnet": 1e-6}
+        (tmp_path / "a_bad.json").write_text(json.dumps(bad))
+        (tmp_path / "b_good.json").write_text(good)
+        proc = run_cli("suite", str(tmp_path))
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.split()[:2] == ["zero_symbol_defect", "PASS"] for line in lines)
+        assert any(line.startswith("a_bad") and "ERROR" in line and "containmnet" in line
+                   for line in lines)
+
     def test_parse_error_dominates(self, tmp_path):
         (tmp_path / "a.json").write_text("{ nope")
         (tmp_path / "b.json").write_text(
@@ -227,6 +242,27 @@ class TestApiErrors:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ScenarioParseError):
             load_scenario(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("tolerances,key", [
+        ({"containmnet": 1e-6}, "containmnet"),
+        ({"circle_margin": 1e-6}, "circle_margin"),
+        ({"containment": "tight"}, "containment"),
+        ({"containment": True}, "containment"),
+        ({"rank_rel": None}, "rank_rel"),
+        ([1e-6], "tolerances"),
+    ])
+    def test_bad_tolerances_rejected(self, tolerances, key):
+        data = json.loads((SCENARIOS / "zero_symbol_defect.json").read_text())
+        data["tolerances"] = tolerances
+        with pytest.raises(ScenarioParseError, match=key):
+            parse_scenario(data)
+
+    def test_known_tolerances_parsed(self):
+        data = json.loads((SCENARIOS / "zero_symbol_defect.json").read_text())
+        data["tolerances"] = {"containment": 1e-5, "rank_rel": 1e-9}
+        sc = parse_scenario(data)
+        tol = sc.tolerances(Tolerances())
+        assert (tol.containment, tol.rank_rel) == (1e-5, 1e-9)
 
     def test_tolerance_flags(self):
         proc = run_cli("--tol-contain", "1e-5", "run",

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from tklab.errors import DimensionMismatch
 from tklab.hardy_core import (CoeffVec, LaurentVec, backward_shift,
-                              backward_shift_power, eval_at_zero,
-                              forward_shift, inner_product,
-                              reproducing_column, riesz_project)
+                              eval_at_zero, forward_shift, inner_product,
+                              reproducing_column)
 
 from conftest import rand_coeffvec
 
@@ -102,12 +101,11 @@ class TestShifts:
         again = forward_shift(backward_shift(F)).vec
         assert np.allclose(again.coeffs, F.coeffs, atol=1e-12)
 
-    def test_power_helper(self):
+    def test_repeated_backward_shift(self):
         F = CoeffVec.monomial(1, 5, 0, 3)
-        assert np.allclose(backward_shift_power(F, 3).coeffs,
-                           CoeffVec.monomial(1, 5, 0, 0).coeffs)
-        with pytest.raises(ValueError):
-            backward_shift_power(F, -1)
+        for _ in range(3):
+            F = backward_shift(F)
+        assert np.allclose(F.coeffs, CoeffVec.monomial(1, 5, 0, 0).coeffs)
 
 
 class TestEvalAtZero:
@@ -131,28 +129,28 @@ class TestRieszProjection:
         L = LaurentVec.zeros(2, 3)
         arr = L.coeffs.copy()
         arr[:, 0:3] = 1.0  # degrees -3..-1
-        assert riesz_project(LaurentVec(arr)).norm() == 0
+        assert LaurentVec(arr).analytic_part().norm() == 0
 
     def test_analytic_identity(self):
         F = CoeffVec([[1, 2, 3]])
         L = LaurentVec.from_analytic(F)
-        assert np.allclose(riesz_project(L).coeffs, F.coeffs)
+        assert np.allclose(L.analytic_part().coeffs, F.coeffs)
 
     def test_mixed_keeps_positive(self):
         # e^{-i t} in component 1, e^{i t} in component 2
         arr = np.zeros((2, 6), dtype=complex)  # degrees -3..2
         arr[0, 2] = 1.0   # degree -1
         arr[1, 4] = 1.0   # degree +1
-        out = riesz_project(LaurentVec(arr))
+        out = LaurentVec(arr).analytic_part()
         assert out.coeffs[0, 1] == 0 and out.coeffs[1, 1] == 1
 
     @given(coeff_strategy())
     @settings(max_examples=25, deadline=None)
     def test_idempotent_and_nonincreasing(self, F):
         L = LaurentVec.from_analytic(F, N=F.N + 2)
-        once = riesz_project(L)
+        once = L.analytic_part()
         assert once.norm() <= L.norm() + 1e-12
-        twice = riesz_project(LaurentVec.from_analytic(once))
+        twice = LaurentVec.from_analytic(once).analytic_part()
         assert np.allclose(once.coeffs[:, :F.N], twice.coeffs[:, :F.N])
 
 

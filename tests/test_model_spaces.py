@@ -6,10 +6,11 @@ from tklab.errors import NotInnerError
 from tklab.hardy_core import CoeffVec, inner_product
 from tklab.model_spaces import (build_model_space, decompose_against_theta,
                                 model_space_dimension_on_interior,
-                                project_onto_model, project_onto_model_formula)
-from tklab.operators import build_toeplitz
-from tklab.subspaces import is_contained, nullspace, span_of, subspace_equal
-from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, symbol_adjoint
+                                project_onto_model_formula)
+from tklab.operators import ToeplitzCompression
+from tklab.subspaces import (is_contained, nullspace, project, span_of,
+                             subspace_equal)
+from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor
 
 from conftest import rand_coeffvec, random_inner
 
@@ -68,7 +69,7 @@ class TestBuild:
 
     def test_not_analytic_rejected(self):
         with pytest.raises(NotInnerError):
-            build_model_space(symbol_adjoint(LaurentMatrixSymbol.shift(1)), 8)
+            build_model_space(LaurentMatrixSymbol.shift(1).adjoint(), 8)
 
     def test_orthogonality_of_parts(self):
         ms = build_model_space(LaurentMatrixSymbol.shift(2, 3), 10)
@@ -97,7 +98,7 @@ def _dense_model_space(theta, N):
     """The dense construction: SVD nullspace of the compression of Theta* and
     the SVD span of the shifted-range generators, one Theta action each."""
     m = theta.m
-    model = nullspace(build_toeplitz(symbol_adjoint(theta), N).matrix, (m, N))
+    model = nullspace(ToeplitzCompression(theta.adjoint(), N).matrix, (m, N))
     gens = [theta.act(CoeffVec.monomial(m, N, i, j)).analytic_part().resized(N)
             for j in range(N - theta.d) for i in range(m)]
     rng_space = span_of(gens)
@@ -143,17 +144,17 @@ class TestProjection:
         theta = LaurentMatrixSymbol.shift(m, s)
         ms = build_model_space(theta, N)
         F = theta.act(CoeffVec.monomial(m, N, 0, 3)).analytic_part().resized(N)
-        assert project_onto_model(F, ms).norm() < 1e-12
+        assert project(F, ms.as_subspace).norm() < 1e-12
 
     def test_constants_survive_shift_symbol(self):
         ms = build_model_space(LaurentMatrixSymbol.shift(2, 1), 8)
         F = CoeffVec([[1.0], [2.0]]).resized(8)
-        assert (project_onto_model(F, ms) - F).norm() < 1e-12
+        assert (project(F, ms.as_subspace) - F).norm() < 1e-12
 
     def test_scalar_monomial_cut(self):
         ms = build_model_space(LaurentMatrixSymbol.shift(1, 2), 8)
         F = CoeffVec([[1.0, 1.0, 1.0]]).resized(8)  # 1 + z + z^2
-        out = project_onto_model(F, ms)
+        out = project(F, ms.as_subspace)
         assert np.allclose(out.coeffs[0, :3], [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_formula_and_subspace_routes_agree(self, rng):
@@ -162,7 +163,7 @@ class TestProjection:
         ms = build_model_space(theta, N)
         for _ in range(4):
             F = rand_coeffvec(rng, 2, N, N - theta.d)
-            a = project_onto_model(F, ms)
+            a = project(F, ms.as_subspace)
             b = project_onto_model_formula(F, ms)
             keep = ms.interior
             assert np.linalg.norm(a.coeffs[:, :keep] - b.coeffs[:, :keep]) < 1e-8
@@ -173,10 +174,10 @@ class TestProjection:
         ms = build_model_space(theta, N)
         F = rand_coeffvec(rng, 2, N, N - 2)
         G = rand_coeffvec(rng, 2, N, N - 2)
-        PF = project_onto_model(F, ms)
-        assert (project_onto_model(PF, ms) - PF).norm() < 1e-12
+        PF = project(F, ms.as_subspace)
+        assert (project(PF, ms.as_subspace) - PF).norm() < 1e-12
         lhs = inner_product(PF, G)
-        rhs = inner_product(F, project_onto_model(G, ms))
+        rhs = inner_product(F, project(G, ms.as_subspace))
         assert abs(lhs - rhs) < 1e-8
 
 

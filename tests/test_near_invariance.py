@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
+from tklab import model_spaces, near_invariance, representation
 from tklab.errors import NotInnerError
-from tklab.hardy_core import (CoeffVec, backward_shift, backward_shift_power,
-                              inner_product)
-from tklab.model_spaces import build_model_space
+from tklab.hardy_core import CoeffVec, backward_shift, flat_columns, inner_product
+from tklab.model_spaces import build_model_space, decompose_against_theta
 from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_inner_symbol,
                                    verify_theorem_invertible_factors,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
-from tklab.operators import build_perturbed, build_toeplitz
+from tklab.operators import ToeplitzCompression, build_perturbed
 from tklab.subspaces import (is_contained, nullspace, span_of, subspace_equal,
                              zero_at_origin_slice)
-from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
-                           invert_analytic, symbol_adjoint)
+from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
 from conftest import rand_coeffvec, rand_orthonormal, random_inner, unit
 
@@ -137,7 +136,9 @@ class TestInnerSymbol:
         assert rep.containment_residual < 1e-8
         # the prediction reduces to the (p+1)-fold backward shift of H
         assert rep.details["prediction_equality_residual"] < 1e-8
-        pred = backward_shift_power(H[0], p + 1)
+        pred = H[0]
+        for _ in range(p + 1):
+            pred = backward_shift(pred)
         T = build_perturbed(theta, N, G, H)
         M = kernel_of(T).subspace
         w = pred.flatten() - M.project_flat(pred.flatten())
@@ -193,7 +194,7 @@ class TestInnerSymbol:
         # compress theta*, then shift, and vice versa: identical on polynomials
         m, N = 2, 12
         theta = LaurentMatrixSymbol.shift(m, 2)
-        adj = build_toeplitz(symbol_adjoint(theta), N)
+        adj = ToeplitzCompression(theta.adjoint(), N)
         F = rand_coeffvec(rng, m, N, N)
         a = backward_shift(adj.apply(F))
         b = adj.apply(backward_shift(F))
@@ -368,7 +369,7 @@ class TestStructuredKernelOracle:
         theta = random_inner(rng, m, 1 + seed)
         G = rand_orthonormal(rng, m, N, 6, 2)
         H = rand_orthonormal(rng, m, N, 6, 2)
-        T = build_perturbed(symbol_adjoint(theta), N, G, H)
+        T = build_perturbed(theta.adjoint(), N, G, H)
         _assert_matches_dense(kernel_of(T), T, "theta_star")
 
     @pytest.mark.parametrize("m,seed", ORACLE_CASES)
@@ -380,14 +381,14 @@ class TestStructuredKernelOracle:
         theta = random_inner(rng, m, s)
         H = rand_orthonormal(rng, m, N, 5, 1)
         G = [-1.0 * theta.act(H[0]).analytic_part().resized(N)]
-        T = build_perturbed(symbol_adjoint(theta), N, G, H)
+        T = build_perturbed(theta.adjoint(), N, G, H)
         kr = kernel_of(T)
         assert kr.subspace.dim == s + 1
         _assert_matches_dense(kr, T, "theta_star")
 
     def test_theta_star_without_bump_is_model_space(self):
         theta = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
-        T = build_perturbed(symbol_adjoint(theta), 32, [], [])
+        T = build_perturbed(theta.adjoint(), 32, [], [])
         kr = kernel_of(T)
         assert kr.subspace.dim == 5
         _assert_matches_dense(kr, T, "theta_star")
@@ -399,7 +400,7 @@ class TestStructuredKernelOracle:
         F1, F2 = _invertible_factor(rng, m, 1), _invertible_factor(rng, m, 2)
         G = rand_orthonormal(rng, m, N, 6, 2)
         H = rand_orthonormal(rng, m, N, 6, 2)
-        T = build_perturbed(symbol_adjoint(F1).multiply(F2), N, G, H)
+        T = build_perturbed(F1.adjoint().multiply(F2), N, G, H)
         _assert_matches_dense(kernel_of(T, factors=(F1, F2)), T, "factored")
 
     @pytest.mark.parametrize("m,seed", ORACLE_CASES)
@@ -409,9 +410,9 @@ class TestStructuredKernelOracle:
         N = (32, 64)[seed]
         F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
         H = rand_orthonormal(rng, m, N, 5, 1)
-        inner = symbol_adjoint(invert_analytic(F1, N - 1)).act(H[0]).analytic_part()
+        inner = invert_analytic(F1, N - 1).adjoint().act(H[0]).analytic_part()
         V = invert_analytic(F2, N - 1).act(inner.resized(N)).analytic_part().resized(N)
-        T = build_perturbed(symbol_adjoint(F1).multiply(F2), N,
+        T = build_perturbed(F1.adjoint().multiply(F2), N,
                             [(-1.0 / V.norm_sq()) * V], H, require_orthonormal=False)
         kr = kernel_of(T, factors=(F1, F2))
         assert kr.subspace.dim == 1
@@ -423,7 +424,7 @@ class TestStructuredKernelOracle:
         theta = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
         G = rand_orthonormal(rng, 2, N, 5, 1)
         H = rand_orthonormal(rng, 2, N, 5, 1)
-        for symbol in (theta, symbol_adjoint(theta)):
+        for symbol in (theta, theta.adjoint()):
             assert kernel_of(build_perturbed(symbol, N, G, H)).method == "dense"
 
     def test_zero_symbol_takes_dense_path(self, rng):
@@ -450,3 +451,123 @@ class TestStructuredKernelOracle:
         T = build_perturbed(F, 12, [], [])
         with pytest.raises(ValueError):
             kernel_of(T, factors=(F, F))
+
+
+#: every tklab module that may call is_inner or invert_analytic
+CALLERS = (model_spaces, near_invariance, representation)
+
+
+def _spy(monkeypatch, name, modules):
+    """Wrap ``name`` in each of the modules that has it; the returned list
+    collects the positional arguments of every call through any of them."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def spy(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _theta_star_prediction_loop(theta, G, H, N):
+    """The Theta* prediction as the coefficient formula writes it, one
+    CoeffVec at a time: Theta S* H_i, then the model parts of the G_j
+    outside the shifted range."""
+    ms = build_model_space(theta, N)
+    predicted = [theta.act(backward_shift(h)).analytic_part().resized(N) for h in H]
+    for g in G:
+        split = decompose_against_theta(g, ms)
+        if not split.in_range:
+            predicted.append(split.model_part)
+    return flat_columns(predicted, theta.m * N)
+
+
+def _factored_prediction_loop(F1, F2, H, N):
+    """F2^-1 S* T_{F1*^-1} H_i per vector, with both series to degree N - 1."""
+    inv1, inv2 = invert_analytic(F1, N - 1), invert_analytic(F2, N - 1)
+    predicted = []
+    for h in H:
+        intermediate = inv1.adjoint().act(h).analytic_part().resized(N)
+        predicted.append(inv2.act(backward_shift(intermediate)).analytic_part().resized(N))
+    return flat_columns(predicted, F1.m * N)
+
+
+def _diagonal_inner(m):
+    """diag(z, z^2, ..., z^m): an exactly inner symbol, one entry per power."""
+    return LaurentMatrixSymbol.diagonal([[0.0] * (i + 1) + [1.0] for i in range(m)])
+
+
+class TestPredictionCompressions:
+    """The block Toeplitz predictions against the per-vector coefficient loops
+    they replaced."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_theta_star_prediction_equals_coefficient_loop(self, m, monkeypatch):
+        rng = np.random.default_rng([m, 11])
+        N = 16
+        theta = _diagonal_inner(m)
+        # G_0 lies in the shifted range, G_1 does not
+        u = rand_orthonormal(rng, m, N, 5, 1)[0]
+        g0 = theta.act(u).analytic_part().resized(N)
+        g1 = rand_coeffvec(rng, m, N, 6)
+        g1 = unit(g1 - inner_product(g1, g0) * g0)
+        G, H = [g0, g1], rand_orthonormal(rng, m, N, 6, 2)
+        seen = _spy(monkeypatch, "_attach_prediction", [near_invariance])
+        rep = verify_theorem_theta_star(theta, G, H, N)
+        assert rep.details["outside_range_count"] == 1
+        assert np.array_equal(seen[0][2], _theta_star_prediction_loop(theta, G, H, N))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_theta_star_prediction_mixing_symbol(self, m, monkeypatch):
+        # a mixing Theta sums m products per entry; BLAS and the stacked
+        # product round them differently, so equality is to roundoff
+        rng = np.random.default_rng([m, 12])
+        N = 20
+        theta = random_inner(rng, m, 2)
+        G, H = rand_orthonormal(rng, m, N, 6, 2), rand_orthonormal(rng, m, N, 6, 2)
+        seen = _spy(monkeypatch, "_attach_prediction", [near_invariance])
+        verify_theorem_theta_star(theta, G, H, N)
+        reference = _theta_star_prediction_loop(theta, G, H, N)
+        assert seen[0][2].shape == reference.shape
+        assert np.max(np.abs(seen[0][2] - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_factored_prediction_equals_coefficient_loop(self, m, monkeypatch):
+        rng = np.random.default_rng([m, 13])
+        N = 24
+        F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
+        H = rand_orthonormal(rng, m, N, 6, 2)
+        G = rand_orthonormal(rng, m, N, 6, 2)
+        seen = _spy(monkeypatch, "_attach_prediction", [near_invariance])
+        verify_theorem_invertible_factors(F1, F2, G, H, N)
+        assert np.max(np.abs(seen[0][2] - _factored_prediction_loop(F1, F2, H, N))) <= 1e-12
+
+    def test_factors_inverted_once_per_check(self, rng, monkeypatch):
+        m, N = 2, 20
+        F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
+        G, H = rand_orthonormal(rng, m, N, 5, 1), rand_orthonormal(rng, m, N, 5, 1)
+        calls = _spy(monkeypatch, "invert_analytic", CALLERS)
+        verify_theorem_invertible_factors(F1, F2, G, H, N)
+        # F1 to the top action degree N + d_pos - 1, F2 to N - 1
+        assert calls == [(F1, N + F2.d - 1), (F2, N - 1)]
+
+
+class TestOneInnernessTest:
+    def test_theta_star_check_runs_one_grid_test(self, rng, monkeypatch):
+        m, N = 2, 16
+        theta = _diagonal_inner(m)
+        G, H = rand_orthonormal(rng, m, N, 5, 1), rand_orthonormal(rng, m, N, 5, 1)
+        calls = _spy(monkeypatch, "is_inner", CALLERS)
+        verify_theorem_theta_star(theta, G, H, N)
+        assert len(calls) == 1
+
+    def test_theta_star_check_rejects_non_inner(self, rng):
+        bad = LaurentMatrixSymbol.diagonal([[2.0, 1.0], [2.0, 1.0]])
+        G = rand_orthonormal(rng, 2, 10, 4, 1)
+        with pytest.raises(NotInnerError):
+            verify_theorem_theta_star(bad, G, G, 10)

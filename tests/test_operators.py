@@ -3,11 +3,11 @@ import pytest
 
 from tklab.errors import DimensionMismatch, OrthonormalityError
 from tklab.hardy_core import CoeffVec
-from tklab.operators import (_block_toeplitz, apply_block_toeplitz,
-                             brown_halmos_check, build_perturbed,
-                             build_toeplitz, gram_deviation,
+from tklab.operators import (ToeplitzCompression, _block_toeplitz,
+                             apply_block_toeplitz, brown_halmos_check,
+                             build_perturbed, gram_deviation,
                              orthonormalize_family)
-from tklab.symbols import LaurentMatrixSymbol, symbol_adjoint
+from tklab.symbols import LaurentMatrixSymbol
 
 from conftest import rand_coeffvec, rand_orthonormal, unit
 from test_symbols import random_symbol
@@ -15,31 +15,31 @@ from test_symbols import random_symbol
 
 class TestToeplitzBuild:
     def test_zero_symbol(self):
-        T = build_toeplitz(LaurentMatrixSymbol.zero(2), 4)
+        T = ToeplitzCompression(LaurentMatrixSymbol.zero(2), 4)
         assert np.max(np.abs(T.matrix)) == 0
 
     def test_shift_is_subdiagonal(self):
-        T = build_toeplitz(LaurentMatrixSymbol.shift(1), 3)
+        T = ToeplitzCompression(LaurentMatrixSymbol.shift(1), 3)
         expected = np.diag([1.0, 1.0], -1)
         assert np.allclose(T.matrix, expected)
 
     def test_adjoint_symbol_gives_conjugate_transpose(self):
         Z = LaurentMatrixSymbol.shift(2)
-        a = build_toeplitz(symbol_adjoint(Z), 4)
-        b = build_toeplitz(Z, 4)
+        a = ToeplitzCompression(Z.adjoint(), 4)
+        b = ToeplitzCompression(Z, 4)
         assert np.array_equal(a.matrix, b.matrix.conj().T)
 
     def test_adjoint_identity_random(self, rng):
         A = random_symbol(rng, 2, 2)
-        assert np.array_equal(build_toeplitz(symbol_adjoint(A), 6).matrix,
-                              build_toeplitz(A, 6).matrix.conj().T)
+        assert np.array_equal(ToeplitzCompression(A.adjoint(), 6).matrix,
+                              ToeplitzCompression(A, 6).matrix.conj().T)
 
     def test_bandwidth_guard(self):
         with pytest.raises(DimensionMismatch):
-            build_toeplitz(LaurentMatrixSymbol.shift(1, 4), 4)
+            ToeplitzCompression(LaurentMatrixSymbol.shift(1, 4), 4)
 
     def test_interior_window(self):
-        T = build_toeplitz(LaurentMatrixSymbol.shift(2, 3), 10)
+        T = ToeplitzCompression(LaurentMatrixSymbol.shift(2, 3), 10)
         assert T.interior == 7
 
     def test_analytic_apply_exact_on_interior(self, rng):
@@ -47,7 +47,7 @@ class TestToeplitzBuild:
         # the window can hold, when the input is polynomial
         A = random_symbol(rng, 2, 2, analytic=True)
         N = 10
-        T = build_toeplitz(A, N)
+        T = ToeplitzCompression(A, N)
         F = rand_coeffvec(rng, 2, N, N - A.d)
         got = T.apply(F)
         exact = A.act(F).analytic_part().resized(N)
@@ -56,7 +56,7 @@ class TestToeplitzBuild:
     def test_block_structure(self, rng):
         A = random_symbol(rng, 2, 1)
         N = 5
-        T = build_toeplitz(A, N)
+        T = ToeplitzCompression(A, N)
         for j in range(N):
             for t in range(N):
                 blk = T.matrix[2 * j:2 * j + 2, 2 * t:2 * t + 2]
@@ -93,7 +93,8 @@ class TestBlockToeplitz:
 class TestPerturbed:
     def test_rank_zero_equals_base(self):
         T = build_perturbed(LaurentMatrixSymbol.shift(2), 5, [], [])
-        assert np.array_equal(T.matrix, build_toeplitz(LaurentMatrixSymbol.shift(2), 5).matrix)
+        assert np.array_equal(T.matrix,
+                              ToeplitzCompression(LaurentMatrixSymbol.shift(2), 5).matrix)
 
     def test_zero_symbol_rank_one_single_entry(self):
         e = CoeffVec.monomial(1, 3, 0, 0)
@@ -179,7 +180,7 @@ class TestBrownHalmos:
     def test_backward_shift_symbol_with_anything(self, rng):
         # psi = adjoint of the shift has an analytic adjoint, so the product
         # identity holds for every phi
-        psi = symbol_adjoint(LaurentMatrixSymbol.shift(2))
+        psi = LaurentMatrixSymbol.shift(2).adjoint()
         phi = random_symbol(rng, 2, 2)
         rep = brown_halmos_check(psi, phi, 12)
         assert rep.hypothesis_met
@@ -222,8 +223,8 @@ class TestBrownHalmos:
         # constant symbols commute with the backward shift on the interior
         m, N = 2, 8
         C = LaurentMatrixSymbol.constant(rng.standard_normal((m, m)))
-        Zs = symbol_adjoint(LaurentMatrixSymbol.shift(m))
-        left = build_toeplitz(Zs, N).matrix @ build_toeplitz(C, N).matrix
-        right = build_toeplitz(C, N).matrix @ build_toeplitz(Zs, N).matrix
+        Zs = LaurentMatrixSymbol.shift(m).adjoint()
+        left = ToeplitzCompression(Zs, N).matrix @ ToeplitzCompression(C, N).matrix
+        right = ToeplitzCompression(C, N).matrix @ ToeplitzCompression(Zs, N).matrix
         w = (N - 1) * m
         assert np.allclose(left[:w, :w], right[:w, :w], atol=1e-12)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from tklab.errors import FrameDeficientError
+from tklab import representation
+from tklab.errors import FrameDeficientError, NotInnerError
 from tklab.hardy_core import (CoeffVec, backward_shift, eval_at_zero,
                               inner_product, reproducing_column)
 from tklab.near_invariance import compute_defect
-from tklab.operators import build_toeplitz, orthonormalize_family
+from tklab.operators import ToeplitzCompression, orthonormalize_family
 from tklab.representation import (build_frame, check_coordinate_space_invariance,
                                   default_depth, extract_coordinates,
                                   peel_members, rank_one_complement_analysis,
@@ -15,10 +16,10 @@ from tklab.representation import (build_frame, check_coordinate_space_invariance
 from tklab.model_spaces import build_model_space
 from tklab.subspaces import (intersect, span_of, subspace_equal,
                              vanishing_at_zero_space, zero_space)
-from tklab.symbols import (LaurentMatrixSymbol, invert_analytic,
-                           symbol_adjoint)
+from tklab.symbols import LaurentMatrixSymbol, invert_analytic
 
-from conftest import rand_coeffvec, rand_orthonormal, unit
+from conftest import rand_coeffvec, rand_orthonormal, random_inner, unit
+from test_near_invariance import CALLERS, _diagonal_inner, _invertible_factor, _spy
 
 
 def complement_of(G):
@@ -267,7 +268,7 @@ class TestInnerRankOne:
         m, N = 2, 12
         theta = LaurentMatrixSymbol.shift(m, 2)
         H = rand_orthonormal(rng, m, N, 4, 1)[0]
-        adj = build_toeplitz(symbol_adjoint(theta), N)
+        adj = ToeplitzCompression(theta.adjoint(), N)
         cand = adj.apply(H)
         G_raw = rand_coeffvec(rng, m, N, 5)
         G = unit(G_raw - inner_product(G_raw, unit(cand)) * unit(cand))
@@ -575,3 +576,81 @@ class TestBatchedPeelingOracle:
         assert looped_peel(longest, frame, max_steps=4)[3] > 1e-8 * longest.norm()
         with pytest.raises(FrameDeficientError):
             extract_coordinates(longest, frame, max_steps=4)
+
+
+# ---------------------------------------------------------------------------
+# the rank-one candidates against the compressions they replaced
+# ---------------------------------------------------------------------------
+
+
+def _inner_critical(rng, theta, N):
+    """H = Theta u, G = -u: the criterion 1 + <T_{Theta*} H, G> is zero."""
+    u = rand_orthonormal(rng, theta.m, N, 5, 1)[0]
+    return -1.0 * u, theta.act(u).analytic_part().resized(N)
+
+
+class TestRankOneCandidates:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_inner_candidate_equals_dense_compression(self, m, monkeypatch):
+        rng = np.random.default_rng([m, 21])
+        N = 16
+        theta = _diagonal_inner(m)
+        G, H = _inner_critical(rng, theta, N)
+        seen = _spy(monkeypatch, "_one_dim_structure", [representation])
+        rep = rank_one_inner_kernel(theta, G, H, N)
+        reference = ToeplitzCompression(theta.adjoint(), N).apply(H)
+        assert rep.case == "spanned_kernel"
+        assert np.array_equal(seen[0][1].coeffs, reference.coeffs)
+        assert rep.criterion == 1.0 + inner_product(reference, G)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_inner_candidate_mixing_symbol(self, m, monkeypatch):
+        rng = np.random.default_rng([m, 22])
+        N = 18
+        theta = random_inner(rng, m, 2)
+        G, H = _inner_critical(rng, theta, N)
+        seen = _spy(monkeypatch, "_one_dim_structure", [representation])
+        rep = rank_one_inner_kernel(theta, G, H, N)
+        reference = ToeplitzCompression(theta.adjoint(), N).apply(H)
+        assert rep.case == "spanned_kernel"
+        assert np.max(np.abs(seen[0][1].coeffs - reference.coeffs)) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_invertible_route_one_equals_dense_compression(self, m, monkeypatch):
+        rng = np.random.default_rng([m, 23])
+        N = 24
+        F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
+        inv1, inv2 = invert_analytic(F1, N - 1), invert_analytic(F2, N - 1)
+        h = rand_orthonormal(rng, m, N, 5, 1)[0]
+
+        def route_one(H):
+            intermediate = inv1.adjoint().act(H).analytic_part().resized(N)
+            return ToeplitzCompression(inv2, N).apply(intermediate)
+
+        scale = 1.0 / route_one(h).norm()
+        H = scale * h
+        reference = route_one(H)
+        seen = _spy(monkeypatch, "_one_dim_structure", [representation])
+        inversions = _spy(monkeypatch, "invert_analytic", CALLERS)
+        rep = rank_one_invertible_kernel(F1, F2, -1.0 * reference, H, N)
+        assert rep.case == "spanned_kernel" and rep.kernel_dim == 1
+        assert np.max(np.abs(seen[0][1].coeffs - reference.coeffs)) <= 1e-12
+        assert rep.details["convolution_gap"] <= 1e-12
+        assert len(inversions) == 2
+
+    def test_one_grid_test_per_model_space_path(self, rng, monkeypatch):
+        m, N = 2, 16
+        theta = _diagonal_inner(m)
+        G, H = _inner_critical(rng, theta, N)
+        calls = _spy(monkeypatch, "is_inner", CALLERS)
+        rank_one_inner_kernel(theta, G, H, N)
+        rank_one_theta_star_analysis(theta, -1.0 * H, unit(-1.0 * G), N)
+        assert len(calls) == 2
+
+    def test_non_inner_symbol_rejected(self, rng):
+        bad = LaurentMatrixSymbol.diagonal([[2.0, 1.0], [2.0, 1.0]])
+        G, H = rand_orthonormal(rng, 2, 12, 4, 1)[0], CoeffVec.monomial(2, 12, 0, 1)
+        with pytest.raises(NotInnerError):
+            rank_one_inner_kernel(bad, G, H, 12)
+        with pytest.raises(NotInnerError):
+            rank_one_theta_star_analysis(bad, G, H, 12)

@@ -3,13 +3,13 @@ import pytest
 
 from tklab.errors import ContainmentError, DimensionMismatch
 from tklab.hardy_core import CoeffVec, inner_product, reproducing_column
-from tklab.operators import build_toeplitz
+from tklab.operators import ToeplitzCompression
 from tklab.subspaces import (SigmaGap, Subspace, full_space, gram_schmidt,
                              intersect, is_contained, nullspace,
                              ortho_complement_within, project, span_of,
                              subspace_equal, vanishing_at_zero_space,
                              zero_at_origin_slice, zero_space)
-from tklab.symbols import LaurentMatrixSymbol, symbol_adjoint
+from tklab.symbols import LaurentMatrixSymbol
 
 from conftest import rand_coeffvec, unit
 
@@ -30,7 +30,7 @@ class TestNullspace:
 
     def test_backward_shift_kernel_is_constants(self):
         # P(zbar f) = 0 iff f constant; the oracle is the hand computation
-        comp = build_toeplitz(symbol_adjoint(LaurentMatrixSymbol.shift(1)), 4)
+        comp = ToeplitzCompression(LaurentMatrixSymbol.shift(1).adjoint(), 4)
         ns = nullspace(comp.matrix, (1, 4))
         assert ns.dim == 1
         vec = ns.basis_vectors()[0]
