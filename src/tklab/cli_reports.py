@@ -3,8 +3,11 @@
 A scenario file declares an ambient size, a symbol class with its payload,
 a rank-n perturbation, and a list of checks.  The runner dispatches each
 check, collects residuals and sigma gaps, and emits a machine-readable JSON
-report plus a human-readable summary.  Exit codes are a stable contract:
-0 pass, 1 check failure, 2 parse error, 3 validation error.
+report plus a human-readable summary.  Each scenario gets one
+``ScenarioRun``: its operator, kernel, measured defect, model space and
+innerness verdict are computed at most once and shared by every check.
+Exit codes are a stable contract: 0 pass, 1 check failure, 2 parse error,
+3 validation error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,26 +28,30 @@ import numpy as np
 from .config import Tolerances
 from .errors import (ScenarioParseError, ScenarioValidationError, TKLabError)
 from .hardy_core import CoeffVec
-from .near_invariance import (DefectReport, compute_defect, kernel_of,
-                              verify_theorem_inner_symbol,
-                              verify_theorem_invertible_factors,
-                              verify_theorem_phi_zero,
-                              verify_theorem_theta_star)
-from .operators import brown_halmos_check, build_perturbed, gram_deviation
+from .model_spaces import ModelSpace, _build_model_space
+from .near_invariance import (DefectReport, KernelResult, _factored_prediction,
+                              _inner_prediction, _kernel_defect,
+                              _theta_star_prediction, _zero_prediction,
+                              kernel_of)
+from .operators import PerturbedToeplitz, brown_halmos_check, build_perturbed
 from .representation import (build_frame, check_coordinate_space_invariance,
                              default_depth, peel_members,
                              rank_one_complement_analysis,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
                              rank_one_theta_star_analysis)
-from .subspaces import Subspace
-from .symbols import (LaurentMatrixSymbol, is_inner, is_invertible_analytic,
-                      scalar_inner_outer)
+from .symbols import (InnerCheck, LaurentMatrixSymbol, is_inner,
+                      is_invertible_analytic, scalar_inner_outer)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERNAL = 4
+
+#: the exit code of each kind of scenario error
+ERROR_EXIT = {"parse": EXIT_PARSE, "validation": EXIT_VALIDATION,
+              "internal": EXIT_INTERNAL}
 
 SYMBOL_CLASSES = ("zero", "inner", "invertible_factors", "theta_star", "raw")
 HEADROOM = 4
@@ -108,6 +116,14 @@ def _parse_tolerances(payload) -> dict:
     return dict(payload)
 
 
+def _parse_depth(value) -> int | None:
+    """The invariance-check depth: absent, or an integer of at least 1."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                              or value < 1):
+        raise ScenarioParseError(f"depth must be an integer >= 1, got {value!r}")
+    return value
+
+
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario payload must be a JSON object")
@@ -138,10 +154,15 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
                     seed=seed, G=G, H=H, symbol=symbol, factors=factors, pair=pair,
                     expect=dict(data.get("expect", {})),
                     tolerance_overrides=_parse_tolerances(data.get("tolerances", {})),
-                    depth=data.get("depth"))
+                    depth=_parse_depth(data.get("depth")))
 
 
-def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
+def validate_scenario(sc: Scenario, tol: Tolerances) -> InnerCheck | None:
+    """Raise ``ScenarioValidationError`` unless the scenario is well formed.
+
+    Returns the symbol's grid innerness verdict for the inner and Theta*
+    classes, the one the scenario's checks then rely on, and None otherwise.
+    """
     if sc.symbol_class not in SYMBOL_CLASSES:
         raise ScenarioValidationError(f"unknown symbol class {sc.symbol_class!r}")
     if sc.m < 1 or sc.N < 2:
@@ -156,13 +177,14 @@ def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
                     f"{fam_name} member shape {v.shape} != ({sc.m}, {sc.N})")
     if len(sc.G) != len(sc.H):
         raise ScenarioValidationError("perturbation families differ in length")
+    inner = None
     if sc.symbol_class in ("inner", "theta_star"):
         if sc.symbol is None:
             raise ScenarioValidationError(f"class {sc.symbol_class} needs a symbol")
-        chk = is_inner(sc.symbol, tol=tol.inner)
-        if not chk.ok:
+        inner = is_inner(sc.symbol, tol=tol.inner)
+        if not inner.ok:
             raise ScenarioValidationError(
-                f"symbol fails the inner test (deviation {chk.max_deviation:.3e})")
+                f"symbol fails the inner test (deviation {inner.max_deviation:.3e})")
     if sc.symbol_class == "invertible_factors":
         if sc.factors is None:
             raise ScenarioValidationError("class invertible_factors needs factors")
@@ -171,6 +193,91 @@ def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
                 raise ScenarioValidationError(f"factor {label} is not invertible")
     if sc.symbol_class == "raw" and sc.symbol is None and sc.pair is None:
         raise ScenarioValidationError("raw scenarios need a symbol or a pair")
+    return inner
+
+
+@dataclass
+class ScenarioRun:
+    """One validated scenario's shared computation.
+
+    Each field is computed on first use and at most once; it lives as long
+    as the scenario's run.  No check mutates a field, so the order of the
+    checks cannot change a report.
+    """
+
+    sc: Scenario
+    tol: Tolerances
+    #: the grid innerness verdict of ``validate_scenario``
+    inner: InnerCheck | None
+
+    @classmethod
+    def validated(cls, sc: Scenario, base_tol: Tolerances) -> "ScenarioRun":
+        tol = sc.tolerances(base_tol)
+        return cls(sc, tol, validate_scenario(sc, tol))
+
+    @cached_property
+    def symbol(self) -> tuple[LaurentMatrixSymbol, tuple | None]:
+        """(Phi, factors) of T = T_Phi + sum <., G_i> H_i for the symbol
+        class; factors, for the factored class only, select its kernel solve."""
+        sc = self.sc
+        if sc.symbol_class == "zero":
+            return LaurentMatrixSymbol.zero(sc.m), None
+        if sc.symbol_class == "theta_star":
+            return sc.symbol.adjoint(), None
+        if sc.symbol_class == "invertible_factors":
+            return sc.factors[0].adjoint().multiply(sc.factors[1]), sc.factors
+        if sc.symbol_class in ("inner", "raw") and sc.symbol is not None:
+            return sc.symbol, None
+        raise ScenarioValidationError("no operator kernel for this scenario")
+
+    @cached_property
+    def operator(self) -> PerturbedToeplitz:
+        """The scenario's operator.  The families need not be orthonormal
+        here; the defect check demands it."""
+        return build_perturbed(self.symbol[0], self.sc.N, self.sc.G, self.sc.H,
+                               require_orthonormal=False)
+
+    @cached_property
+    def kernel(self) -> KernelResult:
+        return kernel_of(self.operator, tol_rel=self.tol.rank_rel, factors=self.symbol[1])
+
+    @cached_property
+    def defect(self) -> DefectReport:
+        """The kernel's measured defect, without a prediction."""
+        return _kernel_defect(self.kernel, self.tol.defect_floor, self.tol.rank_rel)
+
+    @cached_property
+    def model_space(self) -> ModelSpace:
+        """The Theta* symbol's model space, on the validation's verdict."""
+        return _build_model_space(self.sc.symbol, self.sc.N, self.inner,
+                                  tol_rel=self.tol.rank_rel)
+
+    @property
+    def depth(self) -> int:
+        """The invariance-check depth: the scenario's, else ``default_depth``."""
+        return self.sc.depth if self.sc.depth is not None else default_depth(self.sc.N)
+
+    def predicted_defect(self) -> DefectReport:
+        """A copy of the measured defect with the class prediction attached."""
+        sc, tol = self.sc, self.tol
+        predict = _PREDICTIONS.get(sc.symbol_class)
+        if predict is None:
+            raise ScenarioValidationError(
+                f"defect_theorem is not defined for class {sc.symbol_class!r}")
+        # the model space before the operator, as the public Theta* check
+        # orders them: its build never overlaps the action matrix in memory
+        extra = ((self.model_space, tol.range_membership)
+                 if sc.symbol_class == "theta_star" else ())
+        self.operator.check_orthonormal(tol.ortho)
+        return predict(self.operator, self.kernel, self.defect, tol.defect_floor, *extra)
+
+
+_PREDICTIONS = {
+    "zero": _zero_prediction,
+    "inner": _inner_prediction,
+    "invertible_factors": _factored_prediction,
+    "theta_star": _theta_star_prediction,
+}
 
 
 @dataclass
@@ -210,34 +317,6 @@ def _sigma_conclusive(report: DefectReport, tol: Tolerances) -> bool:
     return not (np.isfinite(ratio) and ratio > tol.sigma_ratio_flag)
 
 
-def _dispatch_defect(sc: Scenario, tol: Tolerances) -> DefectReport:
-    if sc.symbol_class == "zero":
-        return verify_theorem_phi_zero(sc.G, sc.H, sc.N, m=sc.m,
-                                       defect_floor=tol.defect_floor,
-                                       tol_rel=tol.rank_rel,
-                                       tol_ortho=tol.ortho)
-    if sc.symbol_class == "inner":
-        return verify_theorem_inner_symbol(sc.symbol, sc.G, sc.H, sc.N,
-                                           defect_floor=tol.defect_floor,
-                                           tol_rel=tol.rank_rel,
-                                           tol_ortho=tol.ortho,
-                                           tol_inner=tol.inner)
-    if sc.symbol_class == "invertible_factors":
-        return verify_theorem_invertible_factors(
-            sc.factors[0], sc.factors[1], sc.G, sc.H, sc.N,
-            defect_floor=tol.defect_floor, tol_rel=tol.rank_rel,
-            tol_ortho=tol.ortho, margin=tol.invertibility_margin)
-    if sc.symbol_class == "theta_star":
-        return verify_theorem_theta_star(sc.symbol, sc.G, sc.H, sc.N,
-                                         defect_floor=tol.defect_floor,
-                                         tol_rel=tol.rank_rel,
-                                         tol_ortho=tol.ortho,
-                                         tol_inner=tol.inner,
-                                         range_membership=tol.range_membership)
-    raise ScenarioValidationError(
-        f"defect_theorem is not defined for class {sc.symbol_class!r}")
-
-
 def containment_tolerance(sc: Scenario, tol: Tolerances) -> float:
     # series inversion makes the prediction itself truncated; everything else
     # is exact polynomial arithmetic
@@ -245,9 +324,10 @@ def containment_tolerance(sc: Scenario, tol: Tolerances) -> float:
         else tol.containment_strict
 
 
-def check_defect_theorem(sc: Scenario, tol: Tolerances) -> CheckOutcome:
+def check_defect_theorem(run: ScenarioRun) -> CheckOutcome:
     t0 = time.perf_counter()
-    report = _dispatch_defect(sc, tol)
+    sc, tol = run.sc, run.tol
+    report = run.predicted_defect()
     ctol = containment_tolerance(sc, tol)
     ok = (report.bound_ok and report.containment_ok(ctol)
           and report.details.get("kernel_audit_violations", 0) == 0
@@ -261,40 +341,17 @@ def check_defect_theorem(sc: Scenario, tol: Tolerances) -> CheckOutcome:
                         res, time.perf_counter() - t0)
 
 
-def _scenario_kernel(sc: Scenario, tol: Tolerances) -> Subspace:
-    factors = None
-    if sc.symbol_class == "zero":
-        symbol = LaurentMatrixSymbol.zero(sc.m)
-    elif sc.symbol_class == "inner":
-        symbol = sc.symbol
-    elif sc.symbol_class == "theta_star":
-        symbol = sc.symbol.adjoint()
-    elif sc.symbol_class == "invertible_factors":
-        factors = sc.factors
-        symbol = sc.factors[0].adjoint().multiply(sc.factors[1])
-    elif sc.symbol_class == "raw" and sc.symbol is not None:
-        symbol = sc.symbol
-    else:
-        raise ScenarioValidationError("no operator kernel for this scenario")
-    ortho = gram_deviation(sc.G) <= tol.ortho and gram_deviation(sc.H) <= tol.ortho
-    T = build_perturbed(symbol, sc.N, sc.G, sc.H, tol_ortho=tol.ortho,
-                        require_orthonormal=ortho)
-    return kernel_of(T, tol_rel=tol.rank_rel, factors=factors).subspace
-
-
-def check_representation(sc: Scenario, tol: Tolerances) -> CheckOutcome:
+def check_representation(run: ScenarioRun) -> CheckOutcome:
     t0 = time.perf_counter()
-    kernel = _scenario_kernel(sc, tol)
+    tol = run.tol
+    kernel = run.kernel.subspace
     residuals: dict = {"kernel_dim": kernel.dim}
     if kernel.dim == 0:
         return CheckOutcome("representation", "skipped", residuals,
                             time.perf_counter() - t0)
-    defect = compute_defect(kernel, defect_floor=tol.defect_floor,
-                            tol_rel=tol.rank_rel)
-    frame = build_frame(kernel, defect, defect_floor=tol.defect_floor)
-    depth = sc.depth if sc.depth is not None else default_depth(sc.N)
+    frame = build_frame(kernel, run.defect, defect_floor=tol.defect_floor)
     peeling = peel_members(kernel.basis, frame, tol_membership=tol.membership,
-                           tol_rep=max(tol.representation, 1e-6), depth=depth)
+                           tol_rep=max(tol.representation, 1e-6), depth=run.depth)
     norms = peeling.source_norms
     iso = float(np.max(peeling.isometry_gaps / np.maximum(norms ** 2, 1e-300)))
     rec = float(np.max(peeling.reconstruction_residuals / np.maximum(norms, 1e-300)))
@@ -305,24 +362,24 @@ def check_representation(sc: Scenario, tol: Tolerances) -> CheckOutcome:
                       "isometry_residual_max": iso,
                       "reconstruction_residual_max": rec,
                       "invariance_residuals": list(inv.residuals),
-                      "depth": depth})
+                      "depth": run.depth})
     ok = (iso <= tol.representation and rec <= tol.representation
           and inv.max_residual <= tol.membership)
     return CheckOutcome("representation", "pass" if ok else "fail",
                         residuals, time.perf_counter() - t0)
 
 
-def check_rank_one(sc: Scenario, tol: Tolerances) -> CheckOutcome:
+def check_rank_one(run: ScenarioRun) -> CheckOutcome:
     t0 = time.perf_counter()
+    sc, tol = run.sc, run.tol
     if len(sc.G) != 1:
         raise ScenarioValidationError("rank_one checks need exactly one (G, H) pair")
     G, H = sc.G[0], sc.H[0]
     residuals: dict
     if sc.symbol_class == "zero":
-        rep = rank_one_complement_analysis(G, sc.N, depth=sc.depth, seed=sc.seed)
+        rep = rank_one_complement_analysis(G, sc.N, depth=run.depth, seed=sc.seed)
         residuals = rep.to_json()
-        inv = check_coordinate_space_invariance(
-            rep.frame, rep.coords, sc.depth or default_depth(sc.N))
+        inv = check_coordinate_space_invariance(rep.frame, rep.coords, run.depth)
         residuals["invariance_residual_max"] = inv.max_residual
         residuals.pop("G0", None)
         residuals.pop("g", None)
@@ -355,7 +412,7 @@ def check_rank_one(sc: Scenario, tol: Tolerances) -> CheckOutcome:
                    or rep.expected_match_residual <= tol.containment))
     elif sc.symbol_class == "theta_star":
         rep = rank_one_theta_star_analysis(sc.symbol, G, H, sc.N, tol=tol.inner,
-                                           depth=sc.depth,
+                                           depth=run.depth,
                                            tol_equality=tol.containment)
         residuals = rep.to_json()
         ok = (rep.equality_residual <= tol.containment
@@ -370,8 +427,9 @@ def check_rank_one(sc: Scenario, tol: Tolerances) -> CheckOutcome:
                         residuals, time.perf_counter() - t0)
 
 
-def check_brown_halmos(sc: Scenario, tol: Tolerances) -> CheckOutcome:
+def check_brown_halmos(run: ScenarioRun) -> CheckOutcome:
     t0 = time.perf_counter()
+    sc = run.sc
     if sc.pair is None:
         raise ScenarioValidationError("brown_halmos needs a (psi, phi) pair")
     rep = brown_halmos_check(sc.pair[0], sc.pair[1], sc.N)
@@ -397,15 +455,15 @@ CHECKS = {
 
 
 def run_scenario_object(sc: Scenario, base_tol: Tolerances) -> RunReport:
-    tol = sc.tolerances(base_tol)
-    validate_scenario(sc, tol)
+    """Validate the scenario and run its checks on one shared ``ScenarioRun``."""
+    run = ScenarioRun.validated(sc, base_tol)
     outcomes = []
     for name in sc.checks:
         fn = CHECKS.get(name)
         if fn is None:
             raise ScenarioValidationError(f"unknown check {name!r}")
-        outcomes.append(fn(sc, tol))
-    return RunReport(scenario=sc.name, outcomes=outcomes, tolerances=tol)
+        outcomes.append(fn(run))
+    return RunReport(scenario=sc.name, outcomes=outcomes, tolerances=run.tol)
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -434,6 +492,23 @@ def run_scenario(path: Path, base_tol: Tolerances = Tolerances(),
     return report, EXIT_PASS if report.ok else EXIT_CHECK_FAIL
 
 
+def classify_error(exc: Exception) -> tuple[str, str]:
+    """(kind, one-line message) of an exception a scenario run raised.
+
+    The kind is "parse" or "validation" for bad input and "internal" for
+    anything else, numpy's ``LinAlgError`` included although it subclasses
+    ``ValueError``: a solver failure is the program's fault, not the file's.
+    """
+    if isinstance(exc, ScenarioParseError):
+        kind, message = "parse", str(exc)
+    elif isinstance(exc, (TKLabError, ValueError)) and \
+            not isinstance(exc, np.linalg.LinAlgError):
+        kind, message = "validation", str(exc)
+    else:
+        kind, message = "internal", f"{type(exc).__name__}: {exc}"
+    return kind, " ".join(message.splitlines())
+
+
 @dataclass
 class SuiteResult:
     reports: list
@@ -441,10 +516,10 @@ class SuiteResult:
 
     @property
     def exit_code(self) -> int:
-        if any(kind == "parse" for _, kind, _ in self.errors):
-            return EXIT_PARSE
-        if any(kind == "validation" for _, kind, _ in self.errors):
-            return EXIT_VALIDATION
+        # internal errors first, then bad input, then check failures
+        for kind in ("internal", "parse", "validation"):
+            if any(k == kind for _, k, _ in self.errors):
+                return ERROR_EXIT[kind]
         if any(not r.ok for r in self.reports):
             return EXIT_CHECK_FAIL
         return EXIT_PASS
@@ -479,10 +554,8 @@ def run_suite(directory: Path, jobs: int = 1,
     def one(p: Path):
         try:
             return ("report", run_scenario(p, base_tol, seed=seed)[0], p)
-        except ScenarioParseError as exc:
-            return ("parse", str(exc), p)
-        except (ScenarioValidationError, TKLabError, ValueError) as exc:
-            return ("validation", str(exc), p)
+        except Exception as exc:  # one crashing scenario must not lose the others
+            return (*classify_error(exc), p)
 
     results = []
     if jobs > 1:
@@ -549,9 +622,7 @@ def sweep(sc: Scenario, param: str, values: list[int],
             if v <= top + HEADROOM:
                 raise ScenarioValidationError(
                     f"N={v} truncates the stored perturbation (top degree {top})")
-        tol = variant.tolerances(base_tol)
-        validate_scenario(variant, tol)
-        report = _dispatch_defect(variant, tol)
+        report = ScenarioRun.validated(variant, base_tol).predicted_defect()
         writer.writerow([v, report.subspace_dim, report.defect_dim,
                          _fmt(report.containment_residual),
                          _fmt(report.kernel_residual_max),
@@ -644,12 +715,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PASS
         if args.command == "factor":
             return _factor_command(args.file)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ScenarioValidationError, TKLabError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except Exception as exc:  # every failure maps to its exit code, never a traceback
+        kind, message = classify_error(exc)
+        print(f"{kind} error: {message}", file=sys.stderr)
+        return ERROR_EXIT[kind]
     return EXIT_PASS
 
 

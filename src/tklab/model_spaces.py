@@ -25,7 +25,7 @@ from .hardy_core import CoeffVec
 from .operators import ToeplitzCompression, range_complement, shifted_range_matrix
 from .subspaces import (SigmaGap, Subspace, column_span, nullspace, nullspace_within,
                         project)
-from .symbols import LaurentMatrixSymbol, is_exactly_inner, is_inner
+from .symbols import InnerCheck, LaurentMatrixSymbol, is_exactly_inner, is_inner
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,17 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
                       tol_rel: float | None = None,
                       cross_check_tol: float = 1e-8) -> ModelSpace:
     """Construct the truncated model space of an analytic inner symbol."""
+    return _build_model_space(theta, N, is_inner(theta, grid_size=grid_size, tol=tol_inner),
+                              tol_rel, cross_check_tol)
+
+
+def _build_model_space(theta: LaurentMatrixSymbol, N: int, check: InnerCheck,
+                       tol_rel: float | None = None,
+                       cross_check_tol: float = 1e-8) -> ModelSpace:
+    """``build_model_space`` for a symbol whose grid verdict ``check`` is
+    already in hand: the analytic, verdict and N > d guards, then the build."""
     if not theta.is_analytic():
         raise NotInnerError("model spaces need an analytic symbol")
-    check = is_inner(theta, grid_size=grid_size, tol=tol_inner)
     if not check.ok:
         raise NotInnerError(
             f"symbol is not inner on the grid (deviation {check.max_deviation:.3e})")

@@ -8,7 +8,10 @@ Each verify_* operation builds the perturbed operator for one symbol class,
 extracts its polynomial kernel from the exact-action matrix (inside the
 class's small candidate space when the symbol is exactly inner, the adjoint
 of one, or a product of given invertible factors; by dense SVD otherwise),
-measures the defect, and compares it against the class prediction.
+measures the defect, and compares it against the class prediction.  The
+first three steps are one shared head; each prediction takes their results
+and returns a copy of the measured report, so a caller that already holds
+a scenario's operator, kernel and defect attaches the prediction alone.
 Predictions are generally oblique to the kernel, so containment is assessed
 modulo M: the defect (which is orthogonal to M by construction) must lie
 inside span(M + prediction), equivalently inside the prediction projected
@@ -17,14 +20,14 @@ onto the orthocomplement of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotInnerError, NotInvertibleError
 from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
-from .model_spaces import build_model_space, decompose_against_theta
+from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
 from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
                         range_complement)
 from .subspaces import (SigmaGap, Subspace, column_norms, column_span, is_contained,
@@ -44,6 +47,9 @@ class KernelResult:
     #: "inner", "theta_star" or "factored" for a structured solve, "dense"
     #: for the SVD of the whole action matrix
     method: str
+    #: the factored path's series (F1^-1 to degree N + d_pos - 1, F2^-1 to
+    #: degree N - 1), which its defect prediction reuses; None otherwise
+    series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
 
 
 def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
@@ -60,27 +66,11 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
     settle the rank, takes the dense SVD of the whole action matrix.  Every
     basis vector is audited against 10x the singular-value cut.
     """
-    return _solve_kernel(T, _kernel_candidates(T, factors), tol_rel)
-
-
-class _Candidates(NamedTuple):
-    method: str
-    #: orthonormal basis of the candidate space Z
-    Z: np.ndarray
-    #: bound on |L|
-    L_norm: float
-    #: the factored path's series (F1^-1 to degree N + d_pos - 1, F2^-1 to
-    #: degree N - 1), which the factored checks reuse
-    series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
-
-
-def _solve_kernel(T: PerturbedToeplitz, candidates: _Candidates | None,
-                  tol_rel: float | None = None) -> KernelResult:
-    """The kernel step of ``kernel_of`` for candidates already in hand."""
+    candidates = _kernel_candidates(T, factors)
     action = T.action_matrix()
-    ker, method = None, "dense"
+    ker, method, series = None, "dense", None
     if candidates is not None:
-        method = candidates.method
+        method, series = candidates.method, candidates.series
         G, H = T.G_matrix, T.H_matrix
         # |H G^H|_2 from the n x n Grams of the families
         bump = np.sqrt(_gram_norm(G) * _gram_norm(H))
@@ -95,7 +85,17 @@ def _solve_kernel(T: PerturbedToeplitz, candidates: _Candidates | None,
     violations = int(np.sum(norms > 10.0 * max(ker.tol, np.finfo(float).eps)))
     return KernelResult(subspace=ker, residual_max=resid, sigma_cut=ker.tol,
                         sigma_gap=ker.sigma_gap, audit_violations=violations,
-                        method=method)
+                        method=method, series=series)
+
+
+class _Candidates(NamedTuple):
+    method: str
+    #: orthonormal basis of the candidate space Z
+    Z: np.ndarray
+    #: bound on |L|
+    L_norm: float
+    #: the factored path's series, handed on in ``KernelResult.series``
+    series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
 
 
 def _gram_norm(X: np.ndarray) -> float:
@@ -216,17 +216,19 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
                         details={"defect_overlap_with_subspace": overlap})
 
 
-def _attach_prediction(report: DefectReport, M: Subspace,
-                       predicted_vectors: np.ndarray,
-                       defect_floor: float = 1e-8) -> DefectReport:
-    """Containment of the measured defect in the prediction, modulo M.
+def _attach_prediction(measured: DefectReport, M: Subspace,
+                       predicted_vectors: np.ndarray, defect_floor: float,
+                       defect_bound: int) -> DefectReport:
+    """A copy of the measured report with its class prediction attached.
 
     ``predicted_vectors`` holds the prediction as flat mN x k columns.  The
     prediction spans need not be orthogonal to M (the kernel), while the
     measured defect is; so the fair comparison projects the prediction onto
     the orthocomplement of M.  Equality of that projection with the defect is
-    recorded alongside the containment residual.
+    recorded alongside the containment residual.  ``measured`` itself is left
+    as it was, so one measurement can serve every check of a scenario.
     """
+    report = replace(measured, details=dict(measured.details), defect_bound=defect_bound)
     shape = (M.m, M.N)
     nonzero = predicted_vectors[:, column_norms(predicted_vectors) > 1e-14]
     if not nonzero.shape[1]:
@@ -248,12 +250,78 @@ def _attach_prediction(report: DefectReport, M: Subspace,
 
 def _kernel_defect(kr: KernelResult, defect_floor: float,
                    tol_rel: float | None) -> DefectReport:
+    """The kernel's measured defect, with the kernel solve's audit in details."""
     report = compute_defect(kr.subspace, defect_floor=defect_floor, tol_rel=tol_rel)
     report.kernel_residual_max = kr.residual_max
     report.details["kernel_sigma_cut"] = kr.sigma_cut
     report.details["kernel_sigma_ratio"] = kr.sigma_gap.ratio
     report.details["kernel_audit_violations"] = kr.audit_violations
     report.details["kernel_method"] = kr.method
+    return report
+
+
+def _measure(phi: LaurentMatrixSymbol, G: list[CoeffVec], H: list[CoeffVec], N: int,
+             defect_floor: float, tol_rel: float | None, tol_ortho: float,
+             factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
+             ) -> tuple[PerturbedToeplitz, KernelResult, DefectReport]:
+    """The head every verify_* shares: the operator (orthonormal families
+    required), its kernel and the kernel's measured defect."""
+    T = build_perturbed(phi, N, list(G), list(H), tol_ortho=tol_ortho)
+    kr = kernel_of(T, tol_rel=tol_rel, factors=factors)
+    return T, kr, _kernel_defect(kr, defect_floor, tol_rel)
+
+
+def _zero_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
+                     defect_floor: float) -> DefectReport:
+    return _attach_prediction(measured, kr.subspace, T.G_matrix, defect_floor, T.rank)
+
+
+def _inner_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
+                      defect_floor: float) -> DefectReport:
+    # C_{Theta*} applied to H and to S* H; S* is a shift of the flat rows
+    H_mat, n = T.H_matrix, T.rank
+    both = apply_block_toeplitz(
+        T.base.symbol.adjoint(),
+        np.concatenate([H_mat, backward_shift_flat(H_mat, T.m)], axis=1), T.N)
+    predicted = backward_shift_flat(both[:, :n], T.m)
+    alternate = both[:, n:]
+    report = _attach_prediction(measured, kr.subspace, predicted, defect_floor, n)
+    # the shifted-then-compressed and compressed-then-shifted forms span the
+    # same space; record how exactly
+    forms = np.concatenate([predicted, alternate], axis=1)
+    if np.max(column_norms(forms), initial=0.0) < 1e-14:
+        report.details["alternate_form_residual"] = 0.0
+    else:
+        _, resid = subspace_equal(column_span(predicted, (T.m, T.N), floor=1e-12),
+                                  column_span(alternate, (T.m, T.N), floor=1e-12))
+        report.details["alternate_form_residual"] = resid
+    return report
+
+
+def _factored_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
+                         defect_floor: float) -> DefectReport:
+    # the kernel solve's series; the F1 one reaches past degree N - 1, but
+    # those powers of its adjoint fall outside the window
+    inv1, inv2 = kr.series
+    intermediate = apply_block_toeplitz(inv1.adjoint(), T.H_matrix, T.N)
+    predicted = apply_block_toeplitz(inv2, backward_shift_flat(intermediate, T.m), T.N)
+    return _attach_prediction(measured, kr.subspace, predicted, defect_floor, T.rank)
+
+
+def _theta_star_prediction(T: PerturbedToeplitz, kr: KernelResult,
+                           measured: DefectReport, defect_floor: float,
+                           ms: ModelSpace, range_membership: float) -> DefectReport:
+    outside = []
+    for g in T.G:
+        split = decompose_against_theta(g, ms, tol_membership=range_membership)
+        if not split.in_range:
+            outside.append(split.model_part)
+    predicted = np.concatenate(
+        [apply_block_toeplitz(ms.theta, backward_shift_flat(T.H_matrix, T.m), T.N),
+         flat_columns(outside, T.m * T.N)], axis=1)
+    report = _attach_prediction(measured, kr.subspace, predicted, defect_floor,
+                                T.rank + len(outside))
+    report.details["outside_range_count"] = len(outside)
     return report
 
 
@@ -268,13 +336,8 @@ def verify_theorem_phi_zero(G: list[CoeffVec], H: list[CoeffVec], N: int,
         m = G[0].m
     elif m is None:
         raise ValueError("component count m is required when the family is empty")
-    T = build_perturbed(LaurentMatrixSymbol.zero(m), N, list(G), list(H),
-                        tol_ortho=tol_ortho)
-    kr = kernel_of(T, tol_rel=tol_rel)
-    report = _kernel_defect(kr, defect_floor, tol_rel)
-    report.defect_bound = len(G)
-    _attach_prediction(report, kr.subspace, T.G_matrix, defect_floor)
-    return report
+    return _zero_prediction(*_measure(LaurentMatrixSymbol.zero(m), G, H, N,
+                                      defect_floor, tol_rel, tol_ortho), defect_floor)
 
 
 def verify_theorem_inner_symbol(theta: LaurentMatrixSymbol, G: list[CoeffVec],
@@ -287,27 +350,8 @@ def verify_theorem_inner_symbol(theta: LaurentMatrixSymbol, G: list[CoeffVec],
     chk = is_inner(theta, tol=tol_inner)
     if not chk.ok:
         raise NotInnerError(f"symbol deviates from inner by {chk.max_deviation:.3e}")
-    T = build_perturbed(theta, N, list(G), list(H), tol_ortho=tol_ortho)
-    kr = kernel_of(T, tol_rel=tol_rel)
-    report = _kernel_defect(kr, defect_floor, tol_rel)
-    report.defect_bound = len(G)
-    # C_{Theta*} applied to H and to S* H; S* is a shift of the flat rows
-    H_mat = T.H_matrix
-    both = apply_block_toeplitz(
-        theta.adjoint(), np.concatenate([H_mat, backward_shift_flat(H_mat, T.m)], axis=1), N)
-    predicted = backward_shift_flat(both[:, :len(H)], T.m)
-    alternate = both[:, len(H):]
-    _attach_prediction(report, kr.subspace, predicted, defect_floor)
-    # the shifted-then-compressed and compressed-then-shifted forms span the
-    # same space; record how exactly
-    forms = np.concatenate([predicted, alternate], axis=1)
-    if np.max(column_norms(forms), initial=0.0) < 1e-14:
-        report.details["alternate_form_residual"] = 0.0
-    else:
-        _, resid = subspace_equal(column_span(predicted, (T.m, N), floor=1e-12),
-                                  column_span(alternate, (T.m, N), floor=1e-12))
-        report.details["alternate_form_residual"] = resid
-    return report
+    return _inner_prediction(*_measure(theta, G, H, N, defect_floor, tol_rel, tol_ortho),
+                             defect_floor)
 
 
 def verify_theorem_invertible_factors(F1: LaurentMatrixSymbol,
@@ -323,19 +367,9 @@ def verify_theorem_invertible_factors(F1: LaurentMatrixSymbol,
     for name, F in (("F1", F1), ("F2", F2)):
         if not is_invertible_analytic(F, margin=margin):
             raise NotInvertibleError(f"factor {name} is not invertible on the disk")
-    T = build_perturbed(F1.adjoint().multiply(F2), N, list(G), list(H),
-                        tol_ortho=tol_ortho)
-    candidates = _kernel_candidates(T, (F1, F2))
-    kr = _solve_kernel(T, candidates, tol_rel)
-    report = _kernel_defect(kr, defect_floor, tol_rel)
-    report.defect_bound = len(G)
-    # the F1 series reaches past degree N - 1, but those powers of its
-    # adjoint fall outside the window
-    inv1, inv2 = candidates.series
-    intermediate = apply_block_toeplitz(inv1.adjoint(), T.H_matrix, N)
-    predicted = apply_block_toeplitz(inv2, backward_shift_flat(intermediate, T.m), N)
-    _attach_prediction(report, kr.subspace, predicted, defect_floor)
-    return report
+    return _factored_prediction(*_measure(F1.adjoint().multiply(F2), G, H, N, defect_floor,
+                                          tol_rel, tol_ortho, factors=(F1, F2)),
+                                defect_floor)
 
 
 def verify_theorem_theta_star(theta: LaurentMatrixSymbol, G: list[CoeffVec],
@@ -348,19 +382,7 @@ def verify_theorem_theta_star(theta: LaurentMatrixSymbol, G: list[CoeffVec],
     """Adjoint-of-inner symbol: defect at most n + l where l counts the G_j
     outside the shifted range; prediction adds their model-space parts."""
     # the model space's grid test is the innerness test
-    ms = build_model_space(theta, N, tol_inner=tol_inner)
-    T = build_perturbed(theta.adjoint(), N, list(G), list(H), tol_ortho=tol_ortho)
-    kr = kernel_of(T, tol_rel=tol_rel)
-    report = _kernel_defect(kr, defect_floor, tol_rel)
-    outside = []
-    for g in G:
-        split = decompose_against_theta(g, ms, tol_membership=range_membership)
-        if not split.in_range:
-            outside.append(split.model_part)
-    report.defect_bound = len(G) + len(outside)
-    report.details["outside_range_count"] = len(outside)
-    predicted = np.concatenate(
-        [apply_block_toeplitz(theta, backward_shift_flat(T.H_matrix, T.m), N),
-         flat_columns(outside, T.m * N)], axis=1)
-    _attach_prediction(report, kr.subspace, predicted, defect_floor)
-    return report
+    ms = build_model_space(theta, N, tol_inner=tol_inner, tol_rel=tol_rel)
+    return _theta_star_prediction(*_measure(theta.adjoint(), G, H, N, defect_floor,
+                                            tol_rel, tol_ortho),
+                                  defect_floor, ms, range_membership)

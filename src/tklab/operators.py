@@ -185,12 +185,7 @@ class PerturbedToeplitz:
         for mat in (self._G_matrix, self._H_matrix):
             mat.setflags(write=False)
         if require_orthonormal:
-            for name, mat in (("G", self._G_matrix), ("H", self._H_matrix)):
-                dev = column_gram_deviation(mat)
-                if dev > tol_ortho:
-                    raise OrthonormalityError(
-                        f"family {name} deviates from orthonormality by {dev:.3e} "
-                        f"(tolerance {tol_ortho:g})")
+            self.check_orthonormal(tol_ortho)
         action = base.action_matrix()
         action[:base.m * base.N] += self._H_matrix @ self._G_matrix.conj().T
         action.setflags(write=False)
@@ -208,6 +203,15 @@ class PerturbedToeplitz:
         scale = max(1.0, float(np.linalg.norm(via_matrix)))
         if np.linalg.norm(direct - via_matrix) > 1e-10 * scale:
             raise AssertionError("matrix and functional forms disagree")
+
+    def check_orthonormal(self, tol_ortho: float) -> None:
+        """Raise ``OrthonormalityError`` unless G and H are orthonormal families."""
+        for name, mat in (("G", self._G_matrix), ("H", self._H_matrix)):
+            dev = column_gram_deviation(mat)
+            if dev > tol_ortho:
+                raise OrthonormalityError(
+                    f"family {name} deviates from orthonormality by {dev:.3e} "
+                    f"(tolerance {tol_ortho:g})")
 
     @property
     def base(self) -> ToeplitzCompression:

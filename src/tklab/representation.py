@@ -43,8 +43,7 @@ from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_v
                          eval_at_zero, flat_columns, inner_product,
                          reproducing_column)
 from .model_spaces import build_model_space, decompose_against_theta
-from .near_invariance import (DefectReport, _kernel_candidates, _solve_kernel,
-                              compute_defect, kernel_of)
+from .near_invariance import DefectReport, compute_defect, kernel_of
 from .operators import apply_block_toeplitz, build_perturbed, orthonormalize_family
 from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
@@ -758,8 +757,8 @@ def rank_one_invertible_kernel(F1: LaurentMatrixSymbol, F2: LaurentMatrixSymbol,
     T = build_perturbed(F1.adjoint().multiply(F2), N, [G], [H], require_orthonormal=False)
     # the kernel solve's series; powers of the F1 one past N - 1 fall
     # outside the window
-    candidates = _kernel_candidates(T, (F1, F2))
-    inv1, inv2 = candidates.series
+    kr = kernel_of(T, factors=(F1, F2))
+    inv1, inv2 = kr.series
     intermediate = column_vectors(
         apply_block_toeplitz(inv1.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
     # route one: block Toeplitz application of the inverted factor
@@ -781,7 +780,6 @@ def rank_one_invertible_kernel(F1: LaurentMatrixSymbol, F2: LaurentMatrixSymbol,
             [eval_at_zero(intermediate)[:, None],
              np.zeros((H.m, N - 1), dtype=complex)], axis=1))))
     criterion = 1.0 + inner_product(candidate, G)
-    kr = _solve_kernel(T, candidates)
     kernel = kr.subspace
     details = {"kernel_residual_max": kr.residual_max,
                "convolution_gap": convolution_gap,

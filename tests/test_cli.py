@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tklab.cli_reports import (EXIT_CHECK_FAIL, EXIT_PARSE, EXIT_PASS,
-                               EXIT_VALIDATION, bundled_scenario_dir,
+from tklab.cli_reports import (EXIT_CHECK_FAIL, EXIT_INTERNAL, EXIT_PARSE,
+                               EXIT_PASS, EXIT_VALIDATION, bundled_scenario_dir,
                                load_scenario, main, parse_scenario,
                                run_scenario, run_suite, sweep)
 from tklab.config import Tolerances
@@ -294,3 +296,85 @@ class TestApiErrors:
         dense = nullspace(action, (m, N), tol_rel=0.9)
         assert kernel_dim() == nullspace(action, (m, N)).dim
         assert kernel_dim("--tol-rank", "0.9") == dense.dim > 1
+
+
+def _bad_depths():
+    """Every JSON value that is not an integer of at least 1."""
+    return st.one_of(
+        st.integers(max_value=0), st.booleans(), st.text(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.lists(st.integers(min_value=1), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+class TestDepthField:
+    @given(_bad_depths())
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_depth_is_a_parse_error(self, depth):
+        data = json.loads((SCENARIOS / "zero_symbol_defect.json").read_text())
+        data["depth"] = depth
+        with pytest.raises(ScenarioParseError, match="depth"):
+            parse_scenario(data)
+
+    def test_valid_depth_is_kept(self):
+        data = json.loads((SCENARIOS / "zero_symbol_defect.json").read_text())
+        data["depth"] = 3
+        assert parse_scenario(data).depth == 3
+        data.pop("depth")
+        assert parse_scenario(data).depth is None
+
+    def test_bad_depth_fails_its_file_only(self, tmp_path):
+        good = (SCENARIOS / "zero_symbol_defect.json").read_text()
+        bad = json.loads(good)
+        bad["name"] = "deep"
+        bad["depth"] = "deep"
+        (tmp_path / "a_bad.json").write_text(json.dumps(bad))
+        (tmp_path / "b_good.json").write_text(good)
+        proc = run_cli("suite", str(tmp_path))
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.split()[:2] == ["zero_symbol_defect", "PASS"] for line in lines)
+        assert any(line.startswith("a_bad") and "ERROR" in line and "depth" in line
+                   for line in lines)
+
+
+class TestInternalErrors:
+    @pytest.fixture(params=[RuntimeError("boom"),
+                            np.linalg.LinAlgError("SVD did not converge")],
+                        ids=["RuntimeError", "LinAlgError"])
+    def crashing_representation(self, request, monkeypatch):
+        from tklab import cli_reports
+
+        def crash(run):
+            raise request.param
+
+        monkeypatch.setitem(cli_reports.CHECKS, "representation", crash)
+        return type(request.param).__name__
+
+    def test_suite_files_the_crash_and_keeps_the_rest(self, tmp_path, capsys,
+                                                      crashing_representation):
+        # the first file crashes in its representation check, the second has none
+        for name in ("zero_symbol_defect.json", "adjoint_monomial_critical.json"):
+            (tmp_path / name).write_text((SCENARIOS / name).read_text())
+        suite = run_suite(tmp_path)
+        assert suite.exit_code == EXIT_INTERNAL
+        assert [r.scenario for r in suite.reports if r.ok] == ["adjoint_monomial_critical"]
+        [(_, kind, message)] = suite.errors
+        assert kind == "internal" and crashing_representation in message
+        assert main(["suite", str(tmp_path)]) == EXIT_INTERNAL
+        out = capsys.readouterr().out
+        assert any(line.split()[:2] == ["adjoint_monomial_critical", "PASS"]
+                   for line in out.splitlines())
+
+    def test_internal_error_outranks_bad_input(self, tmp_path, crashing_representation):
+        (tmp_path / "a.json").write_text("{ nope")
+        (tmp_path / "b.json").write_text((SCENARIOS / "zero_symbol_defect.json").read_text())
+        assert run_suite(tmp_path).exit_code == EXIT_INTERNAL
+
+    def test_run_exits_4_without_traceback(self, capsys, crashing_representation):
+        code = main(["run", str(SCENARIOS / "zero_symbol_defect.json")])
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {crashing_representation}")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -1,0 +1,136 @@
+"""One scenario, one computation: every check reads the same ScenarioRun."""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from tklab import (cli_reports, model_spaces, near_invariance, operators,
+                   representation, symbols)
+from tklab.cli_reports import (bundled_scenario_dir, load_scenario,
+                               run_scenario_object)
+from tklab.config import Tolerances
+from tklab.near_invariance import (verify_theorem_inner_symbol,
+                                   verify_theorem_invertible_factors,
+                                   verify_theorem_phi_zero,
+                                   verify_theorem_theta_star)
+
+SCENARIOS = bundled_scenario_dir()
+BUNDLED = sorted(SCENARIOS.glob("*.json"))
+MODULES = (cli_reports, near_invariance, representation, model_spaces, operators,
+           symbols)
+
+
+def _spy(monkeypatch, name):
+    """Wrap ``name`` wherever a tklab module binds it; the returned list
+    collects (args, kwargs) of every call through any of them."""
+    calls = []
+    for module in MODULES:
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def spy(*args, real=real, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _strip_seconds(payload):
+    if isinstance(payload, dict):
+        return {k: _strip_seconds(v) for k, v in payload.items() if k != "seconds"}
+    if isinstance(payload, list):
+        return [_strip_seconds(v) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize("name, grid_tests", [
+    ("zero_symbol_defect", 0),
+    ("inner_mixed_monomials_defect", 1),
+    ("adjoint_mixed_defect", 1),
+])
+def test_shared_work_runs_once(monkeypatch, name, grid_tests):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    assert sc.checks == ["defect_theorem", "representation"]
+    spies = {fn: _spy(monkeypatch, fn)
+             for fn in ("build_perturbed", "kernel_of", "compute_defect", "is_inner")}
+    report = run_scenario_object(sc, Tolerances())
+    assert report.ok
+    assert {fn: len(calls) for fn, calls in spies.items()} == {
+        "build_perturbed": 1, "kernel_of": 1, "compute_defect": 1,
+        "is_inner": grid_tests}
+
+
+def _public_verification(sc, tol):
+    common = dict(defect_floor=tol.defect_floor, tol_rel=tol.rank_rel,
+                  tol_ortho=tol.ortho)
+    if sc.symbol_class == "zero":
+        return verify_theorem_phi_zero(sc.G, sc.H, sc.N, m=sc.m, **common)
+    if sc.symbol_class == "inner":
+        return verify_theorem_inner_symbol(sc.symbol, sc.G, sc.H, sc.N,
+                                           tol_inner=tol.inner, **common)
+    if sc.symbol_class == "invertible_factors":
+        return verify_theorem_invertible_factors(*sc.factors, sc.G, sc.H, sc.N,
+                                                 margin=tol.invertibility_margin,
+                                                 **common)
+    return verify_theorem_theta_star(sc.symbol, sc.G, sc.H, sc.N, tol_inner=tol.inner,
+                                     range_membership=tol.range_membership, **common)
+
+
+DEFECT_SCENARIOS = [p for p in BUNDLED if "defect_theorem" in load_scenario(p).checks]
+
+
+@pytest.mark.parametrize("path", DEFECT_SCENARIOS, ids=lambda p: p.stem)
+def test_defect_check_equals_public_verification(path):
+    sc = load_scenario(path)
+    tol = sc.tolerances(Tolerances())
+    outcome = next(o for o in run_scenario_object(sc, Tolerances()).outcomes
+                   if o.name == "defect_theorem")
+    oracle = _public_verification(sc, tol).to_json()
+    oracle.pop("details")
+    residuals = dict(outcome.residuals)
+    residuals.pop("sigma_conclusive")
+    assert residuals == oracle
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_check_order_does_not_change_reports(path):
+    sc = load_scenario(path)
+    forward = run_scenario_object(sc, Tolerances()).to_json()
+    backward = run_scenario_object(replace(sc, checks=sc.checks[::-1]),
+                                   Tolerances()).to_json()
+    backward["checks"].reverse()
+    assert _strip_seconds(backward) == _strip_seconds(forward)
+
+
+def test_representation_only_theta_star_builds_no_model_space(monkeypatch):
+    sc = replace(load_scenario(SCENARIOS / "adjoint_mixed_defect.json"),
+                 checks=["representation"])
+    grids = _spy(monkeypatch, "is_inner")
+    built = _spy(monkeypatch, "_build_model_space")
+    cross_checks = _spy(monkeypatch, "_cross_check_projections")
+    report = run_scenario_object(sc, Tolerances())
+    assert report.ok and report.outcomes[0].status == "pass"
+    assert built == [] and cross_checks == []
+    assert len(grids) == 1  # the validation verdict
+
+
+def test_rank_rel_override_reaches_the_model_space_cut(monkeypatch, tmp_path):
+    data = json.loads((SCENARIOS / "adjoint_mixed_defect.json").read_text())
+    data["checks"] = ["defect_theorem"]
+    data["tolerances"] = {"rank_rel": 3e-9}
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(data))
+    cuts = []
+    real = model_spaces.nullspace_within
+
+    def spy(*args, **kwargs):
+        cuts.append(kwargs["tol_rel"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_spaces, "nullspace_within", spy)
+    report = run_scenario_object(load_scenario(path), Tolerances())
+    assert report.outcomes[0].name == "defect_theorem"
+    assert cuts == [3e-9]
