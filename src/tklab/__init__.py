@@ -26,6 +26,7 @@ from .operators import (BrownHalmosReport, PerturbedToeplitz,
                         ToeplitzCompression, brown_halmos_check,
                         build_perturbed, orthonormalize_family)
 from .representation import (Coordinates, RepresentationFrame, build_frame,
+                             certify_representation,
                              check_coordinate_space_invariance,
                              extract_coordinates,
                              rank_one_complement_analysis,

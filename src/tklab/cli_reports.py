@@ -34,8 +34,8 @@ from .near_invariance import (DefectReport, KernelResult, _factored_prediction,
                               _theta_star_prediction, _zero_prediction,
                               kernel_of)
 from .operators import PerturbedToeplitz, brown_halmos_check, build_perturbed
-from .representation import (build_frame, check_coordinate_space_invariance,
-                             default_depth, peel_members,
+from .representation import (build_frame, certify_representation,
+                             check_coordinate_space_invariance, default_depth,
                              rank_one_complement_analysis,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
@@ -124,35 +124,55 @@ def _parse_depth(value) -> int | None:
     return value
 
 
+def _parse_int(data: dict, key: str, default: int | None = None) -> int:
+    """An integer field; booleans and floats are errors, never truncated."""
+    if key not in data:
+        if default is None:
+            raise ScenarioParseError(f"missing scenario field {key!r}")
+        return default
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioParseError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_symbol_pair(data: dict, key: str, names: tuple[str, str],
+                       what: str) -> tuple | None:
+    """The two symbols of the object ``data[key]``, or None when it is absent."""
+    payload = data.get(key)
+    if payload is None:
+        return None
+    if not isinstance(payload, dict) or any(n not in payload for n in names):
+        raise ScenarioParseError(f"{key} must be an object with {names[0]} and {names[1]}")
+    return tuple(_parse_symbol(payload[n], f"{what} {n}") for n in names)
+
+
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario payload must be a JSON object")
-    try:
-        name = str(data.get("name", name_hint))
-        m = int(data["m"])
-        N = int(data["N"])
-        symbol_class = str(data["symbol_class"])
-        checks = [str(c) for c in data.get("checks", [])]
-        seed = int(data.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"missing or malformed scenario field: {exc}") from exc
+    if not isinstance(data.get("symbol_class"), str):
+        raise ScenarioParseError(
+            f"symbol_class must be a string, got {data.get('symbol_class')!r}")
+    checks = data.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ScenarioParseError(f"checks must be a list of strings, got {checks!r}")
+    expect = data.get("expect", {})
+    if not isinstance(expect, dict):
+        raise ScenarioParseError(f"expect must be a JSON object, got {expect!r}")
     pert = data.get("perturbation", {"G": [], "H": []})
-    if not isinstance(pert, dict) or "G" not in pert or "H" not in pert:
+    if not isinstance(pert, dict) or not all(isinstance(pert.get(k), list) for k in "GH"):
         raise ScenarioParseError("perturbation must carry G and H arrays")
     G = [_parse_vec(v, "perturbation G") for v in pert["G"]]
     H = [_parse_vec(v, "perturbation H") for v in pert["H"]]
-    symbol = _parse_symbol(data["symbol"], "symbol") if data.get("symbol") else None
-    factors = None
-    if data.get("factors"):
-        factors = (_parse_symbol(data["factors"]["F1"], "factor F1"),
-                   _parse_symbol(data["factors"]["F2"], "factor F2"))
-    pair = None
-    if data.get("pair"):
-        pair = (_parse_symbol(data["pair"]["psi"], "pair psi"),
-                _parse_symbol(data["pair"]["phi"], "pair phi"))
-    return Scenario(name=name, m=m, N=N, symbol_class=symbol_class, checks=checks,
-                    seed=seed, G=G, H=H, symbol=symbol, factors=factors, pair=pair,
-                    expect=dict(data.get("expect", {})),
+    symbol = _parse_symbol(data["symbol"], "symbol") if data.get("symbol") is not None \
+        else None
+    return Scenario(name=str(data.get("name", name_hint)), m=_parse_int(data, "m"),
+                    N=_parse_int(data, "N"), symbol_class=data["symbol_class"],
+                    checks=list(checks), seed=_parse_int(data, "seed", 0), G=G, H=H,
+                    symbol=symbol,
+                    factors=_parse_symbol_pair(data, "factors", ("F1", "F2"), "factor"),
+                    pair=_parse_symbol_pair(data, "pair", ("psi", "phi"), "pair"),
+                    expect=dict(expect),
                     tolerance_overrides=_parse_tolerances(data.get("tolerances", {})),
                     depth=_parse_depth(data.get("depth")))
 
@@ -350,19 +370,18 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
         return CheckOutcome("representation", "skipped", residuals,
                             time.perf_counter() - t0)
     frame = build_frame(kernel, run.defect, defect_floor=tol.defect_floor)
-    peeling = peel_members(kernel.basis, frame, tol_membership=tol.membership,
-                           tol_rep=max(tol.representation, 1e-6), depth=run.depth)
-    norms = peeling.source_norms
-    iso = float(np.max(peeling.isometry_gaps / np.maximum(norms ** 2, 1e-300)))
-    rec = float(np.max(peeling.reconstruction_residuals / np.maximum(norms, 1e-300)))
-    inv = peeling.invariance
+    cert = certify_representation(frame, run.depth, tol.membership,
+                                  max(tol.representation, 1e-6))
+    iso, rec, inv = cert.isometry, cert.reconstruction, cert.invariance
     residuals.update({"r": frame.r, "p": frame.p,
                       "vanishing_case": frame.vanishing_case,
                       "case": "vanishing" if frame.vanishing_case else "nonvanishing",
                       "isometry_residual_max": iso,
                       "reconstruction_residual_max": rec,
                       "invariance_residuals": list(inv.residuals),
-                      "depth": run.depth})
+                      "depth": run.depth,
+                      "certificate": {"squarings": cert.squarings,
+                                      "contraction": cert.contraction}})
     ok = (iso <= tol.representation and rec <= tol.representation
           and inv.max_residual <= tol.membership)
     return CheckOutcome("representation", "pass" if ok else "fail",

@@ -84,7 +84,9 @@ def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
     pick = np.zeros((m * N, idx.size), dtype=complex)
     pick[idx, np.arange(idx.size)] = 1.0
     block = apply_block_toeplitz(theta.adjoint(), pick, N - d)  # R^H pick
-    _, _, vh = np.linalg.svd(block, full_matrices=True)
+    # a tall block's thin vh is already square; only a wide one (N < 3d)
+    # needs the full one for its null directions
+    _, _, vh = np.linalg.svd(block, full_matrices=block.shape[0] < block.shape[1])
     basis[idx] = vh[idx.size - m * d:].conj().T
     return basis
 

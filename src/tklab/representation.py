@@ -28,10 +28,17 @@ Reassembly runs the Horner recursion acc <- z (acc + E c_t) + W a_t from the
 top step down.  Its state after step n is the reassembly of the coordinates
 backward-shifted n times, so one pass yields the reconstruction (n = 0) and
 every shifted reassembly the invariance check needs (n = 1..depth).
+
+The representation check does not peel.  ``certify_representation`` takes one
+peeling step on the whole basis of M, which realizes the coordinate space as
+{C (I - zA)^-1 x} with a dim M x dim M matrix A, and certifies convergence,
+reconstruction, isometry and invariance for every member from that step.
+Peeling stays the extraction engine and the oracle of the certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -487,6 +494,141 @@ def check_coordinate_space_invariance(frame: RepresentationFrame,
 def default_depth(N: int) -> int:
     """Each backward shift consumes usable degrees; past N/2 the check degenerates."""
     return min(8, N // 2)
+
+
+# ---------------------------------------------------------------------------
+# realization certificate
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RealizationCertificate:
+    """One peeling step on the basis of M and the bounds it certifies.
+
+    ``A`` (K x K) and ``C`` ((r + p) x K) realize the coordinates of the
+    member Q x: its step-t coefficients are C A^t x.  Every bound holds for
+    every unit member of M.
+    """
+
+    A: np.ndarray
+    C: np.ndarray
+    #: k with ||A^(2^k)||_F = contraction < 1/2
+    squarings: int
+    contraction: float
+    reconstruction: float
+    isometry: float
+    invariance: InvarianceReport
+
+
+def _norm2_hermitian(H: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix."""
+    H = 0.5 * (H + H.conj().T)
+    return float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
+
+
+def certify_representation(frame: RepresentationFrame, depth: int,
+                           tol_membership: float = 1e-6,
+                           tol_rep: float = 1e-8,
+                           max_steps: int | None = None) -> RealizationCertificate:
+    """Certify the representation of all of M from one peeling step on its basis.
+
+    The peeling step of ``peel_members`` is linear: a member F yields its
+    coefficients C F = [a; c] with a = pinv(W(0)) F(0), c = E^H S*(F - W a),
+    and the remainder A F = S*(F - W a) - E c.  Taken once on the whole
+    orthonormal basis Q of M (mN x K) it gives the K x K matrix A_Q = Q^H A Q
+    and C_Q = C Q, and the coordinate space is the realization
+    {C_Q (I - z A_Q)^-1 x}: the member Q x has the coordinate series
+    u_t = C_Q A_Q^t x, whose backward shift is the series of A_Q x, so the
+    space is exactly S*-invariant.  R(x) below is the reassembly
+    sum_t z^t (W a_t + z E c_t) of that series with the truncating shift z of
+    the Horner pass (z^t = 0 for t >= N, so the sum is finite).  Two
+    residuals are measured:
+
+    * P = Q - W a - z(E c + Q A_Q), the one-step residual.  It holds the
+      value-map miss (F(0) outside range W(0)) and z of the near-invariance
+      error A Q - Q A_Q (a defect frame missing directions);
+    * D = I - A_Q^H A_Q - C_Q^H C_Q, the one-step isometry defect.
+
+    Both norms are spectral, from ``eigvalsh`` of K x K Hermitian matrices.
+
+    *Certificate.*  A_Q is squared k times until q = ||A_Q^T||_F < 1/2,
+    T = 2^k; no eigenvalue is trusted, since the computed spectrum of a
+    perturbed shift is a pseudospectral artifact.  From
+    A_Q^H A_Q = I - D - C_Q^H C_Q <= (1 + ||D||) I, ||A_Q^j|| <= c_T =
+    (1 + ||D||)^(T/2) for j < T, and with t = sT + j,
+    ||A_Q^t|| <= ||A_Q^T||^s ||A_Q^j|| <= q^s c_T, so
+
+        sum_t ||A_Q^t|| <= T c_T / (1 - q),  sum_t ||A_Q^t||^2 <= T c_T^2 / (1 - q^2).
+
+    *Reconstruction.*  P is defined so that Q y = W a(y) + z(E c(y) +
+    Q A_Q y) + P y for every y.  Applied to y = A_Q^t x, each identity
+    expands the Q A_Q^(t+1) x of the one before; after N steps the
+    remainder z^N Q A_Q^N x is zero, leaving Q x - R(x) =
+    sum_{t<N} z^t P A_Q^t x.  As ||z|| <= 1,
+    ||Q x - R(x)|| <= ||P|| T c_T / (1 - q) for unit x.
+
+    *Isometry.*  By the definition of D,
+    ||y||^2 = ||C_Q y||^2 + ||A_Q y||^2 + y^H D y.  Summed over
+    y = A_Q^t x, t < T', it telescopes to ||x||^2 - ||A_Q^T' x||^2 -
+    sum_{t<T'} ||u_t||^2 = sum_{t<T'} (A_Q^t x)^H D A_Q^t x; as T' grows
+    A_Q^T' x -> 0, so |||x||^2 - sum_t ||u_t||^2| <= ||D|| T c_T^2 / (1 - q^2)
+    for unit x, the coordinate norm being sum_t ||u_t||^2.
+
+    *Invariance.*  Shifting the coordinates of x back n times gives the
+    series u_{t+n}, the realized coordinates of y = A_Q^n x.  R(y) lies
+    within the reconstruction bound times ||y|| <= (1 + ||D||)^(n/2) of
+    Q y, a member of M, so that is ``invariance.residuals[n - 1]``.
+
+    The bounds hold up to the roundoff of evaluating the certificate itself.
+    Raises ``ValueError`` if a basis column is not a member of M within
+    ``tol_membership``, and ``FrameDeficientError`` if 2^k would pass
+    ``max_steps`` (default max(64 N, 4096), as for peeling) or the
+    reconstruction bound exceeds ``tol_rep``.
+    """
+    M = frame.M
+    m, N = M.m, M.N
+    Q = M.basis
+    member = float(np.max(_row_residuals(M, Q.T), initial=0.0))
+    if member > tol_membership:
+        raise ValueError(f"vector is not a member of the subspace (residual {member:.3e})")
+    if max_steps is None:
+        max_steps = max(64 * N, 4096)
+    W, E = frame.W_matrix, frame.E_matrix
+    a = frame.value_pinv @ Q[:m]
+    V = Q - W @ a
+    SV = backward_shift_flat(V, m)
+    c = E.conj().T @ SV
+    A = Q.conj().T @ (SV - E @ c)
+    Y = E @ c + Q @ A
+    P = V
+    P[m:] -= Y[:-m]
+    C = np.concatenate([a, c], axis=0)
+    d_norm = _norm2_hermitian(np.eye(M.dim) - A.conj().T @ A - C.conj().T @ C)
+    p_norm = math.sqrt(_norm2_hermitian(P.conj().T @ P))
+    power, squarings = A, 0
+    q = float(np.linalg.norm(power))
+    while not q < 0.5:
+        if not np.isfinite(q) or 2 ** (squarings + 1) > max_steps:
+            raise FrameDeficientError(
+                f"one peeling step does not contract within {max_steps} steps "
+                f"(||A^{2 ** squarings}||_F = {q:.3e})")
+        power = power @ power
+        squarings += 1
+        q = float(np.linalg.norm(power))
+    T = 2 ** squarings
+    growth = 1.0 + d_norm  # bounds ||A_Q||^2
+    # c_T = growth^(T/2), capped below overflow: a cap that large fails anyway
+    c_T = math.exp(min(0.5 * T * math.log1p(d_norm), 700.0))
+    recon = p_norm * T * c_T / (1.0 - q)
+    if recon > tol_rep:
+        raise FrameDeficientError(
+            f"frame cannot reconstruct the member (residual {recon:.3e})")
+    return RealizationCertificate(
+        A=A, C=C, squarings=squarings, contraction=q, reconstruction=recon,
+        isometry=d_norm * T * c_T * c_T / (1.0 - q * q),
+        invariance=InvarianceReport(
+            depth=depth, residuals=tuple(recon * growth ** (n / 2)
+                                         for n in range(1, depth + 1))))
 
 
 # ---------------------------------------------------------------------------

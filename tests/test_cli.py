@@ -339,6 +339,89 @@ class TestDepthField:
                    for line in lines)
 
 
+def _bad_fields():
+    """(field, value) pairs that ``parse_scenario`` must refuse.  A value
+    ``"drop F1"`` stands for an object whose symbol F1 is missing."""
+    scalars = st.one_of(st.booleans(), st.integers(), st.floats(), st.text())
+    not_int = st.one_of(st.booleans(), st.floats(), st.text(), st.none(),
+                        st.lists(st.integers(), max_size=2))
+    not_object = st.one_of(scalars, st.lists(st.integers(), max_size=2))
+    return st.one_of(
+        st.tuples(st.sampled_from(["m", "N", "seed"]), not_int),
+        st.tuples(st.just("checks"), st.one_of(
+            scalars, st.none(), st.dictionaries(st.text(max_size=3), st.text(), max_size=2),
+            st.lists(st.one_of(st.integers(), st.none()), min_size=1, max_size=3))),
+        st.tuples(st.just("expect"), st.one_of(not_object, st.none())),
+        st.tuples(st.just("symbol_class"), st.one_of(
+            st.booleans(), st.integers(), st.floats(), st.none(),
+            st.lists(st.text(), max_size=2))),
+        st.tuples(st.just("symbol"), st.one_of(not_object, st.just({}))),
+        st.tuples(st.just("factors"), st.one_of(
+            not_object, st.just({}), st.sampled_from(["drop F1", "drop F2"]))),
+        st.tuples(st.just("pair"), st.one_of(
+            not_object, st.just({}), st.sampled_from(["drop psi", "drop phi"]))))
+
+
+class TestMalformedFields:
+    @given(_bad_fields())
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_field_is_a_parse_error(self, bad):
+        key, value = bad
+        data = json.loads((SCENARIOS / "factored_symbol_defect.json").read_text())
+        F1, F2 = data["factors"]["F1"], data["factors"]["F2"]
+        full = {"factors": {"F1": F1, "F2": F2}, "pair": {"psi": F1, "phi": F2}}
+        if key in full and value in [f"drop {name}" for name in full[key]]:
+            value = {k: v for k, v in full[key].items() if k != value[5:]}
+        data[key] = value
+        with pytest.raises(ScenarioParseError, match=key):
+            parse_scenario(data)
+
+    def test_missing_integer_field(self):
+        data = json.loads((SCENARIOS / "factored_symbol_defect.json").read_text())
+        data.pop("N")
+        with pytest.raises(ScenarioParseError, match="'N'"):
+            parse_scenario(data)
+        data = json.loads((SCENARIOS / "factored_symbol_defect.json").read_text())
+        data.pop("seed")
+        assert parse_scenario(data).seed == 0
+
+    @pytest.mark.parametrize("family", [5, None, "G", {"coeffs": []}])
+    def test_perturbation_families_must_be_lists(self, family):
+        data = json.loads((SCENARIOS / "factored_symbol_defect.json").read_text())
+        data["perturbation"]["G"] = family
+        with pytest.raises(ScenarioParseError, match="perturbation"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("factors", "drop F1"), ("expect", 5), ("checks", "defect_theorem"),
+        ("N", 24.7), ("N", 24.0), ("m", True), ("seed", "0")])
+    def test_cli_exits_2(self, tmp_path, key, value):
+        data = json.loads((SCENARIOS / "factored_symbol_defect.json").read_text())
+        if value == "drop F1":
+            value = {"F2": data["factors"]["F2"]}
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli("run", str(path))
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert "Traceback" not in proc.stderr and key in proc.stderr
+
+    def test_bad_file_fails_alone(self, tmp_path):
+        good = (SCENARIOS / "factored_symbol_defect.json").read_text()
+        bad = json.loads(good)
+        bad["name"] = "spelled"
+        bad["checks"] = "defect_theorem"
+        (tmp_path / "a_bad.json").write_text(json.dumps(bad))
+        (tmp_path / "b_good.json").write_text(good)
+        proc = run_cli("suite", str(tmp_path))
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.split()[:2] == ["factored_symbol_defect", "PASS"] for line in lines)
+        assert any(line.startswith("a_bad") and "ERROR" in line and "checks" in line
+                   for line in lines)
+
+
 class TestInternalErrors:
     @pytest.fixture(params=[RuntimeError("boom"),
                             np.linalg.LinAlgError("SVD did not converge")],

@@ -6,10 +6,10 @@ from tklab.hardy_core import CoeffVec
 from tklab.operators import (ToeplitzCompression, _block_toeplitz,
                              apply_block_toeplitz, brown_halmos_check,
                              build_perturbed, gram_deviation,
-                             orthonormalize_family)
+                             orthonormalize_family, range_complement)
 from tklab.symbols import LaurentMatrixSymbol
 
-from conftest import rand_coeffvec, rand_orthonormal, unit
+from conftest import rand_coeffvec, rand_orthonormal, random_inner, unit
 from test_symbols import random_symbol
 
 
@@ -228,3 +228,39 @@ class TestBrownHalmos:
         right = ToeplitzCompression(C, N).matrix @ ToeplitzCompression(Zs, N).matrix
         w = (N - 1) * m
         assert np.allclose(left[:w, :w], right[:w, :w], atol=1e-12)
+
+
+class TestRangeComplementThinSvd:
+    """``range_complement`` takes the thin SVD of a tall block; the full one
+    stays the reference, and a wide block (N < 3d) still takes it."""
+
+    @staticmethod
+    def full_svd_reference(theta, N):
+        m, d = theta.m, theta.d
+        degrees = np.union1d(np.arange(min(d, N)), np.arange(max(N - d, 0), N))
+        idx = (degrees[:, None] * m + np.arange(m)).ravel()
+        pick = np.zeros((m * N, idx.size), dtype=complex)
+        pick[idx, np.arange(idx.size)] = 1.0
+        block = apply_block_toeplitz(theta.adjoint(), pick, N - d)
+        _, _, vh = np.linalg.svd(block, full_matrices=True)
+        basis = np.zeros((m * N, m * d), dtype=complex)
+        basis[idx] = vh[idx.size - m * d:].conj().T
+        return basis
+
+    @pytest.mark.parametrize("which", ["diag23", "shift3", "mixing2", "mixing3"])
+    @pytest.mark.parametrize("N_of_d", [lambda d: 2 * d + 1, lambda d: 3 * d,
+                                        lambda d: 16, lambda d: 64, lambda d: 129],
+                             ids=["wide", "square-ish", "16", "64", "129"])
+    def test_equals_full_svd(self, which, N_of_d):
+        rng = np.random.default_rng(len(which))
+        theta = {"diag23": lambda: LaurentMatrixSymbol.diagonal([[0, 0, 1.0],
+                                                                 [0, 0, 0, 1.0]]),
+                 "shift3": lambda: LaurentMatrixSymbol.shift(2, 3),
+                 "mixing2": lambda: random_inner(rng, 2, 2),
+                 "mixing3": lambda: random_inner(rng, 3, 3)}[which]()
+        N = max(N_of_d(theta.d), theta.d + 1)
+        got = range_complement(theta, N)
+        ref = self.full_svd_reference(theta, N)
+        assert got.shape == ref.shape == (theta.m * N, theta.m * theta.d)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        assert np.max(np.abs(got.conj().T @ got - np.eye(theta.m * theta.d))) <= 1e-13
