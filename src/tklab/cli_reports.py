@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Tolerances
+from .config import REPRESENTATION_FLOOR, Tolerances
 from .errors import (ScenarioParseError, ScenarioValidationError, TKLabError)
 from .hardy_core import CoeffVec
 from .model_spaces import ModelSpace, _build_model_space
@@ -285,7 +285,7 @@ class ScenarioRun:
             raise ScenarioValidationError(
                 f"defect_theorem is not defined for class {sc.symbol_class!r}")
         # the model space before the operator, as the public Theta* check
-        # orders them: its build never overlaps the action matrix in memory
+        # orders them
         extra = ((self.model_space, tol.range_membership)
                  if sc.symbol_class == "theta_star" else ())
         self.operator.check_orthonormal(tol.ortho)
@@ -370,8 +370,8 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
         return CheckOutcome("representation", "skipped", residuals,
                             time.perf_counter() - t0)
     frame = build_frame(kernel, run.defect, defect_floor=tol.defect_floor)
-    cert = certify_representation(frame, run.depth, tol.membership,
-                                  max(tol.representation, 1e-6))
+    cert = certify_representation(frame, run.depth,
+                                  max(tol.representation, REPRESENTATION_FLOOR))
     iso, rec, inv = cert.isometry, cert.reconstruction, cert.invariance
     residuals.update({"r": frame.r, "p": frame.p,
                       "vanishing_case": frame.vanishing_case,

@@ -50,8 +50,25 @@ DEFAULT_TOLERANCES = Tolerances()
 
 #: roundoff allowed in the coefficient identity sum_k Theta_k^H Theta_{k+j}
 #: = delta_j I that admits a symbol to the structured inner and Theta*
-#: kernel paths; a symbol that is inner only to a series tail stays dense
+#: kernel paths; a symbol that is inner only to a series tail stays dense.
+#: It must stay below SUBSPACE_GRAM_BOUND: the range R = Theta P_{N-d} of
+#: such a symbol is certified orthonormal by this identity alone
 EXACT_INNER_ROUNDOFF = 1e-13
+
+#: max |Q^H Q - I| entry allowed for the basis Q of a ``Subspace``
+SUBSPACE_GRAM_BOUND = 1e-12
+
+#: disagreement, relative to max(1, |image|), allowed between the banded
+#: action of a perturbed operator and its coefficient-level product on a probe
+FUNCTIONAL_FORM_PROBE = 1e-10
+
+#: remainder norm at or below which Gram-Schmidt drops a column when it
+#: builds a representation frame's value directions
+GRAM_SCHMIDT_DROP = 1e-10
+
+#: smallest reconstruction bound the representation check holds a
+#: realization certificate to
+REPRESENTATION_FLOOR = 1e-6
 
 
 def rank_threshold(shape: tuple[int, int], sigma_max: float,

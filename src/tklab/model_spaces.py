@@ -7,16 +7,19 @@ spanned by interior-window generators only, so that boundary-degree
 artifacts never contaminate range membership.  For an exactly inner Theta
 those generators are the orthonormal columns of R = Theta P_{N-d}, the range
 is R itself, and the kernel is solved inside R's md-dimensional complement,
-which contains it; a Theta that is inner only to a series tail gets the
-dense SVD nullspace and the SVD span of R.  Two independent projections
-(kernel-basis and multiply-project-multiply) are cross-checked on every
-build; a disagreement aborts, since silent truncation bugs here would poison
-every downstream defect computation.
+which contains it, from the banded compression; R is certified orthonormal
+by the coefficient identity and formed only when ``range_subspace`` is read.
+A Theta that is inner only to a series tail gets the dense SVD nullspace and
+the SVD span of R.  Two independent projections (kernel-basis and
+multiply-project-multiply) are cross-checked on every build; a disagreement
+aborts, since silent truncation bugs here would poison every downstream
+defect computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +36,13 @@ class ModelSpace:
     theta: LaurentMatrixSymbol
     N: int
     as_subspace: Subspace
-    range_subspace: Subspace
     #: directions of the ambient in neither the model space nor the
     #: interior-window range; they live at boundary degrees
     boundary_dim: int
     inner_deviation: float
+    #: the SVD span of R for a Theta inner only to a series tail; None for an
+    #: exactly inner Theta, whose range is R itself, built on first access
+    range_span: Subspace | None = None
 
     @property
     def m(self) -> int:
@@ -46,6 +51,15 @@ class ModelSpace:
     @property
     def interior(self) -> int:
         return self.N - self.theta.d
+
+    @cached_property
+    def range_subspace(self) -> Subspace:
+        """The interior-window range Theta P_{N-d}, through the ``Subspace``
+        constructor and its Gram check."""
+        if self.range_span is not None:
+            return self.range_span
+        return Subspace(self.m, self.N, shifted_range_matrix(self.theta, self.N), 0.0,
+                        SigmaGap(None, 1.0))
 
 
 def build_model_space(theta: LaurentMatrixSymbol, N: int,
@@ -61,7 +75,21 @@ def _build_model_space(theta: LaurentMatrixSymbol, N: int, check: InnerCheck,
                        tol_rel: float | None = None,
                        cross_check_tol: float = 1e-8) -> ModelSpace:
     """``build_model_space`` for a symbol whose grid verdict ``check`` is
-    already in hand: the analytic, verdict and N > d guards, then the build."""
+    already in hand: the analytic, verdict and N > d guards, then the build.
+
+    For an exactly inner Theta neither R = Theta P_{N-d} nor a dense
+    compression is formed.  R maps P_{N-d} into P_N without truncation
+    (degree < N - d times degree <= d stays below N), so block (s, t) of
+    R^H R is sum_r Theta_{r-s}^H Theta_{r-t} over every r, that is
+    sum_k Theta_k^H Theta_{k+s-t}: R^H R = T_{N-d}(Theta* Theta) exactly, and
+    R^H R - I has the blocks D_{s-t}, D_j = sum_k Theta_k^H Theta_{k+j}
+    - delta_{j0} I, for |s - t| <= min(d, N - d - 1).  So max |R^H R - I|
+    is at most the coefficient deviation max_j max |D_j|
+    (``inner_coefficient_deviation``), which ``is_exactly_inner`` holds to
+    EXACT_INNER_ROUNDOFF, below the ``Subspace`` bound SUBSPACE_GRAM_BOUND:
+    R passes the Gram check without being formed.  Its rank m(N - d) fixes
+    ``boundary_dim``, and ``range_subspace`` builds R only when read.
+    """
     if not theta.is_analytic():
         raise NotInnerError("model spaces need an analytic symbol")
     if not check.ok:
@@ -70,23 +98,25 @@ def _build_model_space(theta: LaurentMatrixSymbol, N: int, check: InnerCheck,
     m, d = theta.m, theta.d
     if N <= d:
         raise NotInnerError(f"truncation N={N} must exceed the symbol degree {d}")
-    comp = ToeplitzCompression(theta.adjoint(), N).matrix
-    R = shifted_range_matrix(theta, N)
-    model = None
+    comp = ToeplitzCompression(theta.adjoint(), N)
+    model, rng = None, None
     if is_exactly_inner(theta):
         # R has orthonormal columns and the model space ker C^H lies in R^perp
         # (the Theta* case of kernel_of with no bump)
-        rng = Subspace(m, N, R, 0.0, SigmaGap(None, 1.0))
-        model = nullspace_within(comp, range_complement(theta, N), (m, N),
+        Z = range_complement(theta, N)
+        model = nullspace_within(comp.apply_action(Z), Z, (m, N), comp.action_shape,
+                                 float(np.max(comp.action_column_norms())),
                                  theta.coefficient_l1_norm(), 1.0, tol_rel=tol_rel)
+        range_dim = m * (N - d)
     else:
-        rng = column_span(R, (m, N), tol_rel=tol_rel)
+        rng = column_span(shifted_range_matrix(theta, N), (m, N), tol_rel=tol_rel)
+        range_dim = rng.dim
     if model is None:
-        model = nullspace(comp, (m, N), tol_rel=tol_rel)
+        model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
 
-    boundary = m * N - model.dim - rng.dim
-    ms = ModelSpace(theta=theta, N=N, as_subspace=model, range_subspace=rng,
-                    boundary_dim=boundary, inner_deviation=check.max_deviation)
+    ms = ModelSpace(theta=theta, N=N, as_subspace=model,
+                    boundary_dim=m * N - model.dim - range_dim,
+                    inner_deviation=check.max_deviation, range_span=rng)
     _cross_check_projections(ms, cross_check_tol)
     return ms
 

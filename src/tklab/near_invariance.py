@@ -57,17 +57,18 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
               ) -> KernelResult:
     """Polynomial kernel of the perturbed operator.
 
-    Uses the exact-action (overflow-row) matrix so that top-degree monomials
+    Uses the exact action (with overflow rows) so that top-degree monomials
     flushed past the truncation window cannot masquerade as kernel vectors.
     For an exactly inner symbol, the adjoint of one, or a symbol F1* F2 with
     the invertible analytic ``factors`` given, the kernel is solved inside
-    a candidate space of dimension at most n + md (``nullspace_within``);
-    everything else, and any structured solve whose certified gap cannot
-    settle the rank, takes the dense SVD of the whole action matrix.  Every
-    basis vector is audited against 10x the singular-value cut.
+    a candidate space of dimension at most n + md (``nullspace_within``),
+    and A Z, A's column norms and the audit A K come from the operator's
+    coefficients without a dense matrix.  Everything else, and any
+    structured solve whose certified gap cannot settle the rank, takes the
+    dense SVD of the whole action matrix and audits with it.  Every basis
+    vector is audited against 10x the singular-value cut.
     """
     candidates = _kernel_candidates(T, factors)
-    action = T.action_matrix()
     ker, method, series = None, "dense", None
     if candidates is not None:
         method, series = candidates.method, candidates.series
@@ -75,12 +76,17 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
         # |H G^H|_2 from the n x n Grams of the families
         bump = np.sqrt(_gram_norm(G) * _gram_norm(H))
         alpha = T.base.symbol.coefficient_l1_norm() + bump
-        ker = nullspace_within(action, candidates.Z, (T.m, T.N), alpha,
-                               candidates.L_norm, tol_rel=tol_rel)
+        ker = nullspace_within(T.apply_action(candidates.Z), candidates.Z, (T.m, T.N),
+                               T.action_shape, float(np.max(T.action_column_norms())),
+                               alpha, candidates.L_norm, tol_rel=tol_rel)
     if ker is None:
         method = "dense"
+        action = T.action_matrix()
         ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel)
-    norms = np.linalg.norm(action @ ker.basis, axis=0)
+        image = action @ ker.basis
+    else:
+        image = T.apply_action(ker.basis)
+    norms = np.linalg.norm(image, axis=0)
     resid = float(np.max(norms, initial=0.0))
     violations = int(np.sum(norms > 10.0 * max(ker.tol, np.finfo(float).eps)))
     return KernelResult(subspace=ker, residual_max=resid, sigma_cut=ker.tol,

@@ -7,17 +7,24 @@ that window so callers can restrict their assertions to it.
 
 For kernel work the square compression is the wrong object when the symbol
 has positive powers: top-degree monomials get flushed past the window and
-masquerade as kernel vectors.  The rectangular `action_matrix` keeps those
+masquerade as kernel vectors.  The rectangular exact action keeps those
 overflow rows, so its nullspace consists of genuine polynomial kernel
-elements only.  `PerturbedToeplitz` assembles that action once, with the
-bump H G^H added as one product; its square matrix is the first mN rows.
-`gram_deviation` and `orthonormalize_family` are the CoeffVec-family forms
-of the subspaces module's Gram check and Gram-Schmidt.
+elements only.
 
-`apply_block_toeplitz` applies a compression without forming it.  For an
-exactly inner Theta, `shifted_range_matrix` (Theta on degrees below N - d)
-is an isometry and `range_complement` gives its md-dimensional orthogonal
-complement; the structured kernel and model-space paths are built on them.
+Operators are held by their coefficients.  A ``ToeplitzCompression`` is its
+symbol and N, and a ``PerturbedToeplitz`` adds the families G and H of the
+bump H G^H.  ``apply_block_toeplitz`` applies a compression without forming
+it, as one matmul over a sliding window of the coefficient stack, and the
+bump is applied as H (G^H X); column norms of the exact action come from the
+coefficients too.  A dense matrix (``matrix``, ``action_matrix()``) is built
+only when a caller asks for one, and then cached.  ``gram_deviation`` and
+``orthonormalize_family`` are the CoeffVec-family forms of the subspaces
+module's Gram check and Gram-Schmidt.
+
+For an exactly inner Theta, `shifted_range_matrix` (Theta on degrees below
+N - d) is an isometry and `range_complement` gives its md-dimensional
+orthogonal complement; the structured kernel and model-space paths are built
+on the complement.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from .config import FUNCTIONAL_FORM_PROBE
 from .errors import DimensionMismatch, OrthonormalityError
 from .hardy_core import CoeffVec, column_vectors, flat_columns, inner_product
 from .subspaces import column_gram_deviation, gram_schmidt
@@ -45,17 +54,32 @@ def apply_block_toeplitz(symbol: LaurentMatrixSymbol, X: np.ndarray,
                          rows: int) -> np.ndarray:
     """_block_toeplitz(symbol, rows, cols) @ X without forming the matrix.
 
-    X holds flat degree-major columns of cols = len(X) / m degrees; one
-    product per Fourier power.
+    X holds flat degree-major columns of cols = len(X) / m degrees.  Output
+    block r is sum_k Phi_k X_{r-k} over the powers lo..hi that reach from
+    [0, cols) into [0, rows).  With those P coefficients laid side by side
+    in descending order as one m x Pm row, that is the row times the window
+    of P blocks of X, zero-padded, that starts at degree r - hi: one matmul
+    over a sliding window serves every power and every r.
     """
-    m = symbol.m
-    blocks = X.reshape(X.shape[0] // m, m, X.shape[1])
-    out = np.zeros((rows, m, X.shape[1]), dtype=complex)
-    for k in symbol.powers():
-        lo, hi = max(0, -k), min(blocks.shape[0], rows - k)
-        if lo < hi:
-            out[lo + k:hi + k] += symbol.fourier(k) @ blocks[lo:hi]
-    return out.reshape(rows * m, X.shape[1])
+    m, k = symbol.m, X.shape[1]
+    cols = X.shape[0] // m
+    powers = symbol.powers()
+    lo = max(powers[0], 1 - cols) if powers else 0
+    hi = min(powers[-1], rows - 1) if powers else -1
+    if lo > hi or not k:
+        return np.zeros((rows * m, k), dtype=complex)
+    P = hi - lo + 1
+    row = symbol.coefficient_stack(lo, hi)[::-1].transpose(1, 0, 2).reshape(m, P * m)
+    # padded block j holds degree j - hi of X
+    padded = np.zeros(((rows + P - 1) * m, k), dtype=complex)
+    t0, t1 = max(0, -hi), min(cols, rows - lo)
+    if t0 < t1:
+        padded[(t0 + hi) * m:(t1 + hi) * m] = X[t0 * m:t1 * m]
+    # window r: the P * m flat rows from block r on, a read-only strided view
+    step = padded.strides[0]
+    windows = as_strided(padded, (rows, P * m, k), (m * step, step, padded.strides[1]),
+                         writeable=False)
+    return np.matmul(row, windows).reshape(rows * m, k)
 
 
 def shifted_range_matrix(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
@@ -92,7 +116,11 @@ def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
 
 
 class ToeplitzCompression:
-    """Compression of multiplication-then-project by a symbol to degrees [0, N)."""
+    """Compression of multiplication-then-project by a symbol to degrees [0, N).
+
+    Held by its symbol: ``apply`` and ``apply_action`` are banded, and the
+    dense ``matrix`` is built on first access only.
+    """
 
     __slots__ = ("_symbol", "_N", "_matrix")
 
@@ -102,9 +130,7 @@ class ToeplitzCompression:
                 f"truncation N={N} must exceed the symbol bandwidth d={symbol.d}")
         self._symbol = symbol
         self._N = int(N)
-        mat = _block_toeplitz(symbol, N, N)
-        mat.setflags(write=False)
-        self._matrix = mat
+        self._matrix = None
 
     @property
     def symbol(self) -> LaurentMatrixSymbol:
@@ -120,6 +146,11 @@ class ToeplitzCompression:
 
     @property
     def matrix(self) -> np.ndarray:
+        """The dense mN x mN compression (read-only), built on first access."""
+        if self._matrix is None:
+            mat = _block_toeplitz(self._symbol, self._N, self._N)
+            mat.setflags(write=False)
+            self._matrix = mat
         return self._matrix
 
     @property
@@ -130,7 +161,13 @@ class ToeplitzCompression:
     def apply(self, F: CoeffVec) -> CoeffVec:
         if F.shape != (self.m, self._N):
             raise DimensionMismatch(f"operand shape {F.shape} != ({self.m}, {self._N})")
-        return CoeffVec.from_flat(self._matrix @ F.flatten(), self.m, self._N)
+        out = apply_block_toeplitz(self._symbol, F.flatten()[:, None], self._N)
+        return CoeffVec.from_flat(out[:, 0], self.m, self._N)
+
+    @property
+    def action_shape(self) -> tuple[int, int]:
+        """Shape of ``action_matrix``: m(N + d_pos) x mN."""
+        return self.m * (self._N + self._symbol.d_pos), self.m * self._N
 
     def action_matrix(self) -> np.ndarray:
         """Exact polynomial action: rows extended to degrees [0, N + d_pos).
@@ -140,6 +177,26 @@ class ToeplitzCompression:
         artifacts.
         """
         return _block_toeplitz(self._symbol, self._N + self._symbol.d_pos, self._N)
+
+    def apply_action(self, X: np.ndarray) -> np.ndarray:
+        """``action_matrix() @ X`` for flat mN x k columns, banded."""
+        return apply_block_toeplitz(self._symbol, X, self._N + self._symbol.d_pos)
+
+    def action_column_norms(self) -> np.ndarray:
+        """Norm of every column of ``action_matrix()``, from the coefficients.
+
+        Column j = (degree t, component i) holds Phi_k e_i at degree t + k
+        for every power k >= -t, and t + k < N + d_pos always, so
+        |B e_j|^2 = sum_{k >= -t} |Phi_k e_i|^2: suffix sums over the
+        powers -d..d, read at the power -t.
+        """
+        m, N, d = self.m, self._N, self._symbol.d
+        stack = self._symbol.coefficient_stack(-d, d)
+        col_sq = np.sum(stack.real ** 2 + stack.imag ** 2, axis=1)  # (2d + 1, m)
+        suffix = np.zeros((2 * d + 2, m))
+        suffix[:-1] = np.cumsum(col_sq[::-1], axis=0)[::-1]
+        # power -t sits at index d - t, clipped to the bottom power -d
+        return np.sqrt(suffix[np.maximum(d - np.arange(N), 0)].reshape(m * N))
 
     def __repr__(self) -> str:
         return f"ToeplitzCompression(m={self.m}, N={self._N}, d={self._symbol.d})"
@@ -162,11 +219,12 @@ def orthonormalize_family(vectors: list[CoeffVec], drop_tol: float = 1e-12) -> l
 
 
 class PerturbedToeplitz:
-    """T = compression(Phi) + sum_i <., G_i> H_i as a dense matrix plus data.
+    """T = compression(Phi) + sum_i <., G_i> H_i, held as (symbol, G, H).
 
-    The bump H G^H is added once, as one product, onto the base's exact
-    polynomial action; ``action_matrix`` is that array and ``matrix``, the
-    square compression, is its first mN rows.
+    The exact polynomial action A = B + H G^H (B the base's action, the bump
+    on its first mN rows) is applied banded by ``apply_action``.  The dense
+    ``action_matrix()`` and ``matrix``, the square compression and its first
+    mN rows, are built on first request and cached.
     """
 
     __slots__ = ("_base", "_G", "_H", "_G_matrix", "_H_matrix", "_action")
@@ -186,25 +244,28 @@ class PerturbedToeplitz:
         self._H_matrix = flat_columns(self._H, base.m * base.N)
         for mat in (self._G_matrix, self._H_matrix):
             mat.setflags(write=False)
+        self._action = None
         if require_orthonormal:
             self.check_orthonormal(tol_ortho)
-        action = base.action_matrix()
-        action[:base.m * base.N] += self._H_matrix @ self._G_matrix.conj().T
-        action.setflags(write=False)
-        self._action = action
         self._verify_functional_form()
 
     def _verify_functional_form(self) -> None:
-        # matrix and functional forms must agree on a probe; a fixed seed
-        # keeps construction deterministic
+        # the banded action and the coefficient-level product Phi * F plus the
+        # bump must agree on a probe; a fixed seed keeps construction
+        # deterministic
         rng = np.random.default_rng(0)
         probe = CoeffVec((rng.standard_normal((self.m, self.N))
                           + 1j * rng.standard_normal((self.m, self.N))))
-        direct = self.apply(probe).flatten()
-        via_matrix = self.matrix @ probe.flatten()
-        scale = max(1.0, float(np.linalg.norm(via_matrix)))
-        if np.linalg.norm(direct - via_matrix) > 1e-10 * scale:
-            raise AssertionError("matrix and functional forms disagree")
+        banded = self.apply_action(probe.flatten()[:, None])[:, 0]
+        bump = CoeffVec.zeros(self.m, self.N)
+        for g, h in zip(self._G, self._H):
+            bump = bump + inner_product(probe, g) * h
+        rows = banded.size // self.m
+        via_symbol = self._base.symbol.act(probe).analytic_part().resized(rows).flatten()
+        via_symbol[:bump.m * bump.N] += bump.flatten()
+        scale = max(1.0, float(np.linalg.norm(via_symbol)))
+        if np.linalg.norm(banded - via_symbol) > FUNCTIONAL_FORM_PROBE * scale:
+            raise AssertionError("banded and functional forms disagree")
 
     def check_orthonormal(self, tol_ortho: float) -> None:
         """Raise ``OrthonormalityError`` unless G and H are orthonormal families."""
@@ -251,17 +312,55 @@ class PerturbedToeplitz:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The square compression with the bump, mN x mN."""
-        return self._action[:self.m * self.N]
+        """The square compression with the bump, mN x mN (read-only)."""
+        return self.action_matrix()[:self.m * self.N]
 
     def apply(self, F: CoeffVec) -> CoeffVec:
-        out = self._base.apply(F)
-        for g, h in zip(self._G, self._H):
-            out = out + inner_product(F, g) * h
+        if F.shape != (self.m, self.N):
+            raise DimensionMismatch(f"operand shape {F.shape} != ({self.m}, {self.N})")
+        out = self.apply_action(F.flatten()[:, None])[:self.m * self.N, 0]
+        return CoeffVec.from_flat(out, self.m, self.N)
+
+    @property
+    def action_shape(self) -> tuple[int, int]:
+        """Shape of ``action_matrix()``: m(N + d_pos) x mN."""
+        return self._base.action_shape
+
+    def apply_action(self, X: np.ndarray) -> np.ndarray:
+        """``action_matrix() @ X`` for flat mN x k columns: the banded base
+        action plus H (G^H X) on the first mN rows."""
+        out = self._base.apply_action(X)
+        if self.rank:
+            out[:self.m * self.N] += self._H_matrix @ (self._G_matrix.conj().T @ X)
         return out
 
+    def action_column_norms(self) -> np.ndarray:
+        """Norm of every column of ``action_matrix()``, from the coefficients.
+
+        With g_j the j-th row of conj(G), A e_j = B e_j + H g_j, so
+        |A e_j|^2 = |B e_j|^2 + 2 Re((B^H H)_j g_j) + g_j^H (H^H H) g_j.
+        |B e_j| is the base's coefficient form, and B^H H is the compression
+        of Phi* applied to H zero-padded to the action's N + d_pos degrees.
+        """
+        norms_sq = self._base.action_column_norms() ** 2
+        if self.rank:
+            G, H = self._G_matrix, self._H_matrix
+            padded = np.zeros((self.action_shape[0], self.rank), dtype=complex)
+            padded[:H.shape[0]] = H
+            BhH = apply_block_toeplitz(self._base.symbol.adjoint(), padded, self.N)
+            Gbar = G.conj()
+            norms_sq = (norms_sq + 2.0 * np.sum(BhH * Gbar, axis=1).real
+                        + np.sum((G @ (H.conj().T @ H)) * Gbar, axis=1).real)
+        return np.sqrt(np.maximum(norms_sq, 0.0))
+
     def action_matrix(self) -> np.ndarray:
-        """Exact polynomial action with perturbation rows embedded (read-only)."""
+        """Exact polynomial action with perturbation rows embedded (read-only),
+        built on first request."""
+        if self._action is None:
+            action = self._base.action_matrix()
+            action[:self.m * self.N] += self._H_matrix @ self._G_matrix.conj().T
+            action.setflags(write=False)
+            self._action = action
         return self._action
 
     def __repr__(self) -> str:

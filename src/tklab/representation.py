@@ -45,6 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import GRAM_SCHMIDT_DROP
 from .errors import DimensionMismatch, FrameDeficientError
 from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
                          eval_at_zero, flat_columns, inner_product,
@@ -133,7 +134,7 @@ def build_frame(M: Subspace, defect: Subspace | DefectReport,
     off_slice = M.basis
     if zslice.dim:
         off_slice = M.basis - zslice.project_flat(M.basis)
-    W, _ = gram_schmidt(off_slice, 1e-10)
+    W, _ = gram_schmidt(off_slice, GRAM_SCHMIDT_DROP)
     if W.shape[1]:
         svals = np.linalg.svd(W[:M.m], compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
@@ -527,7 +528,6 @@ def _norm2_hermitian(H: np.ndarray) -> float:
 
 
 def certify_representation(frame: RepresentationFrame, depth: int,
-                           tol_membership: float = 1e-6,
                            tol_rep: float = 1e-8,
                            max_steps: int | None = None) -> RealizationCertificate:
     """Certify the representation of all of M from one peeling step on its basis.
@@ -579,18 +579,21 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     within the reconstruction bound times ||y|| <= (1 + ||D||)^(n/2) of
     Q y, a member of M, so that is ``invariance.residuals[n - 1]``.
 
+    *Membership.*  The basis columns need no membership test: with
+    E = Q^H Q - I and delta = max |E_ij| <= SUBSPACE_GRAM_BOUND (the
+    ``Subspace`` constructor's check), q_i - Q Q^H q_i = -Q E e_i, and
+    |Q|_2^2 = |I + E|_2 <= 1 + |E|_F <= 1 + K delta and
+    |E e_i| <= sqrt(K) delta, so |q_i - Q Q^H q_i| <= sqrt(1 + K delta)
+    sqrt(K) delta: about 2.3e-11 at K = 509.
+
     The bounds hold up to the roundoff of evaluating the certificate itself.
-    Raises ``ValueError`` if a basis column is not a member of M within
-    ``tol_membership``, and ``FrameDeficientError`` if 2^k would pass
-    ``max_steps`` (default max(64 N, 4096), as for peeling) or the
-    reconstruction bound exceeds ``tol_rep``.
+    Raises ``FrameDeficientError`` if 2^k would pass ``max_steps`` (default
+    max(64 N, 4096), as for peeling) or the reconstruction bound exceeds
+    ``tol_rep``.
     """
     M = frame.M
     m, N = M.m, M.N
     Q = M.basis
-    member = float(np.max(_row_residuals(M, Q.T), initial=0.0))
-    if member > tol_membership:
-        raise ValueError(f"vector is not a member of the subspace (residual {member:.3e})")
     if max_steps is None:
         max_steps = max(64 * N, 4096)
     W, E = frame.W_matrix, frame.E_matrix
@@ -725,7 +728,8 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
         formula_resid = max(formula_resid, (Fi - closed).norm())
         projections.append(Fi)
     # Gram-Schmidt in index order, dropping dependent columns in place
-    W_mat, C = gram_schmidt(np.asfortranarray(flat_columns(projections, m * N)), 1e-10)
+    W_mat, C = gram_schmidt(np.asfortranarray(flat_columns(projections, m * N)),
+                            GRAM_SCHMIDT_DROP)
     W = tuple(column_vectors(W_mat, m, N))
     r = len(W)
     frame = RepresentationFrame(M=M, W=W, E=(G,),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import rank_threshold
+from .config import SUBSPACE_GRAM_BOUND, rank_threshold
 from .errors import ContainmentError, DimensionMismatch
 from .hardy_core import CoeffVec, column_vectors
 
@@ -70,8 +70,9 @@ class Subspace:
                 f"basis shape {basis.shape} does not match ambient {m}*{N}")
         if basis.shape[1] > m * N:
             raise DimensionMismatch("more basis vectors than ambient dimensions")
-        if column_gram_deviation(basis) > 1e-12:
-            raise ValueError("basis columns are not orthonormal within 1e-12")
+        if column_gram_deviation(basis) > SUBSPACE_GRAM_BOUND:
+            raise ValueError(
+                f"basis columns are not orthonormal within {SUBSPACE_GRAM_BOUND:g}")
         basis = basis.copy()
         basis.setflags(write=False)
         self._m, self._N = int(m), int(N)
@@ -189,10 +190,14 @@ def _relative_cut(shape: tuple[int, int], s: np.ndarray, tol_rel: float | None,
     return thresh, int(np.sum(s > thresh))
 
 
-def nullspace_within(A: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
-                     alpha: float, L_norm: float,
-                     tol_rel: float | None = None) -> Subspace | None:
+def nullspace_within(AZ: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
+                     A_shape: tuple[int, int], A_column_max: float, alpha: float,
+                     L_norm: float, tol_rel: float | None = None) -> Subspace | None:
     """Kernel of A inside a candidate space Z known to contain it.
+
+    A itself is never read: the caller passes the product ``AZ`` = A Z, A's
+    shape ``A_shape`` and its largest column norm ``A_column_max``, which a
+    structured operator gets from its coefficients.
 
     Write A = B + Hp G^H and suppose a map L and a subspace Z0 satisfy
     L B F - F in Z0 for every F.  A kernel vector has B F = -Hp G^H F, so
@@ -202,7 +207,7 @@ def nullspace_within(A: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
     orthonormal basis of any space containing that Z; the kernel is
     Z null(A Z), from the SVD of a rows x dim Z matrix instead of rows x mN.
 
-    The cut is rank_threshold(A.shape, alpha, tol_rel) with ``alpha`` a
+    The cut is rank_threshold(A_shape, alpha, tol_rel) with ``alpha`` a
     certified upper bound on |A|_2, never A Z's own largest singular value.
     The zero side of the reported gap is the largest singular value of A Z
     at or below the cut, which is no smaller than the matching singular
@@ -212,16 +217,15 @@ def nullspace_within(A: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
     when none is kept): write F = z + e with z in Z minus the kernel and
     |e| <= |L| |A F|; then sigma_Z (1 - |L| |A F|) <= |A z|
     <= (1 + alpha |L|) |A F|.  Less the dense SVD's own backward error
-    max(A.shape) eps alpha, it never reads cleaner than the dense gap.  The
+    max(A_shape) eps alpha, it never reads cleaner than the dense gap.  The
     dense SVD cuts at a level between rank_threshold at a lower bound of
-    |A|_2 and the cut above; when the signal bound does not clear the upper
-    cut, or the zero side does not stay below the lower one, the two
-    decisions could differ and None is returned: the caller runs the dense
-    ``nullspace``.
+    |A|_2 (A Z's largest singular value or A's largest column norm) and the
+    cut above; when the signal bound does not clear the upper cut, or the
+    zero side does not stay below the lower one, the two decisions could
+    differ and None is returned: the caller runs the dense ``nullspace``.
     """
     m, N = shape
-    thresh = rank_threshold(A.shape, alpha, tol_rel)
-    AZ = A @ Z
+    thresh = rank_threshold(A_shape, alpha, tol_rel)
     if Z.shape[1]:
         _, s, vh = np.linalg.svd(AZ, full_matrices=False)
     else:
@@ -232,12 +236,11 @@ def nullspace_within(A: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
         signal = sigma / (1.0 + L_norm * (alpha + sigma))
     else:
         signal = 1.0 / L_norm
-    signal -= max(A.shape) * np.finfo(float).eps * alpha
+    signal -= max(A_shape) * np.finfo(float).eps * alpha
     zero = float(s[rank]) if rank < s.size else None
-    # |A|_2 is at least A Z's largest singular value and A's largest column
-    lower = max(float(s[0]) if s.size else 0.0, float(np.max(column_norms(A))))
+    lower = max(float(s[0]) if s.size else 0.0, float(A_column_max))
     if signal <= thresh or (zero is not None
-                            and zero > rank_threshold(A.shape, lower, tol_rel)):
+                            and zero > rank_threshold(A_shape, lower, tol_rel)):
         return None
     return Subspace(m, N, Z @ vh[rank:].conj().T, thresh, SigmaGap(zero, signal))
 

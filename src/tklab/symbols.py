@@ -18,32 +18,76 @@ from .errors import CircleRootError, DimensionMismatch, NotInvertibleError
 from .hardy_core import CoeffVec, LaurentVec
 
 
-class LaurentMatrixSymbol:
-    """Phi(z) = sum_{k in [-d, d]} Phi_k z^k with Phi_k in C^{m x m}.
+def _coefficient_stack(m: int, keys: list, values: list) -> np.ndarray:
+    """The coefficient matrices as one finite complex (P, m, m) array.
 
-    Coefficients are stored sparsely by Fourier index; exactly-zero matrices
-    are dropped so that the bandwidth d reflects actual content.  Instances
-    are immutable.
+    One finiteness test covers the whole stack.  The errors name the first
+    offending power in the order given; a coefficient that is not m x m
+    sends the stack through the per-power checks to find it.
     """
-
-    __slots__ = ("_m", "_terms")
-
-    def __init__(self, m: int, terms):
-        if m < 1:
-            raise DimensionMismatch(f"matrix size must be positive, got {m}")
-        self._m = int(m)
-        cleaned: dict[int, np.ndarray] = {}
-        for k, mat in dict(terms).items():
+    if not values:
+        return np.zeros((0, m, m), dtype=complex)
+    try:
+        stack = np.array(values, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.shape != (len(values), m, m):
+        mats = []
+        for k, mat in zip(keys, values):
             arr = np.array(mat, dtype=complex)
             if arr.shape != (m, m):
                 raise DimensionMismatch(
                     f"coefficient at power {k} has shape {arr.shape}, expected ({m}, {m})")
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"coefficient at power {k} is not finite")
-            if np.any(arr != 0):
-                arr.setflags(write=False)
-                cleaned[int(k)] = arr
-        self._terms = cleaned
+            mats.append(arr)
+        stack = np.stack(mats)
+    finite = np.isfinite(stack).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        bad = keys[int(np.argmin(finite))]
+        raise ValueError(f"coefficient at power {bad} is not finite")
+    return stack
+
+
+class LaurentMatrixSymbol:
+    """Phi(z) = sum_{k in [-d, d]} Phi_k z^k with Phi_k in C^{m x m}.
+
+    Coefficients are stored sparsely by Fourier index; exactly-zero matrices
+    are dropped so that the bandwidth d reflects actual content.  They are
+    validated and held as one read-only (P, m, m) stack in ascending power
+    order.  Instances are immutable.
+    """
+
+    __slots__ = ("_m", "_terms", "_powers", "_stack")
+
+    def __init__(self, m: int, terms):
+        if m < 1:
+            raise DimensionMismatch(f"matrix size must be positive, got {m}")
+        terms = dict(terms)
+        keys = [int(k) for k in terms]
+        stack = _coefficient_stack(int(m), list(terms), list(terms.values()))
+        nonzero = stack.reshape(len(keys), m * m).any(axis=1)
+        # a later duplicate power replaces an earlier one unless it is zero
+        index = {k: i for i, k in enumerate(keys) if nonzero[i]}
+        powers = sorted(index)
+        self._init(int(m), powers, stack[[index[k] for k in powers]])
+
+    def _init(self, m: int, powers: list[int], stack: np.ndarray) -> None:
+        """Set the fields from ascending powers and their nonzero, finite
+        (P, m, m) coefficient stack."""
+        stack.setflags(write=False)
+        self._m = m
+        self._powers = powers
+        self._stack = stack
+        self._terms = dict(zip(powers, stack))
+
+    @classmethod
+    def _from_stack(cls, m: int, powers: list[int],
+                    stack: np.ndarray) -> "LaurentMatrixSymbol":
+        """A symbol from coefficients already validated by another instance."""
+        out = cls.__new__(cls)
+        out._init(m, powers, np.ascontiguousarray(stack))
+        return out
 
     @property
     def m(self) -> int:
@@ -52,20 +96,31 @@ class LaurentMatrixSymbol:
     @property
     def d(self) -> int:
         """Bandwidth: max |k| over nonzero Fourier coefficients."""
-        return max((abs(k) for k in self._terms), default=0)
+        return max(-self._powers[0], self._powers[-1]) if self._powers else 0
 
     @property
     def d_pos(self) -> int:
-        return max((k for k in self._terms if k > 0), default=0)
+        return max(self._powers[-1], 0) if self._powers else 0
 
     def powers(self) -> list[int]:
-        return sorted(self._terms)
+        return list(self._powers)
 
     def fourier(self, k: int) -> np.ndarray:
         mat = self._terms.get(int(k))
         if mat is None:
             return np.zeros((self._m, self._m), dtype=complex)
         return mat.copy()
+
+    def coefficient_stack(self, lo: int, hi: int) -> np.ndarray:
+        """Phi_lo, ..., Phi_hi as a (hi - lo + 1, m, m) array, zeros included."""
+        powers = self._powers
+        if powers and (powers[0], powers[-1], len(powers)) == (lo, hi, hi - lo + 1):
+            return self._stack  # read-only
+        out = np.zeros((max(hi - lo + 1, 0), self._m, self._m), dtype=complex)
+        powers = np.asarray(powers, dtype=np.int64)
+        keep = (powers >= lo) & (powers <= hi)
+        out[powers[keep] - lo] = self._stack[keep]
+        return out
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -125,8 +180,9 @@ class LaurentMatrixSymbol:
 
     def adjoint(self) -> "LaurentMatrixSymbol":
         """Pointwise conjugate transpose on the circle: (Phi*)_k = (Phi_{-k})^H."""
-        return LaurentMatrixSymbol(
-            self._m, {-k: mat.conj().T for k, mat in self._terms.items()})
+        return LaurentMatrixSymbol._from_stack(
+            self._m, [-k for k in reversed(self._powers)],
+            self._stack[::-1].conj().transpose(0, 2, 1))
 
     def scale(self, scalar: complex) -> "LaurentMatrixSymbol":
         return LaurentMatrixSymbol(
@@ -155,10 +211,9 @@ class LaurentMatrixSymbol:
     def coefficient_l1_norm(self) -> float:
         """Sum of the coefficients' spectral norms: a bound on the operator
         norm of every compression and exact action of the symbol."""
-        if not self._terms:
+        if not self._powers:
             return 0.0
-        return float(np.sum(np.linalg.norm(np.stack(list(self._terms.values())), 2,
-                                           axis=(1, 2))))
+        return float(np.sum(np.linalg.norm(self._stack, 2, axis=(1, 2))))
 
     # ---- actions ----
 
@@ -250,10 +305,14 @@ def is_exactly_inner(theta: LaurentMatrixSymbol) -> bool:
     """
     if not theta.is_analytic():
         return False
+    return inner_coefficient_deviation(theta) <= EXACT_INNER_ROUNDOFF
+
+
+def inner_coefficient_deviation(theta: LaurentMatrixSymbol) -> float:
+    """max_j max |D_j| over the entries of D_j = sum_k Theta_k^H Theta_{k+j}
+    - delta_j I, the coefficients of Theta* Theta - I."""
     dev = theta.adjoint().multiply(theta) - LaurentMatrixSymbol.identity(theta.m)
-    worst = max((float(np.max(np.abs(dev.fourier(k)))) for k in dev.powers()),
-                default=0.0)
-    return worst <= EXACT_INNER_ROUNDOFF
+    return float(np.max(np.abs(dev.coefficient_stack(-dev.d, dev.d))))
 
 
 def closed_disk_grid(radial: int = 8, angular: int = 64) -> np.ndarray:

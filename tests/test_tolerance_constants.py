@@ -1,0 +1,42 @@
+"""The named tolerances and the proofs that lean on them."""
+
+import math
+
+import numpy as np
+import pytest
+
+from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario)
+from tklab.config import EXACT_INNER_ROUNDOFF, SUBSPACE_GRAM_BOUND, Tolerances
+from tklab.representation import _row_residuals
+from tklab.subspaces import Subspace
+
+REPRESENTATION = [p for p in sorted(bundled_scenario_dir().glob("*.json"))
+                  if "representation" in load_scenario(p).checks]
+
+
+def test_exact_inner_roundoff_is_below_the_subspace_gram_bound():
+    # an exactly inner range is certified orthonormal by its coefficient
+    # identity instead of a Gram check, which needs this order
+    assert EXACT_INNER_ROUNDOFF < SUBSPACE_GRAM_BOUND
+
+
+def test_subspace_rejects_a_basis_past_the_gram_bound():
+    basis = np.eye(4, 2, dtype=complex)
+    basis[0, 0] += 4 * SUBSPACE_GRAM_BOUND
+    with pytest.raises(ValueError, match="not orthonormal within 1e-12"):
+        Subspace(2, 2, basis, 0.0)
+
+
+def _membership_bound(K: int) -> float:
+    """The certificate's bound on |q_i - Q Q^H q_i| for a K-column basis."""
+    delta = SUBSPACE_GRAM_BOUND
+    return math.sqrt(1.0 + K * delta) * math.sqrt(K) * delta
+
+
+@pytest.mark.parametrize("path", REPRESENTATION, ids=lambda p: p.stem)
+def test_kernel_basis_membership_stays_under_the_proved_bound(path):
+    # the residual the representation certificate no longer measures
+    run = ScenarioRun.validated(load_scenario(path), Tolerances())
+    M = run.kernel.subspace
+    member = float(np.max(_row_residuals(M, M.basis.T), initial=0.0))
+    assert member <= _membership_bound(M.dim)
