@@ -4,8 +4,8 @@ A scenario file declares an ambient size, a symbol class with its payload,
 a rank-n perturbation, and a list of checks.  The runner dispatches each
 check, collects residuals and sigma gaps, and emits a machine-readable JSON
 report plus a human-readable summary.  Each scenario gets one
-``ScenarioRun``: its operator, kernel, measured defect, model space and
-innerness verdict are computed at most once and shared by every check.
+``ScenarioRun``: its operator, kernel, measured defect and model space are
+computed at most once and shared by every check.
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 parse error,
 3 validation error, 4 internal error.
 """
@@ -28,20 +28,19 @@ import numpy as np
 from .config import REPRESENTATION_FLOOR, Tolerances
 from .errors import (ScenarioParseError, ScenarioValidationError, TKLabError)
 from .hardy_core import CoeffVec
-from .model_spaces import ModelSpace, _build_model_space
+from .model_spaces import ModelSpace, build_model_space
 from .near_invariance import (DefectReport, KernelResult, _factored_prediction,
                               _inner_prediction, _kernel_defect,
                               _theta_star_prediction, _zero_prediction,
                               kernel_of)
 from .operators import PerturbedToeplitz, brown_halmos_check, build_perturbed
-from .representation import (build_frame, certify_representation,
-                             check_coordinate_space_invariance, default_depth,
+from .representation import (build_frame, certify_representation, default_depth,
                              rank_one_complement_analysis,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
                              rank_one_theta_star_analysis)
-from .symbols import (InnerCheck, LaurentMatrixSymbol, is_inner,
-                      is_invertible_analytic, scalar_inner_outer)
+from .symbols import (LaurentMatrixSymbol, is_inner, is_invertible_analytic,
+                      scalar_inner_outer)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -177,12 +176,8 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
                     depth=_parse_depth(data.get("depth")))
 
 
-def validate_scenario(sc: Scenario, tol: Tolerances) -> InnerCheck | None:
-    """Raise ``ScenarioValidationError`` unless the scenario is well formed.
-
-    Returns the symbol's grid innerness verdict for the inner and Theta*
-    classes, the one the scenario's checks then rely on, and None otherwise.
-    """
+def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
+    """Raise ``ScenarioValidationError`` unless the scenario is well formed."""
     if sc.symbol_class not in SYMBOL_CLASSES:
         raise ScenarioValidationError(f"unknown symbol class {sc.symbol_class!r}")
     if sc.m < 1 or sc.N < 2:
@@ -197,7 +192,6 @@ def validate_scenario(sc: Scenario, tol: Tolerances) -> InnerCheck | None:
                     f"{fam_name} member shape {v.shape} != ({sc.m}, {sc.N})")
     if len(sc.G) != len(sc.H):
         raise ScenarioValidationError("perturbation families differ in length")
-    inner = None
     if sc.symbol_class in ("inner", "theta_star"):
         if sc.symbol is None:
             raise ScenarioValidationError(f"class {sc.symbol_class} needs a symbol")
@@ -213,7 +207,6 @@ def validate_scenario(sc: Scenario, tol: Tolerances) -> InnerCheck | None:
                 raise ScenarioValidationError(f"factor {label} is not invertible")
     if sc.symbol_class == "raw" and sc.symbol is None and sc.pair is None:
         raise ScenarioValidationError("raw scenarios need a symbol or a pair")
-    return inner
 
 
 @dataclass
@@ -227,13 +220,12 @@ class ScenarioRun:
 
     sc: Scenario
     tol: Tolerances
-    #: the grid innerness verdict of ``validate_scenario``
-    inner: InnerCheck | None
 
     @classmethod
     def validated(cls, sc: Scenario, base_tol: Tolerances) -> "ScenarioRun":
         tol = sc.tolerances(base_tol)
-        return cls(sc, tol, validate_scenario(sc, tol))
+        validate_scenario(sc, tol)
+        return cls(sc, tol)
 
     @cached_property
     def symbol(self) -> tuple[LaurentMatrixSymbol, tuple | None]:
@@ -268,9 +260,9 @@ class ScenarioRun:
 
     @cached_property
     def model_space(self) -> ModelSpace:
-        """The Theta* symbol's model space, on the validation's verdict."""
-        return _build_model_space(self.sc.symbol, self.sc.N, self.inner,
-                                  tol_rel=self.tol.rank_rel)
+        """The Theta* symbol's model space."""
+        return build_model_space(self.sc.symbol, self.sc.N, tol_inner=self.tol.inner,
+                                 tol_rel=self.tol.rank_rel)
 
     @property
     def depth(self) -> int:
@@ -398,22 +390,21 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
     if sc.symbol_class == "zero":
         rep = rank_one_complement_analysis(G, sc.N, depth=run.depth, seed=sc.seed)
         residuals = rep.to_json()
-        inv = check_coordinate_space_invariance(rep.frame, rep.coords, run.depth)
-        residuals["invariance_residual_max"] = inv.max_residual
+        residuals["invariance_residual_max"] = rep.invariance.max_residual
         residuals.pop("G0", None)
         residuals.pop("g", None)
         residuals["g_norm"] = rep.g.norm()
         residuals["G0_norm"] = rep.G0.norm()
         ok = (rep.condition_residual_max <= tol.membership
               and rep.projection_formula_residual <= tol.subspace_equality
-              and inv.max_residual <= tol.membership
+              and rep.invariance.max_residual <= tol.membership
               and _expect_matches(sc.expect, "r", rep.r))
         if "g_norm_max" in sc.expect:
             ok = ok and rep.g.norm() <= sc.expect["g_norm_max"]
         if "G0_norm_max" in sc.expect:
             ok = ok and rep.G0.norm() <= sc.expect["G0_norm_max"]
     elif sc.symbol_class == "inner":
-        rep = rank_one_inner_kernel(sc.symbol, G, H, sc.N, tol=tol.inner)
+        rep = rank_one_inner_kernel(sc.symbol, G, H, sc.N, tol_inner=tol.inner)
         residuals = rep.to_json()
         ok = (rep.case != "unexpected"
               and _expect_matches(sc.expect, "case", rep.case)
@@ -430,7 +421,7 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
               and (rep.expected_match_residual is None
                    or rep.expected_match_residual <= tol.containment))
     elif sc.symbol_class == "theta_star":
-        rep = rank_one_theta_star_analysis(sc.symbol, G, H, sc.N, tol=tol.inner,
+        rep = rank_one_theta_star_analysis(sc.symbol, G, H, sc.N, tol_inner=tol.inner,
                                            depth=run.depth,
                                            tol_equality=tol.containment)
         residuals = rep.to_json()

@@ -28,7 +28,7 @@ from .hardy_core import CoeffVec
 from .operators import ToeplitzCompression, range_complement, shifted_range_matrix
 from .subspaces import (SigmaGap, Subspace, column_span, nullspace, nullspace_within,
                         project)
-from .symbols import InnerCheck, LaurentMatrixSymbol, is_exactly_inner, is_inner
+from .symbols import LaurentMatrixSymbol, is_exactly_inner, is_inner
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,14 @@ class ModelSpace:
 
 
 def build_model_space(theta: LaurentMatrixSymbol, N: int,
-                      tol_inner: float = 1e-8, grid_size: int = 2048,
+                      tol_inner: float = 1e-8,
                       tol_rel: float | None = None,
                       cross_check_tol: float = 1e-8) -> ModelSpace:
-    """Construct the truncated model space of an analytic inner symbol."""
-    return _build_model_space(theta, N, is_inner(theta, grid_size=grid_size, tol=tol_inner),
-                              tol_rel, cross_check_tol)
+    """Construct the truncated model space of an analytic inner symbol.
 
-
-def _build_model_space(theta: LaurentMatrixSymbol, N: int, check: InnerCheck,
-                       tol_rel: float | None = None,
-                       cross_check_tol: float = 1e-8) -> ModelSpace:
-    """``build_model_space`` for a symbol whose grid verdict ``check`` is
-    already in hand: the analytic, verdict and N > d guards, then the build.
-
-    For an exactly inner Theta neither R = Theta P_{N-d} nor a dense
-    compression is formed.  R maps P_{N-d} into P_N without truncation
+    The analytic, innerness (``is_inner`` at tol_inner) and N > d guards
+    come first.  For an exactly inner Theta neither R = Theta P_{N-d} nor a
+    dense compression is formed.  R maps P_{N-d} into P_N without truncation
     (degree < N - d times degree <= d stays below N), so block (s, t) of
     R^H R is sum_r Theta_{r-s}^H Theta_{r-t} over every r, that is
     sum_k Theta_k^H Theta_{k+s-t}: R^H R = T_{N-d}(Theta* Theta) exactly, and
@@ -92,14 +84,14 @@ def _build_model_space(theta: LaurentMatrixSymbol, N: int, check: InnerCheck,
     """
     if not theta.is_analytic():
         raise NotInnerError("model spaces need an analytic symbol")
+    check = is_inner(theta, tol=tol_inner)
     if not check.ok:
-        raise NotInnerError(
-            f"symbol is not inner on the grid (deviation {check.max_deviation:.3e})")
+        raise NotInnerError(f"symbol is not inner (deviation {check.max_deviation:.3e})")
     m, d = theta.m, theta.d
     if N <= d:
         raise NotInnerError(f"truncation N={N} must exceed the symbol degree {d}")
     comp = ToeplitzCompression(theta.adjoint(), N)
-    model, rng = None, None
+    rng = None
     if is_exactly_inner(theta):
         # R has orthonormal columns and the model space ker C^H lies in R^perp
         # (the Theta* case of kernel_of with no bump)
@@ -111,7 +103,6 @@ def _build_model_space(theta: LaurentMatrixSymbol, N: int, check: InnerCheck,
     else:
         rng = column_span(shifted_range_matrix(theta, N), (m, N), tol_rel=tol_rel)
         range_dim = rng.dim
-    if model is None:
         model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
 
     ms = ModelSpace(theta=theta, N=N, as_subspace=model,

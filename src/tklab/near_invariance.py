@@ -387,7 +387,7 @@ def verify_theorem_theta_star(theta: LaurentMatrixSymbol, G: list[CoeffVec],
                               range_membership: float = 1e-8) -> DefectReport:
     """Adjoint-of-inner symbol: defect at most n + l where l counts the G_j
     outside the shifted range; prediction adds their model-space parts."""
-    # the model space's grid test is the innerness test
+    # build_model_space certifies that theta is inner
     ms = build_model_space(theta, N, tol_inner=tol_inner, tol_rel=tol_rel)
     return _theta_star_prediction(*_measure(theta.adjoint(), G, H, N, defect_floor,
                                             tol_rel, tol_ortho),

@@ -685,6 +685,8 @@ class ComplementAnalysis:
     projection_formula_residual: float
     condition_residual_max: float
     samples: int
+    #: coordinate-space invariance of the sampled members at shifts 1..depth
+    invariance: InvarianceReport
     coords: list[Coordinates] = field(default_factory=list)
 
     @property
@@ -711,7 +713,7 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
     Produces the non-vanishing frame from projected reproducing columns, the
     adjoint data (G0, g) governing the coordinate space, and verifies the
     membership characterization <K0, z^n G0> + <k1, z^n g> = 0 on a sample
-    of members.
+    of members, and measures their coordinate-space invariance to depth.
     """
     _unit_norm_check(G, tol)
     if G.N != N:
@@ -760,8 +762,9 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
     if depth is None:
         depth = default_depth(N)
     cond_resid = 0.0
-    coords_list = peel_members(np.stack([F.flatten() for F in members], axis=1),
-                               frame).coordinates_list()
+    peeling = peel_members(np.stack([F.flatten() for F in members], axis=1), frame,
+                           depth=depth)
+    coords_list = peeling.coordinates_list()
     for coords in coords_list:
         K0 = coords.K0
         k1 = coords.k[0]
@@ -775,7 +778,8 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
                               gs_coefficients=C, G0=G0, g=g,
                               projection_formula_residual=formula_resid,
                               condition_residual_max=cond_resid,
-                              samples=len(members), coords=coords_list)
+                              samples=len(members), invariance=peeling.invariance,
+                              coords=coords_list)
 
 
 @dataclass
@@ -843,7 +847,7 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
 
 
 def rank_one_inner_kernel(theta: LaurentMatrixSymbol, G: CoeffVec, H: CoeffVec,
-                          N: int, tol: float = 1e-8,
+                          N: int, tol_inner: float = 1e-8,
                           tol_crit: float = 1e-8) -> RankOneKernelReport:
     """Kernel of T_theta + <., G> H for an inner analytic symbol.
 
@@ -851,10 +855,10 @@ def rank_one_inner_kernel(theta: LaurentMatrixSymbol, G: CoeffVec, H: CoeffVec,
     the line through T_{theta*} H; a nontrivial kernel also requires H to lie
     in the shifted range of theta.
     """
-    # the model space's grid test is the innerness test
-    ms = build_model_space(theta, N, tol_inner=tol)
-    _unit_norm_check(G, tol)
-    if backward_shift(H).norm() < tol:
+    # build_model_space certifies that theta is inner
+    ms = build_model_space(theta, N, tol_inner=tol_inner)
+    _unit_norm_check(G)
+    if backward_shift(H).norm() < 1e-8:
         raise ValueError("H must have a nonzero backward shift")
     candidate = column_vectors(
         apply_block_toeplitz(theta.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
@@ -987,7 +991,7 @@ def _subtract_line(space: Subspace, vector: CoeffVec) -> Subspace:
 
 def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
                                  H: CoeffVec, N: int,
-                                 tol: float = 1e-8, tol_crit: float = 1e-8,
+                                 tol_inner: float = 1e-8, tol_crit: float = 1e-8,
                                  depth: int | None = None,
                                  tol_equality: float = 1e-6) -> ThetaStarReport:
     """Kernel of T_{theta*} + <., G> H against its predicted structure.
@@ -997,11 +1001,11 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
     against the SVD kernel by subspace equality.  G need not be normalized:
     the critical branches are unreachable for unit G by Cauchy-Schwarz.
     """
-    # the model space's grid test is the innerness test
-    ms = build_model_space(theta, N, tol_inner=tol)
-    if backward_shift(H).norm() < tol:
+    # build_model_space certifies that theta is inner
+    ms = build_model_space(theta, N, tol_inner=tol_inner)
+    if backward_shift(H).norm() < 1e-8:
         raise ValueError("H must have a nonzero backward shift")
-    if G.norm() < tol:
+    if G.norm() < 1e-8:
         raise ValueError("G must be nonzero")
     split = decompose_against_theta(G, ms)
     theta_h = theta.act(H).analytic_part().resized(N)

@@ -274,33 +274,43 @@ def unit_circle_grid(grid_size: int) -> np.ndarray:
 class InnerCheck:
     ok: bool
     max_deviation: float
-    grid_size: int
     tol: float
 
 
-def is_inner(theta: LaurentMatrixSymbol, grid_size: int = 2048,
-             tol: float = 1e-8) -> InnerCheck:
-    """Grid test of unitarity a.e. on the circle.
+def _inner_deviation_stack(theta: LaurentMatrixSymbol) -> np.ndarray:
+    """D_j = sum_k Theta_k^H Theta_{k+j} - delta_{j0} I for j = 0, ..., L - 1,
+    the coefficients of Theta* Theta - I at powers j >= 0 (D_{-j} = D_j^H)."""
+    powers = theta.powers() or [0]
+    C = theta.coefficient_stack(powers[0], powers[-1])
+    L, m = C.shape[0], theta.m
+    # stacking the blocks sums Theta_k^H Theta_{k+j} over k in one product
+    D = np.stack([C[:L - j].reshape(-1, m).conj().T @ C[j:].reshape(-1, m)
+                  for j in range(L)])
+    D[0] -= np.eye(m)
+    return D
 
-    Samples ||Theta(z)^H Theta(z) - I||_2 on a uniform grid.  A trigonometric
-    polynomial of bandwidth d is determined by 2d+1 samples, so the default
-    grid vastly oversamples desk-scale symbols.
+
+def is_inner(theta: LaurentMatrixSymbol, tol: float = 1e-8) -> InnerCheck:
+    """Certificate that Theta is unitary on the whole circle, within tol.
+
+    On |z| = 1, Theta(z)^H Theta(z) - I = sum_j D_j z^j, a finite sum over
+    the coefficients of ``_inner_deviation_stack``.  Since |z^j| = 1 and
+    ||D_{-j}||_2 = ||D_j||_2, the triangle inequality bounds it at every
+    point by max_deviation = ||D_0||_2 + 2 sum_{j >= 1} ||D_j||_2, so ``ok``
+    proves the deviation within tol everywhere, not only at samples.  The
+    bound is 0 exactly when the coefficient identity holds and may exceed
+    the sup, so a symbol near tol can be refused but never wrongly passed.
     """
-    if grid_size < 4 * (2 * theta.d + 1):
-        raise ValueError(
-            f"grid_size {grid_size} too small for bandwidth {theta.d}; need >= {4 * (2 * theta.d + 1)}")
-    vals = theta.evaluate(unit_circle_grid(grid_size))
-    gram = np.einsum("gij,gik->gjk", vals.conj(), vals)
-    gram -= np.eye(theta.m)[None, :, :]
-    dev = float(np.max(np.linalg.norm(gram, ord=2, axis=(1, 2)))) if grid_size else 0.0
-    return InnerCheck(ok=dev <= tol, max_deviation=dev, grid_size=grid_size, tol=tol)
+    norms = np.linalg.norm(_inner_deviation_stack(theta), 2, axis=(1, 2))
+    dev = float(norms[0] + 2.0 * np.sum(norms[1:]))
+    return InnerCheck(ok=dev <= tol, max_deviation=dev, tol=tol)
 
 
 def is_exactly_inner(theta: LaurentMatrixSymbol) -> bool:
     """Coefficient test of Theta* Theta = I for an analytic polynomial.
 
     The identity sum_k Theta_k^H Theta_{k+j} = delta_j I must hold to a
-    roundoff constant; the grid test admits truncated series that satisfy
+    roundoff constant; ``is_inner`` admits truncated series that satisfy
     it only to their tail, and those keep the dense kernel path.
     """
     if not theta.is_analytic():
@@ -311,8 +321,7 @@ def is_exactly_inner(theta: LaurentMatrixSymbol) -> bool:
 def inner_coefficient_deviation(theta: LaurentMatrixSymbol) -> float:
     """max_j max |D_j| over the entries of D_j = sum_k Theta_k^H Theta_{k+j}
     - delta_j I, the coefficients of Theta* Theta - I."""
-    dev = theta.adjoint().multiply(theta) - LaurentMatrixSymbol.identity(theta.m)
-    return float(np.max(np.abs(dev.coefficient_stack(-dev.d, dev.d))))
+    return float(np.max(np.abs(_inner_deviation_stack(theta))))
 
 
 def closed_disk_grid(radial: int = 8, angular: int = 64) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tklab import (cli_reports, model_spaces, near_invariance, operators,
+                   representation, symbols)
 from tklab.hardy_core import CoeffVec
 from tklab.operators import orthonormalize_family
 from tklab.symbols import LaurentMatrixSymbol
@@ -44,3 +46,28 @@ def random_inner(rng, m, degree):
         theta = theta.multiply(factor).multiply(
             LaurentMatrixSymbol.constant(random_unitary(rng, m)))
     return theta
+
+
+#: every tklab module a spy may find a name bound in
+TKLAB_MODULES = (cli_reports, near_invariance, representation, model_spaces, operators,
+                 symbols)
+
+
+def spy(monkeypatch, name, modules=TKLAB_MODULES):
+    """Wrap ``name`` in each of the modules that binds it; the returned list
+    collects the positional arguments of every call through any of them.
+
+    Raises when none of the modules binds the name: a spy on a function that
+    was renamed or removed would count nothing and pass vacuously.
+    """
+    bound = [module for module in modules if getattr(module, name, None) is not None]
+    if not bound:
+        raise AttributeError(f"no module in {[m.__name__ for m in modules]} binds {name!r}")
+    calls = []
+    for module in bound:
+        def wrapper(*args, real=getattr(module, name), **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls

@@ -15,7 +15,7 @@ from tklab.subspaces import (is_contained, nullspace, span_of, subspace_equal,
                              zero_at_origin_slice)
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import rand_coeffvec, rand_orthonormal, random_inner, unit
+from conftest import rand_coeffvec, rand_orthonormal, random_inner, spy, unit
 
 
 class TestComputeDefect:
@@ -457,23 +457,6 @@ class TestStructuredKernelOracle:
 CALLERS = (model_spaces, near_invariance, representation)
 
 
-def _spy(monkeypatch, name, modules):
-    """Wrap ``name`` in each of the modules that has it; the returned list
-    collects the positional arguments of every call through any of them."""
-    calls = []
-    for module in modules:
-        real = getattr(module, name, None)
-        if real is None:
-            continue
-
-        def spy(*args, real=real, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 def _theta_star_prediction_loop(theta, G, H, N):
     """The Theta* prediction as the coefficient formula writes it, one
     CoeffVec at a time: Theta S* H_i, then the model parts of the G_j
@@ -517,7 +500,7 @@ class TestPredictionCompressions:
         g1 = rand_coeffvec(rng, m, N, 6)
         g1 = unit(g1 - inner_product(g1, g0) * g0)
         G, H = [g0, g1], rand_orthonormal(rng, m, N, 6, 2)
-        seen = _spy(monkeypatch, "_attach_prediction", [near_invariance])
+        seen = spy(monkeypatch, "_attach_prediction", [near_invariance])
         rep = verify_theorem_theta_star(theta, G, H, N)
         assert rep.details["outside_range_count"] == 1
         assert np.array_equal(seen[0][2], _theta_star_prediction_loop(theta, G, H, N))
@@ -530,7 +513,7 @@ class TestPredictionCompressions:
         N = 20
         theta = random_inner(rng, m, 2)
         G, H = rand_orthonormal(rng, m, N, 6, 2), rand_orthonormal(rng, m, N, 6, 2)
-        seen = _spy(monkeypatch, "_attach_prediction", [near_invariance])
+        seen = spy(monkeypatch, "_attach_prediction", [near_invariance])
         verify_theorem_theta_star(theta, G, H, N)
         reference = _theta_star_prediction_loop(theta, G, H, N)
         assert seen[0][2].shape == reference.shape
@@ -543,7 +526,7 @@ class TestPredictionCompressions:
         F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
         H = rand_orthonormal(rng, m, N, 6, 2)
         G = rand_orthonormal(rng, m, N, 6, 2)
-        seen = _spy(monkeypatch, "_attach_prediction", [near_invariance])
+        seen = spy(monkeypatch, "_attach_prediction", [near_invariance])
         verify_theorem_invertible_factors(F1, F2, G, H, N)
         assert np.max(np.abs(seen[0][2] - _factored_prediction_loop(F1, F2, H, N))) <= 1e-12
 
@@ -551,7 +534,7 @@ class TestPredictionCompressions:
         m, N = 2, 20
         F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
         G, H = rand_orthonormal(rng, m, N, 5, 1), rand_orthonormal(rng, m, N, 5, 1)
-        calls = _spy(monkeypatch, "invert_analytic", CALLERS)
+        calls = spy(monkeypatch, "invert_analytic", CALLERS)
         verify_theorem_invertible_factors(F1, F2, G, H, N)
         # F1 to the top action degree N + d_pos - 1, F2 to N - 1
         assert calls == [(F1, N + F2.d - 1), (F2, N - 1)]
@@ -562,7 +545,7 @@ class TestOneInnernessTest:
         m, N = 2, 16
         theta = _diagonal_inner(m)
         G, H = rand_orthonormal(rng, m, N, 5, 1), rand_orthonormal(rng, m, N, 5, 1)
-        calls = _spy(monkeypatch, "is_inner", CALLERS)
+        calls = spy(monkeypatch, "is_inner", CALLERS)
         verify_theorem_theta_star(theta, G, H, N)
         assert len(calls) == 1
 

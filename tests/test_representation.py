@@ -16,10 +16,10 @@ from tklab.representation import (build_frame, check_coordinate_space_invariance
 from tklab.model_spaces import build_model_space
 from tklab.subspaces import (intersect, span_of, subspace_equal,
                              vanishing_at_zero_space, zero_space)
-from tklab.symbols import LaurentMatrixSymbol, invert_analytic
+from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import rand_coeffvec, rand_orthonormal, random_inner, unit
-from test_near_invariance import CALLERS, _diagonal_inner, _invertible_factor, _spy
+from conftest import rand_coeffvec, rand_orthonormal, random_inner, spy, unit
+from test_near_invariance import CALLERS, _diagonal_inner, _invertible_factor
 
 
 def complement_of(G):
@@ -261,6 +261,16 @@ class TestComplementAnalysis:
     def test_unit_norm_enforced(self, rng):
         with pytest.raises(ValueError):
             rank_one_complement_analysis(rand_coeffvec(rng, 2, 8, 4) * 3.0, 8)
+
+    @pytest.mark.parametrize("depth", [None, 1, 5])
+    def test_invariance_is_measured_by_the_peeling_pass(self, rng, depth):
+        m, N = 2, 16
+        rep = rank_one_complement_analysis(unit(rand_coeffvec(rng, m, N, 5)), N,
+                                           depth=depth)
+        expected = default_depth(N) if depth is None else depth
+        assert rep.invariance.depth == expected
+        again = check_coordinate_space_invariance(rep.frame, rep.coords, expected)
+        assert rep.invariance.residuals == again.residuals
 
 
 class TestInnerRankOne:
@@ -596,7 +606,7 @@ class TestRankOneCandidates:
         N = 16
         theta = _diagonal_inner(m)
         G, H = _inner_critical(rng, theta, N)
-        seen = _spy(monkeypatch, "_one_dim_structure", [representation])
+        seen = spy(monkeypatch, "_one_dim_structure", [representation])
         rep = rank_one_inner_kernel(theta, G, H, N)
         reference = ToeplitzCompression(theta.adjoint(), N).apply(H)
         assert rep.case == "spanned_kernel"
@@ -609,7 +619,7 @@ class TestRankOneCandidates:
         N = 18
         theta = random_inner(rng, m, 2)
         G, H = _inner_critical(rng, theta, N)
-        seen = _spy(monkeypatch, "_one_dim_structure", [representation])
+        seen = spy(monkeypatch, "_one_dim_structure", [representation])
         rep = rank_one_inner_kernel(theta, G, H, N)
         reference = ToeplitzCompression(theta.adjoint(), N).apply(H)
         assert rep.case == "spanned_kernel"
@@ -630,8 +640,8 @@ class TestRankOneCandidates:
         scale = 1.0 / route_one(h).norm()
         H = scale * h
         reference = route_one(H)
-        seen = _spy(monkeypatch, "_one_dim_structure", [representation])
-        inversions = _spy(monkeypatch, "invert_analytic", CALLERS)
+        seen = spy(monkeypatch, "_one_dim_structure", [representation])
+        inversions = spy(monkeypatch, "invert_analytic", CALLERS)
         rep = rank_one_invertible_kernel(F1, F2, -1.0 * reference, H, N)
         assert rep.case == "spanned_kernel" and rep.kernel_dim == 1
         assert np.max(np.abs(seen[0][1].coeffs - reference.coeffs)) <= 1e-12
@@ -642,10 +652,33 @@ class TestRankOneCandidates:
         m, N = 2, 16
         theta = _diagonal_inner(m)
         G, H = _inner_critical(rng, theta, N)
-        calls = _spy(monkeypatch, "is_inner", CALLERS)
+        calls = spy(monkeypatch, "is_inner", CALLERS)
         rank_one_inner_kernel(theta, G, H, N)
         rank_one_theta_star_analysis(theta, -1.0 * H, unit(-1.0 * G), N)
         assert len(calls) == 2
+
+    def test_tol_inner_decides_innerness_only(self, rng):
+        # a truncated Blaschke entry: inner to 9.1e-11, certified at 1e-8
+        m, N = 2, 32
+        theta = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
+        G, H = _inner_critical(rng, theta, N)
+        assert rank_one_inner_kernel(theta, G, H, N).case == "spanned_kernel"
+        star = rank_one_theta_star_analysis(theta, -1.0 * H, unit(-1.0 * G), N)
+        assert star.case == "in_range_critical" and star.details["equality_ok"]
+        with pytest.raises(NotInnerError):
+            rank_one_inner_kernel(theta, G, H, N, tol_inner=1e-12)
+        with pytest.raises(NotInnerError):
+            rank_one_theta_star_analysis(theta, -1.0 * H, unit(-1.0 * G), N,
+                                         tol_inner=1e-12)
+        # a loose innerness tolerance leaves the guards on G and H at 1e-8
+        with pytest.raises(ValueError, match="unit norm"):
+            rank_one_inner_kernel(theta, 1.3 * G, H, N, tol_inner=0.5)
+        flat = CoeffVec.monomial(m, N, 0, 0)
+        with pytest.raises(ValueError, match="nonzero backward shift"):
+            rank_one_inner_kernel(theta, G, flat, N, tol_inner=0.5)
+        small = rank_one_theta_star_analysis(theta, 0.3 * H, unit(-1.0 * G), N,
+                                             tol_inner=0.5)
+        assert small.case == "in_range_noncritical" and small.details["equality_ok"]
 
     def test_non_inner_symbol_rejected(self, rng):
         bad = LaurentMatrixSymbol.diagonal([[2.0, 1.0], [2.0, 1.0]])

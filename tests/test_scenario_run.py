@@ -5,39 +5,21 @@ from dataclasses import replace
 
 import pytest
 
-from tklab import (cli_reports, model_spaces, near_invariance, operators,
-                   representation, symbols)
-from tklab.cli_reports import (bundled_scenario_dir, load_scenario,
+from tklab import model_spaces
+from tklab.cli_reports import (bundled_scenario_dir, load_scenario, parse_scenario,
                                run_scenario_object)
 from tklab.config import Tolerances
+from tklab.errors import ScenarioValidationError
 from tklab.near_invariance import (verify_theorem_inner_symbol,
                                    verify_theorem_invertible_factors,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
+from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor
+
+from conftest import spy
 
 SCENARIOS = bundled_scenario_dir()
 BUNDLED = sorted(SCENARIOS.glob("*.json"))
-MODULES = (cli_reports, near_invariance, representation, model_spaces, operators,
-           symbols)
-
-
-def _spy(monkeypatch, name):
-    """Wrap ``name`` wherever a tklab module binds it; the returned list
-    collects (args, kwargs) of every call through any of them."""
-    calls = []
-    for module in MODULES:
-        real = getattr(module, name, None)
-        if real is None:
-            continue
-
-        def spy(*args, real=real, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 def _strip_seconds(payload):
     if isinstance(payload, dict):
         return {k: _strip_seconds(v) for k, v in payload.items() if k != "seconds"}
@@ -46,21 +28,22 @@ def _strip_seconds(payload):
     return payload
 
 
-@pytest.mark.parametrize("name, grid_tests", [
+@pytest.mark.parametrize("name, model_spaces_built", [
     ("zero_symbol_defect", 0),
-    ("inner_mixed_monomials_defect", 1),
+    ("inner_mixed_monomials_defect", 0),
     ("adjoint_mixed_defect", 1),
 ])
-def test_shared_work_runs_once(monkeypatch, name, grid_tests):
+def test_shared_work_runs_once(monkeypatch, name, model_spaces_built):
     sc = load_scenario(SCENARIOS / f"{name}.json")
     assert sc.checks == ["defect_theorem", "representation"]
-    spies = {fn: _spy(monkeypatch, fn)
-             for fn in ("build_perturbed", "kernel_of", "compute_defect", "is_inner")}
+    spies = {fn: spy(monkeypatch, fn)
+             for fn in ("build_perturbed", "kernel_of", "compute_defect",
+                        "build_model_space")}
     report = run_scenario_object(sc, Tolerances())
     assert report.ok
     assert {fn: len(calls) for fn, calls in spies.items()} == {
         "build_perturbed": 1, "kernel_of": 1, "compute_defect": 1,
-        "is_inner": grid_tests}
+        "build_model_space": model_spaces_built}
 
 
 def _public_verification(sc, tol):
@@ -108,13 +91,13 @@ def test_check_order_does_not_change_reports(path):
 def test_representation_only_theta_star_builds_no_model_space(monkeypatch):
     sc = replace(load_scenario(SCENARIOS / "adjoint_mixed_defect.json"),
                  checks=["representation"])
-    grids = _spy(monkeypatch, "is_inner")
-    built = _spy(monkeypatch, "_build_model_space")
-    cross_checks = _spy(monkeypatch, "_cross_check_projections")
+    certificates = spy(monkeypatch, "is_inner")
+    built = spy(monkeypatch, "build_model_space")
+    cross_checks = spy(monkeypatch, "_cross_check_projections")
     report = run_scenario_object(sc, Tolerances())
     assert report.ok and report.outcomes[0].status == "pass"
     assert built == [] and cross_checks == []
-    assert len(grids) == 1  # the validation verdict
+    assert len(certificates) == 1  # the validation's innerness certificate
 
 
 def test_rank_rel_override_reaches_the_model_space_cut(monkeypatch, tmp_path):
@@ -134,3 +117,30 @@ def test_rank_rel_override_reaches_the_model_space_cut(monkeypatch, tmp_path):
     report = run_scenario_object(load_scenario(path), Tolerances())
     assert report.outcomes[0].name == "defect_theorem"
     assert cuts == [3e-9]
+
+
+def _rank_one_data(overrides):
+    data = json.loads((SCENARIOS / "inner_monomial_rank_one.json").read_text())
+    data["checks"] = ["rank_one"]
+    data["tolerances"] = overrides
+    return data
+
+
+@pytest.mark.parametrize("overrides", [{}, {"inner": 0.5}], ids=["default", "loose_inner"])
+def test_inner_override_leaves_the_rank_one_guards(overrides):
+    data = _rank_one_data(overrides)
+    g = data["perturbation"]["G"][0]
+    g["coeffs"] = [[[1.3 * re, 1.3 * im] for re, im in row] for row in g["coeffs"]]
+    with pytest.raises(ValueError, match="generator must have unit norm"):
+        run_scenario_object(parse_scenario(data), Tolerances())
+
+
+def test_inner_override_changes_the_innerness_verdict():
+    # a truncated Blaschke entry: inner to 9.1e-11
+    theta = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
+    data = _rank_one_data({})
+    data["symbol"], data["checks"] = theta.to_json(), []
+    assert run_scenario_object(parse_scenario(data), Tolerances()).ok
+    data["tolerances"] = {"inner": 1e-12}
+    with pytest.raises(ScenarioValidationError, match="fails the inner test"):
+        run_scenario_object(parse_scenario(data), Tolerances())

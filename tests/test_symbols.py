@@ -85,11 +85,6 @@ class TestInnerTest:
             assert devs[-1] <= bound
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
-    def test_grid_size_precondition(self):
-        th = LaurentMatrixSymbol.shift(1, 4)
-        with pytest.raises(ValueError):
-            is_inner(th, grid_size=8)
-
     def test_product_of_inners_is_inner(self):
         a = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.2, 40),
                                           [0.0, 1.0]])
