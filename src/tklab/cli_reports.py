@@ -325,8 +325,13 @@ def _expect_matches(expect: dict, key: str, actual) -> bool:
 
 
 def _sigma_conclusive(report: DefectReport, tol: Tolerances) -> bool:
-    ratio = report.details.get("kernel_sigma_ratio", 0.0)
-    return not (np.isfinite(ratio) and ratio > tol.sigma_ratio_flag)
+    """Both rank cuts behind the verdict are clean: the kernel's (its audited
+    ratio, recorded in details) and the defect span's.  A cut that kept
+    nothing is judged against the cut itself, so one at or above the largest
+    singular value is inconclusive; a NaN ratio is too."""
+    ratios = (report.details["kernel_sigma_ratio"],
+              report.sigma_gap.audited_ratio(report.defect_basis.tol))
+    return all(ratio <= tol.sigma_ratio_flag for ratio in ratios)
 
 
 def containment_tolerance(sc: Scenario, tol: Tolerances) -> float:
@@ -341,14 +346,13 @@ def check_defect_theorem(run: ScenarioRun) -> CheckOutcome:
     sc, tol = run.sc, run.tol
     report = run.predicted_defect()
     ctol = containment_tolerance(sc, tol)
+    conclusive = _sigma_conclusive(report, tol)
     ok = (report.bound_ok and report.containment_ok(ctol)
-          and report.details.get("kernel_audit_violations", 0) == 0
-          and _sigma_conclusive(report, tol))
+          and report.details["kernel_audit_violations"] == 0 and conclusive)
     ok = ok and _expect_matches(sc.expect, "defect_dim", report.defect_dim)
     ok = ok and _expect_matches(sc.expect, "kernel_dim", report.subspace_dim)
     res = report.to_json()
-    res.pop("details", None)
-    res["sigma_conclusive"] = _sigma_conclusive(report, tol)
+    res["sigma_conclusive"] = conclusive
     return CheckOutcome("defect_theorem", "pass" if ok else "fail",
                         res, time.perf_counter() - t0)
 

@@ -5,10 +5,12 @@ origin-vanishing members escapes M: residuals r_F = S*F - P_M(S*F) over the
 slice {F in M : F(0) = 0} span the (minimal, orthogonal-to-M) defect space.
 
 Each verify_* operation builds the perturbed operator for one symbol class,
-extracts its polynomial kernel from the exact-action matrix (inside the
-class's small candidate space when the symbol is exactly inner, the adjoint
-of one, or a product of given invertible factors; by dense SVD otherwise),
-measures the defect, and compares it against the class prediction.  The
+extracts its polynomial kernel from the exact-action matrix (for the zero
+symbol from the n x n core of the bump H G^H, with the kernel's
+n-dimensional complement kept for the defect; inside the class's small
+candidate space when the symbol is exactly inner, the adjoint of one, or a
+product of given invertible factors; by dense SVD otherwise), measures the
+defect, and compares it against the class prediction.  The
 first three steps are one shared head; each prediction takes their results
 and returns a copy of the measured report, so a caller that already holds
 a scenario's operator, kernel and defect attaches the prediction alone.
@@ -25,14 +27,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import rank_threshold
 from .errors import NotInnerError, NotInvertibleError
 from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
 from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
 from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
                         range_complement)
-from .subspaces import (SigmaGap, Subspace, column_norms, column_span, is_contained,
-                        nullspace, nullspace_within, subspace_equal,
-                        zero_at_origin_slice, zero_space)
+from .subspaces import (SigmaGap, Subspace, column_norms, column_span,
+                        column_span_within, is_contained, nullspace, nullspace_within,
+                        subspace_equal, zero_at_origin_slice, zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
                       is_inner, is_invertible_analytic)
 
@@ -44,12 +47,16 @@ class KernelResult:
     sigma_cut: float
     sigma_gap: SigmaGap
     audit_violations: int
-    #: "inner", "theta_star" or "factored" for a structured solve, "dense"
-    #: for the SVD of the whole action matrix
+    #: "zero" for the zero symbol's n x n core, "inner", "theta_star" or
+    #: "factored" for a structured solve, "dense" for the SVD of the whole
+    #: action matrix
     method: str
     #: the factored path's series (F1^-1 to degree N + d_pos - 1, F2^-1 to
     #: degree N - 1), which its defect prediction reuses; None otherwise
     series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
+    #: the zero route's orthonormal basis (mN x rank A) of the kernel's
+    #: orthocomplement, where the kernel's defect lies; None otherwise
+    complement: np.ndarray | None = None
 
 
 def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
@@ -59,39 +66,84 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
 
     Uses the exact action (with overflow rows) so that top-degree monomials
     flushed past the truncation window cannot masquerade as kernel vectors.
-    For an exactly inner symbol, the adjoint of one, or a symbol F1* F2 with
-    the invertible analytic ``factors`` given, the kernel is solved inside
-    a candidate space of dimension at most n + md (``nullspace_within``),
-    and A Z, A's column norms and the audit A K come from the operator's
-    coefficients without a dense matrix.  Everything else, and any
-    structured solve whose certified gap cannot settle the rank, takes the
-    dense SVD of the whole action matrix and audits with it.  Every basis
-    vector is audited against 10x the singular-value cut.
+    For the zero symbol with fewer than mN pairs (G, H) and no ``factors``,
+    the kernel comes from the n x n core of A = H G^H (``_zero_kernel``),
+    and its complement is kept for the defect.  For an exactly inner
+    symbol, the adjoint of one, or a symbol F1* F2 with the invertible
+    analytic ``factors`` given, the kernel is solved inside a candidate
+    space of dimension at most n + md (``nullspace_within``), and A Z, A's
+    column norms and the audit A K come from the operator's coefficients
+    without a dense matrix.  Everything else, and any structured solve
+    whose certified gap cannot settle the rank, takes the dense SVD of the
+    whole action matrix and audits with it.  Every basis vector is audited
+    against 10x the singular-value cut.
     """
-    candidates = _kernel_candidates(T, factors)
-    ker, method, series = None, "dense", None
-    if candidates is not None:
-        method, series = candidates.method, candidates.series
-        G, H = T.G_matrix, T.H_matrix
-        # |H G^H|_2 from the n x n Grams of the families
-        bump = np.sqrt(_gram_norm(G) * _gram_norm(H))
-        alpha = T.base.symbol.coefficient_l1_norm() + bump
-        ker = nullspace_within(T.apply_action(candidates.Z), candidates.Z, (T.m, T.N),
-                               T.action_shape, float(np.max(T.action_column_norms())),
-                               alpha, candidates.L_norm, tol_rel=tol_rel)
-    if ker is None:
-        method = "dense"
-        action = T.action_matrix()
-        ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel)
-        image = action @ ker.basis
+    method, series, complement = "dense", None, None
+    if factors is None and T.base.symbol.is_zero() and T.rank < T.m * T.N:
+        method = "zero"
+        ker, complement, image = _zero_kernel(T, tol_rel)
     else:
-        image = T.apply_action(ker.basis)
+        ker = None
+        candidates = _kernel_candidates(T, factors)
+        if candidates is not None:
+            method, series = candidates.method, candidates.series
+            alpha = (T.base.symbol.coefficient_l1_norm()
+                     + _bump_norm(T.G_matrix, T.H_matrix))
+            ker = nullspace_within(T.apply_action(candidates.Z), candidates.Z,
+                                   (T.m, T.N), T.action_shape,
+                                   float(np.max(T.action_column_norms())),
+                                   alpha, candidates.L_norm, tol_rel=tol_rel)
+        if ker is None:
+            method = "dense"
+            action = T.action_matrix()
+            ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel)
+            image = action @ ker.basis
+        else:
+            image = T.apply_action(ker.basis)
     norms = np.linalg.norm(image, axis=0)
     resid = float(np.max(norms, initial=0.0))
     violations = int(np.sum(norms > 10.0 * max(ker.tol, np.finfo(float).eps)))
     return KernelResult(subspace=ker, residual_max=resid, sigma_cut=ker.tol,
                         sigma_gap=ker.sigma_gap, audit_violations=violations,
-                        method=method, series=series)
+                        method=method, series=series, complement=complement)
+
+
+def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
+                 ) -> tuple[Subspace, np.ndarray, np.ndarray]:
+    """Kernel K of the zero symbol's action A = H G^H (n < mN), the
+    orthonormal basis U of its orthocomplement, and the image A K.
+
+    With the complete QR G = Q R_G and the reduced QR H = Q_H R_H,
+    A = Q_H C Q[:, :n]^H for the n x n core C = R_H R_G[:n]^H.  So A's
+    nonzero singular values are C's, and with C = u s v^H its right
+    singular vectors are Q[:, :n] v.  The cut is the dense path's,
+    rank_threshold(action shape, s[0], tol_rel); K is Q[:, n:] together
+    with Q[:, :n] v over the singular values at or below it, and
+    U = Q[:, :n] v over the kept ones, so [K, U] is unitary.
+
+    The zero side of the gap is |A K|_F, measured on the computed K: it is
+    at least |A K|_2, which by Courant-Fischer is at least the largest
+    singular value of A past the kept ones.  The signal side is the
+    smallest kept singular value of C less max(shape) eps |A|, the dense
+    SVD's own backward error, with |A|_2 <= |G|_2 |H|_2, so it never reads
+    cleaner than the dense gap.  The dense ``nullspace`` stays the test
+    oracle.
+    """
+    G, H, n = T.G_matrix, T.H_matrix, T.rank
+    Q, R_G = np.linalg.qr(G, mode="complete")
+    R_H = np.linalg.qr(H, mode="r")
+    _, s, vh = np.linalg.svd(R_H @ R_G[:n].conj().T)
+    thresh = rank_threshold(T.action_shape, float(s[0]) if n else 0.0, tol_rel)
+    rank = int(np.sum(s > thresh))
+    V = Q[:, :n] @ vh.conj().T
+    basis = np.concatenate([Q[:, n:], V[:, rank:]], axis=1)
+    image = T.apply_action(basis)
+    signal = None
+    if rank:
+        signal = (float(s[rank - 1])
+                  - max(T.action_shape) * np.finfo(float).eps * _bump_norm(G, H))
+    gap = SigmaGap(float(np.linalg.norm(image)), signal)
+    return Subspace(T.m, T.N, basis, thresh, gap), V[:, :rank], image
 
 
 class _Candidates(NamedTuple):
@@ -104,8 +156,10 @@ class _Candidates(NamedTuple):
     series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
 
 
-def _gram_norm(X: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvalsh(X.conj().T @ X), initial=0.0))
+def _bump_norm(G: np.ndarray, H: np.ndarray) -> float:
+    """|H G^H|_2 <= |G|_2 |H|_2, from the n x n Grams of the families."""
+    g, h = (np.max(np.linalg.eigvalsh(X.conj().T @ X), initial=0.0) for X in (G, H))
+    return float(np.sqrt(g * h))
 
 
 def _kernel_candidates(T: PerturbedToeplitz,
@@ -169,6 +223,9 @@ class DefectReport:
     defect_dim: int
     defect_basis: Subspace
     sigma_gap: SigmaGap
+    #: the members of the subspace vanishing at the origin, kept for
+    #: ``build_frame``; not part of the JSON report
+    origin_slice: Subspace
     predicted: Subspace | None = None
     predicted_dim: int | None = None
     containment_residual: float | None = None
@@ -198,27 +255,41 @@ class DefectReport:
 
 
 def compute_defect(M: Subspace, defect_floor: float = 1e-8,
-                   tol_rel: float | None = None) -> DefectReport:
+                   tol_rel: float | None = None,
+                   complement: np.ndarray | None = None) -> DefectReport:
     """Measure the near-invariance defect of M.
 
     The slice is computed exactly inside M; residual directions below the
     absolute floor are treated as noise, which is what keeps exactly
     invariant subspaces (for instance model spaces) at defect zero.
+
+    ``complement`` is an orthonormal basis U of M's orthocomplement, as the
+    zero-symbol kernel solve keeps it.  Every residual r = S*F - P_M S*F is
+    orthogonal to M, so it lies in span U up to roundoff; when U has fewer
+    columns than the slice, the residual stack R is still measured in full,
+    but its span is cut from the SVD of the small U^H R
+    (``column_span_within``).  The leak L = R - U U^H R bounds, by Weyl, how
+    far each singular value of R can sit from the matching one of U^H R,
+    so the reported gap widens by |L|_F on both sides and brackets R's own.
     """
     sl = zero_at_origin_slice(M)
     if sl.dim == 0:
         return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_dim=0,
                             defect_basis=zero_space(M.m, M.N),
-                            sigma_gap=SigmaGap(0.0, None))
+                            sigma_gap=SigmaGap(0.0, None), origin_slice=sl)
     shifted = backward_shift_flat(sl.basis, M.m)
     residuals = shifted - M.project_flat(shifted)
-    defect = column_span(residuals, (M.m, M.N), tol_rel=tol_rel, floor=defect_floor)
+    if complement is not None and complement.shape[1] < sl.dim:
+        defect = column_span_within(residuals, complement, (M.m, M.N),
+                                    tol_rel=tol_rel, floor=defect_floor)
+    else:
+        defect = column_span(residuals, (M.m, M.N), tol_rel=tol_rel, floor=defect_floor)
     overlap = 0.0
     if defect.dim and M.dim:
         overlap = float(np.max(np.abs(M.basis.conj().T @ defect.basis)))
     return DefectReport(subspace_dim=M.dim, slice_dim=sl.dim,
                         defect_dim=defect.dim, defect_basis=defect,
-                        sigma_gap=defect.sigma_gap,
+                        sigma_gap=defect.sigma_gap, origin_slice=sl,
                         details={"defect_overlap_with_subspace": overlap})
 
 
@@ -256,11 +327,15 @@ def _attach_prediction(measured: DefectReport, M: Subspace,
 
 def _kernel_defect(kr: KernelResult, defect_floor: float,
                    tol_rel: float | None) -> DefectReport:
-    """The kernel's measured defect, with the kernel solve's audit in details."""
-    report = compute_defect(kr.subspace, defect_floor=defect_floor, tol_rel=tol_rel)
+    """The kernel's measured defect, with the kernel solve's audit in details.
+
+    The recorded ``kernel_sigma_ratio`` is the gap's audited ratio: a cut
+    that kept nothing is judged against the cut itself."""
+    report = compute_defect(kr.subspace, defect_floor=defect_floor, tol_rel=tol_rel,
+                            complement=kr.complement)
     report.kernel_residual_max = kr.residual_max
     report.details["kernel_sigma_cut"] = kr.sigma_cut
-    report.details["kernel_sigma_ratio"] = kr.sigma_gap.ratio
+    report.details["kernel_sigma_ratio"] = kr.sigma_gap.audited_ratio(kr.sigma_cut)
     report.details["kernel_audit_violations"] = kr.audit_violations
     report.details["kernel_method"] = kr.method
     return report

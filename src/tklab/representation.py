@@ -55,7 +55,7 @@ from .near_invariance import DefectReport, compute_defect, kernel_of
 from .operators import apply_block_toeplitz, build_perturbed, orthonormalize_family
 from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
-                        subspace_equal, zero_at_origin_slice, zero_space)
+                        subspace_equal, zero_space)
 from .symbols import LaurentMatrixSymbol, is_invertible_analytic
 
 #: members per matrix product in the batched membership residual; bounds the
@@ -113,8 +113,8 @@ def build_frame(M: Subspace, defect: Subspace | DefectReport,
     The defect space must contain the measured defect of M and be orthogonal
     to M.  A ``DefectReport`` already measured for M serves as both: its
     basis is the defect frame and no second measurement is made.  W spans M
-    minus (M intersect zH2), orthonormalized by Gram-Schmidt in the order of
-    M's basis columns.
+    minus (M intersect zH2), the measurement's origin slice, orthonormalized
+    by Gram-Schmidt in the order of M's basis columns.
     """
     if isinstance(defect, DefectReport):
         measured, defect = defect, defect.defect_basis
@@ -130,7 +130,7 @@ def build_frame(M: Subspace, defect: Subspace | DefectReport,
         if overlap > tol_contain:
             raise DimensionMismatch(
                 f"defect frame is not orthogonal to the subspace (overlap {overlap:.3e})")
-    zslice = zero_at_origin_slice(M)
+    zslice = measured.origin_slice
     off_slice = M.basis
     if zslice.dim:
         off_slice = M.basis - zslice.project_flat(M.basis)

@@ -46,6 +46,17 @@ class SigmaGap:
             return float("inf") if self.zero_side > 0 else 0.0
         return self.zero_side / self.signal_side
 
+    def audited_ratio(self, cut: float) -> float:
+        """``ratio``, except that a cut which kept nothing while treating a
+        positive singular value as zero is judged against the cut itself:
+        zero side / cut (infinite for a zero cut).  A cut at or above the
+        largest singular value reads at least 1, a cut that only dropped
+        roundoff far below it reads small."""
+        ratio = self.ratio
+        if ratio == float("inf"):
+            ratio = self.zero_side / cut if cut > 0 else float("inf")
+        return ratio
+
     def to_pair(self) -> list:
         return [self.zero_side, self.signal_side]
 
@@ -280,6 +291,40 @@ def column_span(stack: np.ndarray, shape: tuple[int, int],
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
     thresh, rank = _relative_cut(stack.shape, s, tol_rel, floor)
     return Subspace(m, N, u[:, :rank], thresh, SigmaGap.at(s, rank))
+
+
+def column_span_within(stack: np.ndarray, U: np.ndarray, shape: tuple[int, int],
+                       tol_rel: float | None = None, floor: float = 0.0) -> Subspace:
+    """``column_span`` of an mN x k array R whose columns lie, up to
+    roundoff, in the span of the orthonormal columns U (mN x p, p < k).
+
+    The SVD is of the p x k matrix U^H R instead of R.  With the leak
+    L = R - U (U^H R), R = U (U^H R) + L, and U (U^H R) has the singular
+    values s of U^H R followed by zeros, so by Weyl every singular value of
+    R is within |L|_2 <= |L|_F of the matching one of that padded spectrum.
+    The cut is ``column_span``'s, read off s; the basis is U times the kept
+    left singular vectors of U^H R.  The reported gap is s[rank] + |L|_F on
+    the zero side and s[rank - 1] - |L|_F on the signal side, which bracket
+    R's own singular values at the cut, so the decision stays auditable and
+    the zero side is never None where ``column_span``'s is not.  U's Gram
+    matrix is held to the ``Subspace`` bound first: Weyl needs it orthonormal.
+    """
+    m, N = shape
+    if stack.ndim != 2 or stack.shape[0] != m * N or not stack.shape[1]:
+        raise DimensionMismatch(f"column stack shape {stack.shape} vs ambient {m}*{N}")
+    if U.ndim != 2 or U.shape[0] != m * N or U.shape[1] >= stack.shape[1]:
+        raise DimensionMismatch(f"complement shape {U.shape} vs stack {stack.shape}")
+    if column_gram_deviation(U) > SUBSPACE_GRAM_BOUND:
+        raise ValueError(
+            f"complement columns are not orthonormal within {SUBSPACE_GRAM_BOUND:g}")
+    inside = U.conj().T @ stack
+    leak = float(np.linalg.norm(stack - U @ inside))
+    u, s, _ = np.linalg.svd(inside, full_matrices=False)
+    s = np.append(s, 0.0)
+    thresh, rank = _relative_cut(stack.shape, s, tol_rel, floor)
+    gap = SigmaGap.at(s, rank)
+    signal = gap.signal_side - leak if gap.signal_side is not None else None
+    return Subspace(m, N, U @ u[:, :rank], thresh, SigmaGap(gap.zero_side + leak, signal))
 
 
 def project(F: CoeffVec, M: Subspace) -> CoeffVec:

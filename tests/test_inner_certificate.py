@@ -19,7 +19,7 @@ from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor, is_inner,
                            unit_circle_grid)
 
 from conftest import random_inner, random_unitary
-from test_structured_operators import CLASS_SYMBOLS, _sweep_recipes
+from test_structured_operators import CLASS_SYMBOLS, _workloads
 
 GRID_SIZE = 2048
 TOL = 1e-8
@@ -123,7 +123,7 @@ def _bundled_symbols():
 def _recipe_symbols():
     """The symbols and factors of the benchmark's kernel-sweep recipes."""
     out = {}
-    for recipe in _sweep_recipes():
+    for recipe in _workloads().SWEEP_RECIPES:
         sc = recipe(np.random.default_rng(0), 32)
         found = [("symbol", sc.symbol)] + list(zip(("F1", "F2"), sc.factors or ()))
         for key, theta in found:

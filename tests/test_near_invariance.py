@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tklab import model_spaces, near_invariance, representation
 from tklab.errors import NotInnerError
@@ -10,9 +12,9 @@ from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_invertible_factors,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
-from tklab.operators import ToeplitzCompression, build_perturbed
-from tklab.subspaces import (is_contained, nullspace, span_of, subspace_equal,
-                             zero_at_origin_slice)
+from tklab.operators import PerturbedToeplitz, ToeplitzCompression, build_perturbed
+from tklab.subspaces import (column_gram_deviation, is_contained, nullspace, span_of,
+                             subspace_equal, zero_at_origin_slice)
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
 from conftest import rand_coeffvec, rand_orthonormal, random_inner, spy, unit
@@ -313,13 +315,13 @@ def _dense_kernel(T, tol_rel=None):
     return nullspace(T.action_matrix(), (T.m, T.N), tol_rel=tol_rel)
 
 
-def _assert_matches_dense(kr, T, method):
+def _assert_matches_dense(kr, T, method, tol_rel=None, subspace_tol=1e-10):
     """Structured kernel against the dense-SVD oracle: same path, dimension
     and subspace, and a signal side that never reads cleaner."""
-    dense = _dense_kernel(T)
+    dense = _dense_kernel(T, tol_rel=tol_rel)
     assert kr.method == method
     assert kr.subspace.dim == dense.dim
-    ok, resid = subspace_equal(kr.subspace, dense, 1e-10)
+    ok, resid = subspace_equal(kr.subspace, dense, subspace_tol)
     assert ok, resid
     if dense.sigma_gap.signal_side is not None:
         assert kr.sigma_gap.signal_side <= dense.sigma_gap.signal_side
@@ -427,10 +429,17 @@ class TestStructuredKernelOracle:
         for symbol in (theta, theta.adjoint()):
             assert kernel_of(build_perturbed(symbol, N, G, H)).method == "dense"
 
-    def test_zero_symbol_takes_dense_path(self, rng):
+    def test_zero_symbol_takes_zero_route(self, rng, monkeypatch):
         G = rand_orthonormal(rng, 2, 12, 5, 2)
         T = build_perturbed(LaurentMatrixSymbol.zero(2), 12, G, G)
-        assert kernel_of(T).method == "dense"
+        dense_svds = spy(monkeypatch, "nullspace")
+        actions = []
+        monkeypatch.setattr(PerturbedToeplitz, "action_matrix",
+                            lambda self: actions.append(self))
+        kr = kernel_of(T)
+        assert kr.method == "zero"
+        assert dense_svds == [] and actions == []
+        assert kr.subspace.dim + kr.complement.shape[1] == 24
 
     def test_uncertified_cut_falls_back_to_dense(self, rng):
         # a cut at 0.9 |A| swallows the isometry's unit singular values; the
@@ -451,6 +460,99 @@ class TestStructuredKernelOracle:
         T = build_perturbed(F, 12, [], [])
         with pytest.raises(ValueError):
             kernel_of(T, factors=(F, F))
+
+
+def _clean_cut(gap, cut):
+    """Both boundary singular values sit off the cut by more than roundoff,
+    so two backward-stable computations of the spectrum cut it alike."""
+    margin = 1e-6 * cut
+    return ((gap.signal_side is None or gap.signal_side > cut + margin)
+            and (gap.zero_side is None or cut == 0.0 or gap.zero_side < cut - margin))
+
+
+@st.composite
+def zero_symbol_operators(draw):
+    """Zero-symbol operators with rank-deficient, zero and non-orthonormal
+    families: every column of G and H is random with a random scale, a
+    multiple of an earlier column, or zero."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    N = draw(st.integers(2, 48))
+    n = draw(st.integers(0, min(4, m * N - 1)))  # n >= mN stays dense
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    families = []
+    for _ in range(2):
+        columns = []
+        for kind in draw(st.lists(st.sampled_from(["random", "repeat", "zero"]),
+                                  min_size=n, max_size=n)):
+            if kind == "repeat" and columns:
+                columns.append(complex(rng.standard_normal(), 1.0) * columns[-1])
+            elif kind == "zero":
+                columns.append(CoeffVec(np.zeros((m, N), complex)))
+            else:
+                columns.append(10.0 ** rng.uniform(-2, 2)
+                               * rand_coeffvec(rng, m, N, draw(st.integers(1, N))))
+        families.append(columns)
+    T = build_perturbed(LaurentMatrixSymbol.zero(m), N, *families,
+                        require_orthonormal=False)
+    return T, draw(st.sampled_from([None, 1e-12, 1e-6, 0.3]))
+
+
+class TestZeroSymbolRoute:
+    """The zero symbol's kernel from its n x n core and its defect from the
+    kernel's n-dimensional complement, against the dense SVDs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(zero_symbol_operators())
+    def test_matches_dense_oracle(self, case):
+        T, tol_rel = case
+        dense = _dense_kernel(T, tol_rel=tol_rel)
+        assume(_clean_cut(dense.sigma_gap, dense.tol))
+        kr = kernel_of(T, tol_rel=tol_rel)
+        # both solves are backward stable, so (sin-theta) their kernels may
+        # differ by about eps |A| over the smallest kept singular value
+        signal = dense.sigma_gap.signal_side
+        scale = np.linalg.norm(T.action_matrix(), 2) / signal if signal else 1.0
+        _assert_matches_dense(kr, T, "zero", tol_rel=tol_rel,
+                              subspace_tol=max(1e-10, 1e-13 * scale))
+        both = np.concatenate([kr.subspace.basis, kr.complement], axis=1)
+        assert both.shape[1] == T.m * T.N
+        assert column_gram_deviation(both) <= 1e-12
+        residual_svd = compute_defect(kr.subspace, tol_rel=tol_rel)
+        assume(_clean_cut(residual_svd.sigma_gap, residual_svd.defect_basis.tol))
+        within = compute_defect(kr.subspace, tol_rel=tol_rel, complement=kr.complement)
+        assert within.defect_dim == residual_svd.defect_dim
+        assert subspace_equal(within.defect_basis, residual_svd.defect_basis, 1e-10)[0]
+        # the Weyl gap brackets the residual stack's own boundary singular values
+        roundoff = 1e-13 * max(1.0, residual_svd.sigma_gap.signal_side or 0.0)
+        if residual_svd.sigma_gap.zero_side is not None:
+            assert within.sigma_gap.zero_side >= residual_svd.sigma_gap.zero_side - roundoff
+        if residual_svd.sigma_gap.signal_side is not None:
+            assert (within.sigma_gap.signal_side
+                    <= residual_svd.sigma_gap.signal_side + roundoff)
+
+    def test_complement_route_used_only_when_narrower_than_the_slice(self, monkeypatch):
+        within = spy(monkeypatch, "column_span_within")
+        G = [CoeffVec(np.eye(4)[j:j + 1]) for j in range(3)]
+        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(1), 4, G, G))
+        # the kernel is span{z^3}: a one-dimensional slice, a three-column complement
+        rep = compute_defect(kr.subspace, complement=kr.complement)
+        assert kr.complement.shape[1] == 3
+        assert rep.slice_dim == rep.defect_dim == 1
+        assert within == []
+
+    def test_non_orthonormal_complement_rejected(self, rng):
+        m, N = 2, 10
+        G = rand_orthonormal(rng, m, N, 5, 2)
+        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, G))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            compute_defect(kr.subspace, complement=2.0 * kr.complement)
+
+    def test_many_pairs_keep_the_dense_path(self, rng):
+        # n >= mN leaves no complete QR of G to read the kernel from
+        G = rand_orthonormal(rng, 1, 3, 3, 3)
+        T = build_perturbed(LaurentMatrixSymbol.zero(1), 3, G, G)
+        kr = kernel_of(T)
+        assert kr.method == "dense" and kr.complement is None
 
 
 #: every tklab module that may call is_inner or invert_analytic

@@ -72,7 +72,6 @@ def test_defect_check_equals_public_verification(path):
     outcome = next(o for o in run_scenario_object(sc, Tolerances()).outcomes
                    if o.name == "defect_theorem")
     oracle = _public_verification(sc, tol).to_json()
-    oracle.pop("details")
     residuals = dict(outcome.residuals)
     residuals.pop("sigma_conclusive")
     assert residuals == oracle
@@ -117,6 +116,37 @@ def test_rank_rel_override_reaches_the_model_space_cut(monkeypatch, tmp_path):
     report = run_scenario_object(load_scenario(path), Tolerances())
     assert report.outcomes[0].name == "defect_theorem"
     assert cuts == [3e-9]
+
+
+def _defect_outcome(tmp_path, name, overrides):
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    data["checks"] = ["defect_theorem"]
+    data["tolerances"] = overrides
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(data))
+    return run_scenario_object(load_scenario(path), Tolerances()).outcomes[0]
+
+
+@pytest.mark.parametrize("name", ["zero_symbol_defect", "inner_mixed_monomials_defect"])
+def test_cut_that_keeps_nothing_is_inconclusive(tmp_path, name):
+    # rank_rel 1.0 cuts at the largest singular value: nothing is kept and a
+    # positive singular value is called zero, a cut that settles nothing
+    outcome = _defect_outcome(tmp_path, name, {"rank_rel": 1.0})
+    assert outcome.residuals["subspace_dim"] == 64
+    assert outcome.residuals["details"]["kernel_sigma_ratio"] >= 1.0
+    assert outcome.residuals["sigma_conclusive"] is False
+    assert outcome.status == "fail"
+
+
+def test_ambiguous_defect_cut_is_inconclusive(tmp_path):
+    # the kernel cut stays clean; the defect span's cut at 0.999 of its top
+    # singular value falls between two of comparable size
+    outcome = _defect_outcome(tmp_path, "zero_symbol_defect", {"rank_rel": 0.999})
+    assert outcome.residuals["details"]["kernel_sigma_ratio"] < 1e-3
+    zero, signal = outcome.residuals["sigma_gap"]
+    assert zero / signal > 1e-3
+    assert outcome.residuals["sigma_conclusive"] is False
+    assert outcome.status == "fail"
 
 
 def _rank_one_data(overrides):

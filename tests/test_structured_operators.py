@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_orthonormal, random_inner
+from conftest import rand_orthonormal, random_inner, spy
 from tklab import model_spaces, operators
 from tklab.cli_reports import bundled_scenario_dir, load_scenario, run_scenario_object
 from tklab.config import (EXACT_INNER_ROUNDOFF, SUBSPACE_GRAM_BOUND, Tolerances)
@@ -245,16 +245,16 @@ def test_structured_scenarios_form_no_dense_matrix(path, monkeypatch):
     assert calls == []
 
 
-def _sweep_recipes():
+def _workloads():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return workloads.SWEEP_RECIPES
+    return workloads
 
 
-@pytest.mark.parametrize("recipe", _sweep_recipes(), ids=lambda r: r.__name__)
+@pytest.mark.parametrize("recipe", _workloads().SWEEP_RECIPES, ids=lambda r: r.__name__)
 def test_kernel_sweep_recipes_form_no_dense_matrix(recipe, monkeypatch):
     scenario = recipe(np.random.default_rng([0, 1]), 64)
     calls = _dense_spies(monkeypatch)
@@ -263,11 +263,27 @@ def test_kernel_sweep_recipes_form_no_dense_matrix(recipe, monkeypatch):
     assert calls == []
 
 
+def test_repr_large_zero_scenario_takes_no_dense_svd(monkeypatch):
+    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 64)
+    calls = _dense_spies(monkeypatch)
+    slices = spy(monkeypatch, "zero_at_origin_slice")
+    dense_svds = spy(monkeypatch, "nullspace")
+    spans_within = spy(monkeypatch, "column_span_within")
+    report = run_scenario_object(scenario, Tolerances())
+    assert [o.status for o in report.outcomes] == ["pass", "pass"]
+    assert report.outcomes[0].residuals["details"]["kernel_method"] == "zero"
+    assert len(slices) == 1 and len(spans_within) == 1
+    assert dense_svds == [] and calls == []
+
+
 def test_dense_classes_still_use_the_dense_builders(monkeypatch):
     calls = _dense_spies(monkeypatch)
+    dense_svds = spy(monkeypatch, "nullspace")
     report = run_scenario_object(load_scenario(SCENARIOS / "zero_symbol_defect.json"),
                                  Tolerances())
-    assert report.ok and "action_matrix" in calls
+    assert report.ok
+    assert report.outcomes[0].residuals["details"]["kernel_method"] == "zero"
+    assert "action_matrix" not in calls and dense_svds == []
     rng = np.random.default_rng(5)
     G = rand_orthonormal(rng, 2, 24, 5, 2)
     H = rand_orthonormal(rng, 2, 24, 5, 2)
