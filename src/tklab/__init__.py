@@ -11,8 +11,8 @@ representation of nearly invariant subspaces.
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (CircleRootError, ContainmentError, DimensionMismatch,
-                     FrameDeficientError, NotInnerError, NotInvertibleError,
-                     OrthonormalityError, ScenarioParseError,
+                     FrameDeficientError, InconclusiveCutError, NotInnerError,
+                     NotInvertibleError, OrthonormalityError, ScenarioParseError,
                      ScenarioValidationError, TKLabError)
 from .hardy_core import (CoeffVec, LaurentVec, backward_shift, eval_at_zero,
                          forward_shift, inner_product, reproducing_column)

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import REPRESENTATION_FLOOR, Tolerances
-from .errors import (ScenarioParseError, ScenarioValidationError, TKLabError)
+from .errors import (InconclusiveCutError, ScenarioParseError, ScenarioValidationError,
+                     TKLabError)
 from .hardy_core import CoeffVec
 from .model_spaces import ModelSpace, build_model_space
 from .near_invariance import (DefectReport, KernelResult, _factored_prediction,
@@ -344,7 +345,12 @@ def containment_tolerance(sc: Scenario, tol: Tolerances) -> float:
 def check_defect_theorem(run: ScenarioRun) -> CheckOutcome:
     t0 = time.perf_counter()
     sc, tol = run.sc, run.tol
-    report = run.predicted_defect()
+    try:
+        report = run.predicted_defect()
+    except InconclusiveCutError as exc:  # an ambiguous cut fails, it is no crash
+        return CheckOutcome("defect_theorem", "fail",
+                            {"sigma_conclusive": False, "inconclusive": str(exc)},
+                            time.perf_counter() - t0)
     ctol = containment_tolerance(sc, tol)
     conclusive = _sigma_conclusive(report, tol)
     ok = (report.bound_ok and report.containment_ok(ctol)
@@ -377,7 +383,8 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
                       "invariance_residuals": list(inv.residuals),
                       "depth": run.depth,
                       "certificate": {"squarings": cert.squarings,
-                                      "contraction": cert.contraction}})
+                                      "contraction": cert.contraction,
+                                      "support": list(cert.support)}})
     ok = (iso <= tol.representation and rec <= tol.representation
           and inv.max_residual <= tol.membership)
     return CheckOutcome("representation", "pass" if ok else "fail",

@@ -70,6 +70,18 @@ GRAM_SCHMIDT_DROP = 1e-10
 #: realization certificate to
 REPRESENTATION_FLOOR = 1e-6
 
+#: absolute floor of the origin-slice rank cut: the value rows of a unit
+#: basis are bounded by one, and rows of pure roundoff must not fake rank
+ORIGIN_SLICE_FLOOR = 1e-12
+
+#: absolute singular-value floor of the two spans of an inner symbol's
+#: prediction (shifted then compressed, compressed then shifted) compared
+#: for equality
+ALTERNATE_FORM_FLOOR = 1e-12
+
+#: norm below which a prediction column or a correction line counts as zero
+NEGLIGIBLE_NORM = 1e-14
+
 
 def rank_threshold(shape: tuple[int, int], sigma_max: float,
                    rank_rel: float | None = None) -> float:

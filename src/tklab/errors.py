@@ -29,6 +29,11 @@ class ContainmentError(TKLabError, ValueError):
     """A subspace expected to contain another does not, within tolerance."""
 
 
+class InconclusiveCutError(TKLabError, ValueError):
+    """A rank cut at or above the largest singular value of a nonzero matrix
+    declares every direction null and so decides nothing."""
+
+
 class FrameDeficientError(TKLabError, ValueError):
     """Coordinate extraction could not reconstruct the input within tolerance."""
 

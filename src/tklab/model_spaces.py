@@ -10,10 +10,11 @@ is R itself, and the kernel is solved inside R's md-dimensional complement,
 which contains it, from the banded compression; R is certified orthonormal
 by the coefficient identity and formed only when ``range_subspace`` is read.
 A Theta that is inner only to a series tail gets the dense SVD nullspace and
-the SVD span of R.  Two independent projections (kernel-basis and
-multiply-project-multiply) are cross-checked on every build; a disagreement
-aborts, since silent truncation bugs here would poison every downstream
-defect computation.
+the SVD span of R; so does the kernel of an exactly inner Theta whose cut
+the certified gap of ``nullspace_within`` cannot settle.  Two independent
+projections (kernel-basis and multiply-project-multiply) are cross-checked
+on every build; a disagreement aborts, since silent truncation bugs here
+would poison every downstream defect computation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotInnerError
+from .errors import InconclusiveCutError, NotInnerError
 from .hardy_core import CoeffVec
 from .operators import ToeplitzCompression, range_complement, shifted_range_matrix
 from .subspaces import (SigmaGap, Subspace, column_span, nullspace, nullspace_within,
@@ -80,7 +81,10 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
     (``inner_coefficient_deviation``), which ``is_exactly_inner`` holds to
     EXACT_INNER_ROUNDOFF, below the ``Subspace`` bound SUBSPACE_GRAM_BOUND:
     R passes the Gram check without being formed.  Its rank m(N - d) fixes
-    ``boundary_dim``, and ``range_subspace`` builds R only when read.
+    ``boundary_dim``, and ``range_subspace`` builds R only when read.  A
+    cut that the certified gap of ``nullspace_within`` cannot settle is
+    decided by the dense SVD of the compression, as in ``kernel_of``; a cut
+    that leaves every direction null raises ``InconclusiveCutError``.
     """
     if not theta.is_analytic():
         raise NotInnerError("model spaces need an analytic symbol")
@@ -100,10 +104,19 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
                                  float(np.max(comp.action_column_norms())),
                                  theta.coefficient_l1_norm(), 1.0, tol_rel=tol_rel)
         range_dim = m * (N - d)
+        if model is None:  # a cut the certificate cannot settle: decide densely
+            model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
     else:
         rng = column_span(shifted_range_matrix(theta, N), (m, N), tol_rel=tol_rel)
         range_dim = rng.dim
         model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
+    if model.dim == m * N:
+        # the compression of a nonzero Theta* is nonzero: a cut that leaves
+        # every direction null decides nothing, and the cross-check would
+        # only measure that
+        raise InconclusiveCutError(
+            f"model-space rank cut {model.tol:.3e} is at or above the largest "
+            f"singular value of the compression of Theta*")
 
     ms = ModelSpace(theta=theta, N=N, as_subspace=model,
                     boundary_dim=m * N - model.dim - range_dim,

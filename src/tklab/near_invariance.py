@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import rank_threshold
+from .config import ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, rank_threshold
 from .errors import NotInnerError, NotInvertibleError
 from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
 from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
@@ -307,7 +307,7 @@ def _attach_prediction(measured: DefectReport, M: Subspace,
     """
     report = replace(measured, details=dict(measured.details), defect_bound=defect_bound)
     shape = (M.m, M.N)
-    nonzero = predicted_vectors[:, column_norms(predicted_vectors) > 1e-14]
+    nonzero = predicted_vectors[:, column_norms(predicted_vectors) > NEGLIGIBLE_NORM]
     if not nonzero.shape[1]:
         report.predicted = zero_space(*shape)
         report.predicted_dim = 0
@@ -370,11 +370,12 @@ def _inner_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectRe
     # the shifted-then-compressed and compressed-then-shifted forms span the
     # same space; record how exactly
     forms = np.concatenate([predicted, alternate], axis=1)
-    if np.max(column_norms(forms), initial=0.0) < 1e-14:
+    if np.max(column_norms(forms), initial=0.0) < NEGLIGIBLE_NORM:
         report.details["alternate_form_residual"] = 0.0
     else:
-        _, resid = subspace_equal(column_span(predicted, (T.m, T.N), floor=1e-12),
-                                  column_span(alternate, (T.m, T.N), floor=1e-12))
+        _, resid = subspace_equal(
+            column_span(predicted, (T.m, T.N), floor=ALTERNATE_FORM_FLOOR),
+            column_span(alternate, (T.m, T.N), floor=ALTERNATE_FORM_FLOOR))
         report.details["alternate_form_residual"] = resid
     return report
 

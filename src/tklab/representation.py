@@ -45,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import GRAM_SCHMIDT_DROP
+from .config import GRAM_SCHMIDT_DROP, NEGLIGIBLE_NORM
 from .errors import DimensionMismatch, FrameDeficientError
 from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
                          eval_at_zero, flat_columns, inner_product,
@@ -519,12 +519,30 @@ class RealizationCertificate:
     reconstruction: float
     isometry: float
     invariance: InvarianceReport
+    #: sizes of the exact nonzero supports J of D and J' of P
+    support: tuple[int, int]
 
 
 def _norm2_hermitian(H: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix."""
+    """Spectral norm of a Hermitian matrix (0 for an empty one)."""
     H = 0.5 * (H + H.conj().T)
     return float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
+
+
+def _support_norms(D: np.ndarray, P: np.ndarray) -> tuple[float, float, int, int]:
+    """||D||_2 of a square, numerically Hermitian D and ||P||_2, each read
+    from its exact nonzero support (see ``certify_representation``).
+
+    Returns the two norms and the sizes of D's support J (the union of its
+    nonzero rows and columns) and P's support J' (its nonzero columns).
+    """
+    nonzero = D != 0
+    J = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    Jp = np.flatnonzero((P != 0).any(axis=0))
+    PJ = P[:, Jp]
+    d_norm = _norm2_hermitian(D[np.ix_(J, J)])
+    p_norm = math.sqrt(_norm2_hermitian(PJ.conj().T @ PJ))
+    return d_norm, p_norm, J.size, Jp.size
 
 
 def certify_representation(frame: RepresentationFrame, depth: int,
@@ -549,7 +567,20 @@ def certify_representation(frame: RepresentationFrame, depth: int,
       error A Q - Q A_Q (a defect frame missing directions);
     * D = I - A_Q^H A_Q - C_Q^H C_Q, the one-step isometry defect.
 
-    Both norms are spectral, from ``eigvalsh`` of K x K Hermitian matrices.
+    *Norms on their exact support.*  Both norms are spectral, and
+    ``eigvalsh`` decides both, on the exact nonzero support of D and P.  Let
+    J be the union of D's nonzero rows and nonzero columns (a GEMM result is
+    not bitwise Hermitian, so a zero column need not mean a zero row).  Every
+    row and column of the symmetrized (D + D^H)/2 outside J is zero, so up to
+    a permutation it is diag(S, 0) with S the symmetrized D[J, J]: its
+    eigenvalues are those of S and zeros, and ||D|| is the largest absolute
+    one.  Let J' be the nonzero columns of P; then P y = P[:, J']
+    y_J', so ||P||^2 = ||P[:, J']||^2 = lambda_max(P[:, J']^H P[:, J']).
+    Both are exact, not bounds.  On a dense basis J and J' hold every index
+    and the computation is the K x K one; an empty support gives 0.  On the
+    zero route's Householder basis most columns of Q are exact unit vectors
+    that the step maps without roundoff, and both supports stay at a few
+    indices near the degrees G touches, whatever N.
 
     *Certificate.*  A_Q is squared k times until q = ||A_Q^T||_F < 1/2,
     T = 2^k; no eigenvalue is trusted, since the computed spectrum of a
@@ -606,8 +637,8 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     P = V
     P[m:] -= Y[:-m]
     C = np.concatenate([a, c], axis=0)
-    d_norm = _norm2_hermitian(np.eye(M.dim) - A.conj().T @ A - C.conj().T @ C)
-    p_norm = math.sqrt(_norm2_hermitian(P.conj().T @ P))
+    d_norm, p_norm, d_support, p_support = _support_norms(
+        np.eye(M.dim) - A.conj().T @ A - C.conj().T @ C, P)
     power, squarings = A, 0
     q = float(np.linalg.norm(power))
     while not q < 0.5:
@@ -631,7 +662,8 @@ def certify_representation(frame: RepresentationFrame, depth: int,
         isometry=d_norm * T * c_T * c_T / (1.0 - q * q),
         invariance=InvarianceReport(
             depth=depth, residuals=tuple(recon * growth ** (n / 2)
-                                         for n in range(1, depth + 1))))
+                                         for n in range(1, depth + 1))),
+        support=(d_support, p_support))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1075,7 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
         formula = col - correction
         if case != "in_range_noncritical":
             formula = formula + (inner_product(col, theta_h) / theta_h.norm_sq()) * theta_h
-        if correction_line is not None and correction_line.norm() > 1e-14:
+        if correction_line is not None and correction_line.norm() > NEGLIGIBLE_NORM:
             formula = formula - (inner_product(col, correction_line)
                                  / correction_line.norm_sq()) * correction_line
         proj_resid = max(proj_resid, (project(col, kernel) - formula).norm())
@@ -1063,7 +1095,7 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
     frame = build_frame(kernel, defect)
     peeling = peel_members(kernel.basis[:, :min(kernel.dim, 6)], frame)
     line = correction_line if correction_line is not None \
-        and correction_line.norm() > 1e-14 else None
+        and correction_line.norm() > NEGLIGIBLE_NORM else None
     for _, R in _suffix_reassemblies(frame, peeling.series, depth):
         membership["ambient_sum"] = max(
             membership["ambient_sum"],

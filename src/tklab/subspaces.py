@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SUBSPACE_GRAM_BOUND, rank_threshold
+from .config import ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND, rank_threshold
 from .errors import ContainmentError, DimensionMismatch
 from .hardy_core import CoeffVec, column_vectors
 
@@ -401,9 +401,7 @@ def zero_at_origin_slice(M: Subspace) -> Subspace:
     values = M.basis[:M.m, :]  # degree-0 block rows
     if np.max(np.abs(values)) == 0.0:
         return M
-    # the basis columns are unit vectors, so the value matrix is bounded by
-    # one; an absolute floor keeps all-noise value rows from faking rank
-    combos, _, gap = _null_combinations(values, None, floor=1e-12)
+    combos, _, gap = _null_combinations(values, None, floor=ORIGIN_SLICE_FLOOR)
     return Subspace(M.m, M.N, M.basis @ combos, M.tol, gap)
 
 

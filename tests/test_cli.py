@@ -271,6 +271,23 @@ class TestApiErrors:
                        str(SCENARIOS / "zero_symbol_defect.json"))
         assert proc.returncode == EXIT_PASS
 
+    @pytest.mark.parametrize("rank_rel", [0.999, 1.0])
+    def test_ambiguous_model_space_cut_is_a_verdict(self, tmp_path, rank_rel):
+        # the Theta* model space at a cut its certificate cannot settle (0.999)
+        # or that declares every direction null (1.0): a failed check, not a
+        # crash
+        data = json.loads((SCENARIOS / "adjoint_mixed_defect.json").read_text())
+        data["tolerances"] = {"rank_rel": rank_rel}
+        path = tmp_path / "adjoint_mixed_defect.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode in (EXIT_PASS, EXIT_CHECK_FAIL), proc.stderr
+        assert proc.stderr == ""
+        defect = json.loads(out.read_text())["checks"][0]
+        assert defect["name"] == "defect_theorem" and defect["status"] == "fail"
+        assert defect["residuals"]["sigma_conclusive"] is False
+
     def test_tol_rank_reaches_the_kernel(self, tmp_path):
         # a cut at 0.9 |A| swallows unit singular values of the isometry, and
         # it is one the structured inner path cannot certify: the dense SVD

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tklab import model_spaces
-from tklab.errors import NotInnerError
+from tklab.errors import InconclusiveCutError, NotInnerError
 from tklab.hardy_core import CoeffVec, inner_product
 from tklab.model_spaces import (build_model_space, decompose_against_theta,
                                 model_space_dimension_on_interior,
@@ -127,6 +127,35 @@ class TestStructuredModelSpaceOracle:
         assert (ms.as_subspace.dim, ms.boundary_dim) == (model.dim, boundary) == (5, 1)
         assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
         assert subspace_equal(ms.range_subspace, rng_space, 1e-10)[0]
+
+    def test_uncertified_cut_falls_back_to_the_dense_svd(self, monkeypatch):
+        # the certified gap of nullspace_within cannot settle a cut at 0.999
+        # of |C|; the dense SVD decides, as in kernel_of, and keeps the unit
+        # singular values of the exact inner compression
+        theta, N = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]]), 32
+        real, certified = model_spaces.nullspace_within, []
+        monkeypatch.setattr(model_spaces, "nullspace_within",
+                            lambda *args, **kwargs: certified.append(real(*args, **kwargs))
+                            or certified[-1])
+        ms = build_model_space(theta, N, tol_rel=0.999)
+        assert certified == [None]
+        comp = ToeplitzCompression(theta.adjoint(), N)
+        dense = nullspace(comp.matrix, (2, N), tol_rel=0.999)
+        assert np.array_equal(ms.as_subspace.basis, dense.basis)
+        assert ms.as_subspace.tol == dense.tol
+        model, _, boundary = _dense_model_space(theta, N)
+        assert (ms.as_subspace.dim, ms.boundary_dim) == (model.dim, boundary)
+        assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
+
+    @pytest.mark.parametrize("theta,tol_inner", [
+        (LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]]), 1e-8),
+        (LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]]), 1e-6)],
+        ids=["exactly_inner", "series_inner"])
+    def test_cut_at_the_top_of_the_spectrum_is_inconclusive(self, theta, tol_inner):
+        # every direction would be null: no model space, and no cross-check
+        # failure passed off as an assembly bug
+        with pytest.raises(InconclusiveCutError, match="largest singular value"):
+            build_model_space(theta, 24, tol_inner=tol_inner, tol_rel=1.0)
 
     def test_truncated_blaschke_matches_dense(self):
         N = 24

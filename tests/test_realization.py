@@ -2,9 +2,12 @@
 peeling engine as its oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tklab import representation
 from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario,
@@ -16,6 +19,7 @@ from tklab.representation import (RepresentationFrame, build_frame,
                                   peel_members)
 
 from test_representation import ORACLE_CASES, complement_frame
+from test_structured_operators import _workloads
 
 SCENARIOS = bundled_scenario_dir()
 REPRESENTATION_SCENARIOS = sorted(
@@ -151,3 +155,123 @@ def test_check_never_peels(monkeypatch):
         assert outcome.status == "pass", name
         cert = outcome.residuals["certificate"]
         assert isinstance(cert["squarings"], int) and 0 <= cert["contraction"] < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the norms of D and P on their exact nonzero support
+# ---------------------------------------------------------------------------
+
+
+def _full_norms(D, P):
+    """||D|| and ||P|| from the K x K eigendecompositions the support replaces."""
+    return (representation._norm2_hermitian(D),
+            math.sqrt(representation._norm2_hermitian(P.conj().T @ P)))
+
+
+def _full_support_norms(D, P):
+    return (*_full_norms(D, P), D.shape[0], P.shape[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(0, 24), rows=st.integers(1, 40),
+       kind=st.sampled_from(["dense", "pattern", "zero"]))
+def test_support_norms_equal_full_eigendecompositions(seed, K, rows, kind):
+    rng = np.random.default_rng(seed)
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    X = noise(K, K)
+    D, P = X + X.conj().T, noise(rows, K)
+    if kind == "pattern":
+        # exact zeros outside a random index set, roundoff that breaks the
+        # symmetry on it, and stray entries whose transposes stay zero
+        keep = rng.random(K) < 0.4
+        D[~keep] = 0.0
+        D[:, ~keep] = 0.0
+        D[np.ix_(keep, keep)] += 1e-16 * noise(keep.sum(), keep.sum())
+        for _ in range(rng.integers(0, 3)):
+            i, j = rng.integers(0, K, size=2) if K else (0, 0)
+            if K and D[j, i] == 0.0:
+                D[i, j] = 1e-16 * noise(1)[0]
+        P[:, rng.random(K) < 0.6] = 0.0
+    elif kind == "zero":
+        D[:], P[:] = 0.0, 0.0
+    scale = 10.0 ** rng.uniform(-14, 2)
+    D, P = scale * D, scale * P
+    d_norm, p_norm, d_support, p_support = representation._support_norms(D, P)
+    d_full, p_full = _full_norms(D, P)
+    assert d_norm == pytest.approx(d_full, rel=1e-13, abs=0.0)
+    assert p_norm == pytest.approx(p_full, rel=1e-13, abs=0.0)
+    assert d_support == np.sum((D != 0).any(axis=0) | (D != 0).any(axis=1))
+    assert p_support == np.sum((P != 0).any(axis=0))
+    if kind == "zero":
+        assert (d_norm, p_norm, d_support, p_support) == (0.0, 0.0, 0, 0)
+
+
+def test_support_is_the_union_of_nonzero_rows_and_columns():
+    # a GEMM result need not be bitwise Hermitian: entry (1, 3) may hold
+    # roundoff while (3, 1) is exactly zero; the columns alone miss row 1
+    D = np.zeros((5, 5), complex)
+    D[1, 3] = 3e-16
+    d_norm, p_norm, d_support, p_support = representation._support_norms(
+        D, np.zeros((4, 5), complex))
+    assert (d_support, p_support, p_norm) == (2, 0, 0.0)
+    assert d_norm == pytest.approx(_full_norms(D, np.zeros((4, 5)))[0], rel=1e-13)
+    assert d_norm == pytest.approx(1.5e-16, rel=1e-13)
+
+
+@pytest.mark.parametrize("make,arg", FRAMES)
+def test_certificate_equals_full_eigendecompositions(make, arg, monkeypatch):
+    frame, depth = make(arg)
+    cert = certify_representation(frame, depth)
+    monkeypatch.setattr(representation, "_support_norms", _full_support_norms)
+    full = certify_representation(frame, depth)
+    assert (cert.squarings, cert.contraction) == (full.squarings, full.contraction)
+    for ours, oracle in zip((cert.isometry, cert.reconstruction, *cert.invariance.residuals),
+                            (full.isometry, full.reconstruction, *full.invariance.residuals)):
+        assert ours == pytest.approx(oracle, rel=1e-13, abs=0.0)
+    K = frame.M.dim
+    assert 0 <= cert.support[0] <= K and 0 <= cert.support[1] <= K
+
+
+def _repr_large_frame(N):
+    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), N)
+    run = ScenarioRun.validated(scenario, Tolerances())
+    return build_frame(run.kernel.subspace, run.defect,
+                       defect_floor=run.tol.defect_floor), run.depth
+
+
+def test_eigendecompositions_do_not_grow_with_N(monkeypatch):
+    # on the zero route's Householder basis D and P live on a fixed handful
+    # of indices, so the certificate's eigvalsh calls keep their size as K
+    # doubles
+    real = np.linalg.eigvalsh
+    sizes = {}
+    for N in (64, 128):
+        frame, depth = _repr_large_frame(N)
+        calls = []
+
+        def spy_eigvalsh(H, *args, **kwargs):
+            calls.append(H.shape)
+            return real(H, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+            cert = certify_representation(frame, depth)
+        sizes[N] = calls
+        assert list(cert.support) == [calls[0][0], calls[1][0]]
+    assert len(sizes[64]) == 2 and sizes[64] == sizes[128]
+    assert max(max(shape) for shape in sizes[64]) < 64
+
+
+def test_report_records_the_supports():
+    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 64)
+    report = run_scenario_object(scenario, Tolerances())
+    outcome = report.outcomes[1]
+    assert outcome.name == "representation" and outcome.status == "pass"
+    frame, depth = _repr_large_frame(64)
+    support = outcome.residuals["certificate"]["support"]
+    assert support == list(certify_representation(frame, depth).support)
+    assert all(isinstance(s, int) and 0 < s < outcome.residuals["kernel_dim"]
+               for s in support)

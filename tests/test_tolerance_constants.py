@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from tklab import subspaces
 from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario)
-from tklab.config import EXACT_INNER_ROUNDOFF, SUBSPACE_GRAM_BOUND, Tolerances
+from tklab.config import (EXACT_INNER_ROUNDOFF, ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND,
+                          Tolerances)
+from tklab.hardy_core import CoeffVec
+from tklab.near_invariance import compute_defect
 from tklab.representation import _row_residuals
 from tklab.subspaces import Subspace
 
@@ -25,6 +29,18 @@ def test_subspace_rejects_a_basis_past_the_gram_bound():
     basis[0, 0] += 4 * SUBSPACE_GRAM_BOUND
     with pytest.raises(ValueError, match="not orthonormal within 1e-12"):
         Subspace(2, 2, basis, 0.0)
+
+
+def test_origin_slice_reads_its_named_floor(monkeypatch):
+    # a unit member whose value at the origin is 1e-13: below the floor it
+    # counts as vanishing there, above it as a value the slice must cut away
+    coeffs = np.zeros((2, 6), complex)
+    coeffs[0, 0], coeffs[1, 3] = 1e-13, 1.0
+    M = subspaces.span_of([CoeffVec(coeffs), CoeffVec.monomial(2, 6, 0, 2)])
+    assert 1e-13 < ORIGIN_SLICE_FLOOR
+    assert compute_defect(M).slice_dim == 2
+    monkeypatch.setattr(subspaces, "ORIGIN_SLICE_FLOOR", 1e-14)
+    assert compute_defect(M).slice_dim == 1
 
 
 def _membership_bound(K: int) -> float:
