@@ -26,13 +26,11 @@ from .operators import (BrownHalmosReport, PerturbedToeplitz,
                         ToeplitzCompression, brown_halmos_check,
                         build_perturbed, orthonormalize_family)
 from .representation import (Coordinates, RepresentationFrame, build_frame,
-                             certify_representation,
-                             check_coordinate_space_invariance,
-                             extract_coordinates,
+                             certify_representation, peel_members,
                              rank_one_complement_analysis,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
-                             rank_one_theta_star_analysis, reassemble)
+                             rank_one_theta_star_analysis)
 from .subspaces import (SigmaGap, Subspace, full_space, intersect,
                         is_contained, nullspace, ortho_complement_within,
                         project, span_of, subspace_equal,

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import REPRESENTATION_FLOOR, Tolerances
-from .errors import (InconclusiveCutError, ScenarioParseError, ScenarioValidationError,
-                     TKLabError)
+from .errors import (FrameDeficientError, InconclusiveCutError, ScenarioParseError,
+                     ScenarioValidationError, TKLabError)
 from .hardy_core import CoeffVec
 from .model_spaces import ModelSpace, build_model_space
 from .near_invariance import (DefectReport, KernelResult, _factored_prediction,
@@ -372,13 +372,18 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
         return CheckOutcome("representation", "skipped", residuals,
                             time.perf_counter() - t0)
     frame = build_frame(kernel, run.defect, defect_floor=tol.defect_floor)
-    cert = certify_representation(frame, run.depth,
-                                  max(tol.representation, REPRESENTATION_FLOOR))
-    iso, rec, inv = cert.isometry, cert.reconstruction, cert.invariance
     residuals.update({"r": frame.r, "p": frame.p,
                       "vanishing_case": frame.vanishing_case,
-                      "case": "vanishing" if frame.vanishing_case else "nonvanishing",
-                      "isometry_residual_max": iso,
+                      "case": "vanishing" if frame.vanishing_case else "nonvanishing"})
+    try:
+        cert = certify_representation(frame, run.depth,
+                                      max(tol.representation, REPRESENTATION_FLOOR))
+    except FrameDeficientError as exc:  # a frame that cannot certify fails the check
+        residuals.update({"certified": False, "uncertified": str(exc)})
+        return CheckOutcome("representation", "fail", residuals,
+                            time.perf_counter() - t0)
+    iso, rec, inv = cert.isometry, cert.reconstruction, cert.invariance
+    residuals.update({"isometry_residual_max": iso,
                       "reconstruction_residual_max": rec,
                       "invariance_residuals": list(inv.residuals),
                       "depth": run.depth,

@@ -16,24 +16,21 @@ inner products against the defect frame; iterating walks up the degrees.
 Peeling lands exactly on the coordinate-space solution, which a flat
 least-squares solve of the (often rank-deficient) frame map would not.
 
-Peeling is linear in F, so one engine (``peel_members``) runs it on a whole
-batch: the K members are the rows of a K x mN array, the pseudo-inverse of
-the value map is formed once per frame, and every step is a few matrix
-products over the members still active.  A member leaves the active set at
-its own tail floor, so its series length and coefficients are those of a
-peeling run on that member alone.  The coefficients are kept step-major,
-members ordered by decreasing series length, so step t touches a prefix.
-
-Reassembly runs the Horner recursion acc <- z (acc + E c_t) + W a_t from the
-top step down.  Its state after step n is the reassembly of the coordinates
-backward-shifted n times, so one pass yields the reconstruction (n = 0) and
-every shifted reassembly the invariance check needs (n = 1..depth).
-
-The representation check does not peel.  ``certify_representation`` takes one
-peeling step on the whole basis of M, which realizes the coordinate space as
-{C (I - zA)^-1 x} with a dim M x dim M matrix A, and certifies convergence,
-reconstruction, isometry and invariance for every member from that step.
-Peeling stays the extraction engine and the oracle of the certificate.
+One peeling step is linear: ``_peel_step`` takes it on flat columns and
+returns their coefficients C X, their remainders A X and the value-map
+residuals X - W a.  Two callers share it.  ``certify_representation`` takes
+the step once on the whole orthonormal basis Q of M, which realizes the
+coordinate space as {C (I - zA)^-1 x} with a dim M x dim M matrix A, and
+certifies convergence, reconstruction, isometry and invariance for every
+member of M from that one step; the representation check runs only this.
+``peel_members`` iterates the step on given members, each column until its
+own tail floor, and reassembles the series in one Horner pass
+acc <- z (acc + E c_t) + W a_t from the top step down.  Its state after
+step n is the reassembly R_n of the coordinates backward-shifted n times,
+so the pass yields the reconstruction (n = 0) and every shifted reassembly
+the invariance residuals need (n = 1..depth).  The rank-one analyses read
+their coordinates and reassemblies from it, and it is the certificate's
+test oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -58,22 +54,12 @@ from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
                         subspace_equal, zero_space)
 from .symbols import LaurentMatrixSymbol, is_invertible_analytic
 
-#: members per matrix product in the batched membership residual; bounds the
-#: temporaries to a few chunk x mN arrays
-_ROW_CHUNK = 128
-#: steps of slack in the sliding-window buffers of peeling and reassembly; the
-#: window is copied back to the start of a fresh buffer once per this many
-_WINDOW_SLACK = 32
-
 
 @dataclass(frozen=True)
 class RepresentationFrame:
     M: Subspace
     W: tuple[CoeffVec, ...]
     E: tuple[CoeffVec, ...]
-    vanishing_case: bool
-    #: conditioning of the value-at-zero map of the W frame
-    value_map_cond: float
 
     @property
     def r(self) -> int:
@@ -82,6 +68,11 @@ class RepresentationFrame:
     @property
     def p(self) -> int:
         return len(self.E)
+
+    @property
+    def vanishing_case(self) -> bool:
+        """Every member of M vanishes at the origin: the W frame is empty."""
+        return self.r == 0
 
     def value_matrix(self) -> np.ndarray:
         if not self.W:
@@ -135,14 +126,8 @@ def build_frame(M: Subspace, defect: Subspace | DefectReport,
     if zslice.dim:
         off_slice = M.basis - zslice.project_flat(M.basis)
     W, _ = gram_schmidt(off_slice, GRAM_SCHMIDT_DROP)
-    if W.shape[1]:
-        svals = np.linalg.svd(W[:M.m], compute_uv=False)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
-    else:
-        cond = 1.0
     return RepresentationFrame(M=M, W=tuple(column_vectors(W, M.m, M.N)),
-                               E=tuple(defect.basis_vectors()),
-                               vanishing_case=not W.shape[1], value_map_cond=cond)
+                               E=tuple(defect.basis_vectors()))
 
 
 @dataclass
@@ -154,23 +139,6 @@ class Coordinates:
     reconstruction_residual: float
     isometry_gap: float
     source_norm: float
-
-    def shifted(self, n: int) -> "Coordinates":
-        """Apply the backward shift n times to every coordinate function."""
-        K0 = self.K0
-        if K0 is not None:
-            arr = np.zeros_like(K0.coeffs)
-            if n < K0.N:
-                arr[:, :K0.N - n] = K0.coeffs[:, n:]
-            K0 = CoeffVec(arr)
-        k = []
-        for kj in self.k:
-            arr = np.zeros_like(kj.coeffs)
-            if n < kj.N:
-                arr[:, :kj.N - n] = kj.coeffs[:, n:]
-            k.append(CoeffVec(arr))
-        return Coordinates(K0=K0, k=tuple(k), reconstruction_residual=0.0,
-                           isometry_gap=0.0, source_norm=self.source_norm)
 
 
 @dataclass(frozen=True)
@@ -188,170 +156,25 @@ class InvarianceReport:
 
 
 # ---------------------------------------------------------------------------
-# batched peeling engine
+# the peeling step and the peeling engine
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoordinateSeries:
-    """Coordinate series of K members, step-major.
+def _peel_step(frame: RepresentationFrame, X: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One peeling step on the flat columns of X (mN x K).
 
-    ``blocks[t]`` is the n_t x (r + p) array of step-t coefficients (K0 block
-    then k block) of the n_t members whose series is longer than t; members
-    sit in order of decreasing series length (``order[i]`` is the input index
-    of position i), so those are always the first n_t.
+    Returns the coefficients C X = [a; c] ((r + p) x K) with
+    a = pinv(W(0)) X(0) and c = E^H S*(X - W a), the remainders
+    A X = S*(X - W a) - E c, and the value-map residuals X - W a.
     """
-
-    blocks: list[np.ndarray]
-    order: np.ndarray
-    lengths: np.ndarray  # series length per input member
-
-    @classmethod
-    def from_coordinates(cls, frame: RepresentationFrame,
-                         coords_list: list[Coordinates]) -> "CoordinateSeries":
-        """Stack per-member coordinate functions; shorter ones read as zero-padded."""
-        r, p = frame.r, frame.p
-        arrays = []
-        for c in coords_list:
-            width = max([c.K0.N if c.K0 is not None else 0] + [kj.N for kj in c.k])
-            arr = np.zeros((width, r + p), dtype=complex)
-            if r and c.K0 is not None:
-                arr[:c.K0.N, :r] = c.K0.coeffs[:r].T
-            for j, kj in enumerate(c.k[:p]):
-                arr[:kj.N, r + j] = kj.coeffs[0]
-            arrays.append(arr)
-        lengths = np.array([a.shape[0] for a in arrays], dtype=int)
-        order = np.argsort(-lengths, kind="stable")
-        blocks = [np.stack([arrays[i][t] for i in order[:int(np.sum(lengths > t))]])
-                  for t in range(int(lengths.max(initial=0)))]
-        return cls(blocks=blocks, order=order, lengths=lengths)
-
-    def member(self, i: int) -> np.ndarray:
-        """Series of input member i as a length x (r + p) array."""
-        pos = int(np.flatnonzero(self.order == i)[0])
-        return np.array([self.blocks[t][pos] for t in range(self.lengths[i])])
-
-
-def _peel(rows: np.ndarray, frame: RepresentationFrame, floors: np.ndarray,
-          max_steps: int) -> tuple[CoordinateSeries, np.ndarray]:
-    """Peel every row of a K x mN member array; returns the series and the
-    coordinate norm squared per member.
-
-    The W subtraction is folded through the shift and the defect projection,
-    S*(F - W a) - E c = S*F - E c0 - (S*W - E G) a with c0 = E^H S*F and
-    c = c0 - G a, G = E^H S*W, so a step is one product per stage.  The
-    remainders sit in a window of a wider zero-padded buffer; the backward
-    shift moves the window one block along it.
-    """
-    m, mN = frame.M.m, frame.M.m * frame.M.N
-    r, p = frame.r, frame.p
-    W, E, pinv = frame.W_matrix, frame.E_matrix, frame.value_pinv
-    E_conj = E.conj()
-    SW = backward_shift_flat(W, m)
-    G = E_conj.T @ SW
-    update = np.concatenate([SW - E @ G, E], axis=1).T  # acts on [a | c0]
-    K = rows.shape[0]
-    width = mN + m * _WINDOW_SLACK
-    buf = np.zeros((K, width), dtype=complex)
-    buf[:, :mN] = rows
-    o = 0
-    alive = np.arange(K)
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
-    coord_sq = np.zeros(K)
-    for _ in range(max_steps):
-        cur = buf[:, o:o + mN]
-        live = _row_norms(cur) > floors[alive]
-        if not live.all():
-            alive = alive[live]
-            buf[:alive.size, o:o + mN] = cur[live]  # blocks past the window stay zero
-            buf = buf[:alive.size]
-        if not alive.size:
-            break
-        if o + m + mN > width:
-            buf[:, :mN] = buf[:, o:o + mN]
-            buf[:, mN:] = 0.0
-            o = 0
-        coef = np.empty((alive.size, r + p), dtype=complex)
-        coef[:, :r] = buf[:, o:o + m] @ pinv.T
-        o += m  # backward shift: the block entering the window is zero
-        cur = buf[:, o:o + mN]
-        coef[:, r:] = cur @ E_conj
-        cur -= coef @ update
-        coef[:, r:] -= coef[:, :r] @ G.T
-        coord_sq[alive] += _row_norms(coef) ** 2
-        steps.append((alive, coef))
-    del buf
-    lengths = np.zeros(K, dtype=int)
-    for alive, _ in steps:
-        lengths[alive] += 1
-    order = np.argsort(-lengths, kind="stable")
-    position = np.empty(K, dtype=int)
-    position[order] = np.arange(K)
-    blocks = []
-    for alive, coef in steps:
-        sorted_coef = np.empty_like(coef)
-        sorted_coef[position[alive]] = coef
-        blocks.append(sorted_coef)
-    return CoordinateSeries(blocks=blocks, order=order, lengths=lengths), coord_sq
-
-
-def _suffix_reassemblies(frame: RepresentationFrame, series: CoordinateSeries,
-                         depth: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, R_n) for n = depth, ..., 1, 0.
-
-    Row i of R_n is the reassembly of the coordinates of member
-    ``series.order[i]`` backward-shifted n times; members whose series is not
-    longer than n reassemble to zero and are left out.  The Horner step
-    R_t = z R_{t+1} + W a_t + (z E) c_t moves a window one block back along
-    a zero-padded buffer for the z.  R_n is a view of that buffer: read it
-    before advancing the iterator.
-    """
-    m, N = frame.M.m, frame.M.N
-    mN = m * N
-    W, E = frame.W_matrix, frame.E_matrix
-    zE = np.zeros_like(E)
-    zE[m:] = E[:-m]
-    update = np.concatenate([W, zE], axis=1).T  # acts on [a | c]
-    blocks = series.blocks
-    width = mN + m * _WINDOW_SLACK
-    buf = np.zeros((blocks[0].shape[0] if blocks else 0, width), dtype=complex)
-    o = width - mN
-    # step t only reaches the window of shifts n > t - N
-    top = min(len(blocks), N + depth)
-    for t in range(max(top, depth + 1) - 1, -1, -1):
-        n = blocks[t].shape[0] if t < top else 0
-        if n:
-            if o < m:
-                fresh = np.zeros_like(buf)
-                fresh[:, width - mN:] = buf[:, o:o + mN]
-                buf, o = fresh, width - mN
-            o -= m  # multiply by z: the block entering the window is zero
-            buf[:n, o:o + mN] += blocks[t] @ update
-        if t <= depth:
-            yield t, buf[:n, o:o + mN]
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    if rows.dtype == complex and rows.strides[-1] == rows.itemsize:
-        flat = rows.view(float)
-        return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    re, im = rows.real, rows.imag
-    return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
-
-
-def _row_residuals(M: Subspace, rows: np.ndarray) -> np.ndarray:
-    """Membership residual |v - Q Q^H v| of every row v, Q the basis of M."""
-    if M.dim == 0:
-        return _row_norms(rows)
-    Q = M.basis
-    out = np.empty(rows.shape[0])
-    for s in range(0, rows.shape[0], _ROW_CHUNK):
-        chunk = rows[s:s + _ROW_CHUNK]
-        # chunk Q-bar = conj(conj(chunk) Q): no conjugate copy of Q
-        proj = np.conj(np.conj(chunk) @ Q) @ Q.T
-        np.subtract(chunk, proj, out=proj)
-        out[s:s + _ROW_CHUNK] = _row_norms(proj)
-    return out
+    E = frame.E_matrix
+    a = frame.value_pinv @ X[:frame.M.m]
+    V = X - frame.W_matrix @ a
+    R = backward_shift_flat(V, frame.M.m)
+    c = E.conj().T @ R
+    R -= E @ c
+    return np.concatenate([a, c], axis=0), R, V
 
 
 @dataclass
@@ -359,7 +182,13 @@ class Peeling:
     """Coordinates of a batch of members from one peeling run."""
 
     frame: RepresentationFrame
-    series: CoordinateSeries
+    #: steps x (r + p) x K: step t of member i is series[t, :, i] (K0 block,
+    #: then k block), zero past the member's own length
+    series: np.ndarray
+    lengths: np.ndarray
+    #: (depth + 1) x mN x K: R_n, the reassembly of the coordinates
+    #: backward-shifted n times; R_0 reconstructs the members
+    reassemblies: np.ndarray
     source_norms: np.ndarray
     reconstruction_residuals: np.ndarray
     isometry_gaps: np.ndarray
@@ -368,17 +197,15 @@ class Peeling:
     def coordinates(self, i: int) -> Coordinates:
         """The coordinate functions of input member i."""
         r, p = self.frame.r, self.frame.p
-        arr = np.zeros((max(int(self.series.lengths[i]), 1), r + p), dtype=complex)
-        arr[:self.series.lengths[i]] = self.series.member(i)
+        n = int(self.lengths[i])
+        arr = np.zeros((max(n, 1), r + p), dtype=complex)
+        arr[:n] = self.series[:n, :, i]
         return Coordinates(
             K0=CoeffVec(arr[:, :r].T) if r else None,
             k=tuple(CoeffVec(arr[:, r + j][None, :]) for j in range(p)),
             reconstruction_residual=float(self.reconstruction_residuals[i]),
             isometry_gap=float(self.isometry_gaps[i]),
             source_norm=float(self.source_norms[i]))
-
-    def coordinates_list(self) -> list[Coordinates]:
-        return [self.coordinates(i) for i in range(self.source_norms.size)]
 
 
 def peel_members(F: np.ndarray, frame: RepresentationFrame,
@@ -396,100 +223,80 @@ def peel_members(F: np.ndarray, frame: RepresentationFrame,
     below tol_tail times its norm or max_steps is hit.  The remainder enters
     the reported isometry gap, so a slowly converging frame is visible, never
     hidden.  With depth > 0 the same reassembly pass also measures the
-    coordinate-space invariance residuals at shifts 1..depth.
+    coordinate-space invariance residuals at shifts 1..depth, relative to
+    each member's norm.
 
     Raises if a column is not an M-member within tolerance, or if the frame
     cannot reconstruct one (a deficient defect frame or missing headroom).
     """
     M = frame.M
-    mN = M.m * M.N
+    m, N = M.m, M.N
     F = np.asarray(F)
-    if F.ndim != 2 or F.shape[0] != mN:
-        raise DimensionMismatch(f"member matrix shape {F.shape} vs ambient {M.m}*{M.N}")
-    rows = F.T
-    norms = _row_norms(rows)
+    if F.ndim != 2 or F.shape[0] != m * N:
+        raise DimensionMismatch(f"member matrix shape {F.shape} vs ambient {m}*{N}")
+    norms = column_norms(F)
     scale = np.maximum(norms, 1e-300)
-    member = _row_residuals(M, rows)
+    member = column_norms(F - M.project_flat(F))
     bad = member > tol_membership * scale
     if bad.any():
         raise ValueError(
             f"vector is not a member of the subspace (residual {member[bad].max():.3e})")
     if max_steps is None:
-        max_steps = max(64 * M.N, 4096)
-    series, coord_sq = _peel(rows, frame, tol_tail * scale, max_steps)
-    invariance, recon = _reassembly_pass(frame, series, scale, depth, rows)
+        max_steps = max(64 * N, 4096)
+    K = F.shape[1]
+    floors = tol_tail * scale
+    alive, X = np.arange(K), F
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(max_steps):
+        live = column_norms(X) > floors[alive]
+        if not live.all():
+            alive, X = alive[live], X[:, live]
+        if not alive.size:
+            break
+        coef, X, _ = _peel_step(frame, X)
+        steps.append((alive, coef))
+    series = np.zeros((len(steps), frame.r + frame.p, K), dtype=complex)
+    lengths = np.zeros(K, dtype=int)
+    for t, (alive, coef) in enumerate(steps):
+        series[t][:, alive] = coef
+        lengths[alive] += 1
+    reassemblies = _reassemble(frame, series, depth)
+    recon = column_norms(reassemblies[0] - F)
     bad = recon > tol_rep * scale
     if bad.any():
         raise FrameDeficientError(
             f"frame cannot reconstruct the member (residual {recon[bad].max():.3e})")
-    return Peeling(frame=frame, series=series, source_norms=norms,
+    invariance = InvarianceReport(depth=depth, residuals=tuple(
+        float(np.max(column_norms(R - M.project_flat(R)) / scale, initial=0.0))
+        for R in reassemblies[1:]))
+    coord_sq = np.sum(series.real ** 2 + series.imag ** 2, axis=(0, 1))
+    return Peeling(frame=frame, series=series, lengths=lengths,
+                   reassemblies=reassemblies, source_norms=norms,
                    reconstruction_residuals=recon,
                    isometry_gaps=np.abs(norms ** 2 - coord_sq),
                    invariance=invariance)
 
 
-def _reassembly_pass(frame: RepresentationFrame, series: CoordinateSeries,
-                     scale: np.ndarray, depth: int, rows: np.ndarray | None = None
-                     ) -> tuple[InvarianceReport, np.ndarray | None]:
-    """One Horner pass over the series: the membership residuals of the
-    reassemblies at shifts 1..depth relative to ``scale`` (per input member),
-    and, given the member rows, the reconstruction residual of every member."""
-    order = series.order
-    inv = [0.0] * depth
-    recon = None if rows is None else _row_norms(rows)  # stays for empty series
-    for n, R in _suffix_reassemblies(frame, series, depth):
-        if n:
-            inv[n - 1] = float(np.max(_row_residuals(frame.M, R) / scale[order[:len(R)]],
-                                      initial=0.0))
-        elif rows is not None:
-            # last step: the accumulator is ours to overwrite with R_0 - F
-            for s in range(0, len(R), _ROW_CHUNK):
-                idx = order[s:s + _ROW_CHUNK]
-                R[s:s + _ROW_CHUNK] -= rows[idx]
-                recon[idx] = _row_norms(R[s:s + _ROW_CHUNK])
-    return InvarianceReport(depth=depth, residuals=tuple(inv)), recon
+def _reassemble(frame: RepresentationFrame, series: np.ndarray,
+                depth: int) -> np.ndarray:
+    """R_0..R_depth of a series by the Horner step R_t = z (R_{t+1} + E c_t) + W a_t.
 
-
-def extract_coordinates(F: CoeffVec, frame: RepresentationFrame,
-                        tol_membership: float = 1e-6,
-                        tol_rep: float = 1e-8,
-                        tol_tail: float = 1e-10,
-                        max_steps: int | None = None) -> Coordinates:
-    """Peel the coordinate functions of one M-member degree by degree.
-
-    The one-member case of ``peel_members``, which documents the recursion,
-    its stopping rule and what it raises.
+    z is the truncating forward shift, so step t reaches no R_n with
+    t - n >= N and the pass starts at step N + depth - 1 at the latest.
     """
-    M = frame.M
-    if F.shape != (M.m, M.N):
-        raise DimensionMismatch(f"vector shape {F.shape} vs ambient ({M.m}, {M.N})")
-    return peel_members(F.flatten()[:, None], frame, tol_membership=tol_membership,
-                        tol_rep=tol_rep, tol_tail=tol_tail,
-                        max_steps=max_steps).coordinates(0)
-
-
-def reassemble(frame: RepresentationFrame, K0: CoeffVec | None,
-               k: tuple[CoeffVec, ...]) -> CoeffVec:
-    """F0 K0 + sum_j z k_j E_j in truncated coefficients."""
-    coords = Coordinates(K0=K0, k=tuple(k), reconstruction_residual=0.0,
-                         isometry_gap=0.0, source_norm=0.0)
-    series = CoordinateSeries.from_coordinates(frame, [coords])
-    _, R = next(_suffix_reassemblies(frame, series, 0))
-    flat = R[0] if len(R) else np.zeros(frame.M.m * frame.M.N, dtype=complex)
-    return CoeffVec.from_flat(flat, frame.M.m, frame.M.N)
-
-
-def check_coordinate_space_invariance(frame: RepresentationFrame,
-                                      coords_list: list[Coordinates],
-                                      depth: int) -> InvarianceReport:
-    """Backward-shift the coordinates and test membership of the reassembly.
-
-    Residuals are scaled by the source member's norm: they measure escape
-    mass relative to the original element.
-    """
-    series = CoordinateSeries.from_coordinates(frame, coords_list)
-    scale = np.maximum(np.array([c.source_norm for c in coords_list]), 1e-300)
-    return _reassembly_pass(frame, series, scale, depth)[0]
+    m, N = frame.M.m, frame.M.N
+    r = frame.r
+    W, E = frame.W_matrix, frame.E_matrix
+    out = np.zeros((depth + 1, m * N, series.shape[2]), dtype=complex)
+    acc = np.zeros(out.shape[1:], dtype=complex)
+    for t in range(min(len(series), N + depth) - 1, -1, -1):
+        acc += E @ series[t, r:]
+        acc[m:] = acc[:-m].copy()
+        acc[:m] = 0.0
+        acc += W @ series[t, :r]
+        if t <= depth:
+            out[t] = acc
+    return out
 
 
 def default_depth(N: int) -> int:
@@ -550,7 +357,7 @@ def certify_representation(frame: RepresentationFrame, depth: int,
                            max_steps: int | None = None) -> RealizationCertificate:
     """Certify the representation of all of M from one peeling step on its basis.
 
-    The peeling step of ``peel_members`` is linear: a member F yields its
+    The peeling step ``_peel_step`` is linear: a member F yields its
     coefficients C F = [a; c] with a = pinv(W(0)) F(0), c = E^H S*(F - W a),
     and the remainder A F = S*(F - W a) - E c.  Taken once on the whole
     orthonormal basis Q of M (mN x K) it gives the K x K matrix A_Q = Q^H A Q
@@ -627,16 +434,11 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     Q = M.basis
     if max_steps is None:
         max_steps = max(64 * N, 4096)
-    W, E = frame.W_matrix, frame.E_matrix
-    a = frame.value_pinv @ Q[:m]
-    V = Q - W @ a
-    SV = backward_shift_flat(V, m)
-    c = E.conj().T @ SV
-    A = Q.conj().T @ (SV - E @ c)
-    Y = E @ c + Q @ A
-    P = V
+    C, R, P = _peel_step(frame, Q)
+    A = Q.conj().T @ R
+    del R  # the remainder is spent: free it before the mN x K product Y
+    Y = frame.E_matrix @ C[frame.r:] + Q @ A
     P[m:] -= Y[:-m]
-    C = np.concatenate([a, c], axis=0)
     d_norm, p_norm, d_support, p_support = _support_norms(
         np.eye(M.dim) - A.conj().T @ A - C.conj().T @ C, P)
     power, squarings = A, 0
@@ -766,9 +568,7 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
                             GRAM_SCHMIDT_DROP)
     W = tuple(column_vectors(W_mat, m, N))
     r = len(W)
-    frame = RepresentationFrame(M=M, W=W, E=(G,),
-                                vanishing_case=not W,
-                                value_map_cond=1.0)
+    frame = RepresentationFrame(M=M, W=W, E=(G,))
     corr = _autocorrelation(G)
     # G0 row i = sum_t conj(C[i, t]) P(g_t - g_t(0) |G|^2)
     g0_rows = np.zeros((max(r, 1), N), dtype=complex)
@@ -796,7 +596,7 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
     cond_resid = 0.0
     peeling = peel_members(np.stack([F.flatten() for F in members], axis=1), frame,
                            depth=depth)
-    coords_list = peeling.coordinates_list()
+    coords_list = [peeling.coordinates(i) for i in range(len(members))]
     for coords in coords_list:
         K0 = coords.K0
         k1 = coords.k[0]
@@ -859,13 +659,11 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
         W = ()
     E = tuple(orthonormalize_family([v for v in defect_candidates
                                      if v.norm() > defect_floor]))
-    frame = RepresentationFrame(M=kernel, W=W, E=E, vanishing_case=not W,
-                                value_map_cond=1.0)
+    frame = RepresentationFrame(M=kernel, W=W, E=E)
     resid: dict = {"vanishing_case_mismatch": float((kernel.dim > 0)
                                                     and frame.vanishing_case
                                                     and origin == "value_nonzero")}
-    member = kernel.basis_vectors()[0]
-    coords = extract_coordinates(member, frame)
+    coords = peel_members(kernel.basis[:, :1], frame).coordinates(0)
     resid["reconstruction"] = coords.reconstruction_residual
     resid["isometry_gap"] = coords.isometry_gap
     if origin == "value_nonzero":
@@ -1093,22 +891,22 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
     defect = column_span(reduced, (kernel.m, N), floor=1e-8) if reduced.shape[1] \
         else zero_space(kernel.m, N)
     frame = build_frame(kernel, defect)
-    peeling = peel_members(kernel.basis[:, :min(kernel.dim, 6)], frame)
+    peeling = peel_members(kernel.basis[:, :min(kernel.dim, 6)], frame, depth=depth)
     line = correction_line if correction_line is not None \
         and correction_line.norm() > NEGLIGIBLE_NORM else None
-    for _, R in _suffix_reassemblies(frame, peeling.series, depth):
+    for R in peeling.reassemblies:
         membership["ambient_sum"] = max(
             membership["ambient_sum"],
-            float(np.max(_row_residuals(ambient_sum, R), initial=0.0)))
+            float(np.max(column_norms(R - ambient_sum.project_flat(R)), initial=0.0)))
         if line is not None:
             membership["correction_orthogonality"] = max(
                 membership["correction_orthogonality"],
-                float(np.max(np.abs(R @ line.flatten().conj()), initial=0.0))
+                float(np.max(np.abs(line.flatten().conj() @ R), initial=0.0))
                 / line.norm())
         if case == "in_range_noncritical":
             membership["range_component"] = max(
                 membership["range_component"],
-                float(np.max(np.abs(R @ theta_h.flatten().conj()), initial=0.0))
+                float(np.max(np.abs(theta_h.flatten().conj() @ R), initial=0.0))
                 / theta_h.norm())
     return ThetaStarReport(
         case=case, in_range=split.in_range, criterion=criterion,

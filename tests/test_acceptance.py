@@ -19,8 +19,7 @@ from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_theta_star)
 from tklab.operators import (ToeplitzCompression, brown_halmos_check,
                              build_perturbed)
-from tklab.representation import (build_frame, check_coordinate_space_invariance,
-                                  default_depth, extract_coordinates,
+from tklab.representation import (build_frame, default_depth, peel_members,
                                   rank_one_theta_star_analysis)
 from tklab.subspaces import nullspace, subspace_equal
 from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
@@ -294,20 +293,18 @@ def test_criterion_5_representation(batches):
             kernels += 1
             defect = compute_defect(M)
             frame = build_frame(M, defect.defect_basis)
-            coords = []
-            for F in M.basis_vectors()[:6]:
-                c = extract_coordinates(F, frame, max_steps=30000)
-                coords.append(c)
-                iso = c.isometry_gap / max(c.source_norm ** 2, 1e-300)
-                rec = c.reconstruction_residual / max(c.source_norm, 1e-300)
+            peeling = peel_members(M.basis[:, :6], frame, max_steps=30000,
+                                   depth=default_depth(b.N))
+            norms = peeling.source_norms
+            for iso, rec in zip(peeling.isometry_gaps / np.maximum(norms ** 2, 1e-300),
+                                peeling.reconstruction_residuals / np.maximum(norms, 1e-300)):
                 worst_iso = max(worst_iso, iso)
                 worst_rec = max(worst_rec, rec)
                 if iso > TOL_ISOMETRY:
                     failures.append(f"{b.label}: isometry {iso:.2e}")
                 if rec > TOL_RECONSTRUCTION:
                     failures.append(f"{b.label}: reconstruction {rec:.2e}")
-            inv = check_coordinate_space_invariance(
-                frame, coords, default_depth(b.N))
+            inv = peeling.invariance
             worst_inv = max(worst_inv, inv.max_residual)
             if inv.max_residual > TOL_MEMBERSHIP:
                 failures.append(f"{b.label}: invariance {inv.max_residual:.2e}")

@@ -288,6 +288,24 @@ class TestApiErrors:
         assert defect["name"] == "defect_theorem" and defect["status"] == "fail"
         assert defect["residuals"]["sigma_conclusive"] is False
 
+    @pytest.mark.parametrize("name", ["zero_symbol_defect", "inner_mixed_monomials_defect"])
+    def test_uncertifiable_representation_is_a_verdict(self, tmp_path, name):
+        # at a 0.999 cut the frame cannot reconstruct the kernel: a failed
+        # check, not bad input
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        data["tolerances"] = {"rank_rel": 0.999}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == EXIT_CHECK_FAIL, proc.stderr
+        assert proc.stderr == ""
+        [rep] = [c for c in json.loads(out.read_text())["checks"]
+                 if c["name"] == "representation"]
+        assert rep["status"] == "fail" and rep["residuals"]["certified"] is False
+        assert "cannot reconstruct" in rep["residuals"]["uncertified"]
+        assert {"r", "p", "vanishing_case"} <= set(rep["residuals"])
+
     def test_tol_rank_reaches_the_kernel(self, tmp_path):
         # a cut at 0.9 |A| swallows unit singular values of the isometry, and
         # it is one the structured inner path cannot certify: the dense SVD

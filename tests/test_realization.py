@@ -1,4 +1,4 @@
-"""The realization certificate of the representation check, with the batched
+"""The realization certificate of the representation check, with the
 peeling engine as its oracle."""
 
 import json
@@ -63,13 +63,14 @@ def test_bundled_scenarios_are_covered():
 def test_realized_coefficients_equal_peeled_ones(make, arg):
     frame, depth = make(arg)
     cert = certify_representation(frame, depth)
-    series = peel_members(frame.M.basis, frame).series
+    peeling = peel_members(frame.M.basis, frame)
     realized = cert.C  # column i holds C_Q A_Q^t e_i at step t
-    for t, block in enumerate(series.blocks):
-        members = series.order[:block.shape[0]]
-        assert np.max(np.abs(realized[:, members].T - block)) <= 1e-12, t
+    for t, block in enumerate(peeling.series):
+        members = peeling.lengths > t
+        assert np.max(np.abs(realized[:, members] - block[:, members])) <= 1e-12, t
+        assert not block[:, ~members].any(), t
         realized = realized @ cert.A
-    assert series.lengths.max() == len(series.blocks)
+    assert peeling.lengths.max() == len(peeling.series)
 
 
 @pytest.mark.parametrize("make,arg", FRAMES)
@@ -120,8 +121,7 @@ def test_value_map_miss_is_deficient():
     # with a W column dropped, F(0) leaves range W(0) for some member F
     frame = complement_frame("generic", 2, 16, seed=7)
     assert frame.r == 2
-    starved = RepresentationFrame(M=frame.M, W=frame.W[1:], E=frame.E,
-                                  vanishing_case=False, value_map_cond=1.0)
+    starved = RepresentationFrame(M=frame.M, W=frame.W[1:], E=frame.E)
     with pytest.raises(FrameDeficientError):
         certify_representation(starved, 4)
 
@@ -129,8 +129,7 @@ def test_value_map_miss_is_deficient():
 def test_missing_defect_direction_is_deficient():
     frame = complement_frame("generic", 2, 16, seed=7)
     assert frame.p >= 1
-    starved = RepresentationFrame(M=frame.M, W=frame.W, E=frame.E[1:],
-                                  vanishing_case=False, value_map_cond=1.0)
+    starved = RepresentationFrame(M=frame.M, W=frame.W, E=frame.E[1:])
     with pytest.raises(FrameDeficientError):
         certify_representation(starved, 4)
 
@@ -147,7 +146,6 @@ def test_check_never_peels(monkeypatch):
         raise AssertionError("the representation check peeled")
 
     monkeypatch.setattr(representation, "peel_members", refuse)
-    monkeypatch.setattr(representation, "_peel", refuse)
     for name in REPRESENTATION_SCENARIOS:
         sc = load_scenario(SCENARIOS / f"{name}.json")
         sc.checks = ["representation"]

@@ -7,12 +7,11 @@ from tklab.hardy_core import (CoeffVec, backward_shift, eval_at_zero,
                               inner_product, reproducing_column)
 from tklab.near_invariance import compute_defect
 from tklab.operators import ToeplitzCompression, orthonormalize_family
-from tklab.representation import (build_frame, check_coordinate_space_invariance,
-                                  default_depth, extract_coordinates,
+from tklab.representation import (RepresentationFrame, build_frame, default_depth,
                                   peel_members, rank_one_complement_analysis,
                                   rank_one_inner_kernel,
                                   rank_one_invertible_kernel,
-                                  rank_one_theta_star_analysis, reassemble)
+                                  rank_one_theta_star_analysis)
 from tklab.model_spaces import build_model_space
 from tklab.subspaces import (intersect, span_of, subspace_equal,
                              vanishing_at_zero_space, zero_space)
@@ -24,6 +23,23 @@ from test_near_invariance import CALLERS, _diagonal_inner, _invertible_factor
 
 def complement_of(G):
     return span_of([G]).perp()
+
+
+def extract_coordinates(F, frame, **kwargs):
+    """The coordinate functions of one member, peeled alone."""
+    return peel_members(F.flatten()[:, None], frame, **kwargs).coordinates(0)
+
+
+def coefficient_rows(coords):
+    """(K0 rows, k rows) of a coordinate tuple as r x L and p x L arrays."""
+    width = (coords.K0 if coords.K0 is not None else coords.k[0]).N
+    K0 = coords.K0.coeffs if coords.K0 is not None else np.zeros((0, width), complex)
+    return K0, np.array([kj.coeffs[0] for kj in coords.k]).reshape(-1, width)
+
+
+def flat(coeffs):
+    """An m x N coefficient array as a flat degree-major vector."""
+    return coeffs.T.reshape(-1)
 
 
 class TestFrame:
@@ -101,9 +117,8 @@ class TestExtraction:
         m, N = 2, 8
         member = CoeffVec.monomial(m, N, 0, 1)
         M = span_of([member])
-        from tklab.representation import RepresentationFrame
-        starved = RepresentationFrame(M=M, W=(), E=(), vanishing_case=True,
-                                      value_map_cond=1.0)
+        starved = RepresentationFrame(M=M, W=(), E=())
+        assert starved.vanishing_case
         with pytest.raises(FrameDeficientError):
             extract_coordinates(member, starved)
 
@@ -155,8 +170,8 @@ class TestExtraction:
         frame = build_frame(M, rep.defect_basis)
         F = M.basis_vectors()[0]
         coords = extract_coordinates(F, frame)
-        rebuilt = reassemble(frame, coords.K0, coords.k)
-        assert (rebuilt - F).norm() < 1e-10
+        rebuilt = looped_reassemble(frame, *coefficient_rows(coords))
+        assert np.linalg.norm(rebuilt - F.coeffs) < 1e-10
 
 
 class TestInvariance:
@@ -165,8 +180,7 @@ class TestInvariance:
         ms = build_model_space(LaurentMatrixSymbol.shift(2, 3), 12)
         M = ms.as_subspace
         frame = build_frame(M, zero_space(2, 12))
-        coords = [extract_coordinates(F, frame) for F in M.basis_vectors()]
-        rep = check_coordinate_space_invariance(frame, coords, 6)
+        rep = peel_members(M.basis, frame, depth=6).invariance
         assert rep.max_residual < 1e-10
 
     def test_full_coordinate_space_for_constant_column(self):
@@ -174,8 +188,7 @@ class TestInvariance:
         G = reproducing_column(m, N, 0)
         M = complement_of(G)
         frame = build_frame(M, span_of([G]))
-        coords = [extract_coordinates(F, frame) for F in M.basis_vectors()[:8]]
-        rep = check_coordinate_space_invariance(frame, coords, default_depth(N))
+        rep = peel_members(M.basis[:, :8], frame, depth=default_depth(N)).invariance
         assert rep.max_residual < 1e-10
 
     def test_depth_default(self):
@@ -190,22 +203,20 @@ class TestInvariance:
         G = rand_orthonormal(rng, m, N, 5, 2)
         M = span_of(G).perp()
         frame = build_frame(M, compute_defect(M).defect_basis)
-        coords = [extract_coordinates(F, frame) for F in M.basis_vectors()[:4]]
+        rows = [coefficient_rows(extract_coordinates(F, frame))
+                for F in M.basis_vectors()[:4]]
         for trial in range(4):
-            weights = rng.standard_normal(len(coords)) \
-                + 1j * rng.standard_normal(len(coords))
-            shifts = rng.integers(0, 4, size=len(coords))
-            width = max(c.K0.N for c in coords)
+            weights = rng.standard_normal(len(rows)) \
+                + 1j * rng.standard_normal(len(rows))
+            shifts = rng.integers(0, 4, size=len(rows))
+            width = max(K0.shape[1] for K0, _ in rows)
             K0_acc = np.zeros((frame.r, width), complex)
             k_acc = np.zeros((frame.p, width), complex)
-            for w, n_shift, c in zip(weights, shifts, coords):
-                sh = c.shifted(int(n_shift))
-                K0_acc[:, :sh.K0.N] += w * sh.K0.coeffs
-                for j, kj in enumerate(sh.k):
-                    k_acc[j, :kj.N] += w * kj.coeffs[0]
-            v = reassemble(frame, CoeffVec(K0_acc),
-                           tuple(CoeffVec(k_acc[j:j + 1]) for j in range(frame.p)))
-            assert M.residual_flat(v.flatten()) < 1e-8 * max(v.norm(), 1.0)
+            for w, n_shift, (K0, k) in zip(weights, shifts, rows):
+                K0_acc[:, :K0.shape[1]] += w * shifted_rows(K0, int(n_shift))
+                k_acc[:, :k.shape[1]] += w * shifted_rows(k, int(n_shift))
+            v = looped_reassemble(frame, K0_acc, k_acc)
+            assert M.residual_flat(flat(v)) < 1e-8 * max(np.linalg.norm(v), 1.0)
 
 
 class TestComplementAnalysis:
@@ -269,8 +280,10 @@ class TestComplementAnalysis:
                                            depth=depth)
         expected = default_depth(N) if depth is None else depth
         assert rep.invariance.depth == expected
-        again = check_coordinate_space_invariance(rep.frame, rep.coords, expected)
-        assert rep.invariance.residuals == again.residuals
+        refs = [(None, *coefficient_rows(c), None, None) for c in rep.coords]
+        looped = looped_invariance(rep.frame, refs, [c.source_norm for c in rep.coords],
+                                   expected)
+        assert np.allclose(rep.invariance.residuals, looped, rtol=0, atol=1e-12)
 
 
 class TestInnerRankOne:
@@ -542,7 +555,7 @@ class TestBatchedPeelingOracle:
         members = M.basis_vectors()
         refs = [looped_peel(F, frame) for F in members]
         for i, (steps, K0, k, recon, iso) in enumerate(refs):
-            assert peeling.series.lengths[i] == steps
+            assert peeling.lengths[i] == steps
             coords = peeling.coordinates(i)
             if frame.r:
                 assert np.max(np.abs(coords.K0.coeffs - K0)) < 1e-12
@@ -552,21 +565,23 @@ class TestBatchedPeelingOracle:
             assert np.max(np.abs(got_k - k), initial=0.0) < 1e-12
             assert recon < 1e-8 and abs(peeling.reconstruction_residuals[i] - recon) < 1e-12
             assert abs(peeling.isometry_gaps[i] - iso) < 1e-12
+            for n in range(depth + 1):
+                shifted = looped_reassemble(frame, shifted_rows(K0, n), shifted_rows(k, n))
+                assert np.max(np.abs(peeling.reassemblies[n][:, i] - flat(shifted))) < 1e-12
         expected = looped_invariance(frame, refs, [F.norm() for F in members], depth)
         assert np.allclose(peeling.invariance.residuals, expected, rtol=0, atol=1e-12)
-        rep = check_coordinate_space_invariance(frame, peeling.coordinates_list(), depth)
-        assert np.allclose(rep.residuals, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ("generic", "vanishing"))
     def test_single_member_and_reassembly(self, kind):
         frame = complement_frame(kind, 2, 14, seed=3)
         for F in frame.M.basis_vectors()[:4]:
             steps, K0, k, _, _ = looped_peel(F, frame)
-            coords = extract_coordinates(F, frame)
+            peeling = peel_members(F.flatten()[:, None], frame)
+            coords = peeling.coordinates(0)
             width = coords.k[0].N if coords.k else coords.K0.N
             assert width == max(steps, 1)
-            rebuilt = reassemble(frame, coords.K0, coords.k)
-            assert np.max(np.abs(rebuilt.coeffs - looped_reassemble(frame, K0, k))) < 1e-12
+            rebuilt = peeling.reassemblies[0][:, 0]
+            assert np.max(np.abs(rebuilt - flat(looped_reassemble(frame, K0, k)))) < 1e-12
 
     def test_non_member_column_rejected(self):
         frame = complement_frame("generic", 2, 12, seed=5)
@@ -578,7 +593,7 @@ class TestBatchedPeelingOracle:
 
     def test_step_cap_leaves_unreconstructed_tail(self):
         frame = complement_frame("generic", 2, 16, seed=7)
-        steps = peel_members(frame.M.basis, frame).series.lengths
+        steps = peel_members(frame.M.basis, frame).lengths
         assert steps.max() > 4
         with pytest.raises(FrameDeficientError):
             peel_members(frame.M.basis, frame, max_steps=4)
