@@ -389,7 +389,8 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
                       "depth": run.depth,
                       "certificate": {"squarings": cert.squarings,
                                       "contraction": cert.contraction,
-                                      "support": list(cert.support)}})
+                                      "support": list(cert.support),
+                                      "nonzeros": list(cert.nonzeros)}})
     ok = (iso <= tol.representation and rec <= tol.representation
           and inv.max_residual <= tol.membership)
     return CheckOutcome("representation", "pass" if ok else "fail",

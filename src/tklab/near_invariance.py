@@ -84,11 +84,11 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
         ker, complement, image = _zero_kernel(T, tol_rel)
     else:
         ker = None
+        # a certified bound on |A|_2, the scale of both cuts below
+        alpha = T.base.symbol.coefficient_l1_norm() + _bump_norm(T.G_matrix, T.H_matrix)
         candidates = _kernel_candidates(T, factors)
         if candidates is not None:
             method, series = candidates.method, candidates.series
-            alpha = (T.base.symbol.coefficient_l1_norm()
-                     + _bump_norm(T.G_matrix, T.H_matrix))
             ker = nullspace_within(T.apply_action(candidates.Z), candidates.Z,
                                    (T.m, T.N), T.action_shape,
                                    float(np.max(T.action_column_norms())),
@@ -96,7 +96,7 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
         if ker is None:
             method = "dense"
             action = T.action_matrix()
-            ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel)
+            ker = nullspace(action, (T.m, T.N), tol_rel=tol_rel, scale=alpha)
             image = action @ ker.basis
         else:
             image = T.apply_action(ker.basis)

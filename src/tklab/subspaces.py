@@ -161,11 +161,17 @@ def vanishing_at_zero_space(m: int, N: int) -> Subspace:
 
 
 def nullspace(A: np.ndarray, shape: tuple[int, int],
-              tol_rel: float | None = None) -> Subspace:
+              tol_rel: float | None = None, scale: float = 0.0) -> Subspace:
     """Numerical kernel of A acting on the flattened (m, N) ambient.
 
     Right singular vectors whose singular value falls at or below the rank
     threshold form the basis.  For the zero matrix every direction counts.
+    The threshold is relative to max(s[0], scale): with ``scale`` a bound on
+    the norm of the operator A was formed from, an action that cancels to
+    roundoff (I - U U^H with U unitary) is all kernel, not full rank.  A
+    ``tol_rel`` coarser than the size-aware default takes ``scale`` only at
+    the default's level: the bound may exceed |A|_2 severalfold, and it is
+    there to keep roundoff from faking rank, not to widen a coarse cut.
     """
     m, N = shape
     A = np.asarray(A, dtype=complex)
@@ -176,7 +182,10 @@ def nullspace(A: np.ndarray, shape: tuple[int, int],
     if np.max(np.abs(A)) == 0.0:
         return Subspace(m, N, np.eye(m * N, dtype=complex), 0.0,
                         SigmaGap(0.0, None))
-    combos, thresh, gap = _null_combinations(A, tol_rel)
+    # rank_threshold is linear in its sigma_max, so this floor anchors the
+    # relative cut at max(s[0], scale)
+    floor = min(rank_threshold(A.shape, scale, tol_rel), rank_threshold(A.shape, scale))
+    combos, thresh, gap = _null_combinations(A, tol_rel, floor=floor)
     return Subspace(m, N, combos, thresh, gap)
 
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from tklab import model_spaces, near_invariance, representation
 from tklab.errors import NotInnerError
-from tklab.hardy_core import CoeffVec, backward_shift, flat_columns, inner_product
+from tklab.hardy_core import (CoeffVec, backward_shift, column_vectors, flat_columns,
+                              inner_product)
 from tklab.model_spaces import build_model_space, decompose_against_theta
 from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_inner_symbol,
@@ -454,6 +455,20 @@ class TestStructuredKernelOracle:
         assert kr.method == "dense"
         assert kr.subspace.dim == dense.dim > kernel_of(T).subspace.dim
         assert subspace_equal(kr.subspace, dense, 1e-10)[0]
+
+    def test_action_that_cancels_to_roundoff_is_all_kernel(self, rng):
+        # 2 I - 2 U U^H with U unitary is zero; its computed action is pure
+        # roundoff, which a cut anchored to the action's own s[0] reads as rank
+        m, N = 2, 6
+        X = rng.standard_normal((m * N, m * N)) + 1j * rng.standard_normal((m * N, m * N))
+        G = column_vectors(np.linalg.qr(X)[0], m, N)
+        T = build_perturbed(LaurentMatrixSymbol.constant(2.0 * np.eye(m)), N, G,
+                            [-2.0 * g for g in G], require_orthonormal=False)
+        action = T.action_matrix()
+        assert 0.0 < np.max(np.abs(action)) < 1e-13
+        assert nullspace(action, (m, N)).dim < m * N
+        kr = kernel_of(T)
+        assert kr.method == "dense" and kr.subspace.dim == m * N
 
     def test_mismatched_factors_rejected(self, rng):
         F = LaurentMatrixSymbol.diagonal([[2.0, 1.0]])

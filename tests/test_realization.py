@@ -3,6 +3,9 @@ peeling engine as its oracle."""
 
 import json
 import math
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tklab import representation
-from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario,
-                               run_scenario_object)
+from tklab.cli_reports import (Scenario, ScenarioRun, bundled_scenario_dir,
+                               load_scenario, run_scenario_object)
 from tklab.config import Tolerances
 from tklab.errors import FrameDeficientError
 from tklab.representation import (RepresentationFrame, build_frame,
@@ -41,9 +44,44 @@ def oracle_frame(case):
     return complement_frame(kind, m, N, seed=10 * m + N), default_depth(N)
 
 
+def _zero_symbol_frame(scenario):
+    run = ScenarioRun.validated(scenario, Tolerances())
+    return build_frame(run.kernel.subspace, run.defect,
+                       defect_floor=run.tol.defect_floor), run.depth
+
+
+def _repr_large_frame(N):
+    """The repr-large workload's zero-symbol frame: G and H of degree < 8, so
+    the kernel basis is a few Householder columns among unit vectors."""
+    return _zero_symbol_frame(
+        _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), N))
+
+
+def _full_degree_frame(N):
+    """A zero-symbol frame whose G and H have full degree N: Q and A_Q are dense."""
+    workloads, rng, m, n = _workloads(), np.random.default_rng(3), 2, 3
+    G, H = (workloads._family(rng, m, N, N, n) for _ in range(2))
+    return _zero_symbol_frame(Scenario(
+        name=f"zero_full_degree[N={N}]", m=m, N=N, symbol_class="zero",
+        checks=["defect_theorem", "representation"], seed=0, G=G, H=H,
+        expect={"kernel_dim": m * N - n, "defect_dim": n}))
+
+
 FRAMES = ([pytest.param(scenario_frame, name, id=name) for name in REPRESENTATION_SCENARIOS]
           + [pytest.param(oracle_frame, case, id="-".join(map(str, case)))
-             for case in ORACLE_CASES])
+             for case in ORACLE_CASES]
+          + [pytest.param(_repr_large_frame, 32, id="repr-large-32"),
+             pytest.param(_full_degree_frame, 16, id="zero-full-degree-16")])
+#: every frame on the measured route (under its own id), and again with
+#: every product of the certificate taken over exact nonzeros, however dense
+ROUTED_FRAMES = ([pytest.param(*p.values, False, id=p.id) for p in FRAMES]
+                 + [pytest.param(*p.values, True, id=f"{p.id}-support-route")
+                    for p in FRAMES])
+
+
+def _take_route(support_route, monkeypatch):
+    if support_route:
+        monkeypatch.setattr(representation, "SUPPORT_PRODUCT_FACTOR", 0)
 
 
 def _shift_up(V, m):
@@ -73,11 +111,12 @@ def test_realized_coefficients_equal_peeled_ones(make, arg):
     assert peeling.lengths.max() == len(peeling.series)
 
 
-@pytest.mark.parametrize("make,arg", FRAMES)
-def test_bounds_cover_explicit_reassembly(make, arg):
+@pytest.mark.parametrize("make,arg,support_route", ROUTED_FRAMES)
+def test_bounds_cover_explicit_reassembly(make, arg, support_route, monkeypatch):
     # the realized series in extended precision, run until ||A_Q^t|| < 1e-14
     # and past the window, where z^t leaves nothing to reassemble
     frame, depth = make(arg)
+    _take_route(support_route, monkeypatch)
     cert = certify_representation(frame, depth)
     M, r = frame.M, frame.r
     m, N, K = M.m, M.N, M.dim
@@ -233,13 +272,6 @@ def test_certificate_equals_full_eigendecompositions(make, arg, monkeypatch):
     assert 0 <= cert.support[0] <= K and 0 <= cert.support[1] <= K
 
 
-def _repr_large_frame(N):
-    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), N)
-    run = ScenarioRun.validated(scenario, Tolerances())
-    return build_frame(run.kernel.subspace, run.defect,
-                       defect_floor=run.tol.defect_floor), run.depth
-
-
 def test_eigendecompositions_do_not_grow_with_N(monkeypatch):
     # on the zero route's Householder basis D and P live on a fixed handful
     # of indices, so the certificate's eigvalsh calls keep their size as K
@@ -269,7 +301,153 @@ def test_report_records_the_supports():
     outcome = report.outcomes[1]
     assert outcome.name == "representation" and outcome.status == "pass"
     frame, depth = _repr_large_frame(64)
+    cert = certify_representation(frame, depth)
     support = outcome.residuals["certificate"]["support"]
-    assert support == list(certify_representation(frame, depth).support)
+    assert support == list(cert.support)
     assert all(isinstance(s, int) and 0 < s < outcome.residuals["kernel_dim"]
                for s in support)
+    nonzeros = outcome.residuals["certificate"]["nonzeros"]
+    assert nonzeros == list(cert.nonzeros)
+    K = outcome.residuals["kernel_dim"]
+    assert all(isinstance(n, int) and 0 < n < K * K for n in nonzeros)
+    assert nonzeros[0] == np.count_nonzero(cert.A)
+
+
+# ---------------------------------------------------------------------------
+# the certificate's products over exact nonzeros
+# ---------------------------------------------------------------------------
+
+
+def _dense_formula(frame, depth):
+    """Reference copy of the certificate with every product on BLAS, as it
+    was computed before the products ran over exact nonzeros."""
+    M = frame.M
+    m, N = M.m, M.N
+    Q = M.basis
+    max_steps = max(64 * N, 4096)
+    C, R, P = representation._peel_step(frame, Q)
+    A = Q.conj().T @ R
+    Y = frame.E_matrix @ C[frame.r:] + Q @ A
+    P[m:] -= Y[:-m]
+    d_norm, p_norm, d_support, p_support = representation._support_norms(
+        np.eye(M.dim) - A.conj().T @ A - C.conj().T @ C, P)
+    power, squarings = A, 0
+    q = float(np.linalg.norm(power))
+    while not q < 0.5:
+        assert np.isfinite(q) and 2 ** (squarings + 1) <= max_steps
+        power = power @ power
+        squarings += 1
+        q = float(np.linalg.norm(power))
+    T = 2 ** squarings
+    c_T = math.exp(min(0.5 * T * math.log1p(d_norm), 700.0))
+    recon = p_norm * T * c_T / (1.0 - q)
+    return {"A": A, "C": C, "power": power, "squarings": squarings, "contraction": q,
+            "reconstruction": recon, "isometry": d_norm * T * c_T * c_T / (1.0 - q * q),
+            "invariance": tuple(recon * (1.0 + d_norm) ** (n / 2)
+                                for n in range(1, depth + 1)),
+            "support": (d_support, p_support)}
+
+
+@pytest.mark.parametrize("make,arg,support_route", ROUTED_FRAMES)
+def test_certificate_matches_dense_formula(make, arg, support_route, monkeypatch):
+    # a sum over exact nonzeros is the dense sum without its exactly-zero
+    # terms: only the summation order moves, within the same error bound
+    frame, depth = make(arg)
+    dense = _dense_formula(frame, depth)
+    _take_route(support_route, monkeypatch)
+    cert = certify_representation(frame, depth)
+    assert cert.squarings == dense["squarings"]
+    if not support_route:
+        # an entry of D that cancels exactly in one summation order need not
+        # in another (K = 1 on inner_monomial_rank_one), so the supports are
+        # compared where the frame's own products run
+        assert cert.support == dense["support"]
+    # a nilpotent A_Q contracts at roundoff, where only the absolute error tells
+    assert cert.contraction == pytest.approx(dense["contraction"], rel=1e-12, abs=1e-14)
+    assert np.max(np.abs(cert.A - dense["A"]), initial=0.0) <= 1e-14
+    assert np.array_equal(cert.C, dense["C"])
+    assert cert.nonzeros[0] == np.count_nonzero(cert.A)
+
+
+def test_dense_frame_takes_blas_bitwise(monkeypatch):
+    frame, depth = _full_degree_frame(16)
+    K = frame.M.dim
+    dense = _dense_formula(frame, depth)
+    assert np.count_nonzero(frame.M.basis) > 0.9 * frame.M.basis.size
+    real, on_blas = representation._product, []
+
+    def spy(X, Y):
+        out = real(X, Y)
+        on_blas.append(isinstance(out, np.ndarray))
+        return out
+
+    monkeypatch.setattr(representation, "_product", spy)
+    cert = certify_representation(frame, depth)
+    assert on_blas == [True] * (4 + cert.squarings)
+    assert np.array_equal(cert.A, dense["A"]) and np.array_equal(cert.C, dense["C"])
+    for key in ("squarings", "contraction", "reconstruction", "isometry", "support"):
+        assert getattr(cert, key) == dense[key], key
+    assert cert.invariance.residuals == dense["invariance"]
+    assert cert.nonzeros == (np.count_nonzero(dense["A"]), np.count_nonzero(dense["power"]))
+    assert cert.nonzeros[0] == K * K
+
+
+def test_representation_check_imports_no_scipy():
+    # importing scipy costs about 0.2 s per process, which every worker would
+    # pay in set-up; the certificate's products are numpy alone
+    code = "\n".join([
+        "import sys",
+        "import tklab",
+        "from tklab import cli_reports",
+        "path = cli_reports.bundled_scenario_dir() / 'zero_symbol_defect.json'",
+        "scenario = cli_reports.load_scenario(path)",
+        "scenario.checks = ['representation']",
+        "[outcome] = cli_reports.run_scenario_object(scenario, tklab.Tolerances()).outcomes",
+        "print(outcome.status, 'scipy' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pass", "False"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 12), inner=st.integers(0, 12),
+       cols=st.integers(0, 12), kind=st.sampled_from(["pattern", "zero", "dense"]),
+       held=st.sampled_from(["array", "nonzeros", "adjoint"]))
+def test_product_over_nonzeros_equals_matmul(seed, rows, inner, cols, kind, held):
+    rng = np.random.default_rng(seed)
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    X, Y = noise(rows, inner), noise(inner, cols)
+    if kind == "pattern":
+        X[rng.random(X.shape) < rng.uniform(0.3, 1.0)] = 0.0
+        Y[rng.random(Y.shape) < rng.uniform(0.3, 1.0)] = 0.0
+    elif kind == "zero":
+        X[:] = 0.0
+    expected = X @ Y
+    if held == "array":
+        x, y = X, Y
+    elif held == "nonzeros":
+        x, y = representation._nonzeros(X), representation._nonzeros(Y)
+    else:
+        x = representation._adjoint(representation._nonzeros(X.conj().T.copy()))
+        y = representation._nonzeros(Y)
+    # the dense pattern keeps the measured crossover and must take BLAS; every
+    # other pattern takes the support route, however small its count
+    factor = representation.SUPPORT_PRODUCT_FACTOR if kind == "dense" else 0
+    with mock.patch.object(representation, "SUPPORT_PRODUCT_FACTOR", factor):
+        out = representation._product(x, y)
+    if kind == "dense" or not rows * inner * cols:  # BLAS takes empty products
+        assert isinstance(out, np.ndarray)
+        if held == "array":
+            assert np.array_equal(out, expected)
+    else:
+        assert isinstance(out, representation._Nonzeros) and out.shape == (rows, cols)
+        assert np.all(out.vals != 0)
+        assert np.all(np.diff(out.rows * cols + out.cols) > 0)  # row-major, no repeats
+    got = representation._dense(out)
+    assert got.shape == expected.shape
+    # both sums carry at most the standard forward error of an inner-term sum
+    bound = 4 * (inner + 2) * EPS * (np.abs(X) @ np.abs(Y))
+    assert np.all(np.abs(got - expected) <= bound)
