@@ -261,7 +261,9 @@ class ScenarioRun:
 
     @cached_property
     def model_space(self) -> ModelSpace:
-        """The Theta* symbol's model space."""
+        """The model space of the inner symbol Theta, cut at ``rank_rel``:
+        the inner and Theta* classes' rank-one checks read it, and so does
+        the Theta* defect prediction."""
         return build_model_space(self.sc.symbol, self.sc.N, tol_inner=self.tol.inner,
                                  tol_rel=self.tol.rank_rel)
 
@@ -404,6 +406,12 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
         raise ScenarioValidationError("rank_one checks need exactly one (G, H) pair")
     G, H = sc.G[0], sc.H[0]
     residuals: dict
+    try:
+        ms = run.model_space if sc.symbol_class in ("inner", "theta_star") else None
+    except InconclusiveCutError as exc:  # an ambiguous cut fails, it is no crash
+        return CheckOutcome("rank_one", "fail",
+                            {"sigma_conclusive": False, "inconclusive": str(exc)},
+                            time.perf_counter() - t0)
     if sc.symbol_class == "zero":
         rep = rank_one_complement_analysis(G, sc.N, depth=run.depth, seed=sc.seed)
         residuals = rep.to_json()
@@ -421,7 +429,7 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
         if "G0_norm_max" in sc.expect:
             ok = ok and rep.G0.norm() <= sc.expect["G0_norm_max"]
     elif sc.symbol_class == "inner":
-        rep = rank_one_inner_kernel(sc.symbol, G, H, sc.N, tol_inner=tol.inner)
+        rep = rank_one_inner_kernel(run.kernel, ms, G, H)
         residuals = rep.to_json()
         ok = (rep.case != "unexpected"
               and _expect_matches(sc.expect, "case", rep.case)
@@ -429,8 +437,7 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
               and (rep.expected_match_residual is None
                    or rep.expected_match_residual <= tol.subspace_equality))
     elif sc.symbol_class == "invertible_factors":
-        rep = rank_one_invertible_kernel(sc.factors[0], sc.factors[1], G, H, sc.N,
-                                         margin=tol.invertibility_margin)
+        rep = rank_one_invertible_kernel(run.kernel, G, H)
         residuals = rep.to_json()
         ok = (_expect_matches(sc.expect, "case", rep.case)
               and _expect_matches(sc.expect, "kernel_dim", rep.kernel_dim)
@@ -438,8 +445,7 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
               and (rep.expected_match_residual is None
                    or rep.expected_match_residual <= tol.containment))
     elif sc.symbol_class == "theta_star":
-        rep = rank_one_theta_star_analysis(sc.symbol, G, H, sc.N, tol_inner=tol.inner,
-                                           depth=run.depth,
+        rep = rank_one_theta_star_analysis(run.kernel, ms, G, H, depth=run.depth,
                                            tol_equality=tol.containment)
         residuals = rep.to_json()
         ok = (rep.equality_residual <= tol.containment

@@ -31,6 +31,10 @@ so the pass yields the reconstruction (n = 0) and every shifted reassembly
 the invariance residuals need (n = 1..depth).  The rank-one analyses read
 their coordinates and reassemblies from it, and it is the certificate's
 test oracle.
+
+The rank-one analyses solve no kernel and build no model space: they read
+the caller's ``KernelResult`` and, for inner and Theta* symbols, the
+``ModelSpace`` that certified Theta inner.
 """
 
 from __future__ import annotations
@@ -47,13 +51,12 @@ from .errors import DimensionMismatch, FrameDeficientError
 from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
                          eval_at_zero, flat_columns, inner_product,
                          reproducing_column)
-from .model_spaces import build_model_space, decompose_against_theta
-from .near_invariance import DefectReport, compute_defect, kernel_of
-from .operators import apply_block_toeplitz, build_perturbed, orthonormalize_family
+from .model_spaces import ModelSpace, decompose_against_theta
+from .near_invariance import DefectReport, KernelResult, compute_defect
+from .operators import apply_block_toeplitz, orthonormalize_family
 from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
                         subspace_equal, zero_space)
-from .symbols import LaurentMatrixSymbol, is_invertible_analytic
 
 
 @dataclass(frozen=True)
@@ -596,10 +599,9 @@ def _analytic_part_of_correlation(corr: np.ndarray, shift: int, N: int) -> np.nd
     """Coefficients of P(z^shift * corr) up to degree N-1; shift may be negative."""
     half = (len(corr) - 1) // 2
     out = np.zeros(N, dtype=complex)
-    for j in range(N):
-        k = j - shift
-        if -half <= k <= half:
-            out[j] = corr[k + half]
+    # degree j holds corr's degree j - shift, which runs over -half..half
+    lo, hi = max(0, shift - half), min(N, shift + half + 1)
+    out[lo:hi] = corr[lo - shift + half:hi - shift + half]
     return out
 
 
@@ -785,17 +787,16 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
     return origin, resid
 
 
-def rank_one_inner_kernel(theta: LaurentMatrixSymbol, G: CoeffVec, H: CoeffVec,
-                          N: int, tol_inner: float = 1e-8,
+def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: CoeffVec,
                           tol_crit: float = 1e-8) -> RankOneKernelReport:
     """Kernel of T_theta + <., G> H for an inner analytic symbol.
 
-    The criterion 1 + <T_{theta*} H, G> decides between a trivial kernel and
-    the line through T_{theta*} H; a nontrivial kernel also requires H to lie
-    in the shifted range of theta.
+    ``kr`` is the operator's solved kernel, ``ms`` theta's certified model
+    space.  The criterion 1 + <T_{theta*} H, G> decides between a trivial
+    kernel and the line through T_{theta*} H; a nontrivial kernel also
+    requires H to lie in the shifted range of theta.
     """
-    # build_model_space certifies that theta is inner
-    ms = build_model_space(theta, N, tol_inner=tol_inner)
+    theta, N = ms.theta, ms.N
     _unit_norm_check(G)
     if backward_shift(H).norm() < 1e-8:
         raise ValueError("H must have a nonzero backward shift")
@@ -803,8 +804,6 @@ def rank_one_inner_kernel(theta: LaurentMatrixSymbol, G: CoeffVec, H: CoeffVec,
         apply_block_toeplitz(theta.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
     criterion = 1.0 + inner_product(candidate, G)
     h_in_range = decompose_against_theta(H, ms).in_range
-    T = build_perturbed(theta, N, [G], [H], require_orthonormal=False)
-    kr = kernel_of(T)
     kernel = kr.subspace
     details = {"kernel_residual_max": kr.residual_max,
                "h_in_shifted_range": h_in_range,
@@ -829,24 +828,22 @@ def rank_one_inner_kernel(theta: LaurentMatrixSymbol, G: CoeffVec, H: CoeffVec,
                                coordinate_residuals={}, details=details)
 
 
-def rank_one_invertible_kernel(F1: LaurentMatrixSymbol, F2: LaurentMatrixSymbol,
-                               G: CoeffVec, H: CoeffVec, N: int,
-                               tol: float = 1e-8, tol_crit: float = 1e-8,
-                               margin: float = 1e-6) -> RankOneKernelReport:
+def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec, H: CoeffVec,
+                               tol: float = 1e-8,
+                               tol_crit: float = 1e-8) -> RankOneKernelReport:
     """Kernel of T_{F1* F2} + <., G> H for invertible analytic factors.
 
-    The candidate vector F2^{-1} T_{F1*^{-1}} H is assembled two ways (matrix
-    application and direct coefficient convolution) and the orders are
-    cross-checked before the criterion dispatch.
+    ``kr`` is the operator's kernel solved with the factors, and carries
+    their series F1^{-1}, F2^{-1}.  The candidate vector F2^{-1} T_{F1*^{-1}} H
+    is assembled two ways (matrix application and direct coefficient
+    convolution) and the orders are cross-checked before the criterion
+    dispatch.
     """
-    for name, F in (("F1", F1), ("F2", F2)):
-        if not is_invertible_analytic(F, margin=margin):
-            raise ValueError(f"factor {name} is not invertible on the disk")
+    if kr.series is None:
+        raise ValueError("the kernel was not solved with invertible factors")
     _unit_norm_check(G, tol)
-    T = build_perturbed(F1.adjoint().multiply(F2), N, [G], [H], require_orthonormal=False)
-    # the kernel solve's series; powers of the F1 one past N - 1 fall
-    # outside the window
-    kr = kernel_of(T, factors=(F1, F2))
+    N = kr.subspace.N
+    # powers of the F1 series one past N - 1 fall outside the window
     inv1, inv2 = kr.series
     intermediate = column_vectors(
         apply_block_toeplitz(inv1.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
@@ -918,39 +915,27 @@ class ThetaStarReport:
         }
 
 
-def _span_with(ms_basis: Subspace, extra: list[CoeffVec]) -> Subspace:
-    vectors = ms_basis.basis_vectors() + extra
-    return span_of(vectors)
-
-
-def _subtract_line(space: Subspace, vector: CoeffVec) -> Subspace:
-    """space minus the line through vector (which must lie inside space)."""
-    return ortho_complement_within(space, span_of([vector]))
-
-
-def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
-                                 H: CoeffVec, N: int,
-                                 tol_inner: float = 1e-8, tol_crit: float = 1e-8,
+def rank_one_theta_star_analysis(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
+                                 H: CoeffVec, tol_crit: float = 1e-8,
                                  depth: int | None = None,
                                  tol_equality: float = 1e-6) -> ThetaStarReport:
     """Kernel of T_{theta*} + <., G> H against its predicted structure.
 
-    G splits into a model-space part and a shifted-range part; the criterion
-    1 + <theta H, range part> picks one of four kernel shapes, each verified
-    against the SVD kernel by subspace equality.  G need not be normalized:
-    the critical branches are unreachable for unit G by Cauchy-Schwarz.
+    ``kr`` is the operator's solved kernel, ``ms`` theta's certified model
+    space.  G splits into a model-space part and a shifted-range part; the
+    criterion 1 + <theta H, range part> picks one of four kernel shapes, each
+    verified against the solved kernel by subspace equality.  G need not be
+    normalized: the critical branches are unreachable for unit G by
+    Cauchy-Schwarz.
     """
-    # build_model_space certifies that theta is inner
-    ms = build_model_space(theta, N, tol_inner=tol_inner)
+    theta, N = ms.theta, ms.N
     if backward_shift(H).norm() < 1e-8:
         raise ValueError("H must have a nonzero backward shift")
     if G.norm() < 1e-8:
         raise ValueError("G must be nonzero")
     split = decompose_against_theta(G, ms)
     theta_h = theta.act(H).analytic_part().resized(N)
-    ambient_sum = _span_with(ms.as_subspace, [theta_h])
-    T = build_perturbed(theta.adjoint(), N, [G], [H], require_orthonormal=False)
-    kr = kernel_of(T)
+    ambient_sum = span_of(ms.as_subspace.basis_vectors() + [theta_h])
     kernel = kr.subspace
     correction_line: CoeffVec | None = None
     if split.in_range:
@@ -970,7 +955,8 @@ def rank_one_theta_star_analysis(theta: LaurentMatrixSymbol, G: CoeffVec,
             case = "outside_range_noncritical"
             correction_line = (split.model_part
                                + (np.conj(criterion) / H.norm_sq()) * theta_h)
-        predicted = _subtract_line(ambient_sum, correction_line)
+        # the line lies inside the ambient sum
+        predicted = ortho_complement_within(ambient_sum, span_of([correction_line]))
     _, eq_resid = subspace_equal(kernel, predicted)
     # projection of reproducing columns: closed form vs numerical projection
     theta0 = theta.fourier(0)

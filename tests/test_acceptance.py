@@ -267,9 +267,11 @@ def test_criterion_4_adjoint_inner_suite(batches):
     Gz_arr[1:, 0] = 1.0
     Gz = CoeffVec(Gz_arr)
     details = []
+    ms = build_model_space(theta, N)
     for label, G, case in (("case1", Gz + (-1.0) * thH, "outside_range_critical"),
                            ("case2", Gz + 1.0 * thH, "outside_range_noncritical")):
-        rep = rank_one_theta_star_analysis(theta, G, H, N)
+        T = build_perturbed(theta.adjoint(), N, [G], [H], require_orthonormal=False)
+        rep = rank_one_theta_star_analysis(kernel_of(T), ms, G, H)
         details.append(f"{label}:{rep.equality_residual:.1e}")
         if rep.case != case:
             failures.append(f"{label} dispatched to {rep.case}")

@@ -288,6 +288,24 @@ class TestApiErrors:
         assert defect["name"] == "defect_theorem" and defect["status"] == "fail"
         assert defect["residuals"]["sigma_conclusive"] is False
 
+    @pytest.mark.parametrize("name", ["inner_monomial_rank_one", "adjoint_monomial_critical"])
+    def test_inconclusive_rank_one_model_space_is_a_verdict(self, tmp_path, name):
+        # rank_rel 1.0 reaches the model space the rank_one check reads; a cut
+        # that keeps nothing fails the check, it is not bad input
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        data["tolerances"] = {"rank_rel": 1.0}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == EXIT_CHECK_FAIL, proc.stderr
+        assert proc.stderr == ""
+        [rank_one] = [c for c in json.loads(out.read_text())["checks"]
+                      if c["name"] == "rank_one"]
+        assert rank_one["status"] == "fail"
+        assert rank_one["residuals"]["sigma_conclusive"] is False
+        assert "model-space rank cut" in rank_one["residuals"]["inconclusive"]
+
     @pytest.mark.parametrize("name", ["zero_symbol_defect", "inner_mixed_monomials_defect"])
     def test_uncertifiable_representation_is_a_verdict(self, tmp_path, name):
         # at a 0.999 cut the frame cannot reconstruct the kernel: a failed

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tklab import representation
-from tklab.errors import FrameDeficientError, NotInnerError
+from tklab.errors import DimensionMismatch, FrameDeficientError, NotInnerError
 from tklab.hardy_core import (CoeffVec, backward_shift, eval_at_zero,
                               inner_product, reproducing_column)
-from tklab.near_invariance import compute_defect
-from tklab.operators import ToeplitzCompression, orthonormalize_family
+from tklab.near_invariance import compute_defect, kernel_of
+from tklab.operators import ToeplitzCompression, build_perturbed, orthonormalize_family
 from tklab.representation import (RepresentationFrame, build_frame, default_depth,
                                   peel_members, rank_one_complement_analysis,
                                   rank_one_inner_kernel,
@@ -28,6 +28,27 @@ def complement_of(G):
 def extract_coordinates(F, frame, **kwargs):
     """The coordinate functions of one member, peeled alone."""
     return peel_members(F.flatten()[:, None], frame, **kwargs).coordinates(0)
+
+
+def solved_kernel(symbol, G, H, N, factors=None):
+    """The kernel of T_symbol + <., G> H, solved as a scenario run solves it."""
+    T = build_perturbed(symbol, N, [G], [H], require_orthonormal=False)
+    return kernel_of(T, factors=factors)
+
+
+def inner_rank_one(theta, G, H, N):
+    return rank_one_inner_kernel(solved_kernel(theta, G, H, N),
+                                 build_model_space(theta, N), G, H)
+
+
+def theta_star_rank_one(theta, G, H, N):
+    return rank_one_theta_star_analysis(solved_kernel(theta.adjoint(), G, H, N),
+                                        build_model_space(theta, N), G, H)
+
+
+def invertible_rank_one(F1, F2, G, H, N):
+    return rank_one_invertible_kernel(
+        solved_kernel(F1.adjoint().multiply(F2), G, H, N, factors=(F1, F2)), G, H)
 
 
 def coefficient_rows(coords):
@@ -295,7 +316,7 @@ class TestInnerRankOne:
         cand = adj.apply(H)
         G_raw = rand_coeffvec(rng, m, N, 5)
         G = unit(G_raw - inner_product(G_raw, unit(cand)) * unit(cand))
-        rep = rank_one_inner_kernel(theta, G, H, N)
+        rep = inner_rank_one(theta, G, H, N)
         assert rep.case == "trivial_kernel"
         assert rep.kernel_dim == 0
 
@@ -304,7 +325,7 @@ class TestInnerRankOne:
         theta = LaurentMatrixSymbol.shift(m, 2)
         u = rand_orthonormal(rng, m, N, 5, 1)[0]
         H = theta.act(u).analytic_part().resized(N)
-        rep = rank_one_inner_kernel(theta, -1.0 * u, H, N)
+        rep = inner_rank_one(theta, -1.0 * u, H, N)
         assert rep.case == "spanned_kernel"
         assert rep.kernel_dim == 1
         assert rep.expected_match_residual < 1e-8
@@ -317,7 +338,7 @@ class TestInnerRankOne:
         theta = LaurentMatrixSymbol.shift(m, 1)
         u = rand_orthonormal(rng, m, N, 5, 1, lo=1)[0]  # u(0) = 0
         H = theta.act(u).analytic_part().resized(N)
-        rep = rank_one_inner_kernel(theta, -1.0 * u, H, N)
+        rep = inner_rank_one(theta, -1.0 * u, H, N)
         assert rep.case == "spanned_kernel"
         assert rep.origin_case == "value_zero"
         assert rep.coordinate_residuals["k1_shift_mass"] < 1e-10
@@ -329,7 +350,7 @@ class TestInnerRankOne:
         theta = LaurentMatrixSymbol.shift(m, 1)
         H = CoeffVec.monomial(m, N, 0, 1)
         G = -1.0 * CoeffVec.monomial(m, N, 0, 0)
-        rep = rank_one_inner_kernel(theta, G, H, N)
+        rep = inner_rank_one(theta, G, H, N)
         assert rep.case == "spanned_kernel"
         assert rep.origin_case == "value_nonzero"
         assert rep.coordinate_residuals["k_mass"] < 1e-12
@@ -338,8 +359,8 @@ class TestInnerRankOne:
         m, N = 2, 8
         theta = LaurentMatrixSymbol.shift(m, 1)
         with pytest.raises(ValueError):
-            rank_one_inner_kernel(theta, reproducing_column(m, N, 0),
-                                  reproducing_column(m, N, 1), N)
+            inner_rank_one(theta, reproducing_column(m, N, 0),
+                           reproducing_column(m, N, 1), N)
 
 
 class TestInvertibleRankOne:
@@ -348,7 +369,7 @@ class TestInvertibleRankOne:
         I = LaurentMatrixSymbol.identity(m)
         H = rand_orthonormal(rng, m, N, 4, 1)[0]
         G = -1.0 * H
-        rep = rank_one_invertible_kernel(I, I, G, H, N)
+        rep = invertible_rank_one(I, I, G, H, N)
         # V_c = H and the criterion hits zero exactly
         assert abs(rep.criterion) < 1e-12
         assert rep.case == "spanned_kernel"
@@ -369,7 +390,7 @@ class TestInvertibleRankOne:
             expected[j] = (-1.0) ** (j - 1) * 2.0 ** (-j)
         assert np.allclose(Vc.coeffs[0], expected, atol=1e-14)
         G = unit(G_raw - inner_product(G_raw, unit(Vc)) * unit(Vc))
-        rep = rank_one_invertible_kernel(F1, F2, G, H, N)
+        rep = invertible_rank_one(F1, F2, G, H, N)
         assert rep.case == "trivial_kernel"
         assert rep.kernel_dim == 0
         assert rep.details["convolution_gap"] < 1e-12
@@ -383,7 +404,7 @@ class TestInvertibleRankOne:
         inv2 = invert_analytic(F2, N - 1)
         Vc = inv2.act(h).analytic_part().resized(N)
         scale = 1.0 / Vc.norm()
-        rep = rank_one_invertible_kernel(F1, F2, -scale * Vc, scale * h, N)
+        rep = invertible_rank_one(F1, F2, -scale * Vc, scale * h, N)
         assert rep.case == "spanned_kernel"
         assert rep.kernel_dim == 1
         assert rep.expected_match_residual < 1e-6
@@ -410,7 +431,7 @@ class TestThetaStarRankOne:
                          ("on", Gz + 1.0 * thH),
                          ("ic", -1.0 * thH),
                          ("in", 1.0 * thH)):
-            rep = rank_one_theta_star_analysis(theta, G, H, N)
+            rep = theta_star_rank_one(theta, G, H, N)
             cases[label] = rep.case
             assert rep.equality_residual < 1e-6, (label, rep.equality_residual)
             assert rep.projection_formula_residual < 1e-6
@@ -422,7 +443,7 @@ class TestThetaStarRankOne:
     def test_outside_critical_structure(self):
         s, m, N = 2, 3, 32
         theta, H, thH, Gz = self.build_named_setup(s, m, N)
-        rep = rank_one_theta_star_analysis(theta, Gz + (-1.0) * thH, H, N)
+        rep = theta_star_rank_one(theta, Gz + (-1.0) * thH, H, N)
         # kernel = (model space + theta H line) minus the model part of G
         assert rep.kernel_dim == m * s
         assert rep.predicted_dim == m * s
@@ -431,7 +452,7 @@ class TestThetaStarRankOne:
     def test_outside_noncritical_structure(self):
         s, m, N = 2, 3, 32
         theta, H, thH, Gz = self.build_named_setup(s, m, N)
-        rep = rank_one_theta_star_analysis(theta, Gz + 1.0 * thH, H, N)
+        rep = theta_star_rank_one(theta, Gz + 1.0 * thH, H, N)
         assert rep.kernel_dim == m * s
         assert abs(rep.criterion - 2.0) < 1e-12
         assert max(rep.membership_residuals.values()) < 1e-6
@@ -439,7 +460,7 @@ class TestThetaStarRankOne:
     def test_in_range_noncritical_is_model_space(self):
         s, m, N = 2, 2, 20
         theta, H, thH, _ = self.build_named_setup(s, m, N)
-        rep = rank_one_theta_star_analysis(theta, thH, H, N)
+        rep = theta_star_rank_one(theta, thH, H, N)
         ms = build_model_space(theta, N)
         ok, resid = subspace_equal(rep.kernel, ms.as_subspace, 1e-8)
         assert ok, resid
@@ -447,14 +468,14 @@ class TestThetaStarRankOne:
     def test_in_range_critical_gains_line(self):
         s, m, N = 2, 2, 20
         theta, H, thH, _ = self.build_named_setup(s, m, N)
-        rep = rank_one_theta_star_analysis(theta, -1.0 * thH, H, N)
+        rep = theta_star_rank_one(theta, -1.0 * thH, H, N)
         assert rep.kernel_dim == m * s + 1
 
     def test_nonzero_g_required(self):
         s, m, N = 2, 2, 16
         theta, H, _, _ = self.build_named_setup(s, m, N)
         with pytest.raises(ValueError):
-            rank_one_theta_star_analysis(theta, CoeffVec.zeros(m, N), H, N)
+            theta_star_rank_one(theta, CoeffVec.zeros(m, N), H, N)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +643,7 @@ class TestRankOneCandidates:
         theta = _diagonal_inner(m)
         G, H = _inner_critical(rng, theta, N)
         seen = spy(monkeypatch, "_one_dim_structure", [representation])
-        rep = rank_one_inner_kernel(theta, G, H, N)
+        rep = inner_rank_one(theta, G, H, N)
         reference = ToeplitzCompression(theta.adjoint(), N).apply(H)
         assert rep.case == "spanned_kernel"
         assert np.array_equal(seen[0][1].coeffs, reference.coeffs)
@@ -635,7 +656,7 @@ class TestRankOneCandidates:
         theta = random_inner(rng, m, 2)
         G, H = _inner_critical(rng, theta, N)
         seen = spy(monkeypatch, "_one_dim_structure", [representation])
-        rep = rank_one_inner_kernel(theta, G, H, N)
+        rep = inner_rank_one(theta, G, H, N)
         reference = ToeplitzCompression(theta.adjoint(), N).apply(H)
         assert rep.case == "spanned_kernel"
         assert np.max(np.abs(seen[0][1].coeffs - reference.coeffs)) <= 1e-14
@@ -657,7 +678,7 @@ class TestRankOneCandidates:
         reference = route_one(H)
         seen = spy(monkeypatch, "_one_dim_structure", [representation])
         inversions = spy(monkeypatch, "invert_analytic", CALLERS)
-        rep = rank_one_invertible_kernel(F1, F2, -1.0 * reference, H, N)
+        rep = invertible_rank_one(F1, F2, -1.0 * reference, H, N)
         assert rep.case == "spanned_kernel" and rep.kernel_dim == 1
         assert np.max(np.abs(seen[0][1].coeffs - reference.coeffs)) <= 1e-12
         assert rep.details["convolution_gap"] <= 1e-12
@@ -668,37 +689,52 @@ class TestRankOneCandidates:
         theta = _diagonal_inner(m)
         G, H = _inner_critical(rng, theta, N)
         calls = spy(monkeypatch, "is_inner", CALLERS)
-        rank_one_inner_kernel(theta, G, H, N)
-        rank_one_theta_star_analysis(theta, -1.0 * H, unit(-1.0 * G), N)
-        assert len(calls) == 2
+        ms = build_model_space(theta, N)
+        assert len(calls) == 1
+        # the analyses take the certified model space and test nothing again
+        rank_one_inner_kernel(solved_kernel(theta, G, H, N), ms, G, H)
+        Gs, Hs = -1.0 * H, unit(-1.0 * G)
+        rank_one_theta_star_analysis(solved_kernel(theta.adjoint(), Gs, Hs, N), ms,
+                                     Gs, Hs)
+        assert len(calls) == 1
 
     def test_tol_inner_decides_innerness_only(self, rng):
         # a truncated Blaschke entry: inner to 9.1e-11, certified at 1e-8
         m, N = 2, 32
         theta = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
         G, H = _inner_critical(rng, theta, N)
-        assert rank_one_inner_kernel(theta, G, H, N).case == "spanned_kernel"
-        star = rank_one_theta_star_analysis(theta, -1.0 * H, unit(-1.0 * G), N)
+        Gs, Hs = -1.0 * H, unit(-1.0 * G)
+        assert inner_rank_one(theta, G, H, N).case == "spanned_kernel"
+        star = theta_star_rank_one(theta, Gs, Hs, N)
         assert star.case == "in_range_critical" and star.details["equality_ok"]
         with pytest.raises(NotInnerError):
-            rank_one_inner_kernel(theta, G, H, N, tol_inner=1e-12)
-        with pytest.raises(NotInnerError):
-            rank_one_theta_star_analysis(theta, -1.0 * H, unit(-1.0 * G), N,
-                                         tol_inner=1e-12)
+            build_model_space(theta, N, tol_inner=1e-12)
         # a loose innerness tolerance leaves the guards on G and H at 1e-8
+        loose = build_model_space(theta, N, tol_inner=0.5)
         with pytest.raises(ValueError, match="unit norm"):
-            rank_one_inner_kernel(theta, 1.3 * G, H, N, tol_inner=0.5)
+            rank_one_inner_kernel(solved_kernel(theta, 1.3 * G, H, N), loose, 1.3 * G, H)
         flat = CoeffVec.monomial(m, N, 0, 0)
         with pytest.raises(ValueError, match="nonzero backward shift"):
-            rank_one_inner_kernel(theta, G, flat, N, tol_inner=0.5)
-        small = rank_one_theta_star_analysis(theta, 0.3 * H, unit(-1.0 * G), N,
-                                             tol_inner=0.5)
+            rank_one_inner_kernel(solved_kernel(theta, G, flat, N), loose, G, flat)
+        small = rank_one_theta_star_analysis(
+            solved_kernel(theta.adjoint(), 0.3 * H, Hs, N), loose, 0.3 * H, Hs)
         assert small.case == "in_range_noncritical" and small.details["equality_ok"]
+
+    def test_kernel_and_model_space_must_match(self, rng):
+        theta = _diagonal_inner(2)
+        G, H = _inner_critical(rng, theta, 16)
+        kr = solved_kernel(theta, G, H, 16)
+        # the families' shape checks refuse a model space of another size
+        with pytest.raises(DimensionMismatch):
+            rank_one_inner_kernel(kr, build_model_space(theta, 20), G, H)
+        # a kernel solved without factors carries no series to read
+        with pytest.raises(ValueError, match="invertible factors"):
+            rank_one_invertible_kernel(kr, G, H)
 
     def test_non_inner_symbol_rejected(self, rng):
         bad = LaurentMatrixSymbol.diagonal([[2.0, 1.0], [2.0, 1.0]])
         G, H = rand_orthonormal(rng, 2, 12, 4, 1)[0], CoeffVec.monomial(2, 12, 0, 1)
         with pytest.raises(NotInnerError):
-            rank_one_inner_kernel(bad, G, H, 12)
+            inner_rank_one(bad, G, H, 12)
         with pytest.raises(NotInnerError):
-            rank_one_theta_star_analysis(bad, G, H, 12)
+            theta_star_rank_one(bad, G, H, 12)

@@ -10,10 +10,14 @@ from tklab.cli_reports import (bundled_scenario_dir, load_scenario, parse_scenar
                                run_scenario_object)
 from tklab.config import Tolerances
 from tklab.errors import ScenarioValidationError
-from tklab.near_invariance import (verify_theorem_inner_symbol,
+from tklab.model_spaces import build_model_space
+from tklab.near_invariance import (kernel_of, verify_theorem_inner_symbol,
                                    verify_theorem_invertible_factors,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
+from tklab.operators import build_perturbed
+from tklab.representation import (rank_one_inner_kernel, rank_one_invertible_kernel,
+                                   rank_one_theta_star_analysis)
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor
 
 from conftest import spy
@@ -174,3 +178,66 @@ def test_inner_override_changes_the_innerness_verdict():
     data["tolerances"] = {"inner": 1e-12}
     with pytest.raises(ScenarioValidationError, match="fails the inner test"):
         run_scenario_object(parse_scenario(data), Tolerances())
+
+
+def test_rank_one_shares_the_scenario_kernel(monkeypatch):
+    sc = load_scenario(SCENARIOS / "inner_monomial_rank_one.json")
+    assert sc.checks == ["defect_theorem", "rank_one", "representation"]
+    spies = {fn: spy(monkeypatch, fn)
+             for fn in ("build_perturbed", "kernel_of", "build_model_space")}
+    assert run_scenario_object(sc, Tolerances()).ok
+    assert {fn: len(calls) for fn, calls in spies.items()} == {
+        "build_perturbed": 1, "kernel_of": 1, "build_model_space": 1}
+
+
+def _rank_one_outcome(name, overrides):
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    data["checks"], data["tolerances"] = ["rank_one"], overrides
+    return run_scenario_object(parse_scenario(data), Tolerances()).outcomes[0]
+
+
+def test_rank_rel_override_reaches_the_rank_one_kernel():
+    # a cut at half the largest singular value keeps a 10-dimensional kernel
+    # where the default keeps the expected line
+    default = _rank_one_outcome("factored_symbol_rank_one", {})
+    assert (default.status, default.residuals["kernel_dim"]) == ("pass", 1)
+    coarse = _rank_one_outcome("factored_symbol_rank_one", {"rank_rel": 0.5})
+    assert (coarse.status, coarse.residuals["kernel_dim"]) == ("fail", 10)
+
+
+@pytest.mark.parametrize("name", ["inner_monomial_rank_one", "adjoint_monomial_critical"])
+def test_rank_one_model_space_cut_that_keeps_nothing_is_inconclusive(name):
+    outcome = _rank_one_outcome(name, {"rank_rel": 1.0})
+    assert outcome.status == "fail"
+    assert outcome.residuals["sigma_conclusive"] is False
+    assert "model-space rank cut" in outcome.residuals["inconclusive"]
+
+
+def _public_rank_one(sc):
+    """The public analysis on a kernel and model space built afresh."""
+    (G,), (H,) = sc.G, sc.H
+    if sc.symbol_class == "invertible_factors":
+        F1, F2 = sc.factors
+        T = build_perturbed(F1.adjoint().multiply(F2), sc.N, [G], [H],
+                            require_orthonormal=False)
+        return rank_one_invertible_kernel(kernel_of(T, factors=sc.factors), G, H)
+    ms = build_model_space(sc.symbol, sc.N)
+    if sc.symbol_class == "inner":
+        T = build_perturbed(sc.symbol, sc.N, [G], [H], require_orthonormal=False)
+        return rank_one_inner_kernel(kernel_of(T), ms, G, H)
+    T = build_perturbed(sc.symbol.adjoint(), sc.N, [G], [H], require_orthonormal=False)
+    return rank_one_theta_star_analysis(kernel_of(T), ms, G, H,
+                                        tol_equality=Tolerances().containment)
+
+
+KERNEL_RANK_ONE = [p for p in BUNDLED if "rank_one" in load_scenario(p).checks
+                   and load_scenario(p).symbol_class != "zero"]
+
+
+@pytest.mark.parametrize("path", KERNEL_RANK_ONE, ids=lambda p: p.stem)
+def test_rank_one_check_equals_public_analysis(path):
+    sc = load_scenario(path)
+    outcome = next(o for o in run_scenario_object(sc, Tolerances()).outcomes
+                   if o.name == "rank_one")
+    assert outcome.status == "pass"
+    assert outcome.residuals == _public_rank_one(sc).to_json()
