@@ -373,7 +373,9 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
     if kernel.dim == 0:
         return CheckOutcome("representation", "skipped", residuals,
                             time.perf_counter() - t0)
-    frame = build_frame(kernel, run.defect, defect_floor=tol.defect_floor)
+    conclusive = _sigma_conclusive(run.defect, tol)
+    residuals["sigma_conclusive"] = conclusive
+    frame = build_frame(kernel, run.defect)
     residuals.update({"r": frame.r, "p": frame.p,
                       "vanishing_case": frame.vanishing_case,
                       "case": "vanishing" if frame.vanishing_case else "nonvanishing"})
@@ -393,7 +395,7 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
                                       "contraction": cert.contraction,
                                       "support": list(cert.support),
                                       "nonzeros": list(cert.nonzeros)}})
-    ok = (iso <= tol.representation and rec <= tol.representation
+    ok = (conclusive and iso <= tol.representation and rec <= tol.representation
           and inv.max_residual <= tol.membership)
     return CheckOutcome("representation", "pass" if ok else "fail",
                         residuals, time.perf_counter() - t0)
@@ -413,21 +415,17 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
                             {"sigma_conclusive": False, "inconclusive": str(exc)},
                             time.perf_counter() - t0)
     if sc.symbol_class == "zero":
-        rep = rank_one_complement_analysis(G, sc.N, depth=run.depth, seed=sc.seed)
+        rep = rank_one_complement_analysis(run.kernel.subspace, G, depth=run.depth,
+                                           seed=sc.seed)
         residuals = rep.to_json()
-        residuals["invariance_residual_max"] = rep.invariance.max_residual
-        residuals.pop("G0", None)
-        residuals.pop("g", None)
-        residuals["g_norm"] = rep.g.norm()
-        residuals["G0_norm"] = rep.G0.norm()
         ok = (rep.condition_residual_max <= tol.membership
               and rep.projection_formula_residual <= tol.subspace_equality
               and rep.invariance.max_residual <= tol.membership
               and _expect_matches(sc.expect, "r", rep.r))
         if "g_norm_max" in sc.expect:
-            ok = ok and rep.g.norm() <= sc.expect["g_norm_max"]
+            ok = ok and residuals["g_norm"] <= sc.expect["g_norm_max"]
         if "G0_norm_max" in sc.expect:
-            ok = ok and rep.G0.norm() <= sc.expect["G0_norm_max"]
+            ok = ok and residuals["G0_norm"] <= sc.expect["G0_norm_max"]
     elif sc.symbol_class == "inner":
         rep = rank_one_inner_kernel(run.kernel, ms, G, H)
         residuals = rep.to_json()
@@ -445,8 +443,8 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
               and (rep.expected_match_residual is None
                    or rep.expected_match_residual <= tol.containment))
     elif sc.symbol_class == "theta_star":
-        rep = rank_one_theta_star_analysis(run.kernel, ms, G, H, depth=run.depth,
-                                           tol_equality=tol.containment)
+        rep = rank_one_theta_star_analysis(run.kernel, run.defect, ms, G, H,
+                                           depth=run.depth, tol_equality=tol.containment)
         residuals = rep.to_json()
         ok = (rep.equality_residual <= tol.containment
               and rep.projection_formula_residual <= tol.membership

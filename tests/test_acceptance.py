@@ -271,7 +271,8 @@ def test_criterion_4_adjoint_inner_suite(batches):
     for label, G, case in (("case1", Gz + (-1.0) * thH, "outside_range_critical"),
                            ("case2", Gz + 1.0 * thH, "outside_range_noncritical")):
         T = build_perturbed(theta.adjoint(), N, [G], [H], require_orthonormal=False)
-        rep = rank_one_theta_star_analysis(kernel_of(T), ms, G, H)
+        kr = kernel_of(T)
+        rep = rank_one_theta_star_analysis(kr, compute_defect(kr.subspace), ms, G, H)
         details.append(f"{label}:{rep.equality_residual:.1e}")
         if rep.case != case:
             failures.append(f"{label} dispatched to {rep.case}")
@@ -294,7 +295,7 @@ def test_criterion_5_representation(batches):
                 continue
             kernels += 1
             defect = compute_defect(M)
-            frame = build_frame(M, defect.defect_basis)
+            frame = build_frame(M, defect)
             peeling = peel_members(M.basis[:, :6], frame, max_steps=30000,
                                    depth=default_depth(b.N))
             norms = peeling.source_norms

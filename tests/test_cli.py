@@ -514,3 +514,38 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"internal error: {crashing_representation}")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _run_with_rank_rel(tmp_path, capsys, path, rank_rel):
+    """(exit code, checks of the JSON report) of one CLI run of a bundled
+    scenario at the given rank cut; stderr must stay empty."""
+    data = json.loads(path.read_text())
+    data["tolerances"] = {"rank_rel": rank_rel}
+    scenario, out = tmp_path / path.name, tmp_path / f"{path.stem}.report.json"
+    scenario.write_text(json.dumps(data))
+    code = main(["run", str(scenario), "--out", str(out)])
+    assert capsys.readouterr().err == ""
+    return code, json.loads(out.read_text())["checks"]
+
+
+def test_cut_that_keeps_nothing_fails_every_kernel_reading_check(tmp_path, capsys):
+    # rank_rel 1.0 declares every direction of each action null: every check
+    # that reads a kernel fails, and only brown_halmos, which reads none, passes
+    verdicts = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        code, checks = _run_with_rank_rel(tmp_path, capsys, path, 1.0)
+        reads_kernel = [c["name"] != "brown_halmos" for c in checks]
+        assert code == (EXIT_CHECK_FAIL if any(reads_kernel) else EXIT_PASS), path.stem
+        for check, kernel in zip(checks, reads_kernel):
+            verdicts.append((kernel, check["status"]))
+            if check["name"] == "representation":
+                assert check["residuals"]["sigma_conclusive"] is False, path.stem
+    assert sorted(verdicts) == [(False, "pass")] + [(True, "fail")] * 21
+
+
+def test_split_column_keeps_its_core_singular_value(tmp_path, capsys):
+    # a 0.999 cut still keeps the one singular value of the zero symbol's
+    # n x n core, so the kernel is span{G}^perp and the analysis passes
+    code, [check] = _run_with_rank_rel(
+        tmp_path, capsys, SCENARIOS / "complement_split_column.json", 0.999)
+    assert (code, check["status"]) == (EXIT_PASS, "pass")

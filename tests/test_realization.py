@@ -36,7 +36,7 @@ EPS = np.finfo(float).eps
 def scenario_frame(name):
     run = ScenarioRun.validated(load_scenario(SCENARIOS / f"{name}.json"), Tolerances())
     kernel = run.kernel.subspace
-    return build_frame(kernel, run.defect, defect_floor=run.tol.defect_floor), run.depth
+    return build_frame(kernel, run.defect), run.depth
 
 
 def oracle_frame(case):
@@ -46,8 +46,7 @@ def oracle_frame(case):
 
 def _zero_symbol_frame(scenario):
     run = ScenarioRun.validated(scenario, Tolerances())
-    return build_frame(run.kernel.subspace, run.defect,
-                       defect_floor=run.tol.defect_floor), run.depth
+    return build_frame(run.kernel.subspace, run.defect), run.depth
 
 
 def _repr_large_frame(N):

@@ -42,7 +42,8 @@ def inner_rank_one(theta, G, H, N):
 
 
 def theta_star_rank_one(theta, G, H, N):
-    return rank_one_theta_star_analysis(solved_kernel(theta.adjoint(), G, H, N),
+    kr = solved_kernel(theta.adjoint(), G, H, N)
+    return rank_one_theta_star_analysis(kr, compute_defect(kr.subspace),
                                         build_model_space(theta, N), G, H)
 
 
@@ -66,13 +67,13 @@ def flat(coeffs):
 class TestFrame:
     def test_constant_line(self):
         M = span_of([CoeffVec([[1.0, 0.0]])])
-        frame = build_frame(M, zero_space(1, 2))
+        frame = build_frame(M, compute_defect(M), zero_space(1, 2))
         assert frame.r == 1 and not frame.vanishing_case
 
     def test_shifted_line_is_vanishing(self):
         M = span_of([CoeffVec([[0.0, 1.0, 0.0]])])
         rep = compute_defect(M)
-        frame = build_frame(M, rep.defect_basis)
+        frame = build_frame(M, rep)
         assert frame.r == 0 and frame.vanishing_case
         assert frame.p == rep.defect_dim == 1
 
@@ -80,7 +81,7 @@ class TestFrame:
         m, N = 3, 8
         G = reproducing_column(m, N, 0)
         M = complement_of(G)
-        frame = build_frame(M, span_of([G]))
+        frame = build_frame(M, compute_defect(M), span_of([G]))
         assert frame.r == m - 1
         values = np.stack([eval_at_zero(w) for w in frame.W], axis=1)
         # the values span the complement of e_1 in C^m
@@ -106,7 +107,7 @@ class TestFrame:
         G = rand_orthonormal(rng, m, N, 5, 1)
         M = span_of(G).perp()
         with pytest.raises(Exception):
-            build_frame(M, zero_space(m, N))  # measured defect not covered
+            build_frame(M, compute_defect(M), zero_space(m, N))  # misses the defect
 
 
 class TestExtraction:
@@ -115,7 +116,7 @@ class TestExtraction:
         G = rand_orthonormal(rng, m, N, 5, 1)
         M = span_of(G).perp()
         rep = compute_defect(M)
-        frame = build_frame(M, rep.defect_basis)
+        frame = build_frame(M, rep)
         for a, w in enumerate(frame.W):
             coords = extract_coordinates(w, frame)
             assert coords.K0 is not None
@@ -128,7 +129,7 @@ class TestExtraction:
         G = rand_orthonormal(rng, m, N, 5, 1)
         M = span_of(G).perp()
         rep = compute_defect(M)
-        frame = build_frame(M, rep.defect_basis)
+        frame = build_frame(M, rep)
         stray = G[0]  # orthogonal to M by construction
         with pytest.raises(ValueError):
             extract_coordinates(stray, frame)
@@ -148,7 +149,7 @@ class TestExtraction:
         m, N = 2, 10
         G = rand_orthonormal(rng, m, N, 5, 1)
         M = span_of(G).perp()
-        frame = build_frame(M, compute_defect(M).defect_basis)
+        frame = build_frame(M, compute_defect(M))
         member = M.basis_vectors()[2]
         full = extract_coordinates(member, frame)
         if full.K0 is not None and full.K0.N > 8:
@@ -160,7 +161,7 @@ class TestExtraction:
         G = rand_orthonormal(rng, m, N, 6, 2)
         M = span_of(G).perp()
         rep = compute_defect(M)
-        frame = build_frame(M, rep.defect_basis)
+        frame = build_frame(M, rep)
         for F in M.basis_vectors()[:6]:
             coords = extract_coordinates(F, frame)
             assert coords.reconstruction_residual < 1e-10
@@ -173,7 +174,8 @@ class TestExtraction:
         m, N, k = 3, 16, 3
         arr = np.zeros((m, N), complex)
         arr[0, 0] = arr[0, k] = 1 / np.sqrt(2)
-        analysis = rank_one_complement_analysis(CoeffVec(arr), N)
+        G = CoeffVec(arr)
+        analysis = rank_one_complement_analysis(complement_of(G), G)
         member_arr = np.zeros((m, N), complex)
         member_arr[0, 0] = 1.0
         member_arr[0, k] = -1.0
@@ -188,7 +190,7 @@ class TestExtraction:
         G = rand_orthonormal(rng, m, N, 4, 1)
         M = span_of(G).perp()
         rep = compute_defect(M)
-        frame = build_frame(M, rep.defect_basis)
+        frame = build_frame(M, rep)
         F = M.basis_vectors()[0]
         coords = extract_coordinates(F, frame)
         rebuilt = looped_reassemble(frame, *coefficient_rows(coords))
@@ -200,7 +202,7 @@ class TestInvariance:
         # zero-defect subspace: every backward shift of coordinates stays in
         ms = build_model_space(LaurentMatrixSymbol.shift(2, 3), 12)
         M = ms.as_subspace
-        frame = build_frame(M, zero_space(2, 12))
+        frame = build_frame(M, compute_defect(M), zero_space(2, 12))
         rep = peel_members(M.basis, frame, depth=6).invariance
         assert rep.max_residual < 1e-10
 
@@ -208,7 +210,7 @@ class TestInvariance:
         m, N = 3, 12
         G = reproducing_column(m, N, 0)
         M = complement_of(G)
-        frame = build_frame(M, span_of([G]))
+        frame = build_frame(M, compute_defect(M), span_of([G]))
         rep = peel_members(M.basis[:, :8], frame, depth=default_depth(N)).invariance
         assert rep.max_residual < 1e-10
 
@@ -223,7 +225,7 @@ class TestInvariance:
         m, N = 2, 16
         G = rand_orthonormal(rng, m, N, 5, 2)
         M = span_of(G).perp()
-        frame = build_frame(M, compute_defect(M).defect_basis)
+        frame = build_frame(M, compute_defect(M))
         rows = [coefficient_rows(extract_coordinates(F, frame))
                 for F in M.basis_vectors()[:4]]
         for trial in range(4):
@@ -243,7 +245,8 @@ class TestInvariance:
 class TestComplementAnalysis:
     def test_constant_column_full_space(self):
         m, N = 3, 12
-        rep = rank_one_complement_analysis(reproducing_column(m, N, 0), N)
+        G = reproducing_column(m, N, 0)
+        rep = rank_one_complement_analysis(complement_of(G), G)
         assert rep.r == m - 1
         assert rep.g.norm() < 1e-12
         assert rep.G0.norm() < 1e-12
@@ -254,7 +257,8 @@ class TestComplementAnalysis:
         m, N, k = 3, 16, 3
         arr = np.zeros((m, N), complex)
         arr[0, 0] = arr[0, k] = 1 / np.sqrt(2)
-        rep = rank_one_complement_analysis(CoeffVec(arr), N)
+        G = CoeffVec(arr)
+        rep = rank_one_complement_analysis(complement_of(G), G)
         assert rep.r == m
         expected_g = np.zeros(N, complex)
         expected_g[k - 1] = 0.5
@@ -273,7 +277,7 @@ class TestComplementAnalysis:
         arr[0, 1] = 1.0                       # z
         arr[1, :N] = blaschke_taylor(0.3, N - 1)
         G = unit(CoeffVec(arr))
-        rep = rank_one_complement_analysis(G, N)
+        rep = rank_one_complement_analysis(complement_of(G), G)
         assert rep.g.norm() < 1e-7
         assert rep.condition_residual_max < 1e-6
 
@@ -281,7 +285,7 @@ class TestComplementAnalysis:
         m, N, alpha = 2, 32, 0.4
         ka = np.array([alpha ** j for j in range(N)], complex)
         G = unit(CoeffVec(np.tile(ka, (m, 1))))
-        rep = rank_one_complement_analysis(G, N)
+        rep = rank_one_complement_analysis(complement_of(G), G)
         # adjoint data: G0 collapses, g is proportional to the kernel column
         assert rep.G0.norm() < 1e-10
         expected = np.array([alpha ** (j + 1) for j in range(N)], complex)
@@ -292,13 +296,14 @@ class TestComplementAnalysis:
 
     def test_unit_norm_enforced(self, rng):
         with pytest.raises(ValueError):
-            rank_one_complement_analysis(rand_coeffvec(rng, 2, 8, 4) * 3.0, 8)
+            G = rand_coeffvec(rng, 2, 8, 4) * 3.0
+            rank_one_complement_analysis(complement_of(G), G)
 
     @pytest.mark.parametrize("depth", [None, 1, 5])
     def test_invariance_is_measured_by_the_peeling_pass(self, rng, depth):
         m, N = 2, 16
-        rep = rank_one_complement_analysis(unit(rand_coeffvec(rng, m, N, 5)), N,
-                                           depth=depth)
+        G = unit(rand_coeffvec(rng, m, N, 5))
+        rep = rank_one_complement_analysis(complement_of(G), G, depth=depth)
         expected = default_depth(N) if depth is None else depth
         assert rep.invariance.depth == expected
         refs = [(None, *coefficient_rows(c), None, None) for c in rep.coords]
@@ -694,8 +699,8 @@ class TestRankOneCandidates:
         # the analyses take the certified model space and test nothing again
         rank_one_inner_kernel(solved_kernel(theta, G, H, N), ms, G, H)
         Gs, Hs = -1.0 * H, unit(-1.0 * G)
-        rank_one_theta_star_analysis(solved_kernel(theta.adjoint(), Gs, Hs, N), ms,
-                                     Gs, Hs)
+        kr = solved_kernel(theta.adjoint(), Gs, Hs, N)
+        rank_one_theta_star_analysis(kr, compute_defect(kr.subspace), ms, Gs, Hs)
         assert len(calls) == 1
 
     def test_tol_inner_decides_innerness_only(self, rng):
@@ -716,8 +721,9 @@ class TestRankOneCandidates:
         flat = CoeffVec.monomial(m, N, 0, 0)
         with pytest.raises(ValueError, match="nonzero backward shift"):
             rank_one_inner_kernel(solved_kernel(theta, G, flat, N), loose, G, flat)
-        small = rank_one_theta_star_analysis(
-            solved_kernel(theta.adjoint(), 0.3 * H, Hs, N), loose, 0.3 * H, Hs)
+        kr = solved_kernel(theta.adjoint(), 0.3 * H, Hs, N)
+        small = rank_one_theta_star_analysis(kr, compute_defect(kr.subspace), loose,
+                                             0.3 * H, Hs)
         assert small.case == "in_range_noncritical" and small.details["equality_ok"]
 
     def test_kernel_and_model_space_must_match(self, rng):

@@ -11,13 +11,16 @@ from tklab.cli_reports import (bundled_scenario_dir, load_scenario, parse_scenar
 from tklab.config import Tolerances
 from tklab.errors import ScenarioValidationError
 from tklab.model_spaces import build_model_space
-from tklab.near_invariance import (kernel_of, verify_theorem_inner_symbol,
+from tklab.near_invariance import (compute_defect, kernel_of,
+                                   verify_theorem_inner_symbol,
                                    verify_theorem_invertible_factors,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
 from tklab.operators import build_perturbed
-from tklab.representation import (rank_one_inner_kernel, rank_one_invertible_kernel,
+from tklab.representation import (default_depth, rank_one_complement_analysis,
+                                   rank_one_inner_kernel, rank_one_invertible_kernel,
                                    rank_one_theta_star_analysis)
+from tklab.subspaces import Subspace
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor
 
 from conftest import spy
@@ -216,6 +219,11 @@ def test_rank_one_model_space_cut_that_keeps_nothing_is_inconclusive(name):
 def _public_rank_one(sc):
     """The public analysis on a kernel and model space built afresh."""
     (G,), (H,) = sc.G, sc.H
+    if sc.symbol_class == "zero":
+        T = build_perturbed(LaurentMatrixSymbol.zero(sc.m), sc.N, [G], [H],
+                            require_orthonormal=False)
+        return rank_one_complement_analysis(kernel_of(T).subspace, G,
+                                            depth=default_depth(sc.N), seed=sc.seed)
     if sc.symbol_class == "invertible_factors":
         F1, F2 = sc.factors
         T = build_perturbed(F1.adjoint().multiply(F2), sc.N, [G], [H],
@@ -226,18 +234,46 @@ def _public_rank_one(sc):
         T = build_perturbed(sc.symbol, sc.N, [G], [H], require_orthonormal=False)
         return rank_one_inner_kernel(kernel_of(T), ms, G, H)
     T = build_perturbed(sc.symbol.adjoint(), sc.N, [G], [H], require_orthonormal=False)
-    return rank_one_theta_star_analysis(kernel_of(T), ms, G, H,
+    kr = kernel_of(T)
+    return rank_one_theta_star_analysis(kr, compute_defect(kr.subspace), ms, G, H,
                                         tol_equality=Tolerances().containment)
 
 
-KERNEL_RANK_ONE = [p for p in BUNDLED if "rank_one" in load_scenario(p).checks
-                   and load_scenario(p).symbol_class != "zero"]
+RANK_ONE = [p for p in BUNDLED if "rank_one" in load_scenario(p).checks]
 
 
-@pytest.mark.parametrize("path", KERNEL_RANK_ONE, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", RANK_ONE, ids=lambda p: p.stem)
 def test_rank_one_check_equals_public_analysis(path):
     sc = load_scenario(path)
     outcome = next(o for o in run_scenario_object(sc, Tolerances()).outcomes
                    if o.name == "rank_one")
     assert outcome.status == "pass"
     assert outcome.residuals == _public_rank_one(sc).to_json()
+
+
+@pytest.mark.parametrize("path", [p for p in RANK_ONE
+                                  if load_scenario(p).symbol_class == "zero"],
+                         ids=lambda p: p.stem)
+def test_zero_rank_one_reads_the_solved_kernel(monkeypatch, path):
+    # the complement analysis's M is the run's kernel, not span{G}^perp again
+    perps = []
+    real_perp = Subspace.perp
+
+    def perp(self):
+        perps.append(self)
+        return real_perp(self)
+
+    monkeypatch.setattr(Subspace, "perp", perp)
+    kernels = spy(monkeypatch, "kernel_of")
+    assert run_scenario_object(load_scenario(path), Tolerances()).ok
+    assert (len(perps), len(kernels)) == (0, 1)
+
+
+def test_theta_star_rank_one_reads_the_measured_defect(monkeypatch):
+    # the rank_one and representation checks share one defect measurement
+    data = json.loads((SCENARIOS / "adjoint_monomial_critical.json").read_text())
+    data["checks"] = ["rank_one", "representation"]
+    defects = spy(monkeypatch, "compute_defect")
+    report = run_scenario_object(parse_scenario(data), Tolerances())
+    assert [o.status for o in report.outcomes] == ["pass", "pass"]
+    assert len(defects) == 1
