@@ -25,8 +25,8 @@ from .near_invariance import (DefectReport, KernelResult, compute_defect,
 from .operators import (BrownHalmosReport, PerturbedToeplitz,
                         ToeplitzCompression, brown_halmos_check,
                         build_perturbed, orthonormalize_family)
-from .representation import (Coordinates, RepresentationFrame, build_frame,
-                             certify_representation, peel_members,
+from .representation import (RepresentationFrame, build_frame,
+                             certify_representation,
                              rank_one_complement_analysis,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,

@@ -54,6 +54,7 @@ ERROR_EXIT = {"parse": EXIT_PARSE, "validation": EXIT_VALIDATION,
               "internal": EXIT_INTERNAL}
 
 SYMBOL_CLASSES = ("zero", "inner", "invertible_factors", "theta_star", "raw")
+RANK_ONE_CLASSES = SYMBOL_CLASSES[:4]
 HEADROOM = 4
 
 
@@ -401,19 +402,10 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
                         residuals, time.perf_counter() - t0)
 
 
-def check_rank_one(run: ScenarioRun) -> CheckOutcome:
-    t0 = time.perf_counter()
+def _rank_one_analysis(run: ScenarioRun, ms: ModelSpace | None, G: CoeffVec,
+                       H: CoeffVec) -> tuple[bool, dict]:
+    """The class's rank-one analysis on the run's kernel: (verdict, residuals)."""
     sc, tol = run.sc, run.tol
-    if len(sc.G) != 1:
-        raise ScenarioValidationError("rank_one checks need exactly one (G, H) pair")
-    G, H = sc.G[0], sc.H[0]
-    residuals: dict
-    try:
-        ms = run.model_space if sc.symbol_class in ("inner", "theta_star") else None
-    except InconclusiveCutError as exc:  # an ambiguous cut fails, it is no crash
-        return CheckOutcome("rank_one", "fail",
-                            {"sigma_conclusive": False, "inconclusive": str(exc)},
-                            time.perf_counter() - t0)
     if sc.symbol_class == "zero":
         rep = rank_one_complement_analysis(run.kernel.subspace, G, depth=run.depth,
                                            seed=sc.seed)
@@ -442,7 +434,7 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
               and rep.details["convolution_gap"] <= tol.representation
               and (rep.expected_match_residual is None
                    or rep.expected_match_residual <= tol.containment))
-    elif sc.symbol_class == "theta_star":
+    else:
         rep = rank_one_theta_star_analysis(run.kernel, run.defect, ms, G, H,
                                            depth=run.depth, tol_equality=tol.containment)
         residuals = rep.to_json()
@@ -451,11 +443,36 @@ def check_rank_one(run: ScenarioRun) -> CheckOutcome:
               and _expect_matches(sc.expect, "case", rep.case)
               and _expect_matches(sc.expect, "kernel_dim", rep.kernel_dim)
               and max(rep.membership_residuals.values()) <= tol.membership)
-    else:
+    return ok, residuals
+
+
+def check_rank_one(run: ScenarioRun) -> CheckOutcome:
+    t0 = time.perf_counter()
+    sc, tol = run.sc, run.tol
+    if len(sc.G) != 1:
+        raise ScenarioValidationError("rank_one checks need exactly one (G, H) pair")
+    if sc.symbol_class not in RANK_ONE_CLASSES:
         raise ScenarioValidationError(
             f"rank_one is not defined for class {sc.symbol_class!r}")
-    return CheckOutcome("rank_one", "pass" if ok else "fail",
-                        residuals, time.perf_counter() - t0)
+    try:
+        ms = run.model_space if sc.symbol_class in ("inner", "theta_star") else None
+    except InconclusiveCutError as exc:  # an ambiguous cut fails, it is no crash
+        return CheckOutcome("rank_one", "fail",
+                            {"sigma_conclusive": False, "inconclusive": str(exc)},
+                            time.perf_counter() - t0)
+    ratio = run.kernel.sigma_ratio
+    audit = {"sigma_conclusive": ratio <= tol.sigma_ratio_flag, "kernel_sigma_ratio": ratio}
+    failed = {"kernel_dim": run.kernel.subspace.dim, **audit}
+    if not audit["sigma_conclusive"]:  # an inconclusive kernel cut fails unanalyzed
+        return CheckOutcome("rank_one", "fail", failed, time.perf_counter() - t0)
+    try:
+        ok, residuals = _rank_one_analysis(run, ms, sc.G[0], sc.H[0])
+    except FrameDeficientError as exc:  # a frame that cannot certify fails the check
+        return CheckOutcome("rank_one", "fail",
+                            {**failed, "certified": False, "uncertified": str(exc)},
+                            time.perf_counter() - t0)
+    return CheckOutcome("rank_one", "pass" if ok else "fail", {**residuals, **audit},
+                        time.perf_counter() - t0)
 
 
 def check_brown_halmos(run: ScenarioRun) -> CheckOutcome:

@@ -58,6 +58,12 @@ class KernelResult:
     #: orthocomplement, where the kernel's defect lies; None otherwise
     complement: np.ndarray | None = None
 
+    @property
+    def sigma_ratio(self) -> float:
+        """The kernel cut's audited sigma-gap ratio: a cut that kept nothing
+        is judged against the cut itself."""
+        return float(self.sigma_gap.audited_ratio(self.sigma_cut))
+
 
 def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
               factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
@@ -327,15 +333,12 @@ def _attach_prediction(measured: DefectReport, M: Subspace,
 
 def _kernel_defect(kr: KernelResult, defect_floor: float,
                    tol_rel: float | None) -> DefectReport:
-    """The kernel's measured defect, with the kernel solve's audit in details.
-
-    The recorded ``kernel_sigma_ratio`` is the gap's audited ratio: a cut
-    that kept nothing is judged against the cut itself."""
+    """The kernel's measured defect, with the kernel solve's audit in details."""
     report = compute_defect(kr.subspace, defect_floor=defect_floor, tol_rel=tol_rel,
                             complement=kr.complement)
     report.kernel_residual_max = kr.residual_max
     report.details["kernel_sigma_cut"] = kr.sigma_cut
-    report.details["kernel_sigma_ratio"] = kr.sigma_gap.audited_ratio(kr.sigma_cut)
+    report.details["kernel_sigma_ratio"] = kr.sigma_ratio
     report.details["kernel_audit_violations"] = kr.audit_violations
     report.details["kernel_method"] = kr.method
     return report

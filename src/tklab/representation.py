@@ -18,19 +18,13 @@ least-squares solve of the (often rank-deficient) frame map would not.
 
 One peeling step is linear: ``_peel_step`` takes it on flat columns and
 returns their coefficients C X, their remainders A X and the value-map
-residuals X - W a.  Two callers share it.  ``certify_representation`` takes
-the step once on the whole orthonormal basis Q of M, which realizes the
-coordinate space as {C (I - zA)^-1 x} with a dim M x dim M matrix A, and
-certifies convergence, reconstruction, isometry and invariance for every
-member of M from that one step; the representation check runs only this.
-``peel_members`` iterates the step on given members, each column until its
-own tail floor, and reassembles the series in one Horner pass
-acc <- z (acc + E c_t) + W a_t from the top step down.  Its state after
-step n is the reassembly R_n of the coordinates backward-shifted n times,
-so the pass yields the reconstruction (n = 0) and every shifted reassembly
-the invariance residuals need (n = 1..depth).  The rank-one analyses read
-their coordinates and reassemblies from it, and it is the certificate's
-test oracle.
+residuals X - W a.  ``certify_representation`` takes the step once on the
+whole orthonormal basis Q of M, which realizes the coordinate space as
+{C (I - zA)^-1 x} with a dim M x dim M matrix A, and certifies convergence,
+reconstruction, isometry and invariance for every member of M from that one
+step.  It is the one representation engine: the representation check reads
+its bounds, and the rank-one analyses also read the realized coordinates
+C A^t x of the members Q x they sample (``_realized_series``).
 
 Nothing here measures a defect, solves a kernel or builds a model space:
 ``build_frame`` and the Theta* analysis read M's ``DefectReport``, the
@@ -135,21 +129,10 @@ def build_frame(M: Subspace, measured: DefectReport,
                                E=tuple(defect.basis_vectors()))
 
 
-@dataclass
-class Coordinates:
-    """Extracted coordinate functions with their quality measures."""
-
-    K0: CoeffVec | None
-    k: tuple[CoeffVec, ...]
-    reconstruction_residual: float
-    isometry_gap: float
-    source_norm: float
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     depth: int
-    #: max over the coordinate sample of the membership residual per shift
+    #: membership residual per shift 1..depth, over the members it covers
     residuals: tuple[float, ...]
 
     @property
@@ -161,7 +144,7 @@ class InvarianceReport:
 
 
 # ---------------------------------------------------------------------------
-# the peeling step and the peeling engine
+# the peeling step
 # ---------------------------------------------------------------------------
 
 
@@ -180,125 +163,6 @@ def _peel_step(frame: RepresentationFrame, X: np.ndarray
     c = E.conj().T @ R
     R -= E @ c
     return np.concatenate([a, c], axis=0), R, V
-
-
-@dataclass
-class Peeling:
-    """Coordinates of a batch of members from one peeling run."""
-
-    frame: RepresentationFrame
-    #: steps x (r + p) x K: step t of member i is series[t, :, i] (K0 block,
-    #: then k block), zero past the member's own length
-    series: np.ndarray
-    lengths: np.ndarray
-    #: (depth + 1) x mN x K: R_n, the reassembly of the coordinates
-    #: backward-shifted n times; R_0 reconstructs the members
-    reassemblies: np.ndarray
-    source_norms: np.ndarray
-    reconstruction_residuals: np.ndarray
-    isometry_gaps: np.ndarray
-    invariance: InvarianceReport
-
-    def coordinates(self, i: int) -> Coordinates:
-        """The coordinate functions of input member i."""
-        r, p = self.frame.r, self.frame.p
-        n = int(self.lengths[i])
-        arr = np.zeros((max(n, 1), r + p), dtype=complex)
-        arr[:n] = self.series[:n, :, i]
-        return Coordinates(
-            K0=CoeffVec(arr[:, :r].T) if r else None,
-            k=tuple(CoeffVec(arr[:, r + j][None, :]) for j in range(p)),
-            reconstruction_residual=float(self.reconstruction_residuals[i]),
-            isometry_gap=float(self.isometry_gaps[i]),
-            source_norm=float(self.source_norms[i]))
-
-
-def peel_members(F: np.ndarray, frame: RepresentationFrame,
-                 max_steps: int | None = None,
-                 depth: int = 0) -> Peeling:
-    """Peel the coordinate functions of every column of an mN x K member matrix.
-
-    The peeled remainder lives inside the same degree window at every step,
-    so the recursion can run past the window length: coordinate functions
-    are generally infinite series even for polynomial members, and each
-    column is peeled until its tail (the unrepresented remainder mass) drops
-    below 1e-10 times its norm or max_steps is hit.  The remainder enters
-    the reported isometry gap, so a slowly converging frame is visible, never
-    hidden.  With depth > 0 the same reassembly pass also measures the
-    coordinate-space invariance residuals at shifts 1..depth, relative to
-    each member's norm.
-
-    Raises if a column is no M-member to 1e-6 of its norm or the frame cannot
-    reconstruct it to 1e-8 (a deficient defect frame or missing headroom).
-    """
-    M = frame.M
-    m, N = M.m, M.N
-    F = np.asarray(F)
-    if F.ndim != 2 or F.shape[0] != m * N:
-        raise DimensionMismatch(f"member matrix shape {F.shape} vs ambient {m}*{N}")
-    norms = column_norms(F)
-    scale = np.maximum(norms, 1e-300)
-    member = column_norms(F - M.project_flat(F))
-    bad = member > 1e-6 * scale
-    if bad.any():
-        raise ValueError(
-            f"vector is not a member of the subspace (residual {member[bad].max():.3e})")
-    if max_steps is None:
-        max_steps = max(64 * N, 4096)
-    K = F.shape[1]
-    floors = 1e-10 * scale
-    alive, X = np.arange(K), F
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(max_steps):
-        live = column_norms(X) > floors[alive]
-        if not live.all():
-            alive, X = alive[live], X[:, live]
-        if not alive.size:
-            break
-        coef, X, _ = _peel_step(frame, X)
-        steps.append((alive, coef))
-    series = np.zeros((len(steps), frame.r + frame.p, K), dtype=complex)
-    lengths = np.zeros(K, dtype=int)
-    for t, (alive, coef) in enumerate(steps):
-        series[t][:, alive] = coef
-        lengths[alive] += 1
-    reassemblies = _reassemble(frame, series, depth)
-    recon = column_norms(reassemblies[0] - F)
-    bad = recon > 1e-8 * scale
-    if bad.any():
-        raise FrameDeficientError(
-            f"frame cannot reconstruct the member (residual {recon[bad].max():.3e})")
-    invariance = InvarianceReport(depth=depth, residuals=tuple(
-        float(np.max(column_norms(R - M.project_flat(R)) / scale, initial=0.0))
-        for R in reassemblies[1:]))
-    coord_sq = np.sum(series.real ** 2 + series.imag ** 2, axis=(0, 1))
-    return Peeling(frame=frame, series=series, lengths=lengths,
-                   reassemblies=reassemblies, source_norms=norms,
-                   reconstruction_residuals=recon,
-                   isometry_gaps=np.abs(norms ** 2 - coord_sq),
-                   invariance=invariance)
-
-
-def _reassemble(frame: RepresentationFrame, series: np.ndarray,
-                depth: int) -> np.ndarray:
-    """R_0..R_depth of a series by the Horner step R_t = z (R_{t+1} + E c_t) + W a_t.
-
-    z is the truncating forward shift, so step t reaches no R_n with
-    t - n >= N and the pass starts at step N + depth - 1 at the latest.
-    """
-    m, N = frame.M.m, frame.M.N
-    r = frame.r
-    W, E = frame.W_matrix, frame.E_matrix
-    out = np.zeros((depth + 1, m * N, series.shape[2]), dtype=complex)
-    acc = np.zeros(out.shape[1:], dtype=complex)
-    for t in range(min(len(series), N + depth) - 1, -1, -1):
-        acc += E @ series[t, r:]
-        acc[m:] = acc[:-m].copy()
-        acc[:m] = 0.0
-        acc += W @ series[t, :r]
-        if t <= depth:
-            out[t] = acc
-    return out
 
 
 def default_depth(N: int) -> int:
@@ -534,8 +398,7 @@ def certify_representation(frame: RepresentationFrame, depth: int,
 
     The bounds hold up to the roundoff of evaluating the certificate itself.
     Raises ``FrameDeficientError`` if 2^k would pass ``max_steps`` (default
-    max(64 N, 4096), as for peeling) or the reconstruction bound exceeds
-    ``tol_rep``.
+    max(64 N, 4096)) or the reconstruction bound exceeds ``tol_rep``.
     """
     M = frame.M
     m, N = M.m, M.N
@@ -576,6 +439,21 @@ def certify_representation(frame: RepresentationFrame, depth: int,
         support=(d_support, p_support),
         nonzeros=(int(np.count_nonzero(_values(A_Q))),
                   int(np.count_nonzero(_values(power)))))
+
+
+def _realized_series(cert: RealizationCertificate, x: np.ndarray) -> np.ndarray:
+    """The realized coordinates u_t = C_Q A_Q^t x of the members Q x.
+
+    Returns steps x (r + p) x columns of x, with the K0 block first.  The
+    series stops once every ||A_Q^t x|| is at most 1e-10 ||x||, the tail
+    floor of peeling; the certified contraction ||A_Q^T||_F < 1/2 ends it.
+    """
+    floors = 1e-10 * column_norms(x)
+    steps = []
+    while np.any(column_norms(x) > floors):
+        steps.append(cert.C @ x)
+        x = cert.A @ x
+    return np.stack(steps) if steps else np.zeros((0, len(cert.C), x.shape[1]), complex)
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +504,10 @@ class ComplementAnalysis:
     projection_formula_residual: float
     condition_residual_max: float
     samples: int
-    #: coordinate-space invariance of the sampled members at shifts 1..depth
+    #: certified coordinate-space invariance of every member at shifts 1..depth
     invariance: InvarianceReport
-    coords: list[Coordinates] = field(default_factory=list)
+    #: realized coordinates (K0, k1) of the sampled members; K0 is None when r = 0
+    coords: list[tuple[CoeffVec | None, CoeffVec]] = field(default_factory=list)
 
     @property
     def r(self) -> int:
@@ -655,8 +534,9 @@ def rank_one_complement_analysis(M: Subspace, G: CoeffVec, depth: int | None = N
     <., G> H as the caller solved it.  Produces the non-vanishing frame from
     projected reproducing columns, the adjoint data (G0, g) governing the
     coordinate space, and verifies the membership characterization
-    <K0, z^n G0> + <k1, z^n g> = 0 on a sample of members, and measures their
-    coordinate-space invariance to depth.
+    <K0, z^n G0> + <k1, z^n g> = 0 on the realized coordinates of a sample of
+    members.  The frame's realization certificate bounds the coordinate-space
+    invariance of every member to depth.
     """
     _unit_norm_check(G)
     m, N = M.m, M.N
@@ -699,24 +579,23 @@ def rank_one_complement_analysis(M: Subspace, G: CoeffVec, depth: int | None = N
             members.append(cand * (1.0 / cand.norm()))
     if depth is None:
         depth = default_depth(N)
+    cert = certify_representation(frame, depth)
+    series = _realized_series(cert, M.basis.conj().T @ flat_columns(members, m * N))
+    coords = [(CoeffVec(series[:, :r, i].T) if r else None,
+               CoeffVec(series[:, r, i][None, :])) for i in range(len(members))]
     cond_resid = 0.0
-    peeling = peel_members(np.stack([F.flatten() for F in members], axis=1), frame,
-                           depth=depth)
-    coords_list = [peeling.coordinates(i) for i in range(len(members))]
-    for coords in coords_list:
-        K0 = coords.K0
-        k1 = coords.k[0]
+    for K0, k1 in coords:
         for n in range(depth + 1):
             total = 0.0 + 0.0j
-            if K0 is not None and r:
+            if K0 is not None:
                 total += _shifted_pairing(K0.coeffs, G0.coeffs, n)
             total += _shifted_pairing(k1.coeffs, g.coeffs, n)
             cond_resid = max(cond_resid, abs(total))
     return ComplementAnalysis(frame=frame, G0=G0, g=g,
                               projection_formula_residual=formula_resid,
                               condition_residual_max=cond_resid,
-                              samples=len(members), invariance=peeling.invariance,
-                              coords=coords_list)
+                              samples=len(members), invariance=cert.invariance,
+                              coords=coords)
 
 
 @dataclass
@@ -752,7 +631,9 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
     With value nonzero at the origin the coordinates must be a constant K0
     and vanishing k; in the vanishing case a constant k1.  The defect frame
     stays in the analysis's natural (unprojected) form; the coordinate space
-    is then exactly the constants, and the peeling terminates in one step.
+    is then exactly the constants, and the realized series of the kernel's
+    first basis vector ends after one step.  The reconstruction and isometry
+    residuals are the frame's certified bounds.
     """
     value_mass = float(np.linalg.norm(eval_at_zero(candidate)))
     if value_mass > 1e-8 * max(candidate.norm(), 1e-300):
@@ -767,16 +648,16 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
     resid: dict = {"vanishing_case_mismatch": float((kernel.dim > 0)
                                                     and frame.vanishing_case
                                                     and origin == "value_nonzero")}
-    coords = peel_members(kernel.basis[:, :1], frame).coordinates(0)
-    resid["reconstruction"] = coords.reconstruction_residual
-    resid["isometry_gap"] = coords.isometry_gap
+    cert = certify_representation(frame, 0)
+    u = _realized_series(cert, np.eye(kernel.dim, 1))[:, :, 0]
+    resid["reconstruction"] = cert.reconstruction
+    resid["isometry_gap"] = cert.isometry
+    r = frame.r
     if origin == "value_nonzero":
-        k0 = coords.K0
-        resid["K0_shift_mass"] = backward_shift(k0).norm() if k0 is not None else 0.0
-        resid["k_mass"] = float(np.sqrt(sum(kj.norm_sq() for kj in coords.k)))
-    else:
-        if coords.k:
-            resid["k1_shift_mass"] = backward_shift(coords.k[0]).norm()
+        resid["K0_shift_mass"] = float(np.linalg.norm(u[1:, :r]))
+        resid["k_mass"] = float(np.linalg.norm(u[:, r:]))
+    elif frame.p:
+        resid["k1_shift_mass"] = float(np.linalg.norm(u[1:, r]))
     return origin, resid
 
 
@@ -919,7 +800,11 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
     and a shifted-range part; the criterion 1 + <theta H, range part> picks
     one of four kernel shapes, each verified against the solved kernel by
     subspace equality.  G need not be normalized: the critical branches are
-    unreachable for unit G by Cauchy-Schwarz.
+    unreachable for unit G by Cauchy-Schwarz.  The coordinate-space
+    membership residuals are measured on the members Q A_Q^n e_i
+    (n = 0..depth, at most six columns) of the frame's realization
+    certificate, plus its bound on their distance to the reassembled
+    coordinates.
     """
     theta, N = ms.theta, ms.N
     if backward_shift(H).norm() < 1e-8:
@@ -979,23 +864,30 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
     frame_span = column_span(reduced, (kernel.m, N), floor=1e-8) if reduced.shape[1] \
         else zero_space(kernel.m, N)
     frame = build_frame(kernel, defect, frame_span)
-    peeling = peel_members(kernel.basis[:, :min(kernel.dim, 6)], frame, depth=depth)
+    cert = certify_representation(frame, depth)
     line = correction_line if correction_line is not None \
         and correction_line.norm() > NEGLIGIBLE_NORM else None
-    for R in peeling.reassemblies:
+    # the members Q A_Q^n e_i; the reassembly of the coordinates of Q e_i
+    # shifted back n times lies within ``gap`` of the n-th of them
+    x = np.eye(kernel.dim, min(kernel.dim, 6))
+    for n in range(depth + 1):
+        R = kernel.basis @ x
+        gap = cert.reconstruction if n == 0 else cert.invariance.residuals[n - 1]
         membership["ambient_sum"] = max(
             membership["ambient_sum"],
-            float(np.max(column_norms(R - ambient_sum.project_flat(R)), initial=0.0)))
+            float(np.max(column_norms(R - ambient_sum.project_flat(R)), initial=0.0))
+            + gap)
         if line is not None:
             membership["correction_orthogonality"] = max(
                 membership["correction_orthogonality"],
                 float(np.max(np.abs(line.flatten().conj() @ R), initial=0.0))
-                / line.norm())
+                / line.norm() + gap)
         if case == "in_range_noncritical":
             membership["range_component"] = max(
                 membership["range_component"],
                 float(np.max(np.abs(theta_h.flatten().conj() @ R), initial=0.0))
-                / theta_h.norm())
+                / theta_h.norm() + gap)
+        x = cert.A @ x
     return ThetaStarReport(
         case=case, in_range=split.in_range, criterion=criterion,
         kernel_dim=kernel.dim, kernel=kernel, predicted_dim=predicted.dim,

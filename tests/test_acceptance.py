@@ -19,13 +19,14 @@ from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_theta_star)
 from tklab.operators import (ToeplitzCompression, brown_halmos_check,
                              build_perturbed)
-from tklab.representation import (build_frame, default_depth, peel_members,
+from tklab.representation import (build_frame, default_depth,
                                   rank_one_theta_star_analysis)
 from tklab.subspaces import nullspace, subspace_equal
 from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
                            diagonal_inner_outer, invert_analytic)
 
 from conftest import rand_coeffvec, rand_orthonormal, unit
+from peeling_oracle import peel_members
 
 TOL_CONTAIN_STRICT = 1e-8
 TOL_CONTAIN_SERIES = 1e-6

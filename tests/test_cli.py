@@ -324,6 +324,24 @@ class TestApiErrors:
         assert "cannot reconstruct" in rep["residuals"]["uncertified"]
         assert {"r", "p", "vanishing_case"} <= set(rep["residuals"])
 
+    def test_uncertifiable_rank_one_frame_is_a_verdict(self, tmp_path):
+        # with the sigma flag raised past the 0.5 cut's ratio, the analysis
+        # reads a 10-dimensional kernel that its frame cannot reconstruct:
+        # a failed check, not bad input
+        data = json.loads((SCENARIOS / "factored_symbol_rank_one.json").read_text())
+        data["tolerances"] = {"rank_rel": 0.5, "sigma_ratio_flag": 1e300}
+        path = tmp_path / "factored_symbol_rank_one.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == EXIT_CHECK_FAIL, proc.stderr
+        assert proc.stderr == ""
+        [rank_one] = json.loads(out.read_text())["checks"]
+        residuals = rank_one["residuals"]
+        assert rank_one["status"] == "fail" and residuals["certified"] is False
+        assert "cannot reconstruct" in residuals["uncertified"]
+        assert residuals["kernel_dim"] == 10 and residuals["sigma_conclusive"] is True
+
     def test_tol_rank_reaches_the_kernel(self, tmp_path):
         # a cut at 0.9 |A| swallows unit singular values of the isometry, and
         # it is one the structured inner path cannot certify: the dense SVD

@@ -1,5 +1,5 @@
-"""The realization certificate of the representation check, with the
-peeling engine as its oracle."""
+"""The realization certificate, the one representation engine of the
+representation and rank-one checks, with the member peeler as its oracle."""
 
 import json
 import math
@@ -12,22 +12,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tklab
 from tklab import representation
 from tklab.cli_reports import (Scenario, ScenarioRun, bundled_scenario_dir,
                                load_scenario, run_scenario_object)
 from tklab.config import Tolerances
 from tklab.errors import FrameDeficientError
 from tklab.representation import (RepresentationFrame, build_frame,
-                                  certify_representation, default_depth,
-                                  peel_members)
+                                  certify_representation, default_depth)
+from tklab.subspaces import column_norms
 
+from conftest import spy
+from peeling_oracle import peel_members
 from test_representation import ORACLE_CASES, complement_frame
 from test_structured_operators import _workloads
 
 SCENARIOS = bundled_scenario_dir()
-REPRESENTATION_SCENARIOS = sorted(
-    p.stem for p in SCENARIOS.glob("*.json")
-    if "representation" in json.loads(p.read_text()).get("checks", []))
+
+
+def _scenarios_with(check):
+    return sorted(p.stem for p in SCENARIOS.glob("*.json")
+                  if check in json.loads(p.read_text()).get("checks", []))
+
+
+REPRESENTATION_SCENARIOS = _scenarios_with("representation")
+RANK_ONE_SCENARIOS = _scenarios_with("rank_one")
 #: P and D are evaluated in double precision, so a bound that reads at
 #: roundoff level may undercut the exact value by about one unit of it
 EPS = np.finfo(float).eps
@@ -179,11 +188,12 @@ def test_step_cap_is_deficient():
         certify_representation(frame, 4, max_steps=4)
 
 
-def test_check_never_peels(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the representation check peeled")
-
-    monkeypatch.setattr(representation, "peel_members", refuse)
+def test_check_never_peels():
+    # the certificate is the package's one representation engine; the member
+    # peeler lives in the tests, as its oracle
+    for name in ("peel_members", "Peeling", "Coordinates", "_reassemble"):
+        assert not hasattr(representation, name), name
+        assert not hasattr(tklab, name), name
     for name in REPRESENTATION_SCENARIOS:
         sc = load_scenario(SCENARIOS / f"{name}.json")
         sc.checks = ["representation"]
@@ -191,6 +201,45 @@ def test_check_never_peels(monkeypatch):
         assert outcome.status == "pass", name
         cert = outcome.residuals["certificate"]
         assert isinstance(cert["squarings"], int) and 0 <= cert["contraction"] < 0.5
+
+
+#: the peeler stops a member once its remainder is at most 1e-10 of its
+#: norm; a tail it leaves inside the window enters its reassemblies
+PEEL_FLOOR = 1e-10
+
+
+def test_rank_one_scenarios_are_covered():
+    assert len(RANK_ONE_SCENARIOS) >= 10
+
+
+@pytest.mark.parametrize("name", RANK_ONE_SCENARIOS)
+def test_rank_one_frames_agree_with_the_peeling_oracle(name, monkeypatch):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    sc.checks = ["rank_one"]
+    certified = spy(monkeypatch, "certify_representation", [representation])
+    [outcome] = run_scenario_object(sc, Tolerances()).outcomes
+    assert outcome.status == "pass" and len(certified) == 1
+    [(frame, depth)] = certified
+    cert = certify_representation(frame, depth)
+    M = frame.M
+    series = representation._realized_series(cert, np.eye(M.dim))
+    peeling = peel_members(M.basis, frame, depth=depth)
+    assert len(series) == len(peeling.series)
+    for t, (realized, peeled) in enumerate(zip(series, peeling.series)):
+        alive = peeling.lengths > t
+        assert np.max(np.abs(realized[:, alive] - peeled[:, alive]), initial=0.0) <= 1e-12
+    # the bounds cover what the oracle measures, up to its own truncation
+    # (none once a member's series outlasts the window) and the basis
+    # columns' unit-norm roundoff
+    norms = peeling.source_norms
+    tail = np.where(peeling.lengths >= M.N + depth, 0.0, PEEL_FLOOR * norms)
+    assert np.all(peeling.reconstruction_residuals <= cert.reconstruction + tail + EPS)
+    assert np.all(peeling.isometry_gaps <= cert.isometry + np.abs(norms ** 2 - 1) + EPS)
+    assert len(cert.invariance.residuals) == depth
+    for n, bound in enumerate(cert.invariance.residuals, start=1):
+        R = peeling.reassemblies[n]
+        measured = column_norms(R - M.project_flat(R)) / norms
+        assert np.all(measured <= bound + tail + EPS), n
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from tklab.hardy_core import (CoeffVec, backward_shift, eval_at_zero,
                               inner_product, reproducing_column)
 from tklab.near_invariance import compute_defect, kernel_of
 from tklab.operators import ToeplitzCompression, build_perturbed, orthonormalize_family
-from tklab.representation import (RepresentationFrame, build_frame, default_depth,
-                                  peel_members, rank_one_complement_analysis,
+from tklab.representation import (RepresentationFrame, build_frame,
+                                  certify_representation, default_depth,
+                                  rank_one_complement_analysis,
                                   rank_one_inner_kernel,
                                   rank_one_invertible_kernel,
                                   rank_one_theta_star_analysis)
@@ -18,6 +19,7 @@ from tklab.subspaces import (intersect, span_of, subspace_equal,
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
 from conftest import rand_coeffvec, rand_orthonormal, random_inner, spy, unit
+from peeling_oracle import peel_members
 from test_near_invariance import CALLERS, _diagonal_inner, _invertible_factor
 
 
@@ -291,8 +293,9 @@ class TestComplementAnalysis:
         expected = np.array([alpha ** (j + 1) for j in range(N)], complex)
         assert np.allclose(rep.g.coeffs[0], expected, atol=1e-9)
         # every sampled member carries no defect coordinate
-        for coords in rep.coords:
-            assert all(kj.norm() < 1e-8 for kj in coords.k)
+        assert len(rep.coords) == rep.samples
+        for _, k1 in rep.coords:
+            assert k1.norm() < 1e-8
 
     def test_unit_norm_enforced(self, rng):
         with pytest.raises(ValueError):
@@ -301,15 +304,19 @@ class TestComplementAnalysis:
 
     @pytest.mark.parametrize("depth", [None, 1, 5])
     def test_invariance_is_measured_by_the_peeling_pass(self, rng, depth):
+        # the analysis reports its frame's certified invariance, which covers
+        # what a looped reassembly pass measures on the sampled members
         m, N = 2, 16
         G = unit(rand_coeffvec(rng, m, N, 5))
         rep = rank_one_complement_analysis(complement_of(G), G, depth=depth)
         expected = default_depth(N) if depth is None else depth
         assert rep.invariance.depth == expected
-        refs = [(None, *coefficient_rows(c), None, None) for c in rep.coords]
-        looped = looped_invariance(rep.frame, refs, [c.source_norm for c in rep.coords],
-                                   expected)
-        assert np.allclose(rep.invariance.residuals, looped, rtol=0, atol=1e-12)
+        assert rep.invariance == certify_representation(rep.frame, expected).invariance
+        refs = [(None, K0.coeffs, k1.coeffs, None, None) for K0, k1 in rep.coords]
+        looped = looped_invariance(rep.frame, refs, [1.0] * len(refs), expected)
+        assert len(looped) == expected
+        for measured, bound in zip(looped, rep.invariance.residuals):
+            assert measured <= bound + 1e-15
 
 
 class TestInnerRankOne:

@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from tklab import model_spaces
-from tklab.cli_reports import (bundled_scenario_dir, load_scenario, parse_scenario,
-                               run_scenario_object)
+from tklab.cli_reports import (Scenario, ScenarioRun, bundled_scenario_dir,
+                               load_scenario, parse_scenario, run_scenario_object)
 from tklab.config import Tolerances
 from tklab.errors import ScenarioValidationError
 from tklab.model_spaces import build_model_space
@@ -21,7 +21,8 @@ from tklab.representation import (default_depth, rank_one_complement_analysis,
                                    rank_one_inner_kernel, rank_one_invertible_kernel,
                                    rank_one_theta_star_analysis)
 from tklab.subspaces import Subspace
-from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor
+from tklab.hardy_core import CoeffVec
+from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
 from conftest import spy
 
@@ -206,6 +207,9 @@ def test_rank_rel_override_reaches_the_rank_one_kernel():
     assert (default.status, default.residuals["kernel_dim"]) == ("pass", 1)
     coarse = _rank_one_outcome("factored_symbol_rank_one", {"rank_rel": 0.5})
     assert (coarse.status, coarse.residuals["kernel_dim"]) == ("fail", 10)
+    # its audited cut (ratio 0.95) is inconclusive: no analysis reads it
+    assert coarse.residuals["sigma_conclusive"] is False
+    assert set(coarse.residuals) == {"kernel_dim", "sigma_conclusive", "kernel_sigma_ratio"}
 
 
 @pytest.mark.parametrize("name", ["inner_monomial_rank_one", "adjoint_monomial_critical"])
@@ -244,11 +248,52 @@ RANK_ONE = [p for p in BUNDLED if "rank_one" in load_scenario(p).checks]
 
 @pytest.mark.parametrize("path", RANK_ONE, ids=lambda p: p.stem)
 def test_rank_one_check_equals_public_analysis(path):
+    # the check reports the analysis and, next to it, its kernel cut's audit
     sc = load_scenario(path)
     outcome = next(o for o in run_scenario_object(sc, Tolerances()).outcomes
                    if o.name == "rank_one")
     assert outcome.status == "pass"
-    assert outcome.residuals == _public_rank_one(sc).to_json()
+    residuals = dict(outcome.residuals)
+    assert residuals.pop("sigma_conclusive") is True
+    assert residuals.pop("kernel_sigma_ratio") == \
+        ScenarioRun.validated(sc, Tolerances()).kernel.sigma_ratio
+    assert residuals == _public_rank_one(sc).to_json()
+
+
+@pytest.mark.parametrize("path", RANK_ONE, ids=lambda p: p.stem)
+def test_rank_one_audits_its_kernel_cut(path):
+    default = _rank_one_outcome(path.stem, {})
+    assert default.residuals["sigma_conclusive"] is True
+    assert default.residuals["kernel_sigma_ratio"] <= 4.8e-12
+    # a cut that keeps nothing fails before any analysis reads the kernel;
+    # the inner and Theta* checks stop earlier, at their model space's cut
+    coarse = _rank_one_outcome(path.stem, {"rank_rel": 1.0})
+    assert coarse.status == "fail" and coarse.residuals["sigma_conclusive"] is False
+    sc = load_scenario(path)
+    if sc.symbol_class in ("zero", "invertible_factors"):
+        assert set(coarse.residuals) == {"kernel_dim", "sigma_conclusive",
+                                         "kernel_sigma_ratio"}
+        assert coarse.residuals["kernel_dim"] == sc.m * sc.N
+        assert coarse.residuals["kernel_sigma_ratio"] > Tolerances().sigma_ratio_flag
+
+
+def test_critical_criterion_on_an_empty_kernel_fails():
+    # F2 = 1.05 + z: its inverse series decays like 1.05^-k, so at N = 40 the
+    # truncated candidate makes the criterion critical while the solved
+    # kernel is empty; the one-dimensional analysis reads an empty basis
+    m, N = 1, 40
+    F1, F2 = LaurentMatrixSymbol.identity(m), LaurentMatrixSymbol.diagonal([[1.05, 1.0]])
+    h = CoeffVec.monomial(m, N, 0, 1) + CoeffVec.monomial(m, N, 0, 2)
+    Vc = invert_analytic(F2, N - 1).act(h).analytic_part().resized(N)
+    scale = 1.0 / Vc.norm()
+    sc = Scenario(name="slow_inverse_rank_one", m=m, N=N,
+                  symbol_class="invertible_factors", checks=["rank_one"], seed=0,
+                  G=[-scale * Vc], H=[scale * h], factors=(F1, F2),
+                  expect={"case": "spanned_kernel", "kernel_dim": 1})
+    [outcome] = run_scenario_object(sc, Tolerances()).outcomes
+    assert outcome.status == "fail"
+    assert (outcome.residuals["case"], outcome.residuals["kernel_dim"]) == \
+        ("spanned_kernel", 0)
 
 
 @pytest.mark.parametrize("path", [p for p in RANK_ONE
