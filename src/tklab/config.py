@@ -93,6 +93,13 @@ CRITICAL_CRITERION = 1e-8
 #: than dense, at dim 125, 253 and 509 (best of 5, 2-core x86 host)
 SUPPORT_PRODUCT_FACTOR = 1024
 
+#: a ``Subspace`` Gram check X^H X of fewer dense scalar products than this
+#: stays on BLAS without counting X's nonzeros: the support route's fixed
+#: cost of numpy calls, 0.1-0.5 ms, is more than ZGEMM takes for the whole
+#: product below it (about 1.2 ns per scalar product on 128-1024 x 1-5
+#: bases, 2-core x86 host)
+GRAM_SUPPORT_MIN = 2 ** 18
+
 
 def rank_threshold(shape: tuple[int, int], sigma_max: float,
                    rank_rel: float | None = None) -> float:

@@ -27,15 +27,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, rank_threshold
-from .errors import NotInnerError, NotInvertibleError
+from .config import (ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, SUBSPACE_GRAM_BOUND,
+                     rank_threshold)
+from .errors import DimensionMismatch, NotInnerError, NotInvertibleError
 from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
 from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
 from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
                         range_complement)
-from .subspaces import (SigmaGap, Subspace, column_norms, column_span,
-                        column_span_within, is_contained, nullspace, nullspace_within,
-                        subspace_equal, zero_at_origin_slice, zero_space)
+from .subspaces import (SigmaGap, Subspace, _relative_cut, column_gram_deviation,
+                        column_norms, column_span, is_contained, nullspace,
+                        nullspace_within, subspace_equal, value_split, zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
                       is_inner, is_invertible_analytic)
 
@@ -229,9 +230,10 @@ class DefectReport:
     defect_dim: int
     defect_basis: Subspace
     sigma_gap: SigmaGap
-    #: the members of the subspace vanishing at the origin, kept for
-    #: ``build_frame``; not part of the JSON report
-    origin_slice: Subspace
+    #: orthonormal basis (mN x r) of the subspace minus its origin slice,
+    #: from the value split; ``build_frame`` reads it as the W frame, and it
+    #: is not part of the JSON report
+    W: np.ndarray
     predicted: Subspace | None = None
     predicted_dim: int | None = None
     containment_residual: float | None = None
@@ -265,38 +267,90 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
                    complement: np.ndarray | None = None) -> DefectReport:
     """Measure the near-invariance defect of M.
 
-    The slice is computed exactly inside M; residual directions below the
-    absolute floor are treated as noise, which is what keeps exactly
-    invariant subspaces (for instance model spaces) at defect zero.
+    One ``value_split`` of M's values at the origin gives the origin slice's
+    dimension, the gap of its cut (``details["slice_sigma_gap"]``) and W,
+    an orthonormal basis of M minus the slice.  The defect is
+    P_{M^perp} S*(slice): without ``complement`` it is the span of the
+    residual stack R = S*F - P_M S*F over the slice's basis, cut by
+    ``column_span``; directions below the absolute floor are noise, which is
+    what keeps exactly invariant subspaces (for instance model spaces) at
+    defect zero.
 
     ``complement`` is an orthonormal basis U of M's orthocomplement, as the
-    zero-symbol kernel solve keeps it.  Every residual r = S*F - P_M S*F is
-    orthogonal to M, so it lies in span U up to roundoff; when U has fewer
-    columns than the slice, the residual stack R is still measured in full,
-    but its span is cut from the SVD of the small U^H R
-    (``column_span_within``).  The leak L = R - U U^H R bounds, by Weyl, how
-    far each singular value of R can sit from the matching one of U^H R,
-    so the reported gap widens by |L|_F on both sides and brackets R's own.
+    zero-symbol kernel solve keeps it; it must have mN - dim M columns
+    orthogonal to M within the ``Subspace`` Gram bound, or ValueError is
+    raised.  Then the slice's projection is P = I - U U^H - W W^H, and
+    U^H S* P = (P S U)^H, so the defect is U range((P S U)^H): U times the
+    kept right singular vectors of the mN x dim U matrix P S U, which has
+    the singular values of U^H R and so of R.  The cut keeps R's shape,
+    (mN, slice dim), and its spectrum, padded or cut to the same length.
+    No mN x dim M array is projected or shifted.
     """
-    sl = zero_at_origin_slice(M)
-    if sl.dim == 0:
+    m, N = M.m, M.N
+    if complement is not None:
+        _check_complement(M, complement)
+    split = value_split(M, full=complement is None)
+    details = {"slice_sigma_gap": split.sigma_gap.to_pair()}
+    if split.slice_dim == 0:
         return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_dim=0,
-                            defect_basis=zero_space(M.m, M.N),
-                            sigma_gap=SigmaGap(0.0, None), origin_slice=sl)
-    shifted = backward_shift_flat(sl.basis, M.m)
-    residuals = shifted - M.project_flat(shifted)
-    if complement is not None and complement.shape[1] < sl.dim:
-        defect = column_span_within(residuals, complement, (M.m, M.N),
-                                    tol_rel=tol_rel, floor=defect_floor)
+                            defect_basis=zero_space(m, N),
+                            sigma_gap=SigmaGap(0.0, None), W=split.W, details=details)
+    if complement is None:
+        shifted = backward_shift_flat(M.basis @ split.slice_combos, m)
+        defect = column_span(shifted - M.project_flat(shifted), (m, N),
+                             tol_rel=tol_rel, floor=defect_floor)
     else:
-        defect = column_span(residuals, (M.m, M.N), tol_rel=tol_rel, floor=defect_floor)
-    overlap = 0.0
-    if defect.dim and M.dim:
-        overlap = float(np.max(np.abs(M.basis.conj().T @ defect.basis)))
-    return DefectReport(subspace_dim=M.dim, slice_dim=sl.dim,
+        defect = _complement_defect(complement, split.W, (m, N), split.slice_dim,
+                                    tol_rel, defect_floor)
+    details["defect_overlap_with_subspace"] = (
+        _overlap(defect.basis, M.basis) if defect.dim and M.dim else 0.0)
+    return DefectReport(subspace_dim=M.dim, slice_dim=split.slice_dim,
                         defect_dim=defect.dim, defect_basis=defect,
-                        sigma_gap=defect.sigma_gap, origin_slice=sl,
-                        details={"defect_overlap_with_subspace": overlap})
+                        sigma_gap=defect.sigma_gap, W=split.W, details=details)
+
+
+def _check_complement(M: Subspace, U: np.ndarray) -> None:
+    """U is an orthonormal basis of M's orthocomplement, within the
+    ``Subspace`` Gram bound; the complement route is exact only then."""
+    rows = M.m * M.N
+    if U.ndim != 2 or U.shape[0] != rows:
+        raise DimensionMismatch(f"complement shape {U.shape} vs ambient {M.m}*{M.N}")
+    if column_gram_deviation(U) > SUBSPACE_GRAM_BOUND:
+        raise ValueError(
+            f"complement columns are not orthonormal within {SUBSPACE_GRAM_BOUND:g}")
+    if M.dim + U.shape[1] != rows:
+        raise ValueError(f"complement has {U.shape[1]} columns, the subspace {M.dim}: "
+                         f"they do not add up to {rows}")
+    if M.dim and U.shape[1]:
+        overlap = _overlap(U, M.basis)
+        if overlap > SUBSPACE_GRAM_BOUND:
+            raise ValueError(f"complement is not orthogonal to the subspace "
+                             f"(overlap {overlap:.3e})")
+
+
+def _overlap(X: np.ndarray, Q: np.ndarray) -> float:
+    """max |X^H Q| for a narrow X: only X is conjugated, not the wide Q."""
+    return float(np.max(np.abs(X.conj().T @ Q)))
+
+
+def _complement_defect(U: np.ndarray, W: np.ndarray, shape: tuple[int, int],
+                       slice_dim: int, tol_rel: float | None,
+                       floor: float) -> Subspace:
+    """The defect U range((P S U)^H), P = I - U U^H - W W^H (``compute_defect``)."""
+    m, N = shape
+    rows = m * N
+    SU = np.zeros_like(U)
+    SU[m:] = U[:-m]  # the truncating forward shift, S*'s adjoint
+    PSU = SU - U @ (U.conj().T @ SU) - W @ (W.conj().T @ SU)
+    if U.shape[1]:
+        _, s, vh = np.linalg.svd(PSU, full_matrices=False)
+    else:
+        s, vh = np.zeros(0), np.zeros((0, 0), complex)
+    # R has min(rows, slice_dim) singular values; P S U's past slice_dim are roundoff
+    width = min(rows, slice_dim)
+    s = np.concatenate([s[:width], np.zeros(max(width - s.size, 0))])
+    thresh, rank = _relative_cut((rows, slice_dim), s, tol_rel, floor)
+    return Subspace(m, N, U @ vh[:rank].conj().T, thresh, SigmaGap.at(s, rank))
 
 
 def _attach_prediction(measured: DefectReport, M: Subspace,

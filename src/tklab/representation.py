@@ -37,12 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .config import (CRITICAL_CRITERION, GRAM_SCHMIDT_DROP, NEGLIGIBLE_NORM,
-                     SUPPORT_PRODUCT_FACTOR)
+from .config import CRITICAL_CRITERION, GRAM_SCHMIDT_DROP, NEGLIGIBLE_NORM
 from .errors import DimensionMismatch, FrameDeficientError
 from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
                          eval_at_zero, flat_columns, inner_product,
@@ -51,9 +49,10 @@ from .model_spaces import ModelSpace, decompose_against_theta
 # compute_defect is not called here; the benchmark's tracer pins this import
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
 from .operators import apply_block_toeplitz, orthonormalize_family
-from .subspaces import (Subspace, column_norms, column_span, gram_schmidt,
-                        is_contained, ortho_complement_within, project, span_of,
-                        subspace_equal, zero_space)
+from .subspaces import (Subspace, _adjoint, _dense, _product, _update, _values,
+                        column_norms, column_span, gram_schmidt, is_contained,
+                        ortho_complement_within, project, span_of, subspace_equal,
+                        zero_space)
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,8 @@ def build_frame(M: Subspace, measured: DefectReport,
 
     ``measured`` is M's ``DefectReport``.  Its defect basis is the defect
     frame, unless a wider ``defect`` is given: that must contain the measured
-    defect and be orthogonal to M.  W spans M minus (M intersect zH2), the
-    measurement's origin slice, orthonormalized by Gram-Schmidt in the order
-    of M's basis columns.
+    defect and be orthogonal to M.  W is the measurement's value split: an
+    orthonormal basis of M minus (M intersect zH2), with at most m columns.
     """
     if defect is None:
         defect = measured.defect_basis
@@ -120,12 +118,7 @@ def build_frame(M: Subspace, measured: DefectReport,
         if overlap > 1e-8:
             raise DimensionMismatch(
                 f"defect frame is not orthogonal to the subspace (overlap {overlap:.3e})")
-    zslice = measured.origin_slice
-    off_slice = M.basis
-    if zslice.dim:
-        off_slice = M.basis - zslice.project_flat(M.basis)
-    W, _ = gram_schmidt(off_slice, GRAM_SCHMIDT_DROP)
-    return RepresentationFrame(M=M, W=tuple(column_vectors(W, M.m, M.N)),
+    return RepresentationFrame(M=M, W=tuple(column_vectors(measured.W, M.m, M.N)),
                                E=tuple(defect.basis_vectors()))
 
 
@@ -218,98 +211,6 @@ def _support_norms(D: np.ndarray, P: np.ndarray) -> tuple[float, float, int, int
     d_norm = _norm2_hermitian(D[np.ix_(J, J)])
     p_norm = math.sqrt(_norm2_hermitian(PJ.conj().T @ PJ))
     return d_norm, p_norm, J.size, Jp.size
-
-
-class _Nonzeros(NamedTuple):
-    """A matrix held by its exact nonzeros: X[rows[i], cols[i]] = vals[i] in
-    row-major order, and every other entry is zero."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple[int, int]
-
-
-def _nonzeros(X: np.ndarray | _Nonzeros) -> _Nonzeros:
-    if isinstance(X, _Nonzeros):
-        return X
-    # flatnonzero of the mask is much faster than a 2-D np.nonzero
-    rows, cols = np.divmod(np.flatnonzero(X != 0), X.shape[1])
-    return _Nonzeros(rows, cols, X[rows, cols], X.shape)
-
-
-def _dense(X: np.ndarray | _Nonzeros) -> np.ndarray:
-    if not isinstance(X, _Nonzeros):
-        return X
-    out = np.zeros(X.shape, dtype=complex)
-    out[X.rows, X.cols] = X.vals
-    return out
-
-
-def _adjoint(X: np.ndarray | _Nonzeros) -> np.ndarray | _Nonzeros:
-    if not isinstance(X, _Nonzeros):
-        return X.conj().T
-    order = np.argsort(X.cols * X.shape[0] + X.rows)
-    return _Nonzeros(X.cols[order], X.rows[order], X.vals[order].conj(), X.shape[::-1])
-
-
-def _update(op, out: np.ndarray, X: np.ndarray | _Nonzeros) -> np.ndarray:
-    """out = op(out, X) entrywise, in place, reading only X's nonzeros when
-    it is held by them: an entry X leaves out is an exact zero."""
-    if isinstance(X, _Nonzeros):
-        out[X.rows, X.cols] = op(out[X.rows, X.cols], X.vals)
-    else:
-        op(out, X, out=out)
-    return out
-
-
-def _values(X: np.ndarray | _Nonzeros) -> np.ndarray:
-    """X's entries, its exact zeros possibly left out: for norms and counts."""
-    return X.vals if isinstance(X, _Nonzeros) else X
-
-
-def _line_counts(X: np.ndarray | _Nonzeros, axis: int) -> np.ndarray:
-    """Exact nonzeros in each column (axis 0) or each row (axis 1) of X."""
-    if isinstance(X, _Nonzeros):
-        return np.bincount(X.cols if axis == 0 else X.rows,
-                           minlength=X.shape[1 - axis])
-    return np.count_nonzero(X, axis=axis)
-
-
-def _product(X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
-             ) -> np.ndarray | _Nonzeros:
-    """X @ Y over the exact nonzeros of X and Y (see ``certify_representation``).
-
-    Each factor is an array or its ``_Nonzeros``.  The scalar products
-    X[i, k] Y[k, j] with both factors nonzero number sum_k (nonzeros of
-    column k of X) (nonzeros of row k of Y); unless that count is below the
-    dense count rows x inner x cols by ``SUPPORT_PRODUCT_FACTOR``, the
-    product is BLAS's X @ Y on the arrays, returned as an array.  Otherwise
-    every such product is formed, summed per output entry in the order of
-    X's nonzeros, and the exact nonzeros of the sums come back as
-    ``_Nonzeros``.
-    """
-    (rows, inner), cols = X.shape, Y.shape[1]
-    per_row = _line_counts(Y, 1)
-    count = int(_line_counts(X, 0) @ per_row)
-    if count * SUPPORT_PRODUCT_FACTOR >= rows * inner * cols:
-        return _dense(X) @ _dense(Y)
-    X, Y = _nonzeros(X), _nonzeros(Y)
-    # X's entry e meets the reach[e] nonzeros of row X.cols[e] of Y, which
-    # sit from starts[X.cols[e]] on in Y's row-major order
-    reach = per_row[X.cols]
-    starts = np.cumsum(per_row) - per_row
-    src = np.repeat(np.arange(X.vals.size), reach)
-    pos = np.arange(count) + np.repeat(starts[X.cols] - (np.cumsum(reach) - reach),
-                                       reach)
-    terms = X.vals[src] * Y.vals[pos]
-    keys, slot = np.unique(X.rows[src] * cols + Y.cols[pos], return_inverse=True)
-    sums = np.empty(keys.size, dtype=complex)
-    sums.real = np.bincount(slot, weights=terms.real, minlength=keys.size)
-    sums.imag = np.bincount(slot, weights=terms.imag, minlength=keys.size)
-    keep = sums != 0
-    keys = keys[keep]
-    return _Nonzeros(keys // cols, keys % cols, sums[keep], (rows, cols))
 
 
 def certify_representation(frame: RepresentationFrame, depth: int,
@@ -645,13 +546,9 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
     E = tuple(orthonormalize_family([v for v in defect_candidates
                                      if v.norm() > 1e-8]))
     frame = RepresentationFrame(M=kernel, W=W, E=E)
-    resid: dict = {"vanishing_case_mismatch": float((kernel.dim > 0)
-                                                    and frame.vanishing_case
-                                                    and origin == "value_nonzero")}
     cert = certify_representation(frame, 0)
     u = _realized_series(cert, np.eye(kernel.dim, 1))[:, :, 0]
-    resid["reconstruction"] = cert.reconstruction
-    resid["isometry_gap"] = cert.isometry
+    resid = {"reconstruction": cert.reconstruction, "isometry_gap": cert.isometry}
     r = frame.r
     if origin == "value_nonzero":
         resid["K0_shift_mass"] = float(np.linalg.norm(u[1:, :r]))

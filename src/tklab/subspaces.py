@@ -9,18 +9,21 @@ rather than pass.
 
 Each algorithm has one copy here: the relative rank cut (``_relative_cut``)
 and the gap it reports (``SigmaGap.at``), the null directions of a full SVD
-(``nullspace`` and ``zero_at_origin_slice``), the Gram check
-(``column_gram_deviation``), Gram-Schmidt (``gram_schmidt``) and the
-projection Q (Q^H X) (``Subspace.project_flat``).
+(``nullspace``), the split of a subspace by its values at the origin
+(``value_split``), the matrix product over exact nonzeros (``_product``),
+the Gram check (``column_gram_deviation``), Gram-Schmidt (``gram_schmidt``)
+and the projection Q (Q^H X) (``Subspace.project_flat``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND, rank_threshold
+from .config import (GRAM_SUPPORT_MIN, ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND,
+                     SUPPORT_PRODUCT_FACTOR, rank_threshold)
 from .errors import ContainmentError, DimensionMismatch
 from .hardy_core import CoeffVec, column_vectors
 
@@ -302,40 +305,6 @@ def column_span(stack: np.ndarray, shape: tuple[int, int],
     return Subspace(m, N, u[:, :rank], thresh, SigmaGap.at(s, rank))
 
 
-def column_span_within(stack: np.ndarray, U: np.ndarray, shape: tuple[int, int],
-                       tol_rel: float | None = None, floor: float = 0.0) -> Subspace:
-    """``column_span`` of an mN x k array R whose columns lie, up to
-    roundoff, in the span of the orthonormal columns U (mN x p, p < k).
-
-    The SVD is of the p x k matrix U^H R instead of R.  With the leak
-    L = R - U (U^H R), R = U (U^H R) + L, and U (U^H R) has the singular
-    values s of U^H R followed by zeros, so by Weyl every singular value of
-    R is within |L|_2 <= |L|_F of the matching one of that padded spectrum.
-    The cut is ``column_span``'s, read off s; the basis is U times the kept
-    left singular vectors of U^H R.  The reported gap is s[rank] + |L|_F on
-    the zero side and s[rank - 1] - |L|_F on the signal side, which bracket
-    R's own singular values at the cut, so the decision stays auditable and
-    the zero side is never None where ``column_span``'s is not.  U's Gram
-    matrix is held to the ``Subspace`` bound first: Weyl needs it orthonormal.
-    """
-    m, N = shape
-    if stack.ndim != 2 or stack.shape[0] != m * N or not stack.shape[1]:
-        raise DimensionMismatch(f"column stack shape {stack.shape} vs ambient {m}*{N}")
-    if U.ndim != 2 or U.shape[0] != m * N or U.shape[1] >= stack.shape[1]:
-        raise DimensionMismatch(f"complement shape {U.shape} vs stack {stack.shape}")
-    if column_gram_deviation(U) > SUBSPACE_GRAM_BOUND:
-        raise ValueError(
-            f"complement columns are not orthonormal within {SUBSPACE_GRAM_BOUND:g}")
-    inside = U.conj().T @ stack
-    leak = float(np.linalg.norm(stack - U @ inside))
-    u, s, _ = np.linalg.svd(inside, full_matrices=False)
-    s = np.append(s, 0.0)
-    thresh, rank = _relative_cut(stack.shape, s, tol_rel, floor)
-    gap = SigmaGap.at(s, rank)
-    signal = gap.signal_side - leak if gap.signal_side is not None else None
-    return Subspace(m, N, U @ u[:, :rank], thresh, SigmaGap(gap.zero_side + leak, signal))
-
-
 def project(F: CoeffVec, M: Subspace) -> CoeffVec:
     if F.shape != (M.m, M.N):
         raise DimensionMismatch(f"vector shape {F.shape} vs ambient ({M.m}, {M.N})")
@@ -398,28 +367,189 @@ def ortho_complement_within(M: Subspace, A: Subspace,
     return Subspace(M.m, M.N, u[:, :r], M.tol, SigmaGap.at(s, r))
 
 
-def zero_at_origin_slice(M: Subspace) -> Subspace:
-    """Members of M vanishing at the origin.
+class ValueSplit(NamedTuple):
+    """M split by its members' values at the origin (``value_split``)."""
 
-    Computed as the nullspace of the m x dim matrix of degree-0 coefficients
-    of M's basis (the same cut as ``nullspace``), mapped back through the
-    basis, which keeps the result an exact subspace of M.
+    #: orthonormal basis (mN x r) of M minus its origin slice M ∩ zH2,
+    #: which is span P_M E0 for E0 the m constant directions
+    W: np.ndarray
+    #: dimension of the origin slice, dim M - r
+    slice_dim: int
+    #: the gap of the value cut
+    sigma_gap: SigmaGap
+    #: the slice's coordinates in M's basis (dim x slice_dim), from a full
+    #: split only; None otherwise
+    slice_combos: np.ndarray | None
+
+
+def value_split(M: Subspace, full: bool = False) -> ValueSplit:
+    """Split M by the values Q(0) = Q[:m] of its basis Q (m x dim).
+
+    One SVD Q(0) = X s Y^H, its spectrum padded with zeros to dim M, cut
+    like ``nullspace`` (relative to s[0], never below ``ORIGIN_SLICE_FLOOR``)
+    keeps r directions.  Q Y[:, :r] is an orthonormal basis W of
+    M minus (M ∩ zH2): x in M is orthogonal to P_M e_i exactly when
+    x(0)_i = 0, so that space is span P_M E0 and r <= m.  The slice is
+    Q Y[:, r:], which needs all dim right singular vectors; only a ``full``
+    split computes them, the thin one costs O(m^2 dim).
     """
-    if M.dim == 0:
+    K = M.dim
+    if K == 0:
+        return ValueSplit(M.basis, 0, SigmaGap(None, None),
+                          np.zeros((0, 0), complex) if full else None)
+    values = M.basis[:M.m]
+    _, s, vh = np.linalg.svd(values, full_matrices=full)
+    s = np.concatenate([s, np.zeros(K - s.size)])
+    _, r = _relative_cut(values.shape, s, None, floor=ORIGIN_SLICE_FLOOR)
+    Y = vh.conj().T
+    return ValueSplit(M.basis @ Y[:, :r], K - r, SigmaGap.at(s, r),
+                      Y[:, r:] if full else None)
+
+
+def zero_at_origin_slice(M: Subspace) -> Subspace:
+    """Members of M vanishing at the origin: Q Y[:, r:] of a full
+    ``value_split``, which keeps the result an exact subspace of M."""
+    if M.dim == 0 or not np.any(M.basis[:M.m]):
         return M
-    values = M.basis[:M.m, :]  # degree-0 block rows
-    if np.max(np.abs(values)) == 0.0:
-        return M
-    combos, _, gap = _null_combinations(values, None, floor=ORIGIN_SLICE_FLOOR)
-    return Subspace(M.m, M.N, M.basis @ combos, M.tol, gap)
+    split = value_split(M, full=True)
+    return Subspace(M.m, M.N, M.basis @ split.slice_combos, M.tol, split.sigma_gap)
 
 
 def column_gram_deviation(X: np.ndarray) -> float:
     """max |X^H X - I| over the entries: how far the columns of X are from
-    orthonormal (0 for no columns)."""
-    if not X.shape[1]:
+    orthonormal (0 for no columns).
+
+    X^H X is ``_product``'s over the exact nonzeros of X when they cut the
+    scalar products enough, as on the zero route's Householder basis, and
+    BLAS's X.conj().T @ X otherwise; the count sum_i nnz(row i of X)^2 is
+    read off X itself, so a sparse X is never conjugated whole.  It is not
+    taken for a product under ``GRAM_SUPPORT_MIN`` dense scalar products,
+    which BLAS does faster than the support route can start.  On the support
+    route a diagonal entry the product leaves out is an exact zero,
+    deviating by 1.
+    """
+    rows, k = X.shape
+    if not k:
         return 0.0
-    return float(np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1]))))
+    sparse = rows * k * k >= GRAM_SUPPORT_MIN
+    if sparse:
+        per_row = np.count_nonzero(X, axis=1)
+        sparse = _support_pays(int(per_row @ per_row), k, rows, k)
+    if not sparse:
+        return float(np.max(np.abs(X.conj().T @ X - np.eye(k))))
+    nz = _nonzeros(X)
+    gram = _product(_adjoint(nz), nz)
+    on = gram.rows == gram.cols
+    diagonal = np.zeros(k, dtype=complex)
+    diagonal[gram.rows[on]] = gram.vals[on]
+    return float(max(np.max(np.abs(diagonal - 1.0)),
+                     np.max(np.abs(gram.vals[~on]), initial=0.0)))
+
+
+# ---------------------------------------------------------------------------
+# products over exact nonzeros
+# ---------------------------------------------------------------------------
+
+
+class _Nonzeros(NamedTuple):
+    """A matrix held by its exact nonzeros: X[rows[i], cols[i]] = vals[i] in
+    row-major order, and every other entry is zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+
+def _nonzeros(X: np.ndarray | _Nonzeros) -> _Nonzeros:
+    if isinstance(X, _Nonzeros):
+        return X
+    # flatnonzero of the mask is much faster than a 2-D np.nonzero
+    rows, cols = np.divmod(np.flatnonzero(X != 0), X.shape[1])
+    return _Nonzeros(rows, cols, X[rows, cols], X.shape)
+
+
+def _dense(X: np.ndarray | _Nonzeros) -> np.ndarray:
+    if not isinstance(X, _Nonzeros):
+        return X
+    out = np.zeros(X.shape, dtype=complex)
+    out[X.rows, X.cols] = X.vals
+    return out
+
+
+def _adjoint(X: np.ndarray | _Nonzeros) -> np.ndarray | _Nonzeros:
+    if not isinstance(X, _Nonzeros):
+        return X.conj().T
+    order = np.argsort(X.cols * X.shape[0] + X.rows)
+    return _Nonzeros(X.cols[order], X.rows[order], X.vals[order].conj(), X.shape[::-1])
+
+
+def _update(op, out: np.ndarray, X: np.ndarray | _Nonzeros) -> np.ndarray:
+    """out = op(out, X) entrywise, in place, reading only X's nonzeros when
+    it is held by them: an entry X leaves out is an exact zero."""
+    if isinstance(X, _Nonzeros):
+        out[X.rows, X.cols] = op(out[X.rows, X.cols], X.vals)
+    else:
+        op(out, X, out=out)
+    return out
+
+
+def _values(X: np.ndarray | _Nonzeros) -> np.ndarray:
+    """X's entries, its exact zeros possibly left out: for norms and counts."""
+    return X.vals if isinstance(X, _Nonzeros) else X
+
+
+def _line_counts(X: np.ndarray | _Nonzeros, axis: int) -> np.ndarray:
+    """Exact nonzeros in each column (axis 0) or each row (axis 1) of X."""
+    if isinstance(X, _Nonzeros):
+        return np.bincount(X.cols if axis == 0 else X.rows,
+                           minlength=X.shape[1 - axis])
+    return np.count_nonzero(X, axis=axis)
+
+
+def _support_pays(count: int, rows: int, inner: int, cols: int) -> bool:
+    """Whether ``count`` scalar products over exact nonzeros undercut the
+    dense rows x inner x cols of a product by ``SUPPORT_PRODUCT_FACTOR``."""
+    return count * SUPPORT_PRODUCT_FACTOR < rows * inner * cols
+
+
+def _product(X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
+             ) -> np.ndarray | _Nonzeros:
+    """X @ Y over the exact nonzeros of X and Y.
+
+    Each factor is an array or its ``_Nonzeros``.  The scalar products
+    X[i, k] Y[k, j] with both factors nonzero number sum_k (nonzeros of
+    column k of X) (nonzeros of row k of Y); unless that count is below the
+    dense count rows x inner x cols by ``SUPPORT_PRODUCT_FACTOR``, the
+    product is BLAS's X @ Y on the arrays, returned as an array.  Otherwise
+    every such product is formed, summed per output entry in the order of
+    X's nonzeros, and the exact nonzeros of the sums come back as
+    ``_Nonzeros``.  Nothing is thresholded: each entry is the dense sum
+    without its exactly-zero terms, so only the summation order changes, and
+    the sum of n nonzero terms keeps the forward-error bound
+    gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.
+    """
+    (rows, inner), cols = X.shape, Y.shape[1]
+    per_row = _line_counts(Y, 1)
+    count = int(_line_counts(X, 0) @ per_row)
+    if not _support_pays(count, rows, inner, cols):
+        return _dense(X) @ _dense(Y)
+    X, Y = _nonzeros(X), _nonzeros(Y)
+    # X's entry e meets the reach[e] nonzeros of row X.cols[e] of Y, which
+    # sit from starts[X.cols[e]] on in Y's row-major order
+    reach = per_row[X.cols]
+    starts = np.cumsum(per_row) - per_row
+    src = np.repeat(np.arange(X.vals.size), reach)
+    pos = np.arange(count) + np.repeat(starts[X.cols] - (np.cumsum(reach) - reach),
+                                       reach)
+    terms = X.vals[src] * Y.vals[pos]
+    keys, slot = np.unique(X.rows[src] * cols + Y.cols[pos], return_inverse=True)
+    sums = np.empty(keys.size, dtype=complex)
+    sums.real = np.bincount(slot, weights=terms.real, minlength=keys.size)
+    sums.imag = np.bincount(slot, weights=terms.imag, minlength=keys.size)
+    keep = sums != 0
+    keys = keys[keep]
+    return _Nonzeros(keys // cols, keys % cols, sums[keep], (rows, cols))
 
 
 def gram_schmidt(X: np.ndarray, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -71,3 +71,16 @@ def spy(monkeypatch, name, modules=TKLAB_MODULES):
 
         monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def svd_shapes(monkeypatch):
+    """Record the shape of every matrix passed to ``np.linalg.svd``."""
+    shapes = []
+    real = np.linalg.svd
+
+    def wrapper(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", wrapper)
+    return shapes

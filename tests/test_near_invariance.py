@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tklab import model_spaces, near_invariance, representation
+from tklab import model_spaces, near_invariance, representation, subspaces
+from tklab.config import GRAM_SCHMIDT_DROP
 from tklab.errors import NotInnerError
 from tklab.hardy_core import (CoeffVec, backward_shift, column_vectors, flat_columns,
                               inner_product)
@@ -13,12 +14,14 @@ from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_invertible_factors,
                                    verify_theorem_phi_zero,
                                    verify_theorem_theta_star)
-from tklab.operators import PerturbedToeplitz, ToeplitzCompression, build_perturbed
-from tklab.subspaces import (column_gram_deviation, is_contained, nullspace, span_of,
-                             subspace_equal, zero_at_origin_slice)
+from tklab.operators import (PerturbedToeplitz, ToeplitzCompression, build_perturbed,
+                             orthonormalize_family)
+from tklab.subspaces import (column_gram_deviation, gram_schmidt, is_contained, nullspace,
+                             span_of, subspace_equal, zero_at_origin_slice)
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import rand_coeffvec, rand_orthonormal, random_inner, spy, unit
+from conftest import (TKLAB_MODULES, rand_coeffvec, rand_orthonormal, random_inner, spy,
+                      svd_shapes, unit)
 
 
 class TestComputeDefect:
@@ -512,6 +515,34 @@ def zero_symbol_operators(draw):
     return T, draw(st.sampled_from([None, 1e-12, 1e-6, 0.3]))
 
 
+def _assert_gaps_agree(pair, reference, tol):
+    """Two [zero side, signal side] pairs name the same sides and agree within tol."""
+    for value, ref in zip(pair, reference):
+        assert (value is None) == (ref is None), (pair, reference)
+        if ref is not None:
+            assert abs(value - ref) <= tol, (pair, reference)
+
+
+def _assert_w_spans_the_off_slice_frame(M, rep):
+    """The value split's W spans what the Gram-Schmidt frame of M's basis
+    projected off the full-SVD origin slice spanned.
+
+    That frame carries the slice's projection error, about eps / s_r for
+    s_r the smallest kept value singular value; past Gram-Schmidt's 1e-10
+    drop it adds a roundoff column, so below s_r = 1e-5 W need only lie in
+    its span."""
+    sl = zero_at_origin_slice(M)
+    reference, _ = gram_schmidt(M.basis - sl.project_flat(M.basis), GRAM_SCHMIDT_DROP)
+    assert column_gram_deviation(rep.W) <= 1e-13
+    signal = rep.details["slice_sigma_gap"][1]
+    if signal is None or signal > 1e-5:
+        assert rep.W.shape[1] == reference.shape[1]
+    if rep.W.shape[1]:
+        # cosines of the principal angles between span W and the frame's span
+        cosines = np.linalg.svd(rep.W.conj().T @ reference, compute_uv=False)
+        assert cosines.size == rep.W.shape[1] and cosines[-1] > 1.0 - 1e-10, cosines
+
+
 class TestZeroSymbolRoute:
     """The zero symbol's kernel from its n x n core and its defect from the
     kernel's n-dimensional complement, against the dense SVDs."""
@@ -545,15 +576,60 @@ class TestZeroSymbolRoute:
             assert (within.sigma_gap.signal_side
                     <= residual_svd.sigma_gap.signal_side + roundoff)
 
-    def test_complement_route_used_only_when_narrower_than_the_slice(self, monkeypatch):
-        within = spy(monkeypatch, "column_span_within")
-        G = [CoeffVec(np.eye(4)[j:j + 1]) for j in range(3)]
-        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(1), 4, G, G))
-        # the kernel is span{z^3}: a one-dimensional slice, a three-column complement
+    @settings(max_examples=80, deadline=None)
+    @given(zero_symbol_operators())
+    def test_complement_defect_matches_residual_stack(self, case):
+        # the residual-stack path without the complement is the oracle
+        T, tol_rel = case
+        kr = kernel_of(T, tol_rel=tol_rel)
+        oracle = compute_defect(kr.subspace, tol_rel=tol_rel)
+        assume(_clean_cut(oracle.sigma_gap, oracle.defect_basis.tol))
+        rep = compute_defect(kr.subspace, tol_rel=tol_rel, complement=kr.complement)
+        assert (rep.slice_dim, rep.defect_dim) == (oracle.slice_dim, oracle.defect_dim)
+        assert subspace_equal(rep.defect_basis, oracle.defect_basis, 1e-10)[0]
+        roundoff = 1e-13 * max(1.0, oracle.sigma_gap.signal_side or 0.0)
+        _assert_gaps_agree(rep.sigma_gap.to_pair(), oracle.sigma_gap.to_pair(), roundoff)
+        _assert_gaps_agree(rep.details["slice_sigma_gap"],
+                           oracle.details["slice_sigma_gap"], 1e-13)
+        _assert_w_spans_the_off_slice_frame(kr.subspace, rep)
+
+    @pytest.mark.parametrize("m, N", [(1, 8), (2, 12), (3, 6)])
+    def test_w_spans_the_off_slice_frame_when_values_degenerate(self, m, N):
+        # G holds the constant e_0, so e_0 lies in span U, P_M e_0 = 0 and
+        # the value split keeps r = m - 1 < m directions
+        rng = np.random.default_rng([m, N, 17])
+        e0 = np.zeros((m, N), complex)
+        e0[0, 0] = 1.0
+        G = orthonormalize_family([CoeffVec(e0), rand_coeffvec(rng, m, N, 5)])
+        H = rand_orthonormal(rng, m, N, 5, 2)
+        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, H))
         rep = compute_defect(kr.subspace, complement=kr.complement)
-        assert kr.complement.shape[1] == 3
-        assert rep.slice_dim == rep.defect_dim == 1
-        assert within == []
+        assert rep.W.shape[1] == m - 1
+        assert rep.slice_dim == kr.subspace.dim - (m - 1)
+        assert np.max(np.abs(rep.W[0]), initial=0.0) < 1e-14
+        _assert_w_spans_the_off_slice_frame(kr.subspace, rep)
+
+    @pytest.mark.parametrize("m, N, n", [(1, 4, 3), (2, 12, 2), (3, 10, 4)])
+    def test_zero_route_svds_stay_small(self, m, N, n, monkeypatch):
+        # (1, 4, 3) is the kernel span{z^3}: a one-dimensional slice and a
+        # three-column complement; the others have slices wider than it
+        rng = np.random.default_rng([m, N, n])
+        if m == 1:
+            G = [CoeffVec(np.eye(N)[j:j + 1]) for j in range(n)]
+            H = G
+        else:
+            G, H = rand_orthonormal(rng, m, N, 6, n), rand_orthonormal(rng, m, N, 6, n)
+        shapes = svd_shapes(monkeypatch)
+        slices = spy(monkeypatch, "zero_at_origin_slice", TKLAB_MODULES + (subspaces,))
+        rep = verify_theorem_phi_zero(G, H, N)
+        assert rep.details["kernel_method"] == "zero" and rep.containment_ok(1e-8)
+        assert shapes and all(min(shape) <= max(m, n) for shape in shapes), shapes
+        assert slices == []
+        monkeypatch.undo()
+        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, H))
+        oracle = compute_defect(kr.subspace)
+        assert (rep.slice_dim, rep.defect_dim) == (oracle.slice_dim, oracle.defect_dim)
+        assert subspace_equal(rep.defect_basis, oracle.defect_basis, 1e-10)[0]
 
     def test_non_orthonormal_complement_rejected(self, rng):
         m, N = 2, 10
@@ -561,6 +637,24 @@ class TestZeroSymbolRoute:
         kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, G))
         with pytest.raises(ValueError, match="not orthonormal"):
             compute_defect(kr.subspace, complement=2.0 * kr.complement)
+
+    def test_complement_of_the_wrong_width_rejected(self, rng):
+        m, N = 2, 10
+        G = rand_orthonormal(rng, m, N, 5, 2)
+        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, G))
+        with pytest.raises(ValueError, match="do not add up to 20"):
+            compute_defect(kr.subspace, complement=kr.complement[:, :1])
+        with pytest.raises(ValueError, match="complement shape"):
+            compute_defect(kr.subspace, complement=kr.complement[:-1])
+
+    def test_complement_not_orthogonal_to_the_subspace_rejected(self, rng):
+        # an orthonormal U of the right width that overlaps M
+        m, N = 2, 10
+        G = rand_orthonormal(rng, m, N, 5, 2)
+        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, G))
+        U = np.concatenate([kr.complement[:, :1], kr.subspace.basis[:, :1]], axis=1)
+        with pytest.raises(ValueError, match="not orthogonal to the subspace"):
+            compute_defect(kr.subspace, complement=U)
 
     def test_many_pairs_keep_the_dense_path(self, rng):
         # n >= mN leaves no complete QR of G to read the kernel from

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tklab
-from tklab import representation
+from tklab import representation, subspaces
 from tklab.cli_reports import (Scenario, ScenarioRun, bundled_scenario_dir,
                                load_scenario, run_scenario_object)
 from tklab.config import Tolerances
@@ -89,7 +89,7 @@ ROUTED_FRAMES = ([pytest.param(*p.values, False, id=p.id) for p in FRAMES]
 
 def _take_route(support_route, monkeypatch):
     if support_route:
-        monkeypatch.setattr(representation, "SUPPORT_PRODUCT_FACTOR", 0)
+        monkeypatch.setattr(subspaces, "SUPPORT_PRODUCT_FACTOR", 0)
 
 
 def _shift_up(V, m):
@@ -477,24 +477,24 @@ def test_product_over_nonzeros_equals_matmul(seed, rows, inner, cols, kind, held
     if held == "array":
         x, y = X, Y
     elif held == "nonzeros":
-        x, y = representation._nonzeros(X), representation._nonzeros(Y)
+        x, y = subspaces._nonzeros(X), subspaces._nonzeros(Y)
     else:
-        x = representation._adjoint(representation._nonzeros(X.conj().T.copy()))
-        y = representation._nonzeros(Y)
+        x = subspaces._adjoint(subspaces._nonzeros(X.conj().T.copy()))
+        y = subspaces._nonzeros(Y)
     # the dense pattern keeps the measured crossover and must take BLAS; every
     # other pattern takes the support route, however small its count
-    factor = representation.SUPPORT_PRODUCT_FACTOR if kind == "dense" else 0
-    with mock.patch.object(representation, "SUPPORT_PRODUCT_FACTOR", factor):
-        out = representation._product(x, y)
+    factor = subspaces.SUPPORT_PRODUCT_FACTOR if kind == "dense" else 0
+    with mock.patch.object(subspaces, "SUPPORT_PRODUCT_FACTOR", factor):
+        out = subspaces._product(x, y)
     if kind == "dense" or not rows * inner * cols:  # BLAS takes empty products
         assert isinstance(out, np.ndarray)
         if held == "array":
             assert np.array_equal(out, expected)
     else:
-        assert isinstance(out, representation._Nonzeros) and out.shape == (rows, cols)
+        assert isinstance(out, subspaces._Nonzeros) and out.shape == (rows, cols)
         assert np.all(out.vals != 0)
         assert np.all(np.diff(out.rows * cols + out.cols) > 0)  # row-major, no repeats
-    got = representation._dense(out)
+    got = subspaces._dense(out)
     assert got.shape == expected.shape
     # both sums carry at most the standard forward error of an inner-term sum
     bound = 4 * (inner + 2) * EPS * (np.abs(X) @ np.abs(Y))

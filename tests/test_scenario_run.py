@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from tklab import model_spaces
-from tklab.cli_reports import (Scenario, ScenarioRun, bundled_scenario_dir,
+from tklab.cli_reports import (CHECKS, Scenario, ScenarioRun, bundled_scenario_dir,
                                load_scenario, parse_scenario, run_scenario_object)
 from tklab.config import Tolerances
 from tklab.errors import ScenarioValidationError
@@ -93,6 +93,17 @@ def test_check_order_does_not_change_reports(path):
                                    Tolerances()).to_json()
     backward["checks"].reverse()
     assert _strip_seconds(backward) == _strip_seconds(forward)
+
+
+@pytest.mark.parametrize("path", [p for p in BUNDLED
+                                  if "representation" in load_scenario(p).checks],
+                         ids=lambda p: p.stem)
+def test_value_split_adds_up_to_the_kernel(path):
+    # W (r columns) and the origin slice split the kernel between them
+    run = ScenarioRun.validated(load_scenario(path), Tolerances())
+    residuals = CHECKS["representation"](run).residuals
+    assert residuals["r"] + run.defect.slice_dim == residuals["kernel_dim"]
+    assert residuals["kernel_dim"] == run.defect.subspace_dim == run.kernel.subspace.dim
 
 
 def test_representation_only_theta_star_builds_no_model_space(monkeypatch):

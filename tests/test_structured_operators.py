@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_orthonormal, random_inner, spy
-from tklab import model_spaces, operators
+from conftest import TKLAB_MODULES, rand_orthonormal, random_inner, spy, svd_shapes
+from tklab import model_spaces, operators, subspaces
 from tklab.cli_reports import bundled_scenario_dir, load_scenario, run_scenario_object
 from tklab.config import (EXACT_INNER_ROUNDOFF, SUBSPACE_GRAM_BOUND, Tolerances)
 from tklab.errors import DimensionMismatch
@@ -264,16 +264,19 @@ def test_kernel_sweep_recipes_form_no_dense_matrix(recipe, monkeypatch):
 
 
 def test_repr_large_zero_scenario_takes_no_dense_svd(monkeypatch):
+    # past the n x n core, the zero route decomposes only the m x dim values
+    # and the mN x n slice projection of S U: no SVD wider than max(m, n)
     scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 64)
     calls = _dense_spies(monkeypatch)
-    slices = spy(monkeypatch, "zero_at_origin_slice")
+    slices = spy(monkeypatch, "zero_at_origin_slice", TKLAB_MODULES + (subspaces,))
     dense_svds = spy(monkeypatch, "nullspace")
-    spans_within = spy(monkeypatch, "column_span_within")
+    shapes = svd_shapes(monkeypatch)
     report = run_scenario_object(scenario, Tolerances())
     assert [o.status for o in report.outcomes] == ["pass", "pass"]
     assert report.outcomes[0].residuals["details"]["kernel_method"] == "zero"
-    assert len(slices) == 1 and len(spans_within) == 1
-    assert dense_svds == [] and calls == []
+    bound = max(scenario.m, len(scenario.G))
+    assert shapes and all(min(shape) <= bound for shape in shapes), shapes
+    assert slices == [] and dense_svds == [] and calls == []
 
 
 def test_dense_classes_still_use_the_dense_builders(monkeypatch):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from tklab import subspaces
 from tklab.errors import ContainmentError, DimensionMismatch
 from tklab.hardy_core import CoeffVec, inner_product, reproducing_column
-from tklab.operators import ToeplitzCompression
-from tklab.subspaces import (SigmaGap, Subspace, full_space, gram_schmidt,
+from tklab.near_invariance import kernel_of
+from tklab.operators import ToeplitzCompression, build_perturbed
+from tklab.subspaces import (SigmaGap, Subspace, column_gram_deviation, full_space,
+                             gram_schmidt,
                              intersect, is_contained, nullspace,
                              ortho_complement_within, project, span_of,
                              subspace_equal, vanishing_at_zero_space,
@@ -316,3 +319,45 @@ class TestGramSchmidt:
             ref_Q, ref_C = _coefficient_loop([X[:, i].copy() for i in range(k)], 1e-10)
             assert all(np.array_equal(Q[:, j], w) for j, w in enumerate(ref_Q))
             assert np.array_equal(C, ref_C)
+
+
+def _dense_gram_deviation(X):
+    """The Gram check as BLAS computes it."""
+    return float(np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1]))))
+
+
+class TestGramDeviation:
+    def _routes(self, monkeypatch):
+        """Whether each product the Gram check forms came back over nonzeros."""
+        real, held = subspaces._product, []
+
+        def spy(X, Y):
+            out = real(X, Y)
+            held.append(isinstance(out, subspaces._Nonzeros))
+            return out
+
+        monkeypatch.setattr(subspaces, "_product", spy)
+        return held
+
+    def test_dense_basis_keeps_blas_bitwise(self, rng, monkeypatch):
+        held = self._routes(monkeypatch)
+        X = np.linalg.qr(rng.standard_normal((96, 90)) + 1j * rng.standard_normal((96, 90)))[0]
+        assert column_gram_deviation(X) == _dense_gram_deviation(X)
+        assert held == []
+
+    def test_householder_basis_takes_the_support_route(self, rng, monkeypatch):
+        # the zero route's kernel basis: all but a small block are unit vectors
+        G = [unit(rand_coeffvec(rng, 2, 256, 8)) for _ in range(3)]
+        basis = np.array(kernel_of(build_perturbed(
+            LaurentMatrixSymbol.zero(2), 256, G, G, require_orthonormal=False)).subspace.basis)
+        held = self._routes(monkeypatch)
+        cases = [basis, basis * np.r_[2.0, np.ones(basis.shape[1] - 1)], basis.copy()]
+        cases[2][:, 5] = 0.0  # a zero column misses its diagonal entry: deviation 1
+        cases.append(basis.copy())
+        cases[3][:, 7] += 1e-3 * basis[:, 300]
+        for X in cases:
+            assert column_gram_deviation(X) == pytest.approx(_dense_gram_deviation(X),
+                                                             rel=1e-12, abs=1e-15)
+        assert held == [True] * len(cases)
+        assert column_gram_deviation(basis) <= 1e-14
+        assert column_gram_deviation(cases[2]) == 1.0

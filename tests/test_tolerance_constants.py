@@ -10,8 +10,10 @@ from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario)
 from tklab.config import (EXACT_INNER_ROUNDOFF, ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND,
                           Tolerances)
 from tklab.hardy_core import CoeffVec
-from tklab.near_invariance import compute_defect
+from tklab.near_invariance import compute_defect, kernel_of
+from tklab.operators import build_perturbed
 from tklab.subspaces import Subspace, column_norms
+from tklab.symbols import LaurentMatrixSymbol
 
 REPRESENTATION = [p for p in sorted(bundled_scenario_dir().glob("*.json"))
                   if "representation" in load_scenario(p).checks]
@@ -40,6 +42,26 @@ def test_origin_slice_reads_its_named_floor(monkeypatch):
     assert compute_defect(M).slice_dim == 2
     monkeypatch.setattr(subspaces, "ORIGIN_SLICE_FLOOR", 1e-14)
     assert compute_defect(M).slice_dim == 1
+
+
+def test_zero_route_origin_slice_reads_its_named_floor(monkeypatch):
+    # G = cos t + z sin t with t = 1e-13: P_M 1 has norm sin t, so the values
+    # of the kernel M = G^perp have one singular value 1e-13, which the
+    # floor decides; the defect, from the complement, reads the same cut
+    t = 1e-13
+    G = CoeffVec(np.array([[np.cos(t), np.sin(t), 0, 0, 0, 0]], complex))
+    H = CoeffVec.monomial(1, 6, 0, 2)
+    kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(1), 6, [G], [H]))
+    assert kr.method == "zero" and kr.subspace.dim == 5
+    assert 1e-13 < ORIGIN_SLICE_FLOOR
+    rep = compute_defect(kr.subspace, complement=kr.complement)
+    assert rep.slice_dim == 5 and rep.W.shape[1] == 0
+    zero_side, signal_side = rep.details["slice_sigma_gap"]
+    assert zero_side == pytest.approx(t, rel=1e-6) and signal_side is None
+    monkeypatch.setattr(subspaces, "ORIGIN_SLICE_FLOOR", 1e-14)
+    rep = compute_defect(kr.subspace, complement=kr.complement)
+    assert rep.slice_dim == 4 and rep.W.shape[1] == 1
+    assert rep.details["slice_sigma_gap"][1] == pytest.approx(t, rel=1e-6)
 
 
 def _membership_bound(K: int) -> float:
