@@ -31,9 +31,8 @@ from .representation import (RepresentationFrame, build_frame,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
                              rank_one_theta_star_analysis)
-from .subspaces import (SigmaGap, Subspace, full_space, intersect,
-                        is_contained, nullspace, ortho_complement_within,
-                        project, span_of, subspace_equal,
+from .subspaces import (SigmaGap, Subspace, intersect, is_contained, nullspace,
+                        ortho_complement_within, project, span_of, subspace_equal,
                         vanishing_at_zero_space, zero_at_origin_slice)
 from .symbols import (InnerCheck, LaurentMatrixSymbol,
                       ScalarInnerOuterFactorization, blaschke_taylor,

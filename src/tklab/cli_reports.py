@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import REPRESENTATION_FLOOR, Tolerances
+from .config import BROWN_HALMOS_DEVIATION, REPRESENTATION_FLOOR, Tolerances
 from .errors import (FrameDeficientError, InconclusiveCutError, ScenarioParseError,
                      ScenarioValidationError, TKLabError)
 from .hardy_core import CoeffVec
@@ -419,7 +419,8 @@ def _rank_one_analysis(run: ScenarioRun, ms: ModelSpace | None, G: CoeffVec,
         if "G0_norm_max" in sc.expect:
             ok = ok and residuals["G0_norm"] <= sc.expect["G0_norm_max"]
     elif sc.symbol_class == "inner":
-        rep = rank_one_inner_kernel(run.kernel, ms, G, H)
+        rep = rank_one_inner_kernel(run.kernel, ms, G, H,
+                                    range_membership=tol.range_membership)
         residuals = rep.to_json()
         ok = (rep.case != "unexpected"
               and _expect_matches(sc.expect, "case", rep.case)
@@ -436,7 +437,8 @@ def _rank_one_analysis(run: ScenarioRun, ms: ModelSpace | None, G: CoeffVec,
                    or rep.expected_match_residual <= tol.containment))
     else:
         rep = rank_one_theta_star_analysis(run.kernel, run.defect, ms, G, H,
-                                           depth=run.depth, tol_equality=tol.containment)
+                                           depth=run.depth, tol_equality=tol.containment,
+                                           range_membership=tol.range_membership)
         residuals = rep.to_json()
         ok = (rep.equality_residual <= tol.containment
               and rep.projection_formula_residual <= tol.membership
@@ -483,7 +485,7 @@ def check_brown_halmos(run: ScenarioRun) -> CheckOutcome:
     rep = brown_halmos_check(sc.pair[0], sc.pair[1], sc.N)
     residuals = rep.to_json()
     if rep.hypothesis_met:
-        ok = rep.deviation <= 1e-10
+        ok = rep.deviation <= BROWN_HALMOS_DEVIATION
     else:
         ok = True  # report-style; expectations can pin the counterexample shape
     for key in ("product_is_zero", "product_symbol_is_zero", "hypothesis_met"):

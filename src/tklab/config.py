@@ -79,6 +79,14 @@ ORIGIN_SLICE_FLOOR = 1e-12
 #: for equality
 ALTERNATE_FORM_FLOOR = 1e-12
 
+#: singular-value cut of ``ortho_complement_within``: M's orthonormal basis
+#: projected off A inside M has singular values near 1 (M minus A) and near 0
+COMPLEMENT_CUT = 0.5
+
+#: window deviation (roundoff of exact polynomial products) at or below which
+#: the brown_halmos check accepts T(Psi) T(Phi) = T(Psi Phi) under its hypothesis
+BROWN_HALMOS_DEVIATION = 1e-10
+
 #: norm below which a prediction column or a correction line counts as zero
 NEGLIGIBLE_NORM = 1e-14
 

@@ -24,7 +24,7 @@ def _as_finite_complex(coeffs, ndim_name: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatch(
             f"{ndim_name} expects a 2-d (components, degrees) array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{ndim_name} coefficients must be finite")
     arr.setflags(write=False)
     return arr

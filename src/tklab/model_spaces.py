@@ -178,13 +178,3 @@ def decompose_against_theta(G: CoeffVec, ms: ModelSpace,
                       in_range=mass <= tol_membership * max(G.norm(), 1e-300),
                       model_mass=mass)
 
-
-def model_space_dimension_on_interior(ms: ModelSpace) -> int:
-    """Model-space directions supported on the interior window."""
-    dim = 0
-    for v in ms.as_subspace.basis_vectors():
-        tail = float(np.linalg.norm(v.coeffs[:, ms.interior:]))
-        if tail < 0.5:  # basis vectors are unit; mostly-interior counts
-            dim += 1
-    return dim
-

@@ -34,7 +34,7 @@ from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
 from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
 from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
                         range_complement)
-from .subspaces import (SigmaGap, Subspace, _relative_cut, column_gram_deviation,
+from .subspaces import (SigmaGap, Subspace, _overlap, _relative_cut, column_gram_deviation,
                         column_norms, column_span, is_contained, nullspace,
                         nullspace_within, subspace_equal, value_split, zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
@@ -45,8 +45,6 @@ from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
 class KernelResult:
     subspace: Subspace
     residual_max: float
-    sigma_cut: float
-    sigma_gap: SigmaGap
     audit_violations: int
     #: "zero" for the zero symbol's n x n core, "inner", "theta_star" or
     #: "factored" for a structured solve, "dense" for the SVD of the whole
@@ -58,6 +56,14 @@ class KernelResult:
     #: the zero route's orthonormal basis (mN x rank A) of the kernel's
     #: orthocomplement, where the kernel's defect lies; None otherwise
     complement: np.ndarray | None = None
+
+    @property
+    def sigma_cut(self) -> float:
+        return self.subspace.tol
+
+    @property
+    def sigma_gap(self) -> SigmaGap:
+        return self.subspace.sigma_gap
 
     @property
     def sigma_ratio(self) -> float:
@@ -110,8 +116,7 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
     norms = np.linalg.norm(image, axis=0)
     resid = float(np.max(norms, initial=0.0))
     violations = int(np.sum(norms > 10.0 * max(ker.tol, np.finfo(float).eps)))
-    return KernelResult(subspace=ker, residual_max=resid, sigma_cut=ker.tol,
-                        sigma_gap=ker.sigma_gap, audit_violations=violations,
+    return KernelResult(subspace=ker, residual_max=resid, audit_violations=violations,
                         method=method, series=series, complement=complement)
 
 
@@ -227,19 +232,28 @@ class DefectReport:
 
     subspace_dim: int
     slice_dim: int
-    defect_dim: int
     defect_basis: Subspace
-    sigma_gap: SigmaGap
     #: orthonormal basis (mN x r) of the subspace minus its origin slice,
     #: from the value split; ``build_frame`` reads it as the W frame, and it
     #: is not part of the JSON report
     W: np.ndarray
     predicted: Subspace | None = None
-    predicted_dim: int | None = None
     containment_residual: float | None = None
     kernel_residual_max: float | None = None
     defect_bound: int | None = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def defect_dim(self) -> int:
+        return self.defect_basis.dim
+
+    @property
+    def sigma_gap(self) -> SigmaGap:
+        return self.defect_basis.sigma_gap
+
+    @property
+    def predicted_dim(self) -> int | None:
+        return None if self.predicted is None else self.predicted.dim
 
     @property
     def bound_ok(self) -> bool:
@@ -267,14 +281,14 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
                    complement: np.ndarray | None = None) -> DefectReport:
     """Measure the near-invariance defect of M.
 
-    One ``value_split`` of M's values at the origin gives the origin slice's
-    dimension, the gap of its cut (``details["slice_sigma_gap"]``) and W,
-    an orthonormal basis of M minus the slice.  The defect is
+    One thin ``value_split`` of M's values at the origin gives the origin
+    slice's dimension, the gap of its cut (``details["slice_sigma_gap"]``)
+    and W, an orthonormal basis of M minus the slice.  The defect is
     P_{M^perp} S*(slice): without ``complement`` it is the span of the
-    residual stack R = S*F - P_M S*F over the slice's basis, cut by
-    ``column_span``; directions below the absolute floor are noise, which is
-    what keeps exactly invariant subspaces (for instance model spaces) at
-    defect zero.
+    residual stack R = S*X - P_M S*X over X = Q - W (W^H Q), M's basis Q
+    projected onto the slice.  Both routes cut in ``_defect_cut``; directions
+    below the absolute floor are noise, which keeps exactly invariant
+    subspaces (for instance model spaces) at defect zero.
 
     ``complement`` is an orthonormal basis U of M's orthocomplement, as the
     zero-symbol kernel solve keeps it; it must have mN - dim M columns
@@ -282,31 +296,35 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
     raised.  Then the slice's projection is P = I - U U^H - W W^H, and
     U^H S* P = (P S U)^H, so the defect is U range((P S U)^H): U times the
     kept right singular vectors of the mN x dim U matrix P S U, which has
-    the singular values of U^H R and so of R.  The cut keeps R's shape,
-    (mN, slice dim), and its spectrum, padded or cut to the same length.
-    No mN x dim M array is projected or shifted.
+    the singular values of U^H R and so of R.  No mN x dim M array is
+    projected or shifted.
     """
     m, N = M.m, M.N
     if complement is not None:
         _check_complement(M, complement)
-    split = value_split(M, full=complement is None)
+    split = value_split(M)
     details = {"slice_sigma_gap": split.sigma_gap.to_pair()}
     if split.slice_dim == 0:
-        return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_dim=0,
-                            defect_basis=zero_space(m, N),
-                            sigma_gap=SigmaGap(0.0, None), W=split.W, details=details)
-    if complement is None:
-        shifted = backward_shift_flat(M.basis @ split.slice_combos, m)
-        defect = column_span(shifted - M.project_flat(shifted), (m, N),
-                             tol_rel=tol_rel, floor=defect_floor)
+        nothing = Subspace(m, N, np.zeros((m * N, 0), complex), 0.0, SigmaGap(0.0, None))
+        return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_basis=nothing,
+                            W=split.W, details=details)
+    Q, W, U = M.basis, split.W, complement
+    if U is None:
+        shifted = backward_shift_flat(Q - W @ (W.conj().T @ Q), m)
+        u, s, _ = np.linalg.svd(shifted - M.project_flat(shifted), full_matrices=False)
+    elif U.shape[1]:
+        SU = np.zeros_like(U)
+        SU[m:] = U[:-m]  # the truncating forward shift, S*'s adjoint
+        _, s, vh = np.linalg.svd(SU - U @ (U.conj().T @ SU) - W @ (W.conj().T @ SU),
+                                 full_matrices=False)
+        u = U @ vh.conj().T
     else:
-        defect = _complement_defect(complement, split.W, (m, N), split.slice_dim,
-                                    tol_rel, defect_floor)
+        u, s = U, np.zeros(0)
+    defect = _defect_cut(s, u, (m, N), split.slice_dim, tol_rel, defect_floor)
     details["defect_overlap_with_subspace"] = (
         _overlap(defect.basis, M.basis) if defect.dim and M.dim else 0.0)
     return DefectReport(subspace_dim=M.dim, slice_dim=split.slice_dim,
-                        defect_dim=defect.dim, defect_basis=defect,
-                        sigma_gap=defect.sigma_gap, W=split.W, details=details)
+                        defect_basis=defect, W=split.W, details=details)
 
 
 def _check_complement(M: Subspace, U: np.ndarray) -> None:
@@ -328,29 +346,17 @@ def _check_complement(M: Subspace, U: np.ndarray) -> None:
                              f"(overlap {overlap:.3e})")
 
 
-def _overlap(X: np.ndarray, Q: np.ndarray) -> float:
-    """max |X^H Q| for a narrow X: only X is conjugated, not the wide Q."""
-    return float(np.max(np.abs(X.conj().T @ Q)))
-
-
-def _complement_defect(U: np.ndarray, W: np.ndarray, shape: tuple[int, int],
-                       slice_dim: int, tol_rel: float | None,
-                       floor: float) -> Subspace:
-    """The defect U range((P S U)^H), P = I - U U^H - W W^H (``compute_defect``)."""
-    m, N = shape
-    rows = m * N
-    SU = np.zeros_like(U)
-    SU[m:] = U[:-m]  # the truncating forward shift, S*'s adjoint
-    PSU = SU - U @ (U.conj().T @ SU) - W @ (W.conj().T @ SU)
-    if U.shape[1]:
-        _, s, vh = np.linalg.svd(PSU, full_matrices=False)
-    else:
-        s, vh = np.zeros(0), np.zeros((0, 0), complex)
-    # R has min(rows, slice_dim) singular values; P S U's past slice_dim are roundoff
+def _defect_cut(s: np.ndarray, directions: np.ndarray, shape: tuple[int, int],
+                slice_dim: int, tol_rel: float | None, floor: float) -> Subspace:
+    """The leading ``directions`` (ordered as the descending spectrum ``s``)
+    that the cut of the residual stack over a basis of the slice keeps: an
+    (mN, slice dim) matrix, so ``s`` is padded with zeros or cut to
+    min(mN, slice dim) values, past which either route's stack is roundoff."""
+    rows = shape[0] * shape[1]
     width = min(rows, slice_dim)
     s = np.concatenate([s[:width], np.zeros(max(width - s.size, 0))])
     thresh, rank = _relative_cut((rows, slice_dim), s, tol_rel, floor)
-    return Subspace(m, N, U @ vh[:rank].conj().T, thresh, SigmaGap.at(s, rank))
+    return Subspace(*shape, directions[:, :rank], thresh, SigmaGap.at(s, rank))
 
 
 def _attach_prediction(measured: DefectReport, M: Subspace,
@@ -370,18 +376,17 @@ def _attach_prediction(measured: DefectReport, M: Subspace,
     nonzero = predicted_vectors[:, column_norms(predicted_vectors) > NEGLIGIBLE_NORM]
     if not nonzero.shape[1]:
         report.predicted = zero_space(*shape)
-        report.predicted_dim = 0
         report.containment_residual = 0.0 if report.defect_dim == 0 else 1.0
         return report
     predicted = column_span(nonzero, shape)
     report.predicted = predicted
-    report.predicted_dim = predicted.dim
     pred_mod = column_span(nonzero - M.project_flat(nonzero), shape, floor=defect_floor)
-    _, resid = is_contained(report.defect_basis, pred_mod, 0.0)
+    # the equality residual is the larger of the two containments
+    _, resid = is_contained(report.defect_basis, pred_mod)
     report.containment_residual = resid
-    _, eq_resid = subspace_equal(report.defect_basis, pred_mod, 1e-8)
     report.details["prediction_mod_kernel_dim"] = pred_mod.dim
-    report.details["prediction_equality_residual"] = eq_resid
+    report.details["prediction_equality_residual"] = max(
+        resid, is_contained(pred_mod, report.defect_basis)[1])
     return report
 
 

@@ -40,7 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import CRITICAL_CRITERION, GRAM_SCHMIDT_DROP, NEGLIGIBLE_NORM
+from .config import (CRITICAL_CRITERION, DEFAULT_TOLERANCES, GRAM_SCHMIDT_DROP,
+                     NEGLIGIBLE_NORM)
 from .errors import DimensionMismatch, FrameDeficientError
 from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
                          eval_at_zero, flat_columns, inner_product,
@@ -49,7 +50,7 @@ from .model_spaces import ModelSpace, decompose_against_theta
 # compute_defect is not called here; the benchmark's tracer pins this import
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
 from .operators import apply_block_toeplitz, orthonormalize_family
-from .subspaces import (Subspace, _adjoint, _dense, _product, _update, _values,
+from .subspaces import (Subspace, _adjoint, _dense, _overlap, _product, _update, _values,
                         column_norms, column_span, gram_schmidt, is_contained,
                         ortho_complement_within, project, span_of, subspace_equal,
                         zero_space)
@@ -102,7 +103,8 @@ def build_frame(M: Subspace, measured: DefectReport,
 
     ``measured`` is M's ``DefectReport``.  Its defect basis is the defect
     frame, unless a wider ``defect`` is given: that must contain the measured
-    defect and be orthogonal to M.  W is the measurement's value split: an
+    defect, or the frame cannot reconstruct M and ``FrameDeficientError`` is
+    raised, and be orthogonal to M.  W is the measurement's value split: an
     orthonormal basis of M minus (M intersect zH2), with at most m columns.
     """
     if defect is None:
@@ -110,11 +112,11 @@ def build_frame(M: Subspace, measured: DefectReport,
     else:
         ok, resid = is_contained(measured.defect_basis, defect, 1e-8)
         if not ok:
-            raise DimensionMismatch(
+            raise FrameDeficientError(
                 f"provided defect space misses measured defect directions "
                 f"(residual {resid:.3e})")
     if defect.dim and M.dim:
-        overlap = float(np.max(np.abs(M.basis.conj().T @ defect.basis)))
+        overlap = _overlap(defect.basis, M.basis)
         if overlap > 1e-8:
             raise DimensionMismatch(
                 f"defect frame is not orthogonal to the subspace (overlap {overlap:.3e})")
@@ -558,14 +560,16 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
     return origin, resid
 
 
-def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
-                          H: CoeffVec) -> RankOneKernelReport:
+def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: CoeffVec,
+                          range_membership: float = DEFAULT_TOLERANCES.range_membership
+                          ) -> RankOneKernelReport:
     """Kernel of T_theta + <., G> H for an inner analytic symbol.
 
     ``kr`` is the operator's solved kernel, ``ms`` theta's certified model
     space.  The criterion 1 + <T_{theta*} H, G> decides between a trivial
     kernel and the line through T_{theta*} H; a nontrivial kernel also
-    requires H to lie in the shifted range of theta.
+    requires H to lie in the shifted range of theta, to within the relative
+    model-space mass ``range_membership``.
     """
     theta, N = ms.theta, ms.N
     _unit_norm_check(G)
@@ -574,7 +578,7 @@ def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec,
     candidate = column_vectors(
         apply_block_toeplitz(theta.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
     criterion = 1.0 + inner_product(candidate, G)
-    h_in_range = decompose_against_theta(H, ms).in_range
+    h_in_range = decompose_against_theta(H, ms, tol_membership=range_membership).in_range
     kernel = kr.subspace
     details = {"kernel_residual_max": kr.residual_max,
                "h_in_shifted_range": h_in_range,
@@ -688,27 +692,30 @@ class ThetaStarReport:
 def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
                                  ms: ModelSpace, G: CoeffVec, H: CoeffVec,
                                  depth: int | None = None,
-                                 tol_equality: float = 1e-6) -> ThetaStarReport:
+                                 tol_equality: float = 1e-6,
+                                 range_membership: float =
+                                 DEFAULT_TOLERANCES.range_membership) -> ThetaStarReport:
     """Kernel of T_{theta*} + <., G> H against its predicted structure.
 
     ``kr`` is the operator's solved kernel, ``defect`` its measured defect,
-    which the span of the analysis's defect candidates must contain, and
-    ``ms`` theta's certified model space.  G splits into a model-space part
-    and a shifted-range part; the criterion 1 + <theta H, range part> picks
-    one of four kernel shapes, each verified against the solved kernel by
-    subspace equality.  G need not be normalized: the critical branches are
-    unreachable for unit G by Cauchy-Schwarz.  The coordinate-space
-    membership residuals are measured on the members Q A_Q^n e_i
-    (n = 0..depth, at most six columns) of the frame's realization
-    certificate, plus its bound on their distance to the reassembled
-    coordinates.
+    which the span of the analysis's defect candidates must contain (else
+    ``FrameDeficientError``), and ``ms`` theta's certified model space.  G
+    splits into a model-space part and a shifted-range part, and counts as
+    in the range when the first has at most ``range_membership`` of G's
+    norm; the criterion 1 + <theta H, range part> picks one of four kernel
+    shapes, each verified against the solved kernel by subspace equality.
+    G need not be normalized: the critical branches are unreachable for unit
+    G by Cauchy-Schwarz.  The coordinate-space membership residuals are
+    measured on the members Q A_Q^n e_i (n = 0..depth, at most six columns)
+    of the frame's realization certificate, plus its bound on their
+    distance to the reassembled coordinates.
     """
     theta, N = ms.theta, ms.N
     if backward_shift(H).norm() < 1e-8:
         raise ValueError("H must have a nonzero backward shift")
     if G.norm() < 1e-8:
         raise ValueError("G must be nonzero")
-    split = decompose_against_theta(G, ms)
+    split = decompose_against_theta(G, ms, tol_membership=range_membership)
     theta_h = theta.act(H).analytic_part().resized(N)
     ambient_sum = span_of(ms.as_subspace.basis_vectors() + [theta_h])
     kernel = kr.subspace

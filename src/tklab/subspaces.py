@@ -10,9 +10,9 @@ rather than pass.
 Each algorithm has one copy here: the relative rank cut (``_relative_cut``)
 and the gap it reports (``SigmaGap.at``), the null directions of a full SVD
 (``nullspace``), the split of a subspace by its values at the origin
-(``value_split``), the matrix product over exact nonzeros (``_product``),
-the Gram check (``column_gram_deviation``), Gram-Schmidt (``gram_schmidt``)
-and the projection Q (Q^H X) (``Subspace.project_flat``).
+(``value_split``), the matrix product over exact nonzeros (``_product``), the
+Gram check (``column_gram_deviation``), the overlap of two bases (``_overlap``),
+Gram-Schmidt (``gram_schmidt``) and the projection Q (Q^H X) (``Subspace.project_flat``).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (GRAM_SUPPORT_MIN, ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND,
-                     SUPPORT_PRODUCT_FACTOR, rank_threshold)
+from .config import (COMPLEMENT_CUT, GRAM_SUPPORT_MIN, ORIGIN_SLICE_FLOOR,
+                     SUBSPACE_GRAM_BOUND, SUPPORT_PRODUCT_FACTOR, rank_threshold)
 from .errors import ContainmentError, DimensionMismatch
 from .hardy_core import CoeffVec, column_vectors
 
@@ -136,18 +136,8 @@ class Subspace:
         q = np.linalg.qr(self._basis, mode="complete")[0]
         return Subspace(self._m, self._N, q[:, self.dim:], self._tol)
 
-    def report_json(self, include_basis: bool = True) -> dict:
-        out = {"dim": self.dim, "sigma_gap": self._sigma_gap.to_pair()}
-        if include_basis:
-            out["basis"] = [v.to_json() for v in self.basis_vectors()]
-        return out
-
     def __repr__(self) -> str:
         return f"Subspace(m={self._m}, N={self._N}, dim={self.dim})"
-
-
-def full_space(m: int, N: int, tol: float = 0.0) -> Subspace:
-    return Subspace(m, N, np.eye(m * N, dtype=complex), tol)
 
 
 def zero_space(m: int, N: int, tol: float = 0.0) -> Subspace:
@@ -180,7 +170,7 @@ def nullspace(A: np.ndarray, shape: tuple[int, int],
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] != m * N:
         raise DimensionMismatch(f"matrix shape {A.shape} vs ambient {m}*{N}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix must be finite")
     if np.max(np.abs(A)) == 0.0:
         return Subspace(m, N, np.eye(m * N, dtype=complex), 0.0,
@@ -274,6 +264,11 @@ def column_norms(X: np.ndarray) -> np.ndarray:
                    + np.einsum("ij,ij->j", X.imag, X.imag))
 
 
+def _overlap(X: np.ndarray, Q: np.ndarray) -> float:
+    """max |X^H Q| for a narrow X: only X is conjugated, not the wide Q."""
+    return float(np.max(np.abs(X.conj().T @ Q)))
+
+
 def span_of(vectors: list[CoeffVec], tol_rel: float | None = None,
             floor: float = 0.0) -> Subspace:
     """Orthonormal basis of the numerical span of a family of vectors."""
@@ -360,7 +355,7 @@ def ortho_complement_within(M: Subspace, A: Subspace,
     reduced = M.basis - A.project_flat(M.basis)
     u, s, _ = np.linalg.svd(reduced, full_matrices=False)
     target = M.dim - A.dim
-    r = int(np.sum(s > 0.5))  # projections of an orthonormal basis: sigma near 1 or 0
+    r = int(np.sum(s > COMPLEMENT_CUT))
     if r != target:
         raise ContainmentError(
             f"complement dimension {r} != dim M - dim A = {target}; cut is ambiguous")
@@ -377,42 +372,35 @@ class ValueSplit(NamedTuple):
     slice_dim: int
     #: the gap of the value cut
     sigma_gap: SigmaGap
-    #: the slice's coordinates in M's basis (dim x slice_dim), from a full
-    #: split only; None otherwise
-    slice_combos: np.ndarray | None
 
 
-def value_split(M: Subspace, full: bool = False) -> ValueSplit:
+def value_split(M: Subspace) -> ValueSplit:
     """Split M by the values Q(0) = Q[:m] of its basis Q (m x dim).
 
-    One SVD Q(0) = X s Y^H, its spectrum padded with zeros to dim M, cut
-    like ``nullspace`` (relative to s[0], never below ``ORIGIN_SLICE_FLOOR``)
-    keeps r directions.  Q Y[:, :r] is an orthonormal basis W of
-    M minus (M ∩ zH2): x in M is orthogonal to P_M e_i exactly when
-    x(0)_i = 0, so that space is span P_M E0 and r <= m.  The slice is
-    Q Y[:, r:], which needs all dim right singular vectors; only a ``full``
-    split computes them, the thin one costs O(m^2 dim).
+    One thin SVD Q(0) = X s Y^H, O(m^2 dim), its spectrum padded with zeros
+    to dim M, cut like ``nullspace`` (relative to s[0], never below
+    ``ORIGIN_SLICE_FLOOR``) keeps r directions.  Q Y[:, :r] is an
+    orthonormal basis W of M minus (M ∩ zH2): x in M is orthogonal to
+    P_M e_i exactly when x(0)_i = 0, so that space is span P_M E0 and r <= m.
     """
     K = M.dim
     if K == 0:
-        return ValueSplit(M.basis, 0, SigmaGap(None, None),
-                          np.zeros((0, 0), complex) if full else None)
+        return ValueSplit(M.basis, 0, SigmaGap(None, None))
     values = M.basis[:M.m]
-    _, s, vh = np.linalg.svd(values, full_matrices=full)
+    _, s, vh = np.linalg.svd(values, full_matrices=False)
     s = np.concatenate([s, np.zeros(K - s.size)])
     _, r = _relative_cut(values.shape, s, None, floor=ORIGIN_SLICE_FLOOR)
-    Y = vh.conj().T
-    return ValueSplit(M.basis @ Y[:, :r], K - r, SigmaGap.at(s, r),
-                      Y[:, r:] if full else None)
+    return ValueSplit(M.basis @ vh[:r].conj().T, K - r, SigmaGap.at(s, r))
 
 
 def zero_at_origin_slice(M: Subspace) -> Subspace:
-    """Members of M vanishing at the origin: Q Y[:, r:] of a full
-    ``value_split``, which keeps the result an exact subspace of M."""
+    """Members of M vanishing at the origin: Q times the null directions of
+    the full SVD of its values, cut as ``value_split`` cuts, which keeps the
+    result an exact subspace of M.  It is that split's test oracle."""
     if M.dim == 0 or not np.any(M.basis[:M.m]):
         return M
-    split = value_split(M, full=True)
-    return Subspace(M.m, M.N, M.basis @ split.slice_combos, M.tol, split.sigma_gap)
+    combos, _, gap = _null_combinations(M.basis[:M.m], None, floor=ORIGIN_SLICE_FLOOR)
+    return Subspace(M.m, M.N, M.basis @ combos, M.tol, gap)
 
 
 def column_gram_deviation(X: np.ndarray) -> float:

@@ -324,6 +324,23 @@ class TestApiErrors:
         assert "cannot reconstruct" in rep["residuals"]["uncertified"]
         assert {"r", "p", "vanishing_case"} <= set(rep["residuals"])
 
+    def test_range_membership_reaches_the_rank_one_split(self, tmp_path):
+        # G's model mass is 1.73 of |G| = 2: at 1.0 G counts as in the
+        # shifted range, the analysis's frame misses the measured defect, and
+        # the rank_one check fails where it passed at the default cut
+        data = json.loads((SCENARIOS / "adjoint_monomial_critical.json").read_text())
+        data["tolerances"] = {"range_membership": 1.0}
+        path = tmp_path / "adjoint_monomial_critical.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == EXIT_CHECK_FAIL, proc.stderr
+        assert proc.stderr == ""
+        [rank_one] = json.loads(out.read_text())["checks"]
+        residuals = rank_one["residuals"]
+        assert rank_one["status"] == "fail" and residuals["certified"] is False
+        assert "misses measured defect" in residuals["uncertified"]
+
     def test_uncertifiable_rank_one_frame_is_a_verdict(self, tmp_path):
         # with the sigma flag raised past the 0.5 cut's ratio, the analysis
         # reads a 10-dimensional kernel that its frame cannot reconstruct:

@@ -7,6 +7,7 @@ from tklab.errors import DimensionMismatch
 from tklab.hardy_core import (CoeffVec, LaurentVec, backward_shift,
                               eval_at_zero, forward_shift, inner_product,
                               reproducing_column)
+from tklab.subspaces import nullspace
 
 from conftest import rand_coeffvec
 
@@ -156,10 +157,14 @@ class TestRieszProjection:
 
 class TestValidationAndJson:
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            CoeffVec([[np.nan, 0.0]])
-        with pytest.raises(ValueError):
-            CoeffVec([[np.inf, 0.0]])
+        # one finiteness pass over the complex array sees both parts
+        for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                CoeffVec([[bad, 0.0]])
+            with pytest.raises(ValueError, match="must be finite"):
+                LaurentVec([[0.0, bad]])
+            with pytest.raises(ValueError, match="must be finite"):
+                nullspace(np.array([[bad, 0.0]]), (1, 2))
 
     def test_flatten_roundtrip_degree_major(self):
         F = CoeffVec([[1, 2], [3, 4]])

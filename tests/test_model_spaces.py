@@ -5,7 +5,6 @@ from tklab import model_spaces
 from tklab.errors import InconclusiveCutError, NotInnerError
 from tklab.hardy_core import CoeffVec, inner_product
 from tklab.model_spaces import (build_model_space, decompose_against_theta,
-                                model_space_dimension_on_interior,
                                 project_onto_model_formula)
 from tklab.operators import ToeplitzCompression
 from tklab.subspaces import (is_contained, nullspace, project, span_of,
@@ -43,7 +42,6 @@ class TestBuild:
             [blaschke_taylor(alpha, R), [0.0, 1.0]])
         ms = build_model_space(theta, N, tol_inner=1e-6)
         assert ms.as_subspace.dim == 2
-        assert model_space_dimension_on_interior(ms) == 2
         # independent construction: full-ambient complement of the range span
         gens = []
         for j in range(N - theta.d):

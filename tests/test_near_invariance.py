@@ -60,6 +60,26 @@ class TestComputeDefect:
         assert rep.sigma_gap.signal_side == pytest.approx(
             reference.sigma_gap.signal_side, rel=1e-12)
 
+    def test_defect_filling_the_slice_matches_the_oracle_stack(self):
+        # M = span{(1 + z)/sqrt2, z^2}: W is (1 + z)/sqrt2, the slice z^2 and
+        # its defect the line of P_{M^perp} z, so the defect fills the slice
+        # and the cut has no zero side; the residual route's stack on
+        # Q - W W^H Q has a second, roundoff singular value past the slice
+        M = span_of([CoeffVec([[1.0, 1.0, 0.0, 0.0]]) * (1 / np.sqrt(2)),
+                     CoeffVec.monomial(1, 4, 0, 2)])
+        residuals = []
+        for F in zero_at_origin_slice(M).basis_vectors():
+            shifted = backward_shift(F).flatten()
+            residuals.append(CoeffVec.from_flat(shifted - M.project_flat(shifted), 1, 4))
+        oracle = span_of(residuals, floor=1e-8)
+        rep = compute_defect(M)
+        assert rep.W.shape[1] == 1 and rep.slice_dim == 1
+        assert rep.defect_dim == oracle.dim == 1
+        assert subspace_equal(rep.defect_basis, oracle, 1e-12)[0]
+        assert oracle.sigma_gap.zero_side is None
+        _assert_gaps_agree(rep.sigma_gap.to_pair(), oracle.sigma_gap.to_pair(), 1e-15)
+        assert rep.sigma_gap.signal_side == pytest.approx(1 / np.sqrt(2), rel=1e-14)
+
     def test_defect_orthogonal_to_subspace(self, rng):
         m, N = 2, 8
         G = rand_orthonormal(rng, m, N, 5, 2)
@@ -630,6 +650,25 @@ class TestZeroSymbolRoute:
         oracle = compute_defect(kr.subspace)
         assert (rep.slice_dim, rep.defect_dim) == (oracle.slice_dim, oracle.defect_dim)
         assert subspace_equal(rep.defect_basis, oracle.defect_basis, 1e-10)[0]
+
+    @pytest.mark.parametrize("route", ["residual", "complement"])
+    def test_value_svds_are_thin(self, route, monkeypatch):
+        m, N, n = 2, 10, 2
+        rng = np.random.default_rng([m, N, n])
+        G, H = rand_orthonormal(rng, m, N, 5, n), rand_orthonormal(rng, m, N, 5, n)
+        kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, H))
+        calls = []
+        real = np.linalg.svd
+
+        def spy_svd(a, full_matrices=True, **kwargs):
+            calls.append((np.shape(a), full_matrices))
+            return real(a, full_matrices=full_matrices, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        compute_defect(kr.subspace,
+                       complement=kr.complement if route == "complement" else None)
+        values = [full for shape, full in calls if shape == (m, kr.subspace.dim)]
+        assert values and not any(values), calls
 
     def test_non_orthonormal_complement_rejected(self, rng):
         m, N = 2, 10

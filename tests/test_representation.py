@@ -369,6 +369,21 @@ class TestInnerRankOne:
         assert rep.origin_case == "value_nonzero"
         assert rep.coordinate_residuals["k_mass"] < 1e-12
 
+    def test_range_membership_decides_h_in_range(self):
+        # H = z e1 plus a constant of relative mass about 1e-4, the model
+        # space of z I: outside the shifted range z H2 at the default cut,
+        # inside it at 1e-2; G off the candidate e1 keeps the kernel trivial
+        m, N = 2, 12
+        theta = LaurentMatrixSymbol.shift(m, 1)
+        H = CoeffVec.monomial(m, N, 0, 1) + 1e-4 * CoeffVec.monomial(m, N, 1, 0)
+        G = CoeffVec.monomial(m, N, 1, 3)
+        kr, ms = solved_kernel(theta, G, H, N), build_model_space(theta, N)
+        default = rank_one_inner_kernel(kr, ms, G, H)
+        loose = rank_one_inner_kernel(kr, ms, G, H, range_membership=1e-2)
+        assert default.case == loose.case == "trivial_kernel"
+        assert default.details["h_in_shifted_range"] is False
+        assert loose.details["h_in_shifted_range"] is True
+
     def test_shiftless_h_rejected(self):
         m, N = 2, 8
         theta = LaurentMatrixSymbol.shift(m, 1)
@@ -484,6 +499,21 @@ class TestThetaStarRankOne:
         theta, H, thH, _ = self.build_named_setup(s, m, N)
         rep = theta_star_rank_one(theta, -1.0 * thH, H, N)
         assert rep.kernel_dim == m * s + 1
+
+    def test_range_membership_decides_the_split(self):
+        # G's model part Gz has mass sqrt(m) of |G| = sqrt(m + 1): outside
+        # the shifted range at the default cut, inside it at 1.0, where the
+        # analysis's defect candidates lose G's model part and its frame
+        # misses the measured defect
+        s, m, N = 2, 3, 24
+        theta, H, thH, Gz = self.build_named_setup(s, m, N)
+        G = Gz + (-1.0) * thH
+        kr = solved_kernel(theta.adjoint(), G, H, N)
+        defect, ms = compute_defect(kr.subspace), build_model_space(theta, N)
+        rep = rank_one_theta_star_analysis(kr, defect, ms, G, H)
+        assert rep.case == "outside_range_critical" and rep.in_range is False
+        with pytest.raises(FrameDeficientError, match="misses measured defect"):
+            rank_one_theta_star_analysis(kr, defect, ms, G, H, range_membership=1.0)
 
     def test_nonzero_g_required(self):
         s, m, N = 2, 2, 16

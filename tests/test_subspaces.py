@@ -6,8 +6,7 @@ from tklab.errors import ContainmentError, DimensionMismatch
 from tklab.hardy_core import CoeffVec, inner_product, reproducing_column
 from tklab.near_invariance import kernel_of
 from tklab.operators import ToeplitzCompression, build_perturbed
-from tklab.subspaces import (SigmaGap, Subspace, column_gram_deviation, full_space,
-                             gram_schmidt,
+from tklab.subspaces import (SigmaGap, Subspace, column_gram_deviation, gram_schmidt,
                              intersect, is_contained, nullspace,
                              ortho_complement_within, project, span_of,
                              subspace_equal, vanishing_at_zero_space,
@@ -226,7 +225,7 @@ class TestSliceAndAmbient:
         assert M.dim + M.perp().dim == m * N
         assert np.max(np.abs(M.basis.conj().T @ M.perp().basis)) < 1e-14
         assert np.array_equal(zero_space(m, N).perp().basis, np.eye(m * N))
-        assert full_space(m, N).perp().dim == 0
+        assert Subspace(m, N, np.eye(m * N), 0.0).perp().dim == 0
 
     def test_vanishing_space(self):
         V = vanishing_at_zero_space(2, 4)
@@ -234,20 +233,10 @@ class TestSliceAndAmbient:
         for F in V.basis_vectors():
             assert np.linalg.norm(F.coeffs[:, 0]) == 0
 
-    def test_report_json(self, rng):
-        M = span_of([rand_coeffvec(rng, 1, 3, 2)])
-        payload = M.report_json()
-        assert payload["dim"] == 1
-        assert len(payload["sigma_gap"]) == 2
-        assert len(payload["basis"]) == 1
-
     def test_basis_orthonormality_enforced(self):
         bad = np.ones((4, 2), dtype=complex)
         with pytest.raises(ValueError):
             Subspace(2, 2, bad, 0.0)
-
-    def test_full_space(self):
-        assert full_space(2, 3).dim == 6
 
 
 class TestSigmaGap:

@@ -1,18 +1,21 @@
 """The named tolerances and the proofs that lean on them."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tklab import subspaces
-from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario)
-from tklab.config import (EXACT_INNER_ROUNDOFF, ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND,
-                          Tolerances)
+from tklab import cli_reports, subspaces
+from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario,
+                               run_scenario_object)
+from tklab.config import (BROWN_HALMOS_DEVIATION, COMPLEMENT_CUT, EXACT_INNER_ROUNDOFF,
+                          ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND, Tolerances)
+from tklab.errors import ContainmentError
 from tklab.hardy_core import CoeffVec
 from tklab.near_invariance import compute_defect, kernel_of
 from tklab.operators import build_perturbed
-from tklab.subspaces import Subspace, column_norms
+from tklab.subspaces import Subspace, column_norms, ortho_complement_within, span_of
 from tklab.symbols import LaurentMatrixSymbol
 
 REPRESENTATION = [p for p in sorted(bundled_scenario_dir().glob("*.json"))
@@ -78,3 +81,36 @@ def test_kernel_basis_membership_stays_under_the_proved_bound(path):
     Q = M.basis
     member = float(np.max(column_norms(Q - M.project_flat(Q)), initial=0.0))
     assert member <= _membership_bound(M.dim)
+
+
+def test_complement_reads_its_named_cut(monkeypatch):
+    # A = cos t + z^2 sin t sits in M = span{1, z} only to within sin t = 0.6;
+    # M's basis off A then has singular values 1 and 0.6, which the cut
+    # splits: at 0.5 both count and the complement is refused, at 0.7 it is z
+    t = math.asin(0.6)
+    M = span_of([CoeffVec.monomial(1, 3, 0, 0), CoeffVec.monomial(1, 3, 0, 1)])
+    A = span_of([CoeffVec([[math.cos(t), 0.0, math.sin(t)]])])
+    assert COMPLEMENT_CUT < 0.6
+    with pytest.raises(ContainmentError, match="ambiguous"):
+        ortho_complement_within(M, A, tol_contain=1.0)
+    monkeypatch.setattr(subspaces, "COMPLEMENT_CUT", 0.7)
+    rest = ortho_complement_within(M, A, tol_contain=1.0)
+    assert rest.dim == 1 and abs(abs(rest.basis[1, 0]) - 1.0) < 1e-12
+
+
+def test_brown_halmos_reads_its_named_deviation(monkeypatch):
+    # with Phi analytic T(Psi) T(Phi) = T(Psi Phi) on the window, so dense
+    # random coefficients leave only roundoff, which the named bound accepts
+    rng = np.random.default_rng(3)
+    coeffs = lambda: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    psi = LaurentMatrixSymbol(2, {-1: coeffs(), 0: coeffs(), 1: coeffs()})
+    phi = LaurentMatrixSymbol(2, {0: coeffs(), 1: coeffs(), 2: coeffs()})
+    counterexample = bundled_scenario_dir() / "toeplitz_product_counterexample.json"
+    sc = replace(load_scenario(counterexample), pair=(psi, phi), expect={})
+    [outcome] = run_scenario_object(sc, Tolerances()).outcomes
+    deviation = outcome.residuals["deviation"]
+    assert outcome.residuals["hypothesis_met"] and 0.0 < deviation <= BROWN_HALMOS_DEVIATION
+    assert outcome.status == "pass"
+    monkeypatch.setattr(cli_reports, "BROWN_HALMOS_DEVIATION", deviation / 2)
+    [outcome] = run_scenario_object(sc, Tolerances()).outcomes
+    assert outcome.status == "fail"
