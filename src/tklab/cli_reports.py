@@ -105,7 +105,8 @@ def _parse_symbol(payload, what: str) -> LaurentMatrixSymbol:
 
 
 def _parse_tolerances(payload) -> dict:
-    """Tolerance overrides: known ``Tolerances`` fields with numeric values."""
+    """Tolerance overrides: known ``Tolerances`` fields with numeric values
+    that ``Tolerances`` accepts."""
     if not isinstance(payload, dict):
         raise ScenarioParseError("tolerances must be a JSON object")
     known = {f.name for f in fields(Tolerances)}
@@ -114,6 +115,10 @@ def _parse_tolerances(payload) -> dict:
             raise ScenarioParseError(f"unknown tolerance {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioParseError(f"tolerance {key!r} must be a number, got {value!r}")
+    try:
+        Tolerances(**payload)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc)) from exc
     return dict(payload)
 
 
@@ -301,7 +306,8 @@ class CheckOutcome:
     name: str
     status: str  # pass | fail | skipped
     residuals: dict
-    seconds: float
+    #: wall time of the check, set by ``run_scenario_object``
+    seconds: float = 0.0
 
     def to_json(self) -> dict:
         return {"name": self.name, "status": self.status,
@@ -328,14 +334,13 @@ def _expect_matches(expect: dict, key: str, actual) -> bool:
     return key not in expect or expect[key] == actual
 
 
-def _sigma_conclusive(report: DefectReport, tol: Tolerances) -> bool:
-    """Both rank cuts behind the verdict are clean: the kernel's (its audited
-    ratio, recorded in details) and the defect span's.  A cut that kept
-    nothing is judged against the cut itself, so one at or above the largest
-    singular value is inconclusive; a NaN ratio is too."""
-    ratios = (report.details["kernel_sigma_ratio"],
-              report.sigma_gap.audited_ratio(report.defect_basis.tol))
-    return all(ratio <= tol.sigma_ratio_flag for ratio in ratios)
+def _sigma_conclusive(run: ScenarioRun) -> bool:
+    """Both rank cuts behind the verdict are clean: the run's kernel cut (its
+    audited ratio) and its defect span's.  A cut that kept nothing is judged
+    against the cut itself; a NaN ratio is inconclusive."""
+    defect = run.defect.defect_basis
+    ratios = (run.kernel.sigma_ratio, defect.sigma_gap.audited_ratio(defect.tol))
+    return all(ratio <= run.tol.sigma_ratio_flag for ratio in ratios)
 
 
 def containment_tolerance(sc: Scenario, tol: Tolerances) -> float:
@@ -346,35 +351,26 @@ def containment_tolerance(sc: Scenario, tol: Tolerances) -> float:
 
 
 def check_defect_theorem(run: ScenarioRun) -> CheckOutcome:
-    t0 = time.perf_counter()
     sc, tol = run.sc, run.tol
-    try:
-        report = run.predicted_defect()
-    except InconclusiveCutError as exc:  # an ambiguous cut fails, it is no crash
-        return CheckOutcome("defect_theorem", "fail",
-                            {"sigma_conclusive": False, "inconclusive": str(exc)},
-                            time.perf_counter() - t0)
+    report = run.predicted_defect()
     ctol = containment_tolerance(sc, tol)
-    conclusive = _sigma_conclusive(report, tol)
+    conclusive = _sigma_conclusive(run)
     ok = (report.bound_ok and report.containment_ok(ctol)
           and report.details["kernel_audit_violations"] == 0 and conclusive)
     ok = ok and _expect_matches(sc.expect, "defect_dim", report.defect_dim)
     ok = ok and _expect_matches(sc.expect, "kernel_dim", report.subspace_dim)
     res = report.to_json()
     res["sigma_conclusive"] = conclusive
-    return CheckOutcome("defect_theorem", "pass" if ok else "fail",
-                        res, time.perf_counter() - t0)
+    return CheckOutcome("defect_theorem", "pass" if ok else "fail", res)
 
 
 def check_representation(run: ScenarioRun) -> CheckOutcome:
-    t0 = time.perf_counter()
     tol = run.tol
     kernel = run.kernel.subspace
     residuals: dict = {"kernel_dim": kernel.dim}
     if kernel.dim == 0:
-        return CheckOutcome("representation", "skipped", residuals,
-                            time.perf_counter() - t0)
-    conclusive = _sigma_conclusive(run.defect, tol)
+        return CheckOutcome("representation", "skipped", residuals)
+    conclusive = _sigma_conclusive(run)
     residuals["sigma_conclusive"] = conclusive
     frame = build_frame(kernel, run.defect)
     residuals.update({"r": frame.r, "p": frame.p,
@@ -385,8 +381,7 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
                                       max(tol.representation, REPRESENTATION_FLOOR))
     except FrameDeficientError as exc:  # a frame that cannot certify fails the check
         residuals.update({"certified": False, "uncertified": str(exc)})
-        return CheckOutcome("representation", "fail", residuals,
-                            time.perf_counter() - t0)
+        return CheckOutcome("representation", "fail", residuals)
     iso, rec, inv = cert.isometry, cert.reconstruction, cert.invariance
     residuals.update({"isometry_residual_max": iso,
                       "reconstruction_residual_max": rec,
@@ -398,8 +393,7 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
                                       "nonzeros": list(cert.nonzeros)}})
     ok = (conclusive and iso <= tol.representation and rec <= tol.representation
           and inv.max_residual <= tol.membership)
-    return CheckOutcome("representation", "pass" if ok else "fail",
-                        residuals, time.perf_counter() - t0)
+    return CheckOutcome("representation", "pass" if ok else "fail", residuals)
 
 
 def _rank_one_analysis(run: ScenarioRun, ms: ModelSpace | None, G: CoeffVec,
@@ -449,36 +443,27 @@ def _rank_one_analysis(run: ScenarioRun, ms: ModelSpace | None, G: CoeffVec,
 
 
 def check_rank_one(run: ScenarioRun) -> CheckOutcome:
-    t0 = time.perf_counter()
     sc, tol = run.sc, run.tol
     if len(sc.G) != 1:
         raise ScenarioValidationError("rank_one checks need exactly one (G, H) pair")
     if sc.symbol_class not in RANK_ONE_CLASSES:
         raise ScenarioValidationError(
             f"rank_one is not defined for class {sc.symbol_class!r}")
-    try:
-        ms = run.model_space if sc.symbol_class in ("inner", "theta_star") else None
-    except InconclusiveCutError as exc:  # an ambiguous cut fails, it is no crash
-        return CheckOutcome("rank_one", "fail",
-                            {"sigma_conclusive": False, "inconclusive": str(exc)},
-                            time.perf_counter() - t0)
+    ms = run.model_space if sc.symbol_class in ("inner", "theta_star") else None
     ratio = run.kernel.sigma_ratio
     audit = {"sigma_conclusive": ratio <= tol.sigma_ratio_flag, "kernel_sigma_ratio": ratio}
     failed = {"kernel_dim": run.kernel.subspace.dim, **audit}
     if not audit["sigma_conclusive"]:  # an inconclusive kernel cut fails unanalyzed
-        return CheckOutcome("rank_one", "fail", failed, time.perf_counter() - t0)
+        return CheckOutcome("rank_one", "fail", failed)
     try:
         ok, residuals = _rank_one_analysis(run, ms, sc.G[0], sc.H[0])
     except FrameDeficientError as exc:  # a frame that cannot certify fails the check
         return CheckOutcome("rank_one", "fail",
-                            {**failed, "certified": False, "uncertified": str(exc)},
-                            time.perf_counter() - t0)
-    return CheckOutcome("rank_one", "pass" if ok else "fail", {**residuals, **audit},
-                        time.perf_counter() - t0)
+                            {**failed, "certified": False, "uncertified": str(exc)})
+    return CheckOutcome("rank_one", "pass" if ok else "fail", {**residuals, **audit})
 
 
 def check_brown_halmos(run: ScenarioRun) -> CheckOutcome:
-    t0 = time.perf_counter()
     sc = run.sc
     if sc.pair is None:
         raise ScenarioValidationError("brown_halmos needs a (psi, phi) pair")
@@ -492,8 +477,7 @@ def check_brown_halmos(run: ScenarioRun) -> CheckOutcome:
         ok = ok and _expect_matches(sc.expect, key, getattr(rep, key))
     if "deviation_max" in sc.expect:
         ok = ok and rep.deviation <= sc.expect["deviation_max"]
-    return CheckOutcome("brown_halmos", "pass" if ok else "fail",
-                        residuals, time.perf_counter() - t0)
+    return CheckOutcome("brown_halmos", "pass" if ok else "fail", residuals)
 
 
 CHECKS = {
@@ -505,14 +489,25 @@ CHECKS = {
 
 
 def run_scenario_object(sc: Scenario, base_tol: Tolerances) -> RunReport:
-    """Validate the scenario and run its checks on one shared ``ScenarioRun``."""
+    """Validate the scenario and run its checks on one shared ``ScenarioRun``.
+
+    Each check is timed here.  A rank cut that decides nothing
+    (``InconclusiveCutError``) fails the check that reached it; it is no
+    crash."""
     run = ScenarioRun.validated(sc, base_tol)
     outcomes = []
     for name in sc.checks:
-        fn = CHECKS.get(name)
-        if fn is None:
+        check = CHECKS.get(name)
+        if check is None:
             raise ScenarioValidationError(f"unknown check {name!r}")
-        outcomes.append(fn(run))
+        t0 = time.perf_counter()
+        try:
+            outcome = check(run)
+        except InconclusiveCutError as exc:
+            outcome = CheckOutcome(name, "fail",
+                                   {"sigma_conclusive": False, "inconclusive": str(exc)})
+        outcome.seconds = time.perf_counter() - t0
+        outcomes.append(outcome)
     return RunReport(scenario=sc.name, outcomes=outcomes, tolerances=run.tol)
 
 
@@ -694,14 +689,18 @@ def bundled_scenario_dir() -> Path:
 
 
 def _tol_from_args(args) -> Tolerances:
-    tol = Tolerances()
+    """The tolerances the flags set; a value ``Tolerances`` rejects is a
+    parse error."""
     overrides = {}
     if getattr(args, "tol_rank", None) is not None:
         overrides["rank_rel"] = args.tol_rank
     if getattr(args, "tol_contain", None) is not None:
         overrides["containment"] = args.tol_contain
         overrides["containment_strict"] = args.tol_contain
-    return tol.override(**overrides) if overrides else tol
+    try:
+        return Tolerances(**overrides)
+    except ValueError as exc:
+        raise ScenarioParseError(f"bad tolerance flag: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -739,9 +738,8 @@ def main(argv: list[str] | None = None) -> int:
                           help='JSON file {"coeffs": [[re, im], ...]}')
 
     args = parser.parse_args(argv)
-    tol = _tol_from_args(args)
-
     try:
+        tol = _tol_from_args(args)
         if args.command == "run":
             report, code = run_scenario(args.file, tol, out=args.out, seed=args.seed)
             for o in report.outcomes:

@@ -8,7 +8,8 @@ so that a scenario run can carry one coherent, reportable tolerance set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,20 @@ class Tolerances:
     range_membership: float = 1e-8
     #: sigma-gap ratio above which a rank decision is flagged inconclusive
     sigma_ratio_flag: float = 1e-3
+
+    def __post_init__(self):
+        """Every tolerance is finite and >= 0, and a relative cut is at most 1:
+        NaN decides nothing, a negative bound passes or fails everything, and
+        a cut above the largest singular value keeps nothing by construction
+        while its audit can still read clean."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "rank_rel":
+                continue
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {f.name!r} must be finite and >= 0, got {value!r}")
+        if self.rank_rel is not None and self.rank_rel > 1:
+            raise ValueError(f"tolerance 'rank_rel' must be at most 1, got {self.rank_rel!r}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -84,9 +84,6 @@ class CoeffVec:
         """Degree-major flat vector of length m*N."""
         return self._coeffs.T.reshape(-1).copy()
 
-    def component(self, i: int) -> np.ndarray:
-        return self._coeffs[i].copy()
-
     def norm(self) -> float:
         return float(np.linalg.norm(self._coeffs))
 
@@ -189,20 +186,8 @@ class LaurentVec:
     def analytic_part(self) -> CoeffVec:
         return CoeffVec(self._coeffs[:, self.N:])
 
-    def antianalytic_norm(self) -> float:
-        """Mass sitting at strictly negative degrees."""
-        return float(np.linalg.norm(self._coeffs[:, :self.N]))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self._coeffs))
-
-    def __sub__(self, other: "LaurentVec") -> "LaurentVec":
-        _check_same_shape(self, other)
-        return LaurentVec(self._coeffs - other._coeffs)
-
-    def __add__(self, other: "LaurentVec") -> "LaurentVec":
-        _check_same_shape(self, other)
-        return LaurentVec(self._coeffs + other._coeffs)
 
     def __repr__(self) -> str:
         return f"LaurentVec(m={self.m}, degrees=[-{self.N}, {self.N}), norm={self.norm():.3g})"

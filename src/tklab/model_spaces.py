@@ -2,33 +2,28 @@
 
 The truncated model space is computed as the kernel of the compression of
 Theta*, which is exact on polynomials because Theta* has no positive powers:
-nothing gets flushed past the degree window.  The shifted range Theta H^2 is
-spanned by interior-window generators only, so that boundary-degree
-artifacts never contaminate range membership.  For an exactly inner Theta
-those generators are the orthonormal columns of R = Theta P_{N-d}, the range
-is R itself, and the kernel is solved inside R's md-dimensional complement,
-which contains it, from the banded compression; R is certified orthonormal
-by the coefficient identity and formed only when ``range_subspace`` is read.
-A Theta that is inner only to a series tail gets the dense SVD nullspace and
-the SVD span of R; so does the kernel of an exactly inner Theta whose cut
-the certified gap of ``nullspace_within`` cannot settle.  Two independent
-projections (kernel-basis and multiply-project-multiply) are cross-checked
-on every build; a disagreement aborts, since silent truncation bugs here
-would poison every downstream defect computation.
+nothing gets flushed past the degree window.  For an exactly inner Theta the
+columns of R = Theta P_{N-d} are orthonormal, certified by the coefficient
+identity without forming R, and the kernel is solved inside R's
+md-dimensional complement, which contains it, from the banded compression.
+A Theta that is inner only to a series tail gets the dense SVD nullspace; so
+does the kernel of an exactly inner Theta whose cut the certified gap of
+``nullspace_within`` cannot settle.  Two independent projections
+(kernel-basis and multiply-project-multiply) are cross-checked on every
+build; a disagreement aborts, since silent truncation bugs here would poison
+every downstream defect computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InconclusiveCutError, NotInnerError
 from .hardy_core import CoeffVec
-from .operators import ToeplitzCompression, range_complement, shifted_range_matrix
-from .subspaces import (SigmaGap, Subspace, column_span, nullspace, nullspace_within,
-                        project)
+from .operators import ToeplitzCompression, range_complement
+from .subspaces import Subspace, nullspace, nullspace_within, project
 from .symbols import LaurentMatrixSymbol, is_exactly_inner, is_inner
 
 
@@ -37,13 +32,7 @@ class ModelSpace:
     theta: LaurentMatrixSymbol
     N: int
     as_subspace: Subspace
-    #: directions of the ambient in neither the model space nor the
-    #: interior-window range; they live at boundary degrees
-    boundary_dim: int
     inner_deviation: float
-    #: the SVD span of R for a Theta inner only to a series tail; None for an
-    #: exactly inner Theta, whose range is R itself, built on first access
-    range_span: Subspace | None = None
 
     @property
     def m(self) -> int:
@@ -52,15 +41,6 @@ class ModelSpace:
     @property
     def interior(self) -> int:
         return self.N - self.theta.d
-
-    @cached_property
-    def range_subspace(self) -> Subspace:
-        """The interior-window range Theta P_{N-d}, through the ``Subspace``
-        constructor and its Gram check."""
-        if self.range_span is not None:
-            return self.range_span
-        return Subspace(self.m, self.N, shifted_range_matrix(self.theta, self.N), 0.0,
-                        SigmaGap(None, 1.0))
 
 
 def build_model_space(theta: LaurentMatrixSymbol, N: int,
@@ -80,9 +60,9 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
     is at most the coefficient deviation max_j max |D_j|
     (``inner_coefficient_deviation``), which ``is_exactly_inner`` holds to
     EXACT_INNER_ROUNDOFF, below the ``Subspace`` bound SUBSPACE_GRAM_BOUND:
-    R passes the Gram check without being formed.  Its rank m(N - d) fixes
-    ``boundary_dim``, and ``range_subspace`` builds R only when read.  A
-    cut that the certified gap of ``nullspace_within`` cannot settle is
+    R is an isometry to that bound without being formed, and the model space
+    is solved inside its md-dimensional complement (``range_complement``).
+    A cut that the certified gap of ``nullspace_within`` cannot settle is
     decided by the dense SVD of the compression, as in ``kernel_of``; a cut
     that leaves every direction null raises ``InconclusiveCutError``.
     """
@@ -95,7 +75,6 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
     if N <= d:
         raise NotInnerError(f"truncation N={N} must exceed the symbol degree {d}")
     comp = ToeplitzCompression(theta.adjoint(), N)
-    rng = None
     if is_exactly_inner(theta):
         # R has orthonormal columns and the model space ker C^H lies in R^perp
         # (the Theta* case of kernel_of with no bump)
@@ -103,12 +82,9 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
         model = nullspace_within(comp.apply_action(Z), Z, (m, N), comp.action_shape,
                                  float(np.max(comp.action_column_norms())),
                                  theta.coefficient_l1_norm(), 1.0, tol_rel=tol_rel)
-        range_dim = m * (N - d)
         if model is None:  # a cut the certificate cannot settle: decide densely
             model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
     else:
-        rng = column_span(shifted_range_matrix(theta, N), (m, N), tol_rel=tol_rel)
-        range_dim = rng.dim
         model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
     if model.dim == m * N:
         # the compression of a nonzero Theta* is nonzero: a cut that leaves
@@ -119,8 +95,7 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
             f"singular value of the compression of Theta*")
 
     ms = ModelSpace(theta=theta, N=N, as_subspace=model,
-                    boundary_dim=m * N - model.dim - range_dim,
-                    inner_deviation=check.max_deviation, range_span=rng)
+                    inner_deviation=check.max_deviation)
     _cross_check_projections(ms, cross_check_tol)
     return ms
 

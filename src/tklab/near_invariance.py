@@ -271,8 +271,7 @@ class DefectReport:
             "containment_residual": self.containment_residual,
             "predicted_dim": self.predicted_dim,
             "kernel_residual_max": self.kernel_residual_max,
-            "details": {k: v for k, v in self.details.items()
-                        if isinstance(v, (int, float, str, bool, list, type(None)))},
+            "details": dict(self.details),
         }
 
 

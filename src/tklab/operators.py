@@ -297,10 +297,6 @@ class PerturbedToeplitz:
         return self._G
 
     @property
-    def H(self) -> tuple[CoeffVec, ...]:
-        return self._H
-
-    @property
     def G_matrix(self) -> np.ndarray:
         """The G family as flat columns, mN x n (read-only)."""
         return self._G_matrix

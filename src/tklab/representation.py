@@ -75,11 +75,6 @@ class RepresentationFrame:
         """Every member of M vanishes at the origin: the W frame is empty."""
         return self.r == 0
 
-    def value_matrix(self) -> np.ndarray:
-        if not self.W:
-            return np.zeros((self.M.m, 0), dtype=complex)
-        return np.stack([eval_at_zero(w) for w in self.W], axis=1)
-
     @cached_property
     def W_matrix(self) -> np.ndarray:
         """The W frame as flat columns, mN x r."""
@@ -92,8 +87,9 @@ class RepresentationFrame:
 
     @cached_property
     def value_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the value map, r x m: one solve for every step."""
-        return np.linalg.pinv(self.value_matrix()) if self.W else \
+        """Pseudo-inverse of the value map W(0) = ``W_matrix[:m]``, r x m: one
+        solve for every step."""
+        return np.linalg.pinv(self.W_matrix[:self.M.m]) if self.W else \
             np.zeros((0, self.M.m), dtype=complex)
 
 
@@ -133,9 +129,6 @@ class InvarianceReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
-
-    def to_json(self) -> dict:
-        return {"depth": self.depth, "invariance_residuals": list(self.residuals)}
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +500,15 @@ class RankOneKernelReport:
 
     case: str
     criterion: complex
-    kernel_dim: int
     kernel: Subspace
     expected_match_residual: float | None
     origin_case: str | None
     coordinate_residuals: dict
     details: dict = field(default_factory=dict)
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel.dim
 
     def to_json(self) -> dict:
         return {
@@ -522,8 +518,7 @@ class RankOneKernelReport:
             "expected_match_residual": self.expected_match_residual,
             "origin_case": self.origin_case,
             "coordinate_residuals": self.coordinate_residuals,
-            "details": {k: v for k, v in self.details.items()
-                        if isinstance(v, (int, float, str, bool, list, type(None)))},
+            "details": dict(self.details),
         }
 
 
@@ -585,7 +580,7 @@ def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: Coef
                "inner_deviation": ms.inner_deviation}
     if abs(criterion) > CRITICAL_CRITERION and kernel.dim == 0:
         return RankOneKernelReport(case="trivial_kernel", criterion=criterion,
-                                   kernel_dim=0, kernel=kernel,
+                                   kernel=kernel,
                                    expected_match_residual=None, origin_case=None,
                                    coordinate_residuals={}, details=details)
     if abs(criterion) <= CRITICAL_CRITERION and (h_in_range is None or h_in_range):
@@ -594,11 +589,11 @@ def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: Coef
         defect_cands = [backward_shift(candidate)]
         origin, cres = _one_dim_structure(kernel, candidate, defect_cands)
         return RankOneKernelReport(case="spanned_kernel", criterion=criterion,
-                                   kernel_dim=kernel.dim, kernel=kernel,
+                                   kernel=kernel,
                                    expected_match_residual=resid, origin_case=origin,
                                    coordinate_residuals=cres, details=details)
     return RankOneKernelReport(case="unexpected", criterion=criterion,
-                               kernel_dim=kernel.dim, kernel=kernel,
+                               kernel=kernel,
                                expected_match_residual=None, origin_case=None,
                                coordinate_residuals={}, details=details)
 
@@ -646,7 +641,7 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
                "shift_identity_gap": shift_gap}
     if abs(criterion) > CRITICAL_CRITERION:
         return RankOneKernelReport(
-            case="trivial_kernel", criterion=criterion, kernel_dim=kernel.dim,
+            case="trivial_kernel", criterion=criterion,
             kernel=kernel, expected_match_residual=None, origin_case=None,
             coordinate_residuals={}, details=details)
     expected = span_of([candidate])
@@ -654,7 +649,7 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
     defect_cands = [inv2.act(backward_shift(intermediate)).analytic_part().resized(N)]
     origin, cres = _one_dim_structure(kernel, candidate, defect_cands)
     return RankOneKernelReport(case="spanned_kernel", criterion=criterion,
-                               kernel_dim=kernel.dim, kernel=kernel,
+                               kernel=kernel,
                                expected_match_residual=resid, origin_case=origin,
                                coordinate_residuals=cres, details=details)
 
@@ -666,13 +661,16 @@ class ThetaStarReport:
     case: str
     in_range: bool
     criterion: complex
-    kernel_dim: int
     kernel: Subspace
     predicted_dim: int
     equality_residual: float
     projection_formula_residual: float
     membership_residuals: dict
     details: dict = field(default_factory=dict)
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel.dim
 
     def to_json(self) -> dict:
         return {
@@ -684,8 +682,7 @@ class ThetaStarReport:
             "equality_residual": self.equality_residual,
             "projection_formula_residual": self.projection_formula_residual,
             "membership_residuals": self.membership_residuals,
-            "details": {k: v for k, v in self.details.items()
-                        if isinstance(v, (int, float, str, bool, list, type(None)))},
+            "details": dict(self.details),
         }
 
 
@@ -794,7 +791,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
         x = cert.A @ x
     return ThetaStarReport(
         case=case, in_range=split.in_range, criterion=criterion,
-        kernel_dim=kernel.dim, kernel=kernel, predicted_dim=predicted.dim,
+        kernel=kernel, predicted_dim=predicted.dim,
         equality_residual=eq_resid, projection_formula_residual=proj_resid,
         membership_residuals=membership,
         details={"kernel_residual_max": kr.residual_max,

@@ -52,9 +52,11 @@ class SigmaGap:
     def audited_ratio(self, cut: float) -> float:
         """``ratio``, except that a cut which kept nothing while treating a
         positive singular value as zero is judged against the cut itself:
-        zero side / cut (infinite for a zero cut).  A cut at or above the
-        largest singular value reads at least 1, a cut that only dropped
-        roundoff far below it reads small."""
+        zero side / cut (infinite for a zero cut).  A cut equal to the
+        largest singular value reads 1 and one that only dropped roundoff far
+        below it reads small, but the ratio shrinks as the cut grows past the
+        largest singular value: a cut far above the signal reads clean.  So a
+        relative cut is held to at most 1 (``Tolerances``)."""
         ratio = self.ratio
         if ratio == float("inf"):
             ratio = self.zero_side / cut if cut > 0 else float("inf")

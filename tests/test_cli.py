@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -576,6 +577,32 @@ def test_cut_that_keeps_nothing_fails_every_kernel_reading_check(tmp_path, capsy
             if check["name"] == "representation":
                 assert check["residuals"]["sigma_conclusive"] is False, path.stem
     assert sorted(verdicts) == [(False, "pass")] + [(True, "fail")] * 21
+
+
+BAD_TOLERANCES = [(f.name, value) for f in fields(Tolerances)
+                  for value in (float("nan"), float("inf"), -1.0)] + [("rank_rel", 1.5)]
+
+
+@pytest.mark.parametrize("key,value", BAD_TOLERANCES)
+def test_tolerance_that_decides_nothing_is_a_parse_error(tmp_path, capsys, key, value):
+    # NaN decides nothing, a negative bound passes or fails everything, and a
+    # relative cut above 1 keeps nothing while its audit can read clean
+    data = json.loads((SCENARIOS / "zero_symbol_defect.json").read_text())
+    data["tolerances"] = {key: value}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and key in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--tol-rank=nan", "--tol-rank=inf", "--tol-rank=-1",
+                                  "--tol-rank=1e3", "--tol-contain=nan",
+                                  "--tol-contain=inf", "--tol-contain=-1"])
+def test_tolerance_flag_that_decides_nothing_is_a_parse_error(capsys, flag):
+    assert main([flag, "run", str(SCENARIOS / "zero_symbol_defect.json")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: bad tolerance flag") and "Traceback" not in err
 
 
 def test_split_column_keeps_its_core_singular_value(tmp_path, capsys):

@@ -29,9 +29,11 @@ class TestBuild:
         assert ms.as_subspace.dim == 0
 
     def test_exact_monomial_mass_split(self):
-        ms = build_model_space(LaurentMatrixSymbol.shift(2, 2), 8)
-        assert ms.boundary_dim == 0
-        assert ms.as_subspace.dim + ms.range_subspace.dim == 16
+        theta = LaurentMatrixSymbol.shift(2, 2)
+        ms = build_model_space(theta, 8)
+        _, rng_space = _dense_model_space(theta, 8)
+        assert ms.as_subspace.dim + rng_space.dim == 16
+        _assert_orthogonal_to_range(ms, rng_space)
 
     def test_blaschke_diagonal_dimension(self):
         # one Blaschke-factor entry and one monomial entry: two directions
@@ -70,9 +72,9 @@ class TestBuild:
             build_model_space(LaurentMatrixSymbol.shift(1).adjoint(), 8)
 
     def test_orthogonality_of_parts(self):
-        ms = build_model_space(LaurentMatrixSymbol.shift(2, 3), 10)
-        cross = ms.as_subspace.basis.conj().T @ ms.range_subspace.basis
-        assert np.max(np.abs(cross)) < 1e-8
+        theta = LaurentMatrixSymbol.shift(2, 3)
+        ms = build_model_space(theta, 10)
+        _assert_orthogonal_to_range(ms, _dense_model_space(theta, 10)[1])
 
     def test_interior_window_fully_covered(self):
         # no direction inside [0, N-d) may fall outside model + range
@@ -80,8 +82,8 @@ class TestBuild:
         theta = LaurentMatrixSymbol.diagonal(
             [blaschke_taylor(0.3, 20), [0.0, 1.0]])
         ms = build_model_space(theta, N, tol_inner=1e-6)
-        combined = span_of(ms.as_subspace.basis_vectors()
-                           + ms.range_subspace.basis_vectors())
+        _, rng_space = _dense_model_space(theta, N)
+        combined = span_of(ms.as_subspace.basis_vectors() + rng_space.basis_vectors())
         for j in range(ms.interior):
             for i in range(2):
                 F = CoeffVec.monomial(2, N, i, j)
@@ -99,8 +101,12 @@ def _dense_model_space(theta, N):
     model = nullspace(ToeplitzCompression(theta.adjoint(), N).matrix, (m, N))
     gens = [theta.act(CoeffVec.monomial(m, N, i, j)).analytic_part().resized(N)
             for j in range(N - theta.d) for i in range(m)]
-    rng_space = span_of(gens)
-    return model, rng_space, m * N - model.dim - rng_space.dim
+    return model, span_of(gens)
+
+
+def _assert_orthogonal_to_range(ms, rng_space):
+    cross = ms.as_subspace.basis.conj().T @ rng_space.basis
+    assert np.max(np.abs(cross), initial=0.0) < 1e-8
 
 
 class TestStructuredModelSpaceOracle:
@@ -111,20 +117,18 @@ class TestStructuredModelSpaceOracle:
         # an exactly inner Theta is solved inside R^perp: no dense SVD runs
         monkeypatch.setattr(model_spaces, "nullspace", _no_dense_svd)
         ms = build_model_space(theta, N)
-        model, rng_space, boundary = _dense_model_space(theta, N)
+        model, rng_space = _dense_model_space(theta, N)
         assert ms.as_subspace.dim == model.dim == degree
-        assert ms.range_subspace.dim == rng_space.dim
-        assert ms.boundary_dim == boundary
         assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
-        assert subspace_equal(ms.range_subspace, rng_space, 1e-10)[0]
+        _assert_orthogonal_to_range(ms, rng_space)
 
     def test_mixed_monomials_match_dense(self):
         theta = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
         ms = build_model_space(theta, 32)
-        model, rng_space, boundary = _dense_model_space(theta, 32)
-        assert (ms.as_subspace.dim, ms.boundary_dim) == (model.dim, boundary) == (5, 1)
+        model, rng_space = _dense_model_space(theta, 32)
+        assert ms.as_subspace.dim == model.dim == 5
         assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
-        assert subspace_equal(ms.range_subspace, rng_space, 1e-10)[0]
+        _assert_orthogonal_to_range(ms, rng_space)
 
     def test_uncertified_cut_falls_back_to_the_dense_svd(self, monkeypatch):
         # the certified gap of nullspace_within cannot settle a cut at 0.999
@@ -141,8 +145,8 @@ class TestStructuredModelSpaceOracle:
         dense = nullspace(comp.matrix, (2, N), tol_rel=0.999)
         assert np.array_equal(ms.as_subspace.basis, dense.basis)
         assert ms.as_subspace.tol == dense.tol
-        model, _, boundary = _dense_model_space(theta, N)
-        assert (ms.as_subspace.dim, ms.boundary_dim) == (model.dim, boundary)
+        model, _ = _dense_model_space(theta, N)
+        assert ms.as_subspace.dim == model.dim
         assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
 
     @pytest.mark.parametrize("theta,tol_inner", [
@@ -159,10 +163,9 @@ class TestStructuredModelSpaceOracle:
         N = 24
         theta = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
         ms = build_model_space(theta, N, tol_inner=1e-6)
-        model, rng_space, boundary = _dense_model_space(theta, N)
-        assert ms.boundary_dim == boundary
+        model, rng_space = _dense_model_space(theta, N)
         assert subspace_equal(ms.as_subspace, model, 1e-10)[0]
-        assert subspace_equal(ms.range_subspace, rng_space, 1e-10)[0]
+        _assert_orthogonal_to_range(ms, rng_space)
 
 
 class TestProjection:

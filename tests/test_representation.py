@@ -534,7 +534,7 @@ def looped_peel(F, frame, tol_tail=1e-10, max_steps=None):
     m, N, r, p = M.m, M.N, frame.r, frame.p
     W = np.stack([w.flatten() for w in frame.W], axis=1) if r else np.zeros((m * N, 0))
     E = np.stack([e.flatten() for e in frame.E], axis=1) if p else np.zeros((m * N, 0))
-    pinv = np.linalg.pinv(frame.value_matrix()) if r else np.zeros((0, m))
+    pinv = np.linalg.pinv(W[:m]) if r else np.zeros((0, m))
     cur = F.flatten()
     floor = tol_tail * max(F.norm(), 1e-300)
     cols = []

@@ -6,10 +6,11 @@ from dataclasses import replace
 import pytest
 
 from tklab import model_spaces
-from tklab.cli_reports import (CHECKS, Scenario, ScenarioRun, bundled_scenario_dir,
-                               load_scenario, parse_scenario, run_scenario_object)
+from tklab.cli_reports import (CHECKS, EXIT_CHECK_FAIL, Scenario, ScenarioRun,
+                               bundled_scenario_dir, load_scenario, main, parse_scenario,
+                               run_scenario_object)
 from tklab.config import Tolerances
-from tklab.errors import ScenarioValidationError
+from tklab.errors import InconclusiveCutError, ScenarioValidationError
 from tklab.model_spaces import build_model_space
 from tklab.near_invariance import (compute_defect, kernel_of,
                                    verify_theorem_inner_symbol,
@@ -229,6 +230,38 @@ def test_rank_one_model_space_cut_that_keeps_nothing_is_inconclusive(name):
     assert outcome.status == "fail"
     assert outcome.residuals["sigma_conclusive"] is False
     assert "model-space rank cut" in outcome.residuals["inconclusive"]
+
+
+def test_range_membership_reaches_the_inner_rank_one_analysis():
+    # H gains a 1e-4 constant, a model-space part of z^2 I that leaves
+    # T_theta* H and so the critical criterion alone: outside the shifted
+    # range at the default cut, inside it at 1.0
+    data = _rank_one_data({})
+    data["perturbation"]["H"][0]["coeffs"][1][0] = [1e-4, 0.0]
+    default = run_scenario_object(parse_scenario(data), Tolerances()).outcomes[0]
+    data["tolerances"] = {"range_membership": 1.0}
+    loose = run_scenario_object(parse_scenario(data), Tolerances()).outcomes[0]
+    assert default.residuals["details"]["h_in_shifted_range"] is False
+    assert loose.residuals["details"]["h_in_shifted_range"] is True
+    assert (default.residuals["case"], loose.residuals["case"]) == (
+        "unexpected", "spanned_kernel")
+
+
+def test_runner_fails_a_check_whose_cut_is_inconclusive(monkeypatch, capsys):
+    # the runner, not each check, turns a cut that decides nothing into a
+    # failed outcome, and times every check
+    def inconclusive(run):
+        raise InconclusiveCutError("cut decides nothing")
+
+    monkeypatch.setitem(CHECKS, "representation", inconclusive)
+    path = SCENARIOS / "zero_symbol_defect.json"
+    report = run_scenario_object(load_scenario(path), Tolerances())
+    defect, rep = report.outcomes
+    assert defect.status == "pass" and defect.seconds > 0
+    assert (rep.name, rep.status) == ("representation", "fail") and rep.seconds > 0
+    assert rep.residuals == {"sigma_conclusive": False, "inconclusive": "cut decides nothing"}
+    assert main(["run", str(path)]) == EXIT_CHECK_FAIL
+    assert capsys.readouterr().err == ""
 
 
 def _public_rank_one(sc):

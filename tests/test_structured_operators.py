@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TKLAB_MODULES, rand_orthonormal, random_inner, spy, svd_shapes
-from tklab import model_spaces, operators, subspaces
+from tklab import operators, subspaces
 from tklab.cli_reports import bundled_scenario_dir, load_scenario, run_scenario_object
 from tklab.config import (EXACT_INNER_ROUNDOFF, SUBSPACE_GRAM_BOUND, Tolerances)
 from tklab.errors import DimensionMismatch
@@ -24,7 +24,7 @@ from tklab.near_invariance import kernel_of
 from tklab.operators import (PerturbedToeplitz, ToeplitzCompression, _block_toeplitz,
                              apply_block_toeplitz, build_perturbed,
                              shifted_range_matrix)
-from tklab.subspaces import Subspace, column_gram_deviation, column_norms
+from tklab.subspaces import column_gram_deviation, column_norms
 from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
                            inner_coefficient_deviation, invert_analytic)
 
@@ -158,25 +158,6 @@ def test_range_gram_is_the_coefficient_deviation(theta, N):
     assert abs(dense - coeff) <= 64 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("theta", _exact_inner_symbols())
-def test_lazy_range_equals_the_eager_build(theta):
-    N = 32
-    ms = build_model_space(theta, N)
-    R = shifted_range_matrix(theta, N)
-    eager = Subspace(theta.m, N, R, 0.0)
-    assert ms.range_span is None
-    assert ms.boundary_dim == theta.m * N - ms.as_subspace.dim - eager.dim
-    assert ms.range_subspace is ms.range_subspace
-    assert ms.range_subspace.dim == eager.dim
-    assert np.array_equal(ms.range_subspace.basis, eager.basis)
-
-
-def test_series_inner_range_is_built_eagerly():
-    theta = CLASS_SYMBOLS["series_inner"]
-    ms = build_model_space(theta, 24, tol_inner=1e-6)
-    assert ms.range_span is not None and ms.range_subspace is ms.range_span
-
-
 # -- coefficient validation ----------------------------------------------------
 
 
@@ -223,9 +204,8 @@ def _dense_spies(monkeypatch):
                         record("action_matrix", PerturbedToeplitz.action_matrix))
     monkeypatch.setattr(ToeplitzCompression, "matrix",
                         property(record("matrix", ToeplitzCompression.matrix.fget)))
-    for module in (operators, model_spaces):
-        monkeypatch.setattr(module, "shifted_range_matrix",
-                            record("shifted_range_matrix", operators.shifted_range_matrix))
+    monkeypatch.setattr(operators, "shifted_range_matrix",
+                        record("shifted_range_matrix", operators.shifted_range_matrix))
     monkeypatch.setattr(operators, "_block_toeplitz",
                         record("_block_toeplitz", operators._block_toeplitz))
     return calls
@@ -297,7 +277,7 @@ def test_dense_classes_still_use_the_dense_builders(monkeypatch):
     series = CLASS_SYMBOLS["series_inner"]
     assert kernel_of(build_perturbed(series, 24, G, H)).method == "dense"
     build_model_space(series, 24, tol_inner=1e-6)
-    assert {"action_matrix", "matrix", "shifted_range_matrix"} <= set(calls)
+    assert {"action_matrix", "matrix"} <= set(calls)
 
 
 def test_corrupted_banded_route_fails_the_probe(monkeypatch):
