@@ -102,6 +102,19 @@ COMPLEMENT_CUT = 0.5
 #: the brown_halmos check accepts T(Psi) T(Phi) = T(Psi Phi) under its hypothesis
 BROWN_HALMOS_DEVIATION = 1e-10
 
+#: residual max_j |(A B)_j - delta_j I|, relative to max(1, coefficient norm
+#: of A), that a truncated inverse series B of an analytic A must meet
+SERIES_INVERSION_RESIDUAL = 1e-10
+
+#: degrees per block of the inverse-series recursion: one product with the
+#: companion powers C^0..C^b advances b degrees.  Longer blocks lose accuracy
+#: on factors nearly singular on the circle.  Residuals at K = 1023, degree
+#: by degree / b = 8 / b = 32 / doubling with C^(2^k) by squaring:
+#: (1 - 0.99z)^3, bound 4.4e-10: 4.5e-13 / 7.5e-11 / 1.1e-9 / 4.2e-5;
+#: (1 - 0.999z)^2, bound 2.4e-10: 1.4e-14 / 1.8e-12 / 5.6e-12 / 7.8e-9;
+#: (1 - 0.9z)^4, bound 6.8e-10: 5.7e-14 / 2.0e-11 / 1.6e-10 / 6.1e-8
+SERIES_BLOCK = 8
+
 #: norm below which a prediction column or a correction line counts as zero
 NEGLIGIBLE_NORM = 1e-14
 

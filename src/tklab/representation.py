@@ -619,13 +619,10 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
     # route one: block Toeplitz application of the inverted factor
     candidate = column_vectors(
         apply_block_toeplitz(inv2, intermediate.flatten()[:, None], N), H.m, N)[0]
-    # route two: direct Cauchy-product of the coefficient sequences
-    conv = np.zeros((H.m, N), dtype=complex)
-    for n in range(N):
-        acc = np.zeros(H.m, dtype=complex)
-        for kk in range(n + 1):
-            acc += inv2.fourier(kk) @ intermediate.coeffs[:, n - kk]
-        conv[:, n] = acc
+    # route two: direct Cauchy product of the coefficient sequences, entry by entry
+    series = inv2.coefficient_stack(0, N - 1)
+    conv = np.array([sum(np.convolve(series[:, i, j], intermediate.coeffs[j])[:N]
+                         for j in range(H.m)) for i in range(H.m)])
     convolution_gap = float(np.linalg.norm(candidate.coeffs - conv))
     # shift identity: z S*(A) = A - A(0)
     fwd = np.zeros_like(intermediate.coeffs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EXACT_INNER_ROUNDOFF
+from .config import EXACT_INNER_ROUNDOFF, SERIES_BLOCK, SERIES_INVERSION_RESIDUAL
 from .errors import CircleRootError, DimensionMismatch, NotInvertibleError
 from .hardy_core import CoeffVec, LaurentVec
 
@@ -343,40 +343,77 @@ def is_invertible_analytic(A: LaurentMatrixSymbol, grid_size: int = 64,
 
 
 def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
-    """Degree-K Taylor truncation of A(z)^{-1} by coefficient recursion.
+    """Degree-K Taylor truncation of A(z)^{-1}, computed b degrees at a time.
 
-    B_0 = A_0^{-1}, B_j = -A_0^{-1} sum_{t=1..min(j,d)} A_t B_{j-t}.  The
-    reconstruction A*B - I vanishes identically on degrees <= K, so the
-    residual check below only detects roundoff.
+    The coefficients obey B_0 = A_0^{-1}, B_j = -A_0^{-1} sum_{t=1..min(j,d)}
+    A_t B_{j-t}, so the state s_j = [B_j; ...; B_{j-d+1}] advances as
+    s_j = C s_{j-1} with the block companion matrix C.  One product with the
+    top block rows of C^0..C^{b-1} and with C^b (b = ``SERIES_BLOCK``) turns
+    s_{kb} into B_{kb}..B_{kb+b-1} and s_{(k+1)b}.  The powers carry roundoff
+    that the degree-by-degree recursion does not, growing with b and with how
+    close A comes to singular on the circle, so A B - I no longer vanishes by
+    construction: its coefficients at degrees <= K - d certify the series
+    and must stay within ``SERIES_INVERSION_RESIDUAL`` * max(1, |A|).  A
+    series that is not finite (A singular in the disk, B past the float
+    range) is refused too.  b = 8 keeps factors nearly singular on the circle
+    far inside the bound where b = 32 and powers by squaring fail it (the
+    measurements are quoted at ``config.SERIES_BLOCK``).
     """
     if not A.is_analytic():
         raise ValueError("series inversion is defined for analytic symbols only")
     m, d = A.m, A.d
-    A0 = A.fourier(0)
+    coeffs = A.coefficient_stack(0, d)
+    A0 = coeffs[0]
     if abs(np.linalg.det(A0)) < np.finfo(float).eps * max(1.0, np.linalg.norm(A0)) ** m:
         raise NotInvertibleError("constant coefficient is singular")
-    A0_inv = np.linalg.inv(A0)
-    coeffs = [A.fourier(t) for t in range(d + 1)]
-    B = np.zeros((K + 1, m, m), dtype=complex)
-    B[0] = A0_inv
-    for j in range(1, K + 1):
-        acc = np.zeros((m, m), dtype=complex)
-        for t in range(1, min(j, d) + 1):
-            acc += coeffs[t] @ B[j - t]
-        B[j] = -A0_inv @ acc
-    resid = _inversion_residual(coeffs, B, K)
-    if resid > 1e-10 * max(1.0, A.coefficient_norm()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = _inverse_series(np.linalg.inv(A0), coeffs, K)
+        if not np.isfinite(B).all():
+            raise NotInvertibleError(f"inverse series is not finite up to degree {K}")
+        resid = _inversion_residual(coeffs, B, K)
+    if not resid <= SERIES_INVERSION_RESIDUAL * max(1.0, A.coefficient_norm()):
         raise NotInvertibleError(f"inversion residual {resid:.3e} exceeds tolerance")
-    return LaurentMatrixSymbol(m, dict(enumerate(B)))
+    nonzero = B.reshape(K + 1, m * m).any(axis=1)
+    return LaurentMatrixSymbol._from_stack(m, np.flatnonzero(nonzero).tolist(), B[nonzero])
 
 
-def _inversion_residual(coeffs: list[np.ndarray], B: np.ndarray, K: int) -> float:
-    """max |(A B)_j - delta_j I| over j <= K - d, with A's coefficients listed."""
+def _inverse_series(A0_inv: np.ndarray, coeffs: np.ndarray, K: int) -> np.ndarray:
+    """B_0..B_K of A^{-1} as a (K + 1, m, m) array, from A's coefficients
+    A_0..A_d and A_0^{-1}, in blocks of ``SERIES_BLOCK`` degrees."""
+    m, b = A0_inv.shape[0], SERIES_BLOCK
+    # a constant A runs with A_1 = 0
+    tail = coeffs[1:] if len(coeffs) > 1 else np.zeros((1, m, m), dtype=complex)
+    d = len(tail)
+    # companion matrix: first block row -A_0^{-1} [A_1 ... A_d], shift below
+    C = np.eye(m * d, k=-m, dtype=complex)
+    C[:m] = -A0_inv @ tail.transpose(1, 0, 2).reshape(m, m * d)
+    powers = np.empty((b + 1, m * d, m * d), dtype=complex)
+    powers[0] = np.eye(m * d)
+    for i in range(1, b + 1):
+        powers[i] = C @ powers[i - 1]
+    # one product gives the block's b coefficients and the next state
+    step = np.concatenate([powers[:b, :m].reshape(b * m, m * d), powers[b]])
+    blocks = -(-(K + 1) // b)
+    out = np.empty((blocks, b * m, m), dtype=complex)
+    state = np.zeros((m * d, m), dtype=complex)
+    state[:m] = A0_inv
+    for k in range(blocks):
+        nxt = step @ state
+        out[k] = nxt[:b * m]
+        state = nxt[b * m:]
+    return out.reshape(blocks * b, m, m)[:K + 1]
+
+
+def _inversion_residual(coeffs: np.ndarray, B: np.ndarray, K: int) -> float:
+    """max |(A B)_j - delta_j I| over j <= K - d, with A's coefficients stacked;
+    one flat product per A_t on B_0..B_{K-d} laid side by side."""
+    m = B.shape[1]
     top = max(K - len(coeffs) + 1, 0) + 1
-    prod = np.zeros((top, B.shape[1], B.shape[2]), dtype=complex)
+    flat = B[:top].transpose(1, 0, 2).reshape(m, top * m)
+    prod = np.zeros((m, top * m), dtype=complex)
     for t, mat in enumerate(coeffs[:top]):
-        prod[t:] += mat @ B[:top - t]
-    prod[0] -= np.eye(B.shape[1])
+        prod[:, t * m:] += mat @ flat[:, :(top - t) * m]
+    prod[:, :m] -= np.eye(m)
     return float(np.max(np.abs(prod)))
 
 

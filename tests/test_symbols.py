@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from tklab import symbols
 from tklab.errors import CircleRootError, DimensionMismatch, NotInvertibleError
 from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
                            diagonal_inner_outer, invert_analytic, is_inner,
@@ -133,6 +136,18 @@ class TestInversion:
     def test_singular_constant_raises(self):
         with pytest.raises(NotInvertibleError):
             invert_analytic(LaurentMatrixSymbol.shift(1), 4)
+
+    def test_overflowing_series_is_not_invertible(self):
+        # 1/(1 + 2z) = sum (-2)^j z^j passes the float range at degree 1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotInvertibleError, match="not finite"):
+                invert_analytic(LaurentMatrixSymbol.diagonal([[1.0, 2.0]]), 1100)
+
+    def test_nan_residual_is_not_invertible(self, monkeypatch):
+        monkeypatch.setattr(symbols, "_inversion_residual", lambda *args: float("nan"))
+        with pytest.raises(NotInvertibleError, match="residual nan"):
+            invert_analytic(LaurentMatrixSymbol.diagonal([[2.0, 1.0]]), 7)
 
     def test_reconstruction_residual_invariant(self, rng):
         A = LaurentMatrixSymbol(

@@ -6,17 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tklab import cli_reports, subspaces
+from tklab import cli_reports, subspaces, symbols
 from tklab.cli_reports import (ScenarioRun, bundled_scenario_dir, load_scenario,
                                run_scenario_object)
 from tklab.config import (BROWN_HALMOS_DEVIATION, COMPLEMENT_CUT, EXACT_INNER_ROUNDOFF,
                           ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND, Tolerances)
-from tklab.errors import ContainmentError
+from tklab.errors import ContainmentError, NotInvertibleError
 from tklab.hardy_core import CoeffVec
 from tklab.near_invariance import compute_defect, kernel_of
 from tklab.operators import build_perturbed
 from tklab.subspaces import Subspace, column_norms, ortho_complement_within, span_of
-from tklab.symbols import LaurentMatrixSymbol
+from tklab.symbols import LaurentMatrixSymbol, invert_analytic
 
 REPRESENTATION = [p for p in sorted(bundled_scenario_dir().glob("*.json"))
                   if "representation" in load_scenario(p).checks]
@@ -114,3 +114,14 @@ def test_brown_halmos_reads_its_named_deviation(monkeypatch):
     monkeypatch.setattr(cli_reports, "BROWN_HALMOS_DEVIATION", deviation / 2)
     [outcome] = run_scenario_object(sc, Tolerances()).outcomes
     assert outcome.status == "fail"
+
+
+def test_series_inversion_reads_its_named_residual_bound(monkeypatch):
+    # (1 - 0.9z)^4, coefficient norm 6.8, to degree 255: the blocked series
+    # leaves a residual of 3.4e-11, inside the bound 1e-10 per unit norm and
+    # past a bound of 1e-12
+    A = LaurentMatrixSymbol.diagonal([[1.0, -3.6, 4.86, -2.916, 0.6561]])
+    invert_analytic(A, 255)
+    monkeypatch.setattr(symbols, "SERIES_INVERSION_RESIDUAL", 1e-12)
+    with pytest.raises(NotInvertibleError, match="exceeds tolerance"):
+        invert_analytic(A, 255)
