@@ -34,9 +34,10 @@ from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
 from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
 from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
                         range_complement)
-from .subspaces import (SigmaGap, Subspace, _overlap, _relative_cut, column_gram_deviation,
-                        column_norms, column_span, is_contained, nullspace,
-                        nullspace_within, subspace_equal, value_split, zero_space)
+from .subspaces import (SigmaGap, Subspace, _Nonzeros, _nonzeros, _overlap, _relative_cut,
+                        column_gram_deviation, column_norms, column_span, is_contained,
+                        nullspace, nullspace_within, subspace_equal, value_split,
+                        zero_space)
 from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
                       is_inner, is_invertible_analytic)
 
@@ -123,39 +124,68 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
 def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
                  ) -> tuple[Subspace, np.ndarray, np.ndarray]:
     """Kernel K of the zero symbol's action A = H G^H (n < mN), the
-    orthonormal basis U of its orthocomplement, and the image A K.
+    orthonormal basis U of its orthocomplement, and the image A K of K's
+    head columns.
 
-    With the complete QR G = Q R_G and the reduced QR H = Q_H R_H,
-    A = Q_H C Q[:, :n]^H for the n x n core C = R_H R_G[:n]^H.  So A's
+    G vanishes past its first s rows, s = 1 + its last nonzero row and at
+    least n, so with the complete QR G[:s] = Q_s R_G the complete QR of G
+    is blockdiag(Q_s, I).  With the reduced QR H = Q_H R_H,
+    A = Q_H C Q_s[:, :n]^H for the n x n core C = R_H R_G[:n]^H.  So A's
     nonzero singular values are C's, and with C = u s v^H its right
-    singular vectors are Q[:, :n] v.  The cut is the dense path's,
-    rank_threshold(action shape, s[0], tol_rel); K is Q[:, n:] together
-    with Q[:, :n] v over the singular values at or below it, and
-    U = Q[:, :n] v over the kept ones, so [K, U] is unitary.
+    singular vectors are Q_s[:, :n] v.  The cut is the dense path's,
+    rank_threshold(action shape, s[0], tol_rel); K is Q_s[:, n:], the unit
+    vectors e_j for j >= s, and Q_s[:, :n] v over the singular values at or
+    below the cut, in that order, and U = Q_s[:, :n] v over the kept ones,
+    so [K, U] is unitary.  For s < mN, K is held by its exact nonzeros: an
+    s-row head block and the unit columns, which A sends to zero exactly
+    (G^H e_j = 0), so the audit A K = H (G[:s]^H K_head) is read on the
+    head columns alone.
 
     The zero side of the gap is |A K|_F, measured on the computed K: it is
     at least |A K|_2, which by Courant-Fischer is at least the largest
     singular value of A past the kept ones.  The signal side is the
     smallest kept singular value of C less max(shape) eps |A|, the dense
     SVD's own backward error, with |A|_2 <= |G|_2 |H|_2, so it never reads
-    cleaner than the dense gap.  The dense ``nullspace`` stays the test
-    oracle.
+    cleaner than the dense gap.
     """
     G, H, n = T.G_matrix, T.H_matrix, T.rank
-    Q, R_G = np.linalg.qr(G, mode="complete")
+    rows = G.shape[0]
+    support = np.flatnonzero(np.any(G != 0, axis=1))
+    s = max(int(support[-1]) + 1 if support.size else 0, n)
+    Q_s, R_G = np.linalg.qr(G[:s], mode="complete")
     R_H = np.linalg.qr(H, mode="r")
-    _, s, vh = np.linalg.svd(R_H @ R_G[:n].conj().T)
-    thresh = rank_threshold(T.action_shape, float(s[0]) if n else 0.0, tol_rel)
-    rank = int(np.sum(s > thresh))
-    V = Q[:, :n] @ vh.conj().T
-    basis = np.concatenate([Q[:, n:], V[:, rank:]], axis=1)
-    image = T.apply_action(basis)
+    _, sv, vh = np.linalg.svd(R_H @ R_G[:n].conj().T)
+    thresh = rank_threshold(T.action_shape, float(sv[0]) if n else 0.0, tol_rel)
+    rank = int(np.sum(sv > thresh))
+    V = Q_s[:, :n] @ vh.conj().T
+    head = np.concatenate([Q_s[:, n:], V[:, rank:]], axis=1)
+    image = H @ (G[:s].conj().T @ head)
     signal = None
     if rank:
-        signal = (float(s[rank - 1])
+        signal = (float(sv[rank - 1])
                   - max(T.action_shape) * np.finfo(float).eps * _bump_norm(G, H))
     gap = SigmaGap(float(np.linalg.norm(image)), signal)
-    return Subspace(T.m, T.N, basis, thresh, gap), V[:, :rank], image
+    U = np.zeros((rows, rank), dtype=complex)
+    U[:s] = V[:, :rank]
+    # a G of full degree leaves no unit columns: the head is the basis
+    basis = head if s == rows else _head_and_units(head, s - n, rows)
+    return Subspace(T.m, T.N, basis, thresh, gap), U, image
+
+
+def _head_and_units(head: np.ndarray, lead: int, rows: int) -> _Nonzeros:
+    """The exact nonzeros of the rows x K basis whose first s = len(head)
+    rows are ``head``'s columns, its first ``lead`` in the first columns and
+    the rest in the last, and whose rows s.. are the unit vectors e_j, in
+    the columns between, in order."""
+    s, width = head.shape
+    K = width + rows - s
+    place = np.concatenate([np.arange(lead), np.arange(K - width + lead, K)])
+    nz = _nonzeros(head)
+    units = np.arange(s, rows)
+    return _Nonzeros(np.concatenate([nz.rows, units]),
+                     np.concatenate([place[nz.cols], units - s + lead]),
+                     np.concatenate([nz.vals, np.ones(units.size, dtype=complex)]),
+                     (rows, K))
 
 
 class _Candidates(NamedTuple):
@@ -307,8 +337,9 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
         nothing = Subspace(m, N, np.zeros((m * N, 0), complex), 0.0, SigmaGap(0.0, None))
         return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_basis=nothing,
                             W=split.W, details=details)
-    Q, W, U = M.basis, split.W, complement
+    W, U = split.W, complement
     if U is None:
+        Q = M.basis
         shifted = backward_shift_flat(Q - W @ (W.conj().T @ Q), m)
         u, s, _ = np.linalg.svd(shifted - M.project_flat(shifted), full_matrices=False)
     elif U.shape[1]:
@@ -321,7 +352,7 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
         u, s = U, np.zeros(0)
     defect = _defect_cut(s, u, (m, N), split.slice_dim, tol_rel, defect_floor)
     details["defect_overlap_with_subspace"] = (
-        _overlap(defect.basis, M.basis) if defect.dim and M.dim else 0.0)
+        _overlap(defect.basis, M.held) if defect.dim and M.dim else 0.0)
     return DefectReport(subspace_dim=M.dim, slice_dim=split.slice_dim,
                         defect_basis=defect, W=split.W, details=details)
 
@@ -339,7 +370,7 @@ def _check_complement(M: Subspace, U: np.ndarray) -> None:
         raise ValueError(f"complement has {U.shape[1]} columns, the subspace {M.dim}: "
                          f"they do not add up to {rows}")
     if M.dim and U.shape[1]:
-        overlap = _overlap(U, M.basis)
+        overlap = _overlap(U, M.held)
         if overlap > SUBSPACE_GRAM_BOUND:
             raise ValueError(f"complement is not orthogonal to the subspace "
                              f"(overlap {overlap:.3e})")
@@ -358,7 +389,7 @@ def _defect_cut(s: np.ndarray, directions: np.ndarray, shape: tuple[int, int],
     return Subspace(*shape, directions[:, :rank], thresh, SigmaGap.at(s, rank))
 
 
-def _attach_prediction(measured: DefectReport, M: Subspace,
+def _attach_prediction(measured: DefectReport, kr: KernelResult,
                        predicted_vectors: np.ndarray, defect_floor: float,
                        defect_bound: int) -> DefectReport:
     """A copy of the measured report with its class prediction attached.
@@ -366,11 +397,14 @@ def _attach_prediction(measured: DefectReport, M: Subspace,
     ``predicted_vectors`` holds the prediction as flat mN x k columns.  The
     prediction spans need not be orthogonal to M (the kernel), while the
     measured defect is; so the fair comparison projects the prediction onto
-    the orthocomplement of M.  Equality of that projection with the defect is
-    recorded alongside the containment residual.  ``measured`` itself is left
-    as it was, so one measurement can serve every check of a scenario.
+    the orthocomplement of M: U (U^H X) when the kernel solve kept M's
+    complement U, X - P_M X otherwise.  Equality of that projection with the
+    defect is recorded alongside the containment residual.  ``measured``
+    itself is left as it was, so one measurement can serve every check of a
+    scenario.
     """
     report = replace(measured, details=dict(measured.details), defect_bound=defect_bound)
+    M, U = kr.subspace, kr.complement
     shape = (M.m, M.N)
     nonzero = predicted_vectors[:, column_norms(predicted_vectors) > NEGLIGIBLE_NORM]
     if not nonzero.shape[1]:
@@ -379,7 +413,9 @@ def _attach_prediction(measured: DefectReport, M: Subspace,
         return report
     predicted = column_span(nonzero, shape)
     report.predicted = predicted
-    pred_mod = column_span(nonzero - M.project_flat(nonzero), shape, floor=defect_floor)
+    outside = (nonzero - M.project_flat(nonzero) if U is None
+               else U @ (U.conj().T @ nonzero))
+    pred_mod = column_span(outside, shape, floor=defect_floor)
     # the equality residual is the larger of the two containments
     _, resid = is_contained(report.defect_basis, pred_mod)
     report.containment_residual = resid
@@ -415,7 +451,7 @@ def _measure(phi: LaurentMatrixSymbol, G: list[CoeffVec], H: list[CoeffVec], N: 
 
 def _zero_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
                      defect_floor: float) -> DefectReport:
-    return _attach_prediction(measured, kr.subspace, T.G_matrix, defect_floor, T.rank)
+    return _attach_prediction(measured, kr, T.G_matrix, defect_floor, T.rank)
 
 
 def _inner_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
@@ -427,7 +463,7 @@ def _inner_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectRe
         np.concatenate([H_mat, backward_shift_flat(H_mat, T.m)], axis=1), T.N)
     predicted = backward_shift_flat(both[:, :n], T.m)
     alternate = both[:, n:]
-    report = _attach_prediction(measured, kr.subspace, predicted, defect_floor, n)
+    report = _attach_prediction(measured, kr, predicted, defect_floor, n)
     # the shifted-then-compressed and compressed-then-shifted forms span the
     # same space; record how exactly
     forms = np.concatenate([predicted, alternate], axis=1)
@@ -448,7 +484,7 @@ def _factored_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: Defec
     inv1, inv2 = kr.series
     intermediate = apply_block_toeplitz(inv1.adjoint(), T.H_matrix, T.N)
     predicted = apply_block_toeplitz(inv2, backward_shift_flat(intermediate, T.m), T.N)
-    return _attach_prediction(measured, kr.subspace, predicted, defect_floor, T.rank)
+    return _attach_prediction(measured, kr, predicted, defect_floor, T.rank)
 
 
 def _theta_star_prediction(T: PerturbedToeplitz, kr: KernelResult,
@@ -462,7 +498,7 @@ def _theta_star_prediction(T: PerturbedToeplitz, kr: KernelResult,
     predicted = np.concatenate(
         [apply_block_toeplitz(ms.theta, backward_shift_flat(T.H_matrix, T.m), T.N),
          flat_columns(outside, T.m * T.N)], axis=1)
-    report = _attach_prediction(measured, kr.subspace, predicted, defect_floor,
+    report = _attach_prediction(measured, kr, predicted, defect_floor,
                                 T.rank + len(outside))
     report.details["outside_range_count"] = len(outside)
     return report

@@ -97,7 +97,11 @@ def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
     Theta must be exactly inner.  Since z^d Theta* is a polynomial,
     z^d P_{N-2d} lies in Theta P_{N-d}, so the complement lives on the
     degrees < d and >= N - d, where it is the nullspace of those columns of
-    R^H: an m(N - d) x 2md block with exactly md null directions.
+    R^H: an m(N - d) x 2md block with exactly md null directions.  Theta*
+    moves degree j to degrees j - d..j, so only the block's rows of degree
+    < d or >= N - 2d can be nonzero; its zero rows leave the null directions
+    as they are, and the SVD takes its nonzero rows only, at most 2md
+    whatever N.
     """
     m, d = theta.m, theta.d
     basis = np.zeros((m * N, m * d), dtype=complex)
@@ -108,8 +112,9 @@ def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
     pick = np.zeros((m * N, idx.size), dtype=complex)
     pick[idx, np.arange(idx.size)] = 1.0
     block = apply_block_toeplitz(theta.adjoint(), pick, N - d)  # R^H pick
-    # a tall block's thin vh is already square; only a wide one (N < 3d)
-    # needs the full one for its null directions
+    block = block[np.any(block != 0, axis=1)]
+    # a tall block's thin vh is already square; only a wide one needs the
+    # full one for its null directions
     _, _, vh = np.linalg.svd(block, full_matrices=block.shape[0] < block.shape[1])
     basis[idx] = vh[idx.size - m * d:].conj().T
     return basis

@@ -43,14 +43,14 @@ import numpy as np
 from .config import (CRITICAL_CRITERION, DEFAULT_TOLERANCES, GRAM_SCHMIDT_DROP,
                      NEGLIGIBLE_NORM)
 from .errors import DimensionMismatch, FrameDeficientError
-from .hardy_core import (CoeffVec, backward_shift, backward_shift_flat, column_vectors,
-                         eval_at_zero, flat_columns, inner_product,
-                         reproducing_column)
+from .hardy_core import (CoeffVec, backward_shift, column_vectors, eval_at_zero,
+                         flat_columns, inner_product, reproducing_column)
 from .model_spaces import ModelSpace, decompose_against_theta
 # compute_defect is not called here; the benchmark's tracer pins this import
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
 from .operators import apply_block_toeplitz, orthonormalize_family
-from .subspaces import (Subspace, _adjoint, _dense, _overlap, _product, _update, _values,
+from .subspaces import (Subspace, _Nonzeros, _adjoint, _block, _combine, _dense,
+                        _nonzero_lines, _overlap, _product, _shift, _top, _values,
                         column_norms, column_span, gram_schmidt, is_contained,
                         ortho_complement_within, project, span_of, subspace_equal,
                         zero_space)
@@ -112,7 +112,7 @@ def build_frame(M: Subspace, measured: DefectReport,
                 f"provided defect space misses measured defect directions "
                 f"(residual {resid:.3e})")
     if defect.dim and M.dim:
-        overlap = _overlap(defect.basis, M.basis)
+        overlap = _overlap(defect.basis, M.held)
         if overlap > 1e-8:
             raise DimensionMismatch(
                 f"defect frame is not orthogonal to the subspace (overlap {overlap:.3e})")
@@ -136,20 +136,24 @@ class InvarianceReport:
 # ---------------------------------------------------------------------------
 
 
-def _peel_step(frame: RepresentationFrame, X: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One peeling step on the flat columns of X (mN x K).
+def _peel_step(frame: RepresentationFrame, X: np.ndarray | _Nonzeros
+               ) -> tuple[np.ndarray, np.ndarray | _Nonzeros, np.ndarray | _Nonzeros]:
+    """One peeling step on the flat columns of X (mN x K), an array or its
+    ``_Nonzeros``.
 
-    Returns the coefficients C X = [a; c] ((r + p) x K) with
+    Returns the coefficients C X = [a; c] ((r + p) x K, an array) with
     a = pinv(W(0)) X(0) and c = E^H S*(X - W a), the remainders
-    A X = S*(X - W a) - E c, and the value-map residuals X - W a.
+    A X = S*(X - W a) - E c, and the value-map residuals X - W a.  Every
+    product runs through ``_product``, and S* moves nonzeros without
+    arithmetic, so a unit column e_j that neither frame touches maps to
+    e_(j-m) exactly.  An array X gives arrays.
     """
-    E = frame.E_matrix
-    a = frame.value_pinv @ X[:frame.M.m]
-    V = X - frame.W_matrix @ a
-    R = backward_shift_flat(V, frame.M.m)
-    c = E.conj().T @ R
-    R -= E @ c
+    m, E = frame.M.m, frame.E_matrix
+    a = frame.value_pinv @ _top(X, m)
+    V = _combine(np.subtract, X, _product(frame.W_matrix, a))
+    R = _shift(V, -m)
+    c = _dense(_product(_adjoint(E), R))
+    R = _combine(np.subtract, R, _product(E, c))
     return np.concatenate([a, c], axis=0), R, V
 
 
@@ -167,12 +171,13 @@ def default_depth(N: int) -> int:
 class RealizationCertificate:
     """One peeling step on the basis of M and the bounds it certifies.
 
-    ``A`` (K x K) and ``C`` ((r + p) x K) realize the coordinates of the
+    ``A`` (K x K, an array or its ``_Nonzeros``: multiply it through
+    ``_product``) and ``C`` ((r + p) x K) realize the coordinates of the
     member Q x: its step-t coefficients are C A^t x.  Every bound holds for
     every unit member of M.
     """
 
-    A: np.ndarray
+    A: np.ndarray | _Nonzeros
     C: np.ndarray
     #: k with ||A^(2^k)||_F = contraction < 1/2
     squarings: int
@@ -192,18 +197,20 @@ def _norm2_hermitian(H: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
 
 
-def _support_norms(D: np.ndarray, P: np.ndarray) -> tuple[float, float, int, int]:
+def _support_norms(D: np.ndarray | _Nonzeros, P: np.ndarray | _Nonzeros
+                   ) -> tuple[float, float, int, int]:
     """||D||_2 of a square, numerically Hermitian D and ||P||_2, each read
-    from its exact nonzero support (see ``certify_representation``).
+    from its exact nonzero support (see ``certify_representation``); either
+    may be held by its nonzeros.
 
     Returns the two norms and the sizes of D's support J (the union of its
     nonzero rows and columns) and P's support J' (its nonzero columns).
     """
-    nonzero = D != 0
-    J = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    Jp = np.flatnonzero((P != 0).any(axis=0))
-    PJ = P[:, Jp]
-    d_norm = _norm2_hermitian(D[np.ix_(J, J)])
+    rows, cols = _nonzero_lines(D)
+    J = np.flatnonzero(rows | cols)
+    I, Jp = (np.flatnonzero(mask) for mask in _nonzero_lines(P))
+    PJ = _block(P, I, Jp)
+    d_norm = _norm2_hermitian(_block(D, J, J))
     p_norm = math.sqrt(_norm2_hermitian(PJ.conj().T @ PJ))
     return d_norm, p_norm, J.size, Jp.size
 
@@ -237,25 +244,30 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     row and column of the symmetrized (D + D^H)/2 outside J is zero, so up to
     a permutation it is diag(S, 0) with S the symmetrized D[J, J]: its
     eigenvalues are those of S and zeros, and ||D|| is the largest absolute
-    one.  Let J' be the nonzero columns of P; then P y = P[:, J']
-    y_J', so ||P||^2 = ||P[:, J']||^2 = lambda_max(P[:, J']^H P[:, J']).
-    Both are exact, not bounds.  On a dense basis J and J' hold every index
-    and the computation is the K x K one; an empty support gives 0.  On the
-    zero route's Householder basis most columns of Q are exact unit vectors
-    that the step maps without roundoff, and both supports stay at a few
-    indices near the degrees G touches, whatever N.
+    one.  Let J' be the nonzero columns of P and I' its nonzero rows; then
+    P y = P[I', J'] y_J' on the rows I', so ||P||^2 = ||P[I', J']||^2 =
+    lambda_max(P[I', J']^H P[I', J']).  Both are exact, not bounds.  On a
+    dense basis J and J' hold every index and the computation is the K x K
+    one; an empty support gives 0.  On the zero route's basis most columns
+    of Q are exact unit vectors that the step maps without roundoff, and
+    both supports stay at a few indices near the degrees G touches, whatever
+    N.
 
-    *Products over exact nonzeros.*  A_Q = Q^H (A Q), Q A_Q, A_Q^H A_Q,
-    C_Q^H C_Q and every power A_Q^(2^j) are formed by ``_product`` from the
-    entries != 0 of their factors; nothing is thresholded.  Each entry is
-    then the dense sum without its exactly-zero terms, so only the summation
+    *Products over exact nonzeros.*  Q is M's basis as it is held, an array
+    or its ``_Nonzeros``, and nothing of it is densified: the peeling step,
+    A_Q = Q^H (A Q), Q A_Q, A_Q^H A_Q, C_Q^H C_Q and every power A_Q^(2^j)
+    are formed by ``_product`` from the entries != 0 of their factors, and
+    the sums and shifts that make P and D keep their operands' form
+    (``_combine``, ``_shift``); nothing is thresholded.  Each entry is then
+    the dense sum without its exactly-zero terms, so only the summation
     order changes, and the sum of n nonzero terms keeps the forward-error
     bound gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.
     Where the nonzeros do not cut the scalar products by
     ``SUPPORT_PRODUCT_FACTOR``, as on a dense basis, the product is BLAS's.
-    On the zero route's Householder basis A_Q and all its powers keep a few
-    nonzeros per column (at most 6,617 of 259,081 at dim = 509), and no
-    product takes more than about 50,000 scalar products against dim^3.
+    On the zero route's basis A_Q and all its powers keep a few nonzeros per
+    column (at most 6,617 of 259,081 at dim = 509), and no product takes
+    more than about 50,000 scalar products against dim^3.  The certificate
+    keeps A_Q as the product gave it.
 
     *Certificate.*  A_Q is squared k times until q = ||A_Q^T||_F < 1/2,
     T = 2^k; no eigenvalue is trusted, since the computed spectrum of a
@@ -297,19 +309,19 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     max(64 N, 4096)) or the reconstruction bound exceeds ``tol_rep``.
     """
     M = frame.M
-    m, N = M.m, M.N
-    Q = M.basis
+    m, N, K = M.m, M.N, M.dim
+    Q = M.held
     if max_steps is None:
         max_steps = max(64 * N, 4096)
     C, R, P = _peel_step(frame, Q)
-    A_Q = _product(Q.conj().T, R)
-    del R  # the remainder is spent: free it before the mN x K product Y
-    A = _dense(A_Q)
-    Y = _update(np.add, frame.E_matrix @ C[frame.r:], _product(Q, A_Q))
-    P[m:] -= Y[:-m]
-    D = _update(np.subtract, np.eye(M.dim, dtype=complex), _product(_adjoint(A_Q), A_Q))
+    A_Q = _product(_adjoint(Q), R)
+    del R  # the remainder is spent: free it before the product Y
+    Y = _combine(np.add, _product(frame.E_matrix, C[frame.r:]), _product(Q, A_Q))
+    P = _combine(np.subtract, P, _shift(Y, m))
+    identity = _Nonzeros(np.arange(K), np.arange(K), np.ones(K, dtype=complex), (K, K))
+    D = _combine(np.subtract, identity, _product(_adjoint(A_Q), A_Q))
     d_norm, p_norm, d_support, p_support = _support_norms(
-        _update(np.subtract, D, _product(_adjoint(C), C)), P)
+        _combine(np.subtract, D, _product(_adjoint(C), C)), P)
     power, squarings = A_Q, 0
     while not (q := float(np.linalg.norm(_values(power)))) < 0.5:
         if not np.isfinite(q) or 2 ** (squarings + 1) > max_steps:
@@ -327,7 +339,7 @@ def certify_representation(frame: RepresentationFrame, depth: int,
         raise FrameDeficientError(
             f"frame cannot reconstruct the member (residual {recon:.3e})")
     return RealizationCertificate(
-        A=A, C=C, squarings=squarings, contraction=q, reconstruction=recon,
+        A=A_Q, C=C, squarings=squarings, contraction=q, reconstruction=recon,
         isometry=d_norm * T * c_T * c_T / (1.0 - q * q),
         invariance=InvarianceReport(
             depth=depth, residuals=tuple(recon * growth ** (n / 2)
@@ -348,7 +360,7 @@ def _realized_series(cert: RealizationCertificate, x: np.ndarray) -> np.ndarray:
     steps = []
     while np.any(column_norms(x) > floors):
         steps.append(cert.C @ x)
-        x = cert.A @ x
+        x = _dense(_product(cert.A, x))
     return np.stack(steps) if steps else np.zeros((0, len(cert.C), x.shape[1]), complex)
 
 
@@ -476,7 +488,7 @@ def rank_one_complement_analysis(M: Subspace, G: CoeffVec, depth: int | None = N
     if depth is None:
         depth = default_depth(N)
     cert = certify_representation(frame, depth)
-    series = _realized_series(cert, M.basis.conj().T @ flat_columns(members, m * N))
+    series = _realized_series(cert, M.coefficients(flat_columns(members, m * N)))
     coords = [(CoeffVec(series[:, :r, i].T) if r else None,
                CoeffVec(series[:, r, i][None, :])) for i in range(len(members))]
     cond_resid = 0.0
@@ -769,7 +781,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
     # shifted back n times lies within ``gap`` of the n-th of them
     x = np.eye(kernel.dim, min(kernel.dim, 6))
     for n in range(depth + 1):
-        R = kernel.basis @ x
+        R = _dense(_product(kernel.held, x))
         gap = cert.reconstruction if n == 0 else cert.invariance.residuals[n - 1]
         membership["ambient_sum"] = max(
             membership["ambient_sum"],
@@ -785,7 +797,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
                 membership["range_component"],
                 float(np.max(np.abs(theta_h.flatten().conj() @ R), initial=0.0))
                 / theta_h.norm() + gap)
-        x = cert.A @ x
+        x = _dense(_product(cert.A, x))
     return ThetaStarReport(
         case=case, in_range=split.in_range, criterion=criterion,
         kernel=kernel, predicted_dim=predicted.dim,

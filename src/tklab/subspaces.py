@@ -13,6 +13,10 @@ and the gap it reports (``SigmaGap.at``), the null directions of a full SVD
 (``value_split``), the matrix product over exact nonzeros (``_product``), the
 Gram check (``column_gram_deviation``), the overlap of two bases (``_overlap``),
 Gram-Schmidt (``gram_schmidt``) and the projection Q (Q^H X) (``Subspace.project_flat``).
+
+A basis may be held by its exact nonzeros (``_Nonzeros``) instead of as an
+array; the product, the sums (``_combine``), the row shifts (``_shift``) and
+the row and block reads (``_top``, ``_block``) take either form.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (COMPLEMENT_CUT, GRAM_SUPPORT_MIN, ORIGIN_SLICE_FLOOR,
-                     SUBSPACE_GRAM_BOUND, SUPPORT_PRODUCT_FACTOR, rank_threshold)
+from .config import (COMPLEMENT_CUT, ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND,
+                     SUPPORT_PRODUCT_FACTOR, SUPPORT_PRODUCT_MIN, rank_threshold)
 from .errors import ContainmentError, DimensionMismatch
 from .hardy_core import CoeffVec, column_vectors
 
@@ -74,14 +78,21 @@ class SigmaGap:
 
 
 class Subspace:
-    """Orthonormal-basis subspace of the (m, N) coefficient ambient."""
+    """Orthonormal-basis subspace of the (m, N) coefficient ambient.
 
-    __slots__ = ("_m", "_N", "_basis", "_tol", "_sigma_gap")
+    The basis is held as an array or by its exact nonzeros (``_Nonzeros``),
+    as the zero-symbol kernel holds its unit columns.  Products read the
+    held form (``held``) through ``_product``; the dense ``basis`` is built
+    only when a reader asks for it, and then cached.
+    """
 
-    def __init__(self, m: int, N: int, basis: np.ndarray, tol: float,
+    __slots__ = ("_m", "_N", "_held", "_basis", "_tol", "_sigma_gap")
+
+    def __init__(self, m: int, N: int, basis: np.ndarray | _Nonzeros, tol: float,
                  sigma_gap: SigmaGap | None = None):
-        basis = np.asarray(basis, dtype=complex)
-        if basis.ndim != 2 or basis.shape[0] != m * N:
+        if not isinstance(basis, _Nonzeros):
+            basis = np.asarray(basis, dtype=complex)
+        if len(basis.shape) != 2 or basis.shape[0] != m * N:
             raise DimensionMismatch(
                 f"basis shape {basis.shape} does not match ambient {m}*{N}")
         if basis.shape[1] > m * N:
@@ -89,10 +100,13 @@ class Subspace:
         if column_gram_deviation(basis) > SUBSPACE_GRAM_BOUND:
             raise ValueError(
                 f"basis columns are not orthonormal within {SUBSPACE_GRAM_BOUND:g}")
-        basis = basis.copy()
-        basis.setflags(write=False)
+        if isinstance(basis, _Nonzeros):
+            basis = _Nonzeros(*(_frozen(part) for part in basis[:3]), basis.shape)
+            self._basis = None
+        else:
+            basis = self._basis = _frozen(basis)
         self._m, self._N = int(m), int(N)
-        self._basis = basis
+        self._held = basis
         self._tol = float(tol)
         self._sigma_gap = sigma_gap if sigma_gap is not None else SigmaGap(None, None)
 
@@ -106,10 +120,19 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self._basis.shape[1]
+        return self._held.shape[1]
+
+    @property
+    def held(self) -> np.ndarray | _Nonzeros:
+        """The basis as held: an array, or its ``_Nonzeros``."""
+        return self._held
 
     @property
     def basis(self) -> np.ndarray:
+        """The dense orthonormal basis, mN x dim (read-only), built from the
+        held nonzeros on first request."""
+        if self._basis is None:
+            self._basis = _frozen(_dense(self._held))
         return self._basis
 
     @property
@@ -121,13 +144,19 @@ class Subspace:
         return self._sigma_gap
 
     def basis_vectors(self) -> list[CoeffVec]:
-        return column_vectors(self._basis, self._m, self._N)
+        return column_vectors(self.basis, self._m, self._N)
+
+    def coefficients(self, X: np.ndarray) -> np.ndarray:
+        """Q^H X for mN x k columns X, as (X^H Q)^H: only X is conjugated."""
+        return _adjoint(_dense(_product(_adjoint(X), self._held)))
 
     def project_flat(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection Q (Q^H X) of a flat vector or mN x k array."""
+        X = np.asarray(X, dtype=complex)
         if self.dim == 0:
-            return np.zeros_like(np.asarray(X, dtype=complex))
-        return self._basis @ (self._basis.conj().T @ X)
+            return np.zeros_like(X)
+        columns = X.reshape(X.shape[0], -1)
+        return _dense(_product(self._held, self.coefficients(columns))).reshape(X.shape)
 
     def residual_flat(self, v: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(v, dtype=complex) - self.project_flat(v)))
@@ -135,11 +164,18 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Orthogonal complement within the full ambient: the trailing
         columns of a complete QR of the basis."""
-        q = np.linalg.qr(self._basis, mode="complete")[0]
+        q = np.linalg.qr(self.basis, mode="complete")[0]
         return Subspace(self._m, self._N, q[:, self.dim:], self._tol)
 
     def __repr__(self) -> str:
         return f"Subspace(m={self._m}, N={self._N}, dim={self.dim})"
+
+
+def _frozen(X: np.ndarray) -> np.ndarray:
+    """A read-only copy of X."""
+    X = X.copy()
+    X.setflags(write=False)
+    return X
 
 
 def zero_space(m: int, N: int, tol: float = 0.0) -> Subspace:
@@ -266,9 +302,10 @@ def column_norms(X: np.ndarray) -> np.ndarray:
                    + np.einsum("ij,ij->j", X.imag, X.imag))
 
 
-def _overlap(X: np.ndarray, Q: np.ndarray) -> float:
-    """max |X^H Q| for a narrow X: only X is conjugated, not the wide Q."""
-    return float(np.max(np.abs(X.conj().T @ Q)))
+def _overlap(X: np.ndarray, Q: np.ndarray | _Nonzeros) -> float:
+    """max |X^H Q| for a narrow X: only X is conjugated, not the wide Q,
+    which may be held by its nonzeros."""
+    return float(np.max(np.abs(_values(_product(_adjoint(X), Q))), initial=0.0))
 
 
 def span_of(vectors: list[CoeffVec], tol_rel: float | None = None,
@@ -387,12 +424,12 @@ def value_split(M: Subspace) -> ValueSplit:
     """
     K = M.dim
     if K == 0:
-        return ValueSplit(M.basis, 0, SigmaGap(None, None))
-    values = M.basis[:M.m]
+        return ValueSplit(np.zeros((M.m * M.N, 0), complex), 0, SigmaGap(None, None))
+    values = _top(M.held, M.m)
     _, s, vh = np.linalg.svd(values, full_matrices=False)
     s = np.concatenate([s, np.zeros(K - s.size)])
     _, r = _relative_cut(values.shape, s, None, floor=ORIGIN_SLICE_FLOOR)
-    return ValueSplit(M.basis @ vh[:r].conj().T, K - r, SigmaGap.at(s, r))
+    return ValueSplit(_dense(_product(M.held, vh[:r].conj().T)), K - r, SigmaGap.at(s, r))
 
 
 def zero_at_origin_slice(M: Subspace) -> Subspace:
@@ -410,22 +447,22 @@ def column_gram_deviation(X: np.ndarray) -> float:
     orthonormal (0 for no columns).
 
     X^H X is ``_product``'s over the exact nonzeros of X when they cut the
-    scalar products enough, as on the zero route's Householder basis, and
+    scalar products enough, as on the zero route's kernel basis, and
     BLAS's X.conj().T @ X otherwise; the count sum_i nnz(row i of X)^2 is
-    read off X itself, so a sparse X is never conjugated whole.  It is not
-    taken for a product under ``GRAM_SUPPORT_MIN`` dense scalar products,
-    which BLAS does faster than the support route can start.  On the support
-    route a diagonal entry the product leaves out is an exact zero,
-    deviating by 1.
+    read off X itself, so a sparse X is never conjugated whole, and not
+    counted for a product under ``SUPPORT_PRODUCT_MIN`` dense scalar
+    products.  On the support route a diagonal entry the product leaves out
+    is an exact zero, deviating by 1.
     """
     rows, k = X.shape
     if not k:
         return 0.0
-    sparse = rows * k * k >= GRAM_SUPPORT_MIN
+    sparse = _support_pays(0, k, rows, k)
     if sparse:
-        per_row = np.count_nonzero(X, axis=1)
+        per_row = _line_counts(X, 1)
         sparse = _support_pays(int(per_row @ per_row), k, rows, k)
     if not sparse:
+        X = _dense(X)
         return float(np.max(np.abs(X.conj().T @ X - np.eye(k))))
     nz = _nonzeros(X)
     gram = _product(_adjoint(nz), nz)
@@ -474,14 +511,95 @@ def _adjoint(X: np.ndarray | _Nonzeros) -> np.ndarray | _Nonzeros:
     return _Nonzeros(X.cols[order], X.rows[order], X.vals[order].conj(), X.shape[::-1])
 
 
-def _update(op, out: np.ndarray, X: np.ndarray | _Nonzeros) -> np.ndarray:
-    """out = op(out, X) entrywise, in place, reading only X's nonzeros when
-    it is held by them: an entry X leaves out is an exact zero."""
+def _combine(op, X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
+             ) -> np.ndarray | _Nonzeros:
+    """op(X, Y) entrywise for op ``np.add`` or ``np.subtract``, in a new matrix.
+
+    Two ``_Nonzeros`` give ``_Nonzeros`` over the union of their supports,
+    each entry summed from zero in the order X, Y, so it is bitwise the dense
+    op; exact zeros of the result are left out.  Otherwise the result is an
+    array, and an operand held by its nonzeros is read only at them.
+    """
+    if isinstance(X, _Nonzeros) and isinstance(Y, _Nonzeros):
+        cols = X.shape[1]
+        keys, slot = np.unique(np.concatenate([X.rows * cols + X.cols,
+                                               Y.rows * cols + Y.cols]),
+                               return_inverse=True)
+        terms = np.concatenate([X.vals, op(0.0, Y.vals)])
+        return _summed(keys, slot, terms, X.shape)
+    if isinstance(Y, _Nonzeros):
+        out = np.array(X, dtype=complex)
+        out[Y.rows, Y.cols] = op(out[Y.rows, Y.cols], Y.vals)
+        return out
+    return op(_dense(X), Y)
+
+
+def _summed(keys: np.ndarray, slot: np.ndarray, terms: np.ndarray,
+            shape: tuple[int, int]) -> _Nonzeros:
+    """The ``_Nonzeros`` whose entry at flat index keys[i] (ascending) is the
+    sum of the terms with slot i, each sum taken from zero in the order of
+    ``terms``; exact zeros of the sums are left out."""
+    sums = np.empty(keys.size, dtype=complex)
+    sums.real = np.bincount(slot, weights=terms.real, minlength=keys.size)
+    sums.imag = np.bincount(slot, weights=terms.imag, minlength=keys.size)
+    keep = sums != 0
+    keys = keys[keep]
+    return _Nonzeros(keys // shape[1], keys % shape[1], sums[keep], shape)
+
+
+def _shift(X: np.ndarray | _Nonzeros, k: int) -> np.ndarray | _Nonzeros:
+    """X with every row moved k places down (up for k < 0), the rows moved
+    past either end dropped: on flat degree-major columns k = m is the
+    truncating forward shift z and k = -m the backward shift S*.  Nonzeros
+    stay nonzeros."""
+    rows = X.shape[0]
     if isinstance(X, _Nonzeros):
-        out[X.rows, X.cols] = op(out[X.rows, X.cols], X.vals)
+        moved = X.rows + k
+        keep = (moved >= 0) & (moved < rows)
+        return _Nonzeros(moved[keep], X.cols[keep], X.vals[keep], X.shape)
+    out = np.zeros_like(X)
+    if k >= 0:
+        out[k:] = X[:rows - k]
     else:
-        op(out, X, out=out)
+        out[:k] = X[-k:]
     return out
+
+
+def _top(X: np.ndarray | _Nonzeros, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of X as an array."""
+    if not isinstance(X, _Nonzeros):
+        return X[:rows]
+    end = int(np.searchsorted(X.rows, rows))
+    out = np.zeros((min(rows, X.shape[0]), X.shape[1]), dtype=complex)
+    out[X.rows[:end], X.cols[:end]] = X.vals[:end]
+    return out
+
+
+def _block(X: np.ndarray | _Nonzeros, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The submatrix X[rows, cols] as an array, for index arrays without repeats."""
+    if not isinstance(X, _Nonzeros):
+        return X[np.ix_(rows, cols)]
+    at_row = np.full(X.shape[0], -1)
+    at_row[rows] = np.arange(rows.size)
+    at_col = np.full(X.shape[1], -1)
+    at_col[cols] = np.arange(cols.size)
+    i, j = at_row[X.rows], at_col[X.cols]
+    hit = (i >= 0) & (j >= 0)
+    out = np.zeros((rows.size, cols.size), dtype=complex)
+    out[i[hit], j[hit]] = X.vals[hit]
+    return out
+
+
+def _nonzero_lines(X: np.ndarray | _Nonzeros) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of X's rows and of its columns that hold a nonzero."""
+    if not isinstance(X, _Nonzeros):
+        nonzero = X != 0
+        return nonzero.any(axis=1), nonzero.any(axis=0)
+    hit = X.vals != 0
+    rows, cols = np.zeros(X.shape[0], dtype=bool), np.zeros(X.shape[1], dtype=bool)
+    rows[X.rows[hit]] = True
+    cols[X.cols[hit]] = True
+    return rows, cols
 
 
 def _values(X: np.ndarray | _Nonzeros) -> np.ndarray:
@@ -499,8 +617,13 @@ def _line_counts(X: np.ndarray | _Nonzeros, axis: int) -> np.ndarray:
 
 def _support_pays(count: int, rows: int, inner: int, cols: int) -> bool:
     """Whether ``count`` scalar products over exact nonzeros undercut the
-    dense rows x inner x cols of a product by ``SUPPORT_PRODUCT_FACTOR``."""
-    return count * SUPPORT_PRODUCT_FACTOR < rows * inner * cols
+    dense rows x inner x cols of a product by ``SUPPORT_PRODUCT_FACTOR``, in
+    a product of at least ``SUPPORT_PRODUCT_MIN`` dense scalar products
+    (count 0 asks for that size alone).  BLAS writes every entry of a
+    rows x cols product, so an empty inner dimension counts as one: the zero
+    product is held by no nonzeros."""
+    dense = rows * max(inner, 1) * cols
+    return dense >= SUPPORT_PRODUCT_MIN and count * SUPPORT_PRODUCT_FACTOR < dense
 
 
 def _product(X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
@@ -510,8 +633,10 @@ def _product(X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
     Each factor is an array or its ``_Nonzeros``.  The scalar products
     X[i, k] Y[k, j] with both factors nonzero number sum_k (nonzeros of
     column k of X) (nonzeros of row k of Y); unless that count is below the
-    dense count rows x inner x cols by ``SUPPORT_PRODUCT_FACTOR``, the
-    product is BLAS's X @ Y on the arrays, returned as an array.  Otherwise
+    dense count rows x inner x cols by ``SUPPORT_PRODUCT_FACTOR`` in a
+    product of at least ``SUPPORT_PRODUCT_MIN`` dense scalar products (below
+    it nothing is counted), the product is BLAS's X @ Y on the arrays,
+    returned as an array.  Otherwise
     every such product is formed, summed per output entry in the order of
     X's nonzeros, and the exact nonzeros of the sums come back as
     ``_Nonzeros``.  Nothing is thresholded: each entry is the dense sum
@@ -520,6 +645,8 @@ def _product(X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
     gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.
     """
     (rows, inner), cols = X.shape, Y.shape[1]
+    if not _support_pays(0, rows, inner, cols):
+        return _dense(X) @ _dense(Y)
     per_row = _line_counts(Y, 1)
     count = int(_line_counts(X, 0) @ per_row)
     if not _support_pays(count, rows, inner, cols):
@@ -534,12 +661,7 @@ def _product(X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
                                        reach)
     terms = X.vals[src] * Y.vals[pos]
     keys, slot = np.unique(X.rows[src] * cols + Y.cols[pos], return_inverse=True)
-    sums = np.empty(keys.size, dtype=complex)
-    sums.real = np.bincount(slot, weights=terms.real, minlength=keys.size)
-    sums.imag = np.bincount(slot, weights=terms.imag, minlength=keys.size)
-    keep = sums != 0
-    keys = keys[keep]
-    return _Nonzeros(keys // cols, keys % cols, sums[keep], (rows, cols))
+    return _summed(keys, slot, terms, (rows, cols))
 
 
 def gram_schmidt(X: np.ndarray, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:

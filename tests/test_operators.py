@@ -6,10 +6,11 @@ from tklab.hardy_core import CoeffVec
 from tklab.operators import (ToeplitzCompression, _block_toeplitz,
                              apply_block_toeplitz, brown_halmos_check,
                              build_perturbed, gram_deviation,
-                             orthonormalize_family, range_complement)
+                             orthonormalize_family, range_complement,
+                             shifted_range_matrix)
 from tklab.symbols import LaurentMatrixSymbol
 
-from conftest import rand_coeffvec, rand_orthonormal, random_inner, unit
+from conftest import rand_coeffvec, rand_orthonormal, random_inner, svd_shapes, unit
 from test_symbols import random_symbol
 
 
@@ -231,8 +232,11 @@ class TestBrownHalmos:
 
 
 class TestRangeComplementThinSvd:
-    """``range_complement`` takes the thin SVD of a tall block; the full one
-    stays the reference, and a wide block (N < 3d) still takes it."""
+    """``range_complement`` takes the SVD of the nonzero rows of the block
+    R^H pick, at most 2md of them; the full SVD of the whole
+    m(N - d) x 2md block stays the reference, wide blocks (N < 3d) included.
+    The two SVDs decompose different matrices, so their null bases may
+    differ by a unitary md x md rotation: they are compared by their spans."""
 
     @staticmethod
     def full_svd_reference(theta, N):
@@ -251,7 +255,7 @@ class TestRangeComplementThinSvd:
     @pytest.mark.parametrize("N_of_d", [lambda d: 2 * d + 1, lambda d: 3 * d,
                                         lambda d: 16, lambda d: 64, lambda d: 129],
                              ids=["wide", "square-ish", "16", "64", "129"])
-    def test_equals_full_svd(self, which, N_of_d):
+    def test_equals_full_svd(self, which, N_of_d, monkeypatch):
         rng = np.random.default_rng(len(which))
         theta = {"diag23": lambda: LaurentMatrixSymbol.diagonal([[0, 0, 1.0],
                                                                  [0, 0, 0, 1.0]]),
@@ -259,8 +263,16 @@ class TestRangeComplementThinSvd:
                  "mixing2": lambda: random_inner(rng, 2, 2),
                  "mixing3": lambda: random_inner(rng, 3, 3)}[which]()
         N = max(N_of_d(theta.d), theta.d + 1)
+        shapes = svd_shapes(monkeypatch)
         got = range_complement(theta, N)
+        monkeypatch.undo()
         ref = self.full_svd_reference(theta, N)
-        assert got.shape == ref.shape == (theta.m * N, theta.m * theta.d)
-        assert np.max(np.abs(got - ref)) <= 1e-13
-        assert np.max(np.abs(got.conj().T @ got - np.eye(theta.m * theta.d))) <= 1e-13
+        m, d = theta.m, theta.d
+        assert got.shape == ref.shape == (m * N, m * d)
+        assert np.max(np.abs(got @ got.conj().T - ref @ ref.conj().T)) <= 1e-13
+        assert np.max(np.abs(got.conj().T @ got - np.eye(m * d))) <= 1e-13
+        # orthogonal to the range R = Theta P_{N-d}, and zero off the degrees
+        # < d and >= N - d
+        assert np.max(np.abs(shifted_range_matrix(theta, N).conj().T @ got)) <= 1e-13
+        assert not got[m * d:m * (N - d)].any()
+        assert len(shapes) == 1 and shapes[0][0] <= min(2 * m * d, m * (N - d)), shapes

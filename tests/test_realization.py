@@ -26,6 +26,7 @@ from conftest import spy
 from peeling_oracle import peel_members
 from test_representation import ORACLE_CASES, complement_frame
 from test_structured_operators import _workloads
+from zero_route_oracle import dense_certificate
 
 SCENARIOS = bundled_scenario_dir()
 
@@ -90,6 +91,7 @@ ROUTED_FRAMES = ([pytest.param(*p.values, False, id=p.id) for p in FRAMES]
 def _take_route(support_route, monkeypatch):
     if support_route:
         monkeypatch.setattr(subspaces, "SUPPORT_PRODUCT_FACTOR", 0)
+        monkeypatch.setattr(subspaces, "SUPPORT_PRODUCT_MIN", 0)
 
 
 def _shift_up(V, m):
@@ -115,7 +117,7 @@ def test_realized_coefficients_equal_peeled_ones(make, arg):
         members = peeling.lengths > t
         assert np.max(np.abs(realized[:, members] - block[:, members])) <= 1e-12, t
         assert not block[:, ~members].any(), t
-        realized = realized @ cert.A
+        realized = realized @ subspaces._dense(cert.A)
     assert peeling.lengths.max() == len(peeling.series)
 
 
@@ -130,7 +132,7 @@ def test_bounds_cover_explicit_reassembly(make, arg, support_route, monkeypatch)
     m, N, K = M.m, M.N, M.dim
     X = np.clongdouble
     Q, W, E = M.basis.astype(X), frame.W_matrix.astype(X), frame.E_matrix.astype(X)
-    A, C = cert.A.astype(X), cert.C.astype(X)
+    A, C = subspaces._dense(cert.A).astype(X), cert.C.astype(X)
     powers = [np.eye(K, dtype=X)]
     while len(powers) < N + depth or np.linalg.norm(powers[-1].astype(complex)) >= 1e-14:
         powers.append(A @ powers[-1])
@@ -358,7 +360,7 @@ def test_report_records_the_supports():
     assert nonzeros == list(cert.nonzeros)
     K = outcome.residuals["kernel_dim"]
     assert all(isinstance(n, int) and 0 < n < K * K for n in nonzeros)
-    assert nonzeros[0] == np.count_nonzero(cert.A)
+    assert nonzeros[0] == np.count_nonzero(subspaces._dense(cert.A))
 
 
 # ---------------------------------------------------------------------------
@@ -366,42 +368,12 @@ def test_report_records_the_supports():
 # ---------------------------------------------------------------------------
 
 
-def _dense_formula(frame, depth):
-    """Reference copy of the certificate with every product on BLAS, as it
-    was computed before the products ran over exact nonzeros."""
-    M = frame.M
-    m, N = M.m, M.N
-    Q = M.basis
-    max_steps = max(64 * N, 4096)
-    C, R, P = representation._peel_step(frame, Q)
-    A = Q.conj().T @ R
-    Y = frame.E_matrix @ C[frame.r:] + Q @ A
-    P[m:] -= Y[:-m]
-    d_norm, p_norm, d_support, p_support = representation._support_norms(
-        np.eye(M.dim) - A.conj().T @ A - C.conj().T @ C, P)
-    power, squarings = A, 0
-    q = float(np.linalg.norm(power))
-    while not q < 0.5:
-        assert np.isfinite(q) and 2 ** (squarings + 1) <= max_steps
-        power = power @ power
-        squarings += 1
-        q = float(np.linalg.norm(power))
-    T = 2 ** squarings
-    c_T = math.exp(min(0.5 * T * math.log1p(d_norm), 700.0))
-    recon = p_norm * T * c_T / (1.0 - q)
-    return {"A": A, "C": C, "power": power, "squarings": squarings, "contraction": q,
-            "reconstruction": recon, "isometry": d_norm * T * c_T * c_T / (1.0 - q * q),
-            "invariance": tuple(recon * (1.0 + d_norm) ** (n / 2)
-                                for n in range(1, depth + 1)),
-            "support": (d_support, p_support)}
-
-
 @pytest.mark.parametrize("make,arg,support_route", ROUTED_FRAMES)
 def test_certificate_matches_dense_formula(make, arg, support_route, monkeypatch):
     # a sum over exact nonzeros is the dense sum without its exactly-zero
     # terms: only the summation order moves, within the same error bound
     frame, depth = make(arg)
-    dense = _dense_formula(frame, depth)
+    dense = dense_certificate(frame, depth)
     _take_route(support_route, monkeypatch)
     cert = certify_representation(frame, depth)
     assert cert.squarings == dense["squarings"]
@@ -412,15 +384,20 @@ def test_certificate_matches_dense_formula(make, arg, support_route, monkeypatch
         assert cert.support == dense["support"]
     # a nilpotent A_Q contracts at roundoff, where only the absolute error tells
     assert cert.contraction == pytest.approx(dense["contraction"], rel=1e-12, abs=1e-14)
-    assert np.max(np.abs(cert.A - dense["A"]), initial=0.0) <= 1e-14
-    assert np.array_equal(cert.C, dense["C"])
-    assert cert.nonzeros[0] == np.count_nonzero(cert.A)
+    A = subspaces._dense(cert.A)
+    assert np.max(np.abs(A - dense["A"]), initial=0.0) <= 1e-14
+    if support_route:
+        # the peeling step's products run over nonzeros too
+        assert np.max(np.abs(cert.C - dense["C"]), initial=0.0) <= 1e-14
+    else:
+        assert np.array_equal(cert.C, dense["C"])
+    assert cert.nonzeros[0] == np.count_nonzero(A)
 
 
 def test_dense_frame_takes_blas_bitwise(monkeypatch):
     frame, depth = _full_degree_frame(16)
     K = frame.M.dim
-    dense = _dense_formula(frame, depth)
+    dense = dense_certificate(frame, depth)
     assert np.count_nonzero(frame.M.basis) > 0.9 * frame.M.basis.size
     real, on_blas = representation._product, []
 
@@ -431,7 +408,7 @@ def test_dense_frame_takes_blas_bitwise(monkeypatch):
 
     monkeypatch.setattr(representation, "_product", spy)
     cert = certify_representation(frame, depth)
-    assert on_blas == [True] * (4 + cert.squarings)
+    assert on_blas == [True] * (8 + cert.squarings)
     assert np.array_equal(cert.A, dense["A"]) and np.array_equal(cert.C, dense["C"])
     for key in ("squarings", "contraction", "reconstruction", "isometry", "support"):
         assert getattr(cert, key) == dense[key], key
@@ -484,9 +461,12 @@ def test_product_over_nonzeros_equals_matmul(seed, rows, inner, cols, kind, held
     # the dense pattern keeps the measured crossover and must take BLAS; every
     # other pattern takes the support route, however small its count
     factor = subspaces.SUPPORT_PRODUCT_FACTOR if kind == "dense" else 0
-    with mock.patch.object(subspaces, "SUPPORT_PRODUCT_FACTOR", factor):
+    with mock.patch.object(subspaces, "SUPPORT_PRODUCT_FACTOR", factor), \
+            mock.patch.object(subspaces, "SUPPORT_PRODUCT_MIN", 0):
         out = subspaces._product(x, y)
-    if kind == "dense" or not rows * inner * cols:  # BLAS takes empty products
+    # BLAS takes empty products; an empty inner dimension gives the zero
+    # product, held by no nonzeros
+    if not rows * cols or (kind == "dense" and inner):
         assert isinstance(out, np.ndarray)
         if held == "array":
             assert np.array_equal(out, expected)

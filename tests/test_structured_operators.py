@@ -6,6 +6,7 @@ the inner range are checked here against the dense forms they replace, and
 spies show that the dense builders stay unused on those paths.
 """
 
+import functools
 import sys
 from pathlib import Path
 
@@ -77,30 +78,39 @@ def _factored_symbol():
     return F1.adjoint().multiply(F2)
 
 
-def _class_symbols():
+@functools.cache
+def _random_symbols():
+    """The random inner and raw symbols, drawn in this order from one stream."""
     rng = np.random.default_rng(7)
-    inner = random_inner(rng, 2, 3)
-    series = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20), [0.0, 1.0]])
-    return {
-        "zero": LaurentMatrixSymbol.zero(2),
-        "inner": inner,
-        "inner_mixed": MIXED,
-        "theta_star": inner.adjoint(),
-        "factored": _factored_symbol(),
-        "factored_series": invert_analytic(
-            LaurentMatrixSymbol.diagonal([[2.0, 1.0], [3.0, 1.0]]), 60).adjoint(),
-        "raw": _random_symbol(rng, 2, [-2, 0, 1]),
-        "series_inner": series,
-    }
+    return random_inner(rng, 2, 3), _random_symbol(rng, 2, [-2, 0, 1])
 
 
-CLASS_SYMBOLS = _class_symbols()
+#: a builder per symbol class; ``class_symbol`` builds each on first use, so
+#: a builder that raises fails the tests of its own class only
+_CLASS_BUILDERS = {
+    "zero": lambda: LaurentMatrixSymbol.zero(2),
+    "inner": lambda: _random_symbols()[0],
+    "inner_mixed": lambda: MIXED,
+    "theta_star": lambda: _random_symbols()[0].adjoint(),
+    "factored": _factored_symbol,
+    "factored_series": lambda: invert_analytic(
+        LaurentMatrixSymbol.diagonal([[2.0, 1.0], [3.0, 1.0]]), 60).adjoint(),
+    "raw": lambda: _random_symbols()[1],
+    "series_inner": lambda: LaurentMatrixSymbol.diagonal([blaschke_taylor(0.3, 20),
+                                                          [0.0, 1.0]]),
+}
+CLASS_NAMES = tuple(sorted(_CLASS_BUILDERS))
 
 
-@pytest.mark.parametrize("name", sorted(CLASS_SYMBOLS))
+@functools.cache
+def class_symbol(name):
+    return _CLASS_BUILDERS[name]()
+
+
+@pytest.mark.parametrize("name", CLASS_NAMES)
 @pytest.mark.parametrize("N,n", [(24, 0), (40, 2), (64, 3)])
 def test_banded_action_and_column_norms_equal_dense(name, N, n):
-    symbol = CLASS_SYMBOLS[name]
+    symbol = class_symbol(name)
     if N <= symbol.d:
         N = symbol.d + 4
     rng = np.random.default_rng([N, n])
@@ -271,10 +281,10 @@ def test_dense_classes_still_use_the_dense_builders(monkeypatch):
     G = rand_orthonormal(rng, 2, 24, 5, 2)
     H = rand_orthonormal(rng, 2, 24, 5, 2)
     calls.clear()
-    assert kernel_of(build_perturbed(CLASS_SYMBOLS["raw"], 24, G, H)).method == "dense"
+    assert kernel_of(build_perturbed(class_symbol("raw"), 24, G, H)).method == "dense"
     assert "action_matrix" in calls
     calls.clear()
-    series = CLASS_SYMBOLS["series_inner"]
+    series = class_symbol("series_inner")
     assert kernel_of(build_perturbed(series, 24, G, H)).method == "dense"
     build_model_space(series, 24, tol_inner=1e-6)
     assert {"action_matrix", "matrix"} <= set(calls)

@@ -1,0 +1,217 @@
+"""The zero-symbol route by its exact nonzeros, against its dense oracles.
+
+The kernel of A = H G^H is held as an s-row head block plus unit columns
+(``subspaces._Nonzeros``); the defect, the prediction and the realization
+certificate read it through ``_product``.  Here it is held to the dense
+``nullspace`` of the action matrix, to the dense-QR kernel and the BLAS
+certificate of ``tests/zero_route_oracle.py``, and, at N = 4096, to a
+memory guard under which no mN x K array fits.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tklab import subspaces
+from tklab.cli_reports import run_scenario_object
+from tklab.config import SUBSPACE_GRAM_BOUND, Tolerances
+from tklab.errors import FrameDeficientError
+from tklab.hardy_core import column_vectors
+from tklab.near_invariance import (KernelResult, _zero_prediction, compute_defect,
+                                   kernel_of)
+from tklab.operators import build_perturbed
+from tklab.representation import build_frame, certify_representation, default_depth
+from tklab.subspaces import Subspace, _Nonzeros, nullspace, subspace_equal
+from tklab.symbols import LaurentMatrixSymbol
+
+from test_structured_operators import _workloads
+from zero_route_oracle import dense_certificate, dense_zero_kernel
+
+EPS = np.finfo(float).eps
+
+
+def _clean_cut(gap, cut):
+    """Both boundary singular values sit off the cut by more than roundoff."""
+    margin = 1e-6 * cut
+    return ((gap.signal_side is None or gap.signal_side > cut + margin)
+            and (gap.zero_side is None or cut == 0.0 or gap.zero_side < cut - margin))
+
+
+@st.composite
+def supported_operators(draw):
+    """Zero-symbol operators whose G lives on its first s flat rows, s up to
+    mN, sometimes with its top row (degree N - 1, last component) nonzero.
+    Each column of G and H is random with a random scale, a multiple of an
+    earlier column, or zero."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    N = draw(st.integers(2, 40))
+    if draw(st.integers(0, 5)) == 0:
+        N = draw(st.sampled_from([128, 256]))
+    rows = m * N
+    n = draw(st.integers(0, min(4, rows - 1)))
+    s = draw(st.integers(1, rows))
+    top = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def family(support):
+        X = np.zeros((rows, n), complex)
+        for j in range(n):
+            kind = draw(st.sampled_from(["random", "random", "random", "multiple", "zero"]))
+            if kind == "random" or (kind == "multiple" and not j):
+                X[:support, j] = (rng.standard_normal(support)
+                                  + 1j * rng.standard_normal(support))
+                X[:, j] *= 10.0 ** rng.uniform(-2, 2)
+            elif kind == "multiple":
+                X[:, j] = rng.uniform(0.5, 2.0) * X[:, int(rng.integers(j))]
+        return X
+
+    G, H = family(s), family(rows)
+    if top and n:
+        G[rows - 1, int(rng.integers(n))] += 1.0
+    T = build_perturbed(LaurentMatrixSymbol.zero(m), N, column_vectors(G, m, N),
+                        column_vectors(H, m, N), require_orthonormal=False)
+    return T
+
+
+def _oracle_kernel(T):
+    basis, U, image = dense_zero_kernel(T)
+    norms = np.linalg.norm(image, axis=0)
+    return KernelResult(subspace=basis, residual_max=float(np.max(norms, initial=0.0)),
+                        audit_violations=int(np.sum(
+                            norms > 10.0 * max(basis.tol, EPS))),
+                        method="zero", complement=U)
+
+
+def _close(ours, oracle, tol):
+    assert (ours is None) == (oracle is None), (ours, oracle)
+    if oracle is not None:
+        assert abs(ours - oracle) <= tol, (ours, oracle, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(supported_operators())
+def test_nonzero_route_matches_dense_oracles(T):
+    m, N, rows = T.m, T.N, T.m * T.N
+    kr = kernel_of(T)
+    # only a G of full degree leaves no unit columns to hold by their nonzeros
+    full_degree = bool(np.any(T.G_matrix[-1] != 0))
+    assert kr.method == "zero"
+    assert isinstance(kr.subspace.held, _Nonzeros) != full_degree
+    oracle = _oracle_kernel(T)
+    dense = nullspace(T.action_matrix(), (m, N))
+    assume(_clean_cut(dense.sigma_gap, dense.tol))
+    assume(_clean_cut(oracle.sigma_gap, oracle.sigma_cut))
+    # the kernel: dimension, span, gap and audit
+    K = kr.subspace
+    assert K.dim == oracle.subspace.dim == dense.dim
+    assert subspace_equal(K, oracle.subspace, 1e-12)[0]
+    signal = dense.sigma_gap.signal_side
+    scale = np.linalg.norm(T.action_matrix(), 2) / signal if signal else 1.0
+    assert subspace_equal(K, dense, max(1e-10, 1e-13 * scale))[0]
+    action_norm = float(np.linalg.norm(T.action_matrix(), 2))
+    roundoff = 64 * rows * EPS * max(action_norm, 1.0)
+    _close(kr.sigma_gap.zero_side, oracle.sigma_gap.zero_side, roundoff)
+    _close(kr.sigma_gap.signal_side, oracle.sigma_gap.signal_side, roundoff)
+    assert kr.sigma_cut == oracle.sigma_cut
+    assert abs(kr.residual_max - oracle.residual_max) <= roundoff
+    assert kr.audit_violations == oracle.audit_violations == 0
+    assert np.max(np.abs(kr.complement @ kr.complement.conj().T
+                         - oracle.complement @ oracle.complement.conj().T),
+                  initial=0.0) <= 1e-12
+    # the defect and the prediction
+    measured = compute_defect(K, complement=kr.complement)
+    reference = compute_defect(oracle.subspace, complement=oracle.complement)
+    assume(_clean_cut(reference.sigma_gap, reference.defect_basis.tol))
+    assert (measured.slice_dim, measured.defect_dim) == (reference.slice_dim,
+                                                         reference.defect_dim)
+    assert subspace_equal(measured.defect_basis, reference.defect_basis, 1e-10)[0]
+    predicted = _zero_prediction(T, kr, measured, 1e-8)
+    expected = _zero_prediction(T, oracle, reference, 1e-8)
+    assert predicted.predicted_dim == expected.predicted_dim
+    assert (predicted.details.get("prediction_mod_kernel_dim")
+            == expected.details.get("prediction_mod_kernel_dim"))
+    assert abs(predicted.containment_residual - expected.containment_residual) <= 1e-10
+    # the certificate on the held basis against the BLAS one on its array
+    frame = build_frame(K, measured)
+    depth = default_depth(N)
+    try:
+        bench = dense_certificate(frame, depth)
+    except FrameDeficientError:
+        with pytest.raises(FrameDeficientError):
+            certify_representation(frame, depth, tol_rep=np.inf)
+        return
+    cert = certify_representation(frame, depth, tol_rep=np.inf)
+    assert cert.squarings == bench["squarings"]
+    assert cert.contraction == pytest.approx(bench["contraction"], rel=1e-12, abs=1e-14)
+    # a bound is a roundoff-sized norm times T c_T / (1 - q): the two
+    # evaluations differ by the roundoff of sums over at most mN terms
+    T_steps = 2 ** cert.squarings
+    amplify = T_steps * max(1.0, bench["isometry"]) / (1.0 - cert.contraction) ** 2
+    roundoff = 4 * rows * EPS * amplify
+    for ours, theirs in zip((cert.reconstruction, cert.isometry, *cert.invariance.residuals),
+                            (bench["reconstruction"], bench["isometry"],
+                             *bench["invariance"])):
+        assert abs(ours - theirs) <= roundoff, (ours, theirs)
+    # an entry that cancels exactly in one summation order need not in the
+    # other, so the supports of D and P may differ only where they are roundoff
+    if cert.support[0] != bench["support"][0]:
+        assert max(cert.isometry, bench["isometry"]) <= roundoff
+    if cert.support[1] != bench["support"][1]:
+        assert max(cert.reconstruction, bench["reconstruction"]) <= roundoff
+
+
+def test_basis_is_built_on_first_request_and_cached():
+    rng = np.random.default_rng(5)
+    G = np.zeros((12, 2), complex)
+    G[:5] = np.linalg.qr(rng.standard_normal((5, 2)) + 0j)[0]
+    G = column_vectors(G, 2, 6)
+    T = build_perturbed(LaurentMatrixSymbol.zero(2), 6, G, G)
+    K = kernel_of(T).subspace
+    assert K._basis is None and isinstance(K.held, _Nonzeros)
+    basis = K.basis
+    assert K.basis is basis and not basis.flags.writeable
+    assert np.array_equal(subspaces._dense(K.held), basis)
+    X = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    dense = Subspace(2, 6, basis, K.tol)
+    assert np.max(np.abs(K.project_flat(X) - dense.project_flat(X))) <= 1e-14
+    assert np.max(np.abs(K.project_flat(X[:, 0]) - dense.project_flat(X[:, 0]))) <= 1e-14
+
+
+def test_held_basis_is_gram_checked():
+    # a held basis gets the same Gram check as an array
+    eye = _Nonzeros(np.arange(4), np.arange(4), np.full(4, 1.0 + 0j), (4, 4))
+    assert Subspace(1, 4, eye, 0.0).dim == 4
+    bad = eye._replace(vals=np.array([1.0, 1.0, 1.0, 1.0 + 1e-9], complex))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(1, 4, bad, 0.0)
+    assert SUBSPACE_GRAM_BOUND < 1e-9
+
+
+def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
+    # the dense complex kernel basis alone would take 1.07 GB at N = 4096
+    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 4096)
+    real = Subspace.basis.fget
+    densified = []
+
+    def spy(self):
+        if isinstance(self.held, _Nonzeros):
+            densified.append(self.dim)
+        return real(self)
+
+    monkeypatch.setattr(Subspace, "basis", property(spy))
+    tracemalloc.start()
+    try:
+        report = run_scenario_object(scenario, Tolerances())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(o.name, o.status) for o in report.outcomes] == [
+        ("defect_theorem", "pass"), ("representation", "pass")]
+    defect = report.outcomes[0].residuals
+    assert (defect["subspace_dim"], defect["defect_dim"]) == (2 * 4096 - 3, 3)
+    assert defect["details"]["kernel_method"] == "zero"
+    assert densified == []
+    assert peak < 100e6, peak / 1e6
