@@ -390,6 +390,7 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
                       "certificate": {"squarings": cert.squarings,
                                       "contraction": cert.contraction,
                                       "support": list(cert.support),
+                                      "head": cert.head,
                                       "nonzeros": list(cert.nonzeros)}})
     ok = (conclusive and iso <= tol.representation and rec <= tol.representation
           and inv.max_residual <= tol.membership)

@@ -187,6 +187,8 @@ class RealizationCertificate:
     invariance: InvarianceReport
     #: sizes of the exact nonzero supports J of D and J' of P
     support: tuple[int, int]
+    #: size h of the head block of A_Q that the squarings multiply
+    head: int
     #: exact nonzero counts of A and of its last power A^(2^squarings)
     nonzeros: tuple[int, int]
 
@@ -213,6 +215,100 @@ def _support_norms(D: np.ndarray | _Nonzeros, P: np.ndarray | _Nonzeros
     d_norm = _norm2_hermitian(_block(D, J, J))
     p_norm = math.sqrt(_norm2_hermitian(PJ.conj().T @ PJ))
     return d_norm, p_norm, J.size, Jp.size
+
+
+def _shift_chains(A: _Nonzeros) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Split the columns of a square A into links and a closed head.
+
+    A link is a column whose one nonzero is an exact 1.0, so
+    A e_j = e_pi(j) without arithmetic.  The head is every other column,
+    widened by each link that a head column reaches through a chain of
+    links, so A maps the head's span into itself.  Pointer doubling walks
+    the chains in O(K log K).
+
+    Returns the head (ascending column indices), the length t_j and head
+    entry c_j (an index into the head) of each link chain that enters the
+    head, A^t_j e_j = e_c_j, and the number of links whose chain never
+    does, as it runs into a cycle of links.
+    """
+    K = A.shape[1]
+    unit = (np.bincount(A.cols, minlength=K)[A.cols] == 1) & (A.vals == 1.0)
+    link = np.zeros(K, dtype=bool)
+    link[A.cols[unit]] = True
+    nxt = np.arange(K)
+    nxt[A.cols[unit]] = A.rows[unit]
+    rounds = K.bit_length()  # 2^rounds > K: past the longest chain
+    reached = np.zeros(K, dtype=bool)
+    reached[A.rows[~link[A.cols]]] = True
+    jump = nxt
+    for _ in range(rounds):  # reached spans distances < 2^(round + 1)
+        reached[jump[reached]] = True
+        jump = jump[jump]
+    link &= ~reached
+    head = np.flatnonzero(~link)
+    nxt[head] = head
+    steps = link.astype(np.int64)
+    for _ in range(rounds):  # steps[j] = min(2^round, distance to the head)
+        steps = steps + steps[nxt]
+        nxt = nxt[nxt]
+    links = np.flatnonzero(link)
+    enters = ~link[nxt[links]]
+    return (head, steps[links[enters]], np.searchsorted(head, nxt[links[enters]]),
+            int(np.count_nonzero(~enters)))
+
+
+def _contraction(A: np.ndarray | _Nonzeros, max_steps: int) -> tuple[int, float, int, int]:
+    """The least k with q = ||A^T||_F < 1/2, T = 2^k, from the powers of A's
+    head block (see ``certify_representation``).
+
+    Returns k, q, the exact nonzero count of A^T and the head size h.  An
+    array A, which its products gave on BLAS, is taken whole as the head.
+    Raises ``FrameDeficientError`` if q is not finite or 2^(k+1) would pass
+    ``max_steps`` before q < 1/2.
+    """
+    K = A.shape[1]
+    if isinstance(A, _Nonzeros):
+        head, lengths, entry, cycling = _shift_chains(A)
+    else:
+        head, lengths, entry, cycling = np.arange(K), np.zeros(0, int), np.zeros(0, int), 0
+    if head.size == K:
+        power = A
+    else:  # the head's principal block H, in A's row-major order
+        at = np.full(K, -1)
+        at[head] = np.arange(head.size)
+        inside = at[A.cols] >= 0
+        power = _Nonzeros(at[A.rows[inside]], at[A.cols[inside]], A.vals[inside],
+                          (head.size, head.size))
+    # the stack holds H^i e_c for i < T, column i E + e for the e-th entry c
+    entries, of_entry = np.unique(entry, return_inverse=True)
+    E = entries.size
+    stack = np.zeros((head.size, E), dtype=complex)
+    stack[entries, np.arange(E)] = 1.0
+    norms2, counts = np.ones(E), np.ones(E, dtype=np.int64)
+    squarings = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q refuses
+        while True:
+            T = 2 ** squarings
+            live = lengths <= T
+            weight = np.bincount((T - lengths[live]) * E + of_entry[live], minlength=T * E)
+            unit_columns = int(lengths.size - np.count_nonzero(live)) + cycling
+            q = math.hypot(float(np.linalg.norm(_values(power))),
+                           math.sqrt(weight @ norms2 + unit_columns))
+            if q < 0.5:
+                break
+            if not np.isfinite(q) or 2 * T > max_steps:
+                raise FrameDeficientError(
+                    f"one peeling step does not contract within {max_steps} steps "
+                    f"(||A^{T}||_F = {q:.3e})")
+            if E:
+                further = _dense(_product(power, stack))
+                stack = np.concatenate([stack, further], axis=1)
+                norms2 = np.concatenate([norms2, column_norms(further) ** 2])
+                counts = np.concatenate([counts, np.count_nonzero(further, axis=0)])
+            power = _product(power, power)
+            squarings += 1
+    nonzeros = int(np.count_nonzero(_values(power))) + int(weight @ counts) + unit_columns
+    return squarings, q, nonzeros, head.size
 
 
 def certify_representation(frame: RepresentationFrame, depth: int,
@@ -255,8 +351,8 @@ def certify_representation(frame: RepresentationFrame, depth: int,
 
     *Products over exact nonzeros.*  Q is M's basis as it is held, an array
     or its ``_Nonzeros``, and nothing of it is densified: the peeling step,
-    A_Q = Q^H (A Q), Q A_Q, A_Q^H A_Q, C_Q^H C_Q and every power A_Q^(2^j)
-    are formed by ``_product`` from the entries != 0 of their factors, and
+    A_Q = Q^H (A Q), Q A_Q, A_Q^H A_Q, C_Q^H C_Q and the powers below are
+    formed by ``_product`` from the entries != 0 of their factors, and
     the sums and shifts that make P and D keep their operands' form
     (``_combine``, ``_shift``); nothing is thresholded.  Each entry is then
     the dense sum without its exactly-zero terms, so only the summation
@@ -264,16 +360,35 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     bound gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.
     Where the nonzeros do not cut the scalar products by
     ``SUPPORT_PRODUCT_FACTOR``, as on a dense basis, the product is BLAS's.
-    On the zero route's basis A_Q and all its powers keep a few nonzeros per
-    column (at most 6,617 of 259,081 at dim = 509), and no product takes
-    more than about 50,000 scalar products against dim^3.  The certificate
-    keeps A_Q as the product gave it.
+    On the zero route's basis at dim = 509, A_Q holds 689 nonzeros and no
+    product of the step takes more than 3,614 scalar products against
+    dim^3.  The certificate keeps A_Q as the product gave it.
 
-    *Certificate.*  A_Q is squared k times until q = ||A_Q^T||_F < 1/2,
-    T = 2^k; no eigenvalue is trusted, since the computed spectrum of a
-    perturbed shift is a pseudospectral artifact.  From
-    A_Q^H A_Q = I - D - C_Q^H C_Q <= (1 + ||D||) I, ||A_Q^j|| <= c_T =
-    (1 + ||D||)^(T/2) for j < T, and with t = sT + j,
+    *Contraction.*  k is the least with q = ||A_Q^T||_F < 1/2, T = 2^k; no
+    eigenvalue is trusted, since the computed spectrum of a perturbed shift
+    is a pseudospectral artifact.  ``_contraction`` finds it from A_Q's
+    exact nonzeros.  A link is a column whose one nonzero is an exact 1.0,
+    so A_Q e_j = e_pi(j) without arithmetic.  The head is every other
+    column, widened by each link that a head column reaches through a chain
+    of links, so A_Q maps the head's coordinates into themselves:
+    A_Q^s e_c = H^s e_c for every head column c, with H the h x h head
+    block.  A link's chain either enters the head after t_j steps,
+    A_Q^t_j e_j = e_c_j, or runs into a cycle of links and stays a unit
+    vector.  Pointer doubling finds t_j and c_j in O(K log K).  Summed over
+    the columns of A_Q^T,
+
+        ||A_Q^T||_F^2 = ||H^T||_F^2 + sum_{t_j <= T} ||H^(T - t_j) e_c_j||^2
+                        + #{links with t_j > T or no head entry},
+
+    so each squaring multiplies only h x h blocks: it squares H^T and
+    doubles the stack of H^i e_c (i < T, c a head entry) by H^T, and the
+    exact nonzeros of A_Q^T are counted the same way.  A cycle never
+    contracts.  An A_Q without links, or held as an array because its
+    products ran on BLAS, is the head itself (h = K) and is squared whole.
+    On the zero route's basis h = 15 at every N of the repr-large workload.
+
+    *Certificate.*  From A_Q^H A_Q = I - D - C_Q^H C_Q <= (1 + ||D||) I,
+    ||A_Q^j|| <= c_T = (1 + ||D||)^(T/2) for j < T, and with t = sT + j,
     ||A_Q^t|| <= ||A_Q^T||^s ||A_Q^j|| <= q^s c_T, so
 
         sum_t ||A_Q^t|| <= T c_T / (1 - q),  sum_t ||A_Q^t||^2 <= T c_T^2 / (1 - q^2).
@@ -305,8 +420,9 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     sqrt(K) delta: about 2.3e-11 at K = 509.
 
     The bounds hold up to the roundoff of evaluating the certificate itself.
-    Raises ``FrameDeficientError`` if 2^k would pass ``max_steps`` (default
-    max(64 N, 4096)) or the reconstruction bound exceeds ``tol_rep``.
+    Raises ``FrameDeficientError`` if q is not finite, if 2^k would pass
+    ``max_steps`` (default max(64 N, 4096)) or if the reconstruction bound
+    exceeds ``tol_rep``.
     """
     M = frame.M
     m, N, K = M.m, M.N, M.dim
@@ -322,14 +438,7 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     D = _combine(np.subtract, identity, _product(_adjoint(A_Q), A_Q))
     d_norm, p_norm, d_support, p_support = _support_norms(
         _combine(np.subtract, D, _product(_adjoint(C), C)), P)
-    power, squarings = A_Q, 0
-    while not (q := float(np.linalg.norm(_values(power)))) < 0.5:
-        if not np.isfinite(q) or 2 ** (squarings + 1) > max_steps:
-            raise FrameDeficientError(
-                f"one peeling step does not contract within {max_steps} steps "
-                f"(||A^{2 ** squarings}||_F = {q:.3e})")
-        power = _product(power, power)
-        squarings += 1
+    squarings, q, power_nonzeros, head = _contraction(A_Q, max_steps)
     T = 2 ** squarings
     growth = 1.0 + d_norm  # bounds ||A_Q||^2
     # c_T = growth^(T/2), capped below overflow: a cap that large fails anyway
@@ -344,9 +453,8 @@ def certify_representation(frame: RepresentationFrame, depth: int,
         invariance=InvarianceReport(
             depth=depth, residuals=tuple(recon * growth ** (n / 2)
                                          for n in range(1, depth + 1))),
-        support=(d_support, p_support),
-        nonzeros=(int(np.count_nonzero(_values(A_Q))),
-                  int(np.count_nonzero(_values(power)))))
+        support=(d_support, p_support), head=head,
+        nonzeros=(int(np.count_nonzero(_values(A_Q))), power_nonzeros))
 
 
 def _realized_series(cert: RealizationCertificate, x: np.ndarray) -> np.ndarray:

@@ -415,6 +415,102 @@ def test_dense_frame_takes_blas_bitwise(monkeypatch):
     assert cert.invariance.residuals == dense["invariance"]
     assert cert.nonzeros == (np.count_nonzero(dense["A"]), np.count_nonzero(dense["power"]))
     assert cert.nonzeros[0] == K * K
+    assert cert.head == K
+
+
+def _dense_squarings(A, max_steps):
+    """Repeated squaring of the whole dense A: (k, ||A^(2^k)||_F, A^(2^k)),
+    or None where the certificate refuses."""
+    power, k = A, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not (q := float(np.linalg.norm(power))) < 0.5:
+            if not np.isfinite(q) or 2 ** (k + 1) > max_steps:
+                return None
+            power, k = power @ power, k + 1
+    return k, q, power
+
+
+def _shift_chain_matrix(rng, K, head, cycles, widen, scale):
+    """A K x K matrix of link chains into a random head block of ``head``
+    columns and Frobenius norm ``scale``, with ``cycles`` link cycles;
+    ``widen`` puts head nonzeros in link rows."""
+    order = [int(j) for j in rng.permutation(K)]
+    A = np.zeros((K, K), complex)
+    heads, rest = order[:head], order[head:]
+    for _ in range(cycles):
+        size = min(int(rng.integers(1, 6)), len(rest))
+        loop, rest = rest[:size], rest[size:]
+        for j, i in zip(loop, loop[1:] + loop[:1]):
+            A[i, j] = 1.0
+    # chains of random length, each into a random head entry or, without a
+    # head, ended by a zero column
+    while rest:
+        size = min(int(rng.integers(1, 40)), len(rest))
+        chain, rest = rest[:size], rest[size:]
+        end = heads[int(rng.integers(len(heads)))] if heads else chain.pop()
+        for j, i in zip(chain, chain[1:] + [end]):
+            A[i, j] = 1.0
+    reach = order if widen else heads
+    block = np.zeros((K, K), complex)
+    for j in heads:
+        rows = rng.choice(reach, size=int(rng.integers(1, len(heads) + 2)))
+        block[rows, j] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    return A + scale / (np.linalg.norm(block) or 1.0) * block
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 200), head=st.integers(0, 6),
+       cycles=st.sampled_from([0, 0, 1, 2]), widen=st.booleans(),
+       scale=st.sampled_from([0.3, 0.9, 3.0]), max_steps=st.sampled_from([8, 4096, 4096]),
+       held=st.sampled_from(["array", "nonzeros"]))
+def test_contraction_equals_dense_squaring(seed, K, head, cycles, widen, scale, max_steps,
+                                           held):
+    A = _shift_chain_matrix(np.random.default_rng(seed), K, head, cycles, widen, scale)
+    dense = _dense_squarings(A, max_steps)
+    x = A if held == "array" else subspaces._nonzeros(A)
+    if dense is None:
+        with pytest.raises(FrameDeficientError):
+            representation._contraction(x, max_steps)
+        return
+    squarings, q, nonzeros, h = representation._contraction(x, max_steps)
+    k, q_dense, power = dense
+    assert squarings == k
+    assert q == pytest.approx(q_dense, rel=1e-12, abs=1e-14)
+    # a sum that reaches an exact zero, or underflows, in one summation
+    # order need not in another
+    if np.all((power == 0) | (np.abs(power) > 1e-250)):
+        assert nonzeros == np.count_nonzero(power)
+    assert h == K if held == "array" else 0 <= h <= K
+
+
+def test_cyclic_shift_never_contracts():
+    K = 9
+    cycle = subspaces._Nonzeros(np.arange(K), (np.arange(K) - 1) % K,
+                                np.ones(K, complex), (K, K))
+    with pytest.raises(FrameDeficientError, match="within 4096 steps"):
+        representation._contraction(cycle, 4096)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 8, 9, 200])
+def test_nilpotent_shift_contracts_when_the_chains_run_out(K):
+    # A e_j = e_(j+1): every column but the last is a link into the 1 x 1
+    # zero head, and ||A^T||_F^2 = max(K - T, 0)
+    shift = subspaces._Nonzeros(np.arange(1, K), np.arange(K - 1),
+                                np.ones(K - 1, complex), (K, K))
+    assert representation._contraction(shift, 4096) == (math.ceil(math.log2(K)), 0.0, 0, 1)
+
+
+def test_head_widens_over_the_chains_it_reaches():
+    # head column 0 reaches link 3, whose chain 3 -> 4 -> 5 into the zero
+    # column 5 joins the head; the chain 1 -> 2 -> 0 stays links
+    A = np.zeros((6, 6), complex)
+    A[[2, 0, 4, 5], [1, 2, 3, 4]] = 1.0
+    A[[0, 3], 0] = [0.1, 0.2]
+    squarings, q, nonzeros, h = representation._contraction(subspaces._nonzeros(A), 64)
+    assert h == 4
+    k, q_dense, power = _dense_squarings(A, 64)
+    assert (squarings, nonzeros) == (k, np.count_nonzero(power))
+    assert q == pytest.approx(q_dense, rel=1e-12)
 
 
 def test_representation_check_imports_no_scipy():

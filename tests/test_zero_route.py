@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tklab import subspaces
+from tklab import representation, subspaces
 from tklab.cli_reports import run_scenario_object
 from tklab.config import SUBSPACE_GRAM_BOUND, Tolerances
 from tklab.errors import FrameDeficientError
@@ -202,6 +202,17 @@ def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Subspace, "basis", property(spy))
+    # the only product of two K x K factors is A_Q^H A_Q of the isometry
+    # defect: the contraction squares A_Q's 15-column head, not A_Q
+    K = 2 * 4096 - 3
+    real_product = representation._product
+    square_factors = []
+
+    def product_spy(X, Y):
+        square_factors.append(X.shape == Y.shape == (K, K))
+        return real_product(X, Y)
+
+    monkeypatch.setattr(representation, "_product", product_spy)
     tracemalloc.start()
     try:
         report = run_scenario_object(scenario, Tolerances())
@@ -214,4 +225,7 @@ def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
     assert (defect["subspace_dim"], defect["defect_dim"]) == (2 * 4096 - 3, 3)
     assert defect["details"]["kernel_method"] == "zero"
     assert densified == []
-    assert peak < 100e6, peak / 1e6
+    assert sum(square_factors) == 1
+    assert report.outcomes[1].residuals["certificate"]["head"] == 15
+    # about 9 MB: the squarings' temporaries set 69 MB while they took A_Q whole
+    assert peak < 25e6, peak / 1e6
