@@ -17,11 +17,7 @@ from .errors import (CircleRootError, ContainmentError, DimensionMismatch,
 from .hardy_core import (CoeffVec, LaurentVec, backward_shift, eval_at_zero,
                          forward_shift, inner_product, reproducing_column)
 from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
-from .near_invariance import (DefectReport, KernelResult, compute_defect,
-                              kernel_of, verify_theorem_inner_symbol,
-                              verify_theorem_invertible_factors,
-                              verify_theorem_phi_zero,
-                              verify_theorem_theta_star)
+from .near_invariance import DefectReport, KernelResult, compute_defect, kernel_of
 from .operators import (BrownHalmosReport, PerturbedToeplitz,
                         ToeplitzCompression, brown_halmos_check,
                         build_perturbed, orthonormalize_family)
@@ -31,12 +27,11 @@ from .representation import (RepresentationFrame, build_frame,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
                              rank_one_theta_star_analysis)
-from .subspaces import (SigmaGap, Subspace, intersect, is_contained, nullspace,
-                        ortho_complement_within, project, span_of, subspace_equal,
-                        vanishing_at_zero_space, zero_at_origin_slice)
+from .subspaces import (SigmaGap, Subspace, is_contained, nullspace,
+                        ortho_complement_within, project, span_of, subspace_equal)
 from .symbols import (InnerCheck, LaurentMatrixSymbol,
                       ScalarInnerOuterFactorization, blaschke_taylor,
-                      diagonal_inner_outer, invert_analytic, is_inner,
-                      is_invertible_analytic, scalar_inner_outer)
+                      invert_analytic, is_inner, is_invertible_analytic,
+                      scalar_inner_outer)
 
 __version__ = "0.1.0"

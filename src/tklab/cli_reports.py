@@ -202,6 +202,11 @@ def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
     if sc.symbol_class in ("inner", "theta_star"):
         if sc.symbol is None:
             raise ScenarioValidationError(f"class {sc.symbol_class} needs a symbol")
+        # is_inner tests the circle only, where z^-1 is unitary too
+        if not sc.symbol.is_analytic():
+            raise ScenarioValidationError(
+                f"class {sc.symbol_class} needs an analytic symbol, "
+                f"got power {sc.symbol.powers()[0]}")
         inner = is_inner(sc.symbol, tol=tol.inner)
         if not inner.ok:
             raise ScenarioValidationError(
@@ -285,8 +290,9 @@ class ScenarioRun:
         if predict is None:
             raise ScenarioValidationError(
                 f"defect_theorem is not defined for class {sc.symbol_class!r}")
-        # the model space before the operator, as the public Theta* check
-        # orders them
+        # the Theta* prediction reads the model space, whose build certifies
+        # Theta inner: it comes before the operator, so a non-inner Theta
+        # fails there first
         extra = ((self.model_space, tol.range_membership)
                  if sc.symbol_class == "theta_star" else ())
         self.operator.check_orthonormal(tol.ortho)
@@ -643,8 +649,10 @@ def sweep(sc: Scenario, param: str, values: list[int],
                 _monomial_power(sc.symbol) is None:
             raise ScenarioValidationError(
                 f"parameter {param!r} needs a monomial identity symbol")
-    if param == "n" and any(v > len(sc.G) for v in values):
-        raise ScenarioValidationError("sweep n exceeds the stored family size")
+    # a negative n would slice the family from its end
+    if param == "n" and not all(0 <= v <= len(sc.G) for v in values):
+        raise ScenarioValidationError(
+            f"sweep n must lie in 0..{len(sc.G)}, the stored family size")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([param, "kernel_dim", "defect_dim", "containment_residual",
@@ -756,7 +764,10 @@ def main(argv: list[str] | None = None) -> int:
             sc = load_scenario(args.file)
             if args.seed is not None:
                 sc.seed = args.seed
-            values = [int(v) for v in args.values.split(",") if v]
+            try:
+                values = [int(v) for v in args.values.split(",") if v]
+            except ValueError as exc:  # a malformed list is bad input syntax
+                raise ScenarioParseError(f"bad --values {args.values!r}: {exc}") from exc
             text = sweep(sc, args.param, values, base_tol=tol)
             if args.out is not None:
                 args.out.write_text(text)

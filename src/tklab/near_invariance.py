@@ -1,23 +1,22 @@
-"""Near-invariance defect measurement and the per-symbol-class verifications.
+"""Near-invariance defect measurement and the per-symbol-class predictions.
 
 The defect of a subspace M measures how far backward-shifting its
 origin-vanishing members escapes M: residuals r_F = S*F - P_M(S*F) over the
 slice {F in M : F(0) = 0} span the (minimal, orthogonal-to-M) defect space.
 
-Each verify_* operation builds the perturbed operator for one symbol class,
-extracts its polynomial kernel from the exact-action matrix (for the zero
-symbol from the n x n core of the bump H G^H, with the kernel's
-n-dimensional complement kept for the defect; inside the class's small
-candidate space when the symbol is exactly inner, the adjoint of one, or a
-product of given invertible factors; by dense SVD otherwise), measures the
-defect, and compares it against the class prediction.  The
-first three steps are one shared head; each prediction takes their results
-and returns a copy of the measured report, so a caller that already holds
-a scenario's operator, kernel and defect attaches the prediction alone.
-Predictions are generally oblique to the kernel, so containment is assessed
-modulo M: the defect (which is orthogonal to M by construction) must lie
-inside span(M + prediction), equivalently inside the prediction projected
-onto the orthocomplement of M.
+``kernel_of`` extracts the polynomial kernel of a perturbed operator from
+its exact-action matrix (for the zero symbol from the n x n core of the bump
+H G^H, with the kernel's n-dimensional complement kept for the defect;
+inside the class's small candidate space when the symbol is exactly inner,
+the adjoint of one, or a product of given invertible factors; by dense SVD
+otherwise), and ``compute_defect`` measures the kernel's defect.  Each
+class prediction (``_zero_prediction`` .. ``_theta_star_prediction``) takes
+the operator, kernel and measured defect that ``cli_reports.ScenarioRun``
+holds and returns a copy of the measured report with the prediction
+attached.  Predictions are generally oblique to the kernel, so containment
+is assessed modulo M: the defect (which is orthogonal to M by construction)
+must lie inside span(M + prediction), equivalently inside the prediction
+projected onto the orthocomplement of M.
 """
 
 from __future__ import annotations
@@ -29,17 +28,15 @@ import numpy as np
 
 from .config import (ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, SUBSPACE_GRAM_BOUND,
                      rank_threshold)
-from .errors import DimensionMismatch, NotInnerError, NotInvertibleError
-from .hardy_core import CoeffVec, backward_shift_flat, flat_columns
-from .model_spaces import ModelSpace, build_model_space, decompose_against_theta
-from .operators import (PerturbedToeplitz, apply_block_toeplitz, build_perturbed,
-                        range_complement)
+from .errors import DimensionMismatch
+from .hardy_core import backward_shift_flat, flat_columns
+from .model_spaces import ModelSpace, decompose_against_theta
+from .operators import PerturbedToeplitz, apply_block_toeplitz, range_complement
 from .subspaces import (SigmaGap, Subspace, _Nonzeros, _nonzeros, _overlap, _relative_cut,
                         column_gram_deviation, column_norms, column_span, is_contained,
                         nullspace, nullspace_within, subspace_equal, value_split,
                         zero_space)
-from .symbols import (LaurentMatrixSymbol, invert_analytic, is_exactly_inner,
-                      is_inner, is_invertible_analytic)
+from .symbols import LaurentMatrixSymbol, invert_analytic, is_exactly_inner
 
 
 @dataclass(frozen=True)
@@ -216,8 +213,8 @@ def _kernel_candidates(T: PerturbedToeplitz,
     - inner Theta: B is an isometry, so L = B^H gives L B = I, Z0 = 0,
       |L| = 1 and Z = span{T_{Theta*} H_i};
     - Theta*: B = C^H for the square compression C of Theta, and
-      R = ``shifted_range_matrix`` has orthonormal columns, the first
-      m(N - d) of C; L y = R y[:m(N - d)] gives L B F = R R^H F, so
+      R = Theta P_{N-d}, the first m(N - d) columns of C, is orthonormal;
+      L y = R y[:m(N - d)] gives L B F = R R^H F, so
       Z0 = R^perp (``range_complement``), |L| = 1 and
       Z = R^perp + span{R P_{N-d} H_i};
     - F1* F2: L = T_N(F2^-1) T(F1*^-1) inverts B exactly on P_N when the
@@ -438,17 +435,6 @@ def _kernel_defect(kr: KernelResult, defect_floor: float,
     return report
 
 
-def _measure(phi: LaurentMatrixSymbol, G: list[CoeffVec], H: list[CoeffVec], N: int,
-             defect_floor: float, tol_rel: float | None, tol_ortho: float,
-             factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
-             ) -> tuple[PerturbedToeplitz, KernelResult, DefectReport]:
-    """The head every verify_* shares: the operator (orthonormal families
-    required), its kernel and the kernel's measured defect."""
-    T = build_perturbed(phi, N, list(G), list(H), tol_ortho=tol_ortho)
-    kr = kernel_of(T, tol_rel=tol_rel, factors=factors)
-    return T, kr, _kernel_defect(kr, defect_floor, tol_rel)
-
-
 def _zero_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
                      defect_floor: float) -> DefectReport:
     return _attach_prediction(measured, kr, T.G_matrix, defect_floor, T.rank)
@@ -502,66 +488,3 @@ def _theta_star_prediction(T: PerturbedToeplitz, kr: KernelResult,
                                 T.rank + len(outside))
     report.details["outside_range_count"] = len(outside)
     return report
-
-
-def verify_theorem_phi_zero(G: list[CoeffVec], H: list[CoeffVec], N: int,
-                            m: int | None = None,
-                            defect_floor: float = 1e-8,
-                            tol_rel: float | None = None,
-                            tol_ortho: float = 1e-8) -> DefectReport:
-    """Zero symbol: the kernel is the orthocomplement of span{G_i}; the
-    defect space sits inside span{G_i} with defect at most the rank."""
-    if G:
-        m = G[0].m
-    elif m is None:
-        raise ValueError("component count m is required when the family is empty")
-    return _zero_prediction(*_measure(LaurentMatrixSymbol.zero(m), G, H, N,
-                                      defect_floor, tol_rel, tol_ortho), defect_floor)
-
-
-def verify_theorem_inner_symbol(theta: LaurentMatrixSymbol, G: list[CoeffVec],
-                                H: list[CoeffVec], N: int,
-                                defect_floor: float = 1e-8,
-                                tol_rel: float | None = None,
-                                tol_ortho: float = 1e-8,
-                                tol_inner: float = 1e-8) -> DefectReport:
-    """Inner symbol: defect at most n inside span{S*(T_{Theta*} H_i)}."""
-    chk = is_inner(theta, tol=tol_inner)
-    if not chk.ok:
-        raise NotInnerError(f"symbol deviates from inner by {chk.max_deviation:.3e}")
-    return _inner_prediction(*_measure(theta, G, H, N, defect_floor, tol_rel, tol_ortho),
-                             defect_floor)
-
-
-def verify_theorem_invertible_factors(F1: LaurentMatrixSymbol,
-                                      F2: LaurentMatrixSymbol,
-                                      G: list[CoeffVec], H: list[CoeffVec],
-                                      N: int,
-                                      defect_floor: float = 1e-8,
-                                      tol_rel: float | None = None,
-                                      tol_ortho: float = 1e-8,
-                                      margin: float = 1e-6) -> DefectReport:
-    """Symbol F1* F2 with invertible analytic factors: defect at most n
-    inside span{F2^{-1} S*(T_{F1*^{-1}} H_i)}."""
-    for name, F in (("F1", F1), ("F2", F2)):
-        if not is_invertible_analytic(F, margin=margin):
-            raise NotInvertibleError(f"factor {name} is not invertible on the disk")
-    return _factored_prediction(*_measure(F1.adjoint().multiply(F2), G, H, N, defect_floor,
-                                          tol_rel, tol_ortho, factors=(F1, F2)),
-                                defect_floor)
-
-
-def verify_theorem_theta_star(theta: LaurentMatrixSymbol, G: list[CoeffVec],
-                              H: list[CoeffVec], N: int,
-                              defect_floor: float = 1e-8,
-                              tol_rel: float | None = None,
-                              tol_ortho: float = 1e-8,
-                              tol_inner: float = 1e-8,
-                              range_membership: float = 1e-8) -> DefectReport:
-    """Adjoint-of-inner symbol: defect at most n + l where l counts the G_j
-    outside the shifted range; prediction adds their model-space parts."""
-    # build_model_space certifies that theta is inner
-    ms = build_model_space(theta, N, tol_inner=tol_inner, tol_rel=tol_rel)
-    return _theta_star_prediction(*_measure(theta.adjoint(), G, H, N, defect_floor,
-                                            tol_rel, tol_ortho),
-                                  defect_floor, ms, range_membership)

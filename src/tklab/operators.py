@@ -17,14 +17,13 @@ bump H G^H.  ``apply_block_toeplitz`` applies a compression without forming
 it, as one matmul over a sliding window of the coefficient stack, and the
 bump is applied as H (G^H X); column norms of the exact action come from the
 coefficients too.  A dense matrix (``matrix``, ``action_matrix()``) is built
-only when a caller asks for one, and then cached.  ``gram_deviation`` and
-``orthonormalize_family`` are the CoeffVec-family forms of the subspaces
-module's Gram check and Gram-Schmidt.
+only when a caller asks for one, and then cached.  ``orthonormalize_family``
+is the CoeffVec-family form of the subspaces module's Gram-Schmidt.
 
-For an exactly inner Theta, `shifted_range_matrix` (Theta on degrees below
-N - d) is an isometry and `range_complement` gives its md-dimensional
-orthogonal complement; the structured kernel and model-space paths are built
-on the complement.
+For an exactly inner Theta, Theta on the degrees below N - d is an isometry
+onto R = Theta P_{N-d}, and ``range_complement`` gives the md-dimensional
+orthogonal complement of R; the structured kernel and model-space paths are
+built on the complement.
 """
 
 from __future__ import annotations
@@ -80,15 +79,6 @@ def apply_block_toeplitz(symbol: LaurentMatrixSymbol, X: np.ndarray,
     windows = as_strided(padded, (rows, P * m, k), (m * step, step, padded.strides[1]),
                          writeable=False)
     return np.matmul(row, windows).reshape(rows * m, k)
-
-
-def shifted_range_matrix(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
-    """R = Theta applied to the degrees [0, N - d), an mN x m(N - d) matrix.
-
-    Nothing is flushed past the window, so R has orthonormal columns when
-    Theta is inner; they span Theta P_{N-d}.
-    """
-    return _block_toeplitz(theta, N, N - theta.d)
 
 
 def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
@@ -205,13 +195,6 @@ class ToeplitzCompression:
 
     def __repr__(self) -> str:
         return f"ToeplitzCompression(m={self.m}, N={self._N}, d={self._symbol.d})"
-
-
-def gram_deviation(vectors: list[CoeffVec]) -> float:
-    """Max |<v_i, v_j> - delta_ij| over a family of equal-shape vectors."""
-    if not vectors:
-        return 0.0
-    return column_gram_deviation(flat_columns(vectors, vectors[0].m * vectors[0].N))
 
 
 def orthonormalize_family(vectors: list[CoeffVec], drop_tol: float = 1e-12) -> list[CoeffVec]:

@@ -182,15 +182,6 @@ def zero_space(m: int, N: int, tol: float = 0.0) -> Subspace:
     return Subspace(m, N, np.zeros((m * N, 0), dtype=complex), tol)
 
 
-def vanishing_at_zero_space(m: int, N: int) -> Subspace:
-    """All vectors with value 0 at the origin (degrees >= 1)."""
-    basis = np.zeros((m * N, m * (N - 1)), dtype=complex)
-    for j in range(1, N):
-        for i in range(m):
-            basis[j * m + i, (j - 1) * m + i] = 1.0
-    return Subspace(m, N, basis, 0.0)
-
-
 def nullspace(A: np.ndarray, shape: tuple[int, int],
               tol_rel: float | None = None, scale: float = 0.0) -> Subspace:
     """Numerical kernel of A acting on the flattened (m, N) ambient.
@@ -362,25 +353,6 @@ def subspace_equal(A: Subspace, B: Subspace, tol: float = 1e-8):
     return ok_ab and ok_ba, max(r_ab, r_ba)
 
 
-def intersect(M: Subspace, L: Subspace, tol_int: float = 1e-8) -> Subspace:
-    """Intersection via principal angles: SVD of basis cross-Gram.
-
-    Directions with cos(angle) >= 1 - tol_int count as common.  This is far
-    better conditioned than stacking nullspaces.
-    """
-    _check_same_ambient(M, L)
-    if M.dim == 0 or L.dim == 0:
-        return zero_space(M.m, M.N)
-    u, s, _ = np.linalg.svd(M.basis.conj().T @ L.basis)
-    s = np.clip(s, 0.0, 1.0)
-    r = int(np.sum(s >= 1.0 - tol_int))
-    if r == 0:
-        return Subspace(M.m, M.N, np.zeros((M.m * M.N, 0), complex), tol_int,
-                        SigmaGap.at(s, 0))
-    q, _ = np.linalg.qr(M.basis @ u[:, :r])
-    return Subspace(M.m, M.N, q, tol_int, SigmaGap.at(s, r))
-
-
 def ortho_complement_within(M: Subspace, A: Subspace,
                             tol_contain: float = 1e-8) -> Subspace:
     """M minus A, requiring A to sit inside M."""
@@ -430,16 +402,6 @@ def value_split(M: Subspace) -> ValueSplit:
     s = np.concatenate([s, np.zeros(K - s.size)])
     _, r = _relative_cut(values.shape, s, None, floor=ORIGIN_SLICE_FLOOR)
     return ValueSplit(_dense(_product(M.held, vh[:r].conj().T)), K - r, SigmaGap.at(s, r))
-
-
-def zero_at_origin_slice(M: Subspace) -> Subspace:
-    """Members of M vanishing at the origin: Q times the null directions of
-    the full SVD of its values, cut as ``value_split`` cuts, which keeps the
-    result an exact subspace of M.  It is that split's test oracle."""
-    if M.dim == 0 or not np.any(M.basis[:M.m]):
-        return M
-    combos, _, gap = _null_combinations(M.basis[:M.m], None, floor=ORIGIN_SLICE_FLOOR)
-    return Subspace(M.m, M.N, M.basis @ combos, M.tol, gap)
 
 
 def column_gram_deviation(X: np.ndarray) -> float:

@@ -128,9 +128,6 @@ class LaurentMatrixSymbol:
     def is_analytic(self) -> bool:
         return all(k >= 0 for k in self._terms)
 
-    def is_diagonal(self) -> bool:
-        return all(np.all(mat == np.diag(np.diag(mat))) for mat in self._terms.values())
-
     # ---- constructors ----
 
     @classmethod
@@ -545,28 +542,3 @@ def scalar_inner_outer(p, eps_circle: float = 1e-6,
         raise CircleRootError(
             f"factorization residual {resid:.3e} exceeds {tol_reconstruct:g}")
     return fact
-
-
-def _diagonal_entries(phi: LaurentMatrixSymbol) -> list[np.ndarray]:
-    if not phi.is_analytic():
-        raise ValueError("inner-outer splitting expects an analytic symbol")
-    if not phi.is_diagonal():
-        raise ValueError("inner-outer splitting is implemented for diagonal symbols")
-    entries = []
-    for i in range(phi.m):
-        coeffs = np.array([phi.fourier(kk)[i, i] for kk in range(phi.d + 1)])
-        entries.append(coeffs)
-    return entries
-
-
-def diagonal_inner_outer(phi: LaurentMatrixSymbol, taylor_degree: int,
-                         eps_circle: float = 1e-6):
-    """Entrywise factorization of a diagonal analytic symbol.
-
-    Returns (inner_symbol, outer_symbol, factorizations) with the inner part
-    expanded to the requested Taylor degree.
-    """
-    facts = [scalar_inner_outer(e, eps_circle=eps_circle) for e in _diagonal_entries(phi)]
-    inner = LaurentMatrixSymbol.diagonal([f.inner_taylor(taylor_degree) for f in facts])
-    outer = LaurentMatrixSymbol.diagonal([f.outer_coeffs for f in facts])
-    return inner, outer, facts

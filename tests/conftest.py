@@ -3,6 +3,8 @@ import pytest
 
 from tklab import (cli_reports, model_spaces, near_invariance, operators,
                    representation, symbols)
+from tklab.cli_reports import Scenario, ScenarioRun
+from tklab.config import Tolerances
 from tklab.hardy_core import CoeffVec
 from tklab.operators import orthonormalize_family
 from tklab.symbols import LaurentMatrixSymbol
@@ -84,3 +86,27 @@ def svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", wrapper)
     return shapes
+
+
+def class_scenario(symbol_class, G, H, N, *, symbol=None, factors=None, m=None):
+    """A one-check defect_theorem scenario of the class; ``m`` defaults to
+    that of the first G, the symbol or the first factor."""
+    if m is None:
+        m = next(x.m for x in [*G, symbol, *(factors or ())] if x is not None)
+    return Scenario(name=f"{symbol_class}_defect", m=m, N=N, symbol_class=symbol_class,
+                    checks=["defect_theorem"], seed=0, G=list(G), H=list(H),
+                    symbol=symbol, factors=factors)
+
+
+def class_defect(symbol_class, G, H, N, *, symbol=None, factors=None, m=None,
+                 **tolerances):
+    """The measured defect of T = T_Phi + sum <., G_i> H_i with its class
+    prediction, as the defect_theorem check computes it:
+    ``ScenarioRun.predicted_defect()`` of the ``class_scenario``.  Keywords
+    are ``Tolerances`` field names.
+
+    The scenario is not validated, so a truncation below the scenario
+    headroom stays allowed; the run still demands orthonormal families.
+    """
+    sc = class_scenario(symbol_class, G, H, N, symbol=symbol, factors=factors, m=m)
+    return ScenarioRun(sc, Tolerances(**tolerances)).predicted_defect()

@@ -1,0 +1,99 @@
+"""Reference forms that the package's own paths replaced, kept as test oracles.
+
+- ``zero_at_origin_slice``: the origin slice of a subspace from the full SVD
+  of its values, the oracle of ``subspaces.value_split``;
+- ``vanishing_at_zero_space`` and ``intersect``: the space zH2 and the
+  principal-angle intersection, which build that slice another way;
+- ``gram_deviation``: the Gram check of a CoeffVec family;
+- ``shifted_range_matrix``: the dense range R = Theta P_{N-d} of an inner
+  Theta, whose Gram the coefficient certificate of innerness predicts;
+- ``diagonal_inner_outer``: the entrywise inner-outer split of a diagonal
+  analytic symbol, built on ``symbols.scalar_inner_outer``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from tklab.config import ORIGIN_SLICE_FLOOR
+from tklab.hardy_core import CoeffVec, flat_columns
+from tklab.operators import _block_toeplitz
+from tklab.subspaces import (SigmaGap, Subspace, _check_same_ambient, _null_combinations,
+                             column_gram_deviation, zero_space)
+from tklab.symbols import LaurentMatrixSymbol, scalar_inner_outer
+
+
+def zero_at_origin_slice(M: Subspace) -> Subspace:
+    """Members of M vanishing at the origin: Q times the null directions of
+    the full SVD of its values, cut as ``value_split`` cuts, which keeps the
+    result an exact subspace of M."""
+    if M.dim == 0 or not np.any(M.basis[:M.m]):
+        return M
+    combos, _, gap = _null_combinations(M.basis[:M.m], None, floor=ORIGIN_SLICE_FLOOR)
+    return Subspace(M.m, M.N, M.basis @ combos, M.tol, gap)
+
+
+def vanishing_at_zero_space(m: int, N: int) -> Subspace:
+    """All vectors with value 0 at the origin (degrees >= 1)."""
+    basis = np.zeros((m * N, m * (N - 1)), dtype=complex)
+    for j in range(1, N):
+        for i in range(m):
+            basis[j * m + i, (j - 1) * m + i] = 1.0
+    return Subspace(m, N, basis, 0.0)
+
+
+def intersect(M: Subspace, L: Subspace, tol_int: float = 1e-8) -> Subspace:
+    """Intersection via principal angles: SVD of basis cross-Gram.
+
+    Directions with cos(angle) >= 1 - tol_int count as common.  This is far
+    better conditioned than stacking nullspaces.
+    """
+    _check_same_ambient(M, L)
+    if M.dim == 0 or L.dim == 0:
+        return zero_space(M.m, M.N)
+    u, s, _ = np.linalg.svd(M.basis.conj().T @ L.basis)
+    s = np.clip(s, 0.0, 1.0)
+    r = int(np.sum(s >= 1.0 - tol_int))
+    if r == 0:
+        return Subspace(M.m, M.N, np.zeros((M.m * M.N, 0), complex), tol_int,
+                        SigmaGap.at(s, 0))
+    q, _ = np.linalg.qr(M.basis @ u[:, :r])
+    return Subspace(M.m, M.N, q, tol_int, SigmaGap.at(s, r))
+
+
+def gram_deviation(vectors: list[CoeffVec]) -> float:
+    """Max |<v_i, v_j> - delta_ij| over a family of equal-shape vectors."""
+    if not vectors:
+        return 0.0
+    return column_gram_deviation(flat_columns(vectors, vectors[0].m * vectors[0].N))
+
+
+def shifted_range_matrix(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
+    """R = Theta applied to the degrees [0, N - d), an mN x m(N - d) matrix.
+
+    Nothing is flushed past the window, so R has orthonormal columns when
+    Theta is inner; they span Theta P_{N-d}.
+    """
+    return _block_toeplitz(theta, N, N - theta.d)
+
+
+def _diagonal_entries(phi: LaurentMatrixSymbol) -> list[np.ndarray]:
+    if not phi.is_analytic():
+        raise ValueError("inner-outer splitting expects an analytic symbol")
+    if any(np.any(mat != np.diag(np.diag(mat))) for mat in map(phi.fourier, phi.powers())):
+        raise ValueError("inner-outer splitting is implemented for diagonal symbols")
+    return [np.array([phi.fourier(k)[i, i] for k in range(phi.d + 1)])
+            for i in range(phi.m)]
+
+
+def diagonal_inner_outer(phi: LaurentMatrixSymbol, taylor_degree: int,
+                         eps_circle: float = 1e-6):
+    """Entrywise factorization of a diagonal analytic symbol.
+
+    Returns (inner_symbol, outer_symbol, factorizations) with the inner part
+    expanded to the requested Taylor degree.
+    """
+    facts = [scalar_inner_outer(e, eps_circle=eps_circle) for e in _diagonal_entries(phi)]
+    inner = LaurentMatrixSymbol.diagonal([f.inner_taylor(taylor_degree) for f in facts])
+    outer = LaurentMatrixSymbol.diagonal([f.outer_coeffs for f in facts])
+    return inner, outer, facts

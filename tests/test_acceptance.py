@@ -12,21 +12,17 @@ import pytest
 from tklab.cli_reports import bundled_scenario_dir, load_scenario, sweep
 from tklab.hardy_core import CoeffVec, backward_shift, inner_product
 from tklab.model_spaces import build_model_space
-from tklab.near_invariance import (compute_defect, kernel_of,
-                                   verify_theorem_inner_symbol,
-                                   verify_theorem_invertible_factors,
-                                   verify_theorem_phi_zero,
-                                   verify_theorem_theta_star)
+from tklab.near_invariance import compute_defect, kernel_of
 from tklab.operators import (ToeplitzCompression, brown_halmos_check,
                              build_perturbed)
 from tklab.representation import (build_frame, default_depth,
                                   rank_one_theta_star_analysis)
 from tklab.subspaces import nullspace, subspace_equal
-from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
-                           diagonal_inner_outer, invert_analytic)
+from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import rand_coeffvec, rand_orthonormal, unit
+from conftest import class_defect, rand_coeffvec, rand_orthonormal, unit
 from peeling_oracle import peel_members
+from reference_oracle import diagonal_inner_outer
 
 TOL_CONTAIN_STRICT = 1e-8
 TOL_CONTAIN_SERIES = 1e-6
@@ -85,7 +81,7 @@ def batches():
         m = (seed // 3) % 3 + 1
         G = rand_orthonormal(rng, m, N, 5, n)
         H = rand_orthonormal(rng, m, N, 5, n)
-        rep = verify_theorem_phi_zero(G, H, N)
+        rep = class_defect("zero", G, H, N)
         out["c1"].append(Batch(f"zero[{seed}]", LaurentMatrixSymbol.zero(m),
                                N, G, H, rep, TOL_CONTAIN_STRICT))
 
@@ -96,14 +92,14 @@ def batches():
         for n in (1, 2):
             rng = np.random.default_rng(1000 + 10 * p + n)
             G, H = tuned_inner_family(rng, theta, m, N, n)
-            rep = verify_theorem_inner_symbol(theta, G, H, N)
+            rep = class_defect("inner", G, H, N, symbol=theta)
             out["c2"].append(Batch(f"inner[z^{p},n={n}]", theta, N, G, H, rep,
                                    TOL_CONTAIN_SERIES))
     mixed = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
     for n in (1, 2):
         rng = np.random.default_rng(1100 + n)
         G, H = tuned_inner_family(rng, mixed, m, N, n)
-        rep = verify_theorem_inner_symbol(mixed, G, H, N)
+        rep = class_defect("inner", G, H, N, symbol=mixed)
         out["c2"].append(Batch(f"inner[mixed,n={n}]", mixed, N, G, H, rep,
                                TOL_CONTAIN_SERIES))
     # untuned random families (kernel generically trivial, bound still binds)
@@ -111,7 +107,7 @@ def batches():
         rng = np.random.default_rng(1200 + n)
         G = rand_orthonormal(rng, m, N, 6, n)
         H = rand_orthonormal(rng, m, N, 6, n)
-        rep = verify_theorem_inner_symbol(mixed, G, H, N)
+        rep = class_defect("inner", G, H, N, symbol=mixed)
         out["c2"].append(Batch(f"inner[untuned,n={n}]", mixed, N, G, H, rep,
                                TOL_CONTAIN_SERIES))
     blaschke_mixed = LaurentMatrixSymbol.diagonal(
@@ -122,7 +118,7 @@ def batches():
                      ("blaschke-diag", blaschke_pure)):
         rng = np.random.default_rng(1300 + len(tag))
         G, H = tuned_inner_family(rng, sym, m, N, 1)
-        rep = verify_theorem_inner_symbol(sym, G, H, N, tol_inner=1e-6)
+        rep = class_defect("inner", G, H, N, symbol=sym, inner=1e-6)
         out["c2"].append(Batch(f"inner[{tag}]", sym, N, G, H, rep,
                                TOL_CONTAIN_SERIES))
 
@@ -140,7 +136,7 @@ def batches():
             seed += 1
             G = rand_orthonormal(rng, m, N, 5, 1)
             H = rand_orthonormal(rng, m, N, 5, 1)
-            rep = verify_theorem_invertible_factors(F1, F2, G, H, N)
+            rep = class_defect("invertible_factors", G, H, N, factors=(F1, F2))
             phi = F1.adjoint().multiply(F2)
             out["c3"].append(Batch(f"factors[{name1},{name2}]", phi, N, G, H,
                                    rep, TOL_CONTAIN_SERIES))
@@ -155,7 +151,7 @@ def batches():
     w = w - (inner_product(w, Vc) / Vc.norm_sq()) * Vc
     w = unit(w) * np.sqrt(1.0 - 1.0 / Vc.norm_sq())
     G = [(-1.0 / Vc.norm_sq()) * Vc + w]
-    rep = verify_theorem_invertible_factors(F1, F2, G, H, Nc)
+    rep = class_defect("invertible_factors", G, H, Nc, factors=(F1, F2))
     out["c3"].append(Batch("factors[contractive]",
                            F1.adjoint().multiply(F2), Nc, G, H, rep,
                            TOL_CONTAIN_SERIES))
@@ -170,13 +166,13 @@ def batches():
                     .analytic_part().resized(N))
         g_out_raw = rand_coeffvec(rng, m, N, 5)
         g_out = unit(g_out_raw - inner_product(g_out_raw, g_in) * g_in)
-        rep = verify_theorem_theta_star(theta, [g_in, g_out], H, N)
+        rep = class_defect("theta_star", [g_in, g_out], H, N, symbol=theta)
         out["c4"].append(Batch(f"adjoint[z^{s},mixed]", theta.adjoint(),
                                N, [g_in, g_out], H, rep, TOL_CONTAIN_STRICT))
         # critical in-range family: the kernel gains the theta H line
         Hc = rand_orthonormal(rng, m, N, 5, 1)
         thH = theta.act(Hc[0]).analytic_part().resized(N)
-        repc = verify_theorem_theta_star(theta, [-1.0 * thH], Hc, N)
+        repc = class_defect("theta_star", [-1.0 * thH], Hc, N, symbol=theta)
         out["c4"].append(Batch(f"adjoint[z^{s},critical]",
                                theta.adjoint(), N, [-1.0 * thH], Hc,
                                repc, TOL_CONTAIN_STRICT))
@@ -186,7 +182,7 @@ def batches():
     g_in = unit(mixed.act(rand_coeffvec(rng, m, N, 4)).analytic_part().resized(N))
     g_out_raw = rand_coeffvec(rng, m, N, 5)
     g_out = unit(g_out_raw - inner_product(g_out_raw, g_in) * g_in)
-    rep = verify_theorem_theta_star(mixed, [g_in, g_out], H, N)
+    rep = class_defect("theta_star", [g_in, g_out], H, N, symbol=mixed)
     out["c4"].append(Batch("adjoint[mixed-monomials]", mixed.adjoint(),
                            N, [g_in, g_out], H, rep, TOL_CONTAIN_STRICT))
     return out
@@ -221,7 +217,7 @@ def test_criterion_2_inner_symbol_suite(batches):
     theta = LaurentMatrixSymbol.shift(m, p)
     rng = np.random.default_rng(1999)
     G, H = tuned_inner_family(rng, theta, m, N, 1)
-    rep = verify_theorem_inner_symbol(theta, G, H, N)
+    rep = class_defect("inner", G, H, N, symbol=theta)
     eq_resid = rep.details["prediction_equality_residual"]
     if rep.defect_dim != 1 or eq_resid > TOL_EQUALITY:
         failures.append(f"monomial equality residual {eq_resid:.2e}")
@@ -414,8 +410,8 @@ def test_criterion_9_truncation_convergence():
         rng = np.random.default_rng(7)
         u = rand_orthonormal(rng, 1, N, 3, 1, lo=1)
         H = [theta.act(u[0]).analytic_part().resized(N)]
-        rep = verify_theorem_inner_symbol(theta, [-1.0 * u[0]], H, N,
-                                          tol_inner=1.0, tol_ortho=1e-2)
+        rep = class_defect("inner", [-1.0 * u[0]], H, N, symbol=theta,
+                           inner=1.0, ortho=1e-2)
         genuine.append(rep.containment_residual)
     genuinely_decreasing = all(b < a for a, b in zip(genuine, genuine[1:]))
     ok = nonincreasing and final_ok and genuinely_decreasing

@@ -68,6 +68,17 @@ class TestRun:
         proc = run_cli("run", str(bad))
         assert proc.returncode == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("symbol_class", ["inner", "theta_star"])
+    def test_non_analytic_symbol_exit_3(self, tmp_path, symbol_class, capsys):
+        # z^-1 is unitary on the circle, but neither inner nor the adjoint of one
+        data = json.loads((SCENARIOS / "zero_symbol_defect.json").read_text())
+        data["symbol_class"] = symbol_class
+        data["symbol"] = LaurentMatrixSymbol.shift(data["m"], -1).to_json()
+        path = tmp_path / "z_inverse.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == EXIT_VALIDATION
+        assert "needs an analytic symbol" in capsys.readouterr().err
+
     def test_headroom_validation(self, tmp_path):
         data = json.loads((SCENARIOS / "inner_monomial_rank_one.json").read_text())
         data["N"] = 5  # bandwidth 2 + headroom 4 > 5
@@ -205,6 +216,26 @@ class TestSweep:
         for param in ("q", "s"):
             with pytest.raises(ScenarioValidationError, match="unknown sweep parameter"):
                 sweep(sc, param, [1])
+
+    def test_negative_power_is_refused(self, capsys):
+        path = SCENARIOS / "inner_monomial_sweep.json"
+        assert main(["sweep", str(path), "--param", "p", "--values=-2"]) == EXIT_VALIDATION
+        assert "needs an analytic symbol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["-1,1", "3"])
+    def test_rank_outside_the_family_is_refused(self, values, capsys):
+        # a negative n would slice the family from its end
+        path = SCENARIOS / "zero_symbol_defect.json"
+        assert main(["sweep", str(path), "--param", "n", f"--values={values}"]) \
+            == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n must lie in 0..2" in captured.err
+
+    @pytest.mark.parametrize("values", ["abc", "1,2.5", "1;2"])
+    def test_malformed_values_exit_2(self, values, capsys):
+        path = SCENARIOS / "zero_symbol_defect.json"
+        assert main(["sweep", str(path), "--param", "n", "--values", values]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: bad --values")
 
     def test_cli_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -3,25 +3,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tklab import model_spaces, near_invariance, representation, subspaces
-from tklab.config import GRAM_SCHMIDT_DROP
-from tklab.errors import NotInnerError
+from tklab import model_spaces, near_invariance, representation
+from tklab.cli_reports import ScenarioRun, parse_scenario
+from tklab.config import GRAM_SCHMIDT_DROP, Tolerances
+from tklab.errors import ScenarioParseError, ScenarioValidationError
 from tklab.hardy_core import (CoeffVec, backward_shift, column_vectors, flat_columns,
                               inner_product)
 from tklab.model_spaces import build_model_space, decompose_against_theta
-from tklab.near_invariance import (compute_defect, kernel_of,
-                                   verify_theorem_inner_symbol,
-                                   verify_theorem_invertible_factors,
-                                   verify_theorem_phi_zero,
-                                   verify_theorem_theta_star)
+from tklab.near_invariance import compute_defect, kernel_of
 from tklab.operators import (PerturbedToeplitz, ToeplitzCompression, build_perturbed,
                              orthonormalize_family)
 from tklab.subspaces import (column_gram_deviation, gram_schmidt, is_contained, nullspace,
-                             span_of, subspace_equal, zero_at_origin_slice)
+                             span_of, subspace_equal)
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import (TKLAB_MODULES, rand_coeffvec, rand_orthonormal, random_inner, spy,
-                      svd_shapes, unit)
+from conftest import (class_defect, class_scenario, rand_coeffvec, rand_orthonormal,
+                      random_inner, spy, svd_shapes, unit)
+from reference_oracle import zero_at_origin_slice
 
 
 class TestComputeDefect:
@@ -92,7 +90,7 @@ class TestComputeDefect:
 
 class TestZeroSymbol:
     def test_rank_zero_everything_invariant(self):
-        rep = verify_theorem_phi_zero([], [], 6, m=2)
+        rep = class_defect("zero", [], [], 6, m=2)
         assert rep.subspace_dim == 12
         assert rep.defect_dim == 0
 
@@ -100,7 +98,7 @@ class TestZeroSymbol:
         m, N, n = 2, 12, 2
         G = rand_orthonormal(rng, m, N, 6, n)
         H = rand_orthonormal(rng, m, N, 6, n)
-        rep = verify_theorem_phi_zero(G, H, N)
+        rep = class_defect("zero", G, H, N)
         assert rep.subspace_dim == m * N - n
         assert rep.defect_dim <= n
         assert rep.containment_residual < 1e-8
@@ -110,7 +108,7 @@ class TestZeroSymbol:
         m, N = 2, 8
         G = [CoeffVec.monomial(m, N, 0, 1)]  # e1 z: G(0) = 0
         H = [CoeffVec.monomial(m, N, 1, 0)]
-        rep = verify_theorem_phi_zero(G, H, N)
+        rep = class_defect("zero", G, H, N)
         kernel = span_of(G).perp()
         # constants are orthogonal to z e1, so they sit in the kernel
         for i in range(m):
@@ -120,8 +118,9 @@ class TestZeroSymbol:
         assert rep.defect_dim <= 1
 
     def test_missing_m_rejected(self):
-        with pytest.raises(ValueError):
-            verify_theorem_phi_zero([], [], 6)
+        # with an empty family only the scenario's m fixes the ambient
+        with pytest.raises(ScenarioParseError, match="missing scenario field 'm'"):
+            parse_scenario({"symbol_class": "zero", "N": 6, "checks": ["defect_theorem"]})
 
     def test_unitary_recombination_invariance(self, rng):
         # the same unitary on both families leaves the operator unchanged
@@ -137,8 +136,8 @@ class TestZeroSymbol:
         T1 = build_perturbed(LaurentMatrixSymbol.zero(m), N, G, H)
         T2 = build_perturbed(LaurentMatrixSymbol.zero(m), N, Gr, Hr)
         assert np.max(np.abs(T1.matrix - T2.matrix)) < 1e-12
-        d1 = verify_theorem_phi_zero(G, H, N)
-        d2 = verify_theorem_phi_zero(Gr, Hr, N)
+        d1 = class_defect("zero", G, H, N)
+        d2 = class_defect("zero", Gr, Hr, N)
         ok, _ = subspace_equal(d1.defect_basis, d2.defect_basis, 1e-8)
         assert ok
 
@@ -156,7 +155,7 @@ class TestInnerSymbol:
         m, p, N = 2, 2, 16
         theta = LaurentMatrixSymbol.shift(m, p)
         us, G, H = tuned_inner_setup(rng, theta, m, N, 1)
-        rep = verify_theorem_inner_symbol(theta, G, H, N)
+        rep = class_defect("inner", G, H, N, symbol=theta)
         assert rep.subspace_dim == 1
         assert rep.defect_dim == 1
         assert rep.containment_residual < 1e-8
@@ -177,7 +176,7 @@ class TestInnerSymbol:
         theta = LaurentMatrixSymbol.shift(m, 2)
         H = [CoeffVec.monomial(m, N, 0, 0)]
         G = rand_orthonormal(rng, m, N, 4, 1)
-        rep = verify_theorem_inner_symbol(theta, G, H, N)
+        rep = class_defect("inner", G, H, N, symbol=theta)
         assert rep.predicted_dim == 0
         assert rep.defect_dim == 0
 
@@ -185,7 +184,7 @@ class TestInnerSymbol:
         m, N = 2, 20
         theta = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
         us, G, H = tuned_inner_setup(rng, theta, m, N, 2)
-        rep = verify_theorem_inner_symbol(theta, G, H, N)
+        rep = class_defect("inner", G, H, N, symbol=theta)
         assert rep.subspace_dim == 2
         assert rep.defect_dim <= 2
         assert rep.containment_residual < 1e-8
@@ -196,7 +195,7 @@ class TestInnerSymbol:
         theta = LaurentMatrixSymbol.diagonal([[0, 0, 1.0], [0, 0, 0, 1.0]])
         G = rand_orthonormal(rng, m, N, 6, 2)
         H = rand_orthonormal(rng, m, N, 6, 2)
-        rep = verify_theorem_inner_symbol(theta, G, H, N)
+        rep = class_defect("inner", G, H, N, symbol=theta)
         assert rep.defect_dim <= 2
         assert rep.containment_residual < 1e-8
 
@@ -205,16 +204,16 @@ class TestInnerSymbol:
         theta = LaurentMatrixSymbol.diagonal(
             [blaschke_taylor(0.3, 20), np.concatenate([[0, 0], [1.0]])])
         us, G, H = tuned_inner_setup(rng, theta, m, N, 1)
-        rep = verify_theorem_inner_symbol(theta, G, H, N, tol_inner=1e-6,
-                                          tol_ortho=1e-6)
+        rep = class_defect("inner", G, H, N, symbol=theta, inner=1e-6, ortho=1e-6)
         assert rep.defect_dim <= 1
         assert rep.containment_residual < 1e-6
 
     def test_not_inner_raises(self, rng):
         bad = LaurentMatrixSymbol.diagonal([[2.0, 1.0], [2.0, 1.0]])
         G = rand_orthonormal(rng, 2, 10, 4, 1)
-        with pytest.raises(NotInnerError):
-            verify_theorem_inner_symbol(bad, G, G, 10)
+        with pytest.raises(ScenarioValidationError, match="fails the inner test"):
+            ScenarioRun.validated(class_scenario("inner", G, G, 10, symbol=bad),
+                                  Tolerances())
 
     def test_commutation_of_adjoint_with_shift(self, rng):
         # compress theta*, then shift, and vice versa: identical on polynomials
@@ -233,7 +232,7 @@ class TestInvertibleFactors:
         I = LaurentMatrixSymbol.identity(m)
         G = rand_orthonormal(rng, m, N, 5, 1)
         H = rand_orthonormal(rng, m, N, 5, 1)
-        rep = verify_theorem_invertible_factors(I, I, G, H, N)
+        rep = class_defect("invertible_factors", G, H, N, factors=(I, I))
         assert rep.defect_dim <= 1
         assert rep.containment_residual < 1e-8
         # prediction must equal span{S* H} here
@@ -247,7 +246,7 @@ class TestInvertibleFactors:
         F2 = LaurentMatrixSymbol.diagonal([[2.0, 1.0]])
         G = rand_orthonormal(rng, m, N, 4, 1)
         H = rand_orthonormal(rng, m, N, 4, 1)
-        rep = verify_theorem_invertible_factors(F1, F2, G, H, N)
+        rep = class_defect("invertible_factors", G, H, N, factors=(F1, F2))
         assert rep.defect_dim <= 1
         assert rep.containment_residual < 1e-6
 
@@ -265,7 +264,7 @@ class TestInvertibleFactors:
         w = unit(w) * np.sqrt(max(1.0 - 1.0 / Vc.norm_sq(), 0.0))
         G = [(-1.0 / Vc.norm_sq()) * Vc + w]
         assert abs(G[0].norm() - 1.0) < 1e-10
-        rep = verify_theorem_invertible_factors(F1, F2, G, H, N)
+        rep = class_defect("invertible_factors", G, H, N, factors=(F1, F2))
         assert rep.subspace_dim == 1
         assert rep.defect_dim <= 1
         assert rep.containment_residual < 1e-6
@@ -276,7 +275,7 @@ class TestInvertibleFactors:
         F2 = LaurentMatrixSymbol.diagonal([[3.0, 1.0]])
         G = rand_orthonormal(rng, m, N, 4, 1)
         H = rand_orthonormal(rng, m, N, 4, 1)
-        rep = verify_theorem_invertible_factors(F1, F2, G, H, N)
+        rep = class_defect("invertible_factors", G, H, N, factors=(F1, F2))
         assert rep.defect_dim <= 1
         assert rep.containment_residual < 1e-6
 
@@ -285,7 +284,7 @@ class TestInvertibleFactors:
         bad = LaurentMatrixSymbol.shift(m)
         G = rand_orthonormal(rng, m, N, 4, 1)
         with pytest.raises(Exception):
-            verify_theorem_invertible_factors(bad, bad, G, G, N)
+            class_defect("invertible_factors", G, G, N, factors=(bad, bad))
 
 
 class TestThetaStar:
@@ -296,7 +295,7 @@ class TestThetaStar:
         theta = LaurentMatrixSymbol.shift(m, s)
         H = rand_orthonormal(rng, m, N, 5, 1)
         thH = theta.act(H[0]).analytic_part().resized(N)
-        rep = verify_theorem_theta_star(theta, [-1.0 * thH], H, N)
+        rep = class_defect("theta_star", [-1.0 * thH], H, N, symbol=theta)
         assert rep.subspace_dim == m * s + 1
         assert rep.details["outside_range_count"] == 0
         assert rep.defect_bound == 1
@@ -312,7 +311,7 @@ class TestThetaStar:
         outside = outside_raw - inner_product(outside_raw, inside) * inside
         outside = unit(outside)
         H = rand_orthonormal(rng, m, N, 5, 2)
-        rep = verify_theorem_theta_star(theta, [inside, outside], H, N)
+        rep = class_defect("theta_star", [inside, outside], H, N, symbol=theta)
         assert rep.details["outside_range_count"] == 1
         assert rep.defect_bound == 3
         assert rep.defect_dim <= 3
@@ -321,7 +320,7 @@ class TestThetaStar:
     def test_model_space_kernel_no_perturbation(self):
         m, s, N = 2, 2, 12
         theta = LaurentMatrixSymbol.shift(m, s)
-        rep = verify_theorem_theta_star(theta, [], [], N)
+        rep = class_defect("theta_star", [], [], N, symbol=theta)
         assert rep.subspace_dim == m * s
         assert rep.defect_dim == 0  # model spaces are invariant
 
@@ -330,7 +329,7 @@ class TestThetaStar:
         theta = LaurentMatrixSymbol.shift(m, 2)
         H = rand_orthonormal(rng, m, N, 5, 1)
         thH = theta.act(H[0]).analytic_part().resized(N)
-        rep = verify_theorem_theta_star(theta, [-1.0 * thH], H, N)
+        rep = class_defect("theta_star", [-1.0 * thH], H, N, symbol=theta)
         assert rep.details["kernel_audit_violations"] == 0
         assert rep.details["kernel_sigma_ratio"] < 1e-3
 
@@ -640,11 +639,9 @@ class TestZeroSymbolRoute:
         else:
             G, H = rand_orthonormal(rng, m, N, 6, n), rand_orthonormal(rng, m, N, 6, n)
         shapes = svd_shapes(monkeypatch)
-        slices = spy(monkeypatch, "zero_at_origin_slice", TKLAB_MODULES + (subspaces,))
-        rep = verify_theorem_phi_zero(G, H, N)
+        rep = class_defect("zero", G, H, N)
         assert rep.details["kernel_method"] == "zero" and rep.containment_ok(1e-8)
         assert shapes and all(min(shape) <= max(m, n) for shape in shapes), shapes
-        assert slices == []
         monkeypatch.undo()
         kr = kernel_of(build_perturbed(LaurentMatrixSymbol.zero(m), N, G, H))
         oracle = compute_defect(kr.subspace)
@@ -751,7 +748,7 @@ class TestPredictionCompressions:
         g1 = unit(g1 - inner_product(g1, g0) * g0)
         G, H = [g0, g1], rand_orthonormal(rng, m, N, 6, 2)
         seen = spy(monkeypatch, "_attach_prediction", [near_invariance])
-        rep = verify_theorem_theta_star(theta, G, H, N)
+        rep = class_defect("theta_star", G, H, N, symbol=theta)
         assert rep.details["outside_range_count"] == 1
         assert np.array_equal(seen[0][2], _theta_star_prediction_loop(theta, G, H, N))
 
@@ -764,7 +761,7 @@ class TestPredictionCompressions:
         theta = random_inner(rng, m, 2)
         G, H = rand_orthonormal(rng, m, N, 6, 2), rand_orthonormal(rng, m, N, 6, 2)
         seen = spy(monkeypatch, "_attach_prediction", [near_invariance])
-        verify_theorem_theta_star(theta, G, H, N)
+        class_defect("theta_star", G, H, N, symbol=theta)
         reference = _theta_star_prediction_loop(theta, G, H, N)
         assert seen[0][2].shape == reference.shape
         assert np.max(np.abs(seen[0][2] - reference)) <= 1e-14
@@ -777,7 +774,7 @@ class TestPredictionCompressions:
         H = rand_orthonormal(rng, m, N, 6, 2)
         G = rand_orthonormal(rng, m, N, 6, 2)
         seen = spy(monkeypatch, "_attach_prediction", [near_invariance])
-        verify_theorem_invertible_factors(F1, F2, G, H, N)
+        class_defect("invertible_factors", G, H, N, factors=(F1, F2))
         assert np.max(np.abs(seen[0][2] - _factored_prediction_loop(F1, F2, H, N))) <= 1e-12
 
     def test_factors_inverted_once_per_check(self, rng, monkeypatch):
@@ -785,7 +782,7 @@ class TestPredictionCompressions:
         F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
         G, H = rand_orthonormal(rng, m, N, 5, 1), rand_orthonormal(rng, m, N, 5, 1)
         calls = spy(monkeypatch, "invert_analytic", CALLERS)
-        verify_theorem_invertible_factors(F1, F2, G, H, N)
+        class_defect("invertible_factors", G, H, N, factors=(F1, F2))
         # F1 to the top action degree N + d_pos - 1, F2 to N - 1
         assert calls == [(F1, N + F2.d - 1), (F2, N - 1)]
 
@@ -796,11 +793,12 @@ class TestOneInnernessTest:
         theta = _diagonal_inner(m)
         G, H = rand_orthonormal(rng, m, N, 5, 1), rand_orthonormal(rng, m, N, 5, 1)
         calls = spy(monkeypatch, "is_inner", CALLERS)
-        verify_theorem_theta_star(theta, G, H, N)
+        class_defect("theta_star", G, H, N, symbol=theta)
         assert len(calls) == 1
 
     def test_theta_star_check_rejects_non_inner(self, rng):
         bad = LaurentMatrixSymbol.diagonal([[2.0, 1.0], [2.0, 1.0]])
         G = rand_orthonormal(rng, 2, 10, 4, 1)
-        with pytest.raises(NotInnerError):
-            verify_theorem_theta_star(bad, G, G, 10)
+        with pytest.raises(ScenarioValidationError, match="fails the inner test"):
+            ScenarioRun.validated(class_scenario("theta_star", G, G, 10, symbol=bad),
+                                  Tolerances())

@@ -14,12 +14,12 @@ from tklab.representation import (RepresentationFrame, build_frame,
                                   rank_one_invertible_kernel,
                                   rank_one_theta_star_analysis)
 from tklab.model_spaces import build_model_space
-from tklab.subspaces import (intersect, span_of, subspace_equal,
-                             vanishing_at_zero_space, zero_space)
+from tklab.subspaces import span_of, subspace_equal, zero_space
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
 from conftest import rand_coeffvec, rand_orthonormal, random_inner, spy, unit
 from peeling_oracle import peel_members
+from reference_oracle import intersect, vanishing_at_zero_space
 from test_near_invariance import CALLERS, _diagonal_inner, _invertible_factor
 
 

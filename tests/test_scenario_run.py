@@ -12,11 +12,7 @@ from tklab.cli_reports import (CHECKS, EXIT_CHECK_FAIL, Scenario, ScenarioRun,
 from tklab.config import Tolerances
 from tklab.errors import InconclusiveCutError, ScenarioValidationError
 from tklab.model_spaces import build_model_space
-from tklab.near_invariance import (compute_defect, kernel_of,
-                                   verify_theorem_inner_symbol,
-                                   verify_theorem_invertible_factors,
-                                   verify_theorem_phi_zero,
-                                   verify_theorem_theta_star)
+from tklab.near_invariance import compute_defect, kernel_of
 from tklab.operators import build_perturbed
 from tklab.representation import (default_depth, rank_one_complement_analysis,
                                    rank_one_inner_kernel, rank_one_invertible_kernel,
@@ -53,37 +49,6 @@ def test_shared_work_runs_once(monkeypatch, name, model_spaces_built):
     assert {fn: len(calls) for fn, calls in spies.items()} == {
         "build_perturbed": 1, "kernel_of": 1, "compute_defect": 1,
         "build_model_space": model_spaces_built}
-
-
-def _public_verification(sc, tol):
-    common = dict(defect_floor=tol.defect_floor, tol_rel=tol.rank_rel,
-                  tol_ortho=tol.ortho)
-    if sc.symbol_class == "zero":
-        return verify_theorem_phi_zero(sc.G, sc.H, sc.N, m=sc.m, **common)
-    if sc.symbol_class == "inner":
-        return verify_theorem_inner_symbol(sc.symbol, sc.G, sc.H, sc.N,
-                                           tol_inner=tol.inner, **common)
-    if sc.symbol_class == "invertible_factors":
-        return verify_theorem_invertible_factors(*sc.factors, sc.G, sc.H, sc.N,
-                                                 margin=tol.invertibility_margin,
-                                                 **common)
-    return verify_theorem_theta_star(sc.symbol, sc.G, sc.H, sc.N, tol_inner=tol.inner,
-                                     range_membership=tol.range_membership, **common)
-
-
-DEFECT_SCENARIOS = [p for p in BUNDLED if "defect_theorem" in load_scenario(p).checks]
-
-
-@pytest.mark.parametrize("path", DEFECT_SCENARIOS, ids=lambda p: p.stem)
-def test_defect_check_equals_public_verification(path):
-    sc = load_scenario(path)
-    tol = sc.tolerances(Tolerances())
-    outcome = next(o for o in run_scenario_object(sc, Tolerances()).outcomes
-                   if o.name == "defect_theorem")
-    oracle = _public_verification(sc, tol).to_json()
-    residuals = dict(outcome.residuals)
-    residuals.pop("sigma_conclusive")
-    assert residuals == oracle
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)

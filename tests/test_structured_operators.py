@@ -15,16 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TKLAB_MODULES, rand_orthonormal, random_inner, spy, svd_shapes
-from tklab import operators, subspaces
+from conftest import rand_orthonormal, random_inner, spy, svd_shapes
+from reference_oracle import shifted_range_matrix
+from tklab import operators
 from tklab.cli_reports import bundled_scenario_dir, load_scenario, run_scenario_object
 from tklab.config import (EXACT_INNER_ROUNDOFF, SUBSPACE_GRAM_BOUND, Tolerances)
 from tklab.errors import DimensionMismatch
 from tklab.model_spaces import build_model_space
 from tklab.near_invariance import kernel_of
 from tklab.operators import (PerturbedToeplitz, ToeplitzCompression, _block_toeplitz,
-                             apply_block_toeplitz, build_perturbed,
-                             shifted_range_matrix)
+                             apply_block_toeplitz, build_perturbed)
 from tklab.subspaces import column_gram_deviation, column_norms
 from tklab.symbols import (LaurentMatrixSymbol, blaschke_taylor,
                            inner_coefficient_deviation, invert_analytic)
@@ -214,8 +214,6 @@ def _dense_spies(monkeypatch):
                         record("action_matrix", PerturbedToeplitz.action_matrix))
     monkeypatch.setattr(ToeplitzCompression, "matrix",
                         property(record("matrix", ToeplitzCompression.matrix.fget)))
-    monkeypatch.setattr(operators, "shifted_range_matrix",
-                        record("shifted_range_matrix", operators.shifted_range_matrix))
     monkeypatch.setattr(operators, "_block_toeplitz",
                         record("_block_toeplitz", operators._block_toeplitz))
     return calls
@@ -258,7 +256,6 @@ def test_repr_large_zero_scenario_takes_no_dense_svd(monkeypatch):
     # and the mN x n slice projection of S U: no SVD wider than max(m, n)
     scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 64)
     calls = _dense_spies(monkeypatch)
-    slices = spy(monkeypatch, "zero_at_origin_slice", TKLAB_MODULES + (subspaces,))
     dense_svds = spy(monkeypatch, "nullspace")
     shapes = svd_shapes(monkeypatch)
     report = run_scenario_object(scenario, Tolerances())
@@ -266,7 +263,7 @@ def test_repr_large_zero_scenario_takes_no_dense_svd(monkeypatch):
     assert report.outcomes[0].residuals["details"]["kernel_method"] == "zero"
     bound = max(scenario.m, len(scenario.G))
     assert shapes and all(min(shape) <= bound for shape in shapes), shapes
-    assert slices == [] and dense_svds == [] and calls == []
+    assert dense_svds == [] and calls == []
 
 
 def test_dense_classes_still_use_the_dense_builders(monkeypatch):
