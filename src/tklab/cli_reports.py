@@ -215,7 +215,7 @@ def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
         if sc.factors is None:
             raise ScenarioValidationError("class invertible_factors needs factors")
         for label, F in zip(("F1", "F2"), sc.factors):
-            if not is_invertible_analytic(F, margin=tol.invertibility_margin):
+            if not is_invertible_analytic(F):
                 raise ScenarioValidationError(f"factor {label} is not invertible")
     if sc.symbol_class == "raw" and sc.symbol is None and sc.pair is None:
         raise ScenarioValidationError("raw scenarios need a symbol or a pair")

@@ -21,8 +21,6 @@ class Tolerances:
     ortho: float = 1e-8
     #: unit-circle isometry deviation allowed for an inner symbol
     inner: float = 1e-8
-    #: min |det| on the closed disk for invertible analytic symbols
-    invertibility_margin: float = 1e-6
     #: defect-into-prediction containment (series-inversion scenarios)
     containment: float = 1e-6
     #: defect-into-prediction containment (exact polynomial scenarios)
@@ -105,6 +103,14 @@ BROWN_HALMOS_DEVIATION = 1e-10
 #: residual max_j |(A B)_j - delta_j I|, relative to max(1, coefficient norm
 #: of A), that a truncated inverse series B of an analytic A must meet
 SERIES_INVERSION_RESIDUAL = 1e-10
+
+#: highest degree K of the inverse series B_K that ``is_invertible_analytic``
+#: tries (K = 63, 127, 255, ...).  Last K tried: 63 for diag(2 + z) and
+#: diag(3 + z, 2 + z^2), 255 for (1 - 0.9z)^4, 2047 for (1 - 0.99z)^3,
+#: 16383 for (1 - 0.999z)^2 (11 ms, 2-core x86 host), 1023 for a zero at
+#: 1.001; a zero at 0.94 e^{i pi/64} overflows at 8191 (11 ms) and one at
+#: e^{i pi/64} refuses at the cap (47 ms)
+INVERTIBILITY_DEGREE_CAP = 2 ** 15 - 1
 
 #: degrees per block of the inverse-series recursion: one product with the
 #: companion powers C^0..C^b advances b degrees.  Longer blocks lose accuracy

@@ -49,7 +49,7 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
                       cross_check_tol: float = 1e-8) -> ModelSpace:
     """Construct the truncated model space of an analytic inner symbol.
 
-    The analytic, innerness (``is_inner`` at tol_inner) and N > d guards
+    The innerness (``is_inner``, negative powers refused) and N > d guards
     come first.  For an exactly inner Theta neither R = Theta P_{N-d} nor a
     dense compression is formed.  R maps P_{N-d} into P_N without truncation
     (degree < N - d times degree <= d stays below N), so block (s, t) of
@@ -66,8 +66,6 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
     decided by the dense SVD of the compression, as in ``kernel_of``; a cut
     that leaves every direction null raises ``InconclusiveCutError``.
     """
-    if not theta.is_analytic():
-        raise NotInnerError("model spaces need an analytic symbol")
     check = is_inner(theta, tol=tol_inner)
     if not check.ok:
         raise NotInnerError(f"symbol is not inner (deviation {check.max_deviation:.3e})")

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EXACT_INNER_ROUNDOFF, SERIES_BLOCK, SERIES_INVERSION_RESIDUAL
+from .config import (EXACT_INNER_ROUNDOFF, INVERTIBILITY_DEGREE_CAP, SERIES_BLOCK,
+                     SERIES_INVERSION_RESIDUAL)
 from .errors import CircleRootError, DimensionMismatch, NotInvertibleError
 from .hardy_core import CoeffVec, LaurentVec
 
@@ -297,7 +298,11 @@ def is_inner(theta: LaurentMatrixSymbol, tol: float = 1e-8) -> InnerCheck:
     proves the deviation within tol everywhere, not only at samples.  The
     bound is 0 exactly when the coefficient identity holds and may exceed
     the sup, so a symbol near tol can be refused but never wrongly passed.
+    A symbol with a negative power is refused with an infinite deviation:
+    z^{-1} is unitary on the circle, but an inner function is analytic.
     """
+    if not theta.is_analytic():
+        return InnerCheck(ok=False, max_deviation=float("inf"), tol=tol)
     norms = np.linalg.norm(_inner_deviation_stack(theta), 2, axis=(1, 2))
     dev = float(norms[0] + 2.0 * np.sum(norms[1:]))
     return InnerCheck(ok=dev <= tol, max_deviation=dev, tol=tol)
@@ -321,22 +326,54 @@ def inner_coefficient_deviation(theta: LaurentMatrixSymbol) -> float:
     return float(np.max(np.abs(_inner_deviation_stack(theta))))
 
 
-def closed_disk_grid(radial: int = 8, angular: int = 64) -> np.ndarray:
-    """Sample points of the closed unit disk, boundary included."""
-    radii = np.linspace(0.0, 1.0, radial + 1)
-    angles = unit_circle_grid(angular)
-    pts = np.concatenate([[0.0 + 0.0j]] + [r * angles for r in radii[1:]])
-    return pts
+def is_invertible_analytic(A: LaurentMatrixSymbol) -> bool:
+    """Certificate that A^{-1} is in H^infinity: A(z) is invertible on the
+    closed disk, with a bounded inverse.
 
-
-def is_invertible_analytic(A: LaurentMatrixSymbol, grid_size: int = 64,
-                           margin: float = 1e-6) -> bool:
-    """True when |det A(z)| stays above margin on a closed-disk sample grid."""
+    For K = 63, 127, 255, ... up to ``INVERTIBILITY_DEGREE_CAP``, B_K is the
+    series ``invert_analytic`` computes and R = A B_K - I the polynomial of
+    degree K + d with the coefficients R_j of ``_series_defect``.  For
+    |z| <= 1, ||R(z)||_2 <= sum_j ||R_j||_F.  Once that sum is below 1/2,
+    the Neumann series sum_k (-R)^k converges in H^infinity to
+    (I + R)^{-1} = (A B_K)^{-1}, of norm at most 2, so A^{-1} =
+    B_K (A B_K)^{-1} is analytic on the disk with ||A^{-1}||_inf <=
+    2 sum_j ||B_j||.  R is measured on the computed B_K as a polynomial, so
+    the roundoff of the recursion that produced B_K needs no bound; only the
+    one product does.  Each entry of R_j is a complex inner product of
+    n = m (d + 1) + 1 terms, off by at most gamma_{n+2} times the sum of
+    their moduli (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sections 3.1 and 3.6): at most gamma_{n+2} (sum_t ||A_t||_F
+    sum_j ||B_j||_F + sqrt(m)) over all R_j.  The comparison with 1/2 also
+    absorbs the relative error gamma_{L + m^2 + 8} of evaluating the norms
+    and sums of L = K + d + 1 terms.  A singular A_0, a sum that is not
+    finite (a zero inside the disk overflows B_K) or the cap (a zero on the
+    circle keeps ||R_j|| near 1) returns False.
+    """
     if not A.is_analytic():
         raise ValueError("invertibility test is defined for analytic symbols only")
-    pts = closed_disk_grid(angular=max(grid_size, 4 * (2 * A.d + 1)))
-    dets = np.linalg.det(A.evaluate(pts))
-    return bool(np.min(np.abs(dets)) >= margin)
+    m = A.m
+    coeffs = A.coefficient_stack(0, A.d)
+    try:
+        A0_inv = _constant_inverse(coeffs[0])
+    except NotInvertibleError:
+        return False
+    u = np.finfo(float).eps / 2  # gamma_n = n u / (1 - n u) <= 1.01 n u here
+    rounding = 1.01 * (m * len(coeffs) + 3) * u
+    a_sum = float(np.sum(np.linalg.norm(coeffs, axis=(1, 2))))
+    K = 63
+    with np.errstate(over="ignore", invalid="ignore"):
+        while K <= INVERTIBILITY_DEGREE_CAP:
+            B = _inverse_series(A0_inv, coeffs, K)
+            R = _series_defect(coeffs, B)
+            b_sum = float(np.sum(np.linalg.norm(B, axis=(1, 2))))
+            bound = float(np.sum(np.linalg.norm(R, axis=(1, 2)))) \
+                + rounding * (a_sum * b_sum + np.sqrt(m))
+            if not np.isfinite(bound):
+                return False
+            if bound < 0.5 * (1.0 - 1.01 * (len(R) + m * m + 8) * u):
+                return True
+            K = 2 * K + 1
+    return False
 
 
 def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
@@ -354,17 +391,17 @@ def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
     series that is not finite (A singular in the disk, B past the float
     range) is refused too.  b = 8 keeps factors nearly singular on the circle
     far inside the bound where b = 32 and powers by squaring fail it (the
-    measurements are quoted at ``config.SERIES_BLOCK``).
+    measurements are quoted at ``config.SERIES_BLOCK``).  The series alone
+    does not prove A^{-1} bounded on the disk; ``is_invertible_analytic``
+    does.
     """
     if not A.is_analytic():
         raise ValueError("series inversion is defined for analytic symbols only")
-    m, d = A.m, A.d
-    coeffs = A.coefficient_stack(0, d)
-    A0 = coeffs[0]
-    if abs(np.linalg.det(A0)) < np.finfo(float).eps * max(1.0, np.linalg.norm(A0)) ** m:
-        raise NotInvertibleError("constant coefficient is singular")
+    m = A.m
+    coeffs = A.coefficient_stack(0, A.d)
+    A0_inv = _constant_inverse(coeffs[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        B = _inverse_series(np.linalg.inv(A0), coeffs, K)
+        B = _inverse_series(A0_inv, coeffs, K)
         if not np.isfinite(B).all():
             raise NotInvertibleError(f"inverse series is not finite up to degree {K}")
         resid = _inversion_residual(coeffs, B, K)
@@ -372,6 +409,14 @@ def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
         raise NotInvertibleError(f"inversion residual {resid:.3e} exceeds tolerance")
     nonzero = B.reshape(K + 1, m * m).any(axis=1)
     return LaurentMatrixSymbol._from_stack(m, np.flatnonzero(nonzero).tolist(), B[nonzero])
+
+
+def _constant_inverse(A0: np.ndarray) -> np.ndarray:
+    """A_0^{-1}, or ``NotInvertibleError`` when A_0 is singular to roundoff."""
+    m = A0.shape[0]
+    if abs(np.linalg.det(A0)) < np.finfo(float).eps * max(1.0, np.linalg.norm(A0)) ** m:
+        raise NotInvertibleError("constant coefficient is singular")
+    return np.linalg.inv(A0)
 
 
 def _inverse_series(A0_inv: np.ndarray, coeffs: np.ndarray, K: int) -> np.ndarray:
@@ -401,17 +446,23 @@ def _inverse_series(A0_inv: np.ndarray, coeffs: np.ndarray, K: int) -> np.ndarra
     return out.reshape(blocks * b, m, m)[:K + 1]
 
 
-def _inversion_residual(coeffs: np.ndarray, B: np.ndarray, K: int) -> float:
-    """max |(A B)_j - delta_j I| over j <= K - d, with A's coefficients stacked;
-    one flat product per A_t on B_0..B_{K-d} laid side by side."""
-    m = B.shape[1]
-    top = max(K - len(coeffs) + 1, 0) + 1
-    flat = B[:top].transpose(1, 0, 2).reshape(m, top * m)
-    prod = np.zeros((m, top * m), dtype=complex)
-    for t, mat in enumerate(coeffs[:top]):
-        prod[:, t * m:] += mat @ flat[:, :(top - t) * m]
+def _series_defect(coeffs: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """R_j = (A B)_j - delta_j I for every degree j of the product, as an
+    (len(B) + d, m, m) array, with A's coefficients A_0..A_d stacked; one
+    flat product per A_t on B laid side by side."""
+    n, m = B.shape[:2]
+    flat = B.transpose(1, 0, 2).reshape(m, n * m)
+    prod = np.zeros((m, (n + len(coeffs) - 1) * m), dtype=complex)
+    for t, mat in enumerate(coeffs):
+        prod[:, t * m:(t + n) * m] += mat @ flat
     prod[:, :m] -= np.eye(m)
-    return float(np.max(np.abs(prod)))
+    return prod.reshape(m, -1, m).transpose(1, 0, 2)
+
+
+def _inversion_residual(coeffs: np.ndarray, B: np.ndarray, K: int) -> float:
+    """max |R_j| over j <= K - d, the degrees a degree-K series settles."""
+    top = max(K - len(coeffs) + 1, 0) + 1
+    return float(np.max(np.abs(_series_defect(coeffs, B[:top])[:top])))
 
 
 # ---------------------------------------------------------------------------

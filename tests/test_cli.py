@@ -16,7 +16,7 @@ from tklab.config import Tolerances
 from tklab.errors import ScenarioParseError, ScenarioValidationError
 from tklab.operators import build_perturbed
 from tklab.subspaces import nullspace
-from tklab.symbols import LaurentMatrixSymbol
+from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor
 
 from conftest import rand_orthonormal
 
@@ -284,6 +284,8 @@ class TestApiErrors:
         ({"containment": True}, "containment"),
         ({"rank_rel": None}, "rank_rel"),
         ([1e-6], "tolerances"),
+        # invertibility is certified from the inverse series, with no knob
+        ({"invertibility_margin": 1e-6}, "unknown tolerance 'invertibility_margin'"),
     ])
     def test_bad_tolerances_rejected(self, tolerances, key):
         data = json.loads((SCENARIOS / "zero_symbol_defect.json").read_text())
@@ -625,6 +627,72 @@ def test_tolerance_that_decides_nothing_is_a_parse_error(tmp_path, capsys, key, 
     assert main(["run", str(path)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and key in err and len(err.splitlines()) == 1
+
+
+def _scenario_data(name):
+    """A bundled scenario's JSON, or ``tail_inner``: the Theta* scenario
+    ``adjoint_mixed_defect`` with Theta = diag(b, z), b a Blaschke factor
+    truncated at degree 20, which is inner only to its tail (9.1e-11)."""
+    if name != "tail_inner":
+        return json.loads((SCENARIOS / f"{name}.json").read_text())
+    data = _scenario_data("adjoint_mixed_defect")
+    data["symbol"] = LaurentMatrixSymbol.diagonal(
+        [blaschke_taylor(0.3, 20), [0.0, 1.0]]).to_json()
+    return data
+
+
+#: every ``Tolerances`` field, with a scenario that passes at the defaults and
+#: a value of the field that makes it fail a check (exit 1) or validation
+#: (exit 3).  Every bundled Theta is exactly inner, so ``inner`` needs one
+#: that is inner only to a series tail
+KNOB_VERDICTS = {
+    "rank_rel": ("adjoint_monomial_critical", 0.999, EXIT_CHECK_FAIL),
+    "ortho": ("factored_symbol_defect", 0.0, EXIT_VALIDATION),
+    "inner": ("tail_inner", 1e-12, EXIT_VALIDATION),
+    "containment": ("adjoint_monomial_critical", 0.0, EXIT_CHECK_FAIL),
+    "containment_strict": ("inner_monomial_rank_one", 0.0, EXIT_CHECK_FAIL),
+    "subspace_equality": ("complement_split_column", 0.0, EXIT_CHECK_FAIL),
+    "membership": ("adjoint_monomial_noncritical", 0.0, EXIT_CHECK_FAIL),
+    "defect_floor": ("inner_monomial_sweep", 1e300, EXIT_CHECK_FAIL),
+    "representation": ("factored_symbol_rank_one", 0.0, EXIT_CHECK_FAIL),
+    "range_membership": ("adjoint_monomial_critical", 1e300, EXIT_CHECK_FAIL),
+    "sigma_ratio_flag": ("adjoint_monomial_noncritical", 0.0, EXIT_CHECK_FAIL),
+}
+
+
+def test_every_tolerance_has_a_verdict_it_flips():
+    # a knob that reaches no verdict has no row to put here
+    assert set(KNOB_VERDICTS) == {f.name for f in fields(Tolerances)}
+
+
+@pytest.mark.parametrize("key", list(KNOB_VERDICTS))
+def test_tolerance_flips_its_verdict(tmp_path, capsys, key):
+    name, value, flipped = KNOB_VERDICTS[key]
+    data = _scenario_data(name)
+    path = tmp_path / "scenario.json"
+    codes = []
+    for tolerances in ({}, {key: value}):
+        data["tolerances"] = tolerances
+        path.write_text(json.dumps(data))
+        codes.append(main(["run", str(path)]))
+    assert codes == [EXIT_PASS, flipped]
+
+
+@pytest.mark.parametrize("modulus", [0.94, 0.99])
+def test_factor_with_a_zero_in_the_disk_is_refused(tmp_path, capsys, modulus):
+    # F2 = diag(1 - z/a, 2 + z^2) is not invertible in H^infinity; the
+    # factored kernel solve still finds the dense route's kernel, so only
+    # validation keeps the class prediction from being reported
+    data = json.loads((SCENARIOS / "factored_symbol_defect.json").read_text())
+    a = modulus * np.exp(1j * np.pi / 64)
+    data["factors"]["F2"] = LaurentMatrixSymbol.diagonal(
+        [[1.0, -1.0 / a], [2.0, 0.0, 1.0]]).to_json()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    for argv in (["run", str(path)], ["sweep", str(path), "--param", "N",
+                                      "--values", "32,64,128"]):
+        assert main(argv) == EXIT_VALIDATION
+        assert "factor F2 is not invertible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--tol-rank=nan", "--tol-rank=inf", "--tol-rank=-1",

@@ -4,7 +4,8 @@
 the spectral norms of the coefficients of Theta* Theta - I.  The sampled
 test it replaced is kept here as the oracle: the bound must never fall below
 the grid maximum, and on every symbol the package's scenarios, benchmark
-recipes and tests use, both must give the same verdict.
+recipes and tests use, both must give the same verdict once the oracle also
+asks for an analytic symbol.
 """
 
 import functools
@@ -166,5 +167,6 @@ def test_verdict_agrees_with_the_grid(name):
         theta = theta()
     chk = is_inner(theta, tol=TOL)
     grid = grid_deviation(theta)
-    assert chk.ok == (grid <= TOL)
+    # the grid sees the circle only, where z^-1 is unitary too
+    assert chk.ok == (theta.is_analytic() and grid <= TOL)
     assert grid <= chk.max_deviation + 1e-14 * max(1.0, chk.max_deviation)

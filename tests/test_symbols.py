@@ -1,7 +1,10 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tklab import symbols
 from tklab.errors import CircleRootError, DimensionMismatch, NotInvertibleError
@@ -17,6 +20,39 @@ def random_symbol(rng, m, d, analytic=False):
     terms = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
              for k in range(lo, d + 1)}
     return LaurentMatrixSymbol(m, terms)
+
+
+def power_of(root, power):
+    """Ascending coefficients of (1 - root z)^power."""
+    return (np.poly1d([-root, 1.0]) ** power).coeffs[::-1]
+
+
+ROOT_MODULI = st.one_of(st.floats(0.3, 0.97), st.floats(1.03, 4.0))
+PHASES = st.floats(0.0, 2 * np.pi)
+COEFFICIENTS = st.complex_numbers(max_magnitude=2.0)
+
+
+@st.composite
+def triangular_factors(draw):
+    """(A, diagonal): an m x m analytic A, m <= 3, of degree <= 4, upper
+    triangular or diagonal, whose diagonal entries c prod_k (1 - z / r_k) have
+    prescribed roots r_k off the annulus 0.97 < |z| < 1.03; ``diagonal`` holds
+    their ascending coefficients."""
+    m = draw(st.integers(1, 3))
+    diagonal = []
+    for _ in range(m):
+        p = np.array([draw(st.floats(0.5, 2.0)) * np.exp(1j * draw(PHASES))])
+        for _ in range(draw(st.integers(0, 4))):
+            root = draw(ROOT_MODULI) * np.exp(1j * draw(PHASES))
+            p = np.convolve(p, [1.0, -1.0 / root])
+        diagonal.append(p)
+    stack = np.zeros((5, m, m), dtype=complex)
+    for i, p in enumerate(diagonal):
+        stack[:len(p), i, i] = p
+    if draw(st.booleans()):
+        for i, j in zip(*np.triu_indices(m, 1)):
+            stack[:, i, j] = draw(st.lists(COEFFICIENTS, min_size=5, max_size=5))
+    return LaurentMatrixSymbol(m, dict(enumerate(stack))), diagonal
 
 
 class TestAlgebra:
@@ -89,6 +125,11 @@ class TestInnerTest:
             assert devs[-1] <= bound
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
+    def test_negative_power_is_not_inner(self):
+        # z^-1 is unitary on the circle, but not analytic
+        chk = is_inner(LaurentMatrixSymbol.shift(2, -1))
+        assert not chk.ok and chk.max_deviation == np.inf
+
     def test_product_of_inners_is_inner(self):
         a = LaurentMatrixSymbol.diagonal([blaschke_taylor(0.2, 40),
                                           [0.0, 1.0]])
@@ -107,6 +148,32 @@ class TestInversion:
     def test_invertibility_needs_analytic(self):
         with pytest.raises(ValueError):
             is_invertible_analytic(LaurentMatrixSymbol.shift(1).adjoint())
+
+    @pytest.mark.parametrize("entries, invertible", [
+        ([[2.0, 1.0], [2.0, 1.0]], True),  # the bundled F1 = diag(2 + z, 2 + z)
+        ([[3.0, 1.0], [2.0, 0.0, 1.0]], True),  # the bundled F2
+        ([power_of(0.9, 4)], True),
+        ([power_of(0.99, 3)], True),
+        ([power_of(0.999, 2)], True),
+        ([[1.0, -1 / 1.001], [2.0, 1.0]], True),
+        ([[1.0, -1 / (0.94 * np.exp(1j * np.pi / 64))], [2.0, 1.0]], False),
+        ([[1.0, -np.exp(-1j * np.pi / 64)], [2.0, 1.0]], False),
+    ], ids=["F1", "F2", "(1-0.9z)^4", "(1-0.99z)^3", "(1-0.999z)^2", "zero at 1.001",
+            "zero inside", "zero on the circle"])
+    def test_certificate_decides_the_nearly_singular_factors(self, entries, invertible):
+        A = LaurentMatrixSymbol.diagonal(entries)
+        start = time.perf_counter()
+        assert is_invertible_analytic(A) is invertible
+        # a refusal runs to the overflow or the degree cap
+        assert invertible or time.perf_counter() - start < 0.25
+
+    @given(factor=triangular_factors())
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_agrees_with_the_roots(self, factor):
+        A, diagonal = factor
+        # det A is the product of the diagonal entries
+        invertible = all(np.all(np.abs(np.roots(p[::-1])) > 1) for p in diagonal)
+        assert is_invertible_analytic(A) is invertible
 
     def test_invert_identity(self):
         inv = invert_analytic(LaurentMatrixSymbol.identity(2), 5)
