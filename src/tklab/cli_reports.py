@@ -342,10 +342,13 @@ def _expect_matches(expect: dict, key: str, actual) -> bool:
 
 def _sigma_conclusive(run: ScenarioRun) -> bool:
     """Both rank cuts behind the verdict are clean: the run's kernel cut (its
-    audited ratio) and its defect span's.  A cut that kept nothing is judged
-    against the cut itself; a NaN ratio is inconclusive."""
+    audited ratio) and its defect span's.  A defect cut that kept nothing is
+    judged against min(cut, 1): the residual stack is P_{M^perp} S* applied
+    to an orthonormal slice basis, so none of its singular values exceeds 1,
+    and a cut above that is no scale at all.  A NaN ratio is inconclusive."""
     defect = run.defect.defect_basis
-    ratios = (run.kernel.sigma_ratio, defect.sigma_gap.audited_ratio(defect.tol))
+    ratios = (run.kernel.sigma_ratio,
+              defect.sigma_gap.audited_ratio(min(defect.tol, 1.0)))
     return all(ratio <= run.tol.sigma_ratio_flag for ratio in ratios)
 
 
@@ -419,26 +422,24 @@ def _rank_one_analysis(run: ScenarioRun, ms: ModelSpace | None, G: CoeffVec,
             ok = ok and residuals["g_norm"] <= sc.expect["g_norm_max"]
         if "G0_norm_max" in sc.expect:
             ok = ok and residuals["G0_norm"] <= sc.expect["G0_norm_max"]
-    elif sc.symbol_class == "inner":
-        rep = rank_one_inner_kernel(run.kernel, ms, G, H,
-                                    range_membership=tol.range_membership)
+    elif sc.symbol_class in ("inner", "invertible_factors"):
+        if sc.symbol_class == "inner":
+            rep = rank_one_inner_kernel(run.kernel, ms, G, H,
+                                        range_membership=tol.range_membership)
+            match_tol, routes_agree = tol.subspace_equality, True
+        else:
+            rep = rank_one_invertible_kernel(run.kernel, G, H)
+            match_tol = tol.containment
+            routes_agree = rep.details["convolution_gap"] <= tol.representation
         residuals = rep.to_json()
-        ok = (rep.case != "unexpected"
+        ok = (rep.case != "unexpected" and routes_agree
               and _expect_matches(sc.expect, "case", rep.case)
               and _expect_matches(sc.expect, "kernel_dim", rep.kernel_dim)
               and (rep.expected_match_residual is None
-                   or rep.expected_match_residual <= tol.subspace_equality))
-    elif sc.symbol_class == "invertible_factors":
-        rep = rank_one_invertible_kernel(run.kernel, G, H)
-        residuals = rep.to_json()
-        ok = (_expect_matches(sc.expect, "case", rep.case)
-              and _expect_matches(sc.expect, "kernel_dim", rep.kernel_dim)
-              and rep.details["convolution_gap"] <= tol.representation
-              and (rep.expected_match_residual is None
-                   or rep.expected_match_residual <= tol.containment))
+                   or rep.expected_match_residual <= match_tol))
     else:
         rep = rank_one_theta_star_analysis(run.kernel, run.defect, ms, G, H,
-                                           depth=run.depth, tol_equality=tol.containment,
+                                           depth=run.depth,
                                            range_membership=tol.range_membership)
         residuals = rep.to_json()
         ok = (rep.equality_residual <= tol.containment

@@ -229,14 +229,6 @@ def backward_shift(F: CoeffVec) -> CoeffVec:
     return CoeffVec(arr)
 
 
-def backward_shift_flat(X: np.ndarray, m: int) -> np.ndarray:
-    """The backward shift of every flat degree-major column of X at once:
-    the degree-0 block drops off and the top one is zero."""
-    out = np.zeros_like(X)
-    out[:-m] = X[m:]
-    return out
-
-
 def flat_columns(vectors, length: int) -> np.ndarray:
     """A family of coefficient vectors as flat columns, length x len(vectors)."""
     if not vectors:

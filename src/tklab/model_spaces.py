@@ -45,8 +45,7 @@ class ModelSpace:
 
 def build_model_space(theta: LaurentMatrixSymbol, N: int,
                       tol_inner: float = 1e-8,
-                      tol_rel: float | None = None,
-                      cross_check_tol: float = 1e-8) -> ModelSpace:
+                      tol_rel: float | None = None) -> ModelSpace:
     """Construct the truncated model space of an analytic inner symbol.
 
     The innerness (``is_inner``, negative powers refused) and N > d guards
@@ -94,11 +93,11 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
 
     ms = ModelSpace(theta=theta, N=N, as_subspace=model,
                     inner_deviation=check.max_deviation)
-    _cross_check_projections(ms, cross_check_tol)
+    _cross_check_projections(ms)
     return ms
 
 
-def _cross_check_projections(ms: ModelSpace, tol: float) -> None:
+def _cross_check_projections(ms: ModelSpace) -> None:
     """Compare kernel-basis projection with the multiply-project-multiply form.
 
     Probes are interior-supported monomials, where both constructions are
@@ -115,7 +114,7 @@ def _cross_check_projections(ms: ModelSpace, tol: float) -> None:
             keep = ms.interior
             worst = max(worst, float(np.linalg.norm(
                 a.coeffs[:, :keep] - b.coeffs[:, :keep])))
-    if worst > tol:
+    if worst > 1e-8:
         raise AssertionError(
             f"model-space projections disagree by {worst:.3e} on the interior window")
 

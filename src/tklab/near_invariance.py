@@ -29,13 +29,13 @@ import numpy as np
 from .config import (ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, SUBSPACE_GRAM_BOUND,
                      rank_threshold)
 from .errors import DimensionMismatch
-from .hardy_core import backward_shift_flat, flat_columns
+from .hardy_core import flat_columns
 from .model_spaces import ModelSpace, decompose_against_theta
 from .operators import PerturbedToeplitz, apply_block_toeplitz, range_complement
 from .subspaces import (SigmaGap, Subspace, _Nonzeros, _nonzeros, _overlap, _relative_cut,
-                        column_gram_deviation, column_norms, column_span, is_contained,
-                        nullspace, nullspace_within, subspace_equal, value_split,
-                        zero_space)
+                        _shift, column_gram_deviation, column_norms, column_span,
+                        is_contained, nullspace, nullspace_within, subspace_equal,
+                        value_split, zero_space)
 from .symbols import LaurentMatrixSymbol, invert_analytic, is_exactly_inner
 
 
@@ -337,11 +337,10 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
     W, U = split.W, complement
     if U is None:
         Q = M.basis
-        shifted = backward_shift_flat(Q - W @ (W.conj().T @ Q), m)
+        shifted = _shift(Q - W @ (W.conj().T @ Q), -m)
         u, s, _ = np.linalg.svd(shifted - M.project_flat(shifted), full_matrices=False)
     elif U.shape[1]:
-        SU = np.zeros_like(U)
-        SU[m:] = U[:-m]  # the truncating forward shift, S*'s adjoint
+        SU = _shift(U, m)  # the truncating forward shift, S*'s adjoint
         _, s, vh = np.linalg.svd(SU - U @ (U.conj().T @ SU) - W @ (W.conj().T @ SU),
                                  full_matrices=False)
         u = U @ vh.conj().T
@@ -446,8 +445,8 @@ def _inner_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectRe
     H_mat, n = T.H_matrix, T.rank
     both = apply_block_toeplitz(
         T.base.symbol.adjoint(),
-        np.concatenate([H_mat, backward_shift_flat(H_mat, T.m)], axis=1), T.N)
-    predicted = backward_shift_flat(both[:, :n], T.m)
+        np.concatenate([H_mat, _shift(H_mat, -T.m)], axis=1), T.N)
+    predicted = _shift(both[:, :n], -T.m)
     alternate = both[:, n:]
     report = _attach_prediction(measured, kr, predicted, defect_floor, n)
     # the shifted-then-compressed and compressed-then-shifted forms span the
@@ -469,7 +468,7 @@ def _factored_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: Defec
     # those powers of its adjoint fall outside the window
     inv1, inv2 = kr.series
     intermediate = apply_block_toeplitz(inv1.adjoint(), T.H_matrix, T.N)
-    predicted = apply_block_toeplitz(inv2, backward_shift_flat(intermediate, T.m), T.N)
+    predicted = apply_block_toeplitz(inv2, _shift(intermediate, -T.m), T.N)
     return _attach_prediction(measured, kr, predicted, defect_floor, T.rank)
 
 
@@ -482,7 +481,7 @@ def _theta_star_prediction(T: PerturbedToeplitz, kr: KernelResult,
         if not split.in_range:
             outside.append(split.model_part)
     predicted = np.concatenate(
-        [apply_block_toeplitz(ms.theta, backward_shift_flat(T.H_matrix, T.m), T.N),
+        [apply_block_toeplitz(ms.theta, _shift(T.H_matrix, -T.m), T.N),
          flat_columns(outside, T.m * T.N)], axis=1)
     report = _attach_prediction(measured, kr, predicted, defect_floor,
                                 T.rank + len(outside))

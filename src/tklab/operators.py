@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .config import FUNCTIONAL_FORM_PROBE
+from .config import DEFAULT_TOLERANCES, FUNCTIONAL_FORM_PROBE
 from .errors import DimensionMismatch, OrthonormalityError
 from .hardy_core import CoeffVec, column_vectors, flat_columns, inner_product
 from .subspaces import column_gram_deviation, gram_schmidt
@@ -218,7 +218,7 @@ class PerturbedToeplitz:
     __slots__ = ("_base", "_G", "_H", "_G_matrix", "_H_matrix", "_action")
 
     def __init__(self, base: ToeplitzCompression, G: list[CoeffVec], H: list[CoeffVec],
-                 tol_ortho: float = 1e-8, require_orthonormal: bool = True):
+                 require_orthonormal: bool = True):
         if len(G) != len(H):
             raise DimensionMismatch(f"families differ in length: {len(G)} vs {len(H)}")
         for v in list(G) + list(H):
@@ -234,7 +234,7 @@ class PerturbedToeplitz:
             mat.setflags(write=False)
         self._action = None
         if require_orthonormal:
-            self.check_orthonormal(tol_ortho)
+            self.check_orthonormal(DEFAULT_TOLERANCES.ortho)
         self._verify_functional_form()
 
     def _verify_functional_form(self) -> None:
@@ -353,10 +353,9 @@ class PerturbedToeplitz:
 
 
 def build_perturbed(phi: LaurentMatrixSymbol, N: int, G: list[CoeffVec],
-                    H: list[CoeffVec], tol_ortho: float = 1e-8,
+                    H: list[CoeffVec],
                     require_orthonormal: bool = True) -> PerturbedToeplitz:
     return PerturbedToeplitz(ToeplitzCompression(phi, N), G, H,
-                             tol_ortho=tol_ortho,
                              require_orthonormal=require_orthonormal)
 
 

@@ -50,8 +50,8 @@ from .model_spaces import ModelSpace, decompose_against_theta
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
 from .operators import apply_block_toeplitz, orthonormalize_family
 from .subspaces import (Subspace, _Nonzeros, _adjoint, _block, _combine, _dense,
-                        _nonzero_lines, _overlap, _product, _shift, _top, _values,
-                        column_norms, column_span, gram_schmidt, is_contained,
+                        _identity, _nonzero_lines, _overlap, _product, _shift, _top,
+                        _values, column_norms, column_span, gram_schmidt, is_contained,
                         ortho_complement_within, project, span_of, subspace_equal,
                         zero_space)
 
@@ -434,8 +434,7 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     del R  # the remainder is spent: free it before the product Y
     Y = _combine(np.add, _product(frame.E_matrix, C[frame.r:]), _product(Q, A_Q))
     P = _combine(np.subtract, P, _shift(Y, m))
-    identity = _Nonzeros(np.arange(K), np.arange(K), np.ones(K, dtype=complex), (K, K))
-    D = _combine(np.subtract, identity, _product(_adjoint(A_Q), A_Q))
+    D = _combine(np.subtract, _identity(K), _product(_adjoint(A_Q), A_Q))
     d_norm, p_norm, d_support, p_support = _support_norms(
         _combine(np.subtract, D, _product(_adjoint(C), C)), P)
     squarings, q, power_nonzeros, head = _contraction(A_Q, max_steps)
@@ -675,47 +674,59 @@ def _one_dim_structure(kernel: Subspace, candidate: CoeffVec,
     return origin, resid
 
 
+def _line_kernel(kr: KernelResult, G: CoeffVec, line: CoeffVec, admits_line: bool,
+                 defect_candidates: list[CoeffVec], details: dict) -> RankOneKernelReport:
+    """The kernel rule shared by the inner and F1*F2 rank-one analyses.
+
+    T_Phi has a left inverse L on the window (T_{theta*} for an inner theta,
+    T(F2^-1) T(F1*^-1) for invertible factors), and ``line`` is L H.  A
+    kernel member F has F = -<F, G> L H, so <F, G> (1 + <L H, G>) = 0: the
+    kernel is {0} unless the criterion 1 + <L H, G> vanishes, and then it is
+    the line through L H, if the class admits it (``admits_line``).  The
+    case is ``trivial_kernel`` when the criterion is not critical and the
+    solved kernel ``kr`` is {0}, ``spanned_kernel`` when it is critical and
+    the line is admitted, with the line's match to the solved kernel and
+    the coordinate shape over the line's ``defect_candidates``, and
+    ``unexpected`` otherwise.  ``details`` are the class's own values.
+    """
+    _unit_norm_check(G)
+    criterion = 1.0 + inner_product(line, G)
+    kernel = kr.subspace
+    details = {"kernel_residual_max": kr.residual_max, **details}
+    critical = abs(criterion) <= CRITICAL_CRITERION
+    if critical and admits_line:
+        _, resid = subspace_equal(kernel, span_of([line]))
+        origin, cres = _one_dim_structure(kernel, line, defect_candidates)
+        return RankOneKernelReport(case="spanned_kernel", criterion=criterion,
+                                   kernel=kernel, expected_match_residual=resid,
+                                   origin_case=origin, coordinate_residuals=cres,
+                                   details=details)
+    return RankOneKernelReport(
+        case="trivial_kernel" if not critical and kernel.dim == 0 else "unexpected",
+        criterion=criterion, kernel=kernel, expected_match_residual=None,
+        origin_case=None, coordinate_residuals={}, details=details)
+
+
 def rank_one_inner_kernel(kr: KernelResult, ms: ModelSpace, G: CoeffVec, H: CoeffVec,
                           range_membership: float = DEFAULT_TOLERANCES.range_membership
                           ) -> RankOneKernelReport:
     """Kernel of T_theta + <., G> H for an inner analytic symbol.
 
     ``kr`` is the operator's solved kernel, ``ms`` theta's certified model
-    space.  The criterion 1 + <T_{theta*} H, G> decides between a trivial
-    kernel and the line through T_{theta*} H; a nontrivial kernel also
-    requires H to lie in the shifted range of theta, to within the relative
+    space.  The line is T_{theta*} H (``_line_kernel``); the class admits it
+    when H lies in the shifted range of theta, to within the relative
     model-space mass ``range_membership``.
     """
     theta, N = ms.theta, ms.N
-    _unit_norm_check(G)
     if backward_shift(H).norm() < 1e-8:
         raise ValueError("H must have a nonzero backward shift")
-    candidate = column_vectors(
+    line = column_vectors(
         apply_block_toeplitz(theta.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
-    criterion = 1.0 + inner_product(candidate, G)
     h_in_range = decompose_against_theta(H, ms, tol_membership=range_membership).in_range
-    kernel = kr.subspace
-    details = {"kernel_residual_max": kr.residual_max,
-               "h_in_shifted_range": h_in_range,
-               "inner_deviation": ms.inner_deviation}
-    if abs(criterion) > CRITICAL_CRITERION and kernel.dim == 0:
-        return RankOneKernelReport(case="trivial_kernel", criterion=criterion,
-                                   kernel=kernel,
-                                   expected_match_residual=None, origin_case=None,
-                                   coordinate_residuals={}, details=details)
-    if abs(criterion) <= CRITICAL_CRITERION and (h_in_range is None or h_in_range):
-        expected = span_of([candidate])
-        _, resid = subspace_equal(kernel, expected)
-        defect_cands = [backward_shift(candidate)]
-        origin, cres = _one_dim_structure(kernel, candidate, defect_cands)
-        return RankOneKernelReport(case="spanned_kernel", criterion=criterion,
-                                   kernel=kernel,
-                                   expected_match_residual=resid, origin_case=origin,
-                                   coordinate_residuals=cres, details=details)
-    return RankOneKernelReport(case="unexpected", criterion=criterion,
-                               kernel=kernel,
-                               expected_match_residual=None, origin_case=None,
-                               coordinate_residuals={}, details=details)
+    return _line_kernel(kr, G, line, h_in_range is None or h_in_range,
+                        [backward_shift(line)],
+                        {"h_in_shifted_range": h_in_range,
+                         "inner_deviation": ms.inner_deviation})
 
 
 def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
@@ -723,52 +734,29 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
     """Kernel of T_{F1* F2} + <., G> H for invertible analytic factors.
 
     ``kr`` is the operator's kernel solved with the factors, and carries
-    their series F1^{-1}, F2^{-1}.  The candidate vector F2^{-1} T_{F1*^{-1}} H
-    is assembled two ways (matrix application and direct coefficient
-    convolution) and the orders are cross-checked before the criterion
-    dispatch.
+    their series F1^{-1}, F2^{-1}.  The line F2^{-1} T_{F1*^{-1}} H
+    (``_line_kernel``; T_{F1* F2} is invertible, so the class always admits
+    it) is assembled two ways, by matrix application and by direct
+    coefficient convolution, and their gap is reported.
     """
     if kr.series is None:
         raise ValueError("the kernel was not solved with invertible factors")
-    _unit_norm_check(G)
     N = kr.subspace.N
     # powers of the F1 series one past N - 1 fall outside the window
     inv1, inv2 = kr.series
     intermediate = column_vectors(
         apply_block_toeplitz(inv1.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
     # route one: block Toeplitz application of the inverted factor
-    candidate = column_vectors(
+    line = column_vectors(
         apply_block_toeplitz(inv2, intermediate.flatten()[:, None], N), H.m, N)[0]
     # route two: direct Cauchy product of the coefficient sequences, entry by entry
     series = inv2.coefficient_stack(0, N - 1)
     conv = np.array([sum(np.convolve(series[:, i, j], intermediate.coeffs[j])[:N]
                          for j in range(H.m)) for i in range(H.m)])
-    convolution_gap = float(np.linalg.norm(candidate.coeffs - conv))
-    # shift identity: z S*(A) = A - A(0)
-    fwd = np.zeros_like(intermediate.coeffs)
-    fwd[:, 1:] = backward_shift(intermediate).coeffs[:, :-1]
-    shift_gap = float(np.linalg.norm(
-        fwd - (intermediate.coeffs - np.concatenate(
-            [eval_at_zero(intermediate)[:, None],
-             np.zeros((H.m, N - 1), dtype=complex)], axis=1))))
-    criterion = 1.0 + inner_product(candidate, G)
-    kernel = kr.subspace
-    details = {"kernel_residual_max": kr.residual_max,
-               "convolution_gap": convolution_gap,
-               "shift_identity_gap": shift_gap}
-    if abs(criterion) > CRITICAL_CRITERION:
-        return RankOneKernelReport(
-            case="trivial_kernel", criterion=criterion,
-            kernel=kernel, expected_match_residual=None, origin_case=None,
-            coordinate_residuals={}, details=details)
-    expected = span_of([candidate])
-    _, resid = subspace_equal(kernel, expected)
-    defect_cands = [inv2.act(backward_shift(intermediate)).analytic_part().resized(N)]
-    origin, cres = _one_dim_structure(kernel, candidate, defect_cands)
-    return RankOneKernelReport(case="spanned_kernel", criterion=criterion,
-                               kernel=kernel,
-                               expected_match_residual=resid, origin_case=origin,
-                               coordinate_residuals=cres, details=details)
+    return _line_kernel(
+        kr, G, line, True,
+        [inv2.act(backward_shift(intermediate)).analytic_part().resized(N)],
+        {"convolution_gap": float(np.linalg.norm(line.coeffs - conv))})
 
 
 @dataclass
@@ -806,7 +794,6 @@ class ThetaStarReport:
 def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
                                  ms: ModelSpace, G: CoeffVec, H: CoeffVec,
                                  depth: int | None = None,
-                                 tol_equality: float = 1e-6,
                                  range_membership: float =
                                  DEFAULT_TOLERANCES.range_membership) -> ThetaStarReport:
     """Kernel of T_{theta*} + <., G> H against its predicted structure.
@@ -913,6 +900,4 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
         membership_residuals=membership,
         details={"kernel_residual_max": kr.residual_max,
                  "model_dim": ms.as_subspace.dim,
-                 "model_mass_of_G": split.model_mass,
-                 "equality_tolerance": tol_equality,
-                 "equality_ok": eq_resid <= tol_equality})
+                 "model_mass_of_G": split.model_mass})

@@ -178,8 +178,8 @@ def _frozen(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def zero_space(m: int, N: int, tol: float = 0.0) -> Subspace:
-    return Subspace(m, N, np.zeros((m * N, 0), dtype=complex), tol)
+def zero_space(m: int, N: int) -> Subspace:
+    return Subspace(m, N, np.zeros((m * N, 0), dtype=complex), 0.0)
 
 
 def nullspace(A: np.ndarray, shape: tuple[int, int],
@@ -404,35 +404,18 @@ def value_split(M: Subspace) -> ValueSplit:
     return ValueSplit(_dense(_product(M.held, vh[:r].conj().T)), K - r, SigmaGap.at(s, r))
 
 
-def column_gram_deviation(X: np.ndarray) -> float:
+def column_gram_deviation(X: np.ndarray | _Nonzeros) -> float:
     """max |X^H X - I| over the entries: how far the columns of X are from
     orthonormal (0 for no columns).
 
-    X^H X is ``_product``'s over the exact nonzeros of X when they cut the
-    scalar products enough, as on the zero route's kernel basis, and
-    BLAS's X.conj().T @ X otherwise; the count sum_i nnz(row i of X)^2 is
-    read off X itself, so a sparse X is never conjugated whole, and not
-    counted for a product under ``SUPPORT_PRODUCT_MIN`` dense scalar
-    products.  On the support route a diagonal entry the product leaves out
+    X^H X is ``_product``'s: over the exact nonzeros of X when they cut the
+    scalar products enough, as on the zero route's kernel basis, and BLAS's
+    otherwise.  On the support route a diagonal entry the product leaves out
     is an exact zero, deviating by 1.
     """
-    rows, k = X.shape
-    if not k:
-        return 0.0
-    sparse = _support_pays(0, k, rows, k)
-    if sparse:
-        per_row = _line_counts(X, 1)
-        sparse = _support_pays(int(per_row @ per_row), k, rows, k)
-    if not sparse:
-        X = _dense(X)
-        return float(np.max(np.abs(X.conj().T @ X - np.eye(k))))
-    nz = _nonzeros(X)
-    gram = _product(_adjoint(nz), nz)
-    on = gram.rows == gram.cols
-    diagonal = np.zeros(k, dtype=complex)
-    diagonal[gram.rows[on]] = gram.vals[on]
-    return float(max(np.max(np.abs(diagonal - 1.0)),
-                     np.max(np.abs(gram.vals[~on]), initial=0.0)))
+    gram = _product(_adjoint(X), X)
+    deviation = _combine(np.subtract, gram, _identity(X.shape[1]))
+    return float(np.max(np.abs(_values(deviation)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +439,11 @@ def _nonzeros(X: np.ndarray | _Nonzeros) -> _Nonzeros:
     # flatnonzero of the mask is much faster than a 2-D np.nonzero
     rows, cols = np.divmod(np.flatnonzero(X != 0), X.shape[1])
     return _Nonzeros(rows, cols, X[rows, cols], X.shape)
+
+
+def _identity(k: int) -> _Nonzeros:
+    """The k x k identity, held by its nonzeros."""
+    return _Nonzeros(np.arange(k), np.arange(k), np.ones(k, dtype=complex), (k, k))
 
 
 def _dense(X: np.ndarray | _Nonzeros) -> np.ndarray:

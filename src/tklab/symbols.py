@@ -527,8 +527,8 @@ class ScalarInnerOuterFactorization:
         pts = np.asarray(points, dtype=complex)
         return np.polyval(self.outer_coeffs[::-1], pts)
 
-    def reconstruction_residual(self, p: np.ndarray, grid_size: int = 512) -> float:
-        grid = unit_circle_grid(grid_size)
+    def reconstruction_residual(self, p: np.ndarray) -> float:
+        grid = unit_circle_grid(512)
         target = np.polyval(np.asarray(p, dtype=complex)[::-1], grid)
         got = self.inner_eval(grid) * self.outer_eval(grid)
         scale = max(float(np.max(np.abs(target))), 1e-300)
@@ -546,8 +546,7 @@ class ScalarInnerOuterFactorization:
         }
 
 
-def scalar_inner_outer(p, eps_circle: float = 1e-6,
-                       tol_reconstruct: float = 1e-8) -> ScalarInnerOuterFactorization:
+def scalar_inner_outer(p, eps_circle: float = 1e-6) -> ScalarInnerOuterFactorization:
     """Split a scalar polynomial into Blaschke-monomial inner and outer parts.
 
     Roots come from the companion matrix (np.roots).  Roots inside the disk
@@ -589,7 +588,6 @@ def scalar_inner_outer(p, eps_circle: float = 1e-6,
         zero_power=k, disk_zeros=disk, unimodular_constant=1.0 + 0.0j,
         outer_coeffs=outer)
     resid = fact.reconstruction_residual(coeffs)
-    if resid > tol_reconstruct:
-        raise CircleRootError(
-            f"factorization residual {resid:.3e} exceeds {tol_reconstruct:g}")
+    if resid > 1e-8:
+        raise CircleRootError(f"factorization residual {resid:.3e} exceeds 1e-08")
     return fact

@@ -7,8 +7,8 @@ import pytest
 
 from tklab import model_spaces
 from tklab.cli_reports import (CHECKS, EXIT_CHECK_FAIL, Scenario, ScenarioRun,
-                               bundled_scenario_dir, load_scenario, main, parse_scenario,
-                               run_scenario_object)
+                               bundled_scenario_dir, check_rank_one, load_scenario, main,
+                               parse_scenario, run_scenario_object)
 from tklab.config import Tolerances
 from tklab.errors import InconclusiveCutError, ScenarioValidationError
 from tklab.model_spaces import build_model_space
@@ -18,10 +18,10 @@ from tklab.representation import (default_depth, rank_one_complement_analysis,
                                    rank_one_inner_kernel, rank_one_invertible_kernel,
                                    rank_one_theta_star_analysis)
 from tklab.subspaces import Subspace
-from tklab.hardy_core import CoeffVec
+from tklab.hardy_core import CoeffVec, inner_product
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import spy
+from conftest import rand_coeffvec, spy, unit
 
 SCENARIOS = bundled_scenario_dir()
 BUNDLED = sorted(SCENARIOS.glob("*.json"))
@@ -248,8 +248,7 @@ def _public_rank_one(sc):
         return rank_one_inner_kernel(kernel_of(T), ms, G, H)
     T = build_perturbed(sc.symbol.adjoint(), sc.N, [G], [H], require_orthonormal=False)
     kr = kernel_of(T)
-    return rank_one_theta_star_analysis(kr, compute_defect(kr.subspace), ms, G, H,
-                                        tol_equality=Tolerances().containment)
+    return rank_one_theta_star_analysis(kr, compute_defect(kr.subspace), ms, G, H)
 
 
 RANK_ONE = [p for p in BUNDLED if "rank_one" in load_scenario(p).checks]
@@ -267,6 +266,36 @@ def test_rank_one_check_equals_public_analysis(path):
     assert residuals.pop("kernel_sigma_ratio") == \
         ScenarioRun.validated(sc, Tolerances()).kernel.sigma_ratio
     assert residuals == _public_rank_one(sc).to_json()
+
+
+@pytest.mark.parametrize("name", ["factored_symbol_rank_one", "inner_monomial_rank_one"])
+def test_line_kernel_at_a_noncritical_criterion_is_unexpected(rng, name):
+    # the critical scenario's solved line, fed a unit G orthogonal to it: the
+    # criterion 1 + <L H, G> is 1, which admits only the kernel {0}
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    solved = ScenarioRun.validated(sc, Tolerances())
+    line = solved.kernel.subspace.basis_vectors()
+    assert len(line) == 1
+    G = rand_coeffvec(rng, sc.m, sc.N, 6)
+    G = unit(G - inner_product(G, line[0]) * line[0])
+    run = ScenarioRun(replace(sc, G=[G], expect={}), solved.tol)
+    run.__dict__["kernel"] = solved.kernel
+    outcome = check_rank_one(run)
+    assert outcome.status == "fail" and outcome.residuals["case"] == "unexpected"
+    assert abs(complex(*outcome.residuals["criterion"]) - 1.0) < 1e-12
+    assert outcome.residuals["kernel_dim"] == 1
+
+
+@pytest.mark.parametrize("name", ["zero_symbol_defect", "inner_mixed_monomials_defect",
+                                  "adjoint_mixed_defect"])
+def test_defect_floor_above_the_stack_is_inconclusive(name):
+    # the residual stack's singular values are at most 1, so a floor of
+    # 1e300 keeps nothing, and its zero side is judged against 1
+    sc = replace(load_scenario(SCENARIOS / f"{name}.json"), checks=["defect_theorem"])
+    [outcome] = run_scenario_object(sc, Tolerances(defect_floor=1e300)).outcomes
+    assert outcome.status == "fail"
+    assert outcome.residuals["defect_dim"] == 0
+    assert outcome.residuals["sigma_conclusive"] is False
 
 
 @pytest.mark.parametrize("path", RANK_ONE, ids=lambda p: p.stem)

@@ -17,7 +17,6 @@ import numpy as np
 
 from tklab.config import rank_threshold
 from tklab.errors import FrameDeficientError
-from tklab.hardy_core import backward_shift_flat
 from tklab.near_invariance import _bump_norm
 from tklab.operators import PerturbedToeplitz
 from tklab.representation import RepresentationFrame, _support_norms
@@ -51,10 +50,11 @@ def dense_peel_step(frame: RepresentationFrame, X: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One peeling step on the flat columns of X with BLAS products:
     C X = [a; c], A X = S*(X - W a) - E c and X - W a."""
-    E = frame.E_matrix
-    a = frame.value_pinv @ X[:frame.M.m]
+    m, E = frame.M.m, frame.E_matrix
+    a = frame.value_pinv @ X[:m]
     V = X - frame.W_matrix @ a
-    R = backward_shift_flat(V, frame.M.m)
+    R = np.zeros_like(V)
+    R[:-m] = V[m:]  # S*: the backward shift of every flat column
     c = E.conj().T @ R
     R -= E @ c
     return np.concatenate([a, c], axis=0), R, V
