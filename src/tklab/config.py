@@ -127,21 +127,6 @@ NEGLIGIBLE_NORM = 1e-14
 #: |1 + <candidate, G>| at or below which a rank-one criterion is critical
 CRITICAL_CRITERION = 1e-8
 
-#: a matrix product (``subspaces._product``) runs over the exact nonzeros
-#: of its factors when that takes fewer than 1 / SUPPORT_PRODUCT_FACTOR of
-#: the dense count of scalar products, and on BLAS otherwise.  The support
-#: product costs about 0.1 us per scalar product, so on random complex
-#: patterns it broke even with OpenBLAS ZGEMM at 700-1000x fewer products
-#: than dense, at dim 125, 253 and 509 (best of 5, 2-core x86 host)
-SUPPORT_PRODUCT_FACTOR = 1024
-
-#: a product of fewer dense scalar products than this stays on BLAS without
-#: counting its factors' nonzeros: the support route's fixed cost of numpy
-#: calls, 0.1-0.5 ms, is more than ZGEMM takes for the whole product below
-#: it (about 1.2 ns per scalar product on 128-1024 x 1-5 bases, 2-core x86
-#: host)
-SUPPORT_PRODUCT_MIN = 2 ** 18
-
 
 def rank_threshold(shape: tuple[int, int], sigma_max: float,
                    rank_rel: float | None = None) -> float:

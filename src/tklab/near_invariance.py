@@ -32,10 +32,10 @@ from .errors import DimensionMismatch
 from .hardy_core import flat_columns
 from .model_spaces import ModelSpace, decompose_against_theta
 from .operators import PerturbedToeplitz, apply_block_toeplitz, range_complement
-from .subspaces import (SigmaGap, Subspace, _Nonzeros, _nonzeros, _overlap, _relative_cut,
-                        _shift, column_gram_deviation, column_norms, column_span,
-                        is_contained, nullspace, nullspace_within, subspace_equal,
-                        value_split, zero_space)
+from .subspaces import (SigmaGap, Subspace, _LinkBlock, _overlap, _relative_cut, _shift,
+                        column_gram_deviation, column_norms, column_span, is_contained,
+                        nullspace, nullspace_within, subspace_equal, value_split,
+                        zero_space)
 from .symbols import LaurentMatrixSymbol, invert_analytic, is_exactly_inner
 
 
@@ -133,10 +133,10 @@ def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
     rank_threshold(action shape, s[0], tol_rel); K is Q_s[:, n:], the unit
     vectors e_j for j >= s, and Q_s[:, :n] v over the singular values at or
     below the cut, in that order, and U = Q_s[:, :n] v over the kept ones,
-    so [K, U] is unitary.  For s < mN, K is held by its exact nonzeros: an
-    s-row head block and the unit columns, which A sends to zero exactly
-    (G^H e_j = 0), so the audit A K = H (G[:s]^H K_head) is read on the
-    head columns alone.
+    so [K, U] is unitary.  For s < mN, K is held as links plus one block
+    (``_LinkBlock``): its links are the unit vectors e_j, j >= s, which A
+    sends to zero exactly (G^H e_j = 0), and its block is the s-row head, so
+    the audit A K = H (G[:s]^H K_head) is read on the head alone.
 
     The zero side of the gap is |A K|_F, measured on the computed K: it is
     at least |A K|_2, which by Courant-Fischer is at least the largest
@@ -165,24 +165,12 @@ def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
     U = np.zeros((rows, rank), dtype=complex)
     U[:s] = V[:, :rank]
     # a G of full degree leaves no unit columns: the head is the basis
-    basis = head if s == rows else _head_and_units(head, s - n, rows)
+    basis = head
+    if s < rows:
+        lead, K = s - n, head.shape[1] + rows - s
+        basis = _LinkBlock(np.arange(s, rows), np.arange(lead, lead + rows - s),
+                           np.arange(s), np.r_[:lead, lead + rows - s:K], head, (rows, K))
     return Subspace(T.m, T.N, basis, thresh, gap), U, image
-
-
-def _head_and_units(head: np.ndarray, lead: int, rows: int) -> _Nonzeros:
-    """The exact nonzeros of the rows x K basis whose first s = len(head)
-    rows are ``head``'s columns, its first ``lead`` in the first columns and
-    the rest in the last, and whose rows s.. are the unit vectors e_j, in
-    the columns between, in order."""
-    s, width = head.shape
-    K = width + rows - s
-    place = np.concatenate([np.arange(lead), np.arange(K - width + lead, K)])
-    nz = _nonzeros(head)
-    units = np.arange(s, rows)
-    return _Nonzeros(np.concatenate([nz.rows, units]),
-                     np.concatenate([place[nz.cols], units - s + lead]),
-                     np.concatenate([nz.vals, np.ones(units.size, dtype=complex)]),
-                     (rows, K))
 
 
 class _Candidates(NamedTuple):

@@ -49,11 +49,11 @@ from .model_spaces import ModelSpace, decompose_against_theta
 # compute_defect is not called here; the benchmark's tracer pins this import
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
 from .operators import apply_block_toeplitz, orthonormalize_family
-from .subspaces import (Subspace, _Nonzeros, _adjoint, _block, _combine, _dense,
-                        _identity, _nonzero_lines, _overlap, _product, _shift, _top,
-                        _values, column_norms, column_span, gram_schmidt, is_contained,
-                        ortho_complement_within, project, span_of, subspace_equal,
-                        zero_space)
+from .subspaces import (Subspace, _adjoint, _combine, _dense, _identity, _LinkBlock,
+                        _nonzero_lines, _overlap, _positions, _product, _shift, _top,
+                        _trimmed, _union, _values, column_norms, column_span, gram_schmidt,
+                        is_contained, ortho_complement_within, project, span_of,
+                        subspace_equal, zero_space)
 
 
 @dataclass(frozen=True)
@@ -136,25 +136,33 @@ class InvarianceReport:
 # ---------------------------------------------------------------------------
 
 
-def _peel_step(frame: RepresentationFrame, X: np.ndarray | _Nonzeros
-               ) -> tuple[np.ndarray, np.ndarray | _Nonzeros, np.ndarray | _Nonzeros]:
-    """One peeling step on the flat columns of X (mN x K), an array or its
-    ``_Nonzeros``.
+def _meeting(X: np.ndarray, Q: np.ndarray | _LinkBlock) -> np.ndarray | _LinkBlock:
+    """The array X as products with a basis held like Q take it: X itself
+    beside an array; beside links, one block on X's nonzero lines, so that a
+    link into a line X leaves empty stays a link."""
+    return X if isinstance(Q, np.ndarray) else _trimmed(X)
+
+
+def _peel_step(frame: RepresentationFrame, X: np.ndarray | _LinkBlock
+               ) -> tuple[np.ndarray, np.ndarray | _LinkBlock, np.ndarray | _LinkBlock]:
+    """One peeling step on the flat columns of X (mN x K), an array or links
+    plus a block.
 
     Returns the coefficients C X = [a; c] ((r + p) x K, an array) with
     a = pinv(W(0)) X(0) and c = E^H S*(X - W a), the remainders
     A X = S*(X - W a) - E c, and the value-map residuals X - W a.  Every
-    product runs through ``_product``, and S* moves nonzeros without
-    arithmetic, so a unit column e_j that neither frame touches maps to
-    e_(j-m) exactly.  An array X gives arrays.
+    product runs through ``_product``, and S* moves links and block rows as
+    indices, so a link e_j into a row that neither frame fills maps to the
+    link e_(j-m) exactly.  An array X gives arrays.
     """
-    m, E = frame.M.m, frame.E_matrix
+    m = frame.M.m
+    W, E = _meeting(frame.W_matrix, X), _meeting(frame.E_matrix, X)
     a = frame.value_pinv @ _top(X, m)
-    V = _combine(np.subtract, X, _product(frame.W_matrix, a))
+    V = _combine(np.subtract, X, _product(W, _meeting(a, X)))
     R = _shift(V, -m)
-    c = _dense(_product(_adjoint(E), R))
+    c = _product(_adjoint(E), R)
     R = _combine(np.subtract, R, _product(E, c))
-    return np.concatenate([a, c], axis=0), R, V
+    return np.concatenate([a, _dense(c)], axis=0), R, V
 
 
 def default_depth(N: int) -> int:
@@ -171,13 +179,13 @@ def default_depth(N: int) -> int:
 class RealizationCertificate:
     """One peeling step on the basis of M and the bounds it certifies.
 
-    ``A`` (K x K, an array or its ``_Nonzeros``: multiply it through
+    ``A`` (K x K, an array or links plus a block: multiply it through
     ``_product``) and ``C`` ((r + p) x K) realize the coordinates of the
     member Q x: its step-t coefficients are C A^t x.  Every bound holds for
     every unit member of M.
     """
 
-    A: np.ndarray | _Nonzeros
+    A: np.ndarray | _LinkBlock
     C: np.ndarray
     #: k with ||A^(2^k)||_F = contraction < 1/2
     squarings: int
@@ -187,9 +195,11 @@ class RealizationCertificate:
     invariance: InvarianceReport
     #: sizes of the exact nonzero supports J of D and J' of P
     support: tuple[int, int]
-    #: size h of the head block of A_Q that the squarings multiply
+    #: size h of the head of A_Q that the squarings multiply: its block
+    #: columns and the link chains its block rows reach (all of an array)
     head: int
-    #: exact nonzero counts of A and of its last power A^(2^squarings)
+    #: exact nonzero counts of A (its links plus its block's nonzero entries)
+    #: and of its last power A^(2^squarings)
     nonzeros: tuple[int, int]
 
 
@@ -199,11 +209,11 @@ def _norm2_hermitian(H: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
 
 
-def _support_norms(D: np.ndarray | _Nonzeros, P: np.ndarray | _Nonzeros
+def _support_norms(D: np.ndarray | _LinkBlock, P: np.ndarray | _LinkBlock
                    ) -> tuple[float, float, int, int]:
     """||D||_2 of a square, numerically Hermitian D and ||P||_2, each read
-    from its exact nonzero support (see ``certify_representation``); either
-    may be held by its nonzeros.
+    from its exact nonzero support (see ``certify_representation``): the
+    link lines and the block's nonzero lines of links plus a block.
 
     Returns the two norms and the sizes of D's support J (the union of its
     nonzero rows and columns) and P's support J' (its nonzero columns).
@@ -211,20 +221,19 @@ def _support_norms(D: np.ndarray | _Nonzeros, P: np.ndarray | _Nonzeros
     rows, cols = _nonzero_lines(D)
     J = np.flatnonzero(rows | cols)
     I, Jp = (np.flatnonzero(mask) for mask in _nonzero_lines(P))
-    PJ = _block(P, I, Jp)
-    d_norm = _norm2_hermitian(_block(D, J, J))
+    PJ = _dense(P, I, Jp)
+    d_norm = _norm2_hermitian(_dense(D, J, J))
     p_norm = math.sqrt(_norm2_hermitian(PJ.conj().T @ PJ))
     return d_norm, p_norm, J.size, Jp.size
 
 
-def _shift_chains(A: _Nonzeros) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _shift_chains(A: _LinkBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Split the columns of a square A into links and a closed head.
 
-    A link is a column whose one nonzero is an exact 1.0, so
-    A e_j = e_pi(j) without arithmetic.  The head is every other column,
-    widened by each link that a head column reaches through a chain of
-    links, so A maps the head's span into itself.  Pointer doubling walks
-    the chains in O(K log K).
+    The links are A's own, A e_j = e_pi(j) without arithmetic.  The head is
+    every other column, widened by each link that a block row of A reaches
+    through a chain of links, so A maps the head's span into itself.
+    Pointer doubling walks the chains in O(K log K).
 
     Returns the head (ascending column indices), the length t_j and head
     entry c_j (an index into the head) of each link chain that enters the
@@ -232,14 +241,13 @@ def _shift_chains(A: _Nonzeros) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
     does, as it runs into a cycle of links.
     """
     K = A.shape[1]
-    unit = (np.bincount(A.cols, minlength=K)[A.cols] == 1) & (A.vals == 1.0)
     link = np.zeros(K, dtype=bool)
-    link[A.cols[unit]] = True
+    link[A.link_cols] = True
     nxt = np.arange(K)
-    nxt[A.cols[unit]] = A.rows[unit]
+    nxt[A.link_cols] = A.link_rows
     rounds = K.bit_length()  # 2^rounds > K: past the longest chain
     reached = np.zeros(K, dtype=bool)
-    reached[A.rows[~link[A.cols]]] = True
+    reached[A.I] = True
     jump = nxt
     for _ in range(rounds):  # reached spans distances < 2^(round + 1)
         reached[jump[reached]] = True
@@ -257,30 +265,23 @@ def _shift_chains(A: _Nonzeros) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
             int(np.count_nonzero(~enters)))
 
 
-def _contraction(A: np.ndarray | _Nonzeros, max_steps: int) -> tuple[int, float, int, int]:
+def _contraction(A: np.ndarray | _LinkBlock, max_steps: int) -> tuple[int, float, int, int]:
     """The least k with q = ||A^T||_F < 1/2, T = 2^k, from the powers of A's
     head block (see ``certify_representation``).
 
     Returns k, q, the exact nonzero count of A^T and the head size h.  An
-    array A, which its products gave on BLAS, is taken whole as the head.
-    Raises ``FrameDeficientError`` if q is not finite or 2^(k+1) would pass
-    ``max_steps`` before q < 1/2.
+    array A is taken whole as the head.  Raises ``FrameDeficientError`` if q
+    is not finite or 2^(k+1) would pass ``max_steps`` before q < 1/2.
     """
-    K = A.shape[1]
-    if isinstance(A, _Nonzeros):
+    if isinstance(A, np.ndarray):
+        head, power = np.arange(A.shape[1]), A
+        lengths, entry, cycling = np.zeros(0, int), np.zeros(0, int), 0
+    else:  # the head's principal block H
         head, lengths, entry, cycling = _shift_chains(A)
-    else:
-        head, lengths, entry, cycling = np.arange(K), np.zeros(0, int), np.zeros(0, int), 0
-    if head.size == K:
-        power = A
-    else:  # the head's principal block H, in A's row-major order
-        at = np.full(K, -1)
-        at[head] = np.arange(head.size)
-        inside = at[A.cols] >= 0
-        power = _Nonzeros(at[A.rows[inside]], at[A.cols[inside]], A.vals[inside],
-                          (head.size, head.size))
+        power = _dense(A, head, head)
     # the stack holds H^i e_c for i < T, column i E + e for the e-th entry c
-    entries, of_entry = np.unique(entry, return_inverse=True)
+    entries = _union(head.size, entry)
+    of_entry = _positions(entries, head.size)[entry]
     E = entries.size
     stack = np.zeros((head.size, E), dtype=complex)
     stack[entries, np.arange(E)] = 1.0
@@ -292,7 +293,7 @@ def _contraction(A: np.ndarray | _Nonzeros, max_steps: int) -> tuple[int, float,
             live = lengths <= T
             weight = np.bincount((T - lengths[live]) * E + of_entry[live], minlength=T * E)
             unit_columns = int(lengths.size - np.count_nonzero(live)) + cycling
-            q = math.hypot(float(np.linalg.norm(_values(power))),
+            q = math.hypot(float(np.linalg.norm(power)),
                            math.sqrt(weight @ norms2 + unit_columns))
             if q < 0.5:
                 break
@@ -301,13 +302,13 @@ def _contraction(A: np.ndarray | _Nonzeros, max_steps: int) -> tuple[int, float,
                     f"one peeling step does not contract within {max_steps} steps "
                     f"(||A^{T}||_F = {q:.3e})")
             if E:
-                further = _dense(_product(power, stack))
+                further = power @ stack
                 stack = np.concatenate([stack, further], axis=1)
                 norms2 = np.concatenate([norms2, column_norms(further) ** 2])
                 counts = np.concatenate([counts, np.count_nonzero(further, axis=0)])
-            power = _product(power, power)
+            power = power @ power
             squarings += 1
-    nonzeros = int(np.count_nonzero(_values(power))) + int(weight @ counts) + unit_columns
+    nonzeros = int(np.count_nonzero(power)) + int(weight @ counts) + unit_columns
     return squarings, q, nonzeros, head.size
 
 
@@ -349,28 +350,27 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     both supports stay at a few indices near the degrees G touches, whatever
     N.
 
-    *Products over exact nonzeros.*  Q is M's basis as it is held, an array
-    or its ``_Nonzeros``, and nothing of it is densified: the peeling step,
-    A_Q = Q^H (A Q), Q A_Q, A_Q^H A_Q, C_Q^H C_Q and the powers below are
-    formed by ``_product`` from the entries != 0 of their factors, and
-    the sums and shifts that make P and D keep their operands' form
-    (``_combine``, ``_shift``); nothing is thresholded.  Each entry is then
-    the dense sum without its exactly-zero terms, so only the summation
-    order changes, and the sum of n nonzero terms keeps the forward-error
-    bound gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.
-    Where the nonzeros do not cut the scalar products by
-    ``SUPPORT_PRODUCT_FACTOR``, as on a dense basis, the product is BLAS's.
-    On the zero route's basis at dim = 509, A_Q holds 689 nonzeros and no
-    product of the step takes more than 3,614 scalar products against
-    dim^3.  The certificate keeps A_Q as the product gave it.
+    *Products on links plus one block.*  Q is M's basis as it is held, an
+    array or links plus one dense block (``_LinkBlock``): on the zero route
+    its links are the unit columns e_j (j >= s) and its block the s-row
+    head.  The products (``_product``) and the sums and shifts that make P
+    and D (``_combine``, ``_shift``) keep that form: links compose by index
+    arithmetic and gather rows or columns of a block, and two blocks meet
+    in one GEMM over their shared indices.  W, E and C_Q meet a held Q on
+    their nonzero lines (``_meeting``).  Each entry sums the dense sum's
+    terms less exact zeros, so it keeps the forward-error bound
+    gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.  At
+    dim = 509 A_Q is 494 links and a 13 x 15 block, and no product before
+    the squarings meets a block larger than 16 x 15, whatever N.  An array
+    basis, as on every other class, takes the dense numpy calls.
 
     *Contraction.*  k is the least with q = ||A_Q^T||_F < 1/2, T = 2^k; no
     eigenvalue is trusted, since the computed spectrum of a perturbed shift
     is a pseudospectral artifact.  ``_contraction`` finds it from A_Q's
-    exact nonzeros.  A link is a column whose one nonzero is an exact 1.0,
-    so A_Q e_j = e_pi(j) without arithmetic.  The head is every other
-    column, widened by each link that a head column reaches through a chain
-    of links, so A_Q maps the head's coordinates into themselves:
+    held form.  Its links map A_Q e_j = e_pi(j) without arithmetic.  The
+    head is every other column, widened by each link that a row of A_Q's
+    block reaches through a chain of links, so A_Q maps the head's
+    coordinates into themselves:
     A_Q^s e_c = H^s e_c for every head column c, with H the h x h head
     block.  A link's chain either enters the head after t_j steps,
     A_Q^t_j e_j = e_c_j, or runs into a cycle of links and stays a unit
@@ -383,9 +383,9 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     so each squaring multiplies only h x h blocks: it squares H^T and
     doubles the stack of H^i e_c (i < T, c a head entry) by H^T, and the
     exact nonzeros of A_Q^T are counted the same way.  A cycle never
-    contracts.  An A_Q without links, or held as an array because its
-    products ran on BLAS, is the head itself (h = K) and is squared whole.
-    On the zero route's basis h = 15 at every N of the repr-large workload.
+    contracts.  An A_Q held as an array is the head itself (h = K) and is
+    squared whole.  On the zero route's basis h = 15, A_Q's block columns,
+    at every N of the repr-large workload.
 
     *Certificate.*  From A_Q^H A_Q = I - D - C_Q^H C_Q <= (1 + ||D||) I,
     ||A_Q^j|| <= c_T = (1 + ||D||)^(T/2) for j < T, and with t = sT + j,
@@ -432,11 +432,13 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     C, R, P = _peel_step(frame, Q)
     A_Q = _product(_adjoint(Q), R)
     del R  # the remainder is spent: free it before the product Y
-    Y = _combine(np.add, _product(frame.E_matrix, C[frame.r:]), _product(Q, A_Q))
+    Y = _combine(np.add, _product(Q, A_Q),
+                 _product(_meeting(frame.E_matrix, Q), _meeting(C[frame.r:], Q)))
     P = _combine(np.subtract, P, _shift(Y, m))
     D = _combine(np.subtract, _identity(K), _product(_adjoint(A_Q), A_Q))
+    C_Q = _meeting(C, Q)
     d_norm, p_norm, d_support, p_support = _support_norms(
-        _combine(np.subtract, D, _product(_adjoint(C), C)), P)
+        _combine(np.subtract, D, _product(_adjoint(C_Q), C_Q)), P)
     squarings, q, power_nonzeros, head = _contraction(A_Q, max_steps)
     T = 2 ** squarings
     growth = 1.0 + d_norm  # bounds ||A_Q||^2
@@ -467,7 +469,7 @@ def _realized_series(cert: RealizationCertificate, x: np.ndarray) -> np.ndarray:
     steps = []
     while np.any(column_norms(x) > floors):
         steps.append(cert.C @ x)
-        x = _dense(_product(cert.A, x))
+        x = _product(cert.A, x)
     return np.stack(steps) if steps else np.zeros((0, len(cert.C), x.shape[1]), complex)
 
 
@@ -876,7 +878,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
     # shifted back n times lies within ``gap`` of the n-th of them
     x = np.eye(kernel.dim, min(kernel.dim, 6))
     for n in range(depth + 1):
-        R = _dense(_product(kernel.held, x))
+        R = _product(kernel.held, x)
         gap = cert.reconstruction if n == 0 else cert.invariance.residuals[n - 1]
         membership["ambient_sum"] = max(
             membership["ambient_sum"],
@@ -892,7 +894,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
                 membership["range_component"],
                 float(np.max(np.abs(theta_h.flatten().conj() @ R), initial=0.0))
                 / theta_h.norm() + gap)
-        x = _dense(_product(cert.A, x))
+        x = _product(cert.A, x)
     return ThetaStarReport(
         case=case, in_range=split.in_range, criterion=criterion,
         kernel=kernel, predicted_dim=predicted.dim,

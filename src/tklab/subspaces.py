@@ -10,13 +10,14 @@ rather than pass.
 Each algorithm has one copy here: the relative rank cut (``_relative_cut``)
 and the gap it reports (``SigmaGap.at``), the null directions of a full SVD
 (``nullspace``), the split of a subspace by its values at the origin
-(``value_split``), the matrix product over exact nonzeros (``_product``), the
-Gram check (``column_gram_deviation``), the overlap of two bases (``_overlap``),
+(``value_split``), the matrix product (``_product``), the Gram check
+(``column_gram_deviation``), the overlap of two bases (``_overlap``),
 Gram-Schmidt (``gram_schmidt``) and the projection Q (Q^H X) (``Subspace.project_flat``).
 
-A basis may be held by its exact nonzeros (``_Nonzeros``) instead of as an
-array; the product, the sums (``_combine``), the row shifts (``_shift``) and
-the row and block reads (``_top``, ``_block``) take either form.
+A basis may be held as links plus one dense block (``_LinkBlock``), as the
+zero-symbol kernel is; the product, the sums (``_combine``), the adjoint, the
+shifts (``_shift``) and the reads (``_top``, ``_dense``, ``_nonzero_lines``)
+take either form, and on arrays they are the plain numpy calls.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (COMPLEMENT_CUT, ORIGIN_SLICE_FLOOR, SUBSPACE_GRAM_BOUND,
-                     SUPPORT_PRODUCT_FACTOR, SUPPORT_PRODUCT_MIN, rank_threshold)
+                     rank_threshold)
 from .errors import ContainmentError, DimensionMismatch
 from .hardy_core import CoeffVec, column_vectors
 
@@ -80,17 +81,17 @@ class SigmaGap:
 class Subspace:
     """Orthonormal-basis subspace of the (m, N) coefficient ambient.
 
-    The basis is held as an array or by its exact nonzeros (``_Nonzeros``),
-    as the zero-symbol kernel holds its unit columns.  Products read the
-    held form (``held``) through ``_product``; the dense ``basis`` is built
-    only when a reader asks for it, and then cached.
+    The basis is held as an array or as links plus one dense block
+    (``_LinkBlock``), as the zero-symbol kernel is.  Products read the held
+    form (``held``) through ``_product``; the dense ``basis`` is built only
+    when a reader asks for it, and then cached.
     """
 
     __slots__ = ("_m", "_N", "_held", "_basis", "_tol", "_sigma_gap")
 
-    def __init__(self, m: int, N: int, basis: np.ndarray | _Nonzeros, tol: float,
+    def __init__(self, m: int, N: int, basis: np.ndarray | _LinkBlock, tol: float,
                  sigma_gap: SigmaGap | None = None):
-        if not isinstance(basis, _Nonzeros):
+        if not isinstance(basis, _LinkBlock):
             basis = np.asarray(basis, dtype=complex)
         if len(basis.shape) != 2 or basis.shape[0] != m * N:
             raise DimensionMismatch(
@@ -100,8 +101,8 @@ class Subspace:
         if column_gram_deviation(basis) > SUBSPACE_GRAM_BOUND:
             raise ValueError(
                 f"basis columns are not orthonormal within {SUBSPACE_GRAM_BOUND:g}")
-        if isinstance(basis, _Nonzeros):
-            basis = _Nonzeros(*(_frozen(part) for part in basis[:3]), basis.shape)
+        if isinstance(basis, _LinkBlock):
+            basis = _LinkBlock(*(_frozen(part) for part in basis[:5]), basis.shape)
             self._basis = None
         else:
             basis = self._basis = _frozen(basis)
@@ -123,14 +124,14 @@ class Subspace:
         return self._held.shape[1]
 
     @property
-    def held(self) -> np.ndarray | _Nonzeros:
-        """The basis as held: an array, or its ``_Nonzeros``."""
+    def held(self) -> np.ndarray | _LinkBlock:
+        """The basis as held: an array, or links plus one block."""
         return self._held
 
     @property
     def basis(self) -> np.ndarray:
         """The dense orthonormal basis, mN x dim (read-only), built from the
-        held nonzeros on first request."""
+        held links and block on first request."""
         if self._basis is None:
             self._basis = _frozen(_dense(self._held))
         return self._basis
@@ -148,7 +149,7 @@ class Subspace:
 
     def coefficients(self, X: np.ndarray) -> np.ndarray:
         """Q^H X for mN x k columns X, as (X^H Q)^H: only X is conjugated."""
-        return _adjoint(_dense(_product(_adjoint(X), self._held)))
+        return _adjoint(_product(_adjoint(X), self._held))
 
     def project_flat(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection Q (Q^H X) of a flat vector or mN x k array."""
@@ -156,7 +157,7 @@ class Subspace:
         if self.dim == 0:
             return np.zeros_like(X)
         columns = X.reshape(X.shape[0], -1)
-        return _dense(_product(self._held, self.coefficients(columns))).reshape(X.shape)
+        return _product(self._held, self.coefficients(columns)).reshape(X.shape)
 
     def residual_flat(self, v: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(v, dtype=complex) - self.project_flat(v)))
@@ -293,10 +294,10 @@ def column_norms(X: np.ndarray) -> np.ndarray:
                    + np.einsum("ij,ij->j", X.imag, X.imag))
 
 
-def _overlap(X: np.ndarray, Q: np.ndarray | _Nonzeros) -> float:
+def _overlap(X: np.ndarray, Q: np.ndarray | _LinkBlock) -> float:
     """max |X^H Q| for a narrow X: only X is conjugated, not the wide Q,
-    which may be held by its nonzeros."""
-    return float(np.max(np.abs(_values(_product(_adjoint(X), Q))), initial=0.0))
+    which may be held as links plus a block."""
+    return float(np.max(np.abs(_product(_adjoint(X), Q)), initial=0.0))
 
 
 def span_of(vectors: list[CoeffVec], tol_rel: float | None = None,
@@ -401,17 +402,17 @@ def value_split(M: Subspace) -> ValueSplit:
     _, s, vh = np.linalg.svd(values, full_matrices=False)
     s = np.concatenate([s, np.zeros(K - s.size)])
     _, r = _relative_cut(values.shape, s, None, floor=ORIGIN_SLICE_FLOOR)
-    return ValueSplit(_dense(_product(M.held, vh[:r].conj().T)), K - r, SigmaGap.at(s, r))
+    return ValueSplit(_product(M.held, vh[:r].conj().T), K - r, SigmaGap.at(s, r))
 
 
-def column_gram_deviation(X: np.ndarray | _Nonzeros) -> float:
+def column_gram_deviation(X: np.ndarray | _LinkBlock) -> float:
     """max |X^H X - I| over the entries: how far the columns of X are from
     orthonormal (0 for no columns).
 
-    X^H X is ``_product``'s: over the exact nonzeros of X when they cut the
-    scalar products enough, as on the zero route's kernel basis, and BLAS's
-    otherwise.  On the support route a diagonal entry the product leaves out
-    is an exact zero, deviating by 1.
+    X^H X is ``_product``'s: BLAS's on an array.  On links plus a block, as
+    the zero route's kernel basis is held, the links' own Gram is the exact
+    identity and cancels, so the deviation is read on one GEMM of the block's
+    columns, widened by the link columns whose rows the block also fills.
     """
     gram = _product(_adjoint(X), X)
     deviation = _combine(np.subtract, gram, _identity(X.shape[1]))
@@ -419,94 +420,138 @@ def column_gram_deviation(X: np.ndarray | _Nonzeros) -> float:
 
 
 # ---------------------------------------------------------------------------
-# products over exact nonzeros
+# matrices held as links plus one dense block
 # ---------------------------------------------------------------------------
 
 
-class _Nonzeros(NamedTuple):
-    """A matrix held by its exact nonzeros: X[rows[i], cols[i]] = vals[i] in
-    row-major order, and every other entry is zero."""
+class _LinkBlock(NamedTuple):
+    """A matrix held as X = Pi + B: links plus one dense block.
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    Pi is a partial permutation: column ``link_cols[i]`` is the unit vector
+    e_(link_rows[i]), its entry exactly 1.0, and no link row or column
+    repeats.  B is ``block``, X on the rows ``I`` x the columns ``J`` (each
+    ascending), which hold no link row and no link column.  Every other
+    entry is zero.
+    """
+
+    link_rows: np.ndarray
+    link_cols: np.ndarray
+    I: np.ndarray
+    J: np.ndarray
+    block: np.ndarray
     shape: tuple[int, int]
 
 
-def _nonzeros(X: np.ndarray | _Nonzeros) -> _Nonzeros:
-    if isinstance(X, _Nonzeros):
-        return X
-    # flatnonzero of the mask is much faster than a 2-D np.nonzero
-    rows, cols = np.divmod(np.flatnonzero(X != 0), X.shape[1])
-    return _Nonzeros(rows, cols, X[rows, cols], X.shape)
+_NONE = np.zeros(0, dtype=np.intp)
 
 
-def _identity(k: int) -> _Nonzeros:
-    """The k x k identity, held by its nonzeros."""
-    return _Nonzeros(np.arange(k), np.arange(k), np.ones(k, dtype=complex), (k, k))
+def _union(size: int, *indices: np.ndarray) -> np.ndarray:
+    """The ascending union of index arrays into range(size), by a mask."""
+    mask = np.zeros(size, dtype=bool)
+    for index in indices:
+        mask[index] = True
+    return np.flatnonzero(mask)
 
 
-def _dense(X: np.ndarray | _Nonzeros) -> np.ndarray:
-    if not isinstance(X, _Nonzeros):
-        return X
-    out = np.zeros(X.shape, dtype=complex)
-    out[X.rows, X.cols] = X.vals
+def _positions(index: np.ndarray, size: int, values: np.ndarray | None = None
+               ) -> np.ndarray:
+    """at with at[index[i]] = values[i] (i by default), and -1 off the index."""
+    at = np.empty(size, dtype=np.intp)
+    at.fill(-1)
+    at[index] = np.arange(index.size) if values is None else values
+    return at
+
+
+def _identity(k: int) -> _LinkBlock:
+    """The k x k identity: k links and no block."""
+    every = np.arange(k)
+    return _LinkBlock(every, every, _NONE, _NONE, np.zeros((0, 0), complex), (k, k))
+
+
+def _trimmed(X: np.ndarray) -> _LinkBlock:
+    """The array X held as one block on its nonzero rows and columns."""
+    nonzero = X != 0
+    I, J = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    return _LinkBlock(_NONE, _NONE, I, J, X[I[:, None], J], X.shape)
+
+
+def _dense(X: np.ndarray | _LinkBlock, rows: np.ndarray | None = None,
+           cols: np.ndarray | None = None) -> np.ndarray:
+    """X, or its submatrix X[rows][:, cols] for index arrays without
+    repeats, as an array."""
+    if isinstance(X, np.ndarray):
+        return X if rows is None else X[rows[:, None], cols]
+    if rows is None:
+        out = np.zeros(X.shape, dtype=complex)
+        out[X.I[:, None], X.J] = X.block
+        out[X.link_rows, X.link_cols] = 1.0
+        return out
+    r_at, c_at = _positions(rows, X.shape[0]), _positions(cols, X.shape[1])
+    i, j = r_at[X.I], c_at[X.J]
+    inside_i, inside_j = i >= 0, j >= 0
+    out = np.zeros((rows.size, cols.size), dtype=complex)
+    out[i[inside_i, None], j[inside_j]] = X.block[inside_i][:, inside_j]
+    i, j = r_at[X.link_rows], c_at[X.link_cols]
+    inside = (i >= 0) & (j >= 0)
+    out[i[inside], j[inside]] = 1.0
     return out
 
 
-def _adjoint(X: np.ndarray | _Nonzeros) -> np.ndarray | _Nonzeros:
-    if not isinstance(X, _Nonzeros):
+def _adjoint(X: np.ndarray | _LinkBlock) -> np.ndarray | _LinkBlock:
+    """X^H: the links turn around and the block is conjugated and transposed."""
+    if isinstance(X, np.ndarray):
         return X.conj().T
-    order = np.argsort(X.cols * X.shape[0] + X.rows)
-    return _Nonzeros(X.cols[order], X.rows[order], X.vals[order].conj(), X.shape[::-1])
+    return _LinkBlock(X.link_cols, X.link_rows, X.J, X.I, X.block.conj().T, X.shape[::-1])
 
 
-def _combine(op, X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
-             ) -> np.ndarray | _Nonzeros:
+def _combine(op, X: np.ndarray | _LinkBlock, Y: np.ndarray | _LinkBlock
+             ) -> np.ndarray | _LinkBlock:
     """op(X, Y) entrywise for op ``np.add`` or ``np.subtract``, in a new matrix.
 
-    Two ``_Nonzeros`` give ``_Nonzeros`` over the union of their supports,
-    each entry summed from zero in the order X, Y, so it is bitwise the dense
-    op; exact zeros of the result are left out.  Otherwise the result is an
-    array, and an operand held by its nonzeros is read only at them.
+    With an array operand the result is the array op(X, Y).  Otherwise a
+    link of X stays a link where Y's row and column are empty, two links on
+    one entry cancel under subtraction, and every other link joins the
+    block, whose entries are op(x, y) of the operands' entries, as in the
+    dense op.  So the operand with the links that should stay goes first.
     """
-    if isinstance(X, _Nonzeros) and isinstance(Y, _Nonzeros):
-        cols = X.shape[1]
-        keys, slot = np.unique(np.concatenate([X.rows * cols + X.cols,
-                                               Y.rows * cols + Y.cols]),
-                               return_inverse=True)
-        terms = np.concatenate([X.vals, op(0.0, Y.vals)])
-        return _summed(keys, slot, terms, X.shape)
-    if isinstance(Y, _Nonzeros):
-        out = np.array(X, dtype=complex)
-        out[Y.rows, Y.cols] = op(out[Y.rows, Y.cols], Y.vals)
-        return out
-    return op(_dense(X), Y)
+    if isinstance(X, np.ndarray) or isinstance(Y, np.ndarray):
+        return op(_dense(X), _dense(Y))
+    rows, cols = X.shape
+    y_row = _positions(Y.link_cols, cols, Y.link_rows)
+    y_row[Y.J] = -2  # a block column
+    y_rows = np.zeros(rows, dtype=bool)
+    y_rows[np.r_[Y.I, Y.link_rows]] = True
+    x_keep = (y_row[X.link_cols] == -1) & ~y_rows[X.link_rows]
+    x_join, y_join = ~x_keep, np.ones(Y.link_cols.size, dtype=bool)
+    if op is np.subtract:
+        x_join &= y_row[X.link_cols] != X.link_rows
+        y_join = _positions(X.link_cols, cols, X.link_rows)[Y.link_cols] != Y.link_rows
+    I = _union(rows, X.I, Y.I, X.link_rows[x_join], Y.link_rows[y_join])
+    J = _union(cols, X.J, Y.J, X.link_cols[x_join], Y.link_cols[y_join])
+    r_at, c_at = _positions(I, rows), _positions(J, cols)
+    out = np.zeros((I.size, J.size), dtype=complex)
+    out[r_at[X.I, None], c_at[X.J]] = X.block
+    out[r_at[X.link_rows[x_join]], c_at[X.link_cols[x_join]]] = 1.0
+    at = r_at[Y.I, None], c_at[Y.J]
+    out[at] = op(out[at], Y.block)
+    at = r_at[Y.link_rows[y_join]], c_at[Y.link_cols[y_join]]
+    out[at] = op(out[at], 1.0)
+    return _LinkBlock(X.link_rows[x_keep], X.link_cols[x_keep], I, J, out, X.shape)
 
 
-def _summed(keys: np.ndarray, slot: np.ndarray, terms: np.ndarray,
-            shape: tuple[int, int]) -> _Nonzeros:
-    """The ``_Nonzeros`` whose entry at flat index keys[i] (ascending) is the
-    sum of the terms with slot i, each sum taken from zero in the order of
-    ``terms``; exact zeros of the sums are left out."""
-    sums = np.empty(keys.size, dtype=complex)
-    sums.real = np.bincount(slot, weights=terms.real, minlength=keys.size)
-    sums.imag = np.bincount(slot, weights=terms.imag, minlength=keys.size)
-    keep = sums != 0
-    keys = keys[keep]
-    return _Nonzeros(keys // shape[1], keys % shape[1], sums[keep], shape)
-
-
-def _shift(X: np.ndarray | _Nonzeros, k: int) -> np.ndarray | _Nonzeros:
+def _shift(X: np.ndarray | _LinkBlock, k: int) -> np.ndarray | _LinkBlock:
     """X with every row moved k places down (up for k < 0), the rows moved
     past either end dropped: on flat degree-major columns k = m is the
-    truncating forward shift z and k = -m the backward shift S*.  Nonzeros
-    stay nonzeros."""
+    truncating forward shift z and k = -m the backward shift S*.  Links and
+    block rows move as indices."""
     rows = X.shape[0]
-    if isinstance(X, _Nonzeros):
-        moved = X.rows + k
+    if isinstance(X, _LinkBlock):
+        moved = X.link_rows + k
         keep = (moved >= 0) & (moved < rows)
-        return _Nonzeros(moved[keep], X.cols[keep], X.vals[keep], X.shape)
+        I = X.I + k
+        lo, hi = np.count_nonzero(I < 0), np.count_nonzero(I < rows)
+        return _LinkBlock(moved[keep], X.link_cols[keep], I[lo:hi], X.J, X.block[lo:hi],
+                          X.shape)
     out = np.zeros_like(X)
     if k >= 0:
         out[k:] = X[:rows - k]
@@ -515,103 +560,80 @@ def _shift(X: np.ndarray | _Nonzeros, k: int) -> np.ndarray | _Nonzeros:
     return out
 
 
-def _top(X: np.ndarray | _Nonzeros, rows: int) -> np.ndarray:
+def _top(X: np.ndarray | _LinkBlock, rows: int) -> np.ndarray:
     """The first ``rows`` rows of X as an array."""
-    if not isinstance(X, _Nonzeros):
+    if isinstance(X, np.ndarray):
         return X[:rows]
-    end = int(np.searchsorted(X.rows, rows))
-    out = np.zeros((min(rows, X.shape[0]), X.shape[1]), dtype=complex)
-    out[X.rows[:end], X.cols[:end]] = X.vals[:end]
-    return out
+    return _dense(X, np.arange(min(rows, X.shape[0])), np.arange(X.shape[1]))
 
 
-def _block(X: np.ndarray | _Nonzeros, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The submatrix X[rows, cols] as an array, for index arrays without repeats."""
-    if not isinstance(X, _Nonzeros):
-        return X[np.ix_(rows, cols)]
-    at_row = np.full(X.shape[0], -1)
-    at_row[rows] = np.arange(rows.size)
-    at_col = np.full(X.shape[1], -1)
-    at_col[cols] = np.arange(cols.size)
-    i, j = at_row[X.rows], at_col[X.cols]
-    hit = (i >= 0) & (j >= 0)
-    out = np.zeros((rows.size, cols.size), dtype=complex)
-    out[i[hit], j[hit]] = X.vals[hit]
-    return out
-
-
-def _nonzero_lines(X: np.ndarray | _Nonzeros) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of X's rows and of its columns that hold a nonzero."""
-    if not isinstance(X, _Nonzeros):
+def _nonzero_lines(X: np.ndarray | _LinkBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of X's rows and of its columns that hold a nonzero: the link
+    lines and the block's nonzero lines."""
+    if isinstance(X, np.ndarray):
         nonzero = X != 0
         return nonzero.any(axis=1), nonzero.any(axis=0)
-    hit = X.vals != 0
+    nonzero = X.block != 0
     rows, cols = np.zeros(X.shape[0], dtype=bool), np.zeros(X.shape[1], dtype=bool)
-    rows[X.rows[hit]] = True
-    cols[X.cols[hit]] = True
+    rows[np.r_[X.I[nonzero.any(axis=1)], X.link_rows]] = True
+    cols[np.r_[X.J[nonzero.any(axis=0)], X.link_cols]] = True
     return rows, cols
 
 
-def _values(X: np.ndarray | _Nonzeros) -> np.ndarray:
-    """X's entries, its exact zeros possibly left out: for norms and counts."""
-    return X.vals if isinstance(X, _Nonzeros) else X
+def _values(X: np.ndarray | _LinkBlock) -> np.ndarray:
+    """X's entries, its structural zeros left out: for norms and counts."""
+    if isinstance(X, np.ndarray):
+        return X
+    return np.concatenate([X.block.ravel(), np.ones(X.link_cols.size, dtype=complex)])
 
 
-def _line_counts(X: np.ndarray | _Nonzeros, axis: int) -> np.ndarray:
-    """Exact nonzeros in each column (axis 0) or each row (axis 1) of X."""
-    if isinstance(X, _Nonzeros):
-        return np.bincount(X.cols if axis == 0 else X.rows,
-                           minlength=X.shape[1 - axis])
-    return np.count_nonzero(X, axis=axis)
+def _product(X: np.ndarray | _LinkBlock, Y: np.ndarray | _LinkBlock
+             ) -> np.ndarray | _LinkBlock:
+    """X @ Y, each factor an array or a ``_LinkBlock``.
 
-
-def _support_pays(count: int, rows: int, inner: int, cols: int) -> bool:
-    """Whether ``count`` scalar products over exact nonzeros undercut the
-    dense rows x inner x cols of a product by ``SUPPORT_PRODUCT_FACTOR``, in
-    a product of at least ``SUPPORT_PRODUCT_MIN`` dense scalar products
-    (count 0 asks for that size alone).  BLAS writes every entry of a
-    rows x cols product, so an empty inner dimension counts as one: the zero
-    product is held by no nonzeros."""
-    dense = rows * max(inner, 1) * cols
-    return dense >= SUPPORT_PRODUCT_MIN and count * SUPPORT_PRODUCT_FACTOR < dense
-
-
-def _product(X: np.ndarray | _Nonzeros, Y: np.ndarray | _Nonzeros
-             ) -> np.ndarray | _Nonzeros:
-    """X @ Y over the exact nonzeros of X and Y.
-
-    Each factor is an array or its ``_Nonzeros``.  The scalar products
-    X[i, k] Y[k, j] with both factors nonzero number sum_k (nonzeros of
-    column k of X) (nonzeros of row k of Y); unless that count is below the
-    dense count rows x inner x cols by ``SUPPORT_PRODUCT_FACTOR`` in a
-    product of at least ``SUPPORT_PRODUCT_MIN`` dense scalar products (below
-    it nothing is counted), the product is BLAS's X @ Y on the arrays,
-    returned as an array.  Otherwise
-    every such product is formed, summed per output entry in the order of
-    X's nonzeros, and the exact nonzeros of the sums come back as
-    ``_Nonzeros``.  Nothing is thresholded: each entry is the dense sum
-    without its exactly-zero terms, so only the summation order changes, and
-    the sum of n nonzero terms keeps the forward-error bound
-    gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.
+    Two arrays give BLAS's X @ Y.  With X = Pi_X + B_X and Y = Pi_Y + B_Y, a
+    link of Y into a link column of X composes into a link (Pi_X Pi_Y); one
+    into a block column of X takes that column of B_X (B_X Pi_Y); the rows
+    of B_Y at X's link columns move to their link rows (Pi_X B_Y); and
+    B_X B_Y is one GEMM over the block columns of X that are block rows of
+    Y.  An array factor is a block on every line, so the product with it is
+    an array: the links gather its rows or columns and the block meets it in
+    one GEMM.  As links and block share no line, each entry is a GEMM's or
+    one entry moved without arithmetic.
     """
+    if isinstance(X, np.ndarray) and isinstance(Y, np.ndarray):
+        return X @ Y
+    if isinstance(X, np.ndarray):
+        out = np.zeros((X.shape[0], Y.shape[1]), dtype=complex)
+        out[:, Y.link_cols] = X[:, Y.link_rows]
+        out[:, Y.J] = X[:, Y.I] @ Y.block
+        return out
+    if isinstance(Y, np.ndarray):
+        out = np.zeros((X.shape[0], Y.shape[1]), dtype=complex)
+        out[X.link_rows] = Y[X.link_cols]
+        out[X.I] = X.block @ Y[X.J]
+        return out
     (rows, inner), cols = X.shape, Y.shape[1]
-    if not _support_pays(0, rows, inner, cols):
-        return _dense(X) @ _dense(Y)
-    per_row = _line_counts(Y, 1)
-    count = int(_line_counts(X, 0) @ per_row)
-    if not _support_pays(count, rows, inner, cols):
-        return _dense(X) @ _dense(Y)
-    X, Y = _nonzeros(X), _nonzeros(Y)
-    # X's entry e meets the reach[e] nonzeros of row X.cols[e] of Y, which
-    # sit from starts[X.cols[e]] on in Y's row-major order
-    reach = per_row[X.cols]
-    starts = np.cumsum(per_row) - per_row
-    src = np.repeat(np.arange(X.vals.size), reach)
-    pos = np.arange(count) + np.repeat(starts[X.cols] - (np.cumsum(reach) - reach),
-                                       reach)
-    terms = X.vals[src] * Y.vals[pos]
-    keys, slot = np.unique(X.rows[src] * cols + Y.cols[pos], return_inverse=True)
-    return _summed(keys, slot, terms, (rows, cols))
+    x_at = _positions(X.J, inner)
+    shared, via = x_at[Y.I], x_at[Y.link_rows]
+    meets, gathered = shared >= 0, via >= 0
+    gemm, gather_cols = meets.any(), Y.link_cols[gathered]
+    x_row = _positions(X.link_cols, inner, X.link_rows)
+    moved_to, to = x_row[Y.I], x_row[Y.link_rows]
+    moved = moved_to >= 0
+    moved_to, linked = moved_to[moved], to >= 0
+    I = _union(rows, X.I if gemm or gather_cols.size else _NONE, moved_to)
+    J = _union(cols, Y.J if gemm or moved_to.size else _NONE, gather_cols)
+    r_at, c_at = _positions(I, rows), _positions(J, cols)
+    x_rows, y_cols = r_at[X.I, None], c_at[Y.J]
+    out = np.zeros((I.size, J.size), dtype=complex)
+    if gemm:
+        out[x_rows, y_cols] = X.block[:, shared[meets]] @ Y.block[meets]
+    if moved_to.size:
+        out[r_at[moved_to, None], y_cols] = Y.block[moved]
+    if gather_cols.size:
+        out[x_rows, c_at[gather_cols]] = X.block[:, via[gathered]]
+    return _LinkBlock(to[linked], Y.link_cols[linked], I, J, out, (rows, cols))
 
 
 def gram_schmidt(X: np.ndarray, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:

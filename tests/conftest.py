@@ -7,6 +7,7 @@ from tklab.cli_reports import Scenario, ScenarioRun
 from tklab.config import Tolerances
 from tklab.hardy_core import CoeffVec
 from tklab.operators import orthonormalize_family
+from tklab.subspaces import _LinkBlock
 from tklab.symbols import LaurentMatrixSymbol
 
 
@@ -73,6 +74,27 @@ def spy(monkeypatch, name, modules=TKLAB_MODULES):
 
         monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def linked(X):
+    """The array X held as links plus one block (``subspaces._LinkBlock``):
+    its exact unit columns, one nonzero equal to 1.0 on a row that no
+    earlier one took and no other column fills, are the links, and its other
+    nonzero columns are the block, on their nonzero rows."""
+    X = np.asarray(X, dtype=complex)
+    nonzero = X != 0
+    if not X.size:
+        return _LinkBlock(*[np.zeros(0, int)] * 4, X[:0, :0], X.shape)
+    row = nonzero.argmax(axis=0)
+    unit = (nonzero.sum(axis=0) == 1) & (X[row, np.arange(X.shape[1])] == 1.0)
+    taken = set()
+    for j in np.flatnonzero(unit):
+        unit[j] = row[j] not in taken
+        taken.add(row[j])
+    unit &= ~nonzero[:, ~unit].any(axis=1)[row]  # a link shares no row with the block
+    J = np.flatnonzero(~unit & nonzero.any(axis=0))
+    I = np.flatnonzero(nonzero[:, J].any(axis=1))
+    return _LinkBlock(row[unit], np.flatnonzero(unit), I, J, X[np.ix_(I, J)], X.shape)
 
 
 def svd_shapes(monkeypatch):

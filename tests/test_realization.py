@@ -5,7 +5,6 @@ import json
 import math
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from tklab.representation import (RepresentationFrame, build_frame,
                                   certify_representation, default_depth)
 from tklab.subspaces import column_norms
 
-from conftest import spy
+from conftest import linked, spy
 from peeling_oracle import peel_members
 from test_representation import ORACLE_CASES, complement_frame
 from test_structured_operators import _workloads
@@ -81,17 +80,22 @@ FRAMES = ([pytest.param(scenario_frame, name, id=name) for name in REPRESENTATIO
              for case in ORACLE_CASES]
           + [pytest.param(_repr_large_frame, 32, id="repr-large-32"),
              pytest.param(_full_degree_frame, 16, id="zero-full-degree-16")])
-#: every frame on the measured route (under its own id), and again with
-#: every product of the certificate taken over exact nonzeros, however dense
+#: every frame on the measured route (under its own id), and again with its
+#: basis held as links plus one block on its nonzero lines, however dense
 ROUTED_FRAMES = ([pytest.param(*p.values, False, id=p.id) for p in FRAMES]
                  + [pytest.param(*p.values, True, id=f"{p.id}-support-route")
                     for p in FRAMES])
 
 
-def _take_route(support_route, monkeypatch):
-    if support_route:
-        monkeypatch.setattr(subspaces, "SUPPORT_PRODUCT_FACTOR", 0)
-        monkeypatch.setattr(subspaces, "SUPPORT_PRODUCT_MIN", 0)
+def _routed(frame, support_route):
+    """The frame, or with ``support_route`` the same frame over M's basis
+    re-held by ``linked``: every product of the certificate then takes the
+    links-plus-block route."""
+    if not support_route:
+        return frame
+    M = frame.M
+    held = subspaces.Subspace(M.m, M.N, linked(M.basis), M.tol, M.sigma_gap)
+    return RepresentationFrame(M=held, W=frame.W, E=frame.E)
 
 
 def _shift_up(V, m):
@@ -122,11 +126,11 @@ def test_realized_coefficients_equal_peeled_ones(make, arg):
 
 
 @pytest.mark.parametrize("make,arg,support_route", ROUTED_FRAMES)
-def test_bounds_cover_explicit_reassembly(make, arg, support_route, monkeypatch):
+def test_bounds_cover_explicit_reassembly(make, arg, support_route):
     # the realized series in extended precision, run until ||A_Q^t|| < 1e-14
     # and past the window, where z^t leaves nothing to reassemble
     frame, depth = make(arg)
-    _take_route(support_route, monkeypatch)
+    frame = _routed(frame, support_route)
     cert = certify_representation(frame, depth)
     M, r = frame.M, frame.r
     m, N, K = M.m, M.N, M.dim
@@ -256,6 +260,7 @@ def _full_norms(D, P):
 
 
 def _full_support_norms(D, P):
+    D, P = subspaces._dense(D), subspaces._dense(P)
     return (*_full_norms(D, P), D.shape[0], P.shape[1])
 
 
@@ -364,17 +369,18 @@ def test_report_records_the_supports():
 
 
 # ---------------------------------------------------------------------------
-# the certificate's products over exact nonzeros
+# the certificate's products on links plus one block
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("make,arg,support_route", ROUTED_FRAMES)
-def test_certificate_matches_dense_formula(make, arg, support_route, monkeypatch):
-    # a sum over exact nonzeros is the dense sum without its exactly-zero
-    # terms: only the summation order moves, within the same error bound
+def test_certificate_matches_dense_formula(make, arg, support_route):
+    # a GEMM over a block sums the dense sum's terms less exact zeros, and a
+    # link moves an entry without arithmetic: only the summation order
+    # moves, within the same error bound
     frame, depth = make(arg)
     dense = dense_certificate(frame, depth)
-    _take_route(support_route, monkeypatch)
+    frame = _routed(frame, support_route)
     cert = certify_representation(frame, depth)
     assert cert.squarings == dense["squarings"]
     if not support_route:
@@ -386,11 +392,11 @@ def test_certificate_matches_dense_formula(make, arg, support_route, monkeypatch
     assert cert.contraction == pytest.approx(dense["contraction"], rel=1e-12, abs=1e-14)
     A = subspaces._dense(cert.A)
     assert np.max(np.abs(A - dense["A"]), initial=0.0) <= 1e-14
-    if support_route:
-        # the peeling step's products run over nonzeros too
-        assert np.max(np.abs(cert.C - dense["C"]), initial=0.0) <= 1e-14
-    else:
+    if isinstance(frame.M.held, np.ndarray):
         assert np.array_equal(cert.C, dense["C"])
+    else:
+        # the peeling step's products run on the blocks too
+        assert np.max(np.abs(cert.C - dense["C"]), initial=0.0) <= 1e-14
     assert cert.nonzeros[0] == np.count_nonzero(A)
 
 
@@ -403,12 +409,15 @@ def test_dense_frame_takes_blas_bitwise(monkeypatch):
 
     def spy(X, Y):
         out = real(X, Y)
-        on_blas.append(isinstance(out, np.ndarray))
+        on_blas.append(isinstance(X, np.ndarray) and isinstance(Y, np.ndarray)
+                       and isinstance(out, np.ndarray))
         return out
 
     monkeypatch.setattr(representation, "_product", spy)
     cert = certify_representation(frame, depth)
-    assert on_blas == [True] * (8 + cert.squarings)
+    # three products in the peeling step, five after it; the squarings
+    # multiply the head, here all of A_Q, on BLAS without ``_product``
+    assert on_blas == [True] * 8
     assert np.array_equal(cert.A, dense["A"]) and np.array_equal(cert.C, dense["C"])
     for key in ("squarings", "contraction", "reconstruction", "isometry", "support"):
         assert getattr(cert, key) == dense[key], key
@@ -462,12 +471,12 @@ def _shift_chain_matrix(rng, K, head, cycles, widen, scale):
 @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 200), head=st.integers(0, 6),
        cycles=st.sampled_from([0, 0, 1, 2]), widen=st.booleans(),
        scale=st.sampled_from([0.3, 0.9, 3.0]), max_steps=st.sampled_from([8, 4096, 4096]),
-       held=st.sampled_from(["array", "nonzeros"]))
+       held=st.sampled_from(["array", "links"]))
 def test_contraction_equals_dense_squaring(seed, K, head, cycles, widen, scale, max_steps,
                                            held):
     A = _shift_chain_matrix(np.random.default_rng(seed), K, head, cycles, widen, scale)
     dense = _dense_squarings(A, max_steps)
-    x = A if held == "array" else subspaces._nonzeros(A)
+    x = A if held == "array" else linked(A)
     if dense is None:
         with pytest.raises(FrameDeficientError):
             representation._contraction(x, max_steps)
@@ -485,8 +494,8 @@ def test_contraction_equals_dense_squaring(seed, K, head, cycles, widen, scale, 
 
 def test_cyclic_shift_never_contracts():
     K = 9
-    cycle = subspaces._Nonzeros(np.arange(K), (np.arange(K) - 1) % K,
-                                np.ones(K, complex), (K, K))
+    cycle = linked(np.roll(np.eye(K), 1, axis=0))
+    assert cycle.link_cols.size == K
     with pytest.raises(FrameDeficientError, match="within 4096 steps"):
         representation._contraction(cycle, 4096)
 
@@ -495,8 +504,8 @@ def test_cyclic_shift_never_contracts():
 def test_nilpotent_shift_contracts_when_the_chains_run_out(K):
     # A e_j = e_(j+1): every column but the last is a link into the 1 x 1
     # zero head, and ||A^T||_F^2 = max(K - T, 0)
-    shift = subspaces._Nonzeros(np.arange(1, K), np.arange(K - 1),
-                                np.ones(K - 1, complex), (K, K))
+    shift = linked(np.eye(K, k=-1))
+    assert shift.link_cols.size == K - 1
     assert representation._contraction(shift, 4096) == (math.ceil(math.log2(K)), 0.0, 0, 1)
 
 
@@ -505,8 +514,9 @@ def test_head_widens_over_the_chains_it_reaches():
     # column 5 joins the head; the chain 1 -> 2 -> 0 stays links
     A = np.zeros((6, 6), complex)
     A[[2, 0, 4, 5], [1, 2, 3, 4]] = 1.0
-    A[[0, 3], 0] = [0.1, 0.2]
-    squarings, q, nonzeros, h = representation._contraction(subspaces._nonzeros(A), 64)
+    A[3, 0] = 0.2
+    assert linked(A).link_cols.size == 4
+    squarings, q, nonzeros, h = representation._contraction(linked(A), 64)
     assert h == 4
     k, q_dense, power = _dense_squarings(A, 64)
     assert (squarings, nonzeros) == (k, np.count_nonzero(power))
@@ -532,8 +542,8 @@ def test_representation_check_imports_no_scipy():
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 12), inner=st.integers(0, 12),
-       cols=st.integers(0, 12), kind=st.sampled_from(["pattern", "zero", "dense"]),
-       held=st.sampled_from(["array", "nonzeros", "adjoint"]))
+       cols=st.integers(0, 12), kind=st.sampled_from(["pattern", "zero", "dense", "units"]),
+       held=st.sampled_from(["array", "links", "adjoint"]))
 def test_product_over_nonzeros_equals_matmul(seed, rows, inner, cols, kind, held):
     rng = np.random.default_rng(seed)
 
@@ -546,32 +556,28 @@ def test_product_over_nonzeros_equals_matmul(seed, rows, inner, cols, kind, held
         Y[rng.random(Y.shape) < rng.uniform(0.3, 1.0)] = 0.0
     elif kind == "zero":
         X[:] = 0.0
+    elif kind == "units":
+        # exact unit columns, which ``linked`` holds as links
+        for Z in (X, Y):
+            for j in np.flatnonzero(rng.random(Z.shape[1]) < 0.6) if Z.size else ():
+                Z[:, j] = 0.0
+                Z[rng.integers(Z.shape[0]), j] = 1.0
     expected = X @ Y
     if held == "array":
         x, y = X, Y
-    elif held == "nonzeros":
-        x, y = subspaces._nonzeros(X), subspaces._nonzeros(Y)
+    elif held == "links":
+        x, y = linked(X), linked(Y)
     else:
-        x = subspaces._adjoint(subspaces._nonzeros(X.conj().T.copy()))
-        y = subspaces._nonzeros(Y)
-    # the dense pattern keeps the measured crossover and must take BLAS; every
-    # other pattern takes the support route, however small its count
-    factor = subspaces.SUPPORT_PRODUCT_FACTOR if kind == "dense" else 0
-    with mock.patch.object(subspaces, "SUPPORT_PRODUCT_FACTOR", factor), \
-            mock.patch.object(subspaces, "SUPPORT_PRODUCT_MIN", 0):
-        out = subspaces._product(x, y)
-    # BLAS takes empty products; an empty inner dimension gives the zero
-    # product, held by no nonzeros
-    if not rows * cols or (kind == "dense" and inner):
-        assert isinstance(out, np.ndarray)
-        if held == "array":
-            assert np.array_equal(out, expected)
-    else:
-        assert isinstance(out, subspaces._Nonzeros) and out.shape == (rows, cols)
-        assert np.all(out.vals != 0)
-        assert np.all(np.diff(out.rows * cols + out.cols) > 0)  # row-major, no repeats
+        x, y = subspaces._adjoint(linked(X.conj().T.copy())), linked(Y)
+    out = subspaces._product(x, y)
+    if held == "array":  # two arrays take BLAS
+        assert isinstance(out, np.ndarray) and np.array_equal(out, expected)
     got = subspaces._dense(out)
     assert got.shape == expected.shape
+    if isinstance(out, subspaces._LinkBlock):
+        # a link composes without arithmetic: the dense product's entry is 1.0
+        assert np.all(expected[out.link_rows, out.link_cols] == 1.0)
+        assert np.all(got[out.link_rows, out.link_cols] == 1.0)
     # both sums carry at most the standard forward error of an inner-term sum
     bound = 4 * (inner + 2) * EPS * (np.abs(X) @ np.abs(Y))
     assert np.all(np.abs(got - expected) <= bound)

@@ -11,7 +11,7 @@ from tklab.subspaces import (SigmaGap, Subspace, column_gram_deviation, gram_sch
                              span_of, subspace_equal, zero_space)
 from tklab.symbols import LaurentMatrixSymbol
 
-from conftest import rand_coeffvec, unit
+from conftest import linked, rand_coeffvec, unit
 from reference_oracle import intersect, vanishing_at_zero_space, zero_at_origin_slice
 
 
@@ -316,12 +316,13 @@ def _dense_gram_deviation(X):
 
 class TestGramDeviation:
     def _routes(self, monkeypatch):
-        """Whether each product the Gram check forms came back over nonzeros."""
+        """Whether each product the Gram check forms came back as links plus
+        a block."""
         real, held = subspaces._product, []
 
         def spy(X, Y):
             out = real(X, Y)
-            held.append(isinstance(out, subspaces._Nonzeros))
+            held.append(isinstance(out, subspaces._LinkBlock))
             return out
 
         monkeypatch.setattr(subspaces, "_product", spy)
@@ -334,18 +335,21 @@ class TestGramDeviation:
         assert held == [False]
 
     def test_householder_basis_takes_the_support_route(self, rng, monkeypatch):
-        # the zero route's kernel basis: all but a small block are unit vectors
+        # the zero route's kernel basis: all but a small block are unit
+        # vectors, held as links; each case is held the same way
         G = [unit(rand_coeffvec(rng, 2, 256, 8)) for _ in range(3)]
-        basis = np.array(kernel_of(build_perturbed(
-            LaurentMatrixSymbol.zero(2), 256, G, G, require_orthonormal=False)).subspace.basis)
+        held_basis = kernel_of(build_perturbed(
+            LaurentMatrixSymbol.zero(2), 256, G, G, require_orthonormal=False)).subspace.held
+        basis = subspaces._dense(held_basis)
+        assert held_basis.link_cols.size == basis.shape[1] - held_basis.J.size > 400
         held = self._routes(monkeypatch)
         cases = [basis, basis * np.r_[2.0, np.ones(basis.shape[1] - 1)], basis.copy()]
         cases[2][:, 5] = 0.0  # a zero column misses its diagonal entry: deviation 1
         cases.append(basis.copy())
-        cases[3][:, 7] += 1e-3 * basis[:, 300]
+        cases[3][:, 7] += 1e-3 * basis[:, 300]  # the block takes link 300's row
         for X in cases:
-            assert column_gram_deviation(X) == pytest.approx(_dense_gram_deviation(X),
-                                                             rel=1e-12, abs=1e-15)
+            assert column_gram_deviation(linked(X)) == pytest.approx(
+                _dense_gram_deviation(X), rel=1e-12, abs=1e-15)
         assert held == [True] * len(cases)
-        assert column_gram_deviation(basis) <= 1e-14
-        assert column_gram_deviation(cases[2]) == 1.0
+        assert column_gram_deviation(held_basis) <= 1e-14
+        assert column_gram_deviation(linked(cases[2])) == 1.0

@@ -1,8 +1,8 @@
-"""The zero-symbol route by its exact nonzeros, against its dense oracles.
+"""The zero-symbol route on links plus one block, against its dense oracles.
 
-The kernel of A = H G^H is held as an s-row head block plus unit columns
-(``subspaces._Nonzeros``); the defect, the prediction and the realization
-certificate read it through ``_product``.  Here it is held to the dense
+The kernel of A = H G^H is held as its unit columns (the links) plus an
+s-row head block (``subspaces._LinkBlock``); the defect, the prediction and
+the realization certificate read it through ``_product``.  Here it is held to the dense
 ``nullspace`` of the action matrix, to the dense-QR kernel and the BLAS
 certificate of ``tests/zero_route_oracle.py``, and, at N = 4096, to a
 memory guard under which no mN x K array fits.
@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tklab import representation, subspaces
-from tklab.cli_reports import run_scenario_object
+from tklab.cli_reports import Scenario, ScenarioRun, run_scenario_object
 from tklab.config import SUBSPACE_GRAM_BOUND, Tolerances
 from tklab.errors import FrameDeficientError
 from tklab.hardy_core import column_vectors
@@ -24,7 +24,7 @@ from tklab.near_invariance import (KernelResult, _zero_prediction, compute_defec
                                    kernel_of)
 from tklab.operators import build_perturbed
 from tklab.representation import build_frame, certify_representation, default_depth
-from tklab.subspaces import Subspace, _Nonzeros, nullspace, subspace_equal
+from tklab.subspaces import Subspace, _LinkBlock, nullspace, subspace_equal
 from tklab.symbols import LaurentMatrixSymbol
 
 from test_structured_operators import _workloads
@@ -96,10 +96,10 @@ def _close(ours, oracle, tol):
 def test_nonzero_route_matches_dense_oracles(T):
     m, N, rows = T.m, T.N, T.m * T.N
     kr = kernel_of(T)
-    # only a G of full degree leaves no unit columns to hold by their nonzeros
+    # only a G of full degree leaves no unit columns to hold as links
     full_degree = bool(np.any(T.G_matrix[-1] != 0))
     assert kr.method == "zero"
-    assert isinstance(kr.subspace.held, _Nonzeros) != full_degree
+    assert isinstance(kr.subspace.held, _LinkBlock) != full_degree
     oracle = _oracle_kernel(T)
     dense = nullspace(T.action_matrix(), (m, N))
     assume(_clean_cut(dense.sigma_gap, dense.tol))
@@ -170,7 +170,7 @@ def test_basis_is_built_on_first_request_and_cached():
     G = column_vectors(G, 2, 6)
     T = build_perturbed(LaurentMatrixSymbol.zero(2), 6, G, G)
     K = kernel_of(T).subspace
-    assert K._basis is None and isinstance(K.held, _Nonzeros)
+    assert K._basis is None and isinstance(K.held, _LinkBlock)
     basis = K.basis
     assert K.basis is basis and not basis.flags.writeable
     assert np.array_equal(subspaces._dense(K.held), basis)
@@ -181,12 +181,15 @@ def test_basis_is_built_on_first_request_and_cached():
 
 
 def test_held_basis_is_gram_checked():
-    # a held basis gets the same Gram check as an array
-    eye = _Nonzeros(np.arange(4), np.arange(4), np.full(4, 1.0 + 0j), (4, 4))
-    assert Subspace(1, 4, eye, 0.0).dim == 4
-    bad = eye._replace(vals=np.array([1.0, 1.0, 1.0, 1.0 + 1e-9], complex))
+    # a held basis gets the same Gram check as an array: three links and a
+    # one-entry block, which is 1 or off by 1e-9
+    def held(value):
+        return _LinkBlock(np.arange(3), np.arange(3), np.array([3]), np.array([3]),
+                          np.array([[value]], complex), (4, 4))
+
+    assert Subspace(1, 4, held(1.0), 0.0).dim == 4
     with pytest.raises(ValueError, match="not orthonormal"):
-        Subspace(1, 4, bad, 0.0)
+        Subspace(1, 4, held(1.0 + 1e-9), 0.0)
     assert SUBSPACE_GRAM_BOUND < 1e-9
 
 
@@ -197,7 +200,7 @@ def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
     densified = []
 
     def spy(self):
-        if isinstance(self.held, _Nonzeros):
+        if isinstance(self.held, _LinkBlock):
             densified.append(self.dim)
         return real(self)
 
@@ -229,3 +232,42 @@ def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
     assert report.outcomes[1].residuals["certificate"]["head"] == 15
     # about 9 MB: the squarings' temporaries set 69 MB while they took A_Q whole
     assert peak < 25e6, peak / 1e6
+
+
+def test_zero_route_sorts_nothing(monkeypatch):
+    # the links compose by index arithmetic and the block sums are one GEMM,
+    # so neither the kernel, its defect nor the certificate sorts an index
+    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 256)
+    T = build_perturbed(LaurentMatrixSymbol.zero(scenario.m), scenario.N, scenario.G,
+                        scenario.H)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the zero route sorted")
+
+    for name in ("unique", "argsort", "lexsort", "sort"):
+        monkeypatch.setattr(np, name, refuse)
+    kr = kernel_of(T)
+    measured = compute_defect(kr.subspace, complement=kr.complement)
+    cert = certify_representation(build_frame(kr.subspace, measured), default_depth(T.N))
+    assert isinstance(kr.subspace.held, _LinkBlock) and measured.defect_dim == 3
+    assert max(cert.reconstruction, cert.isometry) <= 1e-10
+
+
+def test_degree_64_recipe_at_1024_keeps_a_head_sized_block():
+    # G and H of degree < 64 at N = 1024: a 125-column head among 1,923
+    # links; A_Q's block stays within twice the head, so nothing scales with K
+    workloads, rng, m, n, N = _workloads(), np.random.default_rng([0, 1]), 2, 3, 1024
+    G, H = (workloads._family(rng, m, N, 64, n) for _ in range(2))
+    scenario = Scenario(name="zero_degree_64", m=m, N=N, symbol_class="zero",
+                        checks=["defect_theorem", "representation"], seed=0, G=G, H=H,
+                        expect={"kernel_dim": m * N - n, "defect_dim": n})
+    report = run_scenario_object(scenario, Tolerances())
+    assert [o.status for o in report.outcomes] == ["pass", "pass"]
+    run = ScenarioRun.validated(scenario, Tolerances())
+    basis = run.kernel.subspace.held
+    head = basis.J.size
+    assert head == 125 and basis.link_cols.size == m * N - n - head
+    cert = certify_representation(build_frame(run.kernel.subspace, run.defect), run.depth)
+    assert isinstance(cert.A, _LinkBlock)
+    assert cert.A.J.size <= 2 * head and cert.A.I.size <= 2 * head
+    assert cert.head <= 2 * head and max(cert.support) <= 2 * head

@@ -4,7 +4,7 @@
 mN x mN QR of G and holds the basis as an mN x K array; ``dense_certificate``
 takes the peeling step with BLAS products on that array and forms the
 one-step isometry defect D (K x K) and the one-step residual P (mN x K) in
-full.  The package holds the kernel by its exact nonzeros and takes every
+full.  The package holds the kernel as links plus one block and takes every
 product of the certificate through ``subspaces._product``; the tests hold it
 to these forms.
 """
