@@ -40,6 +40,7 @@ from .representation import (build_frame, certify_representation, default_depth,
                              rank_one_inner_kernel,
                              rank_one_invertible_kernel,
                              rank_one_theta_star_analysis)
+from .subspaces import sigma_audit
 from .symbols import (LaurentMatrixSymbol, is_inner, is_invertible_analytic,
                       scalar_inner_outer)
 
@@ -340,16 +341,18 @@ def _expect_matches(expect: dict, key: str, actual) -> bool:
     return key not in expect or expect[key] == actual
 
 
-def _sigma_conclusive(run: ScenarioRun) -> bool:
-    """Both rank cuts behind the verdict are clean: the run's kernel cut (its
-    audited ratio) and its defect span's.  A defect cut that kept nothing is
-    judged against min(cut, 1): the residual stack is P_{M^perp} S* applied
-    to an orthonormal slice basis, so none of its singular values exceeds 1,
-    and a cut above that is no scale at all.  A NaN ratio is inconclusive."""
-    defect = run.defect.defect_basis
-    ratios = (run.kernel.sigma_ratio,
-              defect.sigma_gap.audited_ratio(min(defect.tol, 1.0)))
-    return all(ratio <= run.tol.sigma_ratio_flag for ratio in ratios)
+def _sigma_conclusive(run: ScenarioRun, defect: bool, model: bool) -> bool:
+    """Every rank cut behind the verdict is clean (``subspaces.sigma_audit``):
+    the run's kernel cut; with ``defect`` the measured defect's span and its
+    value split, whose spectra stay at most 1 (the residual stack
+    P_{M^perp} S* and the values of an orthonormal basis); with ``model`` the
+    model space's cut.  Only the cuts asked for are computed."""
+    spaces = [run.kernel.subspace] + ([run.model_space.as_subspace] if model else [])
+    cuts = [(space.sigma_gap, space.tol, False) for space in spaces]
+    if defect:
+        span, value = run.defect.defect_basis, run.defect.value_cut
+        cuts += [(span.sigma_gap, span.tol, True), (value.gap, value.threshold, True)]
+    return sigma_audit(cuts, run.tol.sigma_ratio_flag)
 
 
 def containment_tolerance(sc: Scenario, tol: Tolerances) -> float:
@@ -363,7 +366,8 @@ def check_defect_theorem(run: ScenarioRun) -> CheckOutcome:
     sc, tol = run.sc, run.tol
     report = run.predicted_defect()
     ctol = containment_tolerance(sc, tol)
-    conclusive = _sigma_conclusive(run)
+    # the Theta* prediction reads the model space
+    conclusive = _sigma_conclusive(run, defect=True, model=sc.symbol_class == "theta_star")
     ok = (report.bound_ok and report.containment_ok(ctol)
           and report.details["kernel_audit_violations"] == 0 and conclusive)
     ok = ok and _expect_matches(sc.expect, "defect_dim", report.defect_dim)
@@ -379,7 +383,8 @@ def check_representation(run: ScenarioRun) -> CheckOutcome:
     residuals: dict = {"kernel_dim": kernel.dim}
     if kernel.dim == 0:
         return CheckOutcome("representation", "skipped", residuals)
-    conclusive = _sigma_conclusive(run)
+    # the frame's W is the defect measurement's value split
+    conclusive = _sigma_conclusive(run, defect=True, model=False)
     residuals["sigma_conclusive"] = conclusive
     frame = build_frame(kernel, run.defect)
     residuals.update({"r": frame.r, "p": frame.p,
@@ -451,17 +456,19 @@ def _rank_one_analysis(run: ScenarioRun, ms: ModelSpace | None, G: CoeffVec,
 
 
 def check_rank_one(run: ScenarioRun) -> CheckOutcome:
-    sc, tol = run.sc, run.tol
+    sc = run.sc
     if len(sc.G) != 1:
         raise ScenarioValidationError("rank_one checks need exactly one (G, H) pair")
     if sc.symbol_class not in RANK_ONE_CLASSES:
         raise ScenarioValidationError(
             f"rank_one is not defined for class {sc.symbol_class!r}")
     ms = run.model_space if sc.symbol_class in ("inner", "theta_star") else None
-    ratio = run.kernel.sigma_ratio
-    audit = {"sigma_conclusive": ratio <= tol.sigma_ratio_flag, "kernel_sigma_ratio": ratio}
+    # the Theta* analysis reads the measured defect and its value split too
+    conclusive = _sigma_conclusive(run, defect=sc.symbol_class == "theta_star",
+                                   model=ms is not None)
+    audit = {"sigma_conclusive": conclusive, "kernel_sigma_ratio": run.kernel.sigma_ratio}
     failed = {"kernel_dim": run.kernel.subspace.dim, **audit}
-    if not audit["sigma_conclusive"]:  # an inconclusive kernel cut fails unanalyzed
+    if not conclusive:  # an inconclusive cut fails unanalyzed
         return CheckOutcome("rank_one", "fail", failed)
     try:
         ok, residuals = _rank_one_analysis(run, ms, sc.G[0], sc.H[0])

@@ -76,9 +76,7 @@ def build_model_space(theta: LaurentMatrixSymbol, N: int,
         # R has orthonormal columns and the model space ker C^H lies in R^perp
         # (the Theta* case of kernel_of with no bump)
         Z = range_complement(theta, N)
-        model = nullspace_within(comp.apply_action(Z), Z, (m, N), comp.action_shape,
-                                 float(np.max(comp.action_column_norms())),
-                                 theta.coefficient_l1_norm(), 1.0, tol_rel=tol_rel)
+        model = nullspace_within(comp, Z, theta.coefficient_l1_norm(), 1.0, tol_rel=tol_rel)
         if model is None:  # a cut the certificate cannot settle: decide densely
             model = nullspace(comp.matrix, (m, N), tol_rel=tol_rel)
     else:

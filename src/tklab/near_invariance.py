@@ -26,16 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, SUBSPACE_GRAM_BOUND,
-                     rank_threshold)
+from .config import ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, SUBSPACE_GRAM_BOUND
 from .errors import DimensionMismatch
 from .hardy_core import flat_columns
 from .model_spaces import ModelSpace, decompose_against_theta
 from .operators import PerturbedToeplitz, apply_block_toeplitz, range_complement
-from .subspaces import (SigmaGap, Subspace, _LinkBlock, _overlap, _relative_cut, _shift,
+from .subspaces import (RankCut, SigmaGap, Subspace, _LinkBlock, _overlap, _shift,
                         column_gram_deviation, column_norms, column_span, is_contained,
-                        nullspace, nullspace_within, subspace_equal, value_split,
-                        zero_space)
+                        nullspace, nullspace_within, rank_cut, subspace_equal,
+                        value_split, zero_space)
 from .symbols import LaurentMatrixSymbol, invert_analytic, is_exactly_inner
 
 
@@ -65,9 +64,8 @@ class KernelResult:
 
     @property
     def sigma_ratio(self) -> float:
-        """The kernel cut's audited sigma-gap ratio: a cut that kept nothing
-        is judged against the cut itself."""
-        return float(self.sigma_gap.audited_ratio(self.sigma_cut))
+        """The kernel cut's audited sigma-gap ratio."""
+        return float(self.sigma_gap.audited_ratio(self.sigma_cut, unit=False))
 
 
 def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
@@ -100,10 +98,8 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
         candidates = _kernel_candidates(T, factors)
         if candidates is not None:
             method, series = candidates.method, candidates.series
-            ker = nullspace_within(T.apply_action(candidates.Z), candidates.Z,
-                                   (T.m, T.N), T.action_shape,
-                                   float(np.max(T.action_column_norms())),
-                                   alpha, candidates.L_norm, tol_rel=tol_rel)
+            ker = nullspace_within(T, candidates.Z, alpha, candidates.L_norm,
+                                   tol_rel=tol_rel)
         if ker is None:
             method = "dense"
             action = T.action_matrix()
@@ -130,7 +126,7 @@ def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
     A = Q_H C Q_s[:, :n]^H for the n x n core C = R_H R_G[:n]^H.  So A's
     nonzero singular values are C's, and with C = u s v^H its right
     singular vectors are Q_s[:, :n] v.  The cut is the dense path's,
-    rank_threshold(action shape, s[0], tol_rel); K is Q_s[:, n:], the unit
+    ``rank_cut`` of s at the action's shape; K is Q_s[:, n:], the unit
     vectors e_j for j >= s, and Q_s[:, :n] v over the singular values at or
     below the cut, in that order, and U = Q_s[:, :n] v over the kept ones,
     so [K, U] is unitary.  For s < mN, K is held as links plus one block
@@ -152,8 +148,7 @@ def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
     Q_s, R_G = np.linalg.qr(G[:s], mode="complete")
     R_H = np.linalg.qr(H, mode="r")
     _, sv, vh = np.linalg.svd(R_H @ R_G[:n].conj().T)
-    thresh = rank_threshold(T.action_shape, float(sv[0]) if n else 0.0, tol_rel)
-    rank = int(np.sum(sv > thresh))
+    thresh, rank, _ = rank_cut(sv, n, T.action_shape, tol_rel, 0.0)
     V = Q_s[:, :n] @ vh.conj().T
     head = np.concatenate([Q_s[:, n:], V[:, rank:]], axis=1)
     image = H @ (G[:s].conj().T @ head)
@@ -252,6 +247,8 @@ class DefectReport:
     #: from the value split; ``build_frame`` reads it as the W frame, and it
     #: is not part of the JSON report
     W: np.ndarray
+    #: the value split's cut, whose gap is ``details["slice_sigma_gap"]``
+    value_cut: RankCut
     predicted: Subspace | None = None
     containment_residual: float | None = None
     kernel_residual_max: float | None = None
@@ -300,9 +297,10 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
     and W, an orthonormal basis of M minus the slice.  The defect is
     P_{M^perp} S*(slice): without ``complement`` it is the span of the
     residual stack R = S*X - P_M S*X over X = Q - W (W^H Q), M's basis Q
-    projected onto the slice.  Both routes cut in ``_defect_cut``; directions
-    below the absolute floor are noise, which keeps exactly invariant
-    subspaces (for instance model spaces) at defect zero.
+    projected onto the slice.  Both routes cut over the min(mN, slice dim)
+    directions of an (mN, slice dim) matrix; directions below the absolute
+    floor are noise, which keeps exactly invariant subspaces (for instance
+    model spaces) at defect zero.
 
     ``complement`` is an orthonormal basis U of M's orthocomplement, as the
     zero-symbol kernel solve keeps it; it must have mN - dim M columns
@@ -317,11 +315,11 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
     if complement is not None:
         _check_complement(M, complement)
     split = value_split(M)
-    details = {"slice_sigma_gap": split.sigma_gap.to_pair()}
+    details = {"slice_sigma_gap": split.cut.gap.to_pair()}
     if split.slice_dim == 0:
         nothing = Subspace(m, N, np.zeros((m * N, 0), complex), 0.0, SigmaGap(0.0, None))
         return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_basis=nothing,
-                            W=split.W, details=details)
+                            W=split.W, value_cut=split.cut, details=details)
     W, U = split.W, complement
     if U is None:
         Q = M.basis
@@ -334,11 +332,14 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
         u = U @ vh.conj().T
     else:
         u, s = U, np.zeros(0)
-    defect = _defect_cut(s, u, (m, N), split.slice_dim, tol_rel, defect_floor)
+    shape = (m * N, split.slice_dim)
+    cut = rank_cut(s, min(shape), shape, tol_rel, defect_floor)
+    defect = Subspace(m, N, u[:, :cut.rank], cut.threshold, cut.gap)
     details["defect_overlap_with_subspace"] = (
         _overlap(defect.basis, M.held) if defect.dim and M.dim else 0.0)
     return DefectReport(subspace_dim=M.dim, slice_dim=split.slice_dim,
-                        defect_basis=defect, W=split.W, details=details)
+                        defect_basis=defect, W=split.W, value_cut=split.cut,
+                        details=details)
 
 
 def _check_complement(M: Subspace, U: np.ndarray) -> None:
@@ -358,19 +359,6 @@ def _check_complement(M: Subspace, U: np.ndarray) -> None:
         if overlap > SUBSPACE_GRAM_BOUND:
             raise ValueError(f"complement is not orthogonal to the subspace "
                              f"(overlap {overlap:.3e})")
-
-
-def _defect_cut(s: np.ndarray, directions: np.ndarray, shape: tuple[int, int],
-                slice_dim: int, tol_rel: float | None, floor: float) -> Subspace:
-    """The leading ``directions`` (ordered as the descending spectrum ``s``)
-    that the cut of the residual stack over a basis of the slice keeps: an
-    (mN, slice dim) matrix, so ``s`` is padded with zeros or cut to
-    min(mN, slice dim) values, past which either route's stack is roundoff."""
-    rows = shape[0] * shape[1]
-    width = min(rows, slice_dim)
-    s = np.concatenate([s[:width], np.zeros(max(width - s.size, 0))])
-    thresh, rank = _relative_cut((rows, slice_dim), s, tol_rel, floor)
-    return Subspace(*shape, directions[:, :rank], thresh, SigmaGap.at(s, rank))
 
 
 def _attach_prediction(measured: DefectReport, kr: KernelResult,

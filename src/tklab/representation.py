@@ -53,7 +53,7 @@ from .subspaces import (Subspace, _adjoint, _combine, _dense, _identity, _LinkBl
                         _nonzero_lines, _overlap, _positions, _product, _shift, _top,
                         _trimmed, _union, _values, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
-                        subspace_equal, zero_space)
+                        subspace_equal)
 
 
 @dataclass(frozen=True)
@@ -868,9 +868,7 @@ def rank_one_theta_star_analysis(kr: KernelResult, defect: DefectReport,
     cands = flat_columns(defect_cands, kernel.m * N)
     reduced = cands - kernel.project_flat(cands)
     reduced = reduced[:, column_norms(reduced) > 1e-8]
-    frame_span = column_span(reduced, (kernel.m, N), floor=1e-8) if reduced.shape[1] \
-        else zero_space(kernel.m, N)
-    frame = build_frame(kernel, defect, frame_span)
+    frame = build_frame(kernel, defect, column_span(reduced, (kernel.m, N), floor=1e-8))
     cert = certify_representation(frame, depth)
     line = correction_line if correction_line is not None \
         and correction_line.norm() > NEGLIGIBLE_NORM else None

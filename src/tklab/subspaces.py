@@ -7,8 +7,12 @@ singular values on both sides of the cut; a ratio near 1 means the decision
 was not clean and downstream checks should flag themselves inconclusive
 rather than pass.
 
-Each algorithm has one copy here: the relative rank cut (``_relative_cut``)
-and the gap it reports (``SigmaGap.at``), the null directions of a full SVD
+Each algorithm has one copy here.  The one rank cut, ``rank_cut``, turns
+every spectrum into a threshold, a rank and a gap, but for the certified cut
+of ``nullspace_within``, anchored at a bound on the operator's norm.  The
+one audit turns a cut into its audited ratio (``SigmaGap.audited_ratio``)
+and decides from the cuts a verdict reads its ``sigma_conclusive``
+(``sigma_audit``).  Besides: the null directions of a full SVD
 (``nullspace``), the split of a subspace by its values at the origin
 (``value_split``), the matrix product (``_product``), the Gram check
 (``column_gram_deviation``), the overlap of two bases (``_overlap``),
@@ -54,16 +58,20 @@ class SigmaGap:
             return float("inf") if self.zero_side > 0 else 0.0
         return self.zero_side / self.signal_side
 
-    def audited_ratio(self, cut: float) -> float:
+    def audited_ratio(self, cut: float, unit: bool) -> float:
         """``ratio``, except that a cut which kept nothing while treating a
         positive singular value as zero is judged against the cut itself:
         zero side / cut (infinite for a zero cut).  A cut equal to the
         largest singular value reads 1 and one that only dropped roundoff far
         below it reads small, but the ratio shrinks as the cut grows past the
         largest singular value: a cut far above the signal reads clean.  So a
-        relative cut is held to at most 1 (``Tolerances``)."""
+        relative cut is held to at most 1 (``Tolerances``), and a ``unit``
+        spectrum, one known to stay at most 1 (values or residuals of an
+        orthonormal basis), is judged against min(cut, 1), since an absolute
+        floor may lie far above it."""
         ratio = self.ratio
         if ratio == float("inf"):
+            cut = min(cut, 1.0) if unit else cut
             ratio = self.zero_side / cut if cut > 0 else float("inf")
         return ratio
 
@@ -76,6 +84,33 @@ class SigmaGap:
         spectrum ``s``."""
         return cls(zero_side=float(s[rank]) if rank < len(s) else None,
                    signal_side=float(s[rank - 1]) if rank > 0 else None)
+
+
+class RankCut(NamedTuple):
+    """A threshold, the rank of the leading directions it keeps and its gap."""
+
+    threshold: float
+    rank: int
+    gap: SigmaGap
+
+
+def rank_cut(s: np.ndarray, width: int, shape: tuple[int, int], tol_rel: float | None,
+             floor: float) -> RankCut:
+    """The cut of the descending spectrum ``s`` of a ``shape`` matrix, padded
+    with zeros or cut to the ``width`` directions it decides over, at
+    rank_threshold(shape, s[0], tol_rel) (s[0] = 0 for no directions) and
+    never below the absolute ``floor``: the values above it are kept."""
+    s = np.concatenate([s[:width], np.zeros(max(width - s.size, 0))])
+    threshold = max(rank_threshold(shape, float(s[0]) if width else 0.0, tol_rel), floor)
+    rank = int(np.sum(s > threshold))
+    return RankCut(threshold, rank, SigmaGap.at(s, rank))
+
+
+def sigma_audit(cuts: list[tuple[SigmaGap, float, bool]], flag: float) -> bool:
+    """Whether every rank cut a verdict reads is clean: each (gap, cut,
+    unit) has an audited ratio (``SigmaGap.audited_ratio``) of at most
+    ``flag``.  A NaN ratio is inconclusive."""
+    return all(gap.audited_ratio(cut, unit) <= flag for gap, cut, unit in cuts)
 
 
 class Subspace:
@@ -202,45 +237,25 @@ def nullspace(A: np.ndarray, shape: tuple[int, int],
         raise DimensionMismatch(f"matrix shape {A.shape} vs ambient {m}*{N}")
     if not np.isfinite(A).all():
         raise ValueError("matrix must be finite")
-    if np.max(np.abs(A)) == 0.0:
-        return Subspace(m, N, np.eye(m * N, dtype=complex), 0.0,
-                        SigmaGap(0.0, None))
     # rank_threshold is linear in its sigma_max, so this floor anchors the
     # relative cut at max(s[0], scale)
     floor = min(rank_threshold(A.shape, scale, tol_rel), rank_threshold(A.shape, scale))
-    combos, thresh, gap = _null_combinations(A, tol_rel, floor=floor)
-    return Subspace(m, N, combos, thresh, gap)
-
-
-def _null_combinations(A: np.ndarray, tol_rel: float | None,
-                       floor: float = 0.0) -> tuple[np.ndarray, float, SigmaGap]:
-    """Orthonormal null directions of A (A.shape[1] x k), with the cut and its gap.
-
-    A full SVD, its spectrum padded with zeros to the column count, so the
-    exact-null directions of a wide matrix survive the cut.
-    """
+    # a full SVD cut over every column: a wide matrix's exact null directions
+    # survive, and a zero matrix's right singular vectors are the identity
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    s = np.concatenate([s, np.zeros(A.shape[1] - s.size)])
-    thresh, rank = _relative_cut(A.shape, s, tol_rel, floor)
-    return vh[rank:].conj().T, thresh, SigmaGap.at(s, rank)
+    cut = rank_cut(s, A.shape[1], A.shape, tol_rel, floor)
+    return Subspace(m, N, vh[cut.rank:].conj().T, cut.threshold, cut.gap)
 
 
-def _relative_cut(shape: tuple[int, int], s: np.ndarray, tol_rel: float | None,
-                  floor: float = 0.0) -> tuple[float, int]:
-    """The relative rank cut on a descending spectrum, never below ``floor``;
-    returns (threshold, rank)."""
-    thresh = max(rank_threshold(shape, float(s[0]), tol_rel), floor)
-    return thresh, int(np.sum(s > thresh))
+def nullspace_within(op, Z: np.ndarray, alpha: float, L_norm: float, *,
+                     tol_rel: float | None) -> Subspace | None:
+    """Kernel of an operator's action A inside a candidate space Z known to
+    contain it.
 
-
-def nullspace_within(AZ: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
-                     A_shape: tuple[int, int], A_column_max: float, alpha: float,
-                     L_norm: float, tol_rel: float | None = None) -> Subspace | None:
-    """Kernel of A inside a candidate space Z known to contain it.
-
-    A itself is never read: the caller passes the product ``AZ`` = A Z, A's
-    shape ``A_shape`` and its largest column norm ``A_column_max``, which a
-    structured operator gets from its coefficients.
+    A itself is never formed: ``op`` is a ``PerturbedToeplitz`` or a
+    ``ToeplitzCompression``, which gives the product A Z (``apply_action``),
+    A's shape (``action_shape``) and its largest column norm
+    (``action_column_norms``) from its coefficients.
 
     Write A = B + Hp G^H and suppose a map L and a subspace Z0 satisfy
     L B F - F in Z0 for every F.  A kernel vector has B F = -Hp G^H F, so
@@ -267,12 +282,9 @@ def nullspace_within(AZ: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
     zero side does not stay below the lower one, the two decisions could
     differ and None is returned: the caller runs the dense ``nullspace``.
     """
-    m, N = shape
+    m, N, A_shape = op.m, op.N, op.action_shape
     thresh = rank_threshold(A_shape, alpha, tol_rel)
-    if Z.shape[1]:
-        _, s, vh = np.linalg.svd(AZ, full_matrices=False)
-    else:
-        s, vh = np.zeros(0), np.zeros((0, 0), complex)
+    _, s, vh = np.linalg.svd(op.apply_action(Z), full_matrices=False)
     rank = int(np.sum(s > thresh))
     if rank:
         sigma = float(s[rank - 1])
@@ -281,7 +293,7 @@ def nullspace_within(AZ: np.ndarray, Z: np.ndarray, shape: tuple[int, int],
         signal = 1.0 / L_norm
     signal -= max(A_shape) * np.finfo(float).eps * alpha
     zero = float(s[rank]) if rank < s.size else None
-    lower = max(float(s[0]) if s.size else 0.0, float(A_column_max))
+    lower = max(float(s[0]) if s.size else 0.0, float(np.max(op.action_column_norms())))
     if signal <= thresh or (zero is not None
                             and zero > rank_threshold(A_shape, lower, tol_rel)):
         return None
@@ -315,20 +327,19 @@ def span_of(vectors: list[CoeffVec], tol_rel: float | None = None,
 
 def column_span(stack: np.ndarray, shape: tuple[int, int],
                 tol_rel: float | None = None, floor: float = 0.0) -> Subspace:
-    """Orthonormal basis of the numerical column span of an mN x k array.
+    """Orthonormal basis of the numerical column span of an mN x k array
+    (k = 0 spans nothing).
 
     ``floor`` is an absolute singular-value cutoff on top of the relative
     policy; it keeps all-noise inputs (for instance residuals of an exactly
     invariant subspace) from being promoted to genuine directions.
     """
     m, N = shape
-    if stack.ndim != 2 or stack.shape[0] != m * N or not stack.shape[1]:
+    if stack.ndim != 2 or stack.shape[0] != m * N:
         raise DimensionMismatch(f"column stack shape {stack.shape} vs ambient {m}*{N}")
-    if np.max(np.abs(stack)) == 0.0:
-        return Subspace(m, N, np.zeros((m * N, 0), complex), floor, SigmaGap(0.0, None))
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    thresh, rank = _relative_cut(stack.shape, s, tol_rel, floor)
-    return Subspace(m, N, u[:, :rank], thresh, SigmaGap.at(s, rank))
+    cut = rank_cut(s, s.size, stack.shape, tol_rel, floor)
+    return Subspace(m, N, u[:, :cut.rank], cut.threshold, cut.gap)
 
 
 def project(F: CoeffVec, M: Subspace) -> CoeffVec:
@@ -356,7 +367,8 @@ def subspace_equal(A: Subspace, B: Subspace, tol: float = 1e-8):
 
 def ortho_complement_within(M: Subspace, A: Subspace,
                             tol_contain: float = 1e-8) -> Subspace:
-    """M minus A, requiring A to sit inside M."""
+    """M minus A, requiring A to sit inside M: M's basis projected off A, cut
+    at ``COMPLEMENT_CUT``."""
     _check_same_ambient(M, A)
     ok, resid = is_contained(A, M, tol_contain)
     if not ok:
@@ -364,14 +376,13 @@ def ortho_complement_within(M: Subspace, A: Subspace,
             f"complement requested for a non-subspace (residual {resid:.3e})")
     if A.dim == 0:
         return M
-    reduced = M.basis - A.project_flat(M.basis)
-    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
+    rest = column_span(M.basis - A.project_flat(M.basis), (M.m, M.N), floor=COMPLEMENT_CUT)
     target = M.dim - A.dim
-    r = int(np.sum(s > COMPLEMENT_CUT))
-    if r != target:
+    if rest.dim != target:
         raise ContainmentError(
-            f"complement dimension {r} != dim M - dim A = {target}; cut is ambiguous")
-    return Subspace(M.m, M.N, u[:, :r], M.tol, SigmaGap.at(s, r))
+            f"complement dimension {rest.dim} != dim M - dim A = {target}; "
+            "cut is ambiguous")
+    return rest
 
 
 class ValueSplit(NamedTuple):
@@ -382,27 +393,23 @@ class ValueSplit(NamedTuple):
     W: np.ndarray
     #: dimension of the origin slice, dim M - r
     slice_dim: int
-    #: the gap of the value cut
-    sigma_gap: SigmaGap
+    #: the value cut
+    cut: RankCut
 
 
 def value_split(M: Subspace) -> ValueSplit:
     """Split M by the values Q(0) = Q[:m] of its basis Q (m x dim).
 
-    One thin SVD Q(0) = X s Y^H, O(m^2 dim), its spectrum padded with zeros
-    to dim M, cut like ``nullspace`` (relative to s[0], never below
-    ``ORIGIN_SLICE_FLOOR``) keeps r directions.  Q Y[:, :r] is an
-    orthonormal basis W of M minus (M ∩ zH2): x in M is orthogonal to
-    P_M e_i exactly when x(0)_i = 0, so that space is span P_M E0 and r <= m.
+    One thin SVD Q(0) = X s Y^H, O(m^2 dim), cut over dim M directions like
+    ``nullspace`` (relative to s[0], never below ``ORIGIN_SLICE_FLOOR``),
+    keeps r directions.  Q Y[:, :r] is an orthonormal basis W of M minus
+    (M ∩ zH2): x in M is orthogonal to P_M e_i exactly when x(0)_i = 0, so
+    that space is span P_M E0 and r <= m.
     """
-    K = M.dim
-    if K == 0:
-        return ValueSplit(np.zeros((M.m * M.N, 0), complex), 0, SigmaGap(None, None))
     values = _top(M.held, M.m)
     _, s, vh = np.linalg.svd(values, full_matrices=False)
-    s = np.concatenate([s, np.zeros(K - s.size)])
-    _, r = _relative_cut(values.shape, s, None, floor=ORIGIN_SLICE_FLOOR)
-    return ValueSplit(_product(M.held, vh[:r].conj().T), K - r, SigmaGap.at(s, r))
+    cut = rank_cut(s, M.dim, values.shape, None, ORIGIN_SLICE_FLOOR)
+    return ValueSplit(_product(M.held, vh[:cut.rank].conj().T), M.dim - cut.rank, cut)
 
 
 def column_gram_deviation(X: np.ndarray | _LinkBlock) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 from tklab.config import ORIGIN_SLICE_FLOOR
 from tklab.hardy_core import CoeffVec, flat_columns
 from tklab.operators import _block_toeplitz
-from tklab.subspaces import (SigmaGap, Subspace, _check_same_ambient, _null_combinations,
-                             column_gram_deviation, zero_space)
+from tklab.subspaces import (SigmaGap, Subspace, _check_same_ambient,
+                             column_gram_deviation, rank_cut, zero_space)
 from tklab.symbols import LaurentMatrixSymbol, scalar_inner_outer
 
 
@@ -29,8 +29,10 @@ def zero_at_origin_slice(M: Subspace) -> Subspace:
     result an exact subspace of M."""
     if M.dim == 0 or not np.any(M.basis[:M.m]):
         return M
-    combos, _, gap = _null_combinations(M.basis[:M.m], None, floor=ORIGIN_SLICE_FLOOR)
-    return Subspace(M.m, M.N, M.basis @ combos, M.tol, gap)
+    values = M.basis[:M.m]
+    _, s, vh = np.linalg.svd(values, full_matrices=True)
+    rank, gap = rank_cut(s, M.dim, values.shape, None, ORIGIN_SLICE_FLOOR)[1:]
+    return Subspace(M.m, M.N, M.basis @ vh[rank:].conj().T, M.tol, gap)
 
 
 def vanishing_at_zero_space(m: int, N: int) -> Subspace:

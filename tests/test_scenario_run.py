@@ -3,21 +3,23 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tklab import model_spaces
 from tklab.cli_reports import (CHECKS, EXIT_CHECK_FAIL, Scenario, ScenarioRun,
-                               bundled_scenario_dir, check_rank_one, load_scenario, main,
+                               bundled_scenario_dir, check_defect_theorem,
+                               check_rank_one, check_representation, load_scenario, main,
                                parse_scenario, run_scenario_object)
 from tklab.config import Tolerances
 from tklab.errors import InconclusiveCutError, ScenarioValidationError
 from tklab.model_spaces import build_model_space
-from tklab.near_invariance import compute_defect, kernel_of
+from tklab.near_invariance import KernelResult, compute_defect, kernel_of
 from tklab.operators import build_perturbed
 from tklab.representation import (default_depth, rank_one_complement_analysis,
                                    rank_one_inner_kernel, rank_one_invertible_kernel,
                                    rank_one_theta_star_analysis)
-from tklab.subspaces import Subspace
+from tklab.subspaces import SigmaGap, Subspace
 from tklab.hardy_core import CoeffVec, inner_product
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
@@ -360,3 +362,83 @@ def test_theta_star_rank_one_reads_the_measured_defect(monkeypatch):
     report = run_scenario_object(parse_scenario(data), Tolerances())
     assert [o.status for o in report.outcomes] == ["pass", "pass"]
     assert len(defects) == 1
+
+
+UNANALYZED = {"kernel_dim", "sigma_conclusive", "kernel_sigma_ratio"}
+
+
+@pytest.mark.parametrize("name", ["adjoint_monomial_critical",
+                                  "adjoint_monomial_noncritical",
+                                  "adjoint_range_member_critical"])
+def test_theta_star_rank_one_audits_its_defect_cut(monkeypatch, name):
+    # the Theta* analysis reads the measured defect, and a floor of 1e300
+    # keeps none of it: the cut is inconclusive and nothing is analyzed
+    analyses = spy(monkeypatch, "rank_one_theta_star_analysis")
+    outcome = _rank_one_outcome(name, {"defect_floor": 1e300})
+    assert outcome.status == "fail" and outcome.residuals["sigma_conclusive"] is False
+    assert set(outcome.residuals) == UNANALYZED
+    assert outcome.residuals["kernel_sigma_ratio"] <= Tolerances().sigma_ratio_flag
+    assert analyses == []
+
+
+@pytest.mark.parametrize("name", ["complement_single_column", "factored_symbol_rank_one"])
+def test_rank_one_measures_no_defect_it_does_not_read(monkeypatch, name):
+    defects = spy(monkeypatch, "compute_defect")
+    assert _rank_one_outcome(name, {"defect_floor": 1e300}).status == "pass"
+    assert defects == []
+
+
+def _ambiguous_value_run():
+    """A run whose kernel is an m = 3, K = 4 subspace with values of
+    singular values 1, 5e-10 and 3e-10: the value cut at 4e-10 splits the
+    last two, while the kernel and defect cuts are clean."""
+    m, N = 3, 4
+    Q = np.zeros((m * N, 4), complex)
+    Q[0, 0] = Q[2 * m, 3] = 1.0
+    for col, (comp, value) in enumerate([(1, 5e-10), (2, 3e-10)], start=1):
+        Q[comp, col], Q[m + comp, col] = value, np.sqrt(1.0 - value ** 2)
+    sc = Scenario(name="ambiguous_values", m=m, N=N, symbol_class="zero", checks=[],
+                  seed=0, G=[], H=[])
+    run = ScenarioRun(sc, Tolerances())
+    run.__dict__["kernel"] = KernelResult(
+        subspace=Subspace(m, N, Q, 1e-12, SigmaGap(None, None)), residual_max=0.0,
+        audit_violations=0, method="zero")
+    return run
+
+
+def test_ambiguous_value_cut_is_inconclusive():
+    run = _ambiguous_value_run()
+    outcome = check_representation(run)
+    assert outcome.residuals["sigma_conclusive"] is False
+    assert outcome.status == "fail"
+    # the frame certifies: only the value cut's audit fails the check
+    assert outcome.residuals["reconstruction_residual_max"] <= Tolerances().representation
+    assert run.defect.sigma_gap.to_pair() == [None, 1.0]
+    cut = run.defect.value_cut
+    assert cut.gap.to_pair() == run.defect.details["slice_sigma_gap"] == [3e-10, 5e-10]
+    assert cut.threshold == pytest.approx(4e-10)
+
+
+def _ambiguous_model_space(run):
+    """The run's model space with its cut's gap made ambiguous (ratio 0.5)."""
+    ms = run.model_space
+    space = ms.as_subspace
+    return replace(ms, as_subspace=Subspace(space.m, space.N, space.basis, space.tol,
+                                            SigmaGap(1e-9, 2e-9)))
+
+
+@pytest.mark.parametrize("name, check", [
+    ("inner_monomial_rank_one", check_rank_one),
+    ("adjoint_monomial_critical", check_rank_one),
+    ("adjoint_mixed_defect", check_defect_theorem),
+])
+def test_ambiguous_model_space_cut_is_inconclusive(monkeypatch, name, check):
+    run = ScenarioRun.validated(load_scenario(SCENARIOS / f"{name}.json"), Tolerances())
+    assert check(run).status == "pass"
+    run = ScenarioRun.validated(run.sc, Tolerances())
+    run.__dict__["model_space"] = _ambiguous_model_space(run)
+    analyses = spy(monkeypatch, "_rank_one_analysis")
+    outcome = check(run)
+    assert outcome.status == "fail" and outcome.residuals["sigma_conclusive"] is False
+    if check is check_rank_one:
+        assert set(outcome.residuals) == UNANALYZED and analyses == []

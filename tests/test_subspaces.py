@@ -6,8 +6,9 @@ from tklab.errors import ContainmentError, DimensionMismatch
 from tklab.hardy_core import CoeffVec, inner_product, reproducing_column
 from tklab.near_invariance import kernel_of
 from tklab.operators import ToeplitzCompression, build_perturbed
-from tklab.subspaces import (SigmaGap, Subspace, column_gram_deviation, gram_schmidt,
-                             is_contained, nullspace, ortho_complement_within, project,
+from tklab.subspaces import (SigmaGap, Subspace, column_gram_deviation, column_span,
+                             gram_schmidt, is_contained, nullspace,
+                             ortho_complement_within, project, rank_cut, sigma_audit,
                              span_of, subspace_equal, zero_space)
 from tklab.symbols import LaurentMatrixSymbol
 
@@ -245,6 +246,38 @@ class TestSigmaGap:
         assert SigmaGap.at(s, 0).to_pair() == [3.0, None]
         assert SigmaGap.at(s, 3).to_pair() == [None, 1e-14]
         assert SigmaGap.at(np.zeros(0), 0).to_pair() == [None, None]
+
+
+class TestRankCut:
+    def test_pads_and_truncates_to_the_width(self):
+        s = np.array([2.0, 1.0, 1e-13])
+        padded = rank_cut(s, 5, (3, 5), None, 0.0)
+        assert padded.threshold == pytest.approx(1e-9)
+        assert (padded.rank, padded.gap.to_pair()) == (2, [1e-13, 1.0])
+        # past the width lies roundoff: a full-rank cut has no zero side
+        assert rank_cut(s, 2, (3, 2), None, 0.0).gap.to_pair() == [None, 1.0]
+        assert rank_cut(s, 4, (3, 4), None, 1.5).gap.to_pair() == [1.0, 2.0]
+
+    def test_empty_spectrum_cuts_at_the_floor(self):
+        cut = rank_cut(np.zeros(0), 0, (3, 0), None, 1e-12)
+        assert (cut.threshold, cut.rank, cut.gap.to_pair()) == (1e-12, 0, [None, None])
+
+    def test_zero_stack_spans_nothing_at_the_floor(self):
+        span = column_span(np.zeros((6, 2), complex), (2, 3), None, 1e-8)
+        assert (span.dim, span.tol, span.sigma_gap.to_pair()) == (0, 1e-8, [0.0, None])
+
+    def test_audit_judges_an_empty_cut_by_the_cut(self):
+        empty = SigmaGap(1e-6, None)
+        assert empty.audited_ratio(1e-4, False) == pytest.approx(1e-2)
+        # a unit spectrum is judged against min(cut, 1): a floor far above
+        # it is no scale
+        assert empty.audited_ratio(1e300, False) == pytest.approx(1e-306)
+        assert empty.audited_ratio(1e300, True) == pytest.approx(1e-6)
+        assert sigma_audit([(empty, 1e300, True)], 1e-3)
+        assert not sigma_audit([(empty, 1e300, True), (SigmaGap(1.0, 2.0), 1.5, False)],
+                               1e-3)
+        assert not sigma_audit([(SigmaGap(float("nan"), 1.0), 0.5, False)], 1e-3)
+        assert sigma_audit([], 1e-3)
 
 
 def _frame_loop(X, drop_tol):
