@@ -29,7 +29,7 @@ from .representation import (RepresentationFrame, build_frame,
                              rank_one_theta_star_analysis)
 from .subspaces import (SigmaGap, Subspace, is_contained, nullspace,
                         ortho_complement_within, project, span_of, subspace_equal)
-from .symbols import (InnerCheck, LaurentMatrixSymbol,
+from .symbols import (InnerCheck, InvertibilityCheck, LaurentMatrixSymbol,
                       ScalarInnerOuterFactorization, blaschke_taylor,
                       invert_analytic, is_inner, is_invertible_analytic,
                       scalar_inner_outer)

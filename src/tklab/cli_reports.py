@@ -41,8 +41,8 @@ from .representation import (build_frame, certify_representation, default_depth,
                              rank_one_invertible_kernel,
                              rank_one_theta_star_analysis)
 from .subspaces import sigma_audit
-from .symbols import (LaurentMatrixSymbol, is_inner, is_invertible_analytic,
-                      scalar_inner_outer)
+from .symbols import (InvertibilityCheck, LaurentMatrixSymbol, is_inner,
+                      is_invertible_analytic, scalar_inner_outer)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -184,8 +184,13 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
                     depth=_parse_depth(data.get("depth")))
 
 
-def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
-    """Raise ``ScenarioValidationError`` unless the scenario is well formed."""
+def validate_scenario(sc: Scenario, tol: Tolerances
+                      ) -> tuple[InvertibilityCheck, InvertibilityCheck] | None:
+    """Raise ``ScenarioValidationError`` unless the scenario is well formed.
+
+    Returns the factors' invertibility certificates for the factored class,
+    which its run applies and bounds; None otherwise.
+    """
     if sc.symbol_class not in SYMBOL_CLASSES:
         raise ScenarioValidationError(f"unknown symbol class {sc.symbol_class!r}")
     if sc.m < 1 or sc.N < 2:
@@ -212,14 +217,26 @@ def validate_scenario(sc: Scenario, tol: Tolerances) -> None:
         if not inner.ok:
             raise ScenarioValidationError(
                 f"symbol fails the inner test (deviation {inner.max_deviation:.3e})")
+    if sc.symbol_class == "raw" and sc.symbol is None and sc.pair is None:
+        raise ScenarioValidationError("raw scenarios need a symbol or a pair")
     if sc.symbol_class == "invertible_factors":
         if sc.factors is None:
             raise ScenarioValidationError("class invertible_factors needs factors")
-        for label, F in zip(("F1", "F2"), sc.factors):
-            if not is_invertible_analytic(F):
-                raise ScenarioValidationError(f"factor {label} is not invertible")
-    if sc.symbol_class == "raw" and sc.symbol is None and sc.pair is None:
-        raise ScenarioValidationError("raw scenarios need a symbol or a pair")
+        return _certified_factors(sc.factors)
+    return None
+
+
+def _certified_factors(factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol]
+                       ) -> tuple[InvertibilityCheck, InvertibilityCheck]:
+    """The invertibility certificates of F1 and F2, or
+    ``ScenarioValidationError`` for the first factor refused."""
+    checks = []
+    for label, F in zip(("F1", "F2"), factors):
+        check = is_invertible_analytic(F)
+        if not check.ok:
+            raise ScenarioValidationError(f"factor {label} is not invertible")
+        checks.append(check)
+    return tuple(checks)
 
 
 @dataclass
@@ -233,24 +250,28 @@ class ScenarioRun:
 
     sc: Scenario
     tol: Tolerances
+    #: the factors' invertibility certificates as validation proved them; an
+    #: unvalidated factored run proves them on first use
+    certificates: tuple[InvertibilityCheck, InvertibilityCheck] | None = None
 
     @classmethod
     def validated(cls, sc: Scenario, base_tol: Tolerances) -> "ScenarioRun":
         tol = sc.tolerances(base_tol)
-        validate_scenario(sc, tol)
-        return cls(sc, tol)
+        return cls(sc, tol, validate_scenario(sc, tol))
 
     @cached_property
     def symbol(self) -> tuple[LaurentMatrixSymbol, tuple | None]:
         """(Phi, factors) of T = T_Phi + sum <., G_i> H_i for the symbol
-        class; factors, for the factored class only, select its kernel solve."""
+        class; factors, the certificates of F1 and F2 for the factored class
+        only, select its kernel solve."""
         sc = self.sc
         if sc.symbol_class == "zero":
             return LaurentMatrixSymbol.zero(sc.m), None
         if sc.symbol_class == "theta_star":
             return sc.symbol.adjoint(), None
         if sc.symbol_class == "invertible_factors":
-            return sc.factors[0].adjoint().multiply(sc.factors[1]), sc.factors
+            return (sc.factors[0].adjoint().multiply(sc.factors[1]),
+                    self.certificates or _certified_factors(sc.factors))
         if sc.symbol_class in ("inner", "raw") and sc.symbol is not None:
             return sc.symbol, None
         raise ScenarioValidationError("no operator kernel for this scenario")
@@ -341,13 +362,19 @@ def _expect_matches(expect: dict, key: str, actual) -> bool:
     return key not in expect or expect[key] == actual
 
 
-def _sigma_conclusive(run: ScenarioRun, defect: bool, model: bool) -> bool:
+def _sigma_conclusive(run: ScenarioRun, defect: bool, model: bool,
+                      prediction: DefectReport | None = None) -> bool:
     """Every rank cut behind the verdict is clean (``subspaces.sigma_audit``):
     the run's kernel cut; with ``defect`` the measured defect's span and its
     value split, whose spectra stay at most 1 (the residual stack
     P_{M^perp} S* and the values of an orthonormal basis); with ``model`` the
-    model space's cut.  Only the cuts asked for are computed."""
+    model space's cut; with a ``prediction`` attached to the defect, the
+    cuts of its span and of its part off the kernel.  Only the cuts asked
+    for are computed."""
     spaces = [run.kernel.subspace] + ([run.model_space.as_subspace] if model else [])
+    if prediction is not None:
+        spaces += [space for space in (prediction.predicted, prediction.predicted_mod)
+                   if space is not None]
     cuts = [(space.sigma_gap, space.tol, False) for space in spaces]
     if defect:
         span, value = run.defect.defect_basis, run.defect.value_cut
@@ -367,7 +394,8 @@ def check_defect_theorem(run: ScenarioRun) -> CheckOutcome:
     report = run.predicted_defect()
     ctol = containment_tolerance(sc, tol)
     # the Theta* prediction reads the model space
-    conclusive = _sigma_conclusive(run, defect=True, model=sc.symbol_class == "theta_star")
+    conclusive = _sigma_conclusive(run, defect=True, model=sc.symbol_class == "theta_star",
+                                   prediction=report)
     ok = (report.bound_ok and report.containment_ok(ctol)
           and report.details["kernel_audit_violations"] == 0 and conclusive)
     ok = ok and _expect_matches(sc.expect, "defect_dim", report.defect_dim)

@@ -121,6 +121,18 @@ INVERTIBILITY_DEGREE_CAP = 2 ** 15 - 1
 #: (1 - 0.9z)^4, bound 6.8e-10: 5.7e-14 / 2.0e-11 / 1.6e-10 / 6.1e-8
 SERIES_BLOCK = 8
 
+#: degrees per block of the substitution that applies T_N(A)^{-1}
+#: (``operators.solve_block_toeplitz``), at most 64, the length of the
+#: shortest certified series.  A block multiplies by the explicit inverse
+#: T_b(A)^{-1}, whose roundoff grows with b on factors nearly singular on the
+#: circle.  Worst backward residual |T_N(A) Y - X| / (l1(A) |Y|) over
+#: (1 - 0.9z)^4, (1 - 0.99z)^3 and (1 - 0.999z)^2, N = 512 and 4096, both
+#: directions, and the time of one column at N = 4096 (m = 2, one BLAS
+#: thread, 2-core x86 host), b = 4 / 8 / 16 / 32 / 64: 1.0e-15 / 4.0e-15 /
+#: 2.0e-13 / 6.3e-13 / 2.2e-12 and 2.6 / 1.1 / 0.61 / 0.49 / 0.69 ms.  The
+#: N-term series apply leaves 2.4e-15 and takes 27 ms, plus 5.2 ms to invert
+SUBSTITUTION_BLOCK = 8
+
 #: norm below which a prediction column or a correction line counts as zero
 NEGLIGIBLE_NORM = 1e-14
 

@@ -30,12 +30,13 @@ from .config import ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, SUBSPACE_GRAM_BOUND
 from .errors import DimensionMismatch
 from .hardy_core import flat_columns
 from .model_spaces import ModelSpace, decompose_against_theta
-from .operators import PerturbedToeplitz, apply_block_toeplitz, range_complement
+from .operators import (PerturbedToeplitz, apply_block_toeplitz, range_complement,
+                        solve_block_toeplitz)
 from .subspaces import (RankCut, SigmaGap, Subspace, _LinkBlock, _overlap, _shift,
                         column_gram_deviation, column_norms, column_span, is_contained,
                         nullspace, nullspace_within, rank_cut, subspace_equal,
                         value_split, zero_space)
-from .symbols import LaurentMatrixSymbol, invert_analytic, is_exactly_inner
+from .symbols import InvertibilityCheck, is_exactly_inner
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ class KernelResult:
     #: "factored" for a structured solve, "dense" for the SVD of the whole
     #: action matrix
     method: str
-    #: the factored path's series (F1^-1 to degree N + d_pos - 1, F2^-1 to
-    #: degree N - 1), which its defect prediction reuses; None otherwise
-    series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
+    #: the factored path's invertibility certificates of F1 and F2, from
+    #: which its defect prediction and rank-one analysis apply T_N(F1)^-H and
+    #: T_N(F2)^-1 by substitution; None otherwise
+    factors: tuple[InvertibilityCheck, InvertibilityCheck] | None = None
     #: the zero route's orthonormal basis (mN x rank A) of the kernel's
     #: orthocomplement, where the kernel's defect lies; None otherwise
     complement: np.ndarray | None = None
@@ -69,7 +71,7 @@ class KernelResult:
 
 
 def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
-              factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
+              factors: tuple[InvertibilityCheck, InvertibilityCheck] | None = None
               ) -> KernelResult:
     """Polynomial kernel of the perturbed operator.
 
@@ -78,16 +80,16 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
     For the zero symbol with fewer than mN pairs (G, H) and no ``factors``,
     the kernel comes from the n x n core of A = H G^H (``_zero_kernel``),
     and its complement is kept for the defect.  For an exactly inner
-    symbol, the adjoint of one, or a symbol F1* F2 with the invertible
-    analytic ``factors`` given, the kernel is solved inside a candidate
-    space of dimension at most n + md (``nullspace_within``), and A Z, A's
-    column norms and the audit A K come from the operator's coefficients
-    without a dense matrix.  Everything else, and any structured solve
-    whose certified gap cannot settle the rank, takes the dense SVD of the
-    whole action matrix and audits with it.  Every basis vector is audited
-    against 10x the singular-value cut.
+    symbol, the adjoint of one, or a symbol F1* F2 with ``factors`` the
+    invertibility certificates of F1 and F2, the kernel is solved inside a
+    candidate space of dimension at most n + md (``nullspace_within``), and
+    A Z, A's column norms and the audit A K come from the operator's
+    coefficients without a dense matrix.  Everything else, and any
+    structured solve whose certified gap cannot settle the rank, takes the
+    dense SVD of the whole action matrix and audits with it.  Every basis
+    vector is audited against 10x the singular-value cut.
     """
-    method, series, complement = "dense", None, None
+    method, complement = "dense", None
     if factors is None and T.base.symbol.is_zero() and T.rank < T.m * T.N:
         method = "zero"
         ker, complement, image = _zero_kernel(T, tol_rel)
@@ -97,7 +99,7 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
         alpha = T.base.symbol.coefficient_l1_norm() + _bump_norm(T.G_matrix, T.H_matrix)
         candidates = _kernel_candidates(T, factors)
         if candidates is not None:
-            method, series = candidates.method, candidates.series
+            method = candidates.method
             ker = nullspace_within(T, candidates.Z, alpha, candidates.L_norm,
                                    tol_rel=tol_rel)
         if ker is None:
@@ -111,7 +113,7 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
     resid = float(np.max(norms, initial=0.0))
     violations = int(np.sum(norms > 10.0 * max(ker.tol, np.finfo(float).eps)))
     return KernelResult(subspace=ker, residual_max=resid, audit_violations=violations,
-                        method=method, series=series, complement=complement)
+                        method=method, factors=factors, complement=complement)
 
 
 def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
@@ -174,8 +176,6 @@ class _Candidates(NamedTuple):
     Z: np.ndarray
     #: bound on |L|
     L_norm: float
-    #: the factored path's series, handed on in ``KernelResult.series``
-    series: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None = None
 
 
 def _bump_norm(G: np.ndarray, H: np.ndarray) -> float:
@@ -185,12 +185,12 @@ def _bump_norm(G: np.ndarray, H: np.ndarray) -> float:
 
 
 def _kernel_candidates(T: PerturbedToeplitz,
-                       factors: tuple[LaurentMatrixSymbol, LaurentMatrixSymbol] | None
+                       factors: tuple[InvertibilityCheck, InvertibilityCheck] | None
                        ) -> _Candidates | None:
     """The candidate space of ``nullspace_within`` for T's symbol class, or
     None for the dense path.  Given factors take the factored path even when
-    their product is also (the adjoint of) an exactly inner symbol, so its
-    series are always there to reuse.
+    their product is also (the adjoint of) an exactly inner symbol, so the
+    prediction always reads the same certificates.
 
     With B the base action matrix and H the bump's range family:
     - inner Theta: B is an isometry, so L = B^H gives L B = I, Z0 = 0,
@@ -200,23 +200,25 @@ def _kernel_candidates(T: PerturbedToeplitz,
       L y = R y[:m(N - d)] gives L B F = R R^H F, so
       Z0 = R^perp (``range_complement``), |L| = 1 and
       Z = R^perp + span{R P_{N-d} H_i};
-    - F1* F2: L = T_N(F2^-1) T(F1*^-1) inverts B exactly on P_N when the
-      F1 series reaches the top action degree, Z0 = 0, |L| is at most the
-      product of the two series' l1 coefficient sums, and L H_i is the
-      rank-one candidate F2^-1 T_{F1*^-1} H_i.
+    - F1* F2: L = T_N(F2^-1) T(F1*^-1), with T(F1*^-1) from the
+      N + d_pos action degrees to P_N, inverts B exactly on P_N, Z0 = 0,
+      and L H_i is the rank-one candidate F2^-1 T_{F1*^-1} H_i.  On P_N,
+      T(F1*^-1) is T_N(F1^-1)^H = T_N(F1)^-H, so L H comes from two
+      substitutions (``operators.solve_block_toeplitz``), and |L| is at most
+      the product of the factors' l1 bounds over N + d_pos and N degrees
+      (``InvertibilityCheck.l1_norm``).
     """
     phi, m, N = T.base.symbol, T.m, T.N
     H = T.H_matrix
     if factors is not None:
-        F1, F2 = factors
-        if not phi.equals(F1.adjoint().multiply(F2)):
+        c1, c2 = factors
+        if not (c1.ok and c2.ok):
+            raise ValueError("factors are not certified invertible")
+        if not phi.equals(c1.factor.adjoint().multiply(c2.factor)):
             raise ValueError("factors do not multiply to the operator's symbol")
-        inv1 = invert_analytic(F1, N + phi.d_pos - 1)
-        inv2 = invert_analytic(F2, N - 1)
-        LH = apply_block_toeplitz(inv2, apply_block_toeplitz(inv1.adjoint(), H, N), N)
+        LH = solve_block_toeplitz(c2, solve_block_toeplitz(c1, H, adjoint=True))
         return _Candidates("factored", _orthonormal_span(LH),
-                           inv1.coefficient_l1_norm() * inv2.coefficient_l1_norm(),
-                           (inv1, inv2))
+                           c1.l1_norm(N + phi.d_pos) * c2.l1_norm(N))
     if is_exactly_inner(phi):
         LH = apply_block_toeplitz(phi.adjoint(), H, N)
         return _Candidates("inner", _orthonormal_span(LH), 1.0)
@@ -250,6 +252,9 @@ class DefectReport:
     #: the value split's cut, whose gap is ``details["slice_sigma_gap"]``
     value_cut: RankCut
     predicted: Subspace | None = None
+    #: the prediction projected off the kernel, cut at the defect floor: the
+    #: space the containment residuals compare with the defect
+    predicted_mod: Subspace | None = None
     containment_residual: float | None = None
     kernel_residual_max: float | None = None
     defect_bound: int | None = None
@@ -388,6 +393,7 @@ def _attach_prediction(measured: DefectReport, kr: KernelResult,
     outside = (nonzero - M.project_flat(nonzero) if U is None
                else U @ (U.conj().T @ nonzero))
     pred_mod = column_span(outside, shape, floor=defect_floor)
+    report.predicted_mod = pred_mod
     # the equality residual is the larger of the two containments
     _, resid = is_contained(report.defect_basis, pred_mod)
     report.containment_residual = resid
@@ -440,11 +446,10 @@ def _inner_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectRe
 
 def _factored_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
                          defect_floor: float) -> DefectReport:
-    # the kernel solve's series; the F1 one reaches past degree N - 1, but
-    # those powers of its adjoint fall outside the window
-    inv1, inv2 = kr.series
-    intermediate = apply_block_toeplitz(inv1.adjoint(), T.H_matrix, T.N)
-    predicted = apply_block_toeplitz(inv2, _shift(intermediate, -T.m), T.N)
+    # F2^-1 S* T_{F1*^-1} H_i from the kernel solve's certificates
+    c1, c2 = kr.factors
+    intermediate = solve_block_toeplitz(c1, T.H_matrix, adjoint=True)
+    predicted = solve_block_toeplitz(c2, _shift(intermediate, -T.m))
     return _attach_prediction(measured, kr, predicted, defect_floor, T.rank)
 
 

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .config import DEFAULT_TOLERANCES, FUNCTIONAL_FORM_PROBE
+from .config import DEFAULT_TOLERANCES, FUNCTIONAL_FORM_PROBE, SUBSTITUTION_BLOCK
 from .errors import DimensionMismatch, OrthonormalityError
 from .hardy_core import CoeffVec, column_vectors, flat_columns, inner_product
 from .subspaces import column_gram_deviation, gram_schmidt
-from .symbols import LaurentMatrixSymbol
+from .symbols import InvertibilityCheck, LaurentMatrixSymbol
 
 
 def _block_toeplitz(symbol: LaurentMatrixSymbol, rows: int, cols: int) -> np.ndarray:
@@ -79,6 +79,57 @@ def apply_block_toeplitz(symbol: LaurentMatrixSymbol, X: np.ndarray,
     windows = as_strided(padded, (rows, P * m, k), (m * step, step, padded.strides[1]),
                          writeable=False)
     return np.matmul(row, windows).reshape(rows * m, k)
+
+
+def solve_block_toeplitz(check: InvertibilityCheck, X: np.ndarray,
+                         adjoint: bool = False) -> np.ndarray:
+    """T_n(A)^{-1} X, or T_n(A)^{-H} X with ``adjoint``, for the factor A
+    that ``check`` certifies invertible and flat degree-major columns X of
+    n = len(X) / m degrees, by blocked substitution.
+
+    T_n(A) is block lower triangular, so T_n(A)^{-1} = T_n(A^{-1}) exactly
+    (Boettcher-Silbermann, Analysis of Toeplitz Operators, section 2), and
+    ``apply_block_toeplitz`` with an n-term inverse series gives the same
+    vectors in O(n^2 m^2).  Here the degrees run in blocks of
+    b = ``SUBSTITUTION_BLOCK``: block c of Y is T_b(B) (X_c - C Y_prev),
+    where T_b(B) = T_b(A)^{-1} is read from the certified series
+    B_0..B_{b-1} and C Y_prev = sum_t A_t Y_{r-t} couples the block's first
+    d degrees to the d outputs before it.  The products T_b(B) X_c of all
+    blocks are one matmul and the loop carries d degrees from block to
+    block, O(n m^2 (b + d)) in all.  T_n(A)^H on reversed degrees is the
+    lower triangular T_n with the blocks A_t^H, so the adjoint is the same
+    solve on the reversed X with the blocks A_t^H and B_j^H.
+    """
+    A = check.factor
+    m, k = A.m, X.shape[1]
+    n = X.shape[0] // m
+    d, b = A.d, min(SUBSTITUTION_BLOCK, n)
+    coeffs, B = A.coefficient_stack(0, d), check.series[:b]
+    if adjoint:
+        coeffs, B = coeffs.conj().transpose(0, 2, 1), B.conj().transpose(0, 2, 1)
+        X = X.reshape(n, m, k)[::-1].reshape(n * m, k)
+    blocks = -(-n // b)
+    # T_b(B): block (i, j) is B_{i-j} on and below the diagonal
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    Tb = np.where((lag >= 0)[:, :, None, None], B[np.maximum(lag, 0)], 0.0)
+    Tb = Tb.transpose(0, 2, 1, 3).reshape(b * m, b * m)
+    padded = np.zeros((blocks * b * m, k), dtype=complex)
+    padded[:n * m] = X
+    # d zero degrees ahead of the output, so every block has d predecessors
+    Y = np.zeros(((d + blocks * b) * m, k), dtype=complex)
+    out = Y[d * m:].reshape(blocks, b * m, k)
+    np.matmul(Tb, padded.reshape(blocks, b * m, k), out=out)
+    if d:
+        # coupling of block degree i to the predecessor degree p (degree
+        # p - d relative to the block's start): A_{i + d - p} for p >= i
+        rows = min(b, d)
+        lag = np.arange(rows)[:, None] + d - np.arange(d)[None, :]
+        C = np.where((lag <= d)[:, :, None, None], coeffs[np.minimum(lag, d)], 0.0)
+        couple = Tb[:, :rows * m] @ C.transpose(0, 2, 1, 3).reshape(rows * m, d * m)
+        for c in range(blocks):
+            out[c] -= couple @ Y[c * b * m:(c * b + d) * m]
+    Y = Y[d * m:(d + n) * m]
+    return Y.reshape(n, m, k)[::-1].reshape(n * m, k) if adjoint else Y
 
 
 def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:

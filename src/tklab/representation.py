@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import (CRITICAL_CRITERION, DEFAULT_TOLERANCES, GRAM_SCHMIDT_DROP,
                      NEGLIGIBLE_NORM)
@@ -48,12 +49,13 @@ from .hardy_core import (CoeffVec, backward_shift, column_vectors, eval_at_zero,
 from .model_spaces import ModelSpace, decompose_against_theta
 # compute_defect is not called here; the benchmark's tracer pins this import
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
-from .operators import apply_block_toeplitz, orthonormalize_family
+from .operators import apply_block_toeplitz, orthonormalize_family, solve_block_toeplitz
 from .subspaces import (Subspace, _adjoint, _combine, _dense, _identity, _LinkBlock,
                         _nonzero_lines, _overlap, _positions, _product, _shift, _top,
                         _trimmed, _union, _values, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
                         subspace_equal)
+from .symbols import invert_analytic
 
 
 @dataclass(frozen=True)
@@ -503,12 +505,21 @@ def _unit_norm_check(G: CoeffVec) -> None:
         raise ValueError(f"generator must have unit norm, got {G.norm():.6f}")
 
 
-def _shifted_pairing(coeff_rows: np.ndarray, data_rows: np.ndarray, n: int) -> complex:
-    """<coeffs, z^n data> over matching degree slots."""
-    width = min(data_rows.shape[1], coeff_rows.shape[1] - n)
-    if width <= 0:
-        return 0j
-    return complex(np.sum(coeff_rows[:, n:n + width] * np.conj(data_rows[:, :width])))
+def _condition_residual(series: np.ndarray, data: np.ndarray, depth: int) -> float:
+    """max over members and n = 0..depth of |sum_t <u_t, z^n data_t>|, the
+    membership condition <K0, z^n G0> + <k1, z^n g> on the realized
+    coordinates ``series`` (steps x rows x members) against the rows
+    ``data`` (rows x N) of G0 and g, from one sliding-window contraction."""
+    steps = series.shape[0]
+    if not steps:
+        return 0.0
+    width = min(steps, data.shape[1])
+    padded = np.zeros((steps + depth,) + series.shape[1:], dtype=complex)
+    padded[:steps] = series
+    # window n holds the coordinates at degrees n .. n + width - 1
+    windows = sliding_window_view(padded, width, axis=0)[:depth + 1]
+    totals = np.einsum("ntkw,tw->nk", windows, data[:, :width].conj())
+    return float(np.max(np.abs(totals), initial=0.0))
 
 
 @dataclass
@@ -600,14 +611,8 @@ def rank_one_complement_analysis(M: Subspace, G: CoeffVec, depth: int | None = N
     series = _realized_series(cert, M.coefficients(flat_columns(members, m * N)))
     coords = [(CoeffVec(series[:, :r, i].T) if r else None,
                CoeffVec(series[:, r, i][None, :])) for i in range(len(members))]
-    cond_resid = 0.0
-    for K0, k1 in coords:
-        for n in range(depth + 1):
-            total = 0.0 + 0.0j
-            if K0 is not None:
-                total += _shifted_pairing(K0.coeffs, G0.coeffs, n)
-            total += _shifted_pairing(k1.coeffs, g.coeffs, n)
-            cond_resid = max(cond_resid, abs(total))
+    cond_resid = _condition_residual(series, np.concatenate([G0.coeffs[:r], g.coeffs]),
+                                     depth)
     return ComplementAnalysis(frame=frame, G0=G0, g=g,
                               projection_formula_residual=formula_resid,
                               condition_residual_max=cond_resid,
@@ -736,28 +741,28 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
     """Kernel of T_{F1* F2} + <., G> H for invertible analytic factors.
 
     ``kr`` is the operator's kernel solved with the factors, and carries
-    their series F1^{-1}, F2^{-1}.  The line F2^{-1} T_{F1*^{-1}} H
+    their invertibility certificates.  The line F2^{-1} T_{F1*^{-1}} H
     (``_line_kernel``; T_{F1* F2} is invertible, so the class always admits
-    it) is assembled two ways, by matrix application and by direct
-    coefficient convolution, and their gap is reported.
+    it) is assembled two ways: by substitution from the certificates
+    (``operators.solve_block_toeplitz``), and by the Cauchy product of
+    T_{F1*^{-1}} H with the series F2^{-1} to degree N - 1
+    (``invert_analytic``), the report's own oracle; their gap is reported.
     """
-    if kr.series is None:
+    if kr.factors is None:
         raise ValueError("the kernel was not solved with invertible factors")
-    N = kr.subspace.N
-    # powers of the F1 series one past N - 1 fall outside the window
-    inv1, inv2 = kr.series
-    intermediate = column_vectors(
-        apply_block_toeplitz(inv1.adjoint(), H.flatten()[:, None], N), H.m, N)[0]
-    # route one: block Toeplitz application of the inverted factor
-    line = column_vectors(
-        apply_block_toeplitz(inv2, intermediate.flatten()[:, None], N), H.m, N)[0]
+    c1, c2 = kr.factors
+    m, N = H.m, kr.subspace.N
+    intermediate = solve_block_toeplitz(c1, H.flatten()[:, None], adjoint=True)
+    # route one: substitution with F2
+    line = column_vectors(solve_block_toeplitz(c2, intermediate), m, N)[0]
     # route two: direct Cauchy product of the coefficient sequences, entry by entry
-    series = inv2.coefficient_stack(0, N - 1)
-    conv = np.array([sum(np.convolve(series[:, i, j], intermediate.coeffs[j])[:N]
-                         for j in range(H.m)) for i in range(H.m)])
+    series = invert_analytic(c2.factor, N - 1).coefficient_stack(0, N - 1)
+    rows = intermediate.reshape(N, m).T
+    conv = np.array([sum(np.convolve(series[:, i, j], rows[j])[:N] for j in range(m))
+                     for i in range(m)])
+    candidate = solve_block_toeplitz(c2, _shift(intermediate, -m))
     return _line_kernel(
-        kr, G, line, True,
-        [inv2.act(backward_shift(intermediate)).analytic_part().resized(N)],
+        kr, G, line, True, column_vectors(candidate, m, N),
         {"convolution_gap": float(np.linalg.norm(line.coeffs - conv))})
 
 

@@ -326,15 +326,47 @@ def inner_coefficient_deviation(theta: LaurentMatrixSymbol) -> float:
     return float(np.max(np.abs(_inner_deviation_stack(theta))))
 
 
-def is_invertible_analytic(A: LaurentMatrixSymbol) -> bool:
+@dataclass(frozen=True)
+class InvertibilityCheck:
+    """``is_invertible_analytic``'s verdict on an analytic A, with its proof."""
+
+    ok: bool
+    #: the factor A
+    factor: LaurentMatrixSymbol
+    #: B_0..B_K, the certified inverse series, as a (K + 1, m, m) array;
+    #: empty when refused
+    series: np.ndarray = field(repr=False)
+    #: rho >= sum_j ||R_j||_2 for R = A B_K - I, rounding included; below
+    #: 1/2 when ``ok``, infinite when refused
+    bound: float
+
+    def l1_norm(self, window: int) -> float:
+        """A bound on ||T(A^-1)|| over ``window`` degrees: the sum of the
+        spectral norms of A^-1's first ``window`` coefficients.
+
+        Within K + 1 degrees that is the l1 prefix of B_K, whose coefficients
+        are A^-1's to the roundoff of the recursion: R's truncation terms sit
+        past degree K.  Beyond, A B_K = I + R gives A^-1 - B_K =
+        -B_K R (I + R)^-1, whose coefficient norms sum to at most
+        l1(B_K) rho / (1 - rho) in the Wiener algebra, and that is added to
+        l1(B_K).
+        """
+        norms = np.linalg.norm(self.series, 2, axis=(1, 2))
+        total = float(np.sum(norms[:window]))
+        if window > len(norms):
+            total += total * self.bound / (1.0 - self.bound)
+        return total
+
+
+def is_invertible_analytic(A: LaurentMatrixSymbol) -> InvertibilityCheck:
     """Certificate that A^{-1} is in H^infinity: A(z) is invertible on the
     closed disk, with a bounded inverse.
 
     For K = 63, 127, 255, ... up to ``INVERTIBILITY_DEGREE_CAP``, B_K is the
     series ``invert_analytic`` computes and R = A B_K - I the polynomial of
     degree K + d with the coefficients R_j of ``_series_defect``.  For
-    |z| <= 1, ||R(z)||_2 <= sum_j ||R_j||_F.  Once that sum is below 1/2,
-    the Neumann series sum_k (-R)^k converges in H^infinity to
+    |z| <= 1, ||R(z)||_2 <= sum_j ||R_j||_F.  Once a bound rho on that sum
+    is below 1/2, the Neumann series sum_k (-R)^k converges in H^infinity to
     (I + R)^{-1} = (A B_K)^{-1}, of norm at most 2, so A^{-1} =
     B_K (A B_K)^{-1} is analytic on the disk with ||A^{-1}||_inf <=
     2 sum_j ||B_j||.  R is measured on the computed B_K as a polynomial, so
@@ -343,20 +375,25 @@ def is_invertible_analytic(A: LaurentMatrixSymbol) -> bool:
     n = m (d + 1) + 1 terms, off by at most gamma_{n+2} times the sum of
     their moduli (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, sections 3.1 and 3.6): at most gamma_{n+2} (sum_t ||A_t||_F
-    sum_j ||B_j||_F + sqrt(m)) over all R_j.  The comparison with 1/2 also
-    absorbs the relative error gamma_{L + m^2 + 8} of evaluating the norms
-    and sums of L = K + d + 1 terms.  A singular A_0, a sum that is not
+    sum_j ||B_j||_F + sqrt(m)) over all R_j.  rho is the sum of the norms
+    plus that term, divided by 1 - gamma_{L + m^2 + 8} for the relative
+    error of evaluating the norms and sums of L = K + d + 1 terms.  The
+    check that proves A returns B_K and rho, from which the factored route
+    applies T_N(A)^{-1} (``operators.solve_block_toeplitz``) and bounds it
+    (``InvertibilityCheck.l1_norm``).  A singular A_0, a sum that is not
     finite (a zero inside the disk overflows B_K) or the cap (a zero on the
-    circle keeps ||R_j|| near 1) returns False.
+    circle keeps ||R_j|| near 1) refuses A.
     """
     if not A.is_analytic():
         raise ValueError("invertibility test is defined for analytic symbols only")
     m = A.m
+    refused = InvertibilityCheck(False, A, np.zeros((0, m, m), dtype=complex),
+                                 float("inf"))
     coeffs = A.coefficient_stack(0, A.d)
     try:
         A0_inv = _constant_inverse(coeffs[0])
     except NotInvertibleError:
-        return False
+        return refused
     u = np.finfo(float).eps / 2  # gamma_n = n u / (1 - n u) <= 1.01 n u here
     rounding = 1.01 * (m * len(coeffs) + 3) * u
     a_sum = float(np.sum(np.linalg.norm(coeffs, axis=(1, 2))))
@@ -366,14 +403,16 @@ def is_invertible_analytic(A: LaurentMatrixSymbol) -> bool:
             B = _inverse_series(A0_inv, coeffs, K)
             R = _series_defect(coeffs, B)
             b_sum = float(np.sum(np.linalg.norm(B, axis=(1, 2))))
-            bound = float(np.sum(np.linalg.norm(R, axis=(1, 2)))) \
-                + rounding * (a_sum * b_sum + np.sqrt(m))
-            if not np.isfinite(bound):
-                return False
-            if bound < 0.5 * (1.0 - 1.01 * (len(R) + m * m + 8) * u):
-                return True
+            rho = (float(np.sum(np.linalg.norm(R, axis=(1, 2))))
+                   + rounding * (a_sum * b_sum + np.sqrt(m))) \
+                / (1.0 - 1.01 * (len(R) + m * m + 8) * u)
+            if not np.isfinite(rho):
+                return refused
+            if rho < 0.5:
+                B.setflags(write=False)
+                return InvertibilityCheck(True, A, B, rho)
             K = 2 * K + 1
-    return False
+    return refused
 
 
 def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
@@ -393,7 +432,11 @@ def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
     far inside the bound where b = 32 and powers by squaring fail it (the
     measurements are quoted at ``config.SERIES_BLOCK``).  The series alone
     does not prove A^{-1} bounded on the disk; ``is_invertible_analytic``
-    does.
+    does.  The factored kernel route and its prediction apply T_N(A)^{-1} by
+    blocked substitution from that certificate, in O(N m^2 d)
+    (``solve_block_toeplitz`` in ``operators``); an N-term series here
+    serves the rank-one analysis's convolution route and the tests as their
+    oracle.
     """
     if not A.is_analytic():
         raise ValueError("series inversion is defined for analytic symbols only")

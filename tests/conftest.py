@@ -110,6 +110,12 @@ def svd_shapes(monkeypatch):
     return shapes
 
 
+def certified(*factors):
+    """Each factor's invertibility certificate, as a scenario's validation
+    proves it: the factored kernel solve takes these."""
+    return tuple(symbols.is_invertible_analytic(F) for F in factors)
+
+
 def class_scenario(symbol_class, G, H, N, *, symbol=None, factors=None, m=None):
     """A one-check defect_theorem scenario of the class; ``m`` defaults to
     that of the first G, the symbol or the first factor."""

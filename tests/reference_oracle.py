@@ -8,7 +8,10 @@
 - ``shifted_range_matrix``: the dense range R = Theta P_{N-d} of an inner
   Theta, whose Gram the coefficient certificate of innerness predicts;
 - ``diagonal_inner_outer``: the entrywise inner-outer split of a diagonal
-  analytic symbol, built on ``symbols.scalar_inner_outer``.
+  analytic symbol, built on ``symbols.scalar_inner_outer``;
+- ``condition_residual``: the zero-class membership condition
+  <K0, z^n G0> + <k1, z^n g> per member and shift, the oracle of
+  ``representation._condition_residual``.
 """
 
 from __future__ import annotations
@@ -99,3 +102,26 @@ def diagonal_inner_outer(phi: LaurentMatrixSymbol, taylor_degree: int,
     inner = LaurentMatrixSymbol.diagonal([f.inner_taylor(taylor_degree) for f in facts])
     outer = LaurentMatrixSymbol.diagonal([f.outer_coeffs for f in facts])
     return inner, outer, facts
+
+
+def _shifted_pairing(coeff_rows: np.ndarray, data_rows: np.ndarray, n: int) -> complex:
+    """<coeffs, z^n data> over matching degree slots."""
+    width = min(data_rows.shape[1], coeff_rows.shape[1] - n)
+    if width <= 0:
+        return 0j
+    return complex(np.sum(coeff_rows[:, n:n + width] * np.conj(data_rows[:, :width])))
+
+
+def condition_residual(coords, G0: CoeffVec, g: CoeffVec, depth: int) -> float:
+    """max |<K0, z^n G0> + <k1, z^n g>| over the (K0, k1) coordinate pairs
+    of ``ComplementAnalysis.coords`` and n = 0..depth, one pairing at a time
+    (K0 is None when the frame has no W)."""
+    worst = 0.0
+    for K0, k1 in coords:
+        for n in range(depth + 1):
+            total = 0.0 + 0.0j
+            if K0 is not None:
+                total += _shifted_pairing(K0.coeffs, G0.coeffs, n)
+            total += _shifted_pairing(k1.coeffs, g.coeffs, n)
+            worst = max(worst, abs(total))
+    return worst

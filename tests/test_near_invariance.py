@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tklab import model_spaces, near_invariance, representation
+from tklab import cli_reports, model_spaces, near_invariance, representation
 from tklab.cli_reports import ScenarioRun, parse_scenario
 from tklab.config import GRAM_SCHMIDT_DROP, Tolerances
 from tklab.errors import ScenarioParseError, ScenarioValidationError
@@ -17,8 +17,8 @@ from tklab.subspaces import (column_gram_deviation, gram_schmidt, is_contained, 
                              span_of, subspace_equal)
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import (class_defect, class_scenario, rand_coeffvec, rand_orthonormal,
-                      random_inner, spy, svd_shapes, unit)
+from conftest import (certified, class_defect, class_scenario, rand_coeffvec,
+                      rand_orthonormal, random_inner, spy, svd_shapes, unit)
 from reference_oracle import zero_at_origin_slice
 
 
@@ -426,7 +426,7 @@ class TestStructuredKernelOracle:
         G = rand_orthonormal(rng, m, N, 6, 2)
         H = rand_orthonormal(rng, m, N, 6, 2)
         T = build_perturbed(F1.adjoint().multiply(F2), N, G, H)
-        _assert_matches_dense(kernel_of(T, factors=(F1, F2)), T, "factored")
+        _assert_matches_dense(kernel_of(T, factors=certified(F1, F2)), T, "factored")
 
     @pytest.mark.parametrize("m,seed", ORACLE_CASES)
     def test_factored_critical_rank_one(self, m, seed):
@@ -439,7 +439,7 @@ class TestStructuredKernelOracle:
         V = invert_analytic(F2, N - 1).act(inner.resized(N)).analytic_part().resized(N)
         T = build_perturbed(F1.adjoint().multiply(F2), N,
                             [(-1.0 / V.norm_sq()) * V], H, require_orthonormal=False)
-        kr = kernel_of(T, factors=(F1, F2))
+        kr = kernel_of(T, factors=certified(F1, F2))
         assert kr.subspace.dim == 1
         _assert_matches_dense(kr, T, "factored")
 
@@ -496,7 +496,7 @@ class TestStructuredKernelOracle:
         F = LaurentMatrixSymbol.diagonal([[2.0, 1.0]])
         T = build_perturbed(F, 12, [], [])
         with pytest.raises(ValueError):
-            kernel_of(T, factors=(F, F))
+            kernel_of(T, factors=certified(F, F))
 
 
 def _clean_cut(gap, cut):
@@ -778,13 +778,18 @@ class TestPredictionCompressions:
         assert np.max(np.abs(seen[0][2] - _factored_prediction_loop(F1, F2, H, N))) <= 1e-12
 
     def test_factors_inverted_once_per_check(self, rng, monkeypatch):
+        # validation's certificates are the only inversion: the kernel solve
+        # and the prediction substitute with them and form no series
         m, N = 2, 20
         F1, F2 = _invertible_factor(rng, m, 2), _invertible_factor(rng, m, 1)
         G, H = rand_orthonormal(rng, m, N, 5, 1), rand_orthonormal(rng, m, N, 5, 1)
-        calls = spy(monkeypatch, "invert_analytic", CALLERS)
-        class_defect("invertible_factors", G, H, N, factors=(F1, F2))
-        # F1 to the top action degree N + d_pos - 1, F2 to N - 1
-        assert calls == [(F1, N + F2.d - 1), (F2, N - 1)]
+        proofs = spy(monkeypatch, "is_invertible_analytic", [cli_reports])
+        series = spy(monkeypatch, "invert_analytic", CALLERS)
+        sc = class_scenario("invertible_factors", G, H, N, factors=(F1, F2))
+        run = ScenarioRun.validated(sc, Tolerances())
+        run.predicted_defect()
+        assert proofs == [(F1,), (F2,)] and series == []
+        assert run.kernel.factors is run.certificates
 
 
 class TestOneInnernessTest:

@@ -17,9 +17,9 @@ from tklab.model_spaces import build_model_space
 from tklab.subspaces import span_of, subspace_equal, zero_space
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import rand_coeffvec, rand_orthonormal, random_inner, spy, unit
+from conftest import certified, rand_coeffvec, rand_orthonormal, random_inner, spy, unit
 from peeling_oracle import peel_members
-from reference_oracle import intersect, vanishing_at_zero_space
+from reference_oracle import condition_residual, intersect, vanishing_at_zero_space
 from test_near_invariance import CALLERS, _diagonal_inner, _invertible_factor
 
 
@@ -51,7 +51,7 @@ def theta_star_rank_one(theta, G, H, N):
 
 def invertible_rank_one(F1, F2, G, H, N):
     return rank_one_invertible_kernel(
-        solved_kernel(F1.adjoint().multiply(F2), G, H, N, factors=(F1, F2)), G, H)
+        solved_kernel(F1.adjoint().multiply(F2), G, H, N, factors=certified(F1, F2)), G, H)
 
 
 def coefficient_rows(coords):
@@ -298,6 +298,37 @@ class TestComplementAnalysis:
         assert len(rep.coords) == rep.samples
         for _, k1 in rep.coords:
             assert k1.norm() < 1e-8
+
+    @pytest.mark.parametrize("r, steps, N, depth", [(0, 5, 8, 3), (2, 7, 7, 0),
+                                                    (1, 12, 6, 9), (3, 4, 16, 20)])
+    def test_condition_residual_equals_the_pairing_loop(self, rng, r, steps, N, depth):
+        # random coordinates and data, so every pairing is far from zero;
+        # series longer than the data (12 > 6) and shifts past the series
+        # (20 > 4) included
+        series = (rng.standard_normal((steps, r + 1, 3))
+                  + 1j * rng.standard_normal((steps, r + 1, 3)))
+        data = rng.standard_normal((r + 1, N)) + 1j * rng.standard_normal((r + 1, N))
+        coords = [(CoeffVec(series[:, :r, i].T) if r else None,
+                   CoeffVec(series[:, r, i][None, :])) for i in range(3)]
+        G0 = CoeffVec(data[:r] if r else np.zeros((1, N), complex))
+        want = condition_residual(coords, G0, CoeffVec(data[r:]), depth)
+        got = representation._condition_residual(series, data, depth)
+        assert want > 0.1 and abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("name", ["constant", "split", "random"])
+    def test_condition_residual_of_the_analysis(self, rng, name):
+        m, N = 3, 16
+        if name == "constant":
+            G = reproducing_column(m, N, 0)
+        elif name == "split":
+            arr = np.zeros((m, N), complex)
+            arr[0, 0] = arr[0, 3] = 1 / np.sqrt(2)
+            G = CoeffVec(arr)
+        else:
+            G = unit(rand_coeffvec(rng, m, N, 6))
+        rep = rank_one_complement_analysis(complement_of(G), G, depth=4)
+        want = condition_residual(rep.coords, rep.G0, rep.g, 4)
+        assert abs(rep.condition_residual_max - want) <= 1e-15
 
     def test_unit_norm_enforced(self, rng):
         with pytest.raises(ValueError):
@@ -725,7 +756,9 @@ class TestRankOneCandidates:
         assert rep.case == "spanned_kernel" and rep.kernel_dim == 1
         assert np.max(np.abs(seen[0][1].coeffs - reference.coeffs)) <= 1e-12
         assert rep.details["convolution_gap"] <= 1e-12
-        assert len(inversions) == 2
+        # the kernel solve and route one substitute; route two's convolution
+        # is the one series
+        assert inversions == [(F2, N - 1)]
 
     def test_one_grid_test_per_model_space_path(self, rng, monkeypatch):
         m, N = 2, 16

@@ -23,7 +23,7 @@ from tklab.subspaces import SigmaGap, Subspace
 from tklab.hardy_core import CoeffVec, inner_product
 from tklab.symbols import LaurentMatrixSymbol, blaschke_taylor, invert_analytic
 
-from conftest import rand_coeffvec, spy, unit
+from conftest import certified, rand_coeffvec, spy, unit
 
 SCENARIOS = bundled_scenario_dir()
 BUNDLED = sorted(SCENARIOS.glob("*.json"))
@@ -243,7 +243,7 @@ def _public_rank_one(sc):
         F1, F2 = sc.factors
         T = build_perturbed(F1.adjoint().multiply(F2), sc.N, [G], [H],
                             require_orthonormal=False)
-        return rank_one_invertible_kernel(kernel_of(T, factors=sc.factors), G, H)
+        return rank_one_invertible_kernel(kernel_of(T, factors=certified(*sc.factors)), G, H)
     ms = build_model_space(sc.symbol, sc.N)
     if sc.symbol_class == "inner":
         T = build_perturbed(sc.symbol, sc.N, [G], [H], require_orthonormal=False)
@@ -298,6 +298,20 @@ def test_defect_floor_above_the_stack_is_inconclusive(name):
     assert outcome.status == "fail"
     assert outcome.residuals["defect_dim"] == 0
     assert outcome.residuals["sigma_conclusive"] is False
+
+
+def test_prediction_cut_at_the_floor_is_inconclusive():
+    # the prediction off the kernel has singular values 0.996, 0.782 and
+    # 0.359; a floor of 0.362 drops the last one at a gap ratio of 0.46, so
+    # the containment failure that follows rests on an ambiguous cut
+    sc = replace(load_scenario(SCENARIOS / "adjoint_mixed_defect.json"),
+                 checks=["defect_theorem"])
+    [outcome] = run_scenario_object(sc, Tolerances(defect_floor=0.362)).outcomes
+    assert outcome.status == "fail"
+    assert outcome.residuals["details"]["prediction_mod_kernel_dim"] == 2
+    assert outcome.residuals["sigma_conclusive"] is False
+    [clean] = run_scenario_object(sc, Tolerances()).outcomes
+    assert clean.status == "pass" and clean.residuals["sigma_conclusive"] is True
 
 
 @pytest.mark.parametrize("path", RANK_ONE, ids=lambda p: p.stem)
