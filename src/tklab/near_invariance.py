@@ -49,9 +49,13 @@ class KernelResult:
     #: action matrix
     method: str
     #: the factored path's invertibility certificates of F1 and F2, from
-    #: which its defect prediction and rank-one analysis apply T_N(F1)^-H and
+    #: which its candidates and the rank-one analysis apply T_N(F1)^-H and
     #: T_N(F2)^-1 by substitution; None otherwise
     factors: tuple[InvertibilityCheck, InvertibilityCheck] | None = None
+    #: the factored path's defect prediction F2^-1 S* T_N(F1)^-H H as flat
+    #: mN x n columns, from the substitutions that formed its candidates;
+    #: None otherwise
+    prediction: np.ndarray | None = None
     #: the zero route's orthonormal basis (mN x rank A) of the kernel's
     #: orthocomplement, where the kernel's defect lies; None otherwise
     complement: np.ndarray | None = None
@@ -89,7 +93,7 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
     dense SVD of the whole action matrix and audits with it.  Every basis
     vector is audited against 10x the singular-value cut.
     """
-    method, complement = "dense", None
+    method, complement, prediction = "dense", None, None
     if factors is None and T.base.symbol.is_zero() and T.rank < T.m * T.N:
         method = "zero"
         ker, complement, image = _zero_kernel(T, tol_rel)
@@ -99,7 +103,7 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
         alpha = T.base.symbol.coefficient_l1_norm() + _bump_norm(T.G_matrix, T.H_matrix)
         candidates = _kernel_candidates(T, factors)
         if candidates is not None:
-            method = candidates.method
+            method, prediction = candidates.method, candidates.prediction
             ker = nullspace_within(T, candidates.Z, alpha, candidates.L_norm,
                                    tol_rel=tol_rel)
         if ker is None:
@@ -113,7 +117,8 @@ def kernel_of(T: PerturbedToeplitz, tol_rel: float | None = None,
     resid = float(np.max(norms, initial=0.0))
     violations = int(np.sum(norms > 10.0 * max(ker.tol, np.finfo(float).eps)))
     return KernelResult(subspace=ker, residual_max=resid, audit_violations=violations,
-                        method=method, factors=factors, complement=complement)
+                        method=method, factors=factors, prediction=prediction,
+                        complement=complement)
 
 
 def _zero_kernel(T: PerturbedToeplitz, tol_rel: float | None
@@ -176,6 +181,8 @@ class _Candidates(NamedTuple):
     Z: np.ndarray
     #: bound on |L|
     L_norm: float
+    #: the factored path's F2^-1 S* T_N(F1)^-H H, None otherwise
+    prediction: np.ndarray | None = None
 
 
 def _bump_norm(G: np.ndarray, H: np.ndarray) -> float:
@@ -206,7 +213,9 @@ def _kernel_candidates(T: PerturbedToeplitz,
       T(F1*^-1) is T_N(F1^-1)^H = T_N(F1)^-H, so L H comes from two
       substitutions (``operators.solve_block_toeplitz``), and |L| is at most
       the product of the factors' l1 bounds over N + d_pos and N degrees
-      (``InvertibilityCheck.l1_norm``).
+      (``InvertibilityCheck.l1_norm``).  The F2 substitution runs over
+      Y = T_N(F1)^-H H and S* Y together, so it also yields the defect
+      prediction F2^-1 S* T_{F1*^-1} H_i.
     """
     phi, m, N = T.base.symbol, T.m, T.N
     H = T.H_matrix
@@ -216,9 +225,11 @@ def _kernel_candidates(T: PerturbedToeplitz,
             raise ValueError("factors are not certified invertible")
         if not phi.equals(c1.factor.adjoint().multiply(c2.factor)):
             raise ValueError("factors do not multiply to the operator's symbol")
-        LH = solve_block_toeplitz(c2, solve_block_toeplitz(c1, H, adjoint=True))
-        return _Candidates("factored", _orthonormal_span(LH),
-                           c1.l1_norm(N + phi.d_pos) * c2.l1_norm(N))
+        Y = solve_block_toeplitz(c1, H, adjoint=True)
+        both = solve_block_toeplitz(c2, np.concatenate([Y, _shift(Y, -m)], axis=1))
+        n = H.shape[1]
+        return _Candidates("factored", _orthonormal_span(both[:, :n]),
+                           c1.l1_norm(N + phi.d_pos) * c2.l1_norm(N), both[:, n:])
     if is_exactly_inner(phi):
         LH = apply_block_toeplitz(phi.adjoint(), H, N)
         return _Candidates("inner", _orthonormal_span(LH), 1.0)
@@ -446,11 +457,8 @@ def _inner_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectRe
 
 def _factored_prediction(T: PerturbedToeplitz, kr: KernelResult, measured: DefectReport,
                          defect_floor: float) -> DefectReport:
-    # F2^-1 S* T_{F1*^-1} H_i from the kernel solve's certificates
-    c1, c2 = kr.factors
-    intermediate = solve_block_toeplitz(c1, T.H_matrix, adjoint=True)
-    predicted = solve_block_toeplitz(c2, _shift(intermediate, -T.m))
-    return _attach_prediction(measured, kr, predicted, defect_floor, T.rank)
+    # F2^-1 S* T_{F1*^-1} H_i, solved with the kernel's candidates
+    return _attach_prediction(measured, kr, kr.prediction, defect_floor, T.rank)
 
 
 def _theta_star_prediction(T: PerturbedToeplitz, kr: KernelResult,

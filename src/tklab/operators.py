@@ -14,7 +14,7 @@ elements only.
 Operators are held by their coefficients.  A ``ToeplitzCompression`` is its
 symbol and N, and a ``PerturbedToeplitz`` adds the families G and H of the
 bump H G^H.  ``apply_block_toeplitz`` applies a compression without forming
-it, as one matmul over a sliding window of the coefficient stack, and the
+it, one GEMM per power of the symbol over the whole degree range, and the
 bump is applied as H (G^H X); column norms of the exact action come from the
 coefficients too.  A dense matrix (``matrix``, ``action_matrix()``) is built
 only when a caller asks for one, and then cached.  ``orthonormalize_family``
@@ -22,7 +22,8 @@ is the CoeffVec-family form of the subspaces module's Gram-Schmidt.
 
 For an exactly inner Theta, Theta on the degrees below N - d is an isometry
 onto R = Theta P_{N-d}, and ``range_complement`` gives the md-dimensional
-orthogonal complement of R; the structured kernel and model-space paths are
+orthogonal complement of R from Theta's coefficients, in work independent of
+N but for writing the basis; the structured kernel and model-space paths are
 built on the complement.
 """
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .config import DEFAULT_TOLERANCES, FUNCTIONAL_FORM_PROBE, SUBSTITUTION_BLOCK
 from .errors import DimensionMismatch, OrthonormalityError
@@ -54,31 +54,30 @@ def apply_block_toeplitz(symbol: LaurentMatrixSymbol, X: np.ndarray,
     """_block_toeplitz(symbol, rows, cols) @ X without forming the matrix.
 
     X holds flat degree-major columns of cols = len(X) / m degrees.  Output
-    block r is sum_k Phi_k X_{r-k} over the powers lo..hi that reach from
-    [0, cols) into [0, rows).  With those P coefficients laid side by side
-    in descending order as one m x Pm row, that is the row times the window
-    of P blocks of X, zero-padded, that starts at degree r - hi: one matmul
-    over a sliding window serves every power and every r.
+    block r is sum_p Phi_p X_{r-p} over the powers p that reach from
+    [0, cols) into [0, rows).  X is laid out once with its components as
+    rows, an m x cols k matrix whose column block t is degree t, and so is
+    the output; power p sends the input degrees [t0, t1) that land in
+    [0, rows) to [t0 + p, t1 + p), one GEMM of Phi_p with that slice of
+    columns.  That is one level-3 BLAS call per nonzero power, each over
+    the whole degree range, where one small product per output degree would
+    pay a call's overhead rows times (Golub-Van Loan, Matrix Computations,
+    section 1.5).
     """
     m, k = symbol.m, X.shape[1]
     cols = X.shape[0] // m
     powers = symbol.powers()
+    out = np.zeros((m, rows * k), dtype=complex)
     lo = max(powers[0], 1 - cols) if powers else 0
     hi = min(powers[-1], rows - 1) if powers else -1
-    if lo > hi or not k:
-        return np.zeros((rows * m, k), dtype=complex)
-    P = hi - lo + 1
-    row = symbol.coefficient_stack(lo, hi)[::-1].transpose(1, 0, 2).reshape(m, P * m)
-    # padded block j holds degree j - hi of X
-    padded = np.zeros(((rows + P - 1) * m, k), dtype=complex)
-    t0, t1 = max(0, -hi), min(cols, rows - lo)
-    if t0 < t1:
-        padded[(t0 + hi) * m:(t1 + hi) * m] = X[t0 * m:t1 * m]
-    # window r: the P * m flat rows from block r on, a read-only strided view
-    step = padded.strides[0]
-    windows = as_strided(padded, (rows, P * m, k), (m * step, step, padded.strides[1]),
-                         writeable=False)
-    return np.matmul(row, windows).reshape(rows * m, k)
+    if lo <= hi and k:
+        stack = symbol.coefficient_stack(lo, hi)
+        Xc = X.reshape(cols, m, k).transpose(1, 0, 2).reshape(m, cols * k)
+        for p in powers:
+            if lo <= p <= hi:
+                t0, t1 = max(0, -p), min(cols, rows - p)
+                out[:, (t0 + p) * k:(t1 + p) * k] += stack[p - lo] @ Xc[:, t0 * k:t1 * k]
+    return out.reshape(m, rows, k).transpose(1, 0, 2).reshape(rows * m, k)
 
 
 def solve_block_toeplitz(check: InvertibilityCheck, X: np.ndarray,
@@ -103,6 +102,8 @@ def solve_block_toeplitz(check: InvertibilityCheck, X: np.ndarray,
     A = check.factor
     m, k = A.m, X.shape[1]
     n = X.shape[0] // m
+    if not n:
+        return np.zeros((0, k), dtype=complex)
     d, b = A.d, min(SUBSTITUTION_BLOCK, n)
     coeffs, B = A.coefficient_stack(0, d), check.series[:b]
     if adjoint:
@@ -138,25 +139,29 @@ def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
     Theta must be exactly inner.  Since z^d Theta* is a polynomial,
     z^d P_{N-2d} lies in Theta P_{N-d}, so the complement lives on the
     degrees < d and >= N - d, where it is the nullspace of those columns of
-    R^H: an m(N - d) x 2md block with exactly md null directions.  Theta*
-    moves degree j to degrees j - d..j, so only the block's rows of degree
-    < d or >= N - 2d can be nonzero; its zero rows leave the null directions
-    as they are, and the SVD takes its nonzero rows only, at most 2md
-    whatever N.
+    R^H: an m(N - d) x 2md block with exactly md null directions.  Block
+    (r, t) of R^H is Theta_{t-r}^H for 0 <= t - r <= d and zero otherwise,
+    so only the block's rows of degree r < d or r >= N - 2d can be nonzero.
+    Those rows are formed from Theta's coefficients, and the SVD takes the
+    nonzero ones, at most 2md whatever N; only writing the mN x md basis
+    depends on N.
     """
     m, d = theta.m, theta.d
     basis = np.zeros((m * N, m * d), dtype=complex)
     if not d:
         return basis
     degrees = np.union1d(np.arange(min(d, N)), np.arange(max(N - d, 0), N))
-    idx = (degrees[:, None] * m + np.arange(m)).ravel()
-    pick = np.zeros((m * N, idx.size), dtype=complex)
-    pick[idx, np.arange(idx.size)] = 1.0
-    block = apply_block_toeplitz(theta.adjoint(), pick, N - d)  # R^H pick
+    rows = np.union1d(np.arange(min(d, N - d)), np.arange(max(N - 2 * d, 0), N - d))
+    lag = degrees[None, :] - rows[:, None]
+    adjoints = theta.coefficient_stack(0, d).conj().transpose(0, 2, 1)
+    block = np.where(((lag >= 0) & (lag <= d))[:, :, None, None],
+                     adjoints[np.clip(lag, 0, d)], 0.0)
+    block = block.transpose(0, 2, 1, 3).reshape(rows.size * m, degrees.size * m)
     block = block[np.any(block != 0, axis=1)]
     # a tall block's thin vh is already square; only a wide one needs the
     # full one for its null directions
     _, _, vh = np.linalg.svd(block, full_matrices=block.shape[0] < block.shape[1])
+    idx = (degrees[:, None] * m + np.arange(m)).ravel()
     basis[idx] = vh[idx.size - m * d:].conj().T
     return basis
 

@@ -344,18 +344,16 @@ class InvertibilityCheck:
         """A bound on ||T(A^-1)|| over ``window`` degrees: the sum of the
         spectral norms of A^-1's first ``window`` coefficients.
 
-        Within K + 1 degrees that is the l1 prefix of B_K, whose coefficients
-        are A^-1's to the roundoff of the recursion: R's truncation terms sit
-        past degree K.  Beyond, A B_K = I + R gives A^-1 - B_K =
-        -B_K R (I + R)^-1, whose coefficient norms sum to at most
-        l1(B_K) rho / (1 - rho) in the Wiener algebra, and that is added to
-        l1(B_K).
+        A B_K = I + R gives A^-1 - B_K = -B_K R (I + R)^-1, whose
+        coefficient norms sum to at most l1(B_K) rho / (1 - rho) in the
+        Wiener algebra, and that term is added to the l1 prefix of B_K at
+        every window.  Within K + 1 degrees it covers the roundoff that the
+        recursion left in the computed B_j, on which rho is measured; beyond
+        them it covers A^-1's coefficients past degree K too.
         """
         norms = np.linalg.norm(self.series, 2, axis=(1, 2))
-        total = float(np.sum(norms[:window]))
-        if window > len(norms):
-            total += total * self.bound / (1.0 - self.bound)
-        return total
+        total = float(np.sum(norms))
+        return float(np.sum(norms[:window])) + total * self.bound / (1.0 - self.bound)
 
 
 def is_invertible_analytic(A: LaurentMatrixSymbol) -> InvertibilityCheck:

@@ -7,6 +7,9 @@
 - ``gram_deviation``: the Gram check of a CoeffVec family;
 - ``shifted_range_matrix``: the dense range R = Theta P_{N-d} of an inner
   Theta, whose Gram the coefficient certificate of innerness predicts;
+- ``range_complement_block``: the block R^H pick of ``range_complement``
+  formed by applying Theta* to unit columns, the oracle of the block that
+  ``range_complement`` reads from Theta's coefficients;
 - ``diagonal_inner_outer``: the entrywise inner-outer split of a diagonal
   analytic symbol, built on ``symbols.scalar_inner_outer``;
 - ``condition_residual``: the zero-class membership condition
@@ -20,7 +23,7 @@ import numpy as np
 
 from tklab.config import ORIGIN_SLICE_FLOOR
 from tklab.hardy_core import CoeffVec, flat_columns
-from tklab.operators import _block_toeplitz
+from tklab.operators import _block_toeplitz, apply_block_toeplitz
 from tklab.subspaces import (SigmaGap, Subspace, _check_same_ambient,
                              column_gram_deviation, rank_cut, zero_space)
 from tklab.symbols import LaurentMatrixSymbol, scalar_inner_outer
@@ -80,6 +83,21 @@ def shifted_range_matrix(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
     Theta is inner; they span Theta P_{N-d}.
     """
     return _block_toeplitz(theta, N, N - theta.d)
+
+
+def range_complement_block(theta: LaurentMatrixSymbol, N: int
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the degrees < d and >= N - d, and R^H applied to
+    their unit columns: Theta* applied to the picked columns over the
+    m(N - d) rows of R^H, the m(N - d) x 2md block (fewer columns when the
+    two degree ranges overlap) whose null directions span the complement of
+    R = Theta P_{N-d}."""
+    m, d = theta.m, theta.d
+    degrees = np.union1d(np.arange(min(d, N)), np.arange(max(N - d, 0), N))
+    idx = (degrees[:, None] * m + np.arange(m)).ravel()
+    pick = np.zeros((m * N, idx.size), dtype=complex)
+    pick[idx, np.arange(idx.size)] = 1.0
+    return idx, apply_block_toeplitz(theta.adjoint(), pick, N - d)
 
 
 def _diagonal_entries(phi: LaurentMatrixSymbol) -> list[np.ndarray]:

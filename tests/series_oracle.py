@@ -6,6 +6,10 @@ its residual check.  Each B_j is solved from the identity (A B)_j = 0 itself,
 so A B - I vanishes on degrees <= K up to the roundoff of one step.  The
 package advances the same recursion a block of degrees per product; the
 tests hold its series against this one.
+
+``diagonal_inverse_l1`` runs the recursion of a diagonal factor's entries
+in extended precision (``np.clongdouble``), the reference for the l1 bounds
+of ``InvertibilityCheck.l1_norm``.
 """
 
 from __future__ import annotations
@@ -47,3 +51,24 @@ def sequential_residual(coeffs: list[np.ndarray], B: np.ndarray, K: int) -> floa
         prod[t:] += mat @ B[:top - t]
     prod[0] -= np.eye(B.shape[1])
     return float(np.max(np.abs(prod)))
+
+
+def diagonal_inverse_l1(A: LaurentMatrixSymbol, window: int) -> np.ndarray:
+    """Prefix sums of ||(A^-1)_j||_2 over j < 1, 2, ..., ``window`` for a
+    diagonal analytic A, in extended precision.
+
+    The inverse of a diagonal A is the diagonal of its entries' inverse
+    series, so ||(A^-1)_j||_2 is the largest modulus among the entries'
+    j-th coefficients; each entry runs the scalar recursion
+    b_j = -(a_1 b_{j-1} + ... + a_d b_{j-d}) / a_0 in ``np.clongdouble``.
+    """
+    stack = A.coefficient_stack(0, A.d)
+    if np.any(stack != np.einsum("tii,ij->tij", stack, np.eye(A.m))):
+        raise ValueError("the extended-precision series is for diagonal factors")
+    a = np.diagonal(stack, axis1=1, axis2=2).astype(np.clongdouble)  # (d + 1, m)
+    d = A.d
+    b = np.zeros((window + d, A.m), dtype=np.clongdouble)  # d zero rows ahead
+    b[d] = 1 / a[0]
+    for j in range(1, window):
+        b[d + j] = -np.sum(a[1:] * b[d + j - 1:j - 1:-1], axis=0) / a[0]
+    return np.cumsum(np.max(np.abs(b[d:]), axis=1))

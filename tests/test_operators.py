@@ -9,7 +9,7 @@ from tklab.operators import (ToeplitzCompression, _block_toeplitz,
 from tklab.symbols import LaurentMatrixSymbol
 
 from conftest import rand_coeffvec, rand_orthonormal, random_inner, svd_shapes, unit
-from reference_oracle import gram_deviation, shifted_range_matrix
+from reference_oracle import gram_deviation, range_complement_block
 from test_symbols import random_symbol
 
 
@@ -231,29 +231,30 @@ class TestBrownHalmos:
 
 
 class TestRangeComplementThinSvd:
-    """``range_complement`` takes the SVD of the nonzero rows of the block
-    R^H pick, at most 2md of them; the full SVD of the whole
-    m(N - d) x 2md block stays the reference, wide blocks (N < 3d) included.
-    The two SVDs decompose different matrices, so their null bases may
-    differ by a unitary md x md rotation: they are compared by their spans."""
+    """``range_complement`` forms the nonzero rows of the block R^H pick from
+    Theta's coefficients and takes their SVD, at most 2md rows.  The
+    reference is the block as it was first formed, Theta* applied to the
+    picked unit columns (``reference_oracle.range_complement_block``), with
+    the null directions of the SVD of the whole m(N - d) x 2md block, wide
+    blocks (N < 3d) included.  The two SVDs decompose different matrices,
+    so their null bases may differ by a unitary md x md rotation: they are
+    compared by their spans, on the picked rows that carry both."""
 
     @staticmethod
     def full_svd_reference(theta, N):
         m, d = theta.m, theta.d
-        degrees = np.union1d(np.arange(min(d, N)), np.arange(max(N - d, 0), N))
-        idx = (degrees[:, None] * m + np.arange(m)).ravel()
-        pick = np.zeros((m * N, idx.size), dtype=complex)
-        pick[idx, np.arange(idx.size)] = 1.0
-        block = apply_block_toeplitz(theta.adjoint(), pick, N - d)
-        _, _, vh = np.linalg.svd(block, full_matrices=True)
+        idx, block = range_complement_block(theta, N)
+        # a tall block's thin vh is already the full, square one
+        _, _, vh = np.linalg.svd(block, full_matrices=block.shape[0] < block.shape[1])
         basis = np.zeros((m * N, m * d), dtype=complex)
         basis[idx] = vh[idx.size - m * d:].conj().T
-        return basis
+        return idx, basis
 
     @pytest.mark.parametrize("which", ["diag23", "shift3", "mixing2", "mixing3"])
     @pytest.mark.parametrize("N_of_d", [lambda d: 2 * d + 1, lambda d: 3 * d,
-                                        lambda d: 16, lambda d: 64, lambda d: 129],
-                             ids=["wide", "square-ish", "16", "64", "129"])
+                                        lambda d: 16, lambda d: 64, lambda d: 129,
+                                        lambda d: 4096],
+                             ids=["wide", "square-ish", "16", "64", "129", "4096"])
     def test_equals_full_svd(self, which, N_of_d, monkeypatch):
         rng = np.random.default_rng(len(which))
         theta = {"diag23": lambda: LaurentMatrixSymbol.diagonal([[0, 0, 1.0],
@@ -265,13 +266,14 @@ class TestRangeComplementThinSvd:
         shapes = svd_shapes(monkeypatch)
         got = range_complement(theta, N)
         monkeypatch.undo()
-        ref = self.full_svd_reference(theta, N)
+        idx, ref = self.full_svd_reference(theta, N)
         m, d = theta.m, theta.d
         assert got.shape == ref.shape == (m * N, m * d)
-        assert np.max(np.abs(got @ got.conj().T - ref @ ref.conj().T)) <= 1e-13
+        # zero off the degrees < d and >= N - d
+        assert not np.delete(got, idx, axis=0).any()
+        assert np.max(np.abs(got[idx] @ got[idx].conj().T
+                             - ref[idx] @ ref[idx].conj().T)) <= 1e-13
         assert np.max(np.abs(got.conj().T @ got - np.eye(m * d))) <= 1e-13
-        # orthogonal to the range R = Theta P_{N-d}, and zero off the degrees
-        # < d and >= N - d
-        assert np.max(np.abs(shifted_range_matrix(theta, N).conj().T @ got)) <= 1e-13
-        assert not got[m * d:m * (N - d)].any()
+        # orthogonal to the range R = Theta P_{N-d}
+        assert np.max(np.abs(apply_block_toeplitz(theta.adjoint(), got, N - d))) <= 1e-13
         assert len(shapes) == 1 and shapes[0][0] <= min(2 * m * d, m * (N - d)), shapes

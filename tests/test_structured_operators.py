@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_orthonormal, random_inner, spy, svd_shapes
@@ -42,7 +42,10 @@ def _random_symbol(rng, m, powers):
 @st.composite
 def toeplitz_cases(draw):
     m = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["sparse", "negative", "series", "zero"]))
+    rows = draw(st.integers(1, 64))
+    cols = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["sparse", "negative", "series", "band", "outside",
+                                 "zero"]))
     if kind == "sparse":
         powers = draw(st.sets(st.integers(-70, 70), min_size=1, max_size=4))
     elif kind == "negative":
@@ -50,16 +53,29 @@ def toeplitz_cases(draw):
     elif kind == "series":
         lo = draw(st.integers(-520, 20))
         powers = range(lo, lo + 500)
+    elif kind == "band":
+        # every power from past -cols on, up to rows + cols of them: the
+        # band is clipped at both ends of the window
+        lo = draw(st.integers(-cols - 2, 0))
+        powers = range(lo, lo + draw(st.integers(1, rows + cols)))
+    elif kind == "outside":
+        # no power reaches from [0, cols) into [0, rows)
+        powers = draw(st.sets(st.integers(rows, rows + 40) | st.integers(-cols - 40, -cols),
+                              min_size=1, max_size=4))
     else:
         powers = ()
-    rows = draw(st.integers(1, 64))
-    cols = draw(st.integers(1, 64))
-    k = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 16))
     return m, list(powers), rows, cols, k, draw(st.integers(0, 2 ** 31))
 
 
 @given(toeplitz_cases())
-@settings(max_examples=60, deadline=None)
+@example((2, list(range(-9, 12)), 12, 10, 2, 0))       # powers span rows + cols - 1
+@example((2, list(range(-12, 15)), 12, 10, 3, 1))      # and reach past both ends
+@example((3, list(range(-2, 4)), 20, 10, 16, 2))       # rows above cols + hi
+@example((2, list(range(-2, 4)), 13, 10, 1, 3))        # rows at cols + hi
+@example((2, list(range(-2, 4)), 7, 10, 5, 4))         # rows below cols + hi
+@example((2, [12, 30, -10, -25], 12, 10, 4, 5))        # every power outside
+@settings(max_examples=100, deadline=None)
 def test_apply_block_toeplitz_equals_dense(case):
     m, powers, rows, cols, k, seed = case
     rng = np.random.default_rng(seed)
@@ -242,9 +258,12 @@ def _workloads():
     return workloads
 
 
-@pytest.mark.parametrize("recipe", _workloads().SWEEP_RECIPES, ids=lambda r: r.__name__)
-def test_kernel_sweep_recipes_form_no_dense_matrix(recipe, monkeypatch):
-    scenario = recipe(np.random.default_rng([0, 1]), 64)
+@pytest.mark.parametrize("recipe,N", [
+    pytest.param(recipe, N, id=recipe.__name__ + ("" if N == 64 else f"-{N}"))
+    for N in (64, 1024) for recipe in _workloads().SWEEP_RECIPES])
+def test_kernel_sweep_recipes_form_no_dense_matrix(recipe, N, monkeypatch):
+    # the benchmark's sizes end at 512; N = 1024 guards the paths past them
+    scenario = recipe(np.random.default_rng([0, 1]), N)
     calls = _dense_spies(monkeypatch)
     report = run_scenario_object(scenario, Tolerances())
     assert report.outcomes[0].status == "pass"

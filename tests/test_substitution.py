@@ -20,7 +20,8 @@ from tklab.config import Tolerances
 from tklab.operators import apply_block_toeplitz, solve_block_toeplitz
 from tklab.symbols import LaurentMatrixSymbol, invert_analytic, is_invertible_analytic
 
-from conftest import class_scenario, rand_orthonormal, spy
+from conftest import certified, class_scenario, rand_orthonormal, spy
+from series_oracle import diagonal_inverse_l1
 from test_symbols import power_of, triangular_factors
 
 EPS = np.finfo(float).eps
@@ -111,16 +112,36 @@ def test_substitution_equals_series_apply_on_drawn_factors(factor, N, adjoint, s
 
 @pytest.mark.parametrize("name", list(FACTORS))
 def test_l1_bound_covers_the_series(name):
-    # within K + 1 degrees the bound is the series' own l1 sum; past it, the
-    # Wiener-algebra tail keeps it above the N-term sum
+    # the series' own l1 prefix plus the Wiener-algebra term l1(B_K) rho /
+    # (1 - rho) at every window; past K + 1 degrees that keeps it above the
+    # N-term sum
     check = is_invertible_analytic(FACTORS[name])
     K = len(check.series) - 1
+    term = (invert_analytic(check.factor, K).coefficient_l1_norm()
+            * check.bound / (1.0 - check.bound))
     for window in sorted({2, K + 1, K + 2, 2 * K + 2, 4096}):
         series = invert_analytic(check.factor, window - 1).coefficient_l1_norm()
         if window <= K + 1:
-            assert check.l1_norm(window) == series
+            assert check.l1_norm(window) == series + term
         else:
             assert check.l1_norm(window) >= series
+
+
+#: the diagonal factors, whose inverse series ``diagonal_inverse_l1`` runs in
+#: extended precision
+DIAGONAL = [name for name in FACTORS if name != "degree 12"]
+
+
+@pytest.mark.parametrize("name", DIAGONAL)
+def test_l1_bound_covers_the_extended_precision_series(name):
+    # a proof at every window, inside K + 1 degrees too: the computed B_j
+    # carry the recursion's roundoff, which rho covers there
+    check = is_invertible_analytic(FACTORS[name])
+    K = len(check.series) - 1
+    windows = sorted({1, 2, 9, (K + 1) // 2, K, K + 1, K + 2, 2 * K + 2, 4096})
+    exact = diagonal_inverse_l1(check.factor, windows[-1])
+    for window in windows:
+        assert np.longdouble(check.l1_norm(window)) >= exact[window - 1], window
 
 
 @given(factor=INVERTIBLE, window=st.integers(1, 600))
@@ -146,7 +167,10 @@ def test_kernel_bound_covers_the_series_product(N, monkeypatch):
     product = (invert_analytic(F1, N + F2.d - 1).coefficient_l1_norm()
                * invert_analytic(F2, N - 1).coefficient_l1_norm())
     assert seen[0][3] >= product
-    assert seen[0][3] == product or N + F2.d > 64
+    # within the certificates' K + 1 = 64 degrees only their rho terms
+    # separate the two
+    rho = max(check.bound for check in certified(F1, F2))
+    assert seen[0][3] <= product * (1 + 4 * rho) or N + F2.d > 64
 
 
 def test_large_factored_route_stays_within_the_certificate(monkeypatch):
@@ -175,3 +199,27 @@ def test_scenario_proves_each_factor_once(monkeypatch):
     assert report.ok
     assert [call[0] for call in proofs] == list(sc.factors)
     assert series == [(sc.factors[1], sc.N - 1)]
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_substitution_on_no_degrees_is_empty(k, adjoint):
+    # as the apply does on an empty X
+    check = is_invertible_analytic(SWEEP[1])
+    X = np.zeros((0, k), dtype=complex)
+    got = solve_block_toeplitz(check, X, adjoint=adjoint)
+    assert got.shape == apply_block_toeplitz(SWEEP[1], X, 0).shape == (0, k)
+
+
+def test_defect_check_substitutes_each_factor_once(monkeypatch):
+    # one F1 adjoint solve of H and one F2 solve over [Y, S* Y] serve both
+    # the kernel's candidates and the defect prediction
+    F1, F2 = SWEEP
+    N = 64
+    rng = np.random.default_rng(3)
+    G, H = rand_orthonormal(rng, 2, N, 5, 2), rand_orthonormal(rng, 2, N, 5, 2)
+    calls = spy(monkeypatch, "solve_block_toeplitz")
+    report = run_scenario_object(class_scenario("invertible_factors", G, H, N,
+                                                factors=(F1, F2)), Tolerances())
+    assert report.ok
+    assert [(call[0].factor, call[1].shape[1]) for call in calls] == [(F1, 2), (F2, 4)]
