@@ -107,30 +107,23 @@ SERIES_INVERSION_RESIDUAL = 1e-10
 #: highest degree K of the inverse series B_K that ``is_invertible_analytic``
 #: tries (K = 63, 127, 255, ...).  Last K tried: 63 for diag(2 + z) and
 #: diag(3 + z, 2 + z^2), 255 for (1 - 0.9z)^4, 2047 for (1 - 0.99z)^3,
-#: 16383 for (1 - 0.999z)^2 (11 ms, 2-core x86 host), 1023 for a zero at
-#: 1.001; a zero at 0.94 e^{i pi/64} overflows at 8191 (11 ms) and one at
-#: e^{i pi/64} refuses at the cap (47 ms)
+#: 16383 for (1 - 0.999z)^2 (15 ms, one BLAS thread, 2-core x86 host), 1023
+#: for a zero at 1.001; a zero at 0.94 e^{i pi/64} overflows at 8191 (15 ms)
+#: and one at e^{i pi/64} refuses at the cap (55 ms)
 INVERTIBILITY_DEGREE_CAP = 2 ** 15 - 1
 
-#: degrees per block of the inverse-series recursion: one product with the
-#: companion powers C^0..C^b advances b degrees.  Longer blocks lose accuracy
-#: on factors nearly singular on the circle.  Residuals at K = 1023, degree
-#: by degree / b = 8 / b = 32 / doubling with C^(2^k) by squaring:
-#: (1 - 0.99z)^3, bound 4.4e-10: 4.5e-13 / 7.5e-11 / 1.1e-9 / 4.2e-5;
-#: (1 - 0.999z)^2, bound 2.4e-10: 1.4e-14 / 1.8e-12 / 5.6e-12 / 7.8e-9;
-#: (1 - 0.9z)^4, bound 6.8e-10: 5.7e-14 / 2.0e-11 / 1.6e-10 / 6.1e-8
-SERIES_BLOCK = 8
-
-#: degrees per block of the substitution that applies T_N(A)^{-1}
-#: (``operators.solve_block_toeplitz``), at most 64, the length of the
-#: shortest certified series.  A block multiplies by the explicit inverse
-#: T_b(A)^{-1}, whose roundoff grows with b on factors nearly singular on the
-#: circle.  Worst backward residual |T_N(A) Y - X| / (l1(A) |Y|) over
-#: (1 - 0.9z)^4, (1 - 0.99z)^3 and (1 - 0.999z)^2, N = 512 and 4096, both
-#: directions, and the time of one column at N = 4096 (m = 2, one BLAS
-#: thread, 2-core x86 host), b = 4 / 8 / 16 / 32 / 64: 1.0e-15 / 4.0e-15 /
-#: 2.0e-13 / 6.3e-13 / 2.2e-12 and 2.6 / 1.1 / 0.61 / 0.49 / 0.69 ms.  The
-#: N-term series apply leaves 2.4e-15 and takes 27 ms, plus 5.2 ms to invert
+#: degrees per block of the substitution (``symbols._substitute``) that
+#: computes the inverse series and applies T_N(A)^{-1}, at most 64, the
+#: length of the shortest certified series.  A block multiplies by the
+#: explicit inverse T_b(A)^{-1}, whose roundoff grows with b on factors
+#: nearly singular on the circle.  At b = 4 / 8 / 16 / 32 / 64 (one BLAS
+#: thread, 2-core x86 host): the residual of the degree-1023 series of
+#: (1 - 0.99z)^3, bound 4.4e-10, is 3.6e-11 / 1.7e-10 / 5.9e-10 / 1.7e-9 /
+#: 6.9e-9; the worst backward residual |T_N(A) Y - X| / (l1(A) |Y|) of the
+#: solve over diag(p, p), p = (1 - 0.9z)^4, (1 - 0.99z)^3, (1 - 0.999z)^2,
+#: N = 512 and 4096, both directions, is 8.0e-16 / 2.6e-15 / 2.2e-14 /
+#: 4.6e-14 / 9.0e-14; one such column at N = 4096 takes 2.5 / 1.7 / 1.0 /
+#: 0.60 / 0.89 ms, and certifying (1 - 0.999z)^2 21 / 10 / 7.1 / 4.7 / 7.8 ms
 SUBSTITUTION_BLOCK = 8
 
 #: norm below which a prediction column or a correction line counts as zero

@@ -30,13 +30,14 @@ from .config import ALTERNATE_FORM_FLOOR, NEGLIGIBLE_NORM, SUBSPACE_GRAM_BOUND
 from .errors import DimensionMismatch
 from .hardy_core import flat_columns
 from .model_spaces import ModelSpace, decompose_against_theta
-from .operators import (PerturbedToeplitz, apply_block_toeplitz, range_complement,
-                        solve_block_toeplitz)
-from .subspaces import (RankCut, SigmaGap, Subspace, _LinkBlock, _overlap, _shift,
+from .operators import PerturbedToeplitz, range_complement
+from .subspaces import (RankCut, SigmaGap, Subspace, _adjoint, _combine, _dense,
+                        _LinkBlock, _nonzero_lines, _overlap, _product, _shift, _trimmed,
                         column_gram_deviation, column_norms, column_span, is_contained,
                         nullspace, nullspace_within, rank_cut, subspace_equal,
                         value_split, zero_space)
-from .symbols import InvertibilityCheck, is_exactly_inner
+from .symbols import (InvertibilityCheck, apply_block_toeplitz, is_exactly_inner,
+                      solve_block_toeplitz)
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def _kernel_candidates(T: PerturbedToeplitz,
       N + d_pos action degrees to P_N, inverts B exactly on P_N, Z0 = 0,
       and L H_i is the rank-one candidate F2^-1 T_{F1*^-1} H_i.  On P_N,
       T(F1*^-1) is T_N(F1^-1)^H = T_N(F1)^-H, so L H comes from two
-      substitutions (``operators.solve_block_toeplitz``), and |L| is at most
+      substitutions (``symbols.solve_block_toeplitz``), and |L| is at most
       the product of the factors' l1 bounds over N + d_pos and N degrees
       (``InvertibilityCheck.l1_norm``).  The F2 substitution runs over
       Y = T_N(F1)^-H H and S* Y together, so it also yields the defect
@@ -316,7 +317,8 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
     projected onto the slice.  Both routes cut over the min(mN, slice dim)
     directions of an (mN, slice dim) matrix; directions below the absolute
     floor are noise, which keeps exactly invariant subspaces (for instance
-    model spaces) at defect zero.
+    model spaces) at defect zero.  A basis held as links plus a block stays
+    so through the residual stack, whose SVD takes its nonzero lines only.
 
     ``complement`` is an orthonormal basis U of M's orthocomplement, as the
     zero-symbol kernel solve keeps it; it must have mN - dim M columns
@@ -338,9 +340,18 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
                             W=split.W, value_cut=split.cut, details=details)
     W, U = split.W, complement
     if U is None:
-        Q = M.basis
-        shifted = _shift(Q - W @ (W.conj().T @ Q), -m)
-        u, s, _ = np.linalg.svd(shifted - M.project_flat(shifted), full_matrices=False)
+        Q = M.held
+        if not isinstance(Q, np.ndarray):
+            W = _trimmed(W)
+        shifted = _shift(_combine(np.subtract, Q, _product(W, _product(_adjoint(W), Q))), -m)
+        R = _combine(np.subtract, shifted, _product(Q, M.coefficients(shifted)))
+        if isinstance(R, np.ndarray):
+            u, s, _ = np.linalg.svd(R, full_matrices=False)
+        else:
+            rows, cols = (np.flatnonzero(mask) for mask in _nonzero_lines(R))
+            head, s, _ = np.linalg.svd(_dense(R, rows, cols), full_matrices=False)
+            u = np.zeros((m * N, s.size), dtype=complex)
+            u[rows] = head
     elif U.shape[1]:
         SU = _shift(U, m)  # the truncating forward shift, S*'s adjoint
         _, s, vh = np.linalg.svd(SU - U @ (U.conj().T @ SU) - W @ (W.conj().T @ SU),

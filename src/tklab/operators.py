@@ -13,12 +13,12 @@ elements only.
 
 Operators are held by their coefficients.  A ``ToeplitzCompression`` is its
 symbol and N, and a ``PerturbedToeplitz`` adds the families G and H of the
-bump H G^H.  ``apply_block_toeplitz`` applies a compression without forming
-it, one GEMM per power of the symbol over the whole degree range, and the
-bump is applied as H (G^H X); column norms of the exact action come from the
-coefficients too.  A dense matrix (``matrix``, ``action_matrix()``) is built
-only when a caller asks for one, and then cached.  ``orthonormalize_family``
-is the CoeffVec-family form of the subspaces module's Gram-Schmidt.
+bump H G^H.  A compression is applied by the banded product of the symbols
+module (``apply_block_toeplitz``) and the bump as H (G^H X); column norms of
+the exact action come from the coefficients too.  A dense matrix (``matrix``,
+``action_matrix()``) is built only when a caller asks for one, and then
+cached.  ``orthonormalize_family`` is the CoeffVec-family form of the
+subspaces module's Gram-Schmidt.
 
 For an exactly inner Theta, Theta on the degrees below N - d is an isometry
 onto R = Theta P_{N-d}, and ``range_complement`` gives the md-dimensional
@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, FUNCTIONAL_FORM_PROBE, SUBSTITUTION_BLOCK
+from .config import DEFAULT_TOLERANCES, FUNCTIONAL_FORM_PROBE
 from .errors import DimensionMismatch, OrthonormalityError
 from .hardy_core import CoeffVec, column_vectors, flat_columns, inner_product
 from .subspaces import column_gram_deviation, gram_schmidt
-from .symbols import InvertibilityCheck, LaurentMatrixSymbol
+from .symbols import LaurentMatrixSymbol, _lag_matrix, apply_block_toeplitz
 
 
 def _block_toeplitz(symbol: LaurentMatrixSymbol, rows: int, cols: int) -> np.ndarray:
@@ -47,90 +47,6 @@ def _block_toeplitz(symbol: LaurentMatrixSymbol, rows: int, cols: int) -> np.nda
         t = np.arange(max(0, -k), min(cols, rows - k))
         out[t + k, :, t, :] = symbol.fourier(k)
     return out.reshape(rows * m, cols * m)
-
-
-def apply_block_toeplitz(symbol: LaurentMatrixSymbol, X: np.ndarray,
-                         rows: int) -> np.ndarray:
-    """_block_toeplitz(symbol, rows, cols) @ X without forming the matrix.
-
-    X holds flat degree-major columns of cols = len(X) / m degrees.  Output
-    block r is sum_p Phi_p X_{r-p} over the powers p that reach from
-    [0, cols) into [0, rows).  X is laid out once with its components as
-    rows, an m x cols k matrix whose column block t is degree t, and so is
-    the output; power p sends the input degrees [t0, t1) that land in
-    [0, rows) to [t0 + p, t1 + p), one GEMM of Phi_p with that slice of
-    columns.  That is one level-3 BLAS call per nonzero power, each over
-    the whole degree range, where one small product per output degree would
-    pay a call's overhead rows times (Golub-Van Loan, Matrix Computations,
-    section 1.5).
-    """
-    m, k = symbol.m, X.shape[1]
-    cols = X.shape[0] // m
-    powers = symbol.powers()
-    out = np.zeros((m, rows * k), dtype=complex)
-    lo = max(powers[0], 1 - cols) if powers else 0
-    hi = min(powers[-1], rows - 1) if powers else -1
-    if lo <= hi and k:
-        stack = symbol.coefficient_stack(lo, hi)
-        Xc = X.reshape(cols, m, k).transpose(1, 0, 2).reshape(m, cols * k)
-        for p in powers:
-            if lo <= p <= hi:
-                t0, t1 = max(0, -p), min(cols, rows - p)
-                out[:, (t0 + p) * k:(t1 + p) * k] += stack[p - lo] @ Xc[:, t0 * k:t1 * k]
-    return out.reshape(m, rows, k).transpose(1, 0, 2).reshape(rows * m, k)
-
-
-def solve_block_toeplitz(check: InvertibilityCheck, X: np.ndarray,
-                         adjoint: bool = False) -> np.ndarray:
-    """T_n(A)^{-1} X, or T_n(A)^{-H} X with ``adjoint``, for the factor A
-    that ``check`` certifies invertible and flat degree-major columns X of
-    n = len(X) / m degrees, by blocked substitution.
-
-    T_n(A) is block lower triangular, so T_n(A)^{-1} = T_n(A^{-1}) exactly
-    (Boettcher-Silbermann, Analysis of Toeplitz Operators, section 2), and
-    ``apply_block_toeplitz`` with an n-term inverse series gives the same
-    vectors in O(n^2 m^2).  Here the degrees run in blocks of
-    b = ``SUBSTITUTION_BLOCK``: block c of Y is T_b(B) (X_c - C Y_prev),
-    where T_b(B) = T_b(A)^{-1} is read from the certified series
-    B_0..B_{b-1} and C Y_prev = sum_t A_t Y_{r-t} couples the block's first
-    d degrees to the d outputs before it.  The products T_b(B) X_c of all
-    blocks are one matmul and the loop carries d degrees from block to
-    block, O(n m^2 (b + d)) in all.  T_n(A)^H on reversed degrees is the
-    lower triangular T_n with the blocks A_t^H, so the adjoint is the same
-    solve on the reversed X with the blocks A_t^H and B_j^H.
-    """
-    A = check.factor
-    m, k = A.m, X.shape[1]
-    n = X.shape[0] // m
-    if not n:
-        return np.zeros((0, k), dtype=complex)
-    d, b = A.d, min(SUBSTITUTION_BLOCK, n)
-    coeffs, B = A.coefficient_stack(0, d), check.series[:b]
-    if adjoint:
-        coeffs, B = coeffs.conj().transpose(0, 2, 1), B.conj().transpose(0, 2, 1)
-        X = X.reshape(n, m, k)[::-1].reshape(n * m, k)
-    blocks = -(-n // b)
-    # T_b(B): block (i, j) is B_{i-j} on and below the diagonal
-    lag = np.subtract.outer(np.arange(b), np.arange(b))
-    Tb = np.where((lag >= 0)[:, :, None, None], B[np.maximum(lag, 0)], 0.0)
-    Tb = Tb.transpose(0, 2, 1, 3).reshape(b * m, b * m)
-    padded = np.zeros((blocks * b * m, k), dtype=complex)
-    padded[:n * m] = X
-    # d zero degrees ahead of the output, so every block has d predecessors
-    Y = np.zeros(((d + blocks * b) * m, k), dtype=complex)
-    out = Y[d * m:].reshape(blocks, b * m, k)
-    np.matmul(Tb, padded.reshape(blocks, b * m, k), out=out)
-    if d:
-        # coupling of block degree i to the predecessor degree p (degree
-        # p - d relative to the block's start): A_{i + d - p} for p >= i
-        rows = min(b, d)
-        lag = np.arange(rows)[:, None] + d - np.arange(d)[None, :]
-        C = np.where((lag <= d)[:, :, None, None], coeffs[np.minimum(lag, d)], 0.0)
-        couple = Tb[:, :rows * m] @ C.transpose(0, 2, 1, 3).reshape(rows * m, d * m)
-        for c in range(blocks):
-            out[c] -= couple @ Y[c * b * m:(c * b + d) * m]
-    Y = Y[d * m:(d + n) * m]
-    return Y.reshape(n, m, k)[::-1].reshape(n * m, k) if adjoint else Y
 
 
 def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
@@ -152,11 +68,8 @@ def range_complement(theta: LaurentMatrixSymbol, N: int) -> np.ndarray:
         return basis
     degrees = np.union1d(np.arange(min(d, N)), np.arange(max(N - d, 0), N))
     rows = np.union1d(np.arange(min(d, N - d)), np.arange(max(N - 2 * d, 0), N - d))
-    lag = degrees[None, :] - rows[:, None]
     adjoints = theta.coefficient_stack(0, d).conj().transpose(0, 2, 1)
-    block = np.where(((lag >= 0) & (lag <= d))[:, :, None, None],
-                     adjoints[np.clip(lag, 0, d)], 0.0)
-    block = block.transpose(0, 2, 1, 3).reshape(rows.size * m, degrees.size * m)
+    block = _lag_matrix(adjoints, degrees[None, :] - rows[:, None])
     block = block[np.any(block != 0, axis=1)]
     # a tall block's thin vh is already square; only a wide one needs the
     # full one for its null directions

@@ -49,13 +49,13 @@ from .hardy_core import (CoeffVec, backward_shift, column_vectors, eval_at_zero,
 from .model_spaces import ModelSpace, decompose_against_theta
 # compute_defect is not called here; the benchmark's tracer pins this import
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
-from .operators import apply_block_toeplitz, orthonormalize_family, solve_block_toeplitz
+from .operators import orthonormalize_family
 from .subspaces import (Subspace, _adjoint, _combine, _dense, _identity, _LinkBlock,
                         _nonzero_lines, _overlap, _positions, _product, _shift, _top,
                         _trimmed, _union, _values, column_norms, column_span, gram_schmidt,
                         is_contained, ortho_complement_within, project, span_of,
                         subspace_equal)
-from .symbols import invert_analytic
+from .symbols import apply_block_toeplitz, invert_analytic, solve_block_toeplitz
 
 
 @dataclass(frozen=True)
@@ -584,6 +584,7 @@ def rank_one_complement_analysis(M: Subspace, G: CoeffVec, depth: int | None = N
     r = len(W)
     frame = RepresentationFrame(M=M, W=W, E=(G,))
     corr = _autocorrelation(G)
+    abs_sq = _analytic_part_of_correlation(corr, 0, N)  # P |G|^2
     # G0 row i = sum_t conj(C[i, t]) P(g_t - g_t(0) |G|^2)
     g0_rows = np.zeros((max(r, 1), N), dtype=complex)
     for i in range(r):
@@ -591,7 +592,7 @@ def rank_one_complement_analysis(M: Subspace, G: CoeffVec, depth: int | None = N
             if C[i, t] == 0:
                 continue
             term = G.coeffs[t].copy()
-            term -= g0_vals[t] * _analytic_part_of_correlation(corr, 0, N)
+            term -= g0_vals[t] * abs_sq
             g0_rows[i] += np.conj(C[i, t]) * term
     G0 = CoeffVec(g0_rows[:max(r, 1)])
     g = CoeffVec(_analytic_part_of_correlation(corr, -1, N).reshape(1, N))
@@ -744,7 +745,7 @@ def rank_one_invertible_kernel(kr: KernelResult, G: CoeffVec,
     their invertibility certificates.  The line F2^{-1} T_{F1*^{-1}} H
     (``_line_kernel``; T_{F1* F2} is invertible, so the class always admits
     it) is assembled two ways: by substitution from the certificates
-    (``operators.solve_block_toeplitz``), and by the Cauchy product of
+    (``symbols.solve_block_toeplitz``), and by the Cauchy product of
     T_{F1*^{-1}} H with the series F2^{-1} to degree N - 1
     (``invert_analytic``), the report's own oracle; their gap is reported.
     """

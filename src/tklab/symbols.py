@@ -1,10 +1,18 @@
-"""Matrix trigonometric-polynomial symbols and scalar inner-outer splitting.
+"""Matrix trigonometric-polynomial symbols, their block Toeplitz kernels and
+scalar inner-outer splitting.
 
 A symbol is a finite Fourier series Phi(z) = sum_k Phi_k z^k with matrix
 coefficients, z on the unit circle.  Analytic symbols (k >= 0 only) act as
 multipliers; general symbols act through the Riesz projection.  Scalar
 polynomials factor into a Blaschke-monomial inner part and a zero-free outer
 part via companion-matrix roots.
+
+Two kernels read a symbol's coefficient stack: the banded product
+``apply_block_toeplitz`` and the blocked substitution ``_substitute`` that
+applies T_n(A)^{-1} for an analytic A.  The substitution gives both the
+inverse series B_0..B_K, the first block column of T_{K+1}(A)^{-1}, which
+``is_invertible_analytic`` certifies through the banded product A B_K - I,
+and, from that certificate, T_N(A)^{-1} X (``solve_block_toeplitz``).
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (EXACT_INNER_ROUNDOFF, INVERTIBILITY_DEGREE_CAP, SERIES_BLOCK,
-                     SERIES_INVERSION_RESIDUAL)
+from .config import (EXACT_INNER_ROUNDOFF, INVERTIBILITY_DEGREE_CAP,
+                     SERIES_INVERSION_RESIDUAL, SUBSTITUTION_BLOCK)
 from .errors import CircleRootError, DimensionMismatch, NotInvertibleError
 from .hardy_core import CoeffVec, LaurentVec
 
@@ -368,8 +376,8 @@ def is_invertible_analytic(A: LaurentMatrixSymbol) -> InvertibilityCheck:
     (I + R)^{-1} = (A B_K)^{-1}, of norm at most 2, so A^{-1} =
     B_K (A B_K)^{-1} is analytic on the disk with ||A^{-1}||_inf <=
     2 sum_j ||B_j||.  R is measured on the computed B_K as a polynomial, so
-    the roundoff of the recursion that produced B_K needs no bound; only the
-    one product does.  Each entry of R_j is a complex inner product of
+    the roundoff of the substitution that produced B_K needs no bound; only
+    the one product does.  Each entry of R_j is a complex inner product of
     n = m (d + 1) + 1 terms, off by at most gamma_{n+2} times the sum of
     their moduli (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, sections 3.1 and 3.6): at most gamma_{n+2} (sum_t ||A_t||_F
@@ -377,7 +385,7 @@ def is_invertible_analytic(A: LaurentMatrixSymbol) -> InvertibilityCheck:
     plus that term, divided by 1 - gamma_{L + m^2 + 8} for the relative
     error of evaluating the norms and sums of L = K + d + 1 terms.  The
     check that proves A returns B_K and rho, from which the factored route
-    applies T_N(A)^{-1} (``operators.solve_block_toeplitz``) and bounds it
+    applies T_N(A)^{-1} (``solve_block_toeplitz``) and bounds it
     (``InvertibilityCheck.l1_norm``).  A singular A_0, a sum that is not
     finite (a zero inside the disk overflows B_K) or the cap (a zero on the
     circle keeps ||R_j|| near 1) refuses A.
@@ -389,7 +397,7 @@ def is_invertible_analytic(A: LaurentMatrixSymbol) -> InvertibilityCheck:
                                  float("inf"))
     coeffs = A.coefficient_stack(0, A.d)
     try:
-        A0_inv = _constant_inverse(coeffs[0])
+        _check_constant_term(coeffs[0])
     except NotInvertibleError:
         return refused
     u = np.finfo(float).eps / 2  # gamma_n = n u / (1 - n u) <= 1.01 n u here
@@ -398,8 +406,8 @@ def is_invertible_analytic(A: LaurentMatrixSymbol) -> InvertibilityCheck:
     K = 63
     with np.errstate(over="ignore", invalid="ignore"):
         while K <= INVERTIBILITY_DEGREE_CAP:
-            B = _inverse_series(A0_inv, coeffs, K)
-            R = _series_defect(coeffs, B)
+            B = _inverse_series(coeffs, K)
+            R = _series_defect(A, B)
             b_sum = float(np.sum(np.linalg.norm(B, axis=(1, 2))))
             rho = (float(np.sum(np.linalg.norm(R, axis=(1, 2))))
                    + rounding * (a_sum * b_sum + np.sqrt(m))) \
@@ -414,96 +422,167 @@ def is_invertible_analytic(A: LaurentMatrixSymbol) -> InvertibilityCheck:
 
 
 def invert_analytic(A: LaurentMatrixSymbol, K: int) -> LaurentMatrixSymbol:
-    """Degree-K Taylor truncation of A(z)^{-1}, computed b degrees at a time.
+    """Degree-K Taylor truncation of A(z)^{-1}.
 
-    The coefficients obey B_0 = A_0^{-1}, B_j = -A_0^{-1} sum_{t=1..min(j,d)}
-    A_t B_{j-t}, so the state s_j = [B_j; ...; B_{j-d+1}] advances as
-    s_j = C s_{j-1} with the block companion matrix C.  One product with the
-    top block rows of C^0..C^{b-1} and with C^b (b = ``SERIES_BLOCK``) turns
-    s_{kb} into B_{kb}..B_{kb+b-1} and s_{(k+1)b}.  The powers carry roundoff
-    that the degree-by-degree recursion does not, growing with b and with how
-    close A comes to singular on the circle, so A B - I no longer vanishes by
-    construction: its coefficients at degrees <= K - d certify the series
-    and must stay within ``SERIES_INVERSION_RESIDUAL`` * max(1, |A|).  A
-    series that is not finite (A singular in the disk, B past the float
-    range) is refused too.  b = 8 keeps factors nearly singular on the circle
-    far inside the bound where b = 32 and powers by squaring fail it (the
-    measurements are quoted at ``config.SERIES_BLOCK``).  The series alone
-    does not prove A^{-1} bounded on the disk; ``is_invertible_analytic``
-    does.  The factored kernel route and its prediction apply T_N(A)^{-1} by
-    blocked substitution from that certificate, in O(N m^2 d)
-    (``solve_block_toeplitz`` in ``operators``); an N-term series here
-    serves the rank-one analysis's convolution route and the tests as their
-    oracle.
+    T_{K+1}(A) is block lower triangular, so T_{K+1}(A)^{-1} = T_{K+1}(A^{-1})
+    and B_0..B_K is its first block column (Boettcher-Silbermann, Analysis
+    of Toeplitz Operators, section 2): ``_substitute`` on [I; 0; ...; 0],
+    with T_b(A)^{-1} for the first b = ``SUBSTITUTION_BLOCK`` degrees
+    inverted outright.  That inverse carries roundoff that the
+    degree-by-degree recursion does not, growing as A nears singular on the
+    circle, so A B - I at degrees <= K - d must stay within
+    ``SERIES_INVERSION_RESIDUAL`` * max(1, |A|), and B must be finite (A
+    singular in the disk overflows it).  The series alone does not prove
+    A^{-1} bounded on the disk; ``is_invertible_analytic`` does.  An N-term
+    series serves the rank-one analysis's convolution route and the tests as
+    their oracle; the factored route substitutes from the certificate.
     """
     if not A.is_analytic():
         raise ValueError("series inversion is defined for analytic symbols only")
     m = A.m
     coeffs = A.coefficient_stack(0, A.d)
-    A0_inv = _constant_inverse(coeffs[0])
+    _check_constant_term(coeffs[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        B = _inverse_series(A0_inv, coeffs, K)
+        B = _inverse_series(coeffs, K)
         if not np.isfinite(B).all():
             raise NotInvertibleError(f"inverse series is not finite up to degree {K}")
-        resid = _inversion_residual(coeffs, B, K)
+        resid = _inversion_residual(A, B, K)
     if not resid <= SERIES_INVERSION_RESIDUAL * max(1.0, A.coefficient_norm()):
         raise NotInvertibleError(f"inversion residual {resid:.3e} exceeds tolerance")
     nonzero = B.reshape(K + 1, m * m).any(axis=1)
     return LaurentMatrixSymbol._from_stack(m, np.flatnonzero(nonzero).tolist(), B[nonzero])
 
 
-def _constant_inverse(A0: np.ndarray) -> np.ndarray:
-    """A_0^{-1}, or ``NotInvertibleError`` when A_0 is singular to roundoff."""
+def _check_constant_term(A0: np.ndarray) -> None:
+    """``NotInvertibleError`` when A_0 is singular to roundoff."""
     m = A0.shape[0]
     if abs(np.linalg.det(A0)) < np.finfo(float).eps * max(1.0, np.linalg.norm(A0)) ** m:
         raise NotInvertibleError("constant coefficient is singular")
-    return np.linalg.inv(A0)
 
 
-def _inverse_series(A0_inv: np.ndarray, coeffs: np.ndarray, K: int) -> np.ndarray:
+def _inverse_series(coeffs: np.ndarray, K: int) -> np.ndarray:
     """B_0..B_K of A^{-1} as a (K + 1, m, m) array, from A's coefficients
-    A_0..A_d and A_0^{-1}, in blocks of ``SERIES_BLOCK`` degrees."""
-    m, b = A0_inv.shape[0], SERIES_BLOCK
-    # a constant A runs with A_1 = 0
-    tail = coeffs[1:] if len(coeffs) > 1 else np.zeros((1, m, m), dtype=complex)
-    d = len(tail)
-    # companion matrix: first block row -A_0^{-1} [A_1 ... A_d], shift below
-    C = np.eye(m * d, k=-m, dtype=complex)
-    C[:m] = -A0_inv @ tail.transpose(1, 0, 2).reshape(m, m * d)
-    powers = np.empty((b + 1, m * d, m * d), dtype=complex)
-    powers[0] = np.eye(m * d)
-    for i in range(1, b + 1):
-        powers[i] = C @ powers[i - 1]
-    # one product gives the block's b coefficients and the next state
-    step = np.concatenate([powers[:b, :m].reshape(b * m, m * d), powers[b]])
-    blocks = -(-(K + 1) // b)
-    out = np.empty((blocks, b * m, m), dtype=complex)
-    state = np.zeros((m * d, m), dtype=complex)
-    state[:m] = A0_inv
-    for k in range(blocks):
-        nxt = step @ state
-        out[k] = nxt[:b * m]
-        state = nxt[b * m:]
-    return out.reshape(blocks * b, m, m)[:K + 1]
+    A_0..A_d: the substitution on the first block column of the identity."""
+    m, b = coeffs.shape[1], min(SUBSTITUTION_BLOCK, K + 1)
+    head = np.linalg.inv(_lag_matrix(coeffs, np.subtract.outer(np.arange(b), np.arange(b))))
+    return _substitute(coeffs, head, np.eye((K + 1) * m, m, dtype=complex)).reshape(-1, m, m)
 
 
-def _series_defect(coeffs: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _series_defect(A: LaurentMatrixSymbol, B: np.ndarray) -> np.ndarray:
     """R_j = (A B)_j - delta_j I for every degree j of the product, as an
-    (len(B) + d, m, m) array, with A's coefficients A_0..A_d stacked; one
-    flat product per A_t on B laid side by side."""
+    (len(B) + d, m, m) array: the banded product of A with B's blocks."""
     n, m = B.shape[:2]
-    flat = B.transpose(1, 0, 2).reshape(m, n * m)
-    prod = np.zeros((m, (n + len(coeffs) - 1) * m), dtype=complex)
-    for t, mat in enumerate(coeffs):
-        prod[:, t * m:(t + n) * m] += mat @ flat
-    prod[:, :m] -= np.eye(m)
-    return prod.reshape(m, -1, m).transpose(1, 0, 2)
+    R = apply_block_toeplitz(A, B.reshape(n * m, m), n + A.d).reshape(-1, m, m)
+    R[0] -= np.eye(m)
+    return R
 
 
-def _inversion_residual(coeffs: np.ndarray, B: np.ndarray, K: int) -> float:
+def _inversion_residual(A: LaurentMatrixSymbol, B: np.ndarray, K: int) -> float:
     """max |R_j| over j <= K - d, the degrees a degree-K series settles."""
-    top = max(K - len(coeffs) + 1, 0) + 1
-    return float(np.max(np.abs(_series_defect(coeffs, B[:top])[:top])))
+    top = max(K - A.d, 0) + 1
+    return float(np.max(np.abs(_series_defect(A, B[:top])[:top])))
+
+
+# ---------------------------------------------------------------------------
+# block Toeplitz products and solves from the coefficient stack
+# ---------------------------------------------------------------------------
+
+
+def _lag_matrix(stack: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """The block matrix whose block (i, j) is stack[lag[i, j]], and zero where
+    the lag falls outside the stack: T_b(A) for lag i - j."""
+    m = stack.shape[1]
+    # an appended zero block, index -1, stands for every lag off the stack
+    padded = np.concatenate([stack, np.zeros((1, m, m), dtype=stack.dtype)])
+    blocks = padded[np.where((lag >= 0) & (lag < len(stack)), lag, -1)]
+    return blocks.transpose(0, 2, 1, 3).reshape(lag.shape[0] * m, lag.shape[1] * m)
+
+
+def apply_block_toeplitz(symbol: LaurentMatrixSymbol, X: np.ndarray,
+                         rows: int) -> np.ndarray:
+    """The rows x cols block Toeplitz matrix with block (r, t) = Phi_{r-t},
+    applied to X without forming it.
+
+    X holds flat degree-major columns of cols = len(X) / m degrees.  Output
+    block r is sum_p Phi_p X_{r-p} over the powers p that reach from
+    [0, cols) into [0, rows).  X is laid out once with its components as
+    rows, an m x cols k matrix whose column block t is degree t, and so is
+    the output; power p sends the input degrees [t0, t1) that land in
+    [0, rows) to [t0 + p, t1 + p), one GEMM of Phi_p with that slice of
+    columns.  That is one level-3 BLAS call per nonzero power, each over
+    the whole degree range, where one small product per output degree would
+    pay a call's overhead rows times (Golub-Van Loan, Matrix Computations,
+    section 1.5).
+    """
+    m, k = symbol.m, X.shape[1]
+    cols = X.shape[0] // m
+    powers = symbol.powers()
+    out = np.zeros((m, rows * k), dtype=complex)
+    lo = max(powers[0], 1 - cols) if powers else 0
+    hi = min(powers[-1], rows - 1) if powers else -1
+    if lo <= hi and k:
+        stack = symbol.coefficient_stack(lo, hi)
+        Xc = X.reshape(cols, m, k).transpose(1, 0, 2).reshape(m, cols * k)
+        for p in powers:
+            if lo <= p <= hi:
+                t0, t1 = max(0, -p), min(cols, rows - p)
+                out[:, (t0 + p) * k:(t1 + p) * k] += stack[p - lo] @ Xc[:, t0 * k:t1 * k]
+    return out.reshape(m, rows, k).transpose(1, 0, 2).reshape(rows * m, k)
+
+
+def solve_block_toeplitz(check: InvertibilityCheck, X: np.ndarray,
+                         adjoint: bool = False) -> np.ndarray:
+    """T_n(A)^{-1} X, or T_n(A)^{-H} X with ``adjoint``, for the factor A
+    that ``check`` certifies invertible and flat degree-major columns X of
+    n = len(X) / m degrees, by blocked substitution (``_substitute``).
+
+    The substitution's head T_b(A)^{-1} = T_b(B) is read from the certified
+    series B_0..B_{b-1}; ``apply_block_toeplitz`` with an n-term series
+    gives the same vectors in O(n^2 m^2).  T_n(A)^H on reversed degrees is
+    the lower triangular T_n with the blocks A_t^H, so the adjoint is the
+    same solve on the reversed X with the blocks A_t^H and B_j^H.
+    """
+    A = check.factor
+    m, k = A.m, X.shape[1]
+    n = X.shape[0] // m
+    if not n:
+        return np.zeros((0, k), dtype=complex)
+    b = min(SUBSTITUTION_BLOCK, n)
+    coeffs, B = A.coefficient_stack(0, A.d), check.series[:b]
+    if adjoint:
+        coeffs, B = coeffs.conj().transpose(0, 2, 1), B.conj().transpose(0, 2, 1)
+        X = X.reshape(n, m, k)[::-1].reshape(n * m, k)
+    Y = _substitute(coeffs, _lag_matrix(B, np.subtract.outer(np.arange(b), np.arange(b))), X)
+    return Y.reshape(n, m, k)[::-1].reshape(n * m, k) if adjoint else Y
+
+
+def _substitute(coeffs: np.ndarray, head: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T_n(A)^{-1} X for A's coefficients A_0..A_d, head = T_b(A)^{-1} and
+    flat degree-major columns X of n degrees, in blocks of b degrees.
+
+    Block c of Y is head (X_c - C Y_prev), where C Y_prev = sum_t A_t
+    Y_{r-t} couples the block's first d degrees to the d outputs before it.
+    The products head X_c of all blocks are one matmul and the loop carries
+    d degrees from block to block, O(n m^2 (b + d)) in all.
+    """
+    d, m, k = len(coeffs) - 1, coeffs.shape[1], X.shape[1]
+    n, b = X.shape[0] // m, head.shape[0] // m
+    blocks = -(-n // b)
+    padded = np.zeros((blocks * b * m, k), dtype=complex)
+    padded[:n * m] = X
+    # d zero degrees ahead of the output, so every block has d predecessors
+    Y = np.zeros(((d + blocks * b) * m, k), dtype=complex)
+    out = Y[d * m:].reshape(blocks, b * m, k)
+    np.matmul(head, padded.reshape(blocks, b * m, k), out=out)
+    if d:
+        # coupling of block degree i to the predecessor degree p (degree
+        # p - d relative to the block's start): A_{i + d - p} for p >= i
+        rows = min(b, d)
+        lag = np.arange(rows)[:, None] + d - np.arange(d)[None, :]
+        couple = head[:, :rows * m] @ _lag_matrix(coeffs, lag)
+        for c in range(blocks):
+            out[c] -= couple @ Y[c * b * m:(c * b + d) * m]
+    return Y[d * m:(d + n) * m]
 
 
 # ---------------------------------------------------------------------------

@@ -149,23 +149,30 @@ class TestInversion:
         with pytest.raises(ValueError):
             is_invertible_analytic(LaurentMatrixSymbol.shift(1).adjoint())
 
-    @pytest.mark.parametrize("entries, invertible", [
-        ([[2.0, 1.0], [2.0, 1.0]], True),  # the bundled F1 = diag(2 + z, 2 + z)
-        ([[3.0, 1.0], [2.0, 0.0, 1.0]], True),  # the bundled F2
-        ([power_of(0.9, 4)], True),
-        ([power_of(0.99, 3)], True),
-        ([power_of(0.999, 2)], True),
-        ([[1.0, -1 / 1.001], [2.0, 1.0]], True),
-        ([[1.0, -1 / (0.94 * np.exp(1j * np.pi / 64))], [2.0, 1.0]], False),
-        ([[1.0, -np.exp(-1j * np.pi / 64)], [2.0, 1.0]], False),
+    @pytest.mark.parametrize("entries, K, rho", [
+        ([[2.0, 1.0], [2.0, 1.0]], 63, 5.820e-15),  # the bundled F1 = diag(2 + z, 2 + z)
+        ([[3.0, 1.0], [2.0, 0.0, 1.0]], 63, 2.328e-10),  # the bundled F2
+        ([power_of(0.9, 4)], 255, 3.773e-5),
+        ([power_of(0.99, 3)], 2047, 9.564e-3),
+        ([power_of(0.999, 2)], 16383, 2.490e-3),
+        ([[1.0, -1 / 1.001], [2.0, 1.0]], 1023, 0.3593),
+        ([[1.0, -1 / (0.94 * np.exp(1j * np.pi / 64))], [2.0, 1.0]], None, None),
+        ([[1.0, -np.exp(-1j * np.pi / 64)], [2.0, 1.0]], None, None),
     ], ids=["F1", "F2", "(1-0.9z)^4", "(1-0.99z)^3", "(1-0.999z)^2", "zero at 1.001",
             "zero inside", "zero on the circle"])
-    def test_certificate_decides_the_nearly_singular_factors(self, entries, invertible):
+    def test_certificate_decides_the_nearly_singular_factors(self, entries, K, rho):
+        # the factors listed at config.INVERTIBILITY_DEGREE_CAP: the degree K
+        # and the bound rho each certifies at, or its refusal
         A = LaurentMatrixSymbol.diagonal(entries)
         start = time.perf_counter()
-        assert is_invertible_analytic(A).ok is invertible
+        check = is_invertible_analytic(A)
         # a refusal runs to the overflow or the degree cap
-        assert invertible or time.perf_counter() - start < 0.25
+        assert K is not None or time.perf_counter() - start < 0.25
+        if K is None:
+            assert not check.ok and check.series.shape[0] == 0 and check.bound == np.inf
+        else:
+            assert check.ok and check.series.shape[0] == K + 1
+            assert check.bound == pytest.approx(rho, rel=1e-3)
 
     @given(factor=triangular_factors())
     @settings(max_examples=40, deadline=None)

@@ -128,6 +128,10 @@ def test_nonzero_route_matches_dense_oracles(T):
     assert (measured.slice_dim, measured.defect_dim) == (reference.slice_dim,
                                                          reference.defect_dim)
     assert subspace_equal(measured.defect_basis, reference.defect_basis, 1e-10)[0]
+    # without the complement, on the held basis
+    held = compute_defect(K)
+    assert (held.slice_dim, held.defect_dim) == (measured.slice_dim, measured.defect_dim)
+    assert subspace_equal(held.defect_basis, measured.defect_basis, 1e-10)[0]
     predicted = _zero_prediction(T, kr, measured, 1e-8)
     expected = _zero_prediction(T, oracle, reference, 1e-8)
     assert predicted.predicted_dim == expected.predicted_dim
@@ -232,6 +236,31 @@ def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
     assert report.outcomes[1].residuals["certificate"]["head"] == 15
     # about 9 MB: the squarings' temporaries set 69 MB while they took A_Q whole
     assert peak < 25e6, peak / 1e6
+
+
+def test_defect_without_the_complement_reads_the_held_kernel(monkeypatch):
+    # the public call on the kernel alone: the residual stack stays links
+    # plus a block, where the dense basis would take 67 MB at N = 1024
+    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 0]), 1024)
+    T = build_perturbed(LaurentMatrixSymbol.zero(scenario.m), scenario.N, scenario.G,
+                        scenario.H)
+    kr = kernel_of(T)
+    real = Subspace.basis.fget
+
+    def refuse(self):
+        if isinstance(self.held, _LinkBlock):
+            raise AssertionError("the kernel's dense basis was built")
+        return real(self)
+
+    monkeypatch.setattr(Subspace, "basis", property(refuse))
+    public = compute_defect(kr.subspace)
+    via_complement = compute_defect(kr.subspace, complement=kr.complement)
+    assert isinstance(kr.subspace.held, _LinkBlock)
+    assert (public.slice_dim, public.defect_dim) == (via_complement.slice_dim,
+                                                     via_complement.defect_dim)
+    assert public.defect_dim == 3
+    assert subspace_equal(public.defect_basis, via_complement.defect_basis, 1e-12)[0]
+    assert np.isclose(public.defect_basis.tol, via_complement.defect_basis.tol, rtol=1e-12)
 
 
 def test_zero_route_sorts_nothing(monkeypatch):
