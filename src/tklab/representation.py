@@ -16,10 +16,9 @@ inner products against the defect frame; iterating walks up the degrees.
 Peeling lands exactly on the coordinate-space solution, which a flat
 least-squares solve of the (often rank-deficient) frame map would not.
 
-One peeling step is linear: ``_peel_step`` takes it on flat columns and
-returns their coefficients C X, their remainders A X and the value-map
-residuals X - W a.  ``certify_representation`` takes the step once on the
-whole orthonormal basis Q of M, which realizes the coordinate space as
+One peeling step is linear.  ``certify_representation`` takes it once on
+the whole orthonormal basis Q of M, on the rows and columns of Q that the
+step reads (its active window), which realizes the coordinate space as
 {C (I - zA)^-1 x} with a dim M x dim M matrix A, and certifies convergence,
 reconstruction, isometry and invariance for every member of M from that one
 step.  It is the one representation engine: the representation check reads
@@ -50,11 +49,10 @@ from .model_spaces import ModelSpace, decompose_against_theta
 # compute_defect is not called here; the benchmark's tracer pins this import
 from .near_invariance import DefectReport, KernelResult, compute_defect  # noqa: F401
 from .operators import orthonormalize_family
-from .subspaces import (Subspace, _adjoint, _combine, _dense, _identity, _LinkBlock,
-                        _nonzero_lines, _overlap, _positions, _product, _shift, _top,
-                        _trimmed, _union, _values, column_norms, column_span, gram_schmidt,
-                        is_contained, ortho_complement_within, project, span_of,
-                        subspace_equal)
+from .subspaces import (_NONE, Subspace, _dense, _LinkBlock, _overlap, _positions,
+                        _product, _shift, _union, column_norms, column_span,
+                        gram_schmidt, is_contained, ortho_complement_within, project,
+                        span_of, subspace_equal)
 from .symbols import apply_block_toeplitz, invert_analytic, solve_block_toeplitz
 
 
@@ -133,40 +131,6 @@ class InvarianceReport:
         return max(self.residuals) if self.residuals else 0.0
 
 
-# ---------------------------------------------------------------------------
-# the peeling step
-# ---------------------------------------------------------------------------
-
-
-def _meeting(X: np.ndarray, Q: np.ndarray | _LinkBlock) -> np.ndarray | _LinkBlock:
-    """The array X as products with a basis held like Q take it: X itself
-    beside an array; beside links, one block on X's nonzero lines, so that a
-    link into a line X leaves empty stays a link."""
-    return X if isinstance(Q, np.ndarray) else _trimmed(X)
-
-
-def _peel_step(frame: RepresentationFrame, X: np.ndarray | _LinkBlock
-               ) -> tuple[np.ndarray, np.ndarray | _LinkBlock, np.ndarray | _LinkBlock]:
-    """One peeling step on the flat columns of X (mN x K), an array or links
-    plus a block.
-
-    Returns the coefficients C X = [a; c] ((r + p) x K, an array) with
-    a = pinv(W(0)) X(0) and c = E^H S*(X - W a), the remainders
-    A X = S*(X - W a) - E c, and the value-map residuals X - W a.  Every
-    product runs through ``_product``, and S* moves links and block rows as
-    indices, so a link e_j into a row that neither frame fills maps to the
-    link e_(j-m) exactly.  An array X gives arrays.
-    """
-    m = frame.M.m
-    W, E = _meeting(frame.W_matrix, X), _meeting(frame.E_matrix, X)
-    a = frame.value_pinv @ _top(X, m)
-    V = _combine(np.subtract, X, _product(W, _meeting(a, X)))
-    R = _shift(V, -m)
-    c = _product(_adjoint(E), R)
-    R = _combine(np.subtract, R, _product(E, c))
-    return np.concatenate([a, _dense(c)], axis=0), R, V
-
-
 def default_depth(N: int) -> int:
     """Each backward shift consumes usable degrees; past N/2 the check degenerates."""
     return min(8, N // 2)
@@ -211,20 +175,19 @@ def _norm2_hermitian(H: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
 
 
-def _support_norms(D: np.ndarray | _LinkBlock, P: np.ndarray | _LinkBlock
-                   ) -> tuple[float, float, int, int]:
+def _support_norms(D: np.ndarray, P: np.ndarray) -> tuple[float, float, int, int]:
     """||D||_2 of a square, numerically Hermitian D and ||P||_2, each read
-    from its exact nonzero support (see ``certify_representation``): the
-    link lines and the block's nonzero lines of links plus a block.
+    from its exact nonzero support (see ``certify_representation``).
 
     Returns the two norms and the sizes of D's support J (the union of its
     nonzero rows and columns) and P's support J' (its nonzero columns).
     """
-    rows, cols = _nonzero_lines(D)
-    J = np.flatnonzero(rows | cols)
-    I, Jp = (np.flatnonzero(mask) for mask in _nonzero_lines(P))
-    PJ = _dense(P, I, Jp)
-    d_norm = _norm2_hermitian(_dense(D, J, J))
+    nonzero = D != 0
+    J = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    nonzero = P != 0
+    I, Jp = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    PJ = P[I[:, None], Jp]
+    d_norm = _norm2_hermitian(D[J[:, None], J])
     p_norm = math.sqrt(_norm2_hermitian(PJ.conj().T @ PJ))
     return d_norm, p_norm, J.size, Jp.size
 
@@ -248,13 +211,14 @@ def _shift_chains(A: _LinkBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     nxt = np.arange(K)
     nxt[A.link_cols] = A.link_rows
     rounds = K.bit_length()  # 2^rounds > K: past the longest chain
-    reached = np.zeros(K, dtype=bool)
-    reached[A.I] = True
-    jump = nxt
-    for _ in range(rounds):  # reached spans distances < 2^(round + 1)
-        reached[jump[reached]] = True
-        jump = jump[jump]
-    link &= ~reached
+    if link[A.I].any():  # else no block row is a link that starts a chain
+        reached = np.zeros(K, dtype=bool)
+        reached[A.I] = True
+        jump = nxt
+        for _ in range(rounds):  # reached spans distances < 2^(round + 1)
+            reached[jump[reached]] = True
+            jump = jump[jump]
+        link &= ~reached
     head = np.flatnonzero(~link)
     nxt[head] = head
     steps = link.astype(np.int64)
@@ -287,31 +251,72 @@ def _contraction(A: np.ndarray | _LinkBlock, max_steps: int) -> tuple[int, float
     E = entries.size
     stack = np.zeros((head.size, E), dtype=complex)
     stack[entries, np.arange(E)] = 1.0
-    norms2, counts = np.ones(E), np.ones(E, dtype=np.int64)
+    longest = int(lengths.max(initial=0))
     squarings = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q refuses
+        # ||H^i||_F <= ||H||_F^i, so while T log ||H||_F < 300 every square
+        # that q sums, at most K of them, stays below 1e270: q is finite
+        growth = math.log(max(float(np.linalg.norm(power)), 1.0))
         while True:
             T = 2 ** squarings
-            live = lengths <= T
-            weight = np.bincount((T - lengths[live]) * E + of_entry[live], minlength=T * E)
-            unit_columns = int(lengths.size - np.count_nonzero(live)) + cycling
-            q = math.hypot(float(np.linalg.norm(power)),
-                           math.sqrt(weight @ norms2 + unit_columns))
-            if q < 0.5:
-                break
-            if not np.isfinite(q) or 2 * T > max_steps:
-                raise FrameDeficientError(
-                    f"one peeling step does not contract within {max_steps} steps "
-                    f"(||A^{T}||_F = {q:.3e})")
+            # a chain longer than T or a cycle leaves a unit column in A^T,
+            # so a finite q is >= 1 and not read
+            if not ((cycling or longest > T) and 2 * T <= max_steps
+                    and T * growth < 300.0):
+                live = lengths <= T
+                weight = np.bincount((T - lengths[live]) * E + of_entry[live],
+                                     minlength=T * E)
+                unit_columns = int(lengths.size - np.count_nonzero(live)) + cycling
+                q = math.hypot(float(np.linalg.norm(power)),
+                               math.sqrt(weight @ column_norms(stack) ** 2 + unit_columns))
+                if q < 0.5:
+                    break
+                if not np.isfinite(q) or 2 * T > max_steps:
+                    raise FrameDeficientError(
+                        f"one peeling step does not contract within {max_steps} steps "
+                        f"(||A^{T}||_F = {q:.3e})")
             if E:
-                further = power @ stack
-                stack = np.concatenate([stack, further], axis=1)
-                norms2 = np.concatenate([norms2, column_norms(further) ** 2])
-                counts = np.concatenate([counts, np.count_nonzero(further, axis=0)])
+                stack = np.concatenate([stack, power @ stack], axis=1)
             power = power @ power
             squarings += 1
-    nonzeros = int(np.count_nonzero(power)) + int(weight @ counts) + unit_columns
+    nonzeros = (int(np.count_nonzero(power)) + int(weight @ np.count_nonzero(stack, axis=0))
+                + unit_columns)
     return squarings, q, nonzeros, head.size
+
+
+def _active_window(frame: RepresentationFrame
+                   ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows and columns of M's held basis Q that the peeling step reads,
+    and the passive link columns it maps without arithmetic (see
+    ``certify_representation``).
+
+    Returns the window's row count, its columns (ascending), the passive
+    columns j and their links' columns j', A_Q e_j = e_j'.  An array basis
+    is its own window.
+    """
+    M = frame.M
+    m, rows, Q = M.m, M.m * M.N, M.held
+    if isinstance(Q, np.ndarray):
+        return rows, np.arange(M.dim), _NONE, _NONE
+    last = max(int(Q.I[-1]) if Q.I.size else -1, _last_row(frame.W_matrix),
+               _last_row(frame.E_matrix), m - 1)
+    L = min(last + m + 1, rows)
+    column_of = _positions(Q.link_rows, rows, Q.link_cols)
+    lifted = Q.link_rows >= L
+    passive = lifted.copy()
+    passive[lifted] = column_of[Q.link_rows[lifted] - m] >= 0
+    # a link past L that is not passive joins the window, and so does its row
+    L = max(L, int(Q.link_rows[lifted != passive].max(initial=L - 1)) + 1)
+    cols = np.ones(M.dim, dtype=bool)
+    cols[Q.link_cols[passive]] = False
+    return (L, np.flatnonzero(cols), Q.link_cols[passive],
+            column_of[Q.link_rows[passive] - m])
+
+
+def _last_row(X: np.ndarray) -> int:
+    """The last row of X that holds a nonzero, -1 for none."""
+    nonzero = np.flatnonzero(X)
+    return int(nonzero[-1]) // X.shape[1] if nonzero.size else -1
 
 
 def certify_representation(frame: RepresentationFrame, depth: int,
@@ -319,11 +324,11 @@ def certify_representation(frame: RepresentationFrame, depth: int,
                            max_steps: int | None = None) -> RealizationCertificate:
     """Certify the representation of all of M from one peeling step on its basis.
 
-    The peeling step ``_peel_step`` is linear: a member F yields its
-    coefficients C F = [a; c] with a = pinv(W(0)) F(0), c = E^H S*(F - W a),
-    and the remainder A F = S*(F - W a) - E c.  Taken once on the whole
-    orthonormal basis Q of M (mN x K) it gives the K x K matrix A_Q = Q^H A Q
-    and C_Q = C Q, and the coordinate space is the realization
+    The peeling step is linear: a member F yields its coefficients
+    C F = [a; c] with a = pinv(W(0)) F(0), c = E^H S*(F - W a), and the
+    remainder A F = S*(F - W a) - E c.  Taken once on the whole orthonormal
+    basis Q of M (mN x K) it gives the K x K matrix A_Q = Q^H A Q and
+    C_Q = C Q, and the coordinate space is the realization
     {C_Q (I - z A_Q)^-1 x}: the member Q x has the coordinate series
     u_t = C_Q A_Q^t x, whose backward shift is the series of A_Q x, so the
     space is exactly S*-invariant.  R(x) below is the reassembly
@@ -347,24 +352,33 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     P y = P[I', J'] y_J' on the rows I', so ||P||^2 = ||P[I', J']||^2 =
     lambda_max(P[I', J']^H P[I', J']).  Both are exact, not bounds.  On a
     dense basis J and J' hold every index and the computation is the K x K
-    one; an empty support gives 0.  On the zero route's basis most columns
-    of Q are exact unit vectors that the step maps without roundoff, and
-    both supports stay at a few indices near the degrees G touches, whatever
-    N.
+    one; an empty support gives 0.  On the zero route's basis both supports
+    stay at a few indices near the degrees G touches, whatever N.
 
-    *Products on links plus one block.*  Q is M's basis as it is held, an
-    array or links plus one dense block (``_LinkBlock``): on the zero route
-    its links are the unit columns e_j (j >= s) and its block the s-row
-    head.  The products (``_product``) and the sums and shifts that make P
-    and D (``_combine``, ``_shift``) keep that form: links compose by index
-    arithmetic and gather rows or columns of a block, and two blocks meet
-    in one GEMM over their shared indices.  W, E and C_Q meet a held Q on
-    their nonzero lines (``_meeting``).  Each entry sums the dense sum's
-    terms less exact zeros, so it keeps the forward-error bound
-    gamma_n sum_k |x_k| |y_k| of the dense sum over at least n terms.  At
-    dim = 509 A_Q is 494 links and a 13 x 15 block, and no product before
-    the squarings meets a block larger than 16 x 15, whatever N.  An array
-    basis, as on every other class, takes the dense numpy calls.
+    *The active window.*  Q is M's basis as it is held, an array or links
+    plus one dense block (``_LinkBlock``): on the zero route its links are
+    the unit columns e_j (j >= s) and its block the s-row head.  Let L be
+    m + 1 plus the last row that Q's block, W, E or the value rows [0, m)
+    touch.  A link column e_rho of Q with rho >= L whose row rho - m is again
+    a link row, the link of column j', is *passive*: its step is exact.  As
+    rho >= m its value is 0, so a = 0; W's row rho and E's row rho - m are
+    zero, so F - W a = e_rho, S* e_rho = e_(rho-m) and c = 0.  So
+    A_Q e_j = Q^H e_(rho-m) = e_j', C_Q e_j = 0, and as z e_(rho-m) = e_rho,
+    P e_j = e_rho - z e_(rho-m) = 0.  Row j' of A_Q is row rho - m of the
+    remainder, row rho of Q less zeros: e_j^T.  So A_Q^H A_Q e_j =
+    (row j' of A_Q)^H = e_j, and row j of A_Q^H A_Q is row j' of A_Q, e_j^T:
+    D e_j and D's row j are 0.  Passive columns add nothing to C_Q, P or D,
+    and only their links to A_Q.  Every other column (the window's; a link
+    past L that is not passive joins it, with its row) is supported on rows
+    below L, the window's rows, and so are its remainder and its P column:
+    S* lowers rows, and z lifts only E's rows and Q A_Q's, which lie at or
+    below the last touched row.  So the step, A_Q, C_Q, P and D are dense
+    products over the window's rows and columns, and A_Q is held as the
+    passive links plus its window block, less the rows j', which are
+    exactly zero there.  An array basis is its own window: the same numpy
+    products run on all of it.  On the repr-large basis the window is 18
+    rows and 15 columns at every N, and the passive links are all of Q's
+    other columns (494 at dim = 509).
 
     *Contraction.*  k is the least with q = ||A_Q^T||_F < 1/2, T = 2^k; no
     eigenvalue is trusted, since the computed spectrum of a perturbed shift
@@ -384,10 +398,15 @@ def certify_representation(frame: RepresentationFrame, depth: int,
 
     so each squaring multiplies only h x h blocks: it squares H^T and
     doubles the stack of H^i e_c (i < T, c a head entry) by H^T, and the
-    exact nonzeros of A_Q^T are counted the same way.  A cycle never
-    contracts.  An A_Q held as an array is the head itself (h = K) and is
-    squared whole.  On the zero route's basis h = 15, A_Q's block columns,
-    at every N of the repr-large workload.
+    exact nonzeros of A_Q^T are counted the same way.  While a chain longer
+    than T or a cycle remains, its unit column keeps q >= 1, so q is not
+    read at that T: the squarings fast-forward while ||H||_F^T bounds every
+    square that q sums far below overflow, so q is finite; past that bound q
+    is read, and refuses at the T where it always did.  A cycle never
+    contracts.  An A_Q held
+    as an array is the head itself (h = K) and is squared whole.  On the
+    zero route's basis h = 15, A_Q's block columns, at every N of the
+    repr-large workload.
 
     *Certificate.*  From A_Q^H A_Q = I - D - C_Q^H C_Q <= (1 + ||D||) I,
     ||A_Q^j|| <= c_T = (1 + ||D||)^(T/2) for j < T, and with t = sT + j,
@@ -428,20 +447,37 @@ def certify_representation(frame: RepresentationFrame, depth: int,
     """
     M = frame.M
     m, N, K = M.m, M.N, M.dim
-    Q = M.held
     if max_steps is None:
         max_steps = max(64 * N, 4096)
-    C, R, P = _peel_step(frame, Q)
-    A_Q = _product(_adjoint(Q), R)
-    del R  # the remainder is spent: free it before the product Y
-    Y = _combine(np.add, _product(Q, A_Q),
-                 _product(_meeting(frame.E_matrix, Q), _meeting(C[frame.r:], Q)))
-    P = _combine(np.subtract, P, _shift(Y, m))
-    D = _combine(np.subtract, _identity(K), _product(_adjoint(A_Q), A_Q))
-    C_Q = _meeting(C, Q)
-    d_norm, p_norm, d_support, p_support = _support_norms(
-        _combine(np.subtract, D, _product(_adjoint(C_Q), C_Q)), P)
-    squarings, q, power_nonzeros, head = _contraction(A_Q, max_steps)
+    rows, cols, passive, targets = _active_window(frame)
+    held = M.held
+    Q = held if isinstance(held, np.ndarray) else _dense(held, np.arange(rows), cols)
+    W, E = frame.W_matrix[:rows], frame.E_matrix[:rows]
+    # the peeling step on the window; P holds Q - W a until its update
+    a = frame.value_pinv @ Q[:m]
+    P = Q - W @ a
+    R = np.zeros_like(P)
+    R[:-m] = P[m:]  # S*
+    c = E.conj().T @ R
+    R -= E @ c
+    A = Q.conj().T @ R
+    C = np.concatenate([a, c], axis=0)
+    Y = E @ C[frame.r:] + Q @ A
+    P[m:] -= Y[:-m]
+    D = np.eye(cols.size) - A.conj().T @ A - C.conj().T @ C
+    d_norm, p_norm, d_support, p_support = _support_norms(D, P)
+    nonzeros = int(np.count_nonzero(A)) + passive.size
+    if not isinstance(held, np.ndarray):
+        # the passive links plus the window block, less the rows of the
+        # links' targets, which are zero there
+        at = _positions(cols, K)[targets]
+        kept = np.ones(cols.size, dtype=bool)
+        kept[at[at >= 0]] = False
+        A = _LinkBlock(targets, passive, cols[kept], cols, A[kept], (K, K))
+        C_Q = np.zeros((C.shape[0], K), dtype=complex)
+        C_Q[:, cols] = C
+        C = C_Q
+    squarings, q, power_nonzeros, head = _contraction(A, max_steps)
     T = 2 ** squarings
     growth = 1.0 + d_norm  # bounds ||A_Q||^2
     # c_T = growth^(T/2), capped below overflow: a cap that large fails anyway
@@ -451,13 +487,13 @@ def certify_representation(frame: RepresentationFrame, depth: int,
         raise FrameDeficientError(
             f"frame cannot reconstruct the member (residual {recon:.3e})")
     return RealizationCertificate(
-        A=A_Q, C=C, squarings=squarings, contraction=q, reconstruction=recon,
+        A=A, C=C, squarings=squarings, contraction=q, reconstruction=recon,
         isometry=d_norm * T * c_T * c_T / (1.0 - q * q),
         invariance=InvarianceReport(
             depth=depth, residuals=tuple(recon * growth ** (n / 2)
                                          for n in range(1, depth + 1))),
         support=(d_support, p_support), head=head,
-        nonzeros=(int(np.count_nonzero(_values(A_Q))), power_nonzeros))
+        nonzeros=(nonzeros, power_nonzeros))
 
 
 def _realized_series(cert: RealizationCertificate, x: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """The member peeler: the realization certificate's test oracle.
 
-``peel_members`` iterates ``representation._peel_step`` on given members,
-each column until its own tail floor, and reassembles the series in one
-Horner pass acc <- z (acc + E c_t) + W a_t from the top step down.  Its
-state after step n is the reassembly R_n of the coordinates backward-shifted
-n times, so the pass yields the reconstruction (n = 0) and every shifted
-reassembly the invariance residuals need (n = 1..depth).  The package reads
+``peel_step`` takes one peeling step on flat columns with BLAS products;
+``peel_members`` iterates it on given members, each column until its own
+tail floor, and reassembles the series in one Horner pass
+acc <- z (acc + E c_t) + W a_t from the top step down.  Its state after
+step n is the reassembly R_n of the coordinates backward-shifted n times,
+so the pass yields the reconstruction (n = 0) and every shifted reassembly
+the invariance residuals need (n = 1..depth).  The package reads
 coordinates from the certificate alone; the tests hold its series and bounds
 against what this engine measures member by member.
 """
@@ -18,8 +19,24 @@ import numpy as np
 
 from tklab.errors import DimensionMismatch, FrameDeficientError
 from tklab.hardy_core import CoeffVec
-from tklab.representation import InvarianceReport, RepresentationFrame, _peel_step
+from tklab.representation import InvarianceReport, RepresentationFrame
 from tklab.subspaces import column_norms
+
+
+def peel_step(frame: RepresentationFrame, X: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One peeling step on the flat columns of X (mN x K): the coefficients
+    C X = [a; c] ((r + p) x K) with a = pinv(W(0)) X(0) and
+    c = E^H S*(X - W a), the remainders A X = S*(X - W a) - E c and the
+    value-map residuals X - W a."""
+    m, E = frame.M.m, frame.E_matrix
+    a = frame.value_pinv @ X[:m]
+    V = X - frame.W_matrix @ a
+    R = np.zeros_like(V)
+    R[:-m] = V[m:]  # S*: the backward shift of every flat column
+    c = E.conj().T @ R
+    R -= E @ c
+    return np.concatenate([a, c], axis=0), R, V
 
 
 @dataclass
@@ -106,7 +123,7 @@ def peel_members(F: np.ndarray, frame: RepresentationFrame,
             alive, X = alive[live], X[:, live]
         if not alive.size:
             break
-        coef, X, _ = _peel_step(frame, X)
+        coef, X, _ = peel_step(frame, X)
         steps.append((alive, coef))
     series = np.zeros((len(steps), frame.r + frame.p, K), dtype=complex)
     lengths = np.zeros(K, dtype=int)

@@ -89,8 +89,8 @@ ROUTED_FRAMES = ([pytest.param(*p.values, False, id=p.id) for p in FRAMES]
 
 def _routed(frame, support_route):
     """The frame, or with ``support_route`` the same frame over M's basis
-    re-held by ``linked``: every product of the certificate then takes the
-    links-plus-block route."""
+    re-held by ``linked``: the certificate then reads it on its active
+    window, with the passive links held apart."""
     if not support_route:
         return frame
     M = frame.M
@@ -369,15 +369,15 @@ def test_report_records_the_supports():
 
 
 # ---------------------------------------------------------------------------
-# the certificate's products on links plus one block
+# the certificate's products on the held basis's active window
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("make,arg,support_route", ROUTED_FRAMES)
 def test_certificate_matches_dense_formula(make, arg, support_route):
-    # a GEMM over a block sums the dense sum's terms less exact zeros, and a
-    # link moves an entry without arithmetic: only the summation order
-    # moves, within the same error bound
+    # a GEMM over the window sums the dense sum's terms less exact zeros,
+    # and a passive link maps an entry without arithmetic: only the
+    # summation order moves, within the same error bound
     frame, depth = make(arg)
     dense = dense_certificate(frame, depth)
     frame = _routed(frame, support_route)
@@ -395,7 +395,7 @@ def test_certificate_matches_dense_formula(make, arg, support_route):
     if isinstance(frame.M.held, np.ndarray):
         assert np.array_equal(cert.C, dense["C"])
     else:
-        # the peeling step's products run on the blocks too
+        # the peeling step's products run on the window's rows only
         assert np.max(np.abs(cert.C - dense["C"]), initial=0.0) <= 1e-14
     assert cert.nonzeros[0] == np.count_nonzero(A)
 
@@ -405,19 +405,17 @@ def test_dense_frame_takes_blas_bitwise(monkeypatch):
     K = frame.M.dim
     dense = dense_certificate(frame, depth)
     assert np.count_nonzero(frame.M.basis) > 0.9 * frame.M.basis.size
-    real, on_blas = representation._product, []
+    assert isinstance(frame.M.held, np.ndarray)
 
-    def spy(X, Y):
-        out = real(X, Y)
-        on_blas.append(isinstance(X, np.ndarray) and isinstance(Y, np.ndarray)
-                       and isinstance(out, np.ndarray))
-        return out
+    def refuse(*args):
+        raise AssertionError("an array basis took the links-plus-block route")
 
-    monkeypatch.setattr(representation, "_product", spy)
+    # an array basis is its own window: the step and the squarings run the
+    # dense formula's numpy calls, and nothing holds or reads a link
+    for name in ("_LinkBlock", "_dense", "_shift_chains", "_product"):
+        monkeypatch.setattr(representation, name, refuse)
     cert = certify_representation(frame, depth)
-    # three products in the peeling step, five after it; the squarings
-    # multiply the head, here all of A_Q, on BLAS without ``_product``
-    assert on_blas == [True] * 8
+    assert isinstance(cert.A, np.ndarray)
     assert np.array_equal(cert.A, dense["A"]) and np.array_equal(cert.C, dense["C"])
     for key in ("squarings", "contraction", "reconstruction", "isometry", "support"):
         assert getattr(cert, key) == dense[key], key
@@ -428,13 +426,15 @@ def test_dense_frame_takes_blas_bitwise(monkeypatch):
 
 
 def _dense_squarings(A, max_steps):
-    """Repeated squaring of the whole dense A: (k, ||A^(2^k)||_F, A^(2^k)),
-    or None where the certificate refuses."""
+    """Repeated squaring of the whole dense A, reading q at every T:
+    (k, ||A^(2^k)||_F, A^(2^k)), or the message the certificate refuses
+    with."""
     power, k = A, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while not (q := float(np.linalg.norm(power))) < 0.5:
             if not np.isfinite(q) or 2 ** (k + 1) > max_steps:
-                return None
+                return (f"one peeling step does not contract within {max_steps} steps "
+                        f"(||A^{2 ** k}||_F = {q:.3e})")
             power, k = power @ power, k + 1
     return k, q, power
 
@@ -467,21 +467,35 @@ def _shift_chain_matrix(rng, K, head, cycles, widen, scale):
     return A + scale / (np.linalg.norm(block) or 1.0) * block
 
 
+def _contraction_outcome(x, max_steps):
+    """``_contraction``'s result, or the message it refuses with."""
+    try:
+        return representation._contraction(x, max_steps)
+    except FrameDeficientError as exc:
+        return str(exc)
+
+
+def _refused_at(message):
+    """The T of a refusal message's ||A^T||_F."""
+    return int(message.split("||A^")[1].split("||")[0])
+
+
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 200), head=st.integers(0, 6),
        cycles=st.sampled_from([0, 0, 1, 2]), widen=st.booleans(),
-       scale=st.sampled_from([0.3, 0.9, 3.0]), max_steps=st.sampled_from([8, 4096, 4096]),
-       held=st.sampled_from(["array", "links"]))
+       scale=st.sampled_from([0.3, 0.9, 3.0, 1e80]),
+       max_steps=st.sampled_from([8, 4096, 4096]), held=st.sampled_from(["array", "links"]))
 def test_contraction_equals_dense_squaring(seed, K, head, cycles, widen, scale, max_steps,
                                            held):
     A = _shift_chain_matrix(np.random.default_rng(seed), K, head, cycles, widen, scale)
     dense = _dense_squarings(A, max_steps)
     x = A if held == "array" else linked(A)
-    if dense is None:
-        with pytest.raises(FrameDeficientError):
-            representation._contraction(x, max_steps)
+    outcome = _contraction_outcome(x, max_steps)
+    if isinstance(dense, str):
+        # the fast-forward refuses at the T where reading q at every T does
+        assert isinstance(outcome, str) and _refused_at(outcome) == _refused_at(dense)
         return
-    squarings, q, nonzeros, h = representation._contraction(x, max_steps)
+    squarings, q, nonzeros, h = outcome
     k, q_dense, power = dense
     assert squarings == k
     assert q == pytest.approx(q_dense, rel=1e-12, abs=1e-14)
@@ -500,13 +514,47 @@ def test_cyclic_shift_never_contracts():
         representation._contraction(cycle, 4096)
 
 
-@pytest.mark.parametrize("K", [1, 2, 5, 8, 9, 200])
+def _refusing(kind):
+    """A 60 x 60 matrix whose contraction refuses: a chain of 50 links into a
+    2 x 2 head, plus a cycle of 8 links (``cycle``), a head of norm 1e80
+    whose squares overflow (``overflow``), or a contracting head that the
+    step cap cuts off (``max_steps``); with the cap and the T it refuses at."""
+    A = np.zeros((60, 60), complex)
+    A[np.arange(1, 51), np.arange(50)] = 1.0  # e_j -> e_(j+1), into column 50
+    A[50:52, 50:52] = [[0.25, 0.5], [0.125, 0.25]]
+    if kind == "cycle":
+        A[np.r_[53:60, 52], np.arange(52, 60)] = 1.0
+        return A, 4096, 4096
+    if kind == "overflow":
+        A[50:52, 50:52] *= 4e80
+        return A, 4096, 2
+    return A, 16, 16
+
+
+@pytest.mark.parametrize("kind", ["cycle", "overflow", "max_steps"])
+@pytest.mark.parametrize("held", ["array", "links"])
+def test_fast_forward_refuses_where_every_T_is_read(kind, held):
+    # each refusal falls while the chain of 50 or the cycle remains, where
+    # the squarings fast-forward and read q only where they must refuse
+    A, max_steps, T = _refusing(kind)
+    x = A if held == "array" else linked(A)
+    outcome = _contraction_outcome(x, max_steps)
+    assert outcome == _dense_squarings(A, max_steps)
+    assert _refused_at(outcome) == T
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 8, 9, 200, 32, 34, 128, 130])
 def test_nilpotent_shift_contracts_when_the_chains_run_out(K):
     # A e_j = e_(j+1): every column but the last is a link into the 1 x 1
-    # zero head, and ||A^T||_F^2 = max(K - T, 0)
+    # zero head, and ||A^T||_F^2 = max(K - T, 0).  The longest chain, K - 1
+    # links, keeps q >= 1 at every T below it, so the squarings fast-forward
+    # to its end, also for chains one below and one above a power of two
     shift = linked(np.eye(K, k=-1))
     assert shift.link_cols.size == K - 1
-    assert representation._contraction(shift, 4096) == (math.ceil(math.log2(K)), 0.0, 0, 1)
+    expected = (math.ceil(math.log2(K)), 0.0, 0, 1)
+    assert representation._contraction(shift, 4096) == expected
+    k, q, power = _dense_squarings(np.eye(K, k=-1), 4096)
+    assert (k, q, np.count_nonzero(power)) == expected[:3]
 
 
 def test_head_widens_over_the_chains_it_reaches():

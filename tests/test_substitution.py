@@ -2,10 +2,12 @@
 
 ``symbols.solve_block_toeplitz`` applies T_N(A)^-1 and T_N(A)^-H from the
 certificate of ``symbols.is_invertible_analytic``; the oracle is
-``apply_block_toeplitz`` with ``invert_analytic(A, N - 1)``, the series the
-factored route formed before.  Both are backward stable to a few units of
-roundoff, so their forward gap is bounded by the roundoff times the
-condition number l1(A) l1(A^-1) of T_N(A).
+``apply_block_toeplitz`` with the degree-by-degree series
+``series_oracle.invert_sequential(A, N - 1)``, which shares no code with the
+substitution (``invert_analytic`` runs the same ``symbols._substitute``
+loop).  Both are backward stable to a few units of roundoff, so their
+forward gap is bounded by the roundoff times the condition number
+l1(A) l1(A^-1) of T_N(A).
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from tklab.symbols import (LaurentMatrixSymbol, apply_block_toeplitz, invert_ana
                            is_invertible_analytic, solve_block_toeplitz)
 
 from conftest import certified, class_scenario, rand_orthonormal, spy
-from series_oracle import diagonal_inverse_l1
+from series_oracle import diagonal_inverse_l1, invert_sequential
 from test_symbols import power_of, triangular_factors
 
 EPS = np.finfo(float).eps
@@ -64,7 +66,7 @@ def _columns(rng, m, N, k=2):
 
 def _series_apply(F, X, adjoint):
     N = X.shape[0] // F.m
-    inv = invert_analytic(F, N - 1)
+    inv = invert_sequential(F, N - 1)
     return apply_block_toeplitz(inv.adjoint() if adjoint else inv, X, N)
 
 

@@ -27,6 +27,7 @@ from tklab.representation import build_frame, certify_representation, default_de
 from tklab.subspaces import Subspace, _LinkBlock, nullspace, subspace_equal
 from tklab.symbols import LaurentMatrixSymbol
 
+from conftest import linked
 from test_structured_operators import _workloads
 from zero_route_oracle import dense_certificate, dense_zero_kernel
 
@@ -167,6 +168,111 @@ def test_nonzero_route_matches_dense_oracles(T):
         assert max(cert.reconstruction, bench["reconstruction"]) <= roundoff
 
 
+@st.composite
+def windowed_frames(draw):
+    """Zero-route frames and where their G ends: ``edge`` puts the last link
+    row mN - 1 at L - 1, L or L + 1 for the window's L = s + m (s = 1 + G's
+    last row), ``interior`` anywhere below, ``vanishing`` spans the values
+    e_0..e_(m-1) in G so that r = 0, and ``full_degree`` ends G at mN - 1,
+    where the basis is an array.  N is 32, 256 or 1024, m small enough that
+    the dense oracle squares a K x K matrix of at most 1,024 columns; a G
+    that ends near mN - 1 leaves a head of nearly K columns, so those cases
+    stop at N = 256."""
+    case = draw(st.sampled_from(["edge", "interior", "vanishing", "full_degree"]))
+    N = draw(st.sampled_from([32, 256] if case in ("edge", "full_degree")
+                             else [32, 256, 1024]))
+    m = draw(st.sampled_from({32: [1, 2, 3], 256: [1, 2], 1024: [1]}[N]))
+    rows = m * N
+    n = draw(st.integers(1, 3))
+    if case == "edge":
+        s = rows - m - draw(st.integers(0, 2))
+    elif case == "full_degree":
+        s = rows
+    else:
+        # G's columns fill its first s rows, and three link rows or more
+        # pass the window
+        s = draw(st.integers(n + m, min(n + m + 40, rows - m - 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = np.zeros((rows, n), complex)
+    G[:s] = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
+    if case == "vanishing":  # random combinations of e_0..e_(m-1)
+        values = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        G = np.concatenate([np.eye(rows, m) @ values, G], axis=1)
+    H = rng.standard_normal(G.shape) + 1j * rng.standard_normal(G.shape)
+    T = build_perturbed(LaurentMatrixSymbol.zero(m), N, column_vectors(G, m, N),
+                        column_vectors(H, m, N), require_orthonormal=False)
+    kr = kernel_of(T)
+    frame = build_frame(kr.subspace, compute_defect(kr.subspace, complement=kr.complement))
+    return case, s, frame
+
+
+def _dense_head(A):
+    """The head of the dense A held as ``linked`` holds it: its columns that
+    are not links, and the links that a block row reaches through links."""
+    held = linked(A)
+    link = dict(zip(held.link_cols.tolist(), held.link_rows.tolist()))
+    head = set(range(A.shape[1])) - set(link)
+    for j in held.I.tolist():
+        while j in link and j not in head:
+            head.add(j)
+            j = link[j]
+    return len(head)
+
+
+#: an entry of a product of unit-scale factors that may cancel to zero in
+#: one summation order only
+ROUNDOFF = 64 * EPS
+
+
+def _same_pattern(X, Y):
+    """X and Y are nonzero on the same entries, but where both are roundoff."""
+    differ = (X != 0) != (Y != 0)
+    return bool(np.all(np.maximum(np.abs(X), np.abs(Y))[differ] <= ROUNDOFF))
+
+
+@settings(max_examples=16, deadline=None)
+@given(windowed_frames())
+def test_windowed_certificate_matches_dense_certificate(drawn):
+    case, s, frame = drawn
+    M, depth = frame.M, default_depth(frame.M.N)
+    m, rows = M.m, M.m * M.N
+    assert isinstance(M.held, np.ndarray) == (case == "full_degree")
+    assert frame.r == 0 or case != "vanishing"
+    try:
+        dense = dense_certificate(frame, depth)
+    except FrameDeficientError:
+        with pytest.raises(FrameDeficientError):
+            certify_representation(frame, depth, tol_rep=np.inf)
+        return
+    cert = certify_representation(frame, depth, tol_rep=np.inf)
+    A = subspaces._dense(cert.A)
+    assert cert.squarings == dense["squarings"]
+    assert cert.head == _dense_head(dense["A"])
+    assert np.max(np.abs(A - dense["A"]), initial=0.0) <= 1e-14
+    assert np.max(np.abs(cert.C - dense["C"]), initial=0.0) <= 1e-14
+    if case == "full_degree":  # an array basis is its own window: bitwise
+        assert np.array_equal(cert.A, dense["A"]) and np.array_equal(cert.C, dense["C"])
+        assert (cert.contraction, cert.reconstruction, cert.isometry, cert.support) == (
+            dense["contraction"], dense["reconstruction"], dense["isometry"],
+            dense["support"])
+    elif case in ("edge", "interior"):
+        # the passive links are Q's links on the rows past L = s + m
+        assert cert.A.link_cols.size == max(rows - s - m, 0)
+    # the exact counts match, but an entry at roundoff may cancel to an exact
+    # zero in one summation order and not in the other: BLAS sums the dense
+    # oracle's long inner products in another order than the window's
+    assert cert.nonzeros[0] == np.count_nonzero(A)
+    assert _same_pattern(A, dense["A"])
+    if cert.nonzeros[1] != np.count_nonzero(dense["power"]):
+        assert np.any((dense["power"] != 0) & (np.abs(dense["power"]) <= ROUNDOFF))
+    T = 2 ** cert.squarings
+    roundoff = 4 * rows * EPS * T * max(1.0, dense["isometry"]) / (1.0 - cert.contraction) ** 2
+    if cert.support[0] != dense["support"][0]:
+        assert max(cert.isometry, dense["isometry"]) <= roundoff
+    if cert.support[1] != dense["support"][1]:
+        assert max(cert.reconstruction, dense["reconstruction"]) <= roundoff
+
+
 def test_basis_is_built_on_first_request_and_cached():
     rng = np.random.default_rng(5)
     G = np.zeros((12, 2), complex)
@@ -209,8 +315,9 @@ def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Subspace, "basis", property(spy))
-    # the only product of two K x K factors is A_Q^H A_Q of the isometry
-    # defect: the contraction squares A_Q's 15-column head, not A_Q
+    # no product of two K x K factors: the isometry defect's A_Q^H A_Q is
+    # its active window's, and the contraction squares A_Q's 15-column head,
+    # not A_Q
     K = 2 * 4096 - 3
     real_product = representation._product
     square_factors = []
@@ -232,7 +339,7 @@ def test_repr_large_recipe_at_4096_never_densifies_the_kernel(monkeypatch):
     assert (defect["subspace_dim"], defect["defect_dim"]) == (2 * 4096 - 3, 3)
     assert defect["details"]["kernel_method"] == "zero"
     assert densified == []
-    assert sum(square_factors) == 1
+    assert sum(square_factors) == 0
     assert report.outcomes[1].residuals["certificate"]["head"] == 15
     # about 9 MB: the squarings' temporaries set 69 MB while they took A_Q whole
     assert peak < 25e6, peak / 1e6

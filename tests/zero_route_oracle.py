@@ -2,11 +2,11 @@
 
 ``dense_zero_kernel`` solves the zero symbol's kernel from the complete
 mN x mN QR of G and holds the basis as an mN x K array; ``dense_certificate``
-takes the peeling step with BLAS products on that array and forms the
-one-step isometry defect D (K x K) and the one-step residual P (mN x K) in
-full.  The package holds the kernel as links plus one block and takes every
-product of the certificate through ``subspaces._product``; the tests hold it
-to these forms.
+takes the peeling step (``peeling_oracle.peel_step``) with BLAS products on
+M's dense basis and forms the one-step isometry defect D (K x K) and the
+one-step residual P (mN x K) in full.  The package holds the kernel as links
+plus one block and takes the certificate's products on the held basis's
+active window only; the tests hold it to these forms.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from tklab.near_invariance import _bump_norm
 from tklab.operators import PerturbedToeplitz
 from tklab.representation import RepresentationFrame, _support_norms
 from tklab.subspaces import SigmaGap, Subspace
+
+from peeling_oracle import peel_step
 
 
 def dense_zero_kernel(T: PerturbedToeplitz, tol_rel: float | None = None
@@ -46,20 +48,6 @@ def dense_zero_kernel(T: PerturbedToeplitz, tol_rel: float | None = None
     return Subspace(T.m, T.N, basis, thresh, gap), V[:, :rank], image
 
 
-def dense_peel_step(frame: RepresentationFrame, X: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One peeling step on the flat columns of X with BLAS products:
-    C X = [a; c], A X = S*(X - W a) - E c and X - W a."""
-    m, E = frame.M.m, frame.E_matrix
-    a = frame.value_pinv @ X[:m]
-    V = X - frame.W_matrix @ a
-    R = np.zeros_like(V)
-    R[:-m] = V[m:]  # S*: the backward shift of every flat column
-    c = E.conj().T @ R
-    R -= E @ c
-    return np.concatenate([a, c], axis=0), R, V
-
-
 def dense_certificate(frame: RepresentationFrame, depth: int) -> dict:
     """The realization certificate with every product on BLAS, on M's dense
     basis, and D and P formed in full; its keys name the certificate's
@@ -68,7 +56,7 @@ def dense_certificate(frame: RepresentationFrame, depth: int) -> dict:
     m, N = M.m, M.N
     Q = M.basis
     max_steps = max(64 * N, 4096)
-    C, R, P = dense_peel_step(frame, Q)
+    C, R, P = peel_step(frame, Q)
     A = Q.conj().T @ R
     Y = frame.E_matrix @ C[frame.r:] + Q @ A
     P[m:] -= Y[:-m]
