@@ -143,6 +143,13 @@ def _parse_int(data: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _check_seed(seed: int, what: str) -> int:
+    """A seed, which numpy's generators take only when it is >= 0."""
+    if seed < 0:
+        raise ScenarioParseError(f"{what} must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def _parse_symbol_pair(data: dict, key: str, names: tuple[str, str],
                        what: str) -> tuple | None:
     """The two symbols of the object ``data[key]``, or None when it is absent."""
@@ -173,9 +180,12 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     H = [_parse_vec(v, "perturbation H") for v in pert["H"]]
     symbol = _parse_symbol(data["symbol"], "symbol") if data.get("symbol") is not None \
         else None
-    return Scenario(name=str(data.get("name", name_hint)), m=_parse_int(data, "m"),
-                    N=_parse_int(data, "N"), symbol_class=data["symbol_class"],
-                    checks=list(checks), seed=_parse_int(data, "seed", 0), G=G, H=H,
+    name = data.get("name", name_hint)
+    if not isinstance(name, str):
+        raise ScenarioParseError(f"name must be a string, got {name!r}")
+    return Scenario(name=name, m=_parse_int(data, "m"), N=_parse_int(data, "N"),
+                    symbol_class=data["symbol_class"], checks=list(checks),
+                    seed=_check_seed(_parse_int(data, "seed", 0), "seed"), G=G, H=H,
                     symbol=symbol,
                     factors=_parse_symbol_pair(data, "factors", ("F1", "F2"), "factor"),
                     pair=_parse_symbol_pair(data, "pair", ("psi", "phi"), "pair"),
@@ -785,6 +795,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = _tol_from_args(args)
+        if args.seed is not None:
+            _check_seed(args.seed, "--seed")
         if args.command == "run":
             report, code = run_scenario(args.file, tol, out=args.out, seed=args.seed)
             for o in report.outcomes:

@@ -31,8 +31,7 @@ from .errors import DimensionMismatch
 from .hardy_core import flat_columns
 from .model_spaces import ModelSpace, decompose_against_theta
 from .operators import PerturbedToeplitz, range_complement
-from .subspaces import (RankCut, SigmaGap, Subspace, _adjoint, _combine, _dense,
-                        _LinkBlock, _nonzero_lines, _overlap, _product, _shift, _trimmed,
+from .subspaces import (RankCut, SigmaGap, Subspace, _LinkBlock, _overlap, _shift,
                         column_gram_deviation, column_norms, column_span, is_contained,
                         nullspace, nullspace_within, rank_cut, subspace_equal,
                         value_split, zero_space)
@@ -312,18 +311,21 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
     One thin ``value_split`` of M's values at the origin gives the origin
     slice's dimension, the gap of its cut (``details["slice_sigma_gap"]``)
     and W, an orthonormal basis of M minus the slice.  The defect is
-    P_{M^perp} S*(slice): without ``complement`` it is the span of the
-    residual stack R = S*X - P_M S*X over X = Q - W (W^H Q), M's basis Q
-    projected onto the slice.  Both routes cut over the min(mN, slice dim)
-    directions of an (mN, slice dim) matrix; directions below the absolute
-    floor are noise, which keeps exactly invariant subspaces (for instance
-    model spaces) at defect zero.  A basis held as links plus a block stays
-    so through the residual stack, whose SVD takes its nonzero lines only.
+    P_{M^perp} S*(slice), the span of the residual stack R = S*X - P_M S*X
+    over X = Q - W (W^H Q), M's basis Q projected onto the slice.  There are
+    two routes, and both cut over the min(mN, slice dim) directions of an
+    (mN, slice dim) matrix; directions below the absolute floor are noise,
+    which keeps exactly invariant subspaces (for instance model spaces) at
+    defect zero.
 
-    ``complement`` is an orthonormal basis U of M's orthocomplement, as the
-    zero-symbol kernel solve keeps it; it must have mN - dim M columns
+    The residual stack takes the SVD of R itself, on an array basis given
+    no ``complement``.  The complement route takes an orthonormal basis U of
+    M's orthocomplement: the caller's ``complement``, as the zero-symbol
+    kernel solve keeps it, or else ``M.perp()`` for a basis held as links
+    plus a block, which reads the complement from the block as links and
+    block share no line.  A given complement must have mN - dim M columns
     orthogonal to M within the ``Subspace`` Gram bound, or ValueError is
-    raised.  Then the slice's projection is P = I - U U^H - W W^H, and
+    raised.  The slice's projection is P = I - U U^H - W W^H, and
     U^H S* P = (P S U)^H, so the defect is U range((P S U)^H): U times the
     kept right singular vectors of the mN x dim U matrix P S U, which has
     the singular values of U^H R and so of R.  No mN x dim M array is
@@ -339,19 +341,12 @@ def compute_defect(M: Subspace, defect_floor: float = 1e-8,
         return DefectReport(subspace_dim=M.dim, slice_dim=0, defect_basis=nothing,
                             W=split.W, value_cut=split.cut, details=details)
     W, U = split.W, complement
+    if U is None and not isinstance(M.held, np.ndarray):
+        U = M.perp().basis
     if U is None:
         Q = M.held
-        if not isinstance(Q, np.ndarray):
-            W = _trimmed(W)
-        shifted = _shift(_combine(np.subtract, Q, _product(W, _product(_adjoint(W), Q))), -m)
-        R = _combine(np.subtract, shifted, _product(Q, M.coefficients(shifted)))
-        if isinstance(R, np.ndarray):
-            u, s, _ = np.linalg.svd(R, full_matrices=False)
-        else:
-            rows, cols = (np.flatnonzero(mask) for mask in _nonzero_lines(R))
-            head, s, _ = np.linalg.svd(_dense(R, rows, cols), full_matrices=False)
-            u = np.zeros((m * N, s.size), dtype=complex)
-            u[rows] = head
+        shifted = _shift(Q - W @ (W.conj().T @ Q), -m)
+        u, s, _ = np.linalg.svd(shifted - Q @ M.coefficients(shifted), full_matrices=False)
     elif U.shape[1]:
         SU = _shift(U, m)  # the truncating forward shift, S*'s adjoint
         _, s, vh = np.linalg.svd(SU - U @ (U.conj().T @ SU) - W @ (W.conj().T @ SU),

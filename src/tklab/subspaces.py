@@ -19,9 +19,11 @@ and decides from the cuts a verdict reads its ``sigma_conclusive``
 Gram-Schmidt (``gram_schmidt``) and the projection Q (Q^H X) (``Subspace.project_flat``).
 
 A basis may be held as links plus one dense block (``_LinkBlock``), as the
-zero-symbol kernel is; the product, the sums (``_combine``), the adjoint, the
-shifts (``_shift``) and the reads (``_top``, ``_dense``, ``_nonzero_lines``)
-take either form, and on arrays they are the plain numpy calls.
+zero-symbol kernel is.  Links and block share no line, so such a basis meets
+only arrays: the product with an array (``_product``), the reads (``_top``,
+``_dense``), the Gram check on its block and the complement from its block
+(``Subspace.perp``).  On arrays they are the plain numpy calls, and the
+shifts (``_shift``) take arrays only.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class Subspace:
 
     def coefficients(self, X: np.ndarray) -> np.ndarray:
         """Q^H X for mN x k columns X, as (X^H Q)^H: only X is conjugated."""
-        return _adjoint(_product(_adjoint(X), self._held))
+        return _product(X.conj().T, self._held).conj().T
 
     def project_flat(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection Q (Q^H X) of a flat vector or mN x k array."""
@@ -198,10 +200,27 @@ class Subspace:
         return float(np.linalg.norm(np.asarray(v, dtype=complex) - self.project_flat(v)))
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement within the full ambient: the trailing
-        columns of a complete QR of the basis."""
-        q = np.linalg.qr(self.basis, mode="complete")[0]
-        return Subspace(self._m, self._N, q[:, self.dim:], self._tol)
+        """Orthogonal complement within the full ambient, as an array.
+
+        An array basis gives the trailing columns of its complete QR.  A
+        basis held as links plus a block gives those of its block's complete
+        QR, on the block rows I, then the unit vectors of the rows that are
+        neither link rows nor block rows.  This is exact as links and block
+        share no line: the links span the unit vectors of their rows and the
+        block's columns lie in the rows I.  The dense basis is not built.
+        """
+        X = self._held
+        if isinstance(X, np.ndarray):
+            q = np.linalg.qr(X, mode="complete")[0]
+            return Subspace(self._m, self._N, q[:, self.dim:], self._tol)
+        free = np.ones(X.shape[0], dtype=bool)
+        free[np.r_[X.link_rows, X.I]] = False
+        free = np.flatnonzero(free)
+        inside = X.I.size - X.J.size
+        out = np.zeros((X.shape[0], inside + free.size), dtype=complex)
+        out[X.I, :inside] = np.linalg.qr(X.block, mode="complete")[0][:, X.J.size:]
+        out[free, inside + np.arange(free.size)] = 1.0
+        return Subspace(self._m, self._N, out, self._tol)
 
     def __repr__(self) -> str:
         return f"Subspace(m={self._m}, N={self._N}, dim={self.dim})"
@@ -309,7 +328,7 @@ def column_norms(X: np.ndarray) -> np.ndarray:
 def _overlap(X: np.ndarray, Q: np.ndarray | _LinkBlock) -> float:
     """max |X^H Q| for a narrow X: only X is conjugated, not the wide Q,
     which may be held as links plus a block."""
-    return float(np.max(np.abs(_product(_adjoint(X), Q)), initial=0.0))
+    return float(np.max(np.abs(_product(X.conj().T, Q)), initial=0.0))
 
 
 def span_of(vectors: list[CoeffVec], tol_rel: float | None = None,
@@ -416,14 +435,17 @@ def column_gram_deviation(X: np.ndarray | _LinkBlock) -> float:
     """max |X^H X - I| over the entries: how far the columns of X are from
     orthonormal (0 for no columns).
 
-    X^H X is ``_product``'s: BLAS's on an array.  On links plus a block, as
-    the zero route's kernel basis is held, the links' own Gram is the exact
-    identity and cancels, so the deviation is read on one GEMM of the block's
-    columns, widened by the link columns whose rows the block also fills.
+    On an array X^H X is BLAS's.  On links plus a block, as the zero
+    route's kernel basis is held, the links and the block share no line, so
+    the links' own Gram is the exact identity and meets no block entry: the
+    deviation is max |B^H B - I| on the block B, and 1 when a column is
+    neither a link nor a block column, as such a column is zero.
     """
-    gram = _product(_adjoint(X), X)
-    deviation = _combine(np.subtract, gram, _identity(X.shape[1]))
-    return float(np.max(np.abs(_values(deviation)), initial=0.0))
+    if isinstance(X, _LinkBlock):
+        missing = X.shape[1] - X.link_cols.size - X.J.size
+        return max(column_gram_deviation(X.block), 1.0 if missing else 0.0)
+    gram = X.conj().T @ X
+    return float(np.max(np.abs(gram - np.eye(X.shape[1])), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +459,10 @@ class _LinkBlock(NamedTuple):
     Pi is a partial permutation: column ``link_cols[i]`` is the unit vector
     e_(link_rows[i]), its entry exactly 1.0, and no link row or column
     repeats.  B is ``block``, X on the rows ``I`` x the columns ``J`` (each
-    ascending), which hold no link row and no link column.  Every other
-    entry is zero.
+    ascending), which hold no link row and no link column, so links and
+    block share no line.  Every other entry is zero.  The block Gram
+    (``column_gram_deviation``) and the block complement
+    (``Subspace.perp``) rely on the disjoint lines.
     """
 
     link_rows: np.ndarray
@@ -469,19 +493,6 @@ def _positions(index: np.ndarray, size: int, values: np.ndarray | None = None
     return at
 
 
-def _identity(k: int) -> _LinkBlock:
-    """The k x k identity: k links and no block."""
-    every = np.arange(k)
-    return _LinkBlock(every, every, _NONE, _NONE, np.zeros((0, 0), complex), (k, k))
-
-
-def _trimmed(X: np.ndarray) -> _LinkBlock:
-    """The array X held as one block on its nonzero rows and columns."""
-    nonzero = X != 0
-    I, J = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-    return _LinkBlock(_NONE, _NONE, I, J, X[I[:, None], J], X.shape)
-
-
 def _dense(X: np.ndarray | _LinkBlock, rows: np.ndarray | None = None,
            cols: np.ndarray | None = None) -> np.ndarray:
     """X, or its submatrix X[rows][:, cols] for index arrays without
@@ -504,64 +515,13 @@ def _dense(X: np.ndarray | _LinkBlock, rows: np.ndarray | None = None,
     return out
 
 
-def _adjoint(X: np.ndarray | _LinkBlock) -> np.ndarray | _LinkBlock:
-    """X^H: the links turn around and the block is conjugated and transposed."""
-    if isinstance(X, np.ndarray):
-        return X.conj().T
-    return _LinkBlock(X.link_cols, X.link_rows, X.J, X.I, X.block.conj().T, X.shape[::-1])
-
-
-def _combine(op, X: np.ndarray | _LinkBlock, Y: np.ndarray | _LinkBlock
-             ) -> np.ndarray | _LinkBlock:
-    """op(X, Y) entrywise for op ``np.add`` or ``np.subtract``, in a new matrix.
-
-    With an array operand the result is the array op(X, Y).  Otherwise a
-    link of X stays a link where Y's row and column are empty, two links on
-    one entry cancel under subtraction, and every other link joins the
-    block, whose entries are op(x, y) of the operands' entries, as in the
-    dense op.  So the operand with the links that should stay goes first.
-    """
-    if isinstance(X, np.ndarray) or isinstance(Y, np.ndarray):
-        return op(_dense(X), _dense(Y))
-    rows, cols = X.shape
-    y_row = _positions(Y.link_cols, cols, Y.link_rows)
-    y_row[Y.J] = -2  # a block column
-    y_rows = np.zeros(rows, dtype=bool)
-    y_rows[np.r_[Y.I, Y.link_rows]] = True
-    x_keep = (y_row[X.link_cols] == -1) & ~y_rows[X.link_rows]
-    x_join, y_join = ~x_keep, np.ones(Y.link_cols.size, dtype=bool)
-    if op is np.subtract:
-        x_join &= y_row[X.link_cols] != X.link_rows
-        y_join = _positions(X.link_cols, cols, X.link_rows)[Y.link_cols] != Y.link_rows
-    I = _union(rows, X.I, Y.I, X.link_rows[x_join], Y.link_rows[y_join])
-    J = _union(cols, X.J, Y.J, X.link_cols[x_join], Y.link_cols[y_join])
-    r_at, c_at = _positions(I, rows), _positions(J, cols)
-    out = np.zeros((I.size, J.size), dtype=complex)
-    out[r_at[X.I, None], c_at[X.J]] = X.block
-    out[r_at[X.link_rows[x_join]], c_at[X.link_cols[x_join]]] = 1.0
-    at = r_at[Y.I, None], c_at[Y.J]
-    out[at] = op(out[at], Y.block)
-    at = r_at[Y.link_rows[y_join]], c_at[Y.link_cols[y_join]]
-    out[at] = op(out[at], 1.0)
-    return _LinkBlock(X.link_rows[x_keep], X.link_cols[x_keep], I, J, out, X.shape)
-
-
-def _shift(X: np.ndarray | _LinkBlock, k: int) -> np.ndarray | _LinkBlock:
+def _shift(X: np.ndarray, k: int) -> np.ndarray:
     """X with every row moved k places down (up for k < 0), the rows moved
     past either end dropped: on flat degree-major columns k = m is the
-    truncating forward shift z and k = -m the backward shift S*.  Links and
-    block rows move as indices."""
-    rows = X.shape[0]
-    if isinstance(X, _LinkBlock):
-        moved = X.link_rows + k
-        keep = (moved >= 0) & (moved < rows)
-        I = X.I + k
-        lo, hi = np.count_nonzero(I < 0), np.count_nonzero(I < rows)
-        return _LinkBlock(moved[keep], X.link_cols[keep], I[lo:hi], X.J, X.block[lo:hi],
-                          X.shape)
+    truncating forward shift z and k = -m the backward shift S*."""
     out = np.zeros_like(X)
     if k >= 0:
-        out[k:] = X[:rows - k]
+        out[k:] = X[:X.shape[0] - k]
     else:
         out[:k] = X[-k:]
     return out
@@ -574,39 +534,13 @@ def _top(X: np.ndarray | _LinkBlock, rows: int) -> np.ndarray:
     return _dense(X, np.arange(min(rows, X.shape[0])), np.arange(X.shape[1]))
 
 
-def _nonzero_lines(X: np.ndarray | _LinkBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of X's rows and of its columns that hold a nonzero: the link
-    lines and the block's nonzero lines."""
-    if isinstance(X, np.ndarray):
-        nonzero = X != 0
-        return nonzero.any(axis=1), nonzero.any(axis=0)
-    nonzero = X.block != 0
-    rows, cols = np.zeros(X.shape[0], dtype=bool), np.zeros(X.shape[1], dtype=bool)
-    rows[np.r_[X.I[nonzero.any(axis=1)], X.link_rows]] = True
-    cols[np.r_[X.J[nonzero.any(axis=0)], X.link_cols]] = True
-    return rows, cols
+def _product(X: np.ndarray | _LinkBlock, Y: np.ndarray | _LinkBlock) -> np.ndarray:
+    """X @ Y as an array, for factors of which at most one is a ``_LinkBlock``.
 
-
-def _values(X: np.ndarray | _LinkBlock) -> np.ndarray:
-    """X's entries, its structural zeros left out: for norms and counts."""
-    if isinstance(X, np.ndarray):
-        return X
-    return np.concatenate([X.block.ravel(), np.ones(X.link_cols.size, dtype=complex)])
-
-
-def _product(X: np.ndarray | _LinkBlock, Y: np.ndarray | _LinkBlock
-             ) -> np.ndarray | _LinkBlock:
-    """X @ Y, each factor an array or a ``_LinkBlock``.
-
-    Two arrays give BLAS's X @ Y.  With X = Pi_X + B_X and Y = Pi_Y + B_Y, a
-    link of Y into a link column of X composes into a link (Pi_X Pi_Y); one
-    into a block column of X takes that column of B_X (B_X Pi_Y); the rows
-    of B_Y at X's link columns move to their link rows (Pi_X B_Y); and
-    B_X B_Y is one GEMM over the block columns of X that are block rows of
-    Y.  An array factor is a block on every line, so the product with it is
-    an array: the links gather its rows or columns and the block meets it in
-    one GEMM.  As links and block share no line, each entry is a GEMM's or
-    one entry moved without arithmetic.
+    Two arrays give BLAS's X @ Y.  Against an array, the links gather its
+    rows or columns without arithmetic and the block meets it in one GEMM;
+    as links and block share no line, each entry is the GEMM's or one
+    entry moved.
     """
     if isinstance(X, np.ndarray) and isinstance(Y, np.ndarray):
         return X @ Y
@@ -615,32 +549,10 @@ def _product(X: np.ndarray | _LinkBlock, Y: np.ndarray | _LinkBlock
         out[:, Y.link_cols] = X[:, Y.link_rows]
         out[:, Y.J] = X[:, Y.I] @ Y.block
         return out
-    if isinstance(Y, np.ndarray):
-        out = np.zeros((X.shape[0], Y.shape[1]), dtype=complex)
-        out[X.link_rows] = Y[X.link_cols]
-        out[X.I] = X.block @ Y[X.J]
-        return out
-    (rows, inner), cols = X.shape, Y.shape[1]
-    x_at = _positions(X.J, inner)
-    shared, via = x_at[Y.I], x_at[Y.link_rows]
-    meets, gathered = shared >= 0, via >= 0
-    gemm, gather_cols = meets.any(), Y.link_cols[gathered]
-    x_row = _positions(X.link_cols, inner, X.link_rows)
-    moved_to, to = x_row[Y.I], x_row[Y.link_rows]
-    moved = moved_to >= 0
-    moved_to, linked = moved_to[moved], to >= 0
-    I = _union(rows, X.I if gemm or gather_cols.size else _NONE, moved_to)
-    J = _union(cols, Y.J if gemm or moved_to.size else _NONE, gather_cols)
-    r_at, c_at = _positions(I, rows), _positions(J, cols)
-    x_rows, y_cols = r_at[X.I, None], c_at[Y.J]
-    out = np.zeros((I.size, J.size), dtype=complex)
-    if gemm:
-        out[x_rows, y_cols] = X.block[:, shared[meets]] @ Y.block[meets]
-    if moved_to.size:
-        out[r_at[moved_to, None], y_cols] = Y.block[moved]
-    if gather_cols.size:
-        out[x_rows, c_at[gather_cols]] = X.block[:, via[gathered]]
-    return _LinkBlock(to[linked], Y.link_cols[linked], I, J, out, (rows, cols))
+    out = np.zeros((X.shape[0], Y.shape[1]), dtype=complex)
+    out[X.link_rows] = Y[X.link_cols]
+    out[X.I] = X.block @ Y[X.J]
+    return out
 
 
 def gram_schmidt(X: np.ndarray, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:

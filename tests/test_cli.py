@@ -516,7 +516,8 @@ class TestMalformedFields:
 
     @pytest.mark.parametrize("key,value", [
         ("factors", "drop F1"), ("expect", 5), ("checks", "defect_theorem"),
-        ("N", 24.7), ("N", 24.0), ("m", True), ("seed", "0")])
+        ("N", 24.7), ("N", 24.0), ("m", True), ("seed", "0"), ("seed", -5),
+        ("name", None), ("name", ["a"])])
     def test_cli_exits_2(self, tmp_path, key, value):
         data = json.loads((SCENARIOS / "factored_symbol_defect.json").read_text())
         if value == "drop F1":
@@ -527,6 +528,23 @@ class TestMalformedFields:
         proc = run_cli("run", str(path))
         assert proc.returncode == EXIT_PARSE, proc.stderr
         assert "Traceback" not in proc.stderr and key in proc.stderr
+
+    def test_negative_seed_is_a_parse_error_before_the_generator(self, tmp_path, capsys):
+        # a zero-class rank-one analysis draws from np.random.default_rng(seed),
+        # which refuses a negative seed: the file and the flag fail at parsing
+        path = SCENARIOS / "complement_single_column.json"
+        data = json.loads(path.read_text())
+        data["seed"] = -5
+        bad = tmp_path / "negative_seed.json"
+        bad.write_text(json.dumps(data))
+        for argv in (["run", str(bad)], ["--seed", "-5", "run", str(path)],
+                     ["--seed", "-5", "suite", str(SCENARIOS)],
+                     ["--seed", "-5", "sweep", str(path), "--param", "N", "--values", "32"]):
+            assert main(argv) == EXIT_PARSE, argv
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and "seed" in err, err
+        data["seed"] = 0
+        assert parse_scenario(data).seed == 0
 
     def test_bad_file_fails_alone(self, tmp_path):
         good = (SCENARIOS / "factored_symbol_defect.json").read_text()

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tklab import subspaces
+from tklab.cli_reports import ScenarioRun, bundled_scenario_dir, load_scenario
+from tklab.config import Tolerances
 from tklab.errors import ContainmentError, DimensionMismatch
 from tklab.hardy_core import CoeffVec, inner_product, reproducing_column
 from tklab.near_invariance import kernel_of
@@ -349,23 +353,23 @@ def _dense_gram_deviation(X):
 
 class TestGramDeviation:
     def _routes(self, monkeypatch):
-        """Whether each product the Gram check forms came back as links plus
-        a block."""
-        real, held = subspaces._product, []
+        """(held as links plus a block, shape) of every matrix the Gram check
+        reads, through ``subspaces.column_gram_deviation``."""
+        real, forms = subspaces.column_gram_deviation, []
 
-        def spy(X, Y):
-            out = real(X, Y)
-            held.append(isinstance(out, subspaces._LinkBlock))
-            return out
+        def spy(X):
+            forms.append((isinstance(X, subspaces._LinkBlock), X.shape))
+            return real(X)
 
-        monkeypatch.setattr(subspaces, "_product", spy)
-        return held
+        monkeypatch.setattr(subspaces, "column_gram_deviation", spy)
+        return forms
 
     def test_dense_basis_keeps_blas_bitwise(self, rng, monkeypatch):
-        held = self._routes(monkeypatch)
+        forms = self._routes(monkeypatch)
         X = np.linalg.qr(rng.standard_normal((96, 90)) + 1j * rng.standard_normal((96, 90)))[0]
-        assert column_gram_deviation(X) == _dense_gram_deviation(X)
-        assert held == [False]
+        assert subspaces.column_gram_deviation(X) == _dense_gram_deviation(X)
+        # one Gram, BLAS's, over the whole array
+        assert forms == [(False, X.shape)]
 
     def test_householder_basis_takes_the_support_route(self, rng, monkeypatch):
         # the zero route's kernel basis: all but a small block are unit
@@ -375,14 +379,73 @@ class TestGramDeviation:
             LaurentMatrixSymbol.zero(2), 256, G, G, require_orthonormal=False)).subspace.held
         basis = subspaces._dense(held_basis)
         assert held_basis.link_cols.size == basis.shape[1] - held_basis.J.size > 400
-        held = self._routes(monkeypatch)
+        forms = self._routes(monkeypatch)
         cases = [basis, basis * np.r_[2.0, np.ones(basis.shape[1] - 1)], basis.copy()]
         cases[2][:, 5] = 0.0  # a zero column misses its diagonal entry: deviation 1
         cases.append(basis.copy())
         cases[3][:, 7] += 1e-3 * basis[:, 300]  # the block takes link 300's row
+        expected = []
         for X in cases:
-            assert column_gram_deviation(linked(X)) == pytest.approx(
+            held = linked(X)
+            assert subspaces.column_gram_deviation(held) == pytest.approx(
                 _dense_gram_deviation(X), rel=1e-12, abs=1e-15)
-        assert held == [True] * len(cases)
+            # the held matrix, then one Gram over its block alone
+            expected += [(True, X.shape), (False, held.block.shape)]
+            assert held.block.shape[1] == held.J.size < 20
+        assert forms == expected
         assert column_gram_deviation(held_basis) <= 1e-14
         assert column_gram_deviation(linked(cases[2])) == 1.0
+
+
+@st.composite
+def held_bases(draw):
+    """An orthonormal mN x K array X and its held form ``linked(X)``.
+
+    Each row is a link row, a block row or a row that X leaves zero; the
+    block is the leading columns of a unitary on its rows, none of them
+    when ``empty``, and the columns come in a random order.  With ``pad``
+    the zero rows join the block rows as zero block rows, so an empty
+    block may keep rows, as the single-column zero-route kernel does."""
+    m, N = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 12))
+    rows = m * N
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = rng.integers(0, 3, size=rows)  # 0 link, 1 block, 2 zero
+    link_rows, block_rows = np.flatnonzero(kind == 0), np.flatnonzero(kind == 1)
+    width = 0 if draw(st.booleans()) else int(rng.integers(0, block_rows.size + 1))
+    X = np.zeros((rows, link_rows.size + width), complex)
+    X[link_rows, np.arange(link_rows.size)] = 1.0
+    raw = (rng.standard_normal((block_rows.size, block_rows.size))
+           + 1j * rng.standard_normal((block_rows.size, block_rows.size)))
+    X[block_rows, link_rows.size:] = np.linalg.qr(raw)[0][:, :width]
+    X = X[:, rng.permutation(X.shape[1])]
+    held = linked(X)
+    if draw(st.booleans()):
+        zero = np.flatnonzero(~(X != 0).any(axis=1))
+        I = np.union1d(held.I, zero)
+        block = np.zeros((I.size, held.J.size), complex)
+        block[np.searchsorted(I, held.I)] = held.block
+        held = held._replace(I=I, block=block)
+    return m, N, X, held
+
+
+class TestHeldComplement:
+    @settings(max_examples=300, deadline=None)
+    @given(held_bases())
+    def test_equals_the_dense_complete_qr_complement(self, case):
+        m, N, X, held = case
+        M = Subspace(m, N, held, 0.0)
+        perp, dense = M.perp(), Subspace(m, N, X, 0.0).perp()
+        assert M._basis is None and isinstance(perp.held, np.ndarray)
+        assert perp.dim == dense.dim == m * N - X.shape[1]
+        U, D = perp.basis, dense.basis
+        assert np.max(np.abs(U @ U.conj().T - D @ D.conj().T), initial=0.0) <= 1e-13
+        assert np.max(np.abs(X.conj().T @ U), initial=0.0) <= 1e-13
+
+    def test_single_column_kernel_with_an_empty_block(self):
+        # the bundled 47-link kernel: one block row and no block column
+        scenario = load_scenario(bundled_scenario_dir() / "complement_single_column.json")
+        kr = ScenarioRun.validated(scenario, Tolerances()).kernel
+        held = kr.subspace.held
+        assert (held.link_cols.size, held.I.size, held.J.size) == (47, 1, 0)
+        U = kr.subspace.perp().basis
+        assert np.max(np.abs(U @ U.conj().T - kr.complement @ kr.complement.conj().T)) <= 1e-13

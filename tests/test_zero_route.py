@@ -129,10 +129,10 @@ def test_nonzero_route_matches_dense_oracles(T):
     assert (measured.slice_dim, measured.defect_dim) == (reference.slice_dim,
                                                          reference.defect_dim)
     assert subspace_equal(measured.defect_basis, reference.defect_basis, 1e-10)[0]
-    # without the complement, on the held basis
-    held = compute_defect(K)
-    assert (held.slice_dim, held.defect_dim) == (measured.slice_dim, measured.defect_dim)
-    assert subspace_equal(held.defect_basis, measured.defect_basis, 1e-10)[0]
+    # without the complement, the residual stack on an array copy of the basis
+    stack = compute_defect(Subspace(m, N, K.basis, K.tol))
+    assert (stack.slice_dim, stack.defect_dim) == (measured.slice_dim, measured.defect_dim)
+    assert subspace_equal(stack.defect_basis, measured.defect_basis, 1e-10)[0]
     predicted = _zero_prediction(T, kr, measured, 1e-8)
     expected = _zero_prediction(T, oracle, reference, 1e-8)
     assert predicted.predicted_dim == expected.predicted_dim
@@ -370,9 +370,34 @@ def test_defect_without_the_complement_reads_the_held_kernel(monkeypatch):
     assert np.isclose(public.defect_basis.tol, via_complement.defect_basis.tol, rtol=1e-12)
 
 
+def test_held_complement_and_defect_at_4096_never_densify_the_kernel(monkeypatch):
+    # perp() reads the complement from the block, and compute_defect given
+    # no complement takes it: the dense basis would take 1.07 GB
+    scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 4096)
+    T = build_perturbed(LaurentMatrixSymbol.zero(scenario.m), scenario.N, scenario.G,
+                        scenario.H)
+    kr = kernel_of(T)
+    real = Subspace.basis.fget
+
+    def refuse(self):
+        if isinstance(self.held, _LinkBlock):
+            raise AssertionError("the kernel's dense basis was built")
+        return real(self)
+
+    monkeypatch.setattr(Subspace, "basis", property(refuse))
+    perp = kr.subspace.perp()
+    assert perp.dim == 3
+    U = perp.basis
+    assert np.max(np.abs(U @ (U.conj().T @ kr.complement) - kr.complement)) <= 1e-13
+    public = compute_defect(kr.subspace)
+    via_complement = compute_defect(kr.subspace, complement=kr.complement)
+    assert (public.slice_dim, public.defect_dim) == (via_complement.slice_dim, 3)
+    assert subspace_equal(public.defect_basis, via_complement.defect_basis, 1e-12)[0]
+
+
 def test_zero_route_sorts_nothing(monkeypatch):
-    # the links compose by index arithmetic and the block sums are one GEMM,
-    # so neither the kernel, its defect nor the certificate sorts an index
+    # the links gather by index arithmetic and the block meets arrays in one
+    # GEMM, so neither the kernel, its defect nor the certificate sorts an index
     scenario = _workloads().zero_symbol_repr(np.random.default_rng([0, 1]), 256)
     T = build_perturbed(LaurentMatrixSymbol.zero(scenario.m), scenario.N, scenario.G,
                         scenario.H)
